@@ -14,7 +14,8 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import hpe_core
-from .hpe_core import HpeConfig, extragradient_step, linear_rate_factor
+from .hpe_core import (HpeConfig, check_criterion, extragradient_step,
+                       linear_rate_factor)
 from .linops import BlockLayout, BlockPoint, IdentityMetric
 from .padmm_ebb import PadmmConfig, geometric_beta_schedule, run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
@@ -248,6 +249,7 @@ def check_padmm_qp_equivalence() -> CriterionResult:
 
 
 def check_direct_vs_kernel() -> CriterionResult:
+    """Native Condat-Vu updates match the kernel's verified correction."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
     prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
     theta = 0.5 * tmax
@@ -258,7 +260,8 @@ def check_direct_vs_kernel() -> CriterionResult:
     for _ in range(200):
         cert, z_direct = condat_vu_step(z_direct, prob, theta)
         cert_k, _ = condat_vu_step(z_kernel, prob, theta)
-        z_kernel = extragradient_step(z_kernel, cert_k, M)
+        check_criterion(z_kernel, cert_k, M, 0.5)  # raises unless M step = v
+        z_kernel = extragradient_step(z_kernel, cert_k)
         scale = 1.0 + float(np.max(np.abs(z_direct.data)))
         worst = max(worst, float(np.max(np.abs(z_direct.data - z_kernel.data)))
                     / scale)

@@ -1,13 +1,16 @@
 """Inexact proximal extra-gradient kernel with a relative-error criterion.
 
 The kernel iterates: an oracle returns an inexact proximal triple
-``(y, v, eps)`` certifying ``v`` as an eps-enlargement element at ``y``; the
-kernel verifies the relative-error inequality
+``(y, v, eps)`` certifying ``v`` as an eps-enlargement element at ``y``,
+together with the step ``c M^-1 v`` it computed on the way.  The kernel
+verifies that step with one metric apply, ``M step = c v`` to 1e-12 on every
+call and for every scheme, then checks the relative-error inequality
 
     theta * ||c M^-1 v||_M^2 + ||c M^-1 v + (y - x)||_M^2 + 2 c eps
         <= sigma * ||y - x||_M^2
 
-and then takes the over-relaxed correction ``x+ = x - (1 + theta) c M^-1 v``.
+and takes the over-relaxed correction ``x+ = x - (1 + theta) c M^-1 v``.  No
+metric solve happens in the kernel.
 The metric M may change between iterations inside the schedule
 ``omega_lower * I <= M_next <= (1 + xi_k) M_k`` with summable xi.
 
@@ -21,7 +24,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -30,7 +33,8 @@ from .linops import (BlockDiagonalMetric, BlockPoint, Metric, weighted_norm_sq)
 
 
 class CriterionViolation(RuntimeError):
-    """An oracle certificate failed the relative-error inequality."""
+    """An oracle certificate failed the relative-error inequality, carried a
+    step inconsistent with its v, or held non-finite values."""
 
 
 class MetricScheduleViolation(RuntimeError):
@@ -100,19 +104,28 @@ class HpeConfig:
 
 @dataclass
 class HpeCertificate:
-    """Inexact proximal triple plus the step parameters that produced it."""
+    """Inexact proximal triple plus the step parameters that produced it.
+
+    ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
+    against ``v`` and never solves for it; certificates kept after their
+    iteration drop it (:meth:`without_step`).
+    """
 
     y: BlockPoint
     v: BlockPoint
     eps: float
     c: float = 1.0
     theta: float = 0.0
+    step: Optional[BlockPoint] = None
 
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.c <= 0:
             raise ValueError("c must be positive")
+
+    def without_step(self) -> "HpeCertificate":
+        return replace(self, step=None)
 
 
 @dataclass
@@ -122,33 +135,87 @@ class CriterionReport:
     slack: float
     rel_slack: float
     ok: bool
+    diff_M_sq: float  # ||y - x||_M^2
+
+
+STEP_TOL = 1e-12
+
+
+def _step_of(cert: HpeCertificate) -> np.ndarray:
+    if cert.step is None:
+        raise CriterionViolation("certificate carries no step c M^-1 v")
+    return cert.step.data
+
+
+def _raise_if_non_finite(x: BlockPoint, cert: HpeCertificate) -> None:
+    for name, val in (("iterate x", x.data), ("y", cert.y.data),
+                      ("v", cert.v.data), ("step", cert.step.data),
+                      ("eps", cert.eps)):
+        if not np.all(np.isfinite(val)):
+            raise CriterionViolation("non-finite %s" % name)
 
 
 def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
                     sigma: float, tol: float = 1e-10) -> CriterionReport:
     """Evaluate the relative-error inequality for one certificate.
 
-    Returns lhs, rhs, slack = rhs - lhs and ok iff lhs <= rhs + tol*(1 + rhs).
+    The certificate's step is verified first, with one metric apply:
+    ||M step - c v||_inf <= 1e-12 (1 + ||c v||_inf).  A missing or deviating
+    step, or a non-finite entry, raises :class:`CriterionViolation`.  With
+    diff = y - x the inequality then follows by linearity from
+    M (step + diff) = c v + M diff, with one more apply:
+
+        lhs = theta <step, c v> + <step + diff, c v + M diff> + 2 c eps
+        rhs = sigma <diff, M diff>
+
+    Returns lhs, rhs, slack = rhs - lhs, ok iff lhs <= rhs + tol*(1 + rhs),
+    and ||diff||_M^2.
     """
     if cert.eps < 0:
         raise ValueError("eps must be nonnegative")
-    step = cert.c * M.solve(cert.v.data)  # c * M^-1 v
+    step = _step_of(cert)
+    cv = cert.c * cert.v.data
+    dev = float(abs(M.apply(step) - cv).max())
+    if not dev <= STEP_TOL * (1.0 + float(abs(cv).max())):
+        _raise_if_non_finite(x, cert)
+        raise CriterionViolation("certificate step deviates from c M^-1 v "
+                                 "(||M step - c v||_inf = %.3e)" % dev)
     diff = cert.y.data - x.data
-    lhs = (cert.theta * float(np.dot(step, M.apply(step)))
-           + weighted_norm_sq(M, step + diff)
+    Mdiff = M.apply(diff)
+    diff_M_sq = float(np.dot(diff, Mdiff))
+    lhs = (cert.theta * float(np.dot(step, cv))
+           + float(np.dot(step + diff, cv + Mdiff))
            + 2.0 * cert.c * cert.eps)
-    rhs = sigma * float(np.dot(diff, M.apply(diff)))
+    rhs = sigma * diff_M_sq
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        _raise_if_non_finite(x, cert)
     slack = rhs - lhs
     rel_slack = slack / (1.0 + rhs)
     return CriterionReport(lhs=lhs, rhs=rhs, slack=slack,
                            rel_slack=rel_slack,
-                           ok=lhs <= rhs + tol * (1.0 + rhs))
+                           ok=lhs <= rhs + tol * (1.0 + rhs),
+                           diff_M_sq=diff_M_sq)
 
 
-def extragradient_step(x: BlockPoint, cert: HpeCertificate, M: Metric) -> BlockPoint:
-    """Over-relaxed correction x - (1 + theta) c M^-1 v."""
-    return BlockPoint(
-        x.data - (1.0 + cert.theta) * cert.c * M.solve(cert.v.data), x.layout)
+def certify(k: int, x: BlockPoint, cert: HpeCertificate, M: Metric,
+            sigma: float) -> CriterionReport:
+    """:func:`check_criterion` for iteration k of a solver loop; any failure
+    raises :class:`CriterionViolation` naming the iteration."""
+    try:
+        rep = check_criterion(x, cert, M, sigma)
+    except CriterionViolation as exc:
+        raise CriterionViolation("iteration %d: %s" % (k, exc)) from None
+    if not rep.ok:
+        raise CriterionViolation(
+            "iteration %d: criterion failed (lhs=%.6e > rhs=%.6e, "
+            "rel slack %.3e)" % (k, rep.lhs, rep.rhs, rep.rel_slack))
+    return rep
+
+
+def extragradient_step(x: BlockPoint, cert: HpeCertificate) -> BlockPoint:
+    """Over-relaxed correction x - (1 + theta) c M^-1 v, along the
+    certificate's step."""
+    return BlockPoint(x.data - (1.0 + cert.theta) * _step_of(cert), x.layout)
 
 
 @dataclass
@@ -181,12 +248,9 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
                     % (i, d_old, d_new, 1.0 + xi_k))
         return MetricUpdateReport(True)
     rng = np.random.default_rng(seed)
-    dim = None
-    for attr in ("layout",):
-        if hasattr(M_k, attr):
-            dim = getattr(M_k, attr).dim
+    dim = M_k.dim if M_k.dim is not None else M_next.dim
     if dim is None:
-        dim = getattr(M_k, "matrix", np.zeros((1, 1))).shape[0]
+        dim = 1  # both are scalar multiples of the identity
     for _ in range(probes):
         u = rng.standard_normal(dim)
         q_next = float(np.dot(u, M_next.apply(u)))
@@ -280,10 +344,11 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
         record_certificates: bool = True) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
 
-    ``oracle(x, M, cfg) -> HpeCertificate``; ``metric_update(k, x, cert, M)``
-    optionally returns the next metric (constant metric when omitted).  Every
-    certificate must pass the criterion and every metric change the schedule;
-    violations abort with a diagnostic exception.
+    ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set;
+    ``metric_update(k, x, cert, M)`` optionally returns the next metric
+    (constant metric when omitted).  Every certificate must pass the
+    criterion and every metric change the schedule; violations abort with a
+    diagnostic exception.  Recorded certificates do not keep their step.
     """
     x = x0.copy()
     M = M0
@@ -291,22 +356,16 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
     t0 = time.perf_counter()
     for k in range(1, cfg.max_iters + 1):
         cert = oracle(x, M, cfg)
-        rep = check_criterion(x, cert, M, cfg.sigma)
-        if not rep.ok:
-            raise CriterionViolation(
-                "iteration %d: criterion failed (lhs=%.6e > rhs=%.6e, "
-                "rel slack %.3e)" % (k, rep.lhs, rep.rhs, rep.rel_slack))
+        rep = certify(k, x, cert, M, cfg.sigma)
         xi_k = cfg.xi(k)
-        diff = cert.y - x
         v_norm = cert.v.norm()
         rec = IterRecord(
             k=k, time_s=time.perf_counter() - t0, v_norm=v_norm,
             eps=cert.eps, theta=cert.theta, criterion_slack=rep.rel_slack,
-            step_norm=math.sqrt(max(weighted_norm_sq(M, diff), 0.0)),
+            step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
             metric_min=M.omega_lower, metric_max=M.omega_upper,
-            c=cert.c, xi=xi_k,
-            step_M_sq=weighted_norm_sq(M, diff),
-            cert=cert if record_certificates else None)
+            c=cert.c, xi=xi_k, step_M_sq=rep.diff_M_sq,
+            cert=cert.without_step() if record_certificates else None)
         if ref_solution is not None:
             rec.dist_to_ref = (x - ref_solution).norm()
             rec.dist_M_sq = weighted_norm_sq(M, x - ref_solution)
@@ -314,7 +373,7 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
         if max(v_norm, cert.eps) <= cfg.tol_residual:
             return RunResult(solution=cert.y.copy(), trace=trace, converged=True,
                              reason="residual", iterations=k)
-        x = extragradient_step(x, cert, M)
+        x = extragradient_step(x, cert)
         if metric_update is not None:
             M_next = metric_update(k, x, cert, M)
             upd = validate_metric_update(M, M_next, xi_k, cfg.omega_lower)
@@ -441,9 +500,10 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
                                  theta: float = 0.0):
     """Exact proximal-point oracle for the affine operator T(x) = Qx + q.
 
-    Solves (c Q + M) y = M x - c q each step, so eps = 0 and the criterion
-    holds with lhs = theta ||c M^-1 v||_M^2 (zero when theta = 0).  The metric
-    is treated as fixed; pass the same M to the kernel.
+    Solves (c Q + M) y = M x - c q each step, so eps = 0, the step
+    c M^-1 v is exactly x - y, and the criterion holds with
+    lhs = theta ||c M^-1 v||_M^2 (zero when theta = 0).  The metric is treated
+    as fixed; pass the same M to the kernel.
     """
     import scipy.linalg
 
@@ -463,7 +523,8 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
         v = Q @ y + q
         return HpeCertificate(y=BlockPoint(y, x.layout),
                               v=BlockPoint(v, x.layout),
-                              eps=0.0, c=c, theta=theta)
+                              eps=0.0, c=c, theta=theta,
+                              step=BlockPoint(x.data - y, x.layout))
 
     return oracle
 

@@ -271,11 +271,14 @@ class Metric:
     """Self-adjoint positive definite operator with apply/solve access.
 
     Subclasses must set ``omega_lower``/``omega_upper`` such that
-    omega_lower * I <= M <= omega_upper * I.
+    omega_lower * I <= M <= omega_upper * I, and ``dim``, the dimension of
+    the space M acts on.  ``dim`` is None only for scalar multiples of the
+    identity, which act on every space alike.
     """
 
     omega_lower: float
     omega_upper: float
+    dim: Optional[int] = None
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -327,6 +330,7 @@ class BlockDiagonalMetric(Metric):
             raise ValueError("metric scalars must be positive")
         self.scalars = tuple(scalars)
         self.layout = layout
+        self.dim = layout.dim
         self._weights = np.repeat(np.asarray(scalars), layout.sizes)
         self.omega_lower = min(scalars)
         self.omega_upper = max(scalars)
@@ -353,6 +357,7 @@ class DenseMetric(Metric):
         if np.max(np.abs(matrix - matrix.T)) > 1e-10 * (1 + np.max(np.abs(matrix))):
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (matrix + matrix.T)
+        self.dim = matrix.shape[0]
         eigs = scipy.linalg.eigvalsh(self.matrix)
         if eigs[0] <= 0:
             raise ValueError("matrix is not positive definite")
@@ -371,12 +376,15 @@ class CallableMetric(Metric):
     """Metric given by apply/solve callables plus spectral bounds.
 
     Used for structured saddle-point metrics whose apply and solve are cheap
-    but whose dense form is never assembled.
+    but whose dense form is never assembled.  ``dim`` is the dimension of the
+    space the callables act on.
     """
 
-    def __init__(self, apply_fn, solve_fn, omega_lower: float, omega_upper: float):
+    def __init__(self, apply_fn, solve_fn, omega_lower: float,
+                 omega_upper: float, dim: int):
         self._apply = apply_fn
         self._solve = solve_fn
+        self.dim = int(dim)
         self.omega_lower = float(omega_lower)
         self.omega_upper = float(omega_upper)
 

@@ -14,7 +14,8 @@ through their primal-dual KKT operator.  One iteration performs:
    the current direction (ratio of two quadratic forms);
 3. the extra-gradient correction z+ = z + (1 + theta) M^-1 U (w - z), which is
    exactly the kernel step of :mod:`opsplit.hpe_core` for the certificate
-   v = U(z - w), eps = (1/4)||x - x~||_D^2;
+   v = U(z - w), eps = (1/4)||x - x~||_D^2, whose step M^-1 U(z - w) the
+   step-size range has already computed;
 4. a blockwise Barzilai-Borwein update of the inverse-metric scalars, clamped
    to the admissible metric schedule.
 
@@ -32,10 +33,9 @@ import numpy as np
 import scipy.linalg
 
 from . import hpe_core
-from .hpe_core import (CriterionViolation, HpeCertificate, HpeConfig, IterRecord,
-                       IterTrace, MetricScheduleViolation, check_criterion,
-                       default_xi_schedule, extragradient_step,
-                       validate_metric_update)
+from .hpe_core import (HpeCertificate, IterRecord, IterTrace,
+                       MetricScheduleViolation, certify, default_xi_schedule,
+                       extragradient_step, validate_metric_update)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
@@ -309,6 +309,8 @@ class ThetaRange:
     theta_adap: float
     gamma_form: float
     denom_form: float
+    Ud: BlockPoint    # U d, the certificate's v
+    step: BlockPoint  # M^-1 U d, the certificate's step
 
 
 def _d_weights(problem: MultiBlockProblem) -> np.ndarray:
@@ -334,11 +336,12 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
     if d.norm() == 0.0:
         raise ValueError("zero direction: iterate equals its sweep point")
     Ud = U.apply(d)
+    step = BlockPoint(M.solve(Ud.data), Ud.layout)
     dw = _d_weights(problem)
     gamma_form = (2.0 * d.inner(Ud)
                   + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
                   - 0.5 * float(np.dot(d.data * dw, d.data)))
-    denom_form = float(np.dot(Ud.data, M.solve(Ud.data)))
+    denom_form = float(np.dot(Ud.data, step.data))
     if denom_form <= 0:
         raise ValueError("degenerate U*M^-1U form")
     theta_adap = -1.0 + gamma_form / denom_form
@@ -367,7 +370,8 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
         lam_hat = max(lam, denom_form / gamma_form) * 1.01
         theta_bar = -1.0 + 1.0 / lam_hat
     return ThetaRange(theta_bar=theta_bar, theta_adap=theta_adap,
-                      gamma_form=gamma_form, denom_form=denom_form)
+                      gamma_form=gamma_form, denom_form=denom_form,
+                      Ud=Ud, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +456,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     Every iteration is certified against the relative-error criterion (with
     sigma = sigma_bar) and the metric schedule; a violation aborts with a
     diagnostic, since it indicates an inconsistent theta/proximal-term policy.
+    The schedule's lower bound is the floor the BB clamp guarantees,
+    min(M_0 scalars) / prod_{j<=k} (1 + xi_j).
     """
     layout = problem.full_layout
     z = z0.copy() if z0 is not None else BlockPoint.zeros(layout)
@@ -463,6 +469,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     inv_scalars: Optional[List[float]] = (
         list(config.initial_inv_scalars) if config.initial_inv_scalars else None)
     prev_xt = prev_s = prev_yt = prev_r = None
+    omega_floor = None
     t0 = time.perf_counter()
     converged = False
     reason = "max_iters"
@@ -483,6 +490,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
                                          config.margin * margin_mult)
             inv_scalars = [1.0 / e for e in etas0] + [beta]
         M = BlockDiagonalMetric.from_inverse_scalars(inv_scalars, layout)
+        if omega_floor is None:
+            omega_floor = M.omega_lower
 
         # sweep, with margin escalation if the directional Gamma form fails
         for attempt in range(10):
@@ -519,20 +528,16 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
         theta = min(theta_safe, config.theta_cap)
         if config.theta_fixed is not None:
             theta = min(config.theta_fixed, theta_safe)
-        v = U.apply(d)
+        v = tr.Ud
         eps_per_block = np.array(
             [0.25 * l * float(np.dot(d.block(i), d.block(i)))
              for i, l in enumerate(problem.L)])
         eps = float(eps_per_block.sum())
-        cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta)
-        rep = check_criterion(z, cert, M, config.sigma_bar)
-        if not rep.ok:
-            raise CriterionViolation(
-                "iteration %d: certificate failed the relative-error "
-                "criterion (lhs=%.6e > rhs=%.6e); theta/proximal-term policy "
-                "inconsistent" % (k, rep.lhs, rep.rhs))
+        cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta,
+                              step=tr.step)
+        rep = certify(k + 1, z, cert, M, config.sigma_bar)
 
-        z_next = extragradient_step(z, cert, M)
+        z_next = extragradient_step(z, cert)
 
         # Barzilai-Borwein quantities from this sweep
         grads_t = problem.grad_f(list(x_tilde))
@@ -551,18 +556,19 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
         else:
             new_scalars = list(inv_scalars)
         M_next = BlockDiagonalMetric.from_inverse_scalars(new_scalars, layout)
-        upd = validate_metric_update(M, M_next, xi_k,
-                                     omega_lower=min(M_next.scalars))
+        omega_floor /= 1.0 + xi_k
+        upd = validate_metric_update(M, M_next, xi_k, omega_lower=omega_floor)
         if not upd:
-            raise MetricScheduleViolation("iteration %d: %s" % (k, upd.message))
+            raise MetricScheduleViolation("iteration %d: %s"
+                                          % (k + 1, upd.message))
 
+        kept = cert.without_step() if config.record_certificates else None
         rec = IterRecord(
             k=k + 1, time_s=time.perf_counter() - t0, v_norm=v.norm(),
             eps=eps, theta=theta, criterion_slack=rep.rel_slack,
-            step_norm=math.sqrt(max(weighted_norm_sq(M, d), 0.0)),
+            step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
             metric_min=M.omega_lower, metric_max=M.omega_upper,
-            c=1.0, xi=xi_k, step_M_sq=weighted_norm_sq(M, d),
-            cert=cert if config.record_certificates else None,
+            c=1.0, xi=xi_k, step_M_sq=rep.diff_M_sq, cert=kept,
             extras={"pkkt": pnorm,
                     "feas_norm": float(np.linalg.norm(problem.feasibility(xs))),
                     "objective": problem.objective(xs),
@@ -574,7 +580,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
             rec.dist_M_sq = weighted_norm_sq(M, z - ref_solution)
         trace.append(rec)
         if config.record_certificates:
-            certs.append(cert)
+            certs.append(kept)
             eps_blocks_hist.append(eps_per_block)
 
         prev_xt, prev_s, prev_yt, prev_r = x_tilde, s_now, y_tilde, r_now

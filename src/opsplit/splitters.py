@@ -4,9 +4,11 @@ Each oracle performs one iteration of a known splitting method (forward-
 backward-half-forward, projective proximal-gradient consensus splitting,
 Condat-Vu primal-dual, and an adaptive-step primal-dual variant) and returns
 an :class:`~opsplit.hpe_core.HpeCertificate` together with the natively
-computed next iterate.  The certificate always satisfies the relative-error
-criterion under the method's own metric, and the native update coincides with
-the kernel's extra-gradient correction.
+computed next iterate.  The certificate carries the scheme's own step
+c M^-1 v (no metric solve), always satisfies the relative-error criterion
+under the method's own metric, and the native update coincides with the
+kernel's extra-gradient correction.  The kernel checks the step against v to
+1e-12 on every call, for every scheme.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .hpe_core import HpeCertificate, extragradient_step
-from .linops import (BlockLayout, BlockPoint, CallableMetric, IdentityMetric,
-                     LinearMap, Metric)
+from .hpe_core import HpeCertificate
+from .linops import BlockLayout, BlockPoint, CallableMetric, LinearMap, Metric
 from .prox_problems import ProxFn
 
 
@@ -79,9 +80,11 @@ def fbhf_step(x: BlockPoint, p: FbhfProblem, gamma: float, theta: float,
     b2y = p.B2(y) if p.B2 is not None else np.zeros_like(xf)
     v = (xf - y) / gamma - b2x + b2y
     eps = 0.0 if p.B1 is None else float(np.dot(xf - y, xf - y)) / (4.0 * p.beta)
+    step = gamma * v
     cert = HpeCertificate(y=BlockPoint(y, x.layout), v=BlockPoint(v, x.layout),
-                          eps=eps, c=gamma, theta=theta)
-    x_next = BlockPoint(xf - (1.0 + theta) * gamma * v, x.layout)
+                          eps=eps, c=gamma, theta=theta,
+                          step=BlockPoint(step, x.layout))
+    x_next = BlockPoint(xf - (1.0 + theta) * step, x.layout)
     return cert, x_next
 
 
@@ -151,9 +154,9 @@ def ppg_step(z: BlockPoint, p: PpgProblem, theta: float,
     v = BlockPoint.from_blocks([xc - x_next[i] for i in range(p.n)])
     eps_raw = 0.25 * p.L * sum(float(np.dot(x_next[i] - xc, x_next[i] - xc))
                                for i in range(p.n))
-    cert = HpeCertificate(y=BlockPoint(y.data, z.layout),
-                          v=BlockPoint(v.data, z.layout),
-                          eps=p.alpha * eps_raw, c=1.0, theta=theta)
+    v = BlockPoint(v.data, z.layout)
+    cert = HpeCertificate(y=BlockPoint(y.data, z.layout), v=v,
+                          eps=p.alpha * eps_raw, c=1.0, theta=theta, step=v)
     z_new = BlockPoint(z.data - (1.0 + theta) * cert.v.data, z.layout)
     return cert, z_new
 
@@ -229,7 +232,8 @@ class CondatVuProblem:
         half_gap = math.sqrt(((r_ - s_) / 2.0) ** 2 + self._bnorm ** 2)
         self._metric = CallableMetric(apply, solve,
                                       omega_lower=(r_ + s_) / 2.0 - half_gap,
-                                      omega_upper=(r_ + s_) / 2.0 + half_gap)
+                                      omega_upper=(r_ + s_) / 2.0 + half_gap,
+                                      dim=self.dim_x + self.dim_y)
 
     @property
     def strong_gap(self) -> float:
@@ -263,9 +267,10 @@ def condat_vu_step(z: BlockPoint, p: CondatVuProblem, theta: float,
                    ) -> Tuple[HpeCertificate, BlockPoint]:
     """One certified primal-dual step under the saddle metric (c = 1).
 
-    The native over-relaxed update z + (1 + theta)(w - z) is returned and is
-    identical to the kernel's extra-gradient correction for this certificate
-    (checked to 1e-12 on every call).
+    The certificate's step is d = z - w, with v = M d.  The native
+    over-relaxed update z + (1 + theta)(w - z) is returned and is the
+    kernel's extra-gradient correction for this certificate; the kernel checks
+    M step = v to 1e-12 on every call.
     """
     if sigma is not None and theta > condat_vu_max_theta(p, sigma) + 1e-12:
         raise ValueError("theta exceeds sigma - L / (2 (r - ||B||^2/s))")
@@ -277,13 +282,8 @@ def condat_vu_step(z: BlockPoint, p: CondatVuProblem, theta: float,
     d = z - w
     v = BlockPoint(p.metric().apply(d.data), z.layout)
     eps = 0.25 * p.L * float(np.dot(x - xt, x - xt))
-    cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta)
+    cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta, step=d)
     z_new = BlockPoint(z.data + (1.0 + theta) * (w.data - z.data), z.layout)
-    kernel = extragradient_step(z, cert, p.metric())
-    drift = np.max(np.abs(kernel.data - z_new.data))
-    if drift > 1e-12 * (1.0 + float(np.max(np.abs(z_new.data)))):
-        raise RuntimeError("native update deviates from the kernel step "
-                           "by %.3e" % drift)
     return cert, z_new
 
 
@@ -364,7 +364,8 @@ class AfbasPdProblem:
         self._metric = CallableMetric(
             lambda u: self.apply_R(self.solve_S(u)),
             lambda u: self.apply_S(self.solve_R(u)),
-            omega_lower=float(eigs[0]), omega_upper=float(eigs[-1]))
+            omega_lower=float(eigs[0]), omega_upper=float(eigs[-1]),
+            dim=nx + ny)
 
     # -- structural operators ------------------------------------------------
 
@@ -424,7 +425,8 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
 
     alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
     lam is capped along the direction so the relative-error criterion holds
-    with the given sigma; theta_k = alpha_k - 1.
+    with the given sigma; theta_k = alpha_k - 1.  The certificate is v = R d
+    with step M^-1 v = S d.
     """
     x, y = z.block(0), z.block(1)
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
@@ -436,8 +438,9 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
     d = (z - w).data
     dx, dy = d[:p.dim_x], d[p.dim_x:]
     if np.linalg.norm(d) == 0.0:
-        cert = HpeCertificate(y=w, v=BlockPoint(np.zeros_like(d), z.layout),
-                              eps=0.0, c=1.0, theta=0.0)
+        zero = BlockPoint(np.zeros_like(d), z.layout)
+        cert = HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
+                              step=zero)
         return cert, z.copy()
     Rd = p.apply_R(d)
     Sd = p.apply_S(d)
@@ -456,7 +459,7 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
     alpha = lam_eff * 0.5 * n2_rr / denom
     theta_k = alpha - 1.0
     cert = HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps,
-                          c=1.0, theta=theta_k)
+                          c=1.0, theta=theta_k, step=BlockPoint(Sd, z.layout))
     z_new = BlockPoint(z.data - alpha * Sd, z.layout)
     return cert, z_new
 

@@ -31,7 +31,8 @@ def _pt(arr):
 def test_criterion_zero_residual_certificate():
     # v = 0, eps = 0, y = x: both sides vanish and the check passes
     x = _pt([1.0, -2.0])
-    cert = HpeCertificate(y=x.copy(), v=_pt([0.0, 0.0]), eps=0.0)
+    cert = HpeCertificate(y=x.copy(), v=_pt([0.0, 0.0]), eps=0.0,
+                          step=_pt([0.0, 0.0]))
     rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
     assert rep.ok and rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -42,14 +43,14 @@ def test_criterion_exact_resolvent_identity():
     x = _pt([2.0, 0.0, -4.0])
     y = _pt(x.data / 2.0)   # resolvent of T = I at c = 1
     v = _pt(y.data)
-    cert = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.25)
+    cert = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.25, step=v)
     rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
     half = float(np.dot(y.data, y.data))
     assert rep.lhs == pytest.approx(0.25 * half, rel=1e-14)
     assert rep.rhs == pytest.approx(0.5 * half, rel=1e-14)
     assert rep.ok
     # theta = sigma is the equality endpoint; beyond it the check fails
-    cert_hi = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.6)
+    cert_hi = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.6, step=v)
     assert not check_criterion(x, cert_hi, IdentityMetric(), sigma=0.5).ok
 
 
@@ -58,7 +59,8 @@ def test_criterion_respects_metric_weighting():
     x = _pt([1.0])
     y = _pt([0.5])
     v = _pt([2.0])  # M^-1 v = 0.5, so c M^-1 v + (y - x) = 0
-    cert = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.0)
+    cert = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.0,
+                          step=_pt([0.5]))
     rep = check_criterion(x, cert, M, sigma=0.5)
     assert rep.lhs == pytest.approx(0.0, abs=1e-15)
     assert rep.rhs == pytest.approx(0.5 * 4.0 * 0.25, rel=1e-14)
@@ -66,7 +68,8 @@ def test_criterion_respects_metric_weighting():
 
 def test_criterion_eps_contributes_2c_eps():
     x = _pt([1.0])
-    cert = HpeCertificate(y=_pt([1.0]), v=_pt([0.0]), eps=0.3, c=2.0)
+    cert = HpeCertificate(y=_pt([1.0]), v=_pt([0.0]), eps=0.3, c=2.0,
+                          step=_pt([0.0]))
     rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
     assert rep.lhs == pytest.approx(2.0 * 2.0 * 0.3)
     assert not rep.ok
@@ -74,12 +77,16 @@ def test_criterion_eps_contributes_2c_eps():
 
 def test_extragradient_step_formula():
     x = _pt([1.0, 2.0])
-    cert = HpeCertificate(y=x.copy(), v=_pt([0.5, -1.0]), eps=0.0,
-                          c=2.0, theta=0.5)
-    out = extragradient_step(x, cert, IdentityMetric())
+    v = _pt([0.5, -1.0])
+    cert = HpeCertificate(y=x.copy(), v=v, eps=0.0, c=2.0, theta=0.5,
+                          step=_pt(2.0 * v.data))   # c M^-1 v with M = I
+    out = extragradient_step(x, cert)
     assert np.allclose(out.data, x.data - 1.5 * 2.0 * cert.v.data)
     # a weighted metric divides the step by its scalar
-    out_m = extragradient_step(x, cert, ScaledIdentityMetric(3.0))
+    M = ScaledIdentityMetric(3.0)
+    cert_m = HpeCertificate(y=x.copy(), v=v, eps=0.0, c=2.0, theta=0.5,
+                            step=_pt(2.0 * M.solve(v.data)))
+    out_m = extragradient_step(x, cert_m)
     assert np.allclose(out_m.data, x.data - 1.5 * 2.0 * cert.v.data / 3.0)
 
 
@@ -128,6 +135,22 @@ def test_validate_metric_update_dense_path():
                                       xi_k=0.01, omega_lower=1e-6)
 
 
+def test_validate_metric_update_callable_saddle_metric():
+    # the Condat-Vu metric is a CallableMetric: probes must use its dimension
+    from opsplit.linops import CallableMetric
+    from opsplit.prox_problems import gen_qp
+    from opsplit.splitters import condat_vu_from_qp
+    prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    M = prob.metric()
+    assert M.dim == prob.layout.dim
+    assert validate_metric_update(M, M, 0.0, M.omega_lower)
+    grown = CallableMetric(lambda u: 1.05 * M.apply(u),
+                           lambda u: M.solve(u) / 1.05,
+                           1.05 * M.omega_lower, 1.05 * M.omega_upper,
+                           dim=M.dim)
+    assert not validate_metric_update(M, grown, 0.01, M.omega_lower)
+
+
 # ---------------------------------------------------------------------------
 # The kernel loop
 # ---------------------------------------------------------------------------
@@ -166,7 +189,7 @@ def test_run_rejects_lying_oracle():
     def liar(x, M, cfg):
         return HpeCertificate(y=BlockPoint(x.data + 1.0, lay),
                               v=BlockPoint(np.zeros(lay.dim), lay),
-                              eps=10.0)
+                              eps=10.0, step=BlockPoint(np.zeros(lay.dim), lay))
 
     with pytest.raises(CriterionViolation):
         hpe_core.run(liar, BlockPoint(np.ones(lay.dim), lay),

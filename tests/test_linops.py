@@ -102,7 +102,7 @@ def test_scaled_and_callable_metrics():
     M = ScaledIdentityMetric(3.0)
     v = np.array([1.0, -2.0])
     assert np.allclose(M.solve(M.apply(v)), v)
-    C = CallableMetric(lambda u: 3.0 * u, lambda u: u / 3.0, 3.0, 3.0)
+    C = CallableMetric(lambda u: 3.0 * u, lambda u: u / 3.0, 3.0, 3.0, dim=2)
     assert np.allclose(C.apply(v), M.apply(v))
     assert np.isclose(weighted_norm_sq(C, v), 3.0 * np.dot(v, v))
     assert np.isclose(weighted_norm(IdentityMetric(), v), np.linalg.norm(v))

@@ -4,7 +4,8 @@ metric update, residual, and ergodic certificates."""
 import numpy as np
 import pytest
 
-from opsplit.hpe_core import check_criterion, ergodic_aggregate, HpeCertificate
+from opsplit.hpe_core import (check_criterion, ergodic_aggregate,
+                              HpeCertificate, MetricScheduleViolation)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             LinearMap, adjoint_check)
 from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
@@ -168,19 +169,21 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     tr = theta_range(d, U, M, sigma_bar, prob, compute_bar=True)
     eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
               for i, l in enumerate(prob.L))
+    step = BlockPoint(M.solve(U.apply(d).data), lay)
     cert = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                          theta=tr.theta_adap)
+                          theta=tr.theta_adap, step=step)
     rep = check_criterion(z, cert, M, sigma_bar)
     assert abs(rep.rel_slack) <= 1e-9        # equality endpoint
     # the direction-independent bound never exceeds the directional one
     assert tr.theta_bar <= tr.theta_adap + 1e-12
     # and itself satisfies the criterion
     cert_bar = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                              theta=tr.theta_bar)
+                              theta=tr.theta_bar, step=step)
     assert check_criterion(z, cert_bar, M, sigma_bar).ok
     # anything clearly past the adaptive endpoint fails
     cert_hi = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                             theta=tr.theta_adap + 0.1 * (1 + abs(tr.theta_adap)))
+                             theta=tr.theta_adap + 0.1 * (1 + abs(tr.theta_adap)),
+                             step=step)
     assert not check_criterion(z, cert_hi, M, sigma_bar).ok
 
 
@@ -288,6 +291,21 @@ def test_run_padmm_aborts_on_infeasible_penalty_warmup():
                       max_iters=500, tol=0.0)
     with pytest.raises(RuntimeError):
         run_padmm(inst.problem, cfg)
+
+
+def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
+    # a BB update that shrinks the metric 10x leaves the floor
+    # min(M_0 scalars) / prod (1 + xi_j) that the clamp guarantees
+    from opsplit import padmm_ebb
+
+    def shrink(prev, nums, dens, xi_k, m_floor):
+        return [10.0 * s for s in prev]   # inverse scalars, so M / 10
+
+    monkeypatch.setattr(padmm_ebb, "bb_metric_update", shrink)
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    # the first BB update follows the first sweep: iteration 2 in the trace
+    with pytest.raises(MetricScheduleViolation, match="iteration 2:"):
+        run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0))
 
 
 def test_config_validation():

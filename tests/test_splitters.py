@@ -299,7 +299,8 @@ def test_condat_vu_direct_equals_kernel_update():
     for _ in range(100):
         cert, z_d = condat_vu_step(z_d, prob, theta)
         cert_k, _ = condat_vu_step(z_k, prob, theta)
-        z_k = extragradient_step(z_k, cert_k, M)
+        check_criterion(z_k, cert_k, M, 0.5)  # verifies M step = v
+        z_k = extragradient_step(z_k, cert_k)
         scale = 1.0 + np.max(np.abs(z_d.data))
         assert np.max(np.abs(z_d.data - z_k.data)) <= 1e-12 * scale
 
@@ -371,7 +372,7 @@ def test_afbas_step_criterion_each_iteration():
         rep = check_criterion(z, cert, M, 0.5)
         assert rep.rel_slack >= -1e-10
         # native update equals the kernel correction
-        kern = extragradient_step(z, cert, M)
+        kern = extragradient_step(z, cert)
         assert np.allclose(kern.data, z_next.data, atol=1e-10)
         z = z_next
 
