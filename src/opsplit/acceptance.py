@@ -14,8 +14,8 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from . import hpe_core
-from .hpe_core import (HpeConfig, check_criterion, extragradient_step,
-                       linear_rate_factor)
+from .hpe_core import (ErgodicAccumulator, HpeConfig, check_criterion,
+                       extragradient_step, linear_rate_factor)
 from .linops import BlockLayout, BlockPoint, IdentityMetric
 from .padmm_ebb import PadmmConfig, geometric_beta_schedule, run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
@@ -195,17 +195,17 @@ def check_ergodic_rate() -> CriterionResult:
     inst = gen_qp(0, p=2, n_i=5, m=3)
     prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
     cfg = HpeConfig(sigma=0.5, max_iters=1000, tol_residual=0.0)
+    accs = {"alpha=1": ErgodicAccumulator(),
+            "alpha=k": ErgodicAccumulator(alpha=float)}
     res = hpe_core.run(make_condat_vu_oracle(prob, 0.9 * tmax),
-                       BlockPoint.zeros(prob.layout), prob.metric(), cfg)
-    certs = [r.cert for r in res.trace]
-    n = len(certs)
-    ks = np.arange(1, n + 1, dtype=float)
+                       BlockPoint.zeros(prob.layout), prob.metric(), cfg,
+                       accumulators=list(accs.values()))
+    ks = np.arange(1, len(res.trace) + 1, dtype=float)
     details = []
     passed = True
-    for label, alpha in (("alpha=1", np.ones(n)), ("alpha=k", ks)):
-        v_bars, eps_bars = hpe_core.ergodic_series(certs, alpha)
-        slope = hpe_core.loglog_slope(ks[99:], v_bars[99:])
-        eps_min = float(eps_bars.min())
+    for label, acc in accs.items():
+        slope = hpe_core.loglog_slope(ks[99:], np.array(acc.v_norms[99:]))
+        eps_min = min(acc.eps_bars)
         ok = slope is not None and slope <= -0.8 and eps_min >= -1e-12
         passed = passed and ok
         details.append("%s: slope %.2f, min eps_bar %.1e"
@@ -225,7 +225,7 @@ def check_padmm_qp_equivalence() -> CriterionResult:
     worst_iters = 0
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
-        cfg = PadmmConfig(max_iters=5000, tol=1e-8, record_certificates=False)
+        cfg = PadmmConfig(max_iters=5000, tol=1e-8)
         res = run_padmm(inst.problem, cfg)
         if not res.converged:
             return CriterionResult(
@@ -312,12 +312,9 @@ def check_theta_acceleration() -> CriterionResult:
     adaptive, fixed = [], []
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
-        res_a = run_padmm(inst.problem,
-                          PadmmConfig(max_iters=5000, tol=1e-8,
-                                      record_certificates=False))
+        res_a = run_padmm(inst.problem, PadmmConfig(max_iters=5000, tol=1e-8))
         res_0 = run_padmm(inst.problem,
-                          PadmmConfig(max_iters=5000, tol=1e-8, theta_fixed=0.0,
-                                      record_certificates=False))
+                          PadmmConfig(max_iters=5000, tol=1e-8, theta_fixed=0.0))
         adaptive.append(res_a.iterations if res_a.converged else 5000)
         fixed.append(res_0.iterations if res_0.converged else 5000)
     med_a = float(np.median(adaptive))
@@ -337,8 +334,7 @@ def check_lrr_desk_scale() -> CriterionResult:
     t0 = time.perf_counter()
     X = np.random.default_rng(0).standard_normal((40, 40))
     inst = build_lrr(X)
-    cfg = PadmmConfig(max_iters=3000, tol=1e-3, beta=300.0,
-                      record_certificates=False)
+    cfg = PadmmConfig(max_iters=3000, tol=1e-3, beta=300.0)
     res = run_padmm(inst.problem, cfg)
     feas = inst.problem.feasibility(res.x_blocks)
     feas_primary = float(np.linalg.norm(feas[:X.size]))

@@ -1,6 +1,7 @@
 """Command-line driver: solve problems, benchmark, query oracles, self-check.
 
-Exit codes: 0 success, 2 configuration error, 3 solver abort.
+Exit codes: 0 success, 2 configuration error (raised while parsing, building
+or validating), 3 solver abort (raised once a solve has started).
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ EXIT_SOLVER = 3
 
 class ConfigError(ValueError):
     pass
+
+
+# raised once a solve has started: solver aborts, whatever their class (a
+# numpy LinAlgError is a ValueError, but mid-solve it is no configuration error)
+SOLVER_FAULTS = (ArithmeticError, RuntimeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +103,24 @@ def _theta_or_auto(text: str) -> Optional[float]:
         raise ConfigError("theta must be a number or 'auto'")
 
 
-def _run_splitter(args, inst, theta: Optional[float]):
+def _splitter_oracle(args, algorithm: str, inst, theta: Optional[float]):
+    """(oracle, M0, layout, reference solution) of one splitter on a QP."""
     sigma = args.sigma
-    cfg = HpeConfig(sigma=sigma, xi0=args.xi0, max_iters=args.max_iters,
-                    tol_residual=args.tol)
-    if args.algorithm == "fbhf":
+    if algorithm == "fbhf":
         prob, gamma, tmax, ref = fbhf_from_qp(inst, sigma=sigma)
         th = 0.9 * tmax if theta is None else theta
         if th > tmax + 1e-12:
             raise ConfigError("theta %.4g violates the step condition "
                               "(max %.4g at gamma=%.4g)" % (th, tmax, gamma))
-        oracle = make_fbhf_oracle(prob, gamma, th)
-        M0 = IdentityMetric()
-    elif args.algorithm == "ppg":
+        return make_fbhf_oracle(prob, gamma, th), IdentityMetric(), prob.layout, ref
+    if algorithm == "ppg":
         prob, tmax, ref = ppg_from_qp(inst, sigma=sigma)
         th = 0.9 * tmax if theta is None else theta
         if th > tmax + 1e-12:
             raise ConfigError("theta %.4g violates theta + L*alpha/2 <= sigma "
                               "(max %.4g)" % (th, tmax))
-        oracle = make_ppg_oracle(prob, th)
-        M0 = IdentityMetric()
-    elif args.algorithm == "condat-vu":
+        return make_ppg_oracle(prob, th), IdentityMetric(), prob.layout, ref
+    if algorithm == "condat-vu":
         prob, tmax, ref = condat_vu_from_qp(inst, sigma=sigma,
                                             r=args.cv_r, s=args.cv_s)
         th = 0.9 * tmax if theta is None else theta
@@ -125,59 +128,93 @@ def _run_splitter(args, inst, theta: Optional[float]):
             raise ConfigError("theta %.4g violates "
                               "theta + L/(2(r - ||B||^2/s)) <= sigma "
                               "(max %.4g)" % (th, tmax))
-        oracle = make_condat_vu_oracle(prob, th)
-        M0 = prob.metric()
-    else:  # afbas-pd
-        prob, ref = afbas_pd_from_qp(inst)
-        oracle = make_afbas_pd_oracle(prob)
-        M0 = prob.metric()
-    x0 = BlockPoint.zeros(prob.layout)
-    result = hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref)
-    return result, cfg, {}
+        return make_condat_vu_oracle(prob, th), prob.metric(), prob.layout, ref
+    prob, ref = afbas_pd_from_qp(inst)  # afbas-pd
+    return make_afbas_pd_oracle(prob), prob.metric(), prob.layout, ref
+
+
+def _prepare_solve(args, algorithm: str, kind: str, inst,
+                   theta: Optional[float]):
+    """Build and validate one solve and return ``start(accumulators)``.
+
+    Everything raised here is a configuration error; everything raised by
+    ``start`` happens once the solve has begun and is a solver fault.
+    """
+    if algorithm == "padmm-ebb":
+        schedule = geometric_beta_schedule() if args.beta_warmup else None
+        cfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
+                          sigma_bar=args.sigma, xi0=args.xi0, tol=args.tol,
+                          max_iters=args.max_iters, theta_fixed=theta)
+        ref = inst.z_star if kind == "qp" else None
+        return lambda accs: run_padmm(inst.problem, cfg, ref_solution=ref,
+                                      accumulators=accs)
+    if kind != "qp":
+        raise ConfigError("algorithm %s only supports qp problems" % algorithm)
+    cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
+                    tol_residual=args.tol)
+    oracle, M0, layout, ref = _splitter_oracle(args, algorithm, inst, theta)
+    return lambda accs: hpe_core.run(oracle, BlockPoint.zeros(layout), M0, cfg,
+                                     ref_solution=ref, accumulators=accs)
+
+
+def _abort_record(exc: Exception) -> dict:
+    """Failing iteration, exception, and the criterion terms if the
+    relative-error inequality itself failed."""
+    record = {"iteration": getattr(exc, "iteration", None),
+              "exception": type(exc).__name__, "message": str(exc)}
+    report = getattr(exc, "report", None)
+    if report is not None:
+        record.update(lhs=report.lhs, rhs=report.rhs, slack=report.slack)
+    return record
+
+
+def _solver_abort(exc: Exception) -> int:
+    print("solver abort: %s" % exc, file=sys.stderr)
+    return EXIT_SOLVER
+
+
+def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
+                   config_echo: dict, final_extra: Optional[dict] = None,
+                   abort: Optional[dict] = None) -> None:
+    if args.trace:
+        result.trace.to_csv(args.trace)
+    if args.summary:
+        ks = np.array([r.k for r in result.trace], dtype=float)
+        slopes = {
+            "pointwise": hpe_core.loglog_slope(
+                ks, np.array([r.v_norm for r in result.trace])),
+            "ergodic": hpe_core.loglog_slope(ks, np.array(acc.v_norms)),
+        }
+        hpe_core.write_summary(args.summary, result, config_echo,
+                               slopes=slopes, final_extra=final_extra,
+                               abort=abort)
 
 
 def cmd_solve(args) -> int:
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
     theta = _theta_or_auto(args.theta)
+    start = _prepare_solve(args, args.algorithm, kind, inst, theta)
+    config_echo = {"algorithm": args.algorithm, "problem": args.problem,
+                   "sigma": args.sigma, "theta": args.theta,
+                   "xi0": args.xi0, "tol": args.tol,
+                   "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
-        schedule = geometric_beta_schedule() if args.beta_warmup else None
-        cfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
-                          sigma_bar=args.sigma, xi0=args.xi0, tol=args.tol,
-                          max_iters=args.max_iters, theta_fixed=theta)
-        problem = inst.problem
-        ref = inst.z_star if kind == "qp" else None
-        result = run_padmm(problem, cfg, ref_solution=ref)
-        final_extra = {"pkkt": result.final_pkkt}
-        config_echo = {"algorithm": args.algorithm, "problem": args.problem,
-                       "sigma": args.sigma, "theta": args.theta,
-                       "beta": args.beta, "beta_warmup": args.beta_warmup,
-                       "xi0": args.xi0, "tol": args.tol,
-                       "max_iters": args.max_iters}
-    else:
-        if kind != "qp":
-            raise ConfigError("algorithm %s only supports qp problems"
-                              % args.algorithm)
-        result, cfg, final_extra = _run_splitter(args, inst, theta)
-        config_echo = {"algorithm": args.algorithm, "problem": args.problem,
-                       "sigma": args.sigma, "theta": args.theta,
-                       "xi0": args.xi0, "tol": args.tol,
-                       "max_iters": args.max_iters}
-    if args.trace:
-        result.trace.to_csv(args.trace)
-    if args.summary:
-        recs = result.trace.records
-        ks = np.array([r.k for r in recs], dtype=float)
-        slopes = {"pointwise": hpe_core.loglog_slope(
-            ks, np.array([r.v_norm for r in recs]))}
-        certs = [r.cert for r in recs if r.cert is not None]
-        if certs:
-            v_bars, _ = hpe_core.ergodic_series(certs, np.ones(len(certs)))
-            slopes["ergodic"] = hpe_core.loglog_slope(ks[:len(v_bars)], v_bars)
-        else:
-            slopes["ergodic"] = None
-        hpe_core.write_summary(args.summary, result, config_echo,
-                               slopes=slopes, final_extra=final_extra)
+        config_echo.update(beta=args.beta, beta_warmup=args.beta_warmup)
+    acc = hpe_core.ErgodicAccumulator()
+    try:
+        result = start([acc])
+    except SOLVER_FAULTS as exc:
+        trace = getattr(exc, "trace", hpe_core.IterTrace())
+        partial = hpe_core.RunResult(solution=None, trace=trace,
+                                     converged=False, reason="abort",
+                                     iterations=len(trace))
+        _write_outputs(args, partial, acc, config_echo,
+                       abort=_abort_record(exc))
+        return _solver_abort(exc)
+    final_extra = ({"pkkt": result.final_pkkt}
+                   if args.algorithm == "padmm-ebb" else None)
+    _write_outputs(args, result, acc, config_echo, final_extra)
     final = result.trace.records[-1] if len(result.trace) else None
     print("%s on %s: %s after %d iterations (final v_norm %s)"
           % (args.algorithm, args.problem,
@@ -204,23 +241,18 @@ def cmd_bench(args) -> int:
         algos = [a for a in algos if a == "padmm-ebb"]
         if not algos:
             raise ConfigError("lrr problems are only supported by padmm-ebb")
+    starts = [_prepare_solve(args, a, kind, inst, None) for a in algos]
     print("%-12s %9s %10s %12s %9s" % ("algorithm", "iters", "converged",
                                        "residual", "time_s"))
-    for a in algos:
-        ns = argparse.Namespace(**vars(args))
-        ns.algorithm = a
-        ns.theta = "auto"
+    for a, start in zip(algos, starts):
         t0 = time.perf_counter()
+        try:
+            result = start(())
+        except SOLVER_FAULTS as exc:
+            return _solver_abort(exc)
         if a == "padmm-ebb":
-            schedule = geometric_beta_schedule() if args.beta_warmup else None
-            cfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
-                              sigma_bar=args.sigma, xi0=args.xi0, tol=args.tol,
-                              max_iters=args.max_iters,
-                              record_certificates=False)
-            result = run_padmm(inst.problem, cfg)
             residual = result.final_pkkt
         else:
-            result, _, _ = _run_splitter(ns, inst, None)
             recs = result.trace.records
             residual = recs[-1].v_norm if recs else float("nan")
         print("%-12s %9d %10s %12.3e %9.2f"

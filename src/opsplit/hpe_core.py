@@ -14,8 +14,9 @@ metric solve happens in the kernel.
 The metric M may change between iterations inside the schedule
 ``omega_lower * I <= M_next <= (1 + xi_k) M_k`` with summable xi.
 
-Also in this module: the complexity-bound calculators (pointwise and ergodic
-aggregates, local linear-rate factor) used by the instrumentation and tests.
+Also in this module: the complexity-bound calculators (pointwise bounds, the
+online ergodic accumulator, local linear-rate factor) used by the
+instrumentation and tests.
 """
 
 from __future__ import annotations
@@ -24,17 +25,26 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .linops import (BlockDiagonalMetric, BlockPoint, Metric, weighted_norm_sq)
+from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, Metric,
+                     weighted_norm_sq)
 
 
 class CriterionViolation(RuntimeError):
     """An oracle certificate failed the relative-error inequality, carried a
-    step inconsistent with its v, or held non-finite values."""
+    step inconsistent with its v, or held non-finite values.
+
+    ``report`` is the failing :class:`CriterionReport` when the inequality
+    itself failed, None otherwise.
+    """
+
+    def __init__(self, message: str, report: "Optional[CriterionReport]" = None):
+        super().__init__(message)
+        self.report = report
 
 
 class MetricScheduleViolation(RuntimeError):
@@ -107,8 +117,9 @@ class HpeCertificate:
     """Inexact proximal triple plus the step parameters that produced it.
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
-    against ``v`` and never solves for it; certificates kept after their
-    iteration drop it (:meth:`without_step`).
+    against ``v`` and never solves for it.  No certificate outlives its
+    iteration: ergodic aggregates are accumulated online
+    (:class:`ErgodicAccumulator`).
     """
 
     y: BlockPoint
@@ -123,9 +134,6 @@ class HpeCertificate:
             raise ValueError("eps must be nonnegative")
         if self.c <= 0:
             raise ValueError("c must be positive")
-
-    def without_step(self) -> "HpeCertificate":
-        return replace(self, step=None)
 
 
 @dataclass
@@ -208,7 +216,8 @@ def certify(k: int, x: BlockPoint, cert: HpeCertificate, M: Metric,
     if not rep.ok:
         raise CriterionViolation(
             "iteration %d: criterion failed (lhs=%.6e > rhs=%.6e, "
-            "rel slack %.3e)" % (k, rep.lhs, rep.rhs, rep.rel_slack))
+            "rel slack %.3e)" % (k, rep.lhs, rep.rhs, rep.rel_slack),
+            report=rep)
     return rep
 
 
@@ -288,7 +297,6 @@ class IterRecord:
     xi: float = 0.0
     dist_M_sq: float = float("nan")
     step_M_sq: float = float("nan")
-    cert: Optional[HpeCertificate] = None
     extras: dict = field(default_factory=dict)
 
     def row(self, extra_columns: Sequence[str] = ()) -> list:
@@ -341,48 +349,66 @@ class RunResult:
 
 def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
         metric_update=None, ref_solution: Optional[BlockPoint] = None,
-        record_certificates: bool = True) -> RunResult:
+        accumulators: Sequence["ErgodicAccumulator"] = ()) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
 
     ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set;
     ``metric_update(k, x, cert, M)`` optionally returns the next metric
     (constant metric when omitted).  Every certificate must pass the
     criterion and every metric change the schedule; violations abort with a
-    diagnostic exception.  Recorded certificates do not keep their step.
+    diagnostic exception.  Each certified step is handed to every
+    :class:`ErgodicAccumulator` in ``accumulators``; no certificate is kept.
+    An exception raised in the loop carries the partial ``trace`` and the
+    failing ``iteration``.
     """
     x = x0.copy()
     M = M0
     trace = IterTrace()
     t0 = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        cert = oracle(x, M, cfg)
-        rep = certify(k, x, cert, M, cfg.sigma)
-        xi_k = cfg.xi(k)
-        v_norm = cert.v.norm()
-        rec = IterRecord(
-            k=k, time_s=time.perf_counter() - t0, v_norm=v_norm,
-            eps=cert.eps, theta=cert.theta, criterion_slack=rep.rel_slack,
-            step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
-            metric_min=M.omega_lower, metric_max=M.omega_upper,
-            c=cert.c, xi=xi_k, step_M_sq=rep.diff_M_sq,
-            cert=cert.without_step() if record_certificates else None)
-        if ref_solution is not None:
-            rec.dist_to_ref = (x - ref_solution).norm()
-            rec.dist_M_sq = weighted_norm_sq(M, x - ref_solution)
-        trace.append(rec)
-        if max(v_norm, cert.eps) <= cfg.tol_residual:
-            return RunResult(solution=cert.y.copy(), trace=trace, converged=True,
-                             reason="residual", iterations=k)
-        x = extragradient_step(x, cert)
-        if metric_update is not None:
-            M_next = metric_update(k, x, cert, M)
-            upd = validate_metric_update(M, M_next, xi_k, cfg.omega_lower)
-            if not upd:
-                raise MetricScheduleViolation(
-                    "iteration %d: %s" % (k, upd.message))
-            M = M_next
+    k = 0
+    try:
+        for k in range(1, cfg.max_iters + 1):
+            cert = oracle(x, M, cfg)
+            rep = certify(k, x, cert, M, cfg.sigma)
+            xi_k = cfg.xi(k)
+            v_norm = cert.v.norm()
+            rec = IterRecord(
+                k=k, time_s=time.perf_counter() - t0, v_norm=v_norm,
+                eps=cert.eps, theta=cert.theta, criterion_slack=rep.rel_slack,
+                step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
+                metric_min=M.omega_lower, metric_max=M.omega_upper,
+                c=cert.c, xi=xi_k, step_M_sq=rep.diff_M_sq)
+            if ref_solution is not None:
+                rec.dist_to_ref = (x - ref_solution).norm()
+                rec.dist_M_sq = weighted_norm_sq(M, x - ref_solution)
+            trace.append(rec)
+            for acc in accumulators:
+                acc.add(cert)
+            if max(v_norm, cert.eps) <= cfg.tol_residual:
+                return RunResult(solution=cert.y.copy(), trace=trace,
+                                 converged=True, reason="residual",
+                                 iterations=k)
+            x = extragradient_step(x, cert)
+            if metric_update is not None:
+                M_next = metric_update(k, x, cert, M)
+                upd = validate_metric_update(M, M_next, xi_k, cfg.omega_lower)
+                if not upd:
+                    raise MetricScheduleViolation(
+                        "iteration %d: %s" % (k, upd.message))
+                M = M_next
+    except Exception as exc:
+        attach_partial_run(exc, trace, k)
+        raise
     return RunResult(solution=x, trace=trace, converged=False,
                      reason="max_iters", iterations=cfg.max_iters)
+
+
+def attach_partial_run(exc: BaseException, trace: IterTrace,
+                       iteration: int) -> None:
+    """Attach a solver loop's partial trace and failing iteration to the
+    exception that stops it, so callers can still report the run."""
+    exc.trace = trace
+    exc.iteration = iteration
 
 
 # ---------------------------------------------------------------------------
@@ -412,63 +438,80 @@ def pointwise_bound(k: int, cfg: HpeConfig, d0: float) -> PointwiseBound:
     return PointwiseBound(bound_v=bound_v, bound_eps=bound_eps)
 
 
-def ergodic_aggregate(certs: Sequence[HpeCertificate], alpha: Sequence[float]):
-    """Weighted aggregates (y_bar, v_bar, eps_bar) with weights (1+theta_i) c_i alpha_i.
+class ErgodicAccumulator:
+    """Online ergodic aggregates of the certified steps of one run.
 
-    eps_bar adds the inner-product correction sum_i w_i <y_i - y_bar, v_i - v_bar>
-    and is nonnegative in exact arithmetic.
+    The n-th certificate (y, v, eps) added gets the weight
+    w = (1 + theta) c alpha(n), with alpha = 1 when omitted.  Running sums of
+    w, w y, w v, w eps and w <y, v> give y_bar, v_bar and eps_bar =
+    sum w (eps + <y - y_bar, v - v_bar>) / W, by the identity
+    sum w <y - y_bar, v - v_bar> = sum w <y, v> - W <y_bar, v_bar>.  Each
+    certificate appends ||v_bar|| and eps_bar to ``v_norms`` and ``eps_bars``;
+    nothing else grows with the iteration count.  A ``blockwise``
+    accumulator also sums w eps_j and w <y_j, v_j> over the leading blocks
+    for which :meth:`add` receives a per-block eps.
     """
-    if len(certs) == 0:
-        raise ValueError("empty trace")
-    weights = [(1.0 + c.theta) * c.c * float(a) for c, a in zip(certs, alpha)]
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    layout = certs[0].y.layout
-    y_bar = np.zeros(layout.dim)
-    v_bar = np.zeros(layout.dim)
-    for w, cert in zip(weights, certs):
-        y_bar += w * cert.y.data
-        v_bar += w * cert.v.data
-    y_bar /= total
-    v_bar /= total
-    eps_bar = 0.0
-    for w, cert in zip(weights, certs):
-        eps_bar += w * (cert.eps + float(np.dot(cert.y.data - y_bar,
-                                                cert.v.data - v_bar)))
-    eps_bar /= total
-    return (BlockPoint(y_bar, layout), BlockPoint(v_bar, layout), eps_bar)
 
+    def __init__(self, alpha: Optional[Callable[[int], float]] = None,
+                 blockwise: bool = False):
+        self.alpha = alpha
+        self.blockwise = blockwise
+        self.layout: Optional[BlockLayout] = None
+        self.sum_w = self.sum_weps = self.sum_wyv = 0.0
+        self.sum_wy = self.sum_wv = 0.0  # vectors from the first add on
+        self.block_weps = self.block_wyv = 0.0
+        self.v_norms: List[float] = []
+        self.eps_bars: List[float] = []
 
-def ergodic_series(certs: Sequence[HpeCertificate], alpha: Sequence[float]):
-    """||v_bar^k|| and eps_bar_k for every prefix k, via running sums.
+    def __len__(self):
+        return len(self.v_norms)
 
-    Uses the identity sum_i w_i <y_i - y_bar, v_i - v_bar> =
-    sum_i w_i <y_i, v_i> - W <y_bar, v_bar>.
-    """
-    n = len(certs)
-    if n == 0:
-        return np.zeros(0), np.zeros(0)
-    layout = certs[0].y.layout
-    sum_wy = np.zeros(layout.dim)
-    sum_wv = np.zeros(layout.dim)
-    sum_w = 0.0
-    sum_weps = 0.0
-    sum_wyv = 0.0
-    v_norms = np.empty(n)
-    eps_bars = np.empty(n)
-    for i, (cert, a) in enumerate(zip(certs, alpha)):
-        w = (1.0 + cert.theta) * cert.c * float(a)
-        sum_w += w
-        sum_wy += w * cert.y.data
-        sum_wv += w * cert.v.data
-        sum_weps += w * cert.eps
-        sum_wyv += w * float(np.dot(cert.y.data, cert.v.data))
-        y_bar = sum_wy / sum_w
-        v_bar = sum_wv / sum_w
-        v_norms[i] = np.linalg.norm(v_bar)
-        eps_bars[i] = (sum_weps + sum_wyv - sum_w * float(np.dot(y_bar, v_bar))) / sum_w
-    return v_norms, eps_bars
+    def _block_slices(self, n: int):
+        return [self.layout.block_slice(j) for j in range(n)]
+
+    def add(self, cert: HpeCertificate,
+            eps_blocks: Optional[np.ndarray] = None) -> None:
+        a = 1.0 if self.alpha is None else float(self.alpha(len(self) + 1))
+        w = (1.0 + cert.theta) * cert.c * a
+        if not w > 0:
+            raise ValueError("ergodic weight (1 + theta) c alpha must be "
+                             "positive, got %r" % w)
+        y, v = cert.y.data, cert.v.data
+        self.layout = cert.y.layout
+        self.sum_w += w
+        self.sum_wy += w * y
+        self.sum_wv += w * v
+        self.sum_weps += w * cert.eps
+        self.sum_wyv += w * float(np.dot(y, v))
+        if self.blockwise and eps_blocks is not None:
+            self.block_weps += w * np.asarray(eps_blocks, dtype=float)
+            self.block_wyv += w * np.array([float(np.dot(y[sl], v[sl]))
+                                            for sl in self._block_slices(
+                                                len(eps_blocks))])
+        y_bar = self.sum_wy / self.sum_w
+        v_bar = self.sum_wv / self.sum_w
+        self.v_norms.append(float(np.linalg.norm(v_bar)))
+        self.eps_bars.append((self.sum_weps + self.sum_wyv
+                              - self.sum_w * float(np.dot(y_bar, v_bar)))
+                             / self.sum_w)
+
+    def aggregate(self):
+        """(y_bar, v_bar, eps_bar) over every certificate added so far."""
+        if not self.v_norms:
+            raise ValueError("no certificates accumulated")
+        return (BlockPoint(self.sum_wy / self.sum_w, self.layout),
+                BlockPoint(self.sum_wv / self.sum_w, self.layout),
+                self.eps_bars[-1])
+
+    def block_eps_bars(self) -> np.ndarray:
+        """eps_bar_j of each block j that received a per-block eps; they sum
+        to the ergodic eps of the certificates restricted to those blocks."""
+        y_bar, v_bar, _ = self.aggregate()
+        if np.ndim(self.block_weps) == 0:
+            raise ValueError("no per-block eps accumulated")
+        cross = np.array([float(np.dot(y_bar.data[sl], v_bar.data[sl]))
+                          for sl in self._block_slices(self.block_weps.size)])
+        return (self.block_weps + self.block_wyv - self.sum_w * cross) / self.sum_w
 
 
 def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,
@@ -530,8 +573,11 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
 
 
 def write_summary(path, result: RunResult, config_echo: dict,
-                  slopes: Optional[dict] = None, final_extra: Optional[dict] = None):
-    """JSON run summary: config echo, termination, final residuals, slopes."""
+                  slopes: Optional[dict] = None, final_extra: Optional[dict] = None,
+                  abort: Optional[dict] = None):
+    """JSON run summary: config echo, termination, final residuals, slopes,
+    and for an aborted run the ``abort`` record (failing iteration,
+    exception, criterion terms)."""
     recs = result.trace.records
     final = recs[-1] if recs else None
     summary = {
@@ -553,6 +599,8 @@ def write_summary(path, result: RunResult, config_echo: dict,
     }
     if final_extra:
         summary["final"].update(final_extra)
+    if abort is not None:
+        summary["abort"] = abort
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -26,16 +26,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
 from . import hpe_core
-from .hpe_core import (HpeCertificate, IterRecord, IterTrace,
-                       MetricScheduleViolation, certify, default_xi_schedule,
-                       extragradient_step, validate_metric_update)
+from .hpe_core import (ErgodicAccumulator, HpeCertificate, IterRecord,
+                       IterTrace, MetricScheduleViolation, attach_partial_run,
+                       certify, default_xi_schedule, extragradient_step,
+                       validate_metric_update)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
@@ -140,7 +141,6 @@ class PadmmConfig:
     max_iters: int = 1000
     tol: float = 1e-8
     theta_bar_dim_limit: int = 0  # assemble dense theta_bar when dim <= limit
-    record_certificates: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_bar < 1.0:
@@ -439,8 +439,6 @@ class PadmmResult:
     converged: bool
     reason: str
     iterations: int
-    certs: List[HpeCertificate] = field(default_factory=list)
-    eps_blocks: List[np.ndarray] = field(default_factory=list)
     final_pkkt: float = float("nan")
 
     @property
@@ -450,7 +448,8 @@ class PadmmResult:
 
 def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
               z0: Optional[BlockPoint] = None,
-              ref_solution: Optional[BlockPoint] = None) -> PadmmResult:
+              ref_solution: Optional[BlockPoint] = None,
+              accumulators: Sequence[ErgodicAccumulator] = ()) -> PadmmResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
     Every iteration is certified against the relative-error criterion (with
@@ -458,13 +457,16 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     diagnostic, since it indicates an inconsistent theta/proximal-term policy.
     The schedule's lower bound is the floor the BB clamp guarantees,
     min(M_0 scalars) / prod_{j<=k} (1 + xi_j).
+
+    Each certified step, with its per-block eps, is handed to every
+    :class:`~opsplit.hpe_core.ErgodicAccumulator` in ``accumulators``; no
+    certificate is kept.  An exception raised in the loop carries the
+    partial ``trace`` and the failing ``iteration``.
     """
     layout = problem.full_layout
     z = z0.copy() if z0 is not None else BlockPoint.zeros(layout)
     anorms = problem.constraint_norms()
     trace = IterTrace(extra_columns=PADMM_TRACE_COLUMNS)
-    certs: List[HpeCertificate] = []
-    eps_blocks_hist: List[np.ndarray] = []
     margin_mult = 1.0
     inv_scalars: Optional[List[float]] = (
         list(config.initial_inv_scalars) if config.initial_inv_scalars else None)
@@ -476,116 +478,119 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     iterations = 0
     pnorm = float("nan")
 
-    for k in range(config.max_iters):
-        beta = config.beta_at(k)
-        xs, y = problem.split(z)
-        grads = problem.grad_f(list(xs))
-        _, pnorm = pkkt_residual(xs, y, problem, grads=grads)
-        if pnorm <= config.tol:
-            converged, reason = True, "pkkt"
-            break
-        iterations = k + 1
-        if inv_scalars is None:
-            etas0 = scalar_majorant_etas(problem, beta, anorms,
-                                         config.margin * margin_mult)
-            inv_scalars = [1.0 / e for e in etas0] + [beta]
-        M = BlockDiagonalMetric.from_inverse_scalars(inv_scalars, layout)
-        if omega_floor is None:
-            omega_floor = M.omega_lower
-
-        # sweep, with margin escalation if the directional Gamma form fails
-        for attempt in range(10):
-            etas = scalar_majorant_etas(problem, beta, anorms,
-                                        config.margin * margin_mult)
-            x_tilde, y_tilde = block_sweep(xs, y, problem, beta, etas, grads=grads)
-            w = problem.join(x_tilde, y_tilde)
-            d = z - w
-            if d.norm() == 0.0:
+    k = 0
+    try:
+        for k in range(config.max_iters):
+            beta = config.beta_at(k)
+            xs, y = problem.split(z)
+            grads = problem.grad_f(list(xs))
+            _, pnorm = pkkt_residual(xs, y, problem, grads=grads)
+            if pnorm <= config.tol:
+                converged, reason = True, "pkkt"
                 break
-            U = build_U(problem, beta, etas)
-            tr = None
-            try:
-                tr = theta_range(d, U, M, config.sigma_bar, problem,
-                                 compute_bar=(layout.dim <= config.theta_bar_dim_limit))
-            except ValueError:
+            iterations = k + 1
+            if inv_scalars is None:
+                etas0 = scalar_majorant_etas(problem, beta, anorms,
+                                             config.margin * margin_mult)
+                inv_scalars = [1.0 / e for e in etas0] + [beta]
+            M = BlockDiagonalMetric.from_inverse_scalars(inv_scalars, layout)
+            if omega_floor is None:
+                omega_floor = M.omega_lower
+
+            # sweep, with margin escalation if the directional Gamma form fails
+            for attempt in range(10):
+                etas = scalar_majorant_etas(problem, beta, anorms,
+                                            config.margin * margin_mult)
+                x_tilde, y_tilde = block_sweep(xs, y, problem, beta, etas, grads=grads)
+                w = problem.join(x_tilde, y_tilde)
+                d = z - w
+                if d.norm() == 0.0:
+                    break
+                U = build_U(problem, beta, etas)
                 tr = None
-            if tr is not None and tr.gamma_form > 1e-10 * tr.denom_form:
+                try:
+                    tr = theta_range(d, U, M, config.sigma_bar, problem,
+                                     compute_bar=(layout.dim <= config.theta_bar_dim_limit))
+                except ValueError:
+                    tr = None
+                if tr is not None and tr.gamma_form > 1e-10 * tr.denom_form:
+                    break
+                margin_mult *= 2.0
+            else:
+                raise RuntimeError("could not find a positive Gamma form; "
+                                   "proximal-term margins exhausted")
+
+            if d.norm() == 0.0:
+                # sweep fixed point: v = 0, we are at a KKT point
+                converged, reason = True, "fixed_point"
                 break
-            margin_mult *= 2.0
-        else:
-            raise RuntimeError("could not find a positive Gamma form; "
-                               "proximal-term margins exhausted")
 
-        if d.norm() == 0.0:
-            # sweep fixed point: v = 0, we are at a KKT point
-            converged, reason = True, "fixed_point"
-            break
+            theta_adap = tr.theta_adap
+            # the adaptive endpoint meets the criterion with equality; back off by
+            # a relative hair so roundoff cannot flip the inequality
+            theta_safe = -1.0 + (1.0 + theta_adap) * (1.0 - 1e-9)
+            theta = min(theta_safe, config.theta_cap)
+            if config.theta_fixed is not None:
+                theta = min(config.theta_fixed, theta_safe)
+            v = tr.Ud
+            eps_per_block = np.array(
+                [0.25 * l * float(np.dot(d.block(i), d.block(i)))
+                 for i, l in enumerate(problem.L)])
+            eps = float(eps_per_block.sum())
+            cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta,
+                                  step=tr.step)
+            rep = certify(k + 1, z, cert, M, config.sigma_bar)
 
-        theta_adap = tr.theta_adap
-        # the adaptive endpoint meets the criterion with equality; back off by
-        # a relative hair so roundoff cannot flip the inequality
-        theta_safe = -1.0 + (1.0 + theta_adap) * (1.0 - 1e-9)
-        theta = min(theta_safe, config.theta_cap)
-        if config.theta_fixed is not None:
-            theta = min(config.theta_fixed, theta_safe)
-        v = tr.Ud
-        eps_per_block = np.array(
-            [0.25 * l * float(np.dot(d.block(i), d.block(i)))
-             for i, l in enumerate(problem.L)])
-        eps = float(eps_per_block.sum())
-        cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta,
-                              step=tr.step)
-        rep = certify(k + 1, z, cert, M, config.sigma_bar)
+            z_next = extragradient_step(z, cert)
 
-        z_next = extragradient_step(z, cert)
+            # Barzilai-Borwein quantities from this sweep
+            grads_t = problem.grad_f(list(x_tilde))
+            s_now = [v.block(i) + grads_t[i] - grads[i] for i in range(problem.p)]
+            r_now = v.block(problem.p).copy()
+            xi_k = float(config.xi_schedule(k + 1))
+            if prev_xt is not None:
+                nums = [float(np.linalg.norm(x_tilde[i] - prev_xt[i]))
+                        for i in range(problem.p)]
+                dens = [float(np.linalg.norm(s_now[i] - prev_s[i]))
+                        for i in range(problem.p)]
+                nums.append(float(np.linalg.norm(y_tilde - prev_yt)))
+                dens.append(float(np.linalg.norm(r_now - prev_r)))
+                new_scalars = bb_metric_update(inv_scalars, nums, dens,
+                                               xi_k, config.m_floor)
+            else:
+                new_scalars = list(inv_scalars)
+            M_next = BlockDiagonalMetric.from_inverse_scalars(new_scalars, layout)
+            omega_floor /= 1.0 + xi_k
+            upd = validate_metric_update(M, M_next, xi_k, omega_lower=omega_floor)
+            if not upd:
+                raise MetricScheduleViolation("iteration %d: %s"
+                                              % (k + 1, upd.message))
 
-        # Barzilai-Borwein quantities from this sweep
-        grads_t = problem.grad_f(list(x_tilde))
-        s_now = [v.block(i) + grads_t[i] - grads[i] for i in range(problem.p)]
-        r_now = v.block(problem.p).copy()
-        xi_k = float(config.xi_schedule(k + 1))
-        if prev_xt is not None:
-            nums = [float(np.linalg.norm(x_tilde[i] - prev_xt[i]))
-                    for i in range(problem.p)]
-            dens = [float(np.linalg.norm(s_now[i] - prev_s[i]))
-                    for i in range(problem.p)]
-            nums.append(float(np.linalg.norm(y_tilde - prev_yt)))
-            dens.append(float(np.linalg.norm(r_now - prev_r)))
-            new_scalars = bb_metric_update(inv_scalars, nums, dens,
-                                           xi_k, config.m_floor)
-        else:
-            new_scalars = list(inv_scalars)
-        M_next = BlockDiagonalMetric.from_inverse_scalars(new_scalars, layout)
-        omega_floor /= 1.0 + xi_k
-        upd = validate_metric_update(M, M_next, xi_k, omega_lower=omega_floor)
-        if not upd:
-            raise MetricScheduleViolation("iteration %d: %s"
-                                          % (k + 1, upd.message))
+            rec = IterRecord(
+                k=k + 1, time_s=time.perf_counter() - t0, v_norm=v.norm(),
+                eps=eps, theta=theta, criterion_slack=rep.rel_slack,
+                step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
+                metric_min=M.omega_lower, metric_max=M.omega_upper,
+                c=1.0, xi=xi_k, step_M_sq=rep.diff_M_sq,
+                extras={"pkkt": pnorm,
+                        "feas_norm": float(np.linalg.norm(problem.feasibility(xs))),
+                        "objective": problem.objective(xs),
+                        "theta_adap": theta_adap,
+                        "theta_bar": tr.theta_bar,
+                        "beta": beta})
+            if ref_solution is not None:
+                rec.dist_to_ref = (z - ref_solution).norm()
+                rec.dist_M_sq = weighted_norm_sq(M, z - ref_solution)
+            trace.append(rec)
+            for acc in accumulators:
+                acc.add(cert, eps_per_block)
 
-        kept = cert.without_step() if config.record_certificates else None
-        rec = IterRecord(
-            k=k + 1, time_s=time.perf_counter() - t0, v_norm=v.norm(),
-            eps=eps, theta=theta, criterion_slack=rep.rel_slack,
-            step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
-            metric_min=M.omega_lower, metric_max=M.omega_upper,
-            c=1.0, xi=xi_k, step_M_sq=rep.diff_M_sq, cert=kept,
-            extras={"pkkt": pnorm,
-                    "feas_norm": float(np.linalg.norm(problem.feasibility(xs))),
-                    "objective": problem.objective(xs),
-                    "theta_adap": theta_adap,
-                    "theta_bar": tr.theta_bar,
-                    "beta": beta})
-        if ref_solution is not None:
-            rec.dist_to_ref = (z - ref_solution).norm()
-            rec.dist_M_sq = weighted_norm_sq(M, z - ref_solution)
-        trace.append(rec)
-        if config.record_certificates:
-            certs.append(kept)
-            eps_blocks_hist.append(eps_per_block)
-
-        prev_xt, prev_s, prev_yt, prev_r = x_tilde, s_now, y_tilde, r_now
-        inv_scalars = new_scalars
-        z = z_next
+            prev_xt, prev_s, prev_yt, prev_r = x_tilde, s_now, y_tilde, r_now
+            inv_scalars = new_scalars
+            z = z_next
+    except Exception as exc:
+        attach_partial_run(exc, trace, k + 1)
+        raise
 
     xs, y = problem.split(z)
     if not converged:
@@ -593,8 +598,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
         if pnorm <= config.tol:
             converged, reason = True, "pkkt"
     return PadmmResult(z=z, x_blocks=xs, y=y, trace=trace, converged=converged,
-                       reason=reason, iterations=iterations, certs=certs,
-                       eps_blocks=eps_blocks_hist, final_pkkt=pnorm)
+                       reason=reason, iterations=iterations, final_pkkt=pnorm)
 
 
 # ---------------------------------------------------------------------------
@@ -602,41 +606,19 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
 # ---------------------------------------------------------------------------
 
 
-def ergodic_kkt_certificates(result: PadmmResult, alpha: Sequence[float]):
+def ergodic_kkt_certificates(acc: ErgodicAccumulator):
     """Weighted primal-dual averages with per-block enlargement budgets.
 
-    Weights are (1 + theta_i) * alpha_i.  Returns (x_bar blocks, y_bar,
-    eps_bar array of length p) where eps_bar[j] aggregates block j's
-    enlargement terms; each entry is nonnegative up to roundoff and their sum
-    equals the ergodic eps of the primal-restricted certificates.
+    ``acc`` is a ``blockwise`` accumulator handed to :func:`run_padmm`, whose
+    weights are (1 + theta_i) alpha_i (c = 1 here).  Returns (x_bar blocks,
+    y_bar, eps_bar array of length p), where eps_bar[j] is block j's
+    enlargement budget eps_j plus its correction <y_j - y_bar_j,
+    v_j - v_bar_j>, both weighted and averaged.  The correction has no fixed
+    sign, because v_j = (U d)_j couples block j to the others, so a single
+    entry can be negative; the entries sum to the ergodic eps of the
+    certificates restricted to the primal blocks.
     """
-    certs = result.certs
-    if not certs:
-        raise ValueError("result carries no certificates")
-    n = len(certs)
-    alpha = [float(a) for a in alpha]
-    weights = [(1.0 + c.theta) * a for c, a in zip(certs, alpha)]
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    layout = certs[0].y.layout
-    p = layout.nblocks - 1
-    ybar = np.zeros(layout.dim)
-    vbar = np.zeros(layout.dim)
-    for wgt, c in zip(weights, certs):
-        ybar += wgt * c.y.data
-        vbar += wgt * c.v.data
-    ybar /= total
-    vbar /= total
-    ybar_pt = BlockPoint(ybar, layout)
-    vbar_pt = BlockPoint(vbar, layout)
-    eps_bar = np.zeros(p)
-    for wgt, c, eb in zip(weights, certs, result.eps_blocks):
-        for j in range(p):
-            sl = layout.block_slice(j)
-            eps_bar[j] += wgt * (eb[j] + float(
-                np.dot(c.y.data[sl] - ybar[sl], c.v.data[sl] - vbar[sl])))
-    eps_bar /= total
-    x_bar = [ybar_pt.block(j).copy() for j in range(p)]
-    y_bar = ybar_pt.block(p).copy()
-    return x_bar, y_bar, eps_bar
+    y_bar, _, _ = acc.aggregate()
+    eps_bar = acc.block_eps_bars()
+    p = eps_bar.size
+    return [y_bar.block(j).copy() for j in range(p)], y_bar.block(p).copy(), eps_bar

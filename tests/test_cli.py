@@ -128,3 +128,75 @@ def test_bench_runs_subset(capsys):
 def test_bench_rejects_unknown_algorithm():
     assert main(["bench", "--problem", "qp:seed=0",
                  "--algorithms", "nope"]) == 2
+
+
+def test_solver_fault_mid_solve_exits_three(monkeypatch, capsys):
+    # LinAlgError is a ValueError, but raised once the solve has started it
+    # is a solver abort, not a configuration error
+    original, calls = np.linalg.svd, [0]
+
+    def failing_svd(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 21:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    code = main(["solve", "--algorithm", "padmm-ebb",
+                 "--problem", "lrr:seed=0,d=10,n=10"])
+    assert calls[0] == 21
+    assert code == 3
+    assert "solver abort: SVD did not converge" in capsys.readouterr().err
+
+
+def test_malformed_descriptor_still_exits_two(capsys):
+    assert main(["solve", "--algorithm", "padmm-ebb",
+                 "--problem", "qp:seed"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_aborted_solve_writes_trace_and_summary(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
+                 "--beta-warmup", "--max-iters", "200",
+                 "--trace", str(trace), "--summary", str(summary)])
+    assert code == 3
+    assert "margins exhausted" in capsys.readouterr().err
+    with open(trace) as fh:
+        rows = list(csv.reader(fh))
+    data = json.loads(summary.read_text())
+    assert data["termination"] == "abort" and data["converged"] is False
+    abort = data["abort"]
+    assert abort["exception"] == "RuntimeError"
+    assert "margins exhausted" in abort["message"]
+    # the rows before the failing iteration are all kept
+    assert len(rows) - 1 == data["iterations"] == abort["iteration"] - 1 > 1
+    assert isinstance(data["slopes"]["ergodic"], float)
+
+
+def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
+    from opsplit import hpe_core
+
+    real = hpe_core.check_criterion
+
+    def failing_at_3(x, cert, M, sigma, tol=1e-10):
+        rep = real(x, cert, M, sigma, tol)
+        if failing_at_3.calls == 2:
+            rep.ok, rep.lhs = False, rep.rhs + 1.0
+            rep.slack = rep.rhs - rep.lhs
+        failing_at_3.calls += 1
+        return rep
+
+    failing_at_3.calls = 0
+    monkeypatch.setattr(hpe_core, "check_criterion", failing_at_3)
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "fbhf", "--problem", "qp:seed=0",
+                 "--summary", str(summary)])
+    assert code == 3
+    data = json.loads(summary.read_text())
+    abort = data["abort"]
+    assert abort["exception"] == "CriterionViolation"
+    assert abort["iteration"] == 3 and data["iterations"] == 2
+    assert abort["slack"] == pytest.approx(-1.0)
+    assert abort["lhs"] == pytest.approx(abort["rhs"] + 1.0)

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from opsplit import hpe_core
-from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
+from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
+                              HpeCertificate, HpeConfig,
                               MetricScheduleViolation, TRACE_COLUMNS,
                               check_criterion, default_xi_schedule,
-                              ergodic_aggregate, ergodic_series,
                               extragradient_step, linear_rate_factor,
                               loglog_slope, make_affine_resolvent_oracle,
                               pointwise_bound, validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             IdentityMetric, ScaledIdentityMetric)
+
+from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
 
 def _pt(arr):
@@ -268,13 +270,22 @@ def _random_certs(n, dim, seed):
 
 
 def test_ergodic_series_matches_aggregate_at_every_prefix():
+    # the online accumulator against the two-pass reference
     certs = _random_certs(30, 4, seed=7)
     alpha = np.random.default_rng(8).uniform(0.5, 2.0, size=30)
-    v_norms, eps_bars = ergodic_series(certs, alpha)
-    for k in (1, 3, 17, 30):
-        _, v_bar, eps_bar = ergodic_aggregate(certs[:k], alpha[:k])
-        assert v_norms[k - 1] == pytest.approx(v_bar.norm(), rel=1e-10, abs=1e-12)
-        assert eps_bars[k - 1] == pytest.approx(eps_bar, rel=1e-9, abs=1e-10)
+    acc = ErgodicAccumulator(alpha=lambda k: alpha[k - 1])
+    for k, cert in enumerate(certs, start=1):
+        acc.add(cert)
+        if k not in (1, 3, 17, 30):
+            continue
+        y_ref, v_ref, eps_ref = ergodic_aggregate(certs[:k], alpha[:k])
+        y_bar, v_bar, eps_bar = acc.aggregate()
+        assert np.allclose(y_bar.data, y_ref.data, rtol=1e-12, atol=1e-15)
+        assert np.allclose(v_bar.data, v_ref.data, rtol=1e-12, atol=1e-15)
+        assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
+        assert acc.eps_bars[k - 1] == eps_bar
+        assert eps_bar == pytest.approx(eps_ref, rel=1e-12)
+    assert len(acc.v_norms) == len(acc.eps_bars) == 30
 
 
 def test_ergodic_eps_nonnegative_for_monotone_operator():
@@ -283,11 +294,23 @@ def test_ergodic_eps_nonnegative_for_monotone_operator():
     K, q, _ = _affine_setup(n=5, seed=3)
     lay = BlockLayout((5,))
     cfg = HpeConfig(max_iters=200, tol_residual=0.0)
+    acc, recorder = ErgodicAccumulator(), CertificateRecorder()
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
-                       BlockPoint(np.ones(5), lay), IdentityMetric(), cfg)
-    certs = [r.cert for r in res.trace]
-    _, eps_bars = ergodic_series(certs, np.ones(len(certs)))
-    assert eps_bars.min() >= -1e-12
+                       BlockPoint(np.ones(5), lay), IdentityMetric(), cfg,
+                       accumulators=[acc, recorder])
+    assert len(acc.eps_bars) == len(recorder.certs) == len(res.trace) == 200
+    assert min(acc.eps_bars) >= -1e-12
+    _, v_ref, eps_ref = ergodic_aggregate(recorder.certs, np.ones(200))
+    assert acc.v_norms[-1] == pytest.approx(v_ref.norm(), rel=1e-12)
+    assert acc.eps_bars[-1] == pytest.approx(eps_ref, rel=1e-12, abs=1e-15)
+
+
+def test_ergodic_accumulator_rejects_empty_and_zero_weight():
+    with pytest.raises(ValueError, match="no certificates"):
+        ErgodicAccumulator().aggregate()
+    acc = ErgodicAccumulator(alpha=lambda k: 0.0)
+    with pytest.raises(ValueError, match="must be positive"):
+        acc.add(_random_certs(1, 3, seed=0)[0])
 
 
 def test_linear_rate_factor_value_and_validation():

@@ -1,10 +1,13 @@
 """Multi-block solver internals: sweep, correction operator, step range,
 metric update, residual, and ergodic certificates."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from opsplit.hpe_core import (check_criterion, ergodic_aggregate,
+from opsplit.hpe_core import (check_criterion, ErgodicAccumulator,
                               HpeCertificate, MetricScheduleViolation)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             LinearMap, adjoint_check)
@@ -14,6 +17,9 @@ from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
                                geometric_beta_schedule, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
 from opsplit.prox_problems import ProxFn, gen_qp
+
+import ergodic_reference
+from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +330,27 @@ def test_config_validation():
 
 def test_ergodic_kkt_certificates_nonnegative_and_consistent():
     inst = gen_qp(6, p=2, n_i=4, m=2)
-    res = run_padmm(inst.problem, PadmmConfig(max_iters=300, tol=0.0))
-    n = len(res.certs)
+    acc, recorder = ErgodicAccumulator(blockwise=True), CertificateRecorder()
+    run_padmm(inst.problem, PadmmConfig(max_iters=300, tol=0.0),
+              accumulators=[acc, recorder])
+    n = len(recorder.certs)
     alpha = np.ones(n)
-    x_bar, y_bar, eps_bar = ergodic_kkt_certificates(res, alpha)
+    x_bar, y_bar, eps_bar = ergodic_kkt_certificates(acc)
     assert len(x_bar) == inst.problem.p
     assert eps_bar.min() >= -1e-12
+    # the online sums agree with the two-pass reference, blockwise
+    x_ref, y_ref, eps_ref = ergodic_reference.ergodic_kkt_certificates(
+        recorder.certs, recorder.eps_blocks, alpha)
+    for xb, xr in zip(x_bar, x_ref):
+        assert np.allclose(xb, xr, rtol=1e-12, atol=1e-15)
+    assert np.allclose(y_bar, y_ref, rtol=1e-12, atol=1e-15)
+    scale = np.abs(eps_ref).max()
+    assert np.abs(eps_bar - eps_ref).max() <= 1e-12 * scale
     # dual route: the blockwise budgets sum to the ergodic eps of the
     # primal-restricted certificates (c and theta folded into the weights)
     lay_primal = inst.problem.primal_layout
     restricted = []
-    for c, eb in zip(res.certs, res.eps_blocks):
+    for c, eb in zip(recorder.certs, recorder.eps_blocks):
         data_y = np.concatenate([c.y.block(i) for i in range(inst.problem.p)])
         data_v = np.concatenate([c.v.block(i) for i in range(inst.problem.p)])
         restricted.append(HpeCertificate(
@@ -349,7 +365,41 @@ def test_ergodic_kkt_certificates_nonnegative_and_consistent():
 
 def test_ergodic_kkt_certificates_requires_certs():
     inst = gen_qp(0, p=2, n_i=4, m=2)
-    res = run_padmm(inst.problem,
-                    PadmmConfig(max_iters=5, tol=0.0, record_certificates=False))
-    with pytest.raises(ValueError):
-        ergodic_kkt_certificates(res, np.ones(5))
+    with pytest.raises(ValueError, match="no certificates"):
+        ergodic_kkt_certificates(ErgodicAccumulator(blockwise=True))
+    # an accumulator that kept no per-block sums cannot split eps by block
+    acc = ErgodicAccumulator()
+    run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0),
+              accumulators=[acc])
+    assert len(acc) == 5
+    with pytest.raises(ValueError, match="per-block"):
+        ergodic_kkt_certificates(acc)
+
+
+def _bytes_held_by_run(problem, iters):
+    """Bytes still allocated after run_padmm returns, result and accumulator
+    alive."""
+    acc = ErgodicAccumulator()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = run_padmm(problem, PadmmConfig(max_iters=iters, tol=0.0),
+                        accumulators=[acc])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == len(acc) == iters
+    return held
+
+
+def test_retained_memory_does_not_grow_with_iterations():
+    from opsplit.cli import build_problem, parse_descriptor
+
+    _, inst = build_problem(parse_descriptor("lrr:seed=0,d=20,n=20"))
+    vector_bytes = 8 * inst.problem.full_layout.dim
+    growth = (_bytes_held_by_run(inst.problem, 120)
+              - _bytes_held_by_run(inst.problem, 40)) / 80.0
+    # a trace row of scalars and two floats per accumulator, not vectors
+    assert growth < 0.1 * vector_bytes
