@@ -7,6 +7,7 @@ or validating), 3 solver abort (raised once a solve has started).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Optional
@@ -98,9 +99,13 @@ def _theta_or_auto(text: str) -> Optional[float]:
     if text == "auto":
         return None
     try:
-        return float(text)
+        theta = float(text)
     except ValueError:
         raise ConfigError("theta must be a number or 'auto'")
+    if not (math.isfinite(theta) and theta > -1.0):
+        raise ConfigError("theta must be a finite number above -1, got %s"
+                          % text)
+    return theta
 
 
 def _splitter_oracle(args, algorithm: str, inst, theta: Optional[float]):
@@ -179,11 +184,14 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
     if args.trace:
         result.trace.to_csv(args.trace)
     if args.summary:
+        # an abort can fall between a step's trace record and its
+        # accumulation, so each series gets its own iteration counts
         ks = np.array([r.k for r in result.trace], dtype=float)
         slopes = {
             "pointwise": hpe_core.loglog_slope(
                 ks, np.array([r.v_norm for r in result.trace])),
-            "ergodic": hpe_core.loglog_slope(ks, np.array(acc.v_norms)),
+            "ergodic": hpe_core.loglog_slope(
+                np.arange(1.0, len(acc) + 1.0), np.array(acc.v_norms)),
         }
         hpe_core.write_summary(args.summary, result, config_echo,
                                slopes=slopes, final_extra=final_extra,

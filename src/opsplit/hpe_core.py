@@ -447,27 +447,23 @@ class ErgodicAccumulator:
     sum w (eps + <y - y_bar, v - v_bar>) / W, by the identity
     sum w <y - y_bar, v - v_bar> = sum w <y, v> - W <y_bar, v_bar>.  Each
     certificate appends ||v_bar|| and eps_bar to ``v_norms`` and ``eps_bars``;
-    nothing else grows with the iteration count.  A ``blockwise``
-    accumulator also sums w eps_j and w <y_j, v_j> over the leading blocks
-    for which :meth:`add` receives a per-block eps.
+    nothing else grows with the iteration count.  When :meth:`add` receives
+    a per-block eps, the accumulator also sums w eps_j and the entrywise
+    products w y * v, from which :meth:`block_eps_bars` forms w <y_j, v_j>
+    over the leading blocks the per-block eps covers.
     """
 
-    def __init__(self, alpha: Optional[Callable[[int], float]] = None,
-                 blockwise: bool = False):
+    def __init__(self, alpha: Optional[Callable[[int], float]] = None):
         self.alpha = alpha
-        self.blockwise = blockwise
         self.layout: Optional[BlockLayout] = None
         self.sum_w = self.sum_weps = self.sum_wyv = 0.0
         self.sum_wy = self.sum_wv = 0.0  # vectors from the first add on
-        self.block_weps = self.block_wyv = 0.0
+        self.block_weps = self.sum_wyv_entries = 0.0
         self.v_norms: List[float] = []
         self.eps_bars: List[float] = []
 
     def __len__(self):
         return len(self.v_norms)
-
-    def _block_slices(self, n: int):
-        return [self.layout.block_slice(j) for j in range(n)]
 
     def add(self, cert: HpeCertificate,
             eps_blocks: Optional[np.ndarray] = None) -> None:
@@ -483,11 +479,9 @@ class ErgodicAccumulator:
         self.sum_wv += w * v
         self.sum_weps += w * cert.eps
         self.sum_wyv += w * float(np.dot(y, v))
-        if self.blockwise and eps_blocks is not None:
+        if eps_blocks is not None:
             self.block_weps += w * np.asarray(eps_blocks, dtype=float)
-            self.block_wyv += w * np.array([float(np.dot(y[sl], v[sl]))
-                                            for sl in self._block_slices(
-                                                len(eps_blocks))])
+            self.sum_wyv_entries += w * (y * v)
         y_bar = self.sum_wy / self.sum_w
         v_bar = self.sum_wv / self.sum_w
         self.v_norms.append(float(np.linalg.norm(v_bar)))
@@ -509,9 +503,12 @@ class ErgodicAccumulator:
         y_bar, v_bar, _ = self.aggregate()
         if np.ndim(self.block_weps) == 0:
             raise ValueError("no per-block eps accumulated")
+        slices = [self.layout.block_slice(j)
+                  for j in range(self.block_weps.size)]
+        wyv = np.array([self.sum_wyv_entries[sl].sum() for sl in slices])
         cross = np.array([float(np.dot(y_bar.data[sl], v_bar.data[sl]))
-                          for sl in self._block_slices(self.block_weps.size)])
-        return (self.block_weps + self.block_wyv - self.sum_w * cross) / self.sum_w
+                          for sl in slices])
+        return (self.block_weps + wyv - self.sum_w * cross) / self.sum_w
 
 
 def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,

@@ -147,6 +147,9 @@ class PadmmConfig:
             raise ValueError("sigma_bar must lie in [0, 1)")
         if not -1.0 < self.theta_min:
             raise ValueError("theta_min must exceed -1")
+        if self.theta_fixed is not None and not (
+                math.isfinite(self.theta_fixed) and self.theta_fixed > -1.0):
+            raise ValueError("theta_fixed must be finite and exceed -1")
         if self.m_floor <= 0:
             raise ValueError("m_floor must be positive")
         if self.beta <= 0:
@@ -609,14 +612,14 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
 def ergodic_kkt_certificates(acc: ErgodicAccumulator):
     """Weighted primal-dual averages with per-block enlargement budgets.
 
-    ``acc`` is a ``blockwise`` accumulator handed to :func:`run_padmm`, whose
-    weights are (1 + theta_i) alpha_i (c = 1 here).  Returns (x_bar blocks,
-    y_bar, eps_bar array of length p), where eps_bar[j] is block j's
-    enlargement budget eps_j plus its correction <y_j - y_bar_j,
-    v_j - v_bar_j>, both weighted and averaged.  The correction has no fixed
-    sign, because v_j = (U d)_j couples block j to the others, so a single
-    entry can be negative; the entries sum to the ergodic eps of the
-    certificates restricted to the primal blocks.
+    ``acc`` is an accumulator handed to :func:`run_padmm`, which feeds it
+    each step's per-block eps; its weights are (1 + theta_i) alpha_i (c = 1
+    here).  Returns (x_bar blocks, y_bar, eps_bar array of length p), where
+    eps_bar[j] is block j's enlargement budget eps_j plus its correction
+    <y_j - y_bar_j, v_j - v_bar_j>, both weighted and averaged.  The
+    correction has no fixed sign, because v_j = (U d)_j couples block j to
+    the others, so a single entry can be negative; the entries sum to the
+    ergodic eps of the certificates restricted to the primal blocks.
     """
     y_bar, _, _ = acc.aggregate()
     eps_bar = acc.block_eps_bars()

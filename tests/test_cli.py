@@ -85,6 +85,18 @@ def test_bad_theta_is_a_config_error(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ["fbhf", "ppg", "condat-vu",
+                                       "padmm-ebb"])
+@pytest.mark.parametrize("theta", ["-1", "-1.5", "nan", "inf"])
+def test_theta_at_or_below_minus_one_is_a_config_error(algorithm, theta,
+                                                       capsys):
+    # over-relaxation weights 1 + theta must be positive
+    code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--max-iters", "5", "--theta", theta])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_indefinite_condat_vu_metric_is_a_config_error(capsys):
     code = main(["solve", "--algorithm", "condat-vu", "--problem", "qp:seed=0",
                  "--cv-r", "0.1", "--cv-s", "0.1"])
@@ -200,3 +212,33 @@ def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
     assert abort["iteration"] == 3 and data["iterations"] == 2
     assert abort["slack"] == pytest.approx(-1.0)
     assert abort["lhs"] == pytest.approx(abort["rhs"] + 1.0)
+
+
+def test_abort_between_trace_and_accumulation_writes_summary(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # a step can reach the trace and fail to reach the accumulator; the
+    # summary is still written, each slope over its own series
+    from opsplit import hpe_core
+
+    real = hpe_core.ErgodicAccumulator.add
+
+    def failing_add(self, cert, eps_blocks=None):
+        if len(self) == 4:
+            raise FloatingPointError("accumulation failed")
+        return real(self, cert, eps_blocks)
+
+    monkeypatch.setattr(hpe_core.ErgodicAccumulator, "add", failing_add)
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
+                 "--trace", str(trace), "--summary", str(summary)])
+    assert code == 3
+    assert "accumulation failed" in capsys.readouterr().err
+    data = json.loads(summary.read_text())
+    assert data["termination"] == "abort"
+    assert data["abort"]["exception"] == "FloatingPointError"
+    assert data["abort"]["iteration"] == data["iterations"] == 5
+    assert isinstance(data["slopes"]["ergodic"], float)
+    with open(trace) as fh:
+        assert len(list(csv.reader(fh))) - 1 == 5

@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from opsplit import hpe_core
 from opsplit.hpe_core import (check_criterion, ErgodicAccumulator,
-                              HpeCertificate, MetricScheduleViolation)
+                              HpeCertificate, HpeConfig,
+                              MetricScheduleViolation,
+                              make_affine_resolvent_oracle)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            LinearMap, adjoint_check)
+                            IdentityMetric, LinearMap, adjoint_check)
 from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
                                bb_metric_update, block_sweep, build_U,
                                ergodic_kkt_certificates,
@@ -321,6 +324,9 @@ def test_config_validation():
         PadmmConfig(beta=0.0)
     with pytest.raises(ValueError):
         PadmmConfig(m_floor=0.0)
+    for theta in (-1.0, -1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="theta_fixed"):
+            PadmmConfig(theta_fixed=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +336,7 @@ def test_config_validation():
 
 def test_ergodic_kkt_certificates_nonnegative_and_consistent():
     inst = gen_qp(6, p=2, n_i=4, m=2)
-    acc, recorder = ErgodicAccumulator(blockwise=True), CertificateRecorder()
+    acc, recorder = ErgodicAccumulator(), CertificateRecorder()
     run_padmm(inst.problem, PadmmConfig(max_iters=300, tol=0.0),
               accumulators=[acc, recorder])
     n = len(recorder.certs)
@@ -366,11 +372,15 @@ def test_ergodic_kkt_certificates_nonnegative_and_consistent():
 def test_ergodic_kkt_certificates_requires_certs():
     inst = gen_qp(0, p=2, n_i=4, m=2)
     with pytest.raises(ValueError, match="no certificates"):
-        ergodic_kkt_certificates(ErgodicAccumulator(blockwise=True))
-    # an accumulator that kept no per-block sums cannot split eps by block
+        ergodic_kkt_certificates(ErgodicAccumulator())
+    # hpe_core.run hands over no per-block eps, so its accumulator cannot
+    # split eps by block
+    Q = np.eye(inst.problem.full_layout.dim)
     acc = ErgodicAccumulator()
-    run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0),
-              accumulators=[acc])
+    hpe_core.run(make_affine_resolvent_oracle(Q),
+                 BlockPoint(np.ones(Q.shape[0]), inst.problem.full_layout),
+                 IdentityMetric(), HpeConfig(max_iters=5, tol_residual=0.0),
+                 accumulators=[acc])
     assert len(acc) == 5
     with pytest.raises(ValueError, match="per-block"):
         ergodic_kkt_certificates(acc)
