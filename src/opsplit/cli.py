@@ -214,9 +214,10 @@ def cmd_solve(args) -> int:
         result = start([acc])
     except SOLVER_FAULTS as exc:
         trace = getattr(exc, "trace", hpe_core.IterTrace())
-        partial = hpe_core.RunResult(solution=None, trace=trace,
-                                     converged=False, reason="abort",
-                                     iterations=len(trace))
+        partial = hpe_core.RunResult(
+            solution=None, trace=trace, converged=False, iterations=len(trace),
+            reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
+                    else "abort"))
         _write_outputs(args, partial, acc, config_echo,
                        abort=_abort_record(exc))
         return _solver_abort(exc)

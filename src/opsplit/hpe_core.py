@@ -47,6 +47,10 @@ class CriterionViolation(RuntimeError):
         self.report = report
 
 
+class NonFiniteValue(CriterionViolation):
+    """A certificate, iterate or sweep point held a NaN or an infinity."""
+
+
 class MetricScheduleViolation(RuntimeError):
     """A metric update left the admissible schedule."""
 
@@ -160,7 +164,7 @@ def _raise_if_non_finite(x: BlockPoint, cert: HpeCertificate) -> None:
                       ("v", cert.v.data), ("step", cert.step.data),
                       ("eps", cert.eps)):
         if not np.all(np.isfinite(val)):
-            raise CriterionViolation("non-finite %s" % name)
+            raise NonFiniteValue("non-finite %s" % name)
 
 
 def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
@@ -169,7 +173,8 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
 
     The certificate's step is verified first, with one metric apply:
     ||M step - c v||_inf <= 1e-12 (1 + ||c v||_inf).  A missing or deviating
-    step, or a non-finite entry, raises :class:`CriterionViolation`.  With
+    step raises :class:`CriterionViolation`; a non-finite entry raises its
+    subclass :class:`NonFiniteValue`, naming the entry.  With
     diff = y - x the inequality then follows by linearity from
     M (step + diff) = c v + M diff, with one more apply:
 
@@ -212,7 +217,7 @@ def certify(k: int, x: BlockPoint, cert: HpeCertificate, M: Metric,
     try:
         rep = check_criterion(x, cert, M, sigma)
     except CriterionViolation as exc:
-        raise CriterionViolation("iteration %d: %s" % (k, exc)) from None
+        raise type(exc)("iteration %d: %s" % (k, exc)) from None
     if not rep.ok:
         raise CriterionViolation(
             "iteration %d: criterion failed (lhs=%.6e > rhs=%.6e, "

@@ -9,6 +9,7 @@ access and spectral bounds.  All storage is dense; problem sizes are desk scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -46,25 +47,18 @@ class BlockLayout:
                 if sh is not None and sh[0] * sh[1] != n:
                     raise ValueError("shape %r inconsistent with size %d" % (sh, n))
             object.__setattr__(self, "shapes", shapes)
+        # derived once; plain attributes, not fields, so ==, hash and repr
+        # still see only sizes and shapes
+        offsets = (0,) + tuple(itertools.accumulate(sizes))
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "dim", offsets[-1])
 
     @property
     def nblocks(self) -> int:
         return len(self.sizes)
 
-    @property
-    def dim(self) -> int:
-        return sum(self.sizes)
-
-    @property
-    def offsets(self):
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return tuple(out)
-
     def block_slice(self, i: int) -> slice:
-        off = self.offsets
-        return slice(off[i], off[i + 1])
+        return slice(self.offsets[i], self.offsets[i + 1])
 
 
 class BlockPoint:

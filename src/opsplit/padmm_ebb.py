@@ -34,9 +34,9 @@ import scipy.linalg
 
 from . import hpe_core
 from .hpe_core import (ErgodicAccumulator, HpeCertificate, IterRecord,
-                       IterTrace, MetricScheduleViolation, attach_partial_run,
-                       certify, default_xi_schedule, extragradient_step,
-                       validate_metric_update)
+                       IterTrace, MetricScheduleViolation, NonFiniteValue,
+                       attach_partial_run, certify, default_xi_schedule,
+                       extragradient_step, validate_metric_update)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
@@ -57,7 +57,9 @@ class MultiBlockProblem:
     multiplier in the KKT primal rows); ``A[i].adjoint_apply`` maps block i to
     the dual space, so feasibility reads b - sum_i A[i].adjoint_apply(x_i).
     ``grad_f`` takes and returns a list of flat block arrays; ``L[i]`` are the
-    blockwise Lipschitz constants of grad_f.
+    blockwise Lipschitz constants of grad_f.  ``full_layout`` (primal blocks
+    plus the multiplier) and ``d_weights`` (L_i on block i's entries, 0 on
+    the multiplier) are built once, at construction.
     """
 
     gs: list
@@ -79,6 +81,10 @@ class MultiBlockProblem:
                 raise ValueError("constraint map %d has wrong dimensions" % i)
         if any(l < 0 for l in self.L):
             raise ValueError("Lipschitz constants must be nonnegative")
+        self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,),
+                                       self.primal_layout.shapes + (None,))
+        self.d_weights = np.repeat(np.asarray(list(self.L) + [0.0], dtype=float),
+                                   self.full_layout.sizes)
 
     @property
     def p(self) -> int:
@@ -87,11 +93,6 @@ class MultiBlockProblem:
     @property
     def m(self) -> int:
         return self.b.size
-
-    @property
-    def full_layout(self) -> BlockLayout:
-        return BlockLayout(self.primal_layout.sizes + (self.m,),
-                           self.primal_layout.shapes + (None,))
 
     def split(self, z: BlockPoint):
         xs = [z.block(i).copy() for i in range(self.p)]
@@ -109,8 +110,13 @@ class MultiBlockProblem:
         return r
 
     def objective(self, xs: Sequence[np.ndarray]) -> float:
+        """f(x) + sum_i g_i(x_i), term by term.  It stops at the first +inf
+        term (an infeasible indicator block) without evaluating the rest:
+        proper convex functions never take -inf, so the sum stays +inf."""
         val = self.f_value(list(xs)) if self.f_value is not None else 0.0
         for g, x in zip(self.gs, xs):
+            if val == math.inf:
+                break
             val += g.value(x)
         return float(val)
 
@@ -186,20 +192,22 @@ def scalar_majorant_etas(problem: MultiBlockProblem, beta: float,
 
 def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
                 problem: MultiBlockProblem, beta: float,
-                etas: Sequence[float], grads: Optional[List[np.ndarray]] = None):
+                etas: Sequence[float], grads: Optional[List[np.ndarray]] = None,
+                feas: Optional[np.ndarray] = None):
     """One Gauss-Seidel pass over the primal blocks plus the multiplier step.
 
     With the scalar-majorant proximal term each block subproblem collapses to
     a single prox of g_i with step 1/eta_i at an explicitly computed point.
+    ``feas``, the feasibility residual b - sum_i A_i* x_i at ``xs`` (the dual
+    block of :func:`pkkt_residual`), saves recomputing it; the sweep starts
+    from r = -feas, bit for bit what it would compute itself.
     Returns (x_tilde list, y_tilde).
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
     if any(e <= 0 for e in etas):
         raise ValueError("nonpositive prox curvature eta")
-    r = -problem.b.copy()
-    for a, x in zip(problem.A, xs):
-        r += a.adjoint_apply(x)
+    r = -(problem.feasibility(xs) if feas is None else feas)
     x_tilde: List[np.ndarray] = []
     y_tilde = None
     for i in range(problem.p):
@@ -295,12 +303,6 @@ class UOperator:
         return U
 
 
-def build_U(problem: MultiBlockProblem, beta: float,
-            etas: Sequence[float]) -> UOperator:
-    """Assemble the sweep's correction operator for the scalar-majorant policy."""
-    return UOperator(problem, beta, etas)
-
-
 # ---------------------------------------------------------------------------
 # Step-size range
 # ---------------------------------------------------------------------------
@@ -316,15 +318,6 @@ class ThetaRange:
     step: BlockPoint  # M^-1 U d, the certificate's step
 
 
-def _d_weights(problem: MultiBlockProblem) -> np.ndarray:
-    sizes = problem.full_layout.sizes
-    w = np.zeros(problem.full_layout.dim)
-    off = problem.full_layout.offsets
-    for i, l in enumerate(problem.L):
-        w[off[i]:off[i + 1]] = l
-    return w
-
-
 def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
                 sigma_bar: float, problem: MultiBlockProblem,
                 compute_bar: bool = True, power_iters: int = 100,
@@ -336,11 +329,11 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
     bound from a power-iteration estimate of the top generalized eigenvalue,
     computed on a dense assembly (small problems only when compute_bar).
     """
-    if d.norm() == 0.0:
+    if not d.data.any():
         raise ValueError("zero direction: iterate equals its sweep point")
     Ud = U.apply(d)
     step = BlockPoint(M.solve(Ud.data), Ud.layout)
-    dw = _d_weights(problem)
+    dw = problem.d_weights
     gamma_form = (2.0 * d.inner(Ud)
                   + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
                   - 0.5 * float(np.dot(d.data * dw, d.data)))
@@ -416,7 +409,8 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
     """Stacked prox fixed-point residual plus the affine feasibility gap.
 
     Primal rows: x_i - prox_{g_i}(x_i - grad_i f(x) - A_i y) (unit prox step);
-    dual row: b - sum_i A_i* x_i.  Returns (residual BlockPoint, its norm).
+    dual row: b - sum_i A_i* x_i, the ``feas`` of :func:`block_sweep`.
+    Returns (residual BlockPoint, its norm).
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
@@ -487,7 +481,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
             beta = config.beta_at(k)
             xs, y = problem.split(z)
             grads = problem.grad_f(list(xs))
-            _, pnorm = pkkt_residual(xs, y, problem, grads=grads)
+            res, pnorm = pkkt_residual(xs, y, problem, grads=grads)
+            feas = res.block(problem.p)
             if pnorm <= config.tol:
                 converged, reason = True, "pkkt"
                 break
@@ -504,15 +499,19 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
             for attempt in range(10):
                 etas = scalar_majorant_etas(problem, beta, anorms,
                                             config.margin * margin_mult)
-                x_tilde, y_tilde = block_sweep(xs, y, problem, beta, etas, grads=grads)
+                x_tilde, y_tilde = block_sweep(xs, y, problem, beta, etas,
+                                               grads=grads, feas=feas)
                 w = problem.join(x_tilde, y_tilde)
                 d = z - w
-                if d.norm() == 0.0:
+                d_norm = d.norm()
+                if d_norm == 0.0:
                     break
-                U = build_U(problem, beta, etas)
-                tr = None
+                if not math.isfinite(d_norm):
+                    raise NonFiniteValue("iteration %d: non-finite sweep point"
+                                         % (k + 1))
                 try:
-                    tr = theta_range(d, U, M, config.sigma_bar, problem,
+                    tr = theta_range(d, UOperator(problem, beta, etas), M,
+                                     config.sigma_bar, problem,
                                      compute_bar=(layout.dim <= config.theta_bar_dim_limit))
                 except ValueError:
                     tr = None
@@ -523,7 +522,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
                 raise RuntimeError("could not find a positive Gamma form; "
                                    "proximal-term margins exhausted")
 
-            if d.norm() == 0.0:
+            if d_norm == 0.0:
                 # sweep fixed point: v = 0, we are at a KKT point
                 converged, reason = True, "fixed_point"
                 break
@@ -537,8 +536,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
                 theta = min(config.theta_fixed, theta_safe)
             v = tr.Ud
             eps_per_block = np.array(
-                [0.25 * l * float(np.dot(d.block(i), d.block(i)))
-                 for i, l in enumerate(problem.L)])
+                [0.25 * l * float(np.dot(db, db))
+                 for l, db in zip(problem.L, d.blocks())])
             eps = float(eps_per_block.sum())
             cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta,
                                   step=tr.step)
@@ -576,7 +575,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
                 metric_min=M.omega_lower, metric_max=M.omega_upper,
                 c=1.0, xi=xi_k, step_M_sq=rep.diff_M_sq,
                 extras={"pkkt": pnorm,
-                        "feas_norm": float(np.linalg.norm(problem.feasibility(xs))),
+                        "feas_norm": float(np.linalg.norm(feas)),
                         "objective": problem.objective(xs),
                         "theta_adap": theta_adap,
                         "theta_bar": tr.theta_bar,

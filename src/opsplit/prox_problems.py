@@ -238,41 +238,40 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
                          shapes=((n, n), (d, d), (d, n), (n, n), (d, d)))
     m1, m2, m3 = d * n, n * n, d * d
     mdim = m1 + m2 + m3
+    s1, s2, s3 = slice(0, m1), slice(m1, m1 + m2), slice(m1 + m2, mdim)
 
     def split_dual(y):
-        return (y[:m1].reshape(d, n, order="F"),
-                y[m1:m1 + m2].reshape(n, n, order="F"),
-                y[m1 + m2:].reshape(d, d, order="F"))
+        return (y[s1].reshape(d, n, order="F"), y[s2].reshape(n, n, order="F"),
+                y[s3].reshape(d, d, order="F"))
 
-    def join_dual(Y1, Y2, Y3):
-        return np.concatenate([_vec(Y1), _vec(Y2), _vec(Y3)])
+    def dual(*parts):
+        """The dual vector holding each (slice, flat values) pair, else 0."""
+        out = np.zeros(mdim)
+        for sl, val in parts:
+            out[sl] = val
+        return out
 
     def lm(apply_fn, adjoint_fn, nblk):
         return LinearMap(apply=apply_fn, adjoint_apply=adjoint_fn,
                          domain_dim=mdim, codomain_dim=nblk)
 
-    A_Z = lm(lambda y: _vec(X.T @ split_dual(y)[0] + split_dual(y)[1]),
-             lambda z: join_dual(X @ z.reshape(n, n, order="F"),
-                                 z.reshape(n, n, order="F"), np.zeros((d, d))),
-             n * n)
-    A_G = lm(lambda y: _vec(split_dual(y)[0] @ X.T + split_dual(y)[2]),
-             lambda g: join_dual(g.reshape(d, d, order="F") @ X,
-                                 np.zeros((n, n)), g.reshape(d, d, order="F")),
-             d * d)
-    A_E = lm(lambda y: _vec(split_dual(y)[0]),
-             lambda e: join_dual(e.reshape(d, n, order="F"),
-                                 np.zeros((n, n)), np.zeros((d, d))),
-             d * n)
-    A_H = lm(lambda y: -_vec(split_dual(y)[1]),
-             lambda h: join_dual(np.zeros((d, n)),
-                                 -h.reshape(n, n, order="F"), np.zeros((d, d))),
-             n * n)
-    A_F = lm(lambda y: -_vec(split_dual(y)[2]),
-             lambda f: join_dual(np.zeros((d, n)), np.zeros((n, n)),
-                                 -f.reshape(d, d, order="F")),
-             d * d)
+    def a_z(y):
+        Y1, Y2, _ = split_dual(y)
+        return _vec(X.T @ Y1 + Y2)
 
-    b = join_dual(X, np.zeros((n, n)), np.zeros((d, d)))
+    def a_g(y):
+        Y1, _, Y3 = split_dual(y)
+        return _vec(Y1 @ X.T + Y3)
+
+    A_Z = lm(a_z, lambda z: dual((s1, _vec(X @ z.reshape(n, n, order="F"))),
+                                 (s2, z)), n * n)
+    A_G = lm(a_g, lambda g: dual((s1, _vec(g.reshape(d, d, order="F") @ X)),
+                                 (s3, g)), d * d)
+    A_E = lm(lambda y: y[s1], lambda e: dual((s1, e)), d * n)
+    A_H = lm(lambda y: -y[s2], lambda h: dual((s2, -h)), n * n)
+    A_F = lm(lambda y: -y[s3], lambda f: dual((s3, -f)), d * d)
+
+    b = dual((s1, _vec(X)))
 
     def grad_f(xs):
         Z = xs[0].reshape(n, n, order="F")

@@ -8,13 +8,14 @@ import pytest
 
 from opsplit import hpe_core
 from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
-                              check_criterion)
+                              NonFiniteValue, check_criterion)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             CallableMetric, IdentityMetric)
 from opsplit.padmm_ebb import PadmmConfig, UOperator, run_padmm
-from opsplit.prox_problems import gen_qp
+from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (afbas_pd_from_qp, condat_vu_from_qp,
-                               make_afbas_pd_oracle, make_condat_vu_oracle)
+                               fbhf_from_qp, make_afbas_pd_oracle,
+                               make_condat_vu_oracle, make_fbhf_oracle)
 
 
 def _pt(arr):
@@ -112,6 +113,44 @@ def test_non_finite_entry_is_named(entry):
     cert = HpeCertificate(c=1.0, theta=0.0, **parts)
     with pytest.raises(CriterionViolation, match="non-finite %s" % entry):
         check_criterion(x, cert, IdentityMetric(), sigma=0.5)
+
+
+def _nan_from_call(fn, first_bad):
+    """Wrap ``fn`` so that its result holds a NaN from call ``first_bad`` on."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = np.array(fn(*args), dtype=float)
+        if calls[0] >= first_bad:
+            out.flat[0] = np.nan
+        return out
+
+    return wrapped
+
+
+def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
+    prob, gamma, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob = dataclasses.replace(prob,
+                               resolvent=_nan_from_call(prob.resolvent, 3))
+    with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
+        hpe_core.run(make_fbhf_oracle(prob, gamma, 0.0),
+                     BlockPoint.zeros(prob.layout), IdentityMetric(),
+                     HpeConfig(sigma=0.5, max_iters=50))
+    assert isinstance(exc.value, CriterionViolation)
+    assert exc.value.iteration == 3 and len(exc.value.trace) == 2
+
+
+def test_nan_through_run_padmm_is_a_non_finite_value():
+    # the prox of block 0 returns a NaN from its 7th call on: the pKKT
+    # residual and the sweep of iteration 4 call it for the 7th and 8th time
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    zero = ProxFn.zero()
+    bad = ProxFn(_nan_from_call(zero.evaluate, 7), zero.value_fn)
+    prob = dataclasses.replace(inst.problem, gs=[bad, zero])
+    with pytest.raises(NonFiniteValue, match="iteration 4: non-finite") as exc:
+        run_padmm(prob, PadmmConfig(max_iters=50))
+    assert exc.value.iteration == 4 and len(exc.value.trace) == 3
 
 
 def test_kept_certificates_drop_their_step():

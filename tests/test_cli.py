@@ -242,3 +242,31 @@ def test_abort_between_trace_and_accumulation_writes_summary(tmp_path,
     assert isinstance(data["slopes"]["ergodic"], float)
     with open(trace) as fh:
         assert len(list(csv.reader(fh))) - 1 == 5
+
+
+def test_non_finite_abort_is_named_in_the_summary(tmp_path, monkeypatch,
+                                                  capsys):
+    # from the 21st SVD on, the nuclear proxes see NaN singular values
+    original, calls = np.linalg.svd, [0]
+
+    def nan_svd(*args, **kwargs):
+        calls[0] += 1
+        out = original(*args, **kwargs)
+        if calls[0] < 21 or kwargs.get("compute_uv") is False:
+            return out
+        u, s, vt = out
+        return u, s * np.nan, vt
+
+    monkeypatch.setattr(np.linalg, "svd", nan_svd)
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb",
+                 "--problem", "lrr:seed=0,d=10,n=10",
+                 "--trace", str(trace), "--summary", str(summary)])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    data = json.loads(summary.read_text())
+    assert data["termination"] == "non_finite" and data["converged"] is False
+    assert data["abort"]["exception"] == "NonFiniteValue"
+    with open(trace) as fh:
+        assert len(list(csv.reader(fh))) - 1 == data["abort"]["iteration"] - 1

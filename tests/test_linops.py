@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,23 @@ def test_layout_offsets_and_slices():
     assert lay.dim == 9
     assert lay.offsets == (0, 2, 5, 9)
     assert lay.block_slice(1) == slice(2, 5)
+
+
+def test_layout_keeps_equality_hash_and_derived_sizes():
+    for sizes in [(), (3,), (2, 3, 4), (400, 1, 0, 16)]:
+        lay = BlockLayout(sizes)
+        # offsets and dim are computed once and stored, and agree with sums
+        assert {"offsets", "dim"} <= set(vars(lay))
+        assert lay.dim == sum(sizes)
+        assert lay.offsets == tuple(sum(sizes[:i]) for i in range(len(sizes) + 1))
+    a = BlockLayout((2, 6), shapes=(None, (2, 3)))
+    b = BlockLayout([2, 6], shapes=[None, (2, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert a != BlockLayout((2, 6)) and a != BlockLayout((6, 2))
+    assert repr(a) == "BlockLayout(sizes=(2, 6), shapes=(None, (2, 3)))"
+    assert [f.name for f in dataclasses.fields(a)] == ["sizes", "shapes"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.dim = 3
 
 
 def test_layout_rejects_bad_shape():

@@ -1,13 +1,15 @@
 """Multi-block solver internals: sweep, correction operator, step range,
 metric update, residual, and ergodic certificates."""
 
+import dataclasses
 import gc
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from opsplit import hpe_core
+from opsplit import hpe_core, padmm_ebb
 from opsplit.hpe_core import (check_criterion, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
                               MetricScheduleViolation,
@@ -15,7 +17,7 @@ from opsplit.hpe_core import (check_criterion, ErgodicAccumulator,
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             IdentityMetric, LinearMap, adjoint_check)
 from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
-                               bb_metric_update, block_sweep, build_U,
+                               bb_metric_update, block_sweep,
                                ergodic_kkt_certificates,
                                geometric_beta_schedule, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
@@ -86,6 +88,109 @@ def test_block_sweep_rejects_bad_etas():
         block_sweep([np.zeros(5)], np.zeros(3), prob, 1.0, [0.0])
 
 
+def _lrr(descriptor="lrr:seed=0,d=20,n=20"):
+    from opsplit.cli import build_problem, parse_descriptor
+
+    return build_problem(parse_descriptor(descriptor))[1]
+
+
+@pytest.mark.parametrize("which", ["qp", "lrr-origin", "lrr"])
+def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
+    # the dual block of the pKKT residual is the feasibility residual; the
+    # sweep started from it matches the sweep that computes it, bit for bit
+    prob = gen_qp(3, p=3, n_i=4, m=3).problem if which == "qp" \
+        else _lrr("lrr:seed=1,d=6,n=5").problem
+    rng = np.random.default_rng(4)
+    z = BlockPoint(np.zeros(prob.full_layout.dim) if which == "lrr-origin"
+                   else rng.standard_normal(prob.full_layout.dim),
+                   prob.full_layout)
+    xs, y = prob.split(z)
+    grads = prob.grad_f(xs)
+    res, _ = pkkt_residual(xs, y, prob, grads=grads)
+    etas = scalar_majorant_etas(prob, 2.0, prob.constraint_norms())
+    plain = block_sweep(xs, y, prob, 2.0, etas, grads=grads)
+    shared = block_sweep(xs, y, prob, 2.0, etas, grads=grads,
+                         feas=res.block(prob.p))
+    for a, b in zip(plain[0] + [plain[1]], shared[0] + [shared[1]]):
+        assert a.tobytes() == b.tobytes()
+
+
+def _adjoint_applies_of_run(monkeypatch, iters):
+    prob = gen_qp(0, p=3, n_i=4, m=3).problem
+    counts = [0]
+    for a in prob.A:
+        def counted(x, _original=a.adjoint_apply):
+            counts[0] += 1
+            return _original(x)
+        monkeypatch.setattr(a, "adjoint_apply", counted)
+    sweeps = [0]
+    real_sweep = padmm_ebb.block_sweep
+
+    def counted_sweep(*args, **kwargs):
+        sweeps[0] += 1
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(padmm_ebb, "block_sweep", counted_sweep)
+    res = run_padmm(prob, PadmmConfig(max_iters=iters, tol=0.0))
+    assert res.iterations == sweeps[0] == iters
+    return counts[0], prob.p
+
+
+def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
+    # the difference of two runs drops the one-off norm estimates and the
+    # terminal residual
+    short, p = _adjoint_applies_of_run(monkeypatch, 30)
+    long, _ = _adjoint_applies_of_run(monkeypatch, 60)
+    # per iteration: one feasibility pass (in the pKKT residual), the
+    # sweep's p block updates and U's p adjoints
+    assert (long - short) / 30 == 3 * p
+
+
+def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
+    prob = _lrr().problem
+    original, calls = np.linalg.svd, [0]
+
+    def counted_svd(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    res = run_padmm(prob, PadmmConfig(beta=300.0, sigma_bar=0.9,
+                                      max_iters=10, tol=0.0))
+    assert res.iterations == 10
+    objectives = [rec.extras["objective"] for rec in res.trace]
+    # the start, z = 0, is feasible; every later iterate breaks Z >= 0
+    assert objectives[0] == 0.0 and all(o == math.inf for o in objectives[1:])
+    # two nuclear proxes in the sweep and two in the pKKT residual; the
+    # objective column's two nuclear norms run on the feasible row only, and
+    # the terminal residual adds two
+    assert calls[0] == 4 * res.iterations + 2 + 2
+
+
+def test_objective_stops_at_the_first_infinite_term():
+    base = gen_qp(0, p=3, n_i=4, m=3).problem
+    seen = []
+
+    def spy(i):
+        def value(v):
+            seen.append(i)
+            return 1.0
+        return ProxFn(lambda t, v: v, value, name="spy%d" % i)
+
+    prob = dataclasses.replace(base, gs=[spy(0), ProxFn.nonneg(), spy(2)])
+    xs = [np.ones(4), np.ones(4), np.ones(4)]
+    assert prob.objective(xs) == base.f_value(xs) + 2.0
+    assert seen == [0, 2]
+    seen.clear()
+    xs[1][0] = -1.0
+    assert prob.objective(xs) == math.inf
+    assert seen == [0]
+    seen.clear()
+    inf_f = dataclasses.replace(prob, f_value=lambda xs: math.inf)
+    assert inf_f.objective(xs) == math.inf
+    assert seen == []
+
+
 # ---------------------------------------------------------------------------
 # The correction operator U
 # ---------------------------------------------------------------------------
@@ -100,7 +205,7 @@ def test_u_operator_matches_dense_assembly(qp3):
     prob = qp3.problem
     beta = 1.7
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
-    U = build_U(prob, beta, etas)
+    U = UOperator(prob, beta, etas)
     Ud = U.to_dense()
     lay = prob.full_layout
     rng = np.random.default_rng(3)
@@ -119,7 +224,7 @@ def test_u_operator_matches_dense_assembly(qp3):
 def test_u_operator_as_linear_map_has_true_adjoint(qp3):
     prob = qp3.problem
     etas = scalar_majorant_etas(prob, 1.3, prob.constraint_norms())
-    U = build_U(prob, 1.3, etas)
+    U = UOperator(prob, 1.3, etas)
     lay = prob.full_layout
     wrapped = LinearMap(
         apply=lambda v: U.apply(BlockPoint(v, lay)).data,
@@ -145,7 +250,7 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
         x_tilde, y_tilde = block_sweep(xs, y, prob, beta, etas)
         w = prob.join(x_tilde, y_tilde)
         d = z - w
-        U = build_U(prob, beta, etas)
+        U = UOperator(prob, beta, etas)
         v = U.apply(d)
         eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
                   for i, l in enumerate(prob.L))
@@ -173,7 +278,7 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     xt, yt = block_sweep(xs, y, prob, beta, etas)
     w = prob.join(xt, yt)
     d = z - w
-    U = build_U(prob, beta, etas)
+    U = UOperator(prob, beta, etas)
     sigma_bar = 0.9
     tr = theta_range(d, U, M, sigma_bar, prob, compute_bar=True)
     eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
@@ -203,7 +308,7 @@ def test_theta_range_rejects_zero_direction(qp3):
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
     with pytest.raises(ValueError):
-        theta_range(BlockPoint.zeros(lay), build_U(prob, 1.0, etas), M,
+        theta_range(BlockPoint.zeros(lay), UOperator(prob, 1.0, etas), M,
                     0.9, prob)
 
 

@@ -159,6 +159,29 @@ def test_lrr_constraint_maps_have_true_adjoints(lrr_small):
         assert rep.ok, "constraint map %d: residual %.2e" % (i, rep.max_residual)
 
 
+def test_lrr_maps_match_kronecker_assembly():
+    # dual space (Y1, Y2, Y3) of sizes (d x n, n x n, d x d), column-major;
+    # vec(X Z) = (I_n kron X) vec(Z) and vec(G X) = (X^T kron I_d) vec(G)
+    d, n = 4, 3
+    X = np.random.default_rng(8).standard_normal((d, n))
+    prob = build_lrr(X).problem
+    eye, zero = np.eye, np.zeros
+    adjoints = [
+        np.vstack([np.kron(eye(n), X), eye(n * n), zero((d * d, n * n))]),
+        np.vstack([np.kron(X.T, eye(d)), zero((n * n, d * d)), eye(d * d)]),
+        np.vstack([eye(d * n), zero((n * n, d * n)), zero((d * d, d * n))]),
+        np.vstack([zero((d * n, n * n)), -eye(n * n), zero((d * d, n * n))]),
+        np.vstack([zero((d * n, d * d)), zero((n * n, d * d)), -eye(d * d)]),
+    ]
+    for i, (a, K) in enumerate(zip(prob.A, adjoints)):
+        assert adjoint_check(a).ok, "constraint map %d" % i
+        assert np.allclose(a.to_dense(), K.T, atol=1e-12), "A_%d" % i
+        cols = [a.adjoint_apply(e) for e in np.eye(a.codomain_dim)]
+        assert np.allclose(np.column_stack(cols), K, atol=1e-12), "A_%d*" % i
+    assert np.array_equal(prob.b, np.concatenate(
+        [X.ravel(order="F"), np.zeros(n * n + d * d)]))
+
+
 def test_lrr_feasibility_encodes_the_constraints(lrr_small):
     # choose E = X - XZ - GX, H = Z, F = G; the residual must vanish
     X = lrr_small.X
