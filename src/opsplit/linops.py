@@ -341,6 +341,25 @@ class BlockDiagonalMetric(Metric):
         return np.asarray(v, dtype=float) / self._weights
 
 
+class Cholesky:
+    """SPD matrix factored once by ``scipy.linalg.cho_factor`` (finite and
+    positive definite, or it raises); :meth:`solve` is one LAPACK potrs call,
+    bitwise scipy's own solve without its per-call checks: NaN in, NaN out."""
+
+    def __init__(self, matrix: np.ndarray, lower: bool = False):
+        self.factor, self.lower = scipy.linalg.cho_factor(matrix, lower=lower)
+        self._potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (self.factor,))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        if b.size == 0:  # potrs rejects empty systems
+            return np.empty_like(b)
+        x, info = self._potrs(self.factor, b, lower=self.lower)
+        if info != 0:
+            raise ValueError("illegal value in argument %d of potrs" % -info)
+        return x
+
+
 class DenseMetric(Metric):
     """Metric backed by an explicit SPD matrix (desk-scale only)."""
 
@@ -357,13 +376,13 @@ class DenseMetric(Metric):
             raise ValueError("matrix is not positive definite")
         self.omega_lower = float(eigs[0])
         self.omega_upper = float(eigs[-1])
-        self._chol = scipy.linalg.cho_factor(self.matrix)
+        self._chol = Cholesky(self.matrix)
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
     def solve(self, v):
-        return scipy.linalg.cho_solve(self._chol, np.asarray(v, dtype=float))
+        return self._chol.solve(v)
 
 
 class CallableMetric(Metric):

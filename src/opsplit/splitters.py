@@ -21,12 +21,9 @@ import numpy as np
 import scipy.linalg
 
 from .hpe_core import HpeCertificate
-from .linops import BlockLayout, BlockPoint, CallableMetric, LinearMap, Metric
+from .linops import (BlockLayout, BlockPoint, CallableMetric, Cholesky,
+                     LinearMap, Metric)
 from .prox_problems import ProxFn
-
-
-def _zero_fn(u: np.ndarray) -> np.ndarray:
-    return np.zeros_like(u)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +147,11 @@ def ppg_step(z: BlockPoint, p: PpgProblem, theta: float,
     for i in range(p.n):
         u = 2.0 * xc - zs[i] - p.alpha * p.grad_f[i](xc)
         x_next.append(p.prox_g[i].evaluate(p.alpha, u))
-    y = BlockPoint.from_blocks([zs[i] + x_next[i] - xc for i in range(p.n)])
-    v = BlockPoint.from_blocks([xc - x_next[i] for i in range(p.n)])
+    y = np.concatenate([zs[i] + x_next[i] - xc for i in range(p.n)])
+    v = BlockPoint(np.concatenate([xc - xn for xn in x_next]), z.layout)
     eps_raw = 0.25 * p.L * sum(float(np.dot(x_next[i] - xc, x_next[i] - xc))
                                for i in range(p.n))
-    v = BlockPoint(v.data, z.layout)
-    cert = HpeCertificate(y=BlockPoint(y.data, z.layout), v=v,
+    cert = HpeCertificate(y=BlockPoint(y, z.layout), v=v,
                           eps=p.alpha * eps_raw, c=1.0, theta=theta, step=v)
     z_new = BlockPoint(z.data - (1.0 + theta) * cert.v.data, z.layout)
     return cert, z_new
@@ -213,8 +209,7 @@ class CondatVuProblem:
         self._bnorm = float(svals[0]) if svals.size else 0.0
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
-        schur = self.s * np.eye(self.dim_y) - Bd @ Bd.T / self.r
-        chol = scipy.linalg.cho_factor(schur)
+        chol = Cholesky(self.s * np.eye(self.dim_y) - Bd @ Bd.T / self.r)
         r_, s_ = self.r, self.s
         B = self.B
 
@@ -225,7 +220,7 @@ class CondatVuProblem:
 
         def solve(u):
             f, g = u[:self.dim_x], u[self.dim_x:]
-            b = scipy.linalg.cho_solve(chol, g + B.apply(f) / r_)
+            b = chol.solve(g + B.apply(f) / r_)
             a = (f + B.adjoint_apply(b)) / r_
             return np.concatenate([a, b])
 
@@ -323,8 +318,10 @@ class AfbasPdProblem:
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
     _metric: Metric = field(init=False, repr=False, default=None)
-    _s_chol: object = field(init=False, repr=False, default=None)
-    _r_chol: object = field(init=False, repr=False, default=None)
+    _s_chol: Cholesky = field(init=False, repr=False, default=None)
+    _r_chol: Cholesky = field(init=False, repr=False, default=None)
+    _c1: float = field(init=False, repr=False, default=0.0)
+    _c2: float = field(init=False, repr=False, default=0.0)
     _bnorm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -339,17 +336,17 @@ class AfbasPdProblem:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
         if not 0.0 < self.lam < self.delta:
             raise ValueError("lam must lie in (0, delta), delta=%.6g" % self.delta)
-        c1 = self.mu * self.gamma1 * (2.0 - self.theta)
-        c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
+        self._c1 = self.mu * self.gamma1 * (2.0 - self.theta)
+        self._c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
         BtB = Bd.T @ Bd
-        s_mat = np.eye(self.dim_x) + c1 * c2 * BtB
+        s_mat = np.eye(self.dim_x) + self._c1 * self._c2 * BtB
         xi_mat = np.eye(self.dim_x) / (self.gamma1 * self.gamma2) \
             + (1.0 - self.theta) * BtB
         if scipy.linalg.eigvalsh(xi_mat)[0] <= 0:
             raise ValueError("R block inversion breaks down: "
                              "1/(gamma1 gamma2) + (1-theta) B*B not SPD")
-        self._s_chol = scipy.linalg.cho_factor(s_mat)
-        self._r_chol = scipy.linalg.cho_factor(xi_mat)
+        self._s_chol = Cholesky(s_mat)
+        self._r_chol = Cholesky(xi_mat)
         # dense M = R S^-1 for spectral bounds only; apply/solve stay composed
         nx, ny = self.dim_x, self.dim_y
         eye = np.eye(nx + ny)
@@ -380,23 +377,21 @@ class AfbasPdProblem:
 
     def apply_S(self, u: np.ndarray) -> np.ndarray:
         a, b = self._split(u)
-        c1 = self.mu * self.gamma1 * (2.0 - self.theta)
-        c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
-        return np.concatenate([a - c1 * self.B.adjoint_apply(b),
-                               c2 * self.B.apply(a) + b])
+        return np.concatenate([a - self._c1 * self.B.adjoint_apply(b),
+                               self._c2 * self.B.apply(a) + b])
 
     def solve_S(self, u: np.ndarray) -> np.ndarray:
+        """S^-1 u: one potrs solve on the primal block, NaN passed through."""
         f, g = self._split(u)
-        c1 = self.mu * self.gamma1 * (2.0 - self.theta)
-        c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
-        a = scipy.linalg.cho_solve(self._s_chol, f + c1 * self.B.adjoint_apply(g))
-        b = g - c2 * self.B.apply(a)
+        a = self._s_chol.solve(f + self._c1 * self.B.adjoint_apply(g))
+        b = g - self._c2 * self.B.apply(a)
         return np.concatenate([a, b])
 
     def solve_R(self, u: np.ndarray) -> np.ndarray:
+        """R^-1 u: one potrs solve on the primal block, NaN passed through."""
         f, g = self._split(u)
         rhs = (f + self.gamma2 * self.B.adjoint_apply(g)) / self.gamma2
-        a = scipy.linalg.cho_solve(self._r_chol, rhs)
+        a = self._r_chol.solve(rhs)
         b = self.gamma2 * (g - (1.0 - self.theta) * self.B.apply(a))
         return np.concatenate([a, b])
 
@@ -477,13 +472,14 @@ def make_afbas_pd_oracle(p: AfbasPdProblem):
 
 
 def affine_projector(G: np.ndarray, b: np.ndarray):
-    """Euclidean projector onto {x : G x = b} (resolvent of its normal cone)."""
+    """Euclidean projector onto {x : G x = b} (resolvent of its normal cone);
+    G G* is factored once and each call is one potrs solve, NaN passed through."""
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    gram = scipy.linalg.cho_factor(G @ G.T)
+    gram = Cholesky(G @ G.T)
 
     def project(u: np.ndarray) -> np.ndarray:
-        return u - G.T @ scipy.linalg.cho_solve(gram, G @ u - b)
+        return u - G.T @ gram.solve(G @ u - b)
 
     return project
 

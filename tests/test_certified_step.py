@@ -2,11 +2,13 @@
 the kernel with one metric apply, never solved for."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from opsplit import hpe_core
+from opsplit import cli, hpe_core
 from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
                               NonFiniteValue, check_criterion)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
@@ -74,6 +76,28 @@ def test_run_padmm_one_U_apply_and_one_solve_per_iteration(monkeypatch):
     assert m_counts["solve"] == res.iterations
 
 
+@pytest.mark.parametrize("algorithm", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
+def test_splitter_solve_makes_no_cho_solve_call(monkeypatch, tmp_path, capsys,
+                                                algorithm):
+    # prefactored solves call LAPACK potrs directly (scipy's cho_solve was
+    # called 4 times per afbas-pd and once per fbhf or ppg iteration)
+    calls = [0]
+    original = scipy.linalg.cho_solve
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted)
+    summary = tmp_path / "s.json"
+    code = cli.main(["solve", "--algorithm", algorithm,
+                     "--problem", "qp:seed=0", "--max-iters", "50",
+                     "--summary", str(summary)])
+    assert code == 0
+    assert json.loads(summary.read_text())["iterations"] == 50
+    assert calls[0] == 0
+
+
 # ---------------------------------------------------------------------------
 # The step check can fail
 # ---------------------------------------------------------------------------
@@ -139,6 +163,53 @@ def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
     assert exc.value.iteration == 3 and len(exc.value.trace) == 2
+
+
+def _with_nan_from_call_3(built, entry):
+    """A scheme builder's output whose problem has ``entry`` return a NaN
+    from its third call on."""
+    prob = built[0]
+    prob = dataclasses.replace(
+        prob, **{entry: _nan_from_call(getattr(prob, entry), 3)})
+    return (prob,) + tuple(built[1:])
+
+
+def _nan_scheme(scheme):
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    if scheme == "fbhf":
+        prob, gamma, _, _ = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
+        return prob, make_fbhf_oracle(prob, gamma, 0.0), IdentityMetric()
+    prob, _ = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
+    return prob, make_afbas_pd_oracle(prob), prob.metric()
+
+
+@pytest.mark.parametrize("scheme", ["fbhf", "afbas-pd"])
+def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
+    # the NaN reaches the affine projector (fbhf) or solve_S (afbas-pd) in
+    # iteration 3; the solve passes it on and the kernel names it
+    prob, oracle, M = _nan_scheme(scheme)
+    with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
+        hpe_core.run(oracle, BlockPoint.zeros(prob.layout), M,
+                     HpeConfig(sigma=0.5, max_iters=50))
+    assert exc.value.iteration == 3 and len(exc.value.trace) == 2
+
+
+@pytest.mark.parametrize("algorithm,builder,entry",
+                         [("fbhf", "fbhf_from_qp", "B1"),
+                          ("afbas-pd", "afbas_pd_from_qp", "grad_f")])
+def test_nan_through_a_prefactored_solve_is_non_finite_in_the_summary(
+        monkeypatch, tmp_path, capsys, algorithm, builder, entry):
+    original = getattr(cli, builder)
+    monkeypatch.setattr(cli, builder, lambda *a, **k: _with_nan_from_call_3(
+        original(*a, **k), entry))
+    summary = tmp_path / "s.json"
+    code = cli.main(["solve", "--algorithm", algorithm,
+                     "--problem", "qp:seed=0", "--summary", str(summary)])
+    assert code == 3
+    data = json.loads(summary.read_text())
+    assert data["termination"] == "non_finite"
+    assert data["abort"]["exception"] == "NonFiniteValue"
+    assert data["abort"]["iteration"] == 3
 
 
 def test_nan_through_run_padmm_is_a_non_finite_value():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,3 +274,27 @@ def test_non_finite_abort_is_named_in_the_summary(tmp_path, monkeypatch,
     assert data["abort"]["exception"] == "NonFiniteValue"
     with open(trace) as fh:
         assert len(list(csv.reader(fh))) - 1 == data["abort"]["iteration"] - 1
+
+
+@pytest.mark.parametrize("algorithm",
+                         ["fbhf", "ppg", "condat-vu", "afbas-pd", "padmm-ebb"])
+def test_problem_without_constraints_solves(tmp_path, capsys, algorithm):
+    # m=0: the affine projector and the dual blocks are size-0 systems
+    trace = tmp_path / "t.csv"
+    code = main(["solve", "--algorithm", algorithm,
+                 "--problem", "qp:seed=0,p=2,n=5,m=0", "--trace", str(trace)])
+    assert code == 0
+    with open(trace) as fh:
+        assert len(list(csv.reader(fh))) > 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "opsplit", "oracle",
+                          "--problem", "qp:seed=0"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "kkt_residual" in out.stdout
