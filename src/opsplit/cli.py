@@ -16,12 +16,9 @@ import numpy as np
 
 from . import acceptance, hpe_core
 from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
-from .linops import BlockPoint, IdentityMetric
 from .padmm_ebb import PadmmConfig, geometric_beta_schedule, run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
-from .splitters import (afbas_pd_from_qp, condat_vu_from_qp, fbhf_from_qp,
-                        make_afbas_pd_oracle, make_condat_vu_oracle,
-                        make_fbhf_oracle, make_ppg_oracle, ppg_from_qp)
+from .splitters import SCHEMES
 
 ALGORITHMS = ("padmm-ebb", "condat-vu", "ppg", "fbhf", "afbas-pd")
 
@@ -108,58 +105,32 @@ def _theta_or_auto(text: str) -> Optional[float]:
     return theta
 
 
-def _splitter_oracle(args, algorithm: str, inst, theta: Optional[float]):
-    """(oracle, M0, layout, reference solution) of one splitter on a QP."""
-    sigma = args.sigma
-    if algorithm == "fbhf":
-        prob, gamma, tmax, ref = fbhf_from_qp(inst, sigma=sigma)
-        th = 0.9 * tmax if theta is None else theta
-        if th > tmax + 1e-12:
-            raise ConfigError("theta %.4g violates the step condition "
-                              "(max %.4g at gamma=%.4g)" % (th, tmax, gamma))
-        return make_fbhf_oracle(prob, gamma, th), IdentityMetric(), prob.layout, ref
-    if algorithm == "ppg":
-        prob, tmax, ref = ppg_from_qp(inst, sigma=sigma)
-        th = 0.9 * tmax if theta is None else theta
-        if th > tmax + 1e-12:
-            raise ConfigError("theta %.4g violates theta + L*alpha/2 <= sigma "
-                              "(max %.4g)" % (th, tmax))
-        return make_ppg_oracle(prob, th), IdentityMetric(), prob.layout, ref
-    if algorithm == "condat-vu":
-        prob, tmax, ref = condat_vu_from_qp(inst, sigma=sigma,
-                                            r=args.cv_r, s=args.cv_s)
-        th = 0.9 * tmax if theta is None else theta
-        if th > tmax + 1e-12:
-            raise ConfigError("theta %.4g violates "
-                              "theta + L/(2(r - ||B||^2/s)) <= sigma "
-                              "(max %.4g)" % (th, tmax))
-        return make_condat_vu_oracle(prob, th), prob.metric(), prob.layout, ref
-    prob, ref = afbas_pd_from_qp(inst)  # afbas-pd
-    return make_afbas_pd_oracle(prob), prob.metric(), prob.layout, ref
-
-
 def _prepare_solve(args, algorithm: str, kind: str, inst,
                    theta: Optional[float]):
     """Build and validate one solve and return ``start(accumulators)``.
 
     Everything raised here is a configuration error; everything raised by
-    ``start`` happens once the solve has begun and is a solver fault.
+    ``start`` happens once the solve has begun and is a solver fault.  The
+    kernel's sigma, xi schedule and iteration budget are set here once, for
+    both solvers.
     """
-    if algorithm == "padmm-ebb":
-        schedule = geometric_beta_schedule() if args.beta_warmup else None
-        cfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
-                          sigma_bar=args.sigma, xi0=args.xi0, tol=args.tol,
-                          max_iters=args.max_iters, theta_fixed=theta)
-        ref = inst.z_star if kind == "qp" else None
-        return lambda accs: run_padmm(inst.problem, cfg, ref_solution=ref,
-                                      accumulators=accs)
-    if kind != "qp":
-        raise ConfigError("algorithm %s only supports qp problems" % algorithm)
     cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
                     tol_residual=args.tol)
-    oracle, M0, layout, ref = _splitter_oracle(args, algorithm, inst, theta)
-    return lambda accs: hpe_core.run(oracle, BlockPoint.zeros(layout), M0, cfg,
-                                     ref_solution=ref, accumulators=accs)
+    if algorithm == "padmm-ebb":
+        schedule = geometric_beta_schedule() if args.beta_warmup else None
+        pcfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
+                           sigma_bar=cfg.sigma, tol=args.tol,
+                           max_iters=cfg.max_iters, theta_fixed=theta)
+        ref = inst.z_star if kind == "qp" else None
+        return lambda accs: run_padmm(inst.problem, pcfg, ref_solution=ref,
+                                      accumulators=accs,
+                                      xi_schedule=cfg.xi_schedule)
+    if kind != "qp":
+        raise ConfigError("algorithm %s only supports qp problems" % algorithm)
+    oracle, M0, x0, ref = SCHEMES[algorithm].setup(
+        inst, cfg.sigma, theta, r=args.cv_r, s=args.cv_s)
+    return lambda accs: hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
+                                     accumulators=accs)
 
 
 def _abort_record(exc: Exception) -> dict:
@@ -224,7 +195,7 @@ def cmd_solve(args) -> int:
     final_extra = ({"pkkt": result.final_pkkt}
                    if args.algorithm == "padmm-ebb" else None)
     _write_outputs(args, result, acc, config_echo, final_extra)
-    final = result.trace.records[-1] if len(result.trace) else None
+    final = result.trace[-1] if result.trace else None
     print("%s on %s: %s after %d iterations (final v_norm %s)"
           % (args.algorithm, args.problem,
              "converged" if result.converged else result.reason,
@@ -262,8 +233,8 @@ def cmd_bench(args) -> int:
         if a == "padmm-ebb":
             residual = result.final_pkkt
         else:
-            recs = result.trace.records
-            residual = recs[-1].v_norm if recs else float("nan")
+            residual = (result.trace[-1].v_norm if result.trace
+                        else float("nan"))
         print("%-12s %9d %10s %12.3e %9.2f"
               % (a, result.iterations, result.converged, residual,
                  time.perf_counter() - t0))

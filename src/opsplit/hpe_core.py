@@ -13,6 +13,9 @@ and takes the over-relaxed correction ``x+ = x - (1 + theta) c M^-1 v``.  No
 metric solve happens in the kernel.
 The metric M may change between iterations inside the schedule
 ``omega_lower * I <= M_next <= (1 + xi_k) M_k`` with summable xi.
+:func:`run` is the one solver loop: the splitters enter it as oracles, the
+multi-block solver as an oracle plus ``stop``, ``extras`` and
+``metric_update`` hooks.
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
 online ergodic accumulator, local linear-rate factor) used by the
@@ -74,7 +77,7 @@ class HpeConfig:
     """Parameters of the extra-gradient kernel.
 
     ``xi_schedule`` maps the iteration index k >= 1 to xi_k >= 0 and must have
-    a finite sum; the default xi0/(k+1)^2 does.
+    a finite sum; the default xi0/(k+1)^2 does, for a finite xi0 >= 0.
     """
 
     sigma: float = 0.5
@@ -96,13 +99,16 @@ class HpeConfig:
             raise ValueError("c_min must be positive")
         if self.omega_lower <= 0.0 or self.omega_upper < self.omega_lower:
             raise ValueError("need 0 < omega_lower <= omega_upper")
+        if not (math.isfinite(self.xi0) and self.xi0 >= 0.0):
+            raise ValueError("xi0 must be finite and nonnegative, got %r"
+                             % self.xi0)
         if self.xi_schedule is None:
             self.xi_schedule = default_xi_schedule(self.xi0)
 
     def xi(self, k: int) -> float:
         val = float(self.xi_schedule(k))
-        if val < 0:
-            raise ValueError("xi_k must be nonnegative")
+        if not val >= 0:  # a NaN would disable the schedule check
+            raise ValueError("xi_%d must be nonnegative, got %r" % (k, val))
         return val
 
     def xi_partial_sum(self, k: int) -> float:
@@ -121,9 +127,10 @@ class HpeCertificate:
     """Inexact proximal triple plus the step parameters that produced it.
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
-    against ``v`` and never solves for it.  No certificate outlives its
-    iteration: ergodic aggregates are accumulated online
-    (:class:`ErgodicAccumulator`).
+    against ``v`` and never solves for it.  ``eps_blocks``, when the scheme
+    splits eps by block, is handed to the accumulators with the certificate.
+    No certificate outlives its iteration: ergodic aggregates are accumulated
+    online (:class:`ErgodicAccumulator`).
     """
 
     y: BlockPoint
@@ -132,6 +139,7 @@ class HpeCertificate:
     c: float = 1.0
     theta: float = 0.0
     step: Optional[BlockPoint] = None
+    eps_blocks: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.eps < 0:
@@ -311,30 +319,19 @@ class IterRecord:
         return base + [self.extras.get(name, float("nan")) for name in extra_columns]
 
 
-class IterTrace:
-    """Append-only per-iteration record list with CSV export."""
+class IterTrace(list):
+    """The :class:`IterRecord` of each iteration, in order, with CSV export
+    of the base columns and ``extra_columns``."""
 
     def __init__(self, extra_columns: Sequence[str] = ()):
-        self.records: List[IterRecord] = []
+        super().__init__()
         self.extra_columns = tuple(extra_columns)
-
-    def append(self, rec: IterRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(list(TRACE_COLUMNS) + list(self.extra_columns))
-            for rec in self.records:
+            for rec in self:
                 writer.writerow(rec.row(self.extra_columns))
 
 
@@ -354,26 +351,44 @@ class RunResult:
 
 def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
         metric_update=None, ref_solution: Optional[BlockPoint] = None,
-        accumulators: Sequence["ErgodicAccumulator"] = ()) -> RunResult:
+        accumulators: Sequence["ErgodicAccumulator"] = (), stop=None,
+        extras=None, extra_columns: Sequence[str] = (),
+        decaying_floor: bool = False) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
 
-    ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set;
-    ``metric_update(k, x, cert, M)`` optionally returns the next metric
-    (constant metric when omitted).  Every certificate must pass the
-    criterion and every metric change the schedule; violations abort with a
-    diagnostic exception.  Each certified step is handed to every
+    ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set, or None when
+    x is a fixed point of the scheme (the run ends converged, reason
+    ``"fixed_point"``); ``metric_update(k, x, cert, M)`` optionally returns
+    the next metric (constant metric when omitted).  ``stop(k, x)``, called
+    before the oracle, may end the run converged with the reason it returns;
+    ``extras(k, x, cert)`` fills the trace row's ``extra_columns``.
+
+    Every certificate must pass the criterion and every metric change the
+    schedule omega_lower I <= M_next <= (1 + xi_k) M_k, with omega_lower =
+    ``cfg.omega_lower``, or with ``decaying_floor`` min(M_0) /
+    prod_{j<=k} (1 + xi_j), the floor kept by an update clamped below by
+    M_k / (1 + xi_k); violations abort with a diagnostic exception.  Each
+    certified step, with its ``eps_blocks``, is handed to every
     :class:`ErgodicAccumulator` in ``accumulators``; no certificate is kept.
     An exception raised in the loop carries the partial ``trace`` and the
     failing ``iteration``.
     """
     x = x0.copy()
     M = M0
-    trace = IterTrace()
+    floor = M0.omega_lower if decaying_floor else cfg.omega_lower
+    trace = IterTrace(extra_columns)
     t0 = time.perf_counter()
     k = 0
     try:
         for k in range(1, cfg.max_iters + 1):
+            reason = stop(k, x) if stop is not None else None
+            if reason:
+                return RunResult(solution=x, trace=trace, converged=True,
+                                 reason=reason, iterations=k - 1)
             cert = oracle(x, M, cfg)
+            if cert is None:
+                return RunResult(solution=x, trace=trace, converged=True,
+                                 reason="fixed_point", iterations=k)
             rep = certify(k, x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k)
             v_norm = cert.v.norm()
@@ -382,13 +397,14 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
                 eps=cert.eps, theta=cert.theta, criterion_slack=rep.rel_slack,
                 step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
                 metric_min=M.omega_lower, metric_max=M.omega_upper,
-                c=cert.c, xi=xi_k, step_M_sq=rep.diff_M_sq)
+                c=cert.c, xi=xi_k, step_M_sq=rep.diff_M_sq,
+                extras=extras(k, x, cert) if extras is not None else {})
             if ref_solution is not None:
                 rec.dist_to_ref = (x - ref_solution).norm()
                 rec.dist_M_sq = weighted_norm_sq(M, x - ref_solution)
             trace.append(rec)
             for acc in accumulators:
-                acc.add(cert)
+                acc.add(cert, cert.eps_blocks)
             if max(v_norm, cert.eps) <= cfg.tol_residual:
                 return RunResult(solution=cert.y.copy(), trace=trace,
                                  converged=True, reason="residual",
@@ -396,24 +412,18 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
             x = extragradient_step(x, cert)
             if metric_update is not None:
                 M_next = metric_update(k, x, cert, M)
-                upd = validate_metric_update(M, M_next, xi_k, cfg.omega_lower)
+                if decaying_floor:
+                    floor /= 1.0 + xi_k
+                upd = validate_metric_update(M, M_next, xi_k, floor)
                 if not upd:
                     raise MetricScheduleViolation(
                         "iteration %d: %s" % (k, upd.message))
                 M = M_next
     except Exception as exc:
-        attach_partial_run(exc, trace, k)
+        exc.trace, exc.iteration = trace, k  # callers still report the run
         raise
     return RunResult(solution=x, trace=trace, converged=False,
                      reason="max_iters", iterations=cfg.max_iters)
-
-
-def attach_partial_run(exc: BaseException, trace: IterTrace,
-                       iteration: int) -> None:
-    """Attach a solver loop's partial trace and failing iteration to the
-    exception that stops it, so callers can still report the run."""
-    exc.trace = trace
-    exc.iteration = iteration
 
 
 # ---------------------------------------------------------------------------
@@ -580,7 +590,7 @@ def write_summary(path, result: RunResult, config_echo: dict,
     """JSON run summary: config echo, termination, final residuals, slopes,
     and for an aborted run the ``abort`` record (failing iteration,
     exception, criterion terms)."""
-    recs = result.trace.records
+    recs = result.trace
     final = recs[-1] if recs else None
     summary = {
         "schema": 1,

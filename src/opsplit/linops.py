@@ -10,7 +10,7 @@ access and spectral bounds.  All storage is dense; problem sizes are desk scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -155,13 +155,6 @@ class BlockPoint:
 
     def __repr__(self):
         return "BlockPoint(sizes=%r)" % (self.layout.sizes,)
-
-
-def as_flat(v) -> np.ndarray:
-    """Flat float64 array behind a BlockPoint or array-like."""
-    if isinstance(v, BlockPoint):
-        return v.data
-    return np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +403,7 @@ class CallableMetric(Metric):
 
 def weighted_norm_sq(M: Metric, v) -> float:
     """<v, M v> for a BlockPoint or flat array."""
-    x = as_flat(v)
+    x = v.data if isinstance(v, BlockPoint) else np.asarray(v, dtype=float)
     return float(np.dot(x, M.apply(x)))
 
 

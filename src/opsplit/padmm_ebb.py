@@ -4,39 +4,37 @@ Solves linearly constrained multi-block composite programs
 
     min f(x_1, ..., x_p) + sum_i g_i(x_i)   s.t.  sum_i A_i* x_i = b
 
-through their primal-dual KKT operator.  One iteration performs:
+through their primal-dual KKT operator.  The solver is an instance of the
+kernel loop :func:`opsplit.hpe_core.run`; one iteration performs:
 
+0. the proximal KKT residual R(z) test, which ends the run at tolerance;
 1. a Gauss-Seidel sweep over the blocks of a majorized augmented Lagrangian,
    each subproblem reduced to a single prox of g_i by a scalar-majorant
    proximal term, followed by the half-updated multiplier step;
-2. a step-size range computation: the largest over-relaxation compatible with
-   the relative-error criterion, both globally (operator inequality) and along
-   the current direction (ratio of two quadratic forms);
-3. the extra-gradient correction z+ = z + (1 + theta) M^-1 U (w - z), which is
-   exactly the kernel step of :mod:`opsplit.hpe_core` for the certificate
-   v = U(z - w), eps = (1/4)||x - x~||_D^2, whose step M^-1 U(z - w) the
-   step-size range has already computed;
+2. a step-size range computation: the largest over-relaxation that meets the
+   relative-error criterion along the current direction (ratio of two
+   quadratic forms);
+3. the kernel's extra-gradient correction z+ = z + (1 + theta) M^-1 U (w - z)
+   for the certificate v = U(z - w), eps = (1/4)||x - x~||_D^2, whose step
+   M^-1 U(z - w) the step-size range has already computed;
 4. a blockwise Barzilai-Borwein update of the inverse-metric scalars, clamped
    to the admissible metric schedule.
 
-Progress is measured by the proximal KKT residual R(z).
+Steps 1-2 are the kernel's oracle, step 0 its ``stop`` hook and step 4 its
+``metric_update``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import hpe_core
-from .hpe_core import (ErgodicAccumulator, HpeCertificate, IterRecord,
-                       IterTrace, MetricScheduleViolation, NonFiniteValue,
-                       attach_partial_run, certify, default_xi_schedule,
-                       extragradient_step, validate_metric_update)
+from .hpe_core import (ErgodicAccumulator, HpeCertificate, HpeConfig,
+                       IterTrace, NonFiniteValue)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
@@ -131,28 +129,24 @@ class MultiBlockProblem:
 
 @dataclass
 class PadmmConfig:
-    """Solver knobs; defaults follow the package-wide schedule conventions."""
+    """Solver knobs.  ``sigma_bar`` and ``max_iters`` become the kernel's
+    sigma and max_iters; the xi schedule is the kernel's (see
+    :func:`run_padmm`)."""
 
     beta: float = 1.0
     beta_schedule: Optional[Callable[[int], float]] = None
     sigma_bar: float = 0.9
-    theta_min: float = -0.5
     theta_cap: float = 5.0
     theta_fixed: Optional[float] = None  # e.g. 0.0 to disable over-relaxation
-    xi0: float = 0.01
-    xi_schedule: Optional[Callable[[int], float]] = None
     initial_inv_scalars: Optional[Sequence[float]] = None
     m_floor: float = 1e-8
     margin: float = 1.05
     max_iters: int = 1000
     tol: float = 1e-8
-    theta_bar_dim_limit: int = 0  # assemble dense theta_bar when dim <= limit
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_bar < 1.0:
             raise ValueError("sigma_bar must lie in [0, 1)")
-        if not -1.0 < self.theta_min:
-            raise ValueError("theta_min must exceed -1")
         if self.theta_fixed is not None and not (
                 math.isfinite(self.theta_fixed) and self.theta_fixed > -1.0):
             raise ValueError("theta_fixed must be finite and exceed -1")
@@ -160,8 +154,6 @@ class PadmmConfig:
             raise ValueError("m_floor must be positive")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
-        if self.xi_schedule is None:
-            self.xi_schedule = default_xi_schedule(self.xi0)
 
     def beta_at(self, k: int) -> float:
         if self.beta_schedule is not None:
@@ -279,29 +271,6 @@ class UOperator:
         out.set_block(pr.p, dy / self.beta)
         return out
 
-    def to_dense(self) -> np.ndarray:
-        pr = self.problem
-        sizes = self.layout.sizes
-        off = self.layout.offsets
-        n = self.layout.dim
-        U = np.zeros((n, n))
-        a_dense = [a.to_dense() for a in pr.A]          # n_i x m  (dual -> block)
-        astar = [ad.T for ad in a_dense]                # m x n_i
-        s0 = slice(off[0], off[1])
-        U[s0, s0] = self.etas[0] * np.eye(sizes[0]) - self.beta * a_dense[0] @ astar[0]
-        for i in range(1, pr.p):
-            si = slice(off[i], off[i + 1])
-            U[si, si] = self.etas[i] * np.eye(sizes[i])
-            for j in range(1, i):
-                sj = slice(off[j], off[j + 1])
-                U[si, sj] = self.beta * a_dense[i] @ astar[j]
-        sd = slice(off[pr.p], off[pr.p + 1])
-        for j in range(1, pr.p):
-            sj = slice(off[j], off[j + 1])
-            U[sd, sj] = astar[j]
-        U[sd, sd] = np.eye(pr.m) / self.beta
-        return U
-
 
 # ---------------------------------------------------------------------------
 # Step-size range
@@ -310,7 +279,6 @@ class UOperator:
 
 @dataclass
 class ThetaRange:
-    theta_bar: float
     theta_adap: float
     gamma_form: float
     denom_form: float
@@ -319,53 +287,26 @@ class ThetaRange:
 
 
 def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
-                sigma_bar: float, problem: MultiBlockProblem,
-                compute_bar: bool = True, power_iters: int = 100,
-                seed: int = 0) -> ThetaRange:
-    """Admissible over-relaxation range along the current direction d = z - w.
+                sigma_bar: float, problem: MultiBlockProblem) -> ThetaRange:
+    """Adaptive over-relaxation along the current direction d = z - w.
 
-    theta_adap solves the criterion with equality along d (ratio of the
-    Gamma-form to the U* M^-1 U-form); theta_bar is the direction-independent
-    bound from a power-iteration estimate of the top generalized eigenvalue,
-    computed on a dense assembly (small problems only when compute_bar).
+    theta_adap = -1 + Gamma-form / (U* M^-1 U)-form meets the relative-error
+    criterion with equality for the certificate v = U d with step M^-1 U d,
+    both of which are returned.  The direction-independent bound (a top
+    generalized eigenvalue of the two forms) is never computed on the solve
+    path; the tests assemble it densely as an offline diagnostic.
     """
     if not d.data.any():
         raise ValueError("zero direction: iterate equals its sweep point")
     Ud = U.apply(d)
     step = BlockPoint(M.solve(Ud.data), Ud.layout)
-    dw = problem.d_weights
     gamma_form = (2.0 * d.inner(Ud)
                   + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
-                  - 0.5 * float(np.dot(d.data * dw, d.data)))
+                  - 0.5 * float(np.dot(d.data * problem.d_weights, d.data)))
     denom_form = float(np.dot(Ud.data, step.data))
     if denom_form <= 0:
         raise ValueError("degenerate U*M^-1U form")
-    theta_adap = -1.0 + gamma_form / denom_form
-    theta_bar = float("nan")
-    if compute_bar:
-        Ud_dense = U.to_dense()
-        Mdiag = np.repeat(np.asarray(M.scalars), M.layout.sizes)
-        Gamma = Ud_dense + Ud_dense.T + (sigma_bar - 1.0) * np.diag(Mdiag) \
-            - 0.5 * np.diag(dw)
-        Amat = Ud_dense.T @ (Ud_dense / Mdiag[:, None])
-        eig_min = scipy.linalg.eigvalsh(Gamma)[0]
-        if eig_min <= 0:
-            raise ValueError("Gamma indefinite (min eigenvalue %.3e)" % eig_min)
-        lu = scipy.linalg.lu_factor(Gamma)
-        rng = np.random.default_rng(seed)
-        wvec = rng.standard_normal(Gamma.shape[0])
-        lam = 0.0
-        for _ in range(power_iters):
-            wvec = scipy.linalg.lu_solve(lu, Amat @ wvec)
-            nrm = np.linalg.norm(wvec)
-            if nrm == 0:
-                break
-            wvec /= nrm
-            lam = float(wvec @ Amat @ wvec) / float(wvec @ Gamma @ wvec)
-        # direction-independent bound must not exceed the directional ratio
-        lam_hat = max(lam, denom_form / gamma_form) * 1.01
-        theta_bar = -1.0 + 1.0 / lam_hat
-    return ThetaRange(theta_bar=theta_bar, theta_adap=theta_adap,
+    return ThetaRange(theta_adap=-1.0 + gamma_form / denom_form,
                       gamma_form=gamma_form, denom_form=denom_form,
                       Ud=Ud, step=step)
 
@@ -443,164 +384,140 @@ class PadmmResult:
         return self.z
 
 
+class _Iteration:
+    """Steps 0-4 of one iteration (module docstring) as the hooks of
+    :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients and
+    dual block for the sweep, which escalates the proximal margins until the
+    directional Gamma form is positive."""
+
+    def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
+                 cfg: HpeConfig):
+        self.problem, self.config, self.cfg = problem, config, cfg
+        self.anorms = problem.constraint_norms()
+        beta = config.beta_at(0)
+        self.inv_scalars = list(config.initial_inv_scalars or [
+            1.0 / e for e in scalar_majorant_etas(
+                problem, beta, self.anorms, config.margin)] + [beta])
+        self.margin_mult, self.prev, self.pnorm = 1.0, None, float("nan")
+
+    def metric(self) -> BlockDiagonalMetric:
+        return BlockDiagonalMetric.from_inverse_scalars(
+            self.inv_scalars, self.problem.full_layout)
+
+    def stop(self, k: int, z: BlockPoint) -> Optional[str]:
+        pr = self.problem
+        self.k, self.beta = k, self.config.beta_at(k - 1)
+        self.xs, self.y = pr.split(z)
+        self.grads = pr.grad_f(list(self.xs))
+        res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads)
+        self.feas = res.block(pr.p)
+        return "pkkt" if self.pnorm <= self.config.tol else None
+
+    def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
+               cfg: HpeConfig) -> Optional[HpeCertificate]:
+        pr, config = self.problem, self.config
+        for _ in range(10):
+            etas = scalar_majorant_etas(pr, self.beta, self.anorms,
+                                        config.margin * self.margin_mult)
+            x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
+                                           etas, grads=self.grads,
+                                           feas=self.feas)
+            w = pr.join(x_tilde, y_tilde)
+            d = z - w
+            d_norm = d.norm()
+            if d_norm == 0.0:
+                return None  # sweep fixed point: v = 0, a KKT point
+            if not math.isfinite(d_norm):
+                raise NonFiniteValue("iteration %d: non-finite sweep point"
+                                     % self.k)
+            try:
+                tr = theta_range(d, UOperator(pr, self.beta, etas), M,
+                                 cfg.sigma, pr)
+            except ValueError:
+                tr = None
+            if tr is not None and tr.gamma_form > 1e-10 * tr.denom_form:
+                break
+            self.margin_mult *= 2.0
+        else:
+            raise RuntimeError("could not find a positive Gamma form; "
+                               "proximal-term margins exhausted")
+        self.points, self.theta_adap = x_tilde + [y_tilde], tr.theta_adap
+        # the adaptive endpoint meets the criterion with equality; back off by
+        # a relative hair so roundoff cannot flip the inequality
+        theta_safe = -1.0 + (1.0 + tr.theta_adap) * (1.0 - 1e-9)
+        theta = min(theta_safe, config.theta_cap)
+        if config.theta_fixed is not None:
+            theta = min(config.theta_fixed, theta_safe)
+        eps_blocks = np.array([0.25 * l * float(np.dot(db, db))
+                               for l, db in zip(pr.L, d.blocks())])
+        return HpeCertificate(y=w, v=tr.Ud, eps=float(eps_blocks.sum()),
+                              c=1.0, theta=theta, step=tr.step,
+                              eps_blocks=eps_blocks)
+
+    def extras(self, k: int, z: BlockPoint, cert: HpeCertificate) -> dict:
+        return {"pkkt": self.pnorm,
+                "feas_norm": float(np.linalg.norm(self.feas)),
+                "objective": self.problem.objective(self.xs),
+                "theta_adap": self.theta_adap,
+                "theta_bar": float("nan"),  # never computed on the solve path
+                "beta": self.beta}
+
+    def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
+                      M: BlockDiagonalMetric) -> BlockDiagonalMetric:
+        # per block, the change of the sweep point against the change of its
+        # gradient-corrected certificate block; the multiplier is block p
+        pr, v = self.problem, cert.v
+        grads_t = pr.grad_f(self.points[:pr.p])
+        slopes = [v.block(i) + grads_t[i] - self.grads[i]
+                  for i in range(pr.p)] + [v.block(pr.p).copy()]
+        if self.prev is not None:
+            nums = [float(np.linalg.norm(a - b))
+                    for a, b in zip(self.points, self.prev[0])]
+            dens = [float(np.linalg.norm(a - b))
+                    for a, b in zip(slopes, self.prev[1])]
+            self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
+                                                self.cfg.xi(k),
+                                                self.config.m_floor)
+        self.prev = (self.points, slopes)
+        return self.metric()
+
+
 def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
               z0: Optional[BlockPoint] = None,
               ref_solution: Optional[BlockPoint] = None,
-              accumulators: Sequence[ErgodicAccumulator] = ()) -> PadmmResult:
+              accumulators: Sequence[ErgodicAccumulator] = (),
+              xi_schedule: Optional[Callable[[int], float]] = None
+              ) -> PadmmResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
-    Every iteration is certified against the relative-error criterion (with
-    sigma = sigma_bar) and the metric schedule; a violation aborts with a
-    diagnostic, since it indicates an inconsistent theta/proximal-term policy.
-    The schedule's lower bound is the floor the BB clamp guarantees,
-    min(M_0 scalars) / prod_{j<=k} (1 + xi_j).
-
-    Each certified step, with its per-block eps, is handed to every
-    :class:`~opsplit.hpe_core.ErgodicAccumulator` in ``accumulators``; no
-    certificate is kept.  An exception raised in the loop carries the
-    partial ``trace`` and the failing ``iteration``.
+    The iterations run in :func:`opsplit.hpe_core.run`, with sigma =
+    sigma_bar and the kernel's xi schedule (``xi_schedule``, or the
+    :class:`~opsplit.hpe_core.HpeConfig` default): every step is certified
+    against the relative-error criterion and the metric schedule, whose
+    lower bound is the floor the BB clamp keeps, min(M_0 scalars) /
+    prod_{j<=k} (1 + xi_j).  Accumulators receive each step's per-block eps,
+    and an exception carries the partial ``trace`` and failing ``iteration``,
+    as in the kernel loop.  A run that reaches ``max_iters`` still ends
+    converged if its final iterate meets the tolerance.
     """
-    layout = problem.full_layout
-    z = z0.copy() if z0 is not None else BlockPoint.zeros(layout)
-    anorms = problem.constraint_norms()
-    trace = IterTrace(extra_columns=PADMM_TRACE_COLUMNS)
-    margin_mult = 1.0
-    inv_scalars: Optional[List[float]] = (
-        list(config.initial_inv_scalars) if config.initial_inv_scalars else None)
-    prev_xt = prev_s = prev_yt = prev_r = None
-    omega_floor = None
-    t0 = time.perf_counter()
-    converged = False
-    reason = "max_iters"
-    iterations = 0
-    pnorm = float("nan")
-
-    k = 0
-    try:
-        for k in range(config.max_iters):
-            beta = config.beta_at(k)
-            xs, y = problem.split(z)
-            grads = problem.grad_f(list(xs))
-            res, pnorm = pkkt_residual(xs, y, problem, grads=grads)
-            feas = res.block(problem.p)
-            if pnorm <= config.tol:
-                converged, reason = True, "pkkt"
-                break
-            iterations = k + 1
-            if inv_scalars is None:
-                etas0 = scalar_majorant_etas(problem, beta, anorms,
-                                             config.margin * margin_mult)
-                inv_scalars = [1.0 / e for e in etas0] + [beta]
-            M = BlockDiagonalMetric.from_inverse_scalars(inv_scalars, layout)
-            if omega_floor is None:
-                omega_floor = M.omega_lower
-
-            # sweep, with margin escalation if the directional Gamma form fails
-            for attempt in range(10):
-                etas = scalar_majorant_etas(problem, beta, anorms,
-                                            config.margin * margin_mult)
-                x_tilde, y_tilde = block_sweep(xs, y, problem, beta, etas,
-                                               grads=grads, feas=feas)
-                w = problem.join(x_tilde, y_tilde)
-                d = z - w
-                d_norm = d.norm()
-                if d_norm == 0.0:
-                    break
-                if not math.isfinite(d_norm):
-                    raise NonFiniteValue("iteration %d: non-finite sweep point"
-                                         % (k + 1))
-                try:
-                    tr = theta_range(d, UOperator(problem, beta, etas), M,
-                                     config.sigma_bar, problem,
-                                     compute_bar=(layout.dim <= config.theta_bar_dim_limit))
-                except ValueError:
-                    tr = None
-                if tr is not None and tr.gamma_form > 1e-10 * tr.denom_form:
-                    break
-                margin_mult *= 2.0
-            else:
-                raise RuntimeError("could not find a positive Gamma form; "
-                                   "proximal-term margins exhausted")
-
-            if d_norm == 0.0:
-                # sweep fixed point: v = 0, we are at a KKT point
-                converged, reason = True, "fixed_point"
-                break
-
-            theta_adap = tr.theta_adap
-            # the adaptive endpoint meets the criterion with equality; back off by
-            # a relative hair so roundoff cannot flip the inequality
-            theta_safe = -1.0 + (1.0 + theta_adap) * (1.0 - 1e-9)
-            theta = min(theta_safe, config.theta_cap)
-            if config.theta_fixed is not None:
-                theta = min(config.theta_fixed, theta_safe)
-            v = tr.Ud
-            eps_per_block = np.array(
-                [0.25 * l * float(np.dot(db, db))
-                 for l, db in zip(problem.L, d.blocks())])
-            eps = float(eps_per_block.sum())
-            cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta,
-                                  step=tr.step)
-            rep = certify(k + 1, z, cert, M, config.sigma_bar)
-
-            z_next = extragradient_step(z, cert)
-
-            # Barzilai-Borwein quantities from this sweep
-            grads_t = problem.grad_f(list(x_tilde))
-            s_now = [v.block(i) + grads_t[i] - grads[i] for i in range(problem.p)]
-            r_now = v.block(problem.p).copy()
-            xi_k = float(config.xi_schedule(k + 1))
-            if prev_xt is not None:
-                nums = [float(np.linalg.norm(x_tilde[i] - prev_xt[i]))
-                        for i in range(problem.p)]
-                dens = [float(np.linalg.norm(s_now[i] - prev_s[i]))
-                        for i in range(problem.p)]
-                nums.append(float(np.linalg.norm(y_tilde - prev_yt)))
-                dens.append(float(np.linalg.norm(r_now - prev_r)))
-                new_scalars = bb_metric_update(inv_scalars, nums, dens,
-                                               xi_k, config.m_floor)
-            else:
-                new_scalars = list(inv_scalars)
-            M_next = BlockDiagonalMetric.from_inverse_scalars(new_scalars, layout)
-            omega_floor /= 1.0 + xi_k
-            upd = validate_metric_update(M, M_next, xi_k, omega_lower=omega_floor)
-            if not upd:
-                raise MetricScheduleViolation("iteration %d: %s"
-                                              % (k + 1, upd.message))
-
-            rec = IterRecord(
-                k=k + 1, time_s=time.perf_counter() - t0, v_norm=v.norm(),
-                eps=eps, theta=theta, criterion_slack=rep.rel_slack,
-                step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
-                metric_min=M.omega_lower, metric_max=M.omega_upper,
-                c=1.0, xi=xi_k, step_M_sq=rep.diff_M_sq,
-                extras={"pkkt": pnorm,
-                        "feas_norm": float(np.linalg.norm(feas)),
-                        "objective": problem.objective(xs),
-                        "theta_adap": theta_adap,
-                        "theta_bar": tr.theta_bar,
-                        "beta": beta})
-            if ref_solution is not None:
-                rec.dist_to_ref = (z - ref_solution).norm()
-                rec.dist_M_sq = weighted_norm_sq(M, z - ref_solution)
-            trace.append(rec)
-            for acc in accumulators:
-                acc.add(cert, eps_per_block)
-
-            prev_xt, prev_s, prev_yt, prev_r = x_tilde, s_now, y_tilde, r_now
-            inv_scalars = new_scalars
-            z = z_next
-    except Exception as exc:
-        attach_partial_run(exc, trace, k + 1)
-        raise
-
-    xs, y = problem.split(z)
+    cfg = HpeConfig(sigma=config.sigma_bar, max_iters=config.max_iters,
+                    xi_schedule=xi_schedule, tol_residual=-math.inf)
+    it = _Iteration(problem, config, cfg)
+    res = hpe_core.run(
+        it.oracle, z0 if z0 is not None else BlockPoint.zeros(
+            problem.full_layout), it.metric(), cfg,
+        metric_update=it.metric_update, ref_solution=ref_solution,
+        accumulators=accumulators, stop=it.stop, extras=it.extras,
+        extra_columns=PADMM_TRACE_COLUMNS, decaying_floor=True)
+    xs, y = problem.split(res.solution)
+    converged, reason, pnorm = res.converged, res.reason, it.pnorm
     if not converged:
         _, pnorm = pkkt_residual(xs, y, problem)
         if pnorm <= config.tol:
             converged, reason = True, "pkkt"
-    return PadmmResult(z=z, x_blocks=xs, y=y, trace=trace, converged=converged,
-                       reason=reason, iterations=iterations, final_pkkt=pnorm)
+    return PadmmResult(z=res.solution, x_blocks=xs, y=y, trace=res.trace,
+                       converged=converged, reason=reason,
+                       iterations=res.iterations, final_pkkt=pnorm)
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,6 @@ class LrrInstance:
     orientation: str
     problem: MultiBlockProblem = field(repr=False, default=None)
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self.X.shape
-
 
 def _vec(M: np.ndarray) -> np.ndarray:
     return np.asarray(M, dtype=float).ravel(order="F")

@@ -1,6 +1,6 @@
 """Step oracles for classical splitting schemes, certified for the kernel.
 
-Each oracle performs one iteration of a known splitting method (forward-
+Each step performs one iteration of a known splitting method (forward-
 backward-half-forward, projective proximal-gradient consensus splitting,
 Condat-Vu primal-dual, and an adaptive-step primal-dual variant) and returns
 an :class:`~opsplit.hpe_core.HpeCertificate` together with the natively
@@ -8,21 +8,22 @@ computed next iterate.  The certificate carries the scheme's own step
 c M^-1 v (no metric solve), always satisfies the relative-error criterion
 under the method's own metric, and the native update coincides with the
 kernel's extra-gradient correction.  The kernel checks the step against v to
-1e-12 on every call, for every scheme.
+1e-12 on every call, for every scheme.  :data:`SCHEMES` codes a QP onto each
+scheme and turns it into a kernel oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from .hpe_core import HpeCertificate
 from .linops import (BlockLayout, BlockPoint, CallableMetric, Cholesky,
-                     LinearMap, Metric)
+                     IdentityMetric, LinearMap, Metric)
 from .prox_problems import ProxFn
 
 
@@ -84,14 +85,6 @@ def fbhf_step(x: BlockPoint, p: FbhfProblem, gamma: float, theta: float,
     x_next = BlockPoint(xf - (1.0 + theta) * step, x.layout)
     return cert, x_next
 
-
-def make_fbhf_oracle(p: FbhfProblem, gamma: float, theta: float):
-    """Step oracle for hpe_core.run (identity metric)."""
-
-    def oracle(x: BlockPoint, M, cfg) -> HpeCertificate:
-        return fbhf_step(x, p, gamma, theta, sigma=cfg.sigma)[0]
-
-    return oracle
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +150,15 @@ def ppg_step(z: BlockPoint, p: PpgProblem, theta: float,
     return cert, z_new
 
 
-def make_ppg_oracle(p: PpgProblem, theta: float):
-    def oracle(z: BlockPoint, M, cfg) -> HpeCertificate:
-        return ppg_step(z, p, theta, sigma=cfg.sigma)[0]
-
-    return oracle
-
 
 # ---------------------------------------------------------------------------
 # Condat-Vu primal-dual splitting
 # ---------------------------------------------------------------------------
+
+
+def _spectral_norm(B: np.ndarray) -> float:
+    """Largest singular value of a dense matrix, 0 for an empty one."""
+    return float(np.linalg.svd(B, compute_uv=False)[0]) if min(B.shape) else 0.0
 
 
 def _prox_conjugate(prox_h: ProxFn, t: float, u: np.ndarray) -> np.ndarray:
@@ -205,8 +197,7 @@ class CondatVuProblem:
         if (self.B.domain_dim, self.B.codomain_dim) != (self.dim_x, self.dim_y):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
         Bd = self.B.to_dense()
-        svals = np.linalg.svd(Bd, compute_uv=False) if min(Bd.shape) else np.zeros(1)
-        self._bnorm = float(svals[0]) if svals.size else 0.0
+        self._bnorm = _spectral_norm(Bd)
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
         chol = Cholesky(self.s * np.eye(self.dim_y) - Bd @ Bd.T / self.r)
@@ -282,12 +273,6 @@ def condat_vu_step(z: BlockPoint, p: CondatVuProblem, theta: float,
     return cert, z_new
 
 
-def make_condat_vu_oracle(p: CondatVuProblem, theta: float):
-    def oracle(z: BlockPoint, M, cfg) -> HpeCertificate:
-        return condat_vu_step(z, p, theta, sigma=cfg.sigma)[0]
-
-    return oracle
-
 
 # ---------------------------------------------------------------------------
 # Adaptive-step primal-dual splitting
@@ -330,8 +315,7 @@ class AfbasPdProblem:
         if self.theta < 0 or not 0.0 <= self.mu <= 1.0 or self.L < 0:
             raise ValueError("need theta >= 0, mu in [0,1], L >= 0")
         Bd = self.B.to_dense()
-        svals = np.linalg.svd(Bd, compute_uv=False) if min(Bd.shape) else np.zeros(1)
-        self._bnorm = float(svals[0]) if svals.size else 0.0
+        self._bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
         if not 0.0 < self.lam < self.delta:
@@ -459,12 +443,6 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
     return cert, z_new
 
 
-def make_afbas_pd_oracle(p: AfbasPdProblem):
-    def oracle(z: BlockPoint, M, cfg) -> HpeCertificate:
-        return afbas_pd_step(z, p, sigma=cfg.sigma)[0]
-
-    return oracle
-
 
 # ---------------------------------------------------------------------------
 # Builders mapping a QP instance onto each scheme
@@ -484,14 +462,20 @@ def affine_projector(G: np.ndarray, b: np.ndarray):
     return project
 
 
+def _qp_data(inst):
+    """(Q, c, G, b, ||Q||) of a QP instance, with dense full blocks."""
+    Q = inst.Q_full
+    return (Q, inst.c_full, inst.G_full, inst.b,
+            float(scipy.linalg.eigvalsh(Q)[-1]))
+
+
 def fbhf_from_qp(inst, sigma: float = 0.5):
     """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic.
 
     Returns (problem, gamma, theta_max, x_ref); pick theta <= theta_max.
     """
-    Q, c, G, b = inst.Q_full, inst.c_full, inst.G_full, inst.b
+    Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
-    Lq = float(scipy.linalg.eigvalsh(Q)[-1])
     beta = 1.0 / Lq
     prob = FbhfProblem(dim=Q.shape[0],
                        resolvent=lambda gamma, u: proj(u),
@@ -508,9 +492,8 @@ def ppg_from_qp(inst, n: int = 3, sigma: float = 0.5):
     Returns (problem, theta_max, z_ref); the reference point is the known
     fixed point z_i* = x* - alpha grad f_i(x*).
     """
-    Q, c, G, b = inst.Q_full, inst.c_full, inst.G_full, inst.b
+    Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
-    Lq = float(scipy.linalg.eigvalsh(Q)[-1])
     alpha = sigma / Lq  # leaves theta headroom up to sigma/2
     prox_r = ProxFn(lambda t, u: proj(u), lambda u: 0.0, name="affine")
     prob = PpgProblem(n=n, dim=Q.shape[0], prox_r=prox_r,
@@ -531,9 +514,8 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
     Returns (problem, theta_max, z_ref = (x*, y*)).  Omitted scale parameters
     r, s default to values with comfortable margin in the metric condition.
     """
-    Q, c, G, b = inst.Q_full, inst.c_full, inst.G_full, inst.b
-    Lq = float(scipy.linalg.eigvalsh(Q)[-1])
-    bnorm = float(np.linalg.svd(G, compute_uv=False)[0]) if b.size else 0.0
+    Q, c, G, b, Lq = _qp_data(inst)
+    bnorm = _spectral_norm(G)
     if r is None:
         r = bnorm + Lq / sigma + 1.0
     if s is None:
@@ -543,8 +525,7 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
                            B=LinearMap.from_dense(G), r=r, s=s,
                            grad_f=lambda u: Q @ u + c, L=Lq)
     theta_max = condat_vu_max_theta(prob, sigma)
-    z_ref = BlockPoint(np.concatenate([np.concatenate(inst.x_star),
-                                       inst.y_star]), prob.layout)
+    z_ref = BlockPoint(inst.z_star.data, prob.layout)
     return prob, theta_max, z_ref
 
 
@@ -554,9 +535,8 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
 
     Returns (problem, z_ref = (x*, y*)).
     """
-    Q, c, G, b = inst.Q_full, inst.c_full, inst.G_full, inst.b
-    Lq = float(scipy.linalg.eigvalsh(Q)[-1])
-    bnorm = float(np.linalg.svd(G, compute_uv=False)[0]) if b.size else 0.0
+    Q, c, G, b, Lq = _qp_data(inst)
+    bnorm = _spectral_norm(G)
     gamma2 = 1.0 / (bnorm + 1.0)
     # 1/gamma1 > L/4 + gamma2 theta^2 ||B||^2 / 4 with a factor-2 margin
     gamma1 = 1.0 / (2.0 * (Lq / 4.0 + gamma2 * theta ** 2 * bnorm ** 2 / 4.0 + 0.5))
@@ -565,6 +545,86 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
                           B=LinearMap.from_dense(G), gamma1=gamma1,
                           gamma2=gamma2, theta=theta, mu=mu, lam=lam,
                           grad_f=lambda u: Q @ u + c, L=Lq)
-    z_ref = BlockPoint(np.concatenate([np.concatenate(inst.x_star),
-                                       inst.y_star]), prob.layout)
+    z_ref = BlockPoint(inst.z_star.data, prob.layout)
     return prob, z_ref
+
+
+# ---------------------------------------------------------------------------
+# The scheme table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One splitter coded onto a QP: ``build(inst, sigma, **opts)`` returns
+    (problem, theta_max, reference), ``step(x, problem, theta, sigma)`` one
+    certified step (certificate, native next iterate) under the metric
+    ``metric(problem)``, and ``bound`` states theta <= theta_max (None: the
+    scheme picks its over-relaxation at every step)."""
+
+    build: Callable[..., tuple]
+    step: Callable[..., Tuple[HpeCertificate, BlockPoint]]
+    metric: Callable[[object], Metric]
+    bound: Optional[str] = None
+
+    def setup(self, inst, sigma: float, theta: Optional[float] = None,
+              **opts):
+        """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
+
+        ``theta`` None takes 0.9 theta_max; a theta past the bound, or any
+        theta for a scheme without one, raises ValueError.  ``opts`` go to
+        the builder (Condat-Vu's metric scales r and s; others ignore them).
+        """
+        prob, theta_max, ref = self.build(inst, sigma, **opts)
+        if self.bound is None:
+            if theta is not None:
+                raise ValueError("this scheme picks its over-relaxation at "
+                                 "every step; theta must be 'auto'")
+        elif theta is None:
+            theta = 0.9 * theta_max
+        elif theta > theta_max + 1e-12:
+            raise ValueError("theta %.4g violates %s (max %.4g)"
+                             % (theta, self.bound, theta_max))
+        step = self.step
+
+        def oracle(x: BlockPoint, M, cfg) -> HpeCertificate:
+            return step(x, prob, theta, cfg.sigma)[0]
+
+        return oracle, self.metric(prob), BlockPoint.zeros(ref.layout), ref
+
+
+def _fbhf_build(inst, sigma, **_):
+    prob, gamma, theta_max, ref = fbhf_from_qp(inst, sigma=sigma)
+    return (prob, gamma), theta_max, ref
+
+
+def _afbas_pd_build(inst, sigma, **_):
+    prob, ref = afbas_pd_from_qp(inst)
+    return prob, None, ref
+
+
+# Steps and builders are looked up by module name when called, so that
+# wrapping or patching a module function reaches every scheme.
+SCHEMES = {
+    "fbhf": Scheme(
+        build=_fbhf_build,
+        step=lambda x, pg, theta, sigma: fbhf_step(x, *pg, theta, sigma),
+        metric=lambda pg: IdentityMetric(),
+        bound="(1 + gamma^2 L^2) theta + gamma^2 L^2 + gamma/(2 beta) "
+              "<= sigma"),
+    "ppg": Scheme(
+        build=lambda inst, sigma, **_: ppg_from_qp(inst, sigma=sigma),
+        step=lambda z, p, theta, sigma: ppg_step(z, p, theta, sigma),
+        metric=lambda p: IdentityMetric(),
+        bound="theta + L*alpha/2 <= sigma"),
+    "condat-vu": Scheme(
+        build=lambda inst, sigma, r=None, s=None, **_: condat_vu_from_qp(
+            inst, sigma=sigma, r=r, s=s),
+        step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta, sigma),
+        metric=lambda p: p.metric(),
+        bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
+    "afbas-pd": Scheme(
+        build=_afbas_pd_build,
+        step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma=sigma),
+        metric=lambda p: p.metric()),
+}

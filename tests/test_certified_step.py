@@ -8,16 +8,24 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opsplit import cli, hpe_core
+from opsplit import cli, hpe_core, splitters
 from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
                               NonFiniteValue, check_criterion)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             CallableMetric, IdentityMetric)
 from opsplit.padmm_ebb import PadmmConfig, UOperator, run_padmm
 from opsplit.prox_problems import ProxFn, gen_qp
-from opsplit.splitters import (afbas_pd_from_qp, condat_vu_from_qp,
-                               fbhf_from_qp, make_afbas_pd_oracle,
-                               make_condat_vu_oracle, make_fbhf_oracle)
+from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
+                               condat_vu_from_qp, condat_vu_step,
+                               fbhf_from_qp, fbhf_step)
+
+
+def _fbhf_oracle(prob, gamma, theta):
+    return lambda x, M, cfg: fbhf_step(x, prob, gamma, theta, cfg.sigma)[0]
+
+
+def _afbas_pd_oracle(prob):
+    return lambda z, M, cfg: afbas_pd_step(z, prob, sigma=cfg.sigma)[0]
 
 
 def _pt(arr):
@@ -43,9 +51,10 @@ def _saddle_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "condat-vu":
         prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
-        return prob, make_condat_vu_oracle(prob, 0.9 * tmax)
+        return prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax,
+                                                      cfg.sigma)[0]
     prob, _ = afbas_pd_from_qp(inst)
-    return prob, make_afbas_pd_oracle(prob)
+    return prob, _afbas_pd_oracle(prob)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
     prob = dataclasses.replace(prob,
                                resolvent=_nan_from_call(prob.resolvent, 3))
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
-        hpe_core.run(make_fbhf_oracle(prob, gamma, 0.0),
+        hpe_core.run(_fbhf_oracle(prob, gamma, 0.0),
                      BlockPoint.zeros(prob.layout), IdentityMetric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
@@ -178,9 +187,9 @@ def _nan_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "fbhf":
         prob, gamma, _, _ = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
-        return prob, make_fbhf_oracle(prob, gamma, 0.0), IdentityMetric()
+        return prob, _fbhf_oracle(prob, gamma, 0.0), IdentityMetric()
     prob, _ = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
-    return prob, make_afbas_pd_oracle(prob), prob.metric()
+    return prob, _afbas_pd_oracle(prob), prob.metric()
 
 
 @pytest.mark.parametrize("scheme", ["fbhf", "afbas-pd"])
@@ -199,9 +208,10 @@ def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
                           ("afbas-pd", "afbas_pd_from_qp", "grad_f")])
 def test_nan_through_a_prefactored_solve_is_non_finite_in_the_summary(
         monkeypatch, tmp_path, capsys, algorithm, builder, entry):
-    original = getattr(cli, builder)
-    monkeypatch.setattr(cli, builder, lambda *a, **k: _with_nan_from_call_3(
-        original(*a, **k), entry))
+    original = getattr(splitters, builder)
+    monkeypatch.setattr(splitters, builder,
+                        lambda *a, **k: _with_nan_from_call_3(
+                            original(*a, **k), entry))
     summary = tmp_path / "s.json"
     code = cli.main(["solve", "--algorithm", algorithm,
                      "--problem", "qp:seed=0", "--summary", str(summary)])

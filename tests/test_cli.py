@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsplit.cli import ConfigError, main, parse_descriptor
+from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
 from opsplit.hpe_core import TRACE_COLUMNS
 from opsplit.padmm_ebb import PADMM_TRACE_COLUMNS
+from opsplit.splitters import SCHEMES
 
 
 def test_parse_descriptor_qp():
@@ -82,11 +83,31 @@ def test_summary_deterministic_apart_from_timing(tmp_path):
     assert a == b
 
 
-def test_bad_theta_is_a_config_error(capsys):
-    code = main(["solve", "--algorithm", "ppg",
+@pytest.mark.parametrize("algorithm", ["ppg", "fbhf", "condat-vu", "afbas-pd"])
+def test_bad_theta_is_a_config_error(capsys, algorithm):
+    # theta = 5 is past each scheme's bound; afbas-pd has none, because it
+    # picks its over-relaxation at every step, so any numeric theta is an error
+    code = main(["solve", "--algorithm", algorithm,
                  "--problem", "qp:seed=0", "--theta", "5.0"])
     assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    bound = SCHEMES[algorithm].bound
+    assert (bound if bound is not None else "must be 'auto'") in err
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("xi0", ["-0.5", "nan", "inf"])
+def test_bad_xi0_is_a_config_error(algorithm, xi0, capsys):
+    # a NaN xi would make the metric-schedule check always pass
+    code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--max-iters", "5", "--xi0", xi0])
+    assert code == 2
+    assert "xi0 must be finite and nonnegative" in capsys.readouterr().err
+
+
+def test_scheme_table_covers_every_splitter():
+    assert set(SCHEMES) | {"padmm-ebb"} == set(ALGORITHMS)
 
 
 @pytest.mark.parametrize("algorithm", ["fbhf", "ppg", "condat-vu",

@@ -114,6 +114,18 @@ def test_config_rejects_bad_parameters():
         HpeConfig(c_min=0.0)
 
 
+def test_config_rejects_non_finite_or_negative_xi():
+    # xi = NaN would make every metric-schedule comparison false, so the
+    # check could never fail
+    for xi0 in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="xi0 must be finite"):
+            HpeConfig(xi0=xi0)
+    for val in (-1e-3, float("nan")):
+        cfg = HpeConfig(xi_schedule=lambda k, val=val: val)
+        with pytest.raises(ValueError, match="xi_1 must be nonnegative"):
+            cfg.xi(1)
+
+
 def test_validate_metric_update_blockwise():
     lay = BlockLayout((2, 3))
     M0 = BlockDiagonalMetric([1.0, 2.0], lay)

@@ -24,6 +24,7 @@ from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
 from opsplit.prox_problems import ProxFn, gen_qp
 
 import ergodic_reference
+from dense_diagnostics import u_dense, with_theta_bar
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
 
@@ -206,7 +207,7 @@ def test_u_operator_matches_dense_assembly(qp3):
     beta = 1.7
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
     U = UOperator(prob, beta, etas)
-    Ud = U.to_dense()
+    Ud = u_dense(U)
     lay = prob.full_layout
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -280,7 +281,8 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     d = z - w
     U = UOperator(prob, beta, etas)
     sigma_bar = 0.9
-    tr = theta_range(d, U, M, sigma_bar, prob, compute_bar=True)
+    tr = with_theta_bar(theta_range(d, U, M, sigma_bar, prob), U, M,
+                        sigma_bar, prob)
     eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
               for i, l in enumerate(prob.L))
     step = BlockPoint(M.solve(U.apply(d).data), lay)
@@ -418,8 +420,18 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
     monkeypatch.setattr(padmm_ebb, "bb_metric_update", shrink)
     inst = gen_qp(0, p=2, n_i=5, m=3)
     # the first BB update follows the first sweep: iteration 2 in the trace
-    with pytest.raises(MetricScheduleViolation, match="iteration 2:"):
+    with pytest.raises(MetricScheduleViolation, match="iteration 2:") as exc:
         run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0))
+    # the metric update follows the step, so iteration 2 has its row
+    assert exc.value.iteration == 2 and len(exc.value.trace) == 2
+
+
+def test_run_padmm_reads_xi_through_the_kernel_config():
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    with pytest.raises(ValueError, match="xi_1 must be nonnegative") as exc:
+        run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0),
+                  xi_schedule=lambda k: float("nan"))
+    assert exc.value.iteration == 1
 
 
 def test_config_validation():

@@ -1,0 +1,69 @@
+"""Checks on the source tree and its documentation: no unused imports, one
+solver loop, and a README whose library examples run."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "opsplit").glob("*.py"))
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names inside string annotations such as "Optional[CriterionReport]"
+    annotations = [n.annotation for n in ast.walk(tree)
+                   if isinstance(n, (ast.arg, ast.AnnAssign)) and n.annotation]
+    annotations += [n.returns for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.returns]
+    for node in (c for a in annotations for c in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return sorted("%s:%d %s" % (path.name, line, name)
+                  for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+def test_unused_import_check_can_fail(tmp_path):
+    src = tmp_path / "mod.py"
+    # a docstring naming an import does not use it; a string annotation does
+    src.write_text('"""List"""\nimport math\n'
+                   'from typing import List, Optional\n'
+                   'x: "Optional[int]" = None\n')
+    assert _unused_imports(src) == ["mod.py:2 math", "mod.py:3 List"]
+
+
+def test_multi_block_solver_runs_in_the_kernel_loop():
+    # certification, the step, the schedule check and the abort record live
+    # in hpe_core.run only
+    text = (ROOT / "src" / "opsplit" / "padmm_ebb.py").read_text()
+    for name in ("certify", "extragradient_step", "validate_metric_update",
+                 "attach_partial_run", "IterRecord"):
+        assert not re.search(r"\b%s\b" % name, text), name
+
+
+def test_readme_library_examples_run(capsys):
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    out = capsys.readouterr().out.split()
+    assert out.count("True") == 2  # both solves converge

@@ -12,14 +12,12 @@ from opsplit import hpe_core
 from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
 from opsplit.linops import (BlockLayout, BlockPoint, IdentityMetric, LinearMap)
 from opsplit.prox_problems import ProxFn, gen_qp
-from opsplit.splitters import (AfbasPdProblem, CondatVuProblem, FbhfProblem,
-                               PpgProblem, afbas_pd_from_qp, afbas_pd_step,
-                               affine_projector, condat_vu_from_qp,
-                               condat_vu_max_theta, condat_vu_step,
-                               fbhf_from_qp, fbhf_max_theta, fbhf_step,
-                               make_afbas_pd_oracle, make_condat_vu_oracle,
-                               make_fbhf_oracle, make_ppg_oracle, ppg_from_qp,
-                               ppg_max_theta, ppg_step)
+from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
+                               FbhfProblem, PpgProblem, afbas_pd_from_qp,
+                               afbas_pd_step, affine_projector,
+                               condat_vu_from_qp, condat_vu_max_theta,
+                               condat_vu_step, fbhf_max_theta, fbhf_step,
+                               ppg_from_qp, ppg_max_theta, ppg_step)
 
 
 def _pt(arr):
@@ -399,24 +397,8 @@ def test_qp_codings_reach_reference_through_kernel(scheme):
     inst = gen_qp(0, p=2, n_i=4, m=2)
     sigma = 0.5
     cfg = HpeConfig(sigma=sigma, max_iters=6000, tol_residual=1e-10)
-    if scheme == "fbhf":
-        prob, gamma, tmax, ref = fbhf_from_qp(inst, sigma=sigma)
-        oracle = make_fbhf_oracle(prob, gamma, 0.9 * tmax)
-        M = IdentityMetric()
-    elif scheme == "ppg":
-        prob, tmax, ref = ppg_from_qp(inst, sigma=sigma)
-        oracle = make_ppg_oracle(prob, 0.9 * tmax)
-        M = IdentityMetric()
-    elif scheme == "condat-vu":
-        prob, tmax, ref = condat_vu_from_qp(inst, sigma=sigma)
-        oracle = make_condat_vu_oracle(prob, 0.9 * tmax)
-        M = prob.metric()
-    else:
-        prob, ref = afbas_pd_from_qp(inst)
-        oracle = make_afbas_pd_oracle(prob)
-        M = prob.metric()
-    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), M, cfg,
-                       ref_solution=ref)
+    oracle, M, x0, ref = SCHEMES[scheme].setup(inst, sigma)
+    res = hpe_core.run(oracle, x0, M, cfg, ref_solution=ref)
     assert res.converged, scheme
     assert (res.solution - ref).norm() < 1e-6, scheme
 
