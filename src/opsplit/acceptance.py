@@ -183,23 +183,33 @@ def check_ergodic_rate() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def check_padmm_qp_equivalence() -> CriterionResult:
+@functools.lru_cache(maxsize=None)
+def _padmm_qp_runs(theta_fixed):
+    """(converged, iterations, final pkkt, |z - z*|) of ``run_padmm`` on the
+    ten QP seeds, run once per ``theta_fixed``, and the seconds they took."""
+    runs = []
     t0 = time.perf_counter()
-    worst_err = 0.0
-    worst_iters = 0
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
-        cfg = PadmmConfig(max_iters=5000, tol=1e-8)
-        res = run_padmm(inst.problem, cfg)
-        if not res.converged:
+        res = run_padmm(inst.problem, PadmmConfig(max_iters=5000, tol=1e-8,
+                                                  theta_fixed=theta_fixed))
+        runs.append((res.converged, res.iterations, res.final_pkkt,
+                     (res.z - inst.z_star).norm()))
+    return runs, time.perf_counter() - t0
+
+
+def check_padmm_qp_equivalence() -> CriterionResult:
+    runs, elapsed = _padmm_qp_runs(None)
+    worst_err = 0.0
+    worst_iters = 0
+    for seed, (converged, iterations, pkkt, err) in enumerate(runs):
+        if not converged:
             return CriterionResult(
                 "padmm-qp-equivalence", False,
                 "seed %d did not reach tol (final residual %.3e)"
-                % (seed, res.final_pkkt))
-        err = (res.z - inst.z_star).norm()
+                % (seed, pkkt))
         worst_err = max(worst_err, err)
-        worst_iters = max(worst_iters, res.iterations)
-    elapsed = time.perf_counter() - t0
+        worst_iters = max(worst_iters, iterations)
     passed = worst_err <= 1e-6 and elapsed < 30.0
     return CriterionResult(
         "padmm-qp-equivalence", passed,
@@ -280,16 +290,13 @@ def check_local_linear_rate() -> CriterionResult:
 
 
 def check_theta_acceleration() -> CriterionResult:
-    adaptive, fixed = [], []
-    for seed in range(10):
-        inst = gen_qp(seed, p=2, n_i=5, m=3)
-        res_a = run_padmm(inst.problem, PadmmConfig(max_iters=5000, tol=1e-8))
-        res_0 = run_padmm(inst.problem,
-                          PadmmConfig(max_iters=5000, tol=1e-8, theta_fixed=0.0))
-        adaptive.append(res_a.iterations if res_a.converged else 5000)
-        fixed.append(res_0.iterations if res_0.converged else 5000)
-    med_a = float(np.median(adaptive))
-    med_0 = float(np.median(fixed))
+    medians = []
+    for theta_fixed in (None, 0.0):
+        runs, _ = _padmm_qp_runs(theta_fixed)
+        medians.append(float(np.median(
+            [iterations if converged else 5000
+             for converged, iterations, _, _ in runs])))
+    med_a, med_0 = medians
     passed = med_a <= med_0
     return CriterionResult(
         "theta-acceleration", passed,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import acceptance, hpe_core
 from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
-from .padmm_ebb import PadmmConfig, geometric_beta_schedule, run_padmm
+from .padmm_ebb import PadmmConfig, run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
 from .splitters import SCHEMES
 
@@ -117,9 +117,7 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
                     tol_residual=args.tol)
     if algorithm == "padmm-ebb":
-        schedule = geometric_beta_schedule() if args.beta_warmup else None
-        pcfg = PadmmConfig(beta=args.beta, beta_schedule=schedule,
-                           sigma_bar=cfg.sigma, tol=args.tol,
+        pcfg = PadmmConfig(beta=args.beta, sigma_bar=cfg.sigma, tol=args.tol,
                            max_iters=cfg.max_iters, theta_fixed=theta)
         ref = inst.z_star if kind == "qp" else None
         return lambda accs: run_padmm(inst.problem, pcfg, ref_solution=ref,
@@ -179,7 +177,7 @@ def cmd_solve(args) -> int:
                    "xi0": args.xi0, "tol": args.tol,
                    "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
-        config_echo.update(beta=args.beta, beta_warmup=args.beta_warmup)
+        config_echo["beta"] = args.beta
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
@@ -297,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--beta", type=float, default=1.0,
                        help="penalty parameter (padmm-ebb)")
-        p.add_argument("--beta-warmup", action="store_true",
-                       help="use the bounded geometric penalty warm-up")
         p.add_argument("--cv-r", type=float, default=None,
                        help="primal scale r of the condat-vu metric")
         p.add_argument("--cv-s", type=float, default=None,

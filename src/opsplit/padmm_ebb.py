@@ -39,7 +39,11 @@ from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
 PADMM_TRACE_COLUMNS = ("pkkt", "feas_norm", "objective", "theta_adap",
-                       "theta_bar", "beta")
+                       "beta")
+
+THETA_CAP = 5.0   # largest over-relaxation taken
+MARGIN = 1.05     # initial safety factor of the proximal curvatures
+M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +138,8 @@ class PadmmConfig:
     :func:`run_padmm`)."""
 
     beta: float = 1.0
-    beta_schedule: Optional[Callable[[int], float]] = None
     sigma_bar: float = 0.9
-    theta_cap: float = 5.0
     theta_fixed: Optional[float] = None  # e.g. 0.0 to disable over-relaxation
-    initial_inv_scalars: Optional[Sequence[float]] = None
-    m_floor: float = 1e-8
-    margin: float = 1.05
     max_iters: int = 1000
     tol: float = 1e-8
 
@@ -150,25 +149,11 @@ class PadmmConfig:
         if self.theta_fixed is not None and not (
                 math.isfinite(self.theta_fixed) and self.theta_fixed > -1.0):
             raise ValueError("theta_fixed must be finite and exceed -1")
-        if self.m_floor <= 0:
-            raise ValueError("m_floor must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-    def beta_at(self, k: int) -> float:
-        if self.beta_schedule is not None:
-            return float(self.beta_schedule(k))
-        return self.beta
-
-
-def geometric_beta_schedule(beta0: float = 1e-4, rho: float = 1.1,
-                            beta_max: float = 1e10) -> Callable[[int], float]:
-    """Bounded geometric penalty warm-up beta_k = min(beta0 * rho^k, beta_max)."""
-
-    def beta(k: int) -> float:
-        return min(beta0 * rho ** k, beta_max)
-
-    return beta
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and positive, got %r"
+                             % self.beta)
+        if math.isnan(self.tol):
+            raise ValueError("tol must not be NaN")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +162,8 @@ def geometric_beta_schedule(beta0: float = 1e-4, rho: float = 1.1,
 
 
 def scalar_majorant_etas(problem: MultiBlockProblem, beta: float,
-                         anorms: Sequence[float], margin: float = 1.05) -> List[float]:
+                         anorms: Sequence[float],
+                         margin: float = MARGIN) -> List[float]:
     """Per-block prox curvatures eta_i = L_i + margin * beta ||A_i||^2 + 1e-8."""
     return [l + margin * beta * a * a + 1e-8 for l, a in zip(problem.L, anorms)]
 
@@ -394,10 +380,9 @@ class _Iteration:
                  cfg: HpeConfig):
         self.problem, self.config, self.cfg = problem, config, cfg
         self.anorms = problem.constraint_norms()
-        beta = config.beta_at(0)
-        self.inv_scalars = list(config.initial_inv_scalars or [
-            1.0 / e for e in scalar_majorant_etas(
-                problem, beta, self.anorms, config.margin)] + [beta])
+        self.beta = config.beta
+        self.inv_scalars = [1.0 / e for e in scalar_majorant_etas(
+            problem, self.beta, self.anorms)] + [self.beta]
         self.margin_mult, self.prev, self.pnorm = 1.0, None, float("nan")
 
     def metric(self) -> BlockDiagonalMetric:
@@ -406,7 +391,7 @@ class _Iteration:
 
     def stop(self, k: int, z: BlockPoint) -> Optional[str]:
         pr = self.problem
-        self.k, self.beta = k, self.config.beta_at(k - 1)
+        self.k = k
         self.xs, self.y = pr.split(z)
         self.grads = pr.grad_f(list(self.xs))
         res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads)
@@ -418,7 +403,7 @@ class _Iteration:
         pr, config = self.problem, self.config
         for _ in range(10):
             etas = scalar_majorant_etas(pr, self.beta, self.anorms,
-                                        config.margin * self.margin_mult)
+                                        MARGIN * self.margin_mult)
             x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
                                            etas, grads=self.grads,
                                            feas=self.feas)
@@ -445,7 +430,7 @@ class _Iteration:
         # the adaptive endpoint meets the criterion with equality; back off by
         # a relative hair so roundoff cannot flip the inequality
         theta_safe = -1.0 + (1.0 + tr.theta_adap) * (1.0 - 1e-9)
-        theta = min(theta_safe, config.theta_cap)
+        theta = min(theta_safe, THETA_CAP)
         if config.theta_fixed is not None:
             theta = min(config.theta_fixed, theta_safe)
         eps_blocks = np.array([0.25 * l * float(np.dot(db, db))
@@ -459,7 +444,6 @@ class _Iteration:
                 "feas_norm": float(np.linalg.norm(self.feas)),
                 "objective": self.problem.objective(self.xs),
                 "theta_adap": self.theta_adap,
-                "theta_bar": float("nan"),  # never computed on the solve path
                 "beta": self.beta}
 
     def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
@@ -476,8 +460,7 @@ class _Iteration:
             dens = [float(np.linalg.norm(a - b))
                     for a, b in zip(slopes, self.prev[1])]
             self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
-                                                self.cfg.xi(k),
-                                                self.config.m_floor)
+                                                self.cfg.xi(k), M_FLOOR)
         self.prev = (self.points, slopes)
         return self.metric()
 
@@ -508,7 +491,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
             problem.full_layout), it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop, extras=it.extras,
-        extra_columns=PADMM_TRACE_COLUMNS, decaying_floor=True)
+        extra_columns=PADMM_TRACE_COLUMNS)
     xs, y = problem.split(res.solution)
     converged, reason, pnorm = res.converged, res.reason, it.pnorm
     if not converged:

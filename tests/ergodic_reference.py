@@ -13,9 +13,9 @@ class CertificateRecorder:
         self.certs = []
         self.eps_blocks = []
 
-    def add(self, cert, eps_blocks=None):
+    def add(self, cert):
         self.certs.append(cert)
-        self.eps_blocks.append(eps_blocks)
+        self.eps_blocks.append(cert.eps_blocks)
 
 
 def ergodic_aggregate(certs, alpha):

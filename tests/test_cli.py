@@ -106,6 +106,21 @@ def test_bad_xi0_is_a_config_error(algorithm, xi0, capsys):
     assert "xi0 must be finite and nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "algorithm,option,value",
+    [(a, "--tol", "nan") for a in ALGORITHMS]
+    + [(a, "--max-iters", "-3") for a in ALGORITHMS]
+    + [("padmm-ebb", "--beta", b) for b in ("nan", "inf", "0", "-1")])
+def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
+                                              capsys):
+    # a NaN tolerance is never met and a negative budget runs nothing, so
+    # both went unnoticed; a non-finite beta aborted mid-solve
+    code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--max-iters", "5", option, value])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_scheme_table_covers_every_splitter():
     assert set(SCHEMES) | {"padmm-ebb"} == set(ALGORITHMS)
 
@@ -192,11 +207,25 @@ def test_malformed_descriptor_still_exits_two(capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-def test_aborted_solve_writes_trace_and_summary(tmp_path, capsys):
+def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
+                                                capsys):
+    # from its 5th call on, the step-size range rejects every direction, so
+    # the sweep escalates its proximal margins until they run out
+    from opsplit import padmm_ebb
+
+    real, calls = padmm_ebb.theta_range, [0]
+
+    def failing_theta_range(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] >= 5:
+            raise ValueError("degenerate U*M^-1U form")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(padmm_ebb, "theta_range", failing_theta_range)
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"
     code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
-                 "--beta-warmup", "--max-iters", "200",
+                 "--max-iters", "200",
                  "--trace", str(trace), "--summary", str(summary)])
     assert code == 3
     assert "margins exhausted" in capsys.readouterr().err
@@ -248,10 +277,10 @@ def test_abort_between_trace_and_accumulation_writes_summary(tmp_path,
 
     real = hpe_core.ErgodicAccumulator.add
 
-    def failing_add(self, cert, eps_blocks=None):
+    def failing_add(self, cert):
         if len(self) == 4:
             raise FloatingPointError("accumulation failed")
-        return real(self, cert, eps_blocks)
+        return real(self, cert)
 
     monkeypatch.setattr(hpe_core.ErgodicAccumulator, "add", failing_add)
     trace = tmp_path / "t.csv"

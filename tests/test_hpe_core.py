@@ -15,7 +15,7 @@ from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
                               loglog_slope, make_affine_resolvent_oracle,
                               pointwise_bound, validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            IdentityMetric, ScaledIdentityMetric)
+                            DenseMetric, IdentityMetric, ScaledIdentityMetric)
 
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
@@ -138,7 +138,6 @@ def test_validate_metric_update_blockwise():
 
 
 def test_validate_metric_update_dense_path():
-    from opsplit.linops import DenseMetric
     rng = np.random.default_rng(0)
     B = rng.standard_normal((4, 4))
     base = B @ B.T + np.eye(4)
@@ -149,8 +148,25 @@ def test_validate_metric_update_dense_path():
                                       xi_k=0.01, omega_lower=1e-6)
 
 
+@pytest.mark.parametrize("j", range(13))
+def test_validate_metric_update_dense_path_is_exact(j):
+    # each bump acts along one coordinate only, where a few random probes
+    # can miss it: I + 3 xi e_j e_j^T grows past the factor 1 + xi, and
+    # I - 0.6 e_j e_j^T sinks below the floor 0.5
+    xi, eye = 0.01, np.eye(13)
+    grown = validate_metric_update(
+        DenseMetric(eye), DenseMetric(eye + 3 * xi * np.outer(eye[j], eye[j])),
+        xi_k=xi, omega_lower=0.5)
+    assert not grown and "generalized eigenvalue" in grown.message
+    sunk = validate_metric_update(
+        DenseMetric(eye), DenseMetric(eye - 0.6 * np.outer(eye[j], eye[j])),
+        xi_k=xi, omega_lower=0.5)
+    assert not sunk and "smallest eigenvalue" in sunk.message
+
+
 def test_validate_metric_update_callable_saddle_metric():
-    # the Condat-Vu metric is a CallableMetric: probes must use its dimension
+    # the Condat-Vu metric is a CallableMetric: its dense form must have its
+    # dimension
     from opsplit.linops import CallableMetric
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import condat_vu_from_qp
@@ -223,6 +239,23 @@ def test_run_rejects_schedule_breaking_metric():
         hpe_core.run(oracle, BlockPoint(np.ones(lay.dim), lay),
                      BlockDiagonalMetric([1.0], lay), cfg,
                      metric_update=runaway)
+
+
+@pytest.mark.parametrize("metric", [
+    lambda scale: BlockDiagonalMetric([scale], BlockLayout((6,))),
+    lambda scale: DenseMetric(scale * np.eye(6))], ids=["block", "dense"])
+def test_run_aborts_below_the_derived_schedule_floor(metric):
+    # the floor is min(M_0) / (1 + xi_1) after one update: 2I -> 1.5I
+    # leaves it, although 1.5I is well conditioned
+    K, q, _ = _affine_setup()
+    lay = BlockLayout((K.shape[0],))
+    M0 = metric(2.0)
+    with pytest.raises(MetricScheduleViolation, match="iteration 1:") as exc:
+        hpe_core.run(make_affine_resolvent_oracle(K, q, M=M0),
+                     BlockPoint(np.ones(lay.dim), lay), M0,
+                     HpeConfig(max_iters=5, tol_residual=0.0),
+                     metric_update=lambda k, x, cert, M: metric(1.5))
+    assert exc.value.iteration == 1 and len(exc.value.trace) == 1
 
 
 def test_trace_csv_row_count_matches_iterations(tmp_path):

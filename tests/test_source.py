@@ -1,8 +1,10 @@
 """Checks on the source tree and its documentation: no unused imports, one
-solver loop, and a README whose library examples run."""
+solver loop, and a README whose library examples run and whose command
+lines parse."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,21 @@ def test_readme_library_examples_run(capsys):
         exec(compile(block, "README.md", "exec"), namespace)
     out = capsys.readouterr().out.split()
     assert out.count("True") == 2  # both solves converge
+
+
+def test_readme_command_lines_parse(capsys):
+    from opsplit.cli import build_parser
+
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    commands = [m.group(1) for block in blocks
+                for m in re.finditer(r"\bopsplit (.*)",
+                                     block.replace("\\\n", " "))]
+    assert len(commands) == 6
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command))
+    # a flag the parser does not know fails the parse
+    with pytest.raises(SystemExit):
+        parser.parse_args(shlex.split(commands[0]) + ["--beta-warmup"])
+    capsys.readouterr()
