@@ -42,7 +42,8 @@ SOLVER_FAULTS = (ArithmeticError, RuntimeError, ValueError)
 
 
 def parse_descriptor(text: str) -> dict:
-    """Parse 'kind:key=val,key=val' into a dict (values parsed as numbers)."""
+    """Parse 'kind:key=val,key=val' into a dict of finite floats (the
+    manifest path stays a string)."""
     if ":" in text:
         kind, _, rest = text.partition(":")
     else:
@@ -64,27 +65,38 @@ def parse_descriptor(text: str) -> dict:
             num = float(val)
         except ValueError:
             raise ConfigError("non-numeric value %r for %r" % (val, key))
-        params[key] = int(num) if num == int(num) and "e" not in val.lower() \
-            and "." not in val else num
+        if not math.isfinite(num):
+            raise ConfigError("non-finite value %r for %r" % (val, key))
+        params[key] = num
     return params
 
 
 def build_problem(params: dict):
-    """Return ('qp', QpInstance) or ('lrr', LrrInstance)."""
-    if params["kind"] == "qp":
-        inst = gen_qp(int(params.get("seed", 0)), p=int(params.get("p", 2)),
-                      n_i=int(params.get("n", 5)), m=int(params.get("m", 3)))
-        return "qp", inst
-    if "manifest" in params:
-        return "lrr", load_lrr_instance(params["manifest"])
-    seed = int(params.get("seed", 0))
-    d = int(params.get("d", 40))
-    n = int(params.get("n", 40))
-    X = np.random.default_rng(seed).standard_normal((d, n))
-    inst = build_lrr(X, lam=float(params.get("lam", 1e3)),
-                     mu=float(params.get("mu", 1e4)),
-                     gamma=float(params.get("gamma", 1e4)))
-    return "lrr", inst
+    """Return ('qp', QpInstance) or ('lrr', LrrInstance).  Whatever building
+    raises is a configuration error."""
+
+    def integer(key, default):
+        val = params.get(key, default)
+        if val != int(val):
+            raise ConfigError("%r must be an integer, got %r" % (key, val))
+        return int(val)
+
+    try:
+        if params["kind"] == "qp":
+            return "qp", gen_qp(integer("seed", 0), p=integer("p", 2),
+                                n_i=integer("n", 5), m=integer("m", 3))
+        if "manifest" in params:
+            return "lrr", load_lrr_instance(params["manifest"])
+        X = np.random.default_rng(integer("seed", 0)).standard_normal(
+            (integer("d", 40), integer("n", 40)))
+        return "lrr", build_lrr(X, lam=params.get("lam", 1e3),
+                                mu=params.get("mu", 1e4),
+                                gamma=params.get("gamma", 1e4))
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError("cannot build the %s problem: %s: %s"
+                          % (params["kind"], type(exc).__name__, exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,8 @@ class CriterionReport:
     diff_M_sq: float  # ||y - x||_M^2
 
 
-STEP_TOL = 1e-12
+STEP_TOL = 1e-12       # relative deviation allowed in M step = c v
+CRITERION_TOL = 1e-10  # relative tolerance of the criterion inequality
 
 
 def _step_of(cert: HpeCertificate) -> np.ndarray:
@@ -182,7 +183,7 @@ def _raise_if_non_finite(x: BlockPoint, cert: HpeCertificate) -> None:
 
 
 def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
-                    sigma: float, tol: float = 1e-10) -> CriterionReport:
+                    sigma: float) -> CriterionReport:
     """Evaluate the relative-error inequality for one certificate.
 
     The certificate's step is verified first, with one metric apply:
@@ -195,8 +196,8 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
         lhs = theta <step, c v> + <step + diff, c v + M diff> + 2 c eps
         rhs = sigma <diff, M diff>
 
-    Returns lhs, rhs, slack = rhs - lhs, ok iff lhs <= rhs + tol*(1 + rhs),
-    and ||diff||_M^2.
+    Returns lhs, rhs, slack = rhs - lhs, ok iff lhs <= rhs + CRITERION_TOL
+    (1 + rhs), and ||diff||_M^2.
     """
     if cert.eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -220,7 +221,7 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
     rel_slack = slack / (1.0 + rhs)
     return CriterionReport(lhs=lhs, rhs=rhs, slack=slack,
                            rel_slack=rel_slack,
-                           ok=lhs <= rhs + tol * (1.0 + rhs),
+                           ok=lhs <= rhs + CRITERION_TOL * (1.0 + rhs),
                            diff_M_sq=diff_M_sq)
 
 

@@ -3,8 +3,10 @@
 Everything downstream (solver kernels, step oracles, problem builders) is written
 against the small vocabulary defined here: a :class:`BlockPoint` living in a
 product space, a :class:`LinearMap` with an explicit adjoint, and a
-:class:`Metric` (self-adjoint positive definite operator) with ``apply``/``solve``
-access and spectral bounds.  All storage is dense; problem sizes are desk scale.
+:class:`Metric` (self-adjoint positive definite operator) with ``apply`` access
+and spectral bounds; only the block-diagonal metric, which the multi-block
+solver inverts, also solves.  All storage is dense; problem sizes are desk
+scale.
 """
 
 from __future__ import annotations
@@ -25,30 +27,15 @@ import scipy.linalg
 
 @dataclass(frozen=True)
 class BlockLayout:
-    """Sizes of the blocks of a product space, with optional matrix shapes.
-
-    ``shapes[i]`` is either None (plain vector block) or a ``(rows, cols)``
-    pair; matrix-shaped blocks are stored flattened in column-major order.
-    """
+    """Sizes of the blocks of a product space."""
 
     sizes: tuple
-    shapes: tuple = None
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if self.shapes is None:
-            object.__setattr__(self, "shapes", (None,) * len(sizes))
-        else:
-            shapes = tuple(self.shapes)
-            if len(shapes) != len(sizes):
-                raise ValueError("shapes/sizes length mismatch")
-            for sh, n in zip(shapes, sizes):
-                if sh is not None and sh[0] * sh[1] != n:
-                    raise ValueError("shape %r inconsistent with size %d" % (sh, n))
-            object.__setattr__(self, "shapes", shapes)
         # derived once; plain attributes, not fields, so ==, hash and repr
-        # still see only sizes and shapes
+        # still see only sizes
         offsets = (0,) + tuple(itertools.accumulate(sizes))
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", offsets[-1])
@@ -74,27 +61,6 @@ class BlockPoint:
         self.data = data
         self.layout = layout
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_blocks(cls, blocks: Sequence[np.ndarray], shapes=None) -> "BlockPoint":
-        flats = []
-        sizes = []
-        inferred_shapes = []
-        for b in blocks:
-            b = np.asarray(b, dtype=float)
-            if b.ndim == 2:
-                inferred_shapes.append(b.shape)
-                flats.append(b.ravel(order="F"))
-            else:
-                inferred_shapes.append(None)
-                flats.append(b.ravel())
-            sizes.append(flats[-1].size)
-        if shapes is None:
-            shapes = tuple(inferred_shapes)
-        layout = BlockLayout(tuple(sizes), shapes)
-        return cls(np.concatenate(flats) if flats else np.zeros(0), layout)
-
     @classmethod
     def zeros(cls, layout: BlockLayout) -> "BlockPoint":
         return cls(np.zeros(layout.dim), layout)
@@ -105,17 +71,7 @@ class BlockPoint:
         """Flat view of block i (writing into it mutates the point)."""
         return self.data[self.layout.block_slice(i)]
 
-    def block_mat(self, i: int) -> np.ndarray:
-        """Block i reshaped to its recorded (rows, cols) shape."""
-        sh = self.layout.shapes[i]
-        if sh is None:
-            raise ValueError("block %d has no matrix shape" % i)
-        return self.block(i).reshape(sh, order="F")
-
     def set_block(self, i: int, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 2:
-            value = value.ravel(order="F")
         self.data[self.layout.block_slice(i)] = value
 
     def blocks(self):
@@ -220,23 +176,20 @@ def adjoint_check(A: LinearMap, probes: int = 20, seed: int = 0,
     return AdjointReport(max_residual=worst, ok=worst <= tol, probes=probes)
 
 
-def spectral_upper_bound(A: LinearMap, iters: int = 100, seed: int = 0,
-                         inflation: float = 1.05) -> float:
+def spectral_upper_bound(A: LinearMap) -> float:
     """Safe upper estimate of the largest singular value of A.
 
-    Power iteration on A*A from a seeded start vector, inflated by the given
-    safety factor (5% by default).  Returns 0 for the zero map.
+    100 power iterations on A*A from a start vector seeded with 0, inflated
+    by a 5% safety factor.  Returns 0 for the zero map.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(A.domain_dim)
     nv = np.linalg.norm(v)
     if nv == 0.0 or A.domain_dim == 0:
         return 0.0
     v /= nv
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(100):
         w = A.adjoint_apply(A.apply(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
@@ -246,7 +199,7 @@ def spectral_upper_bound(A: LinearMap, iters: int = 100, seed: int = 0,
     # lam is a Rayleigh quotient for A*A; nw >= lam is also an estimate of the
     # top eigenvalue and is never below the Rayleigh quotient.
     lam = max(lam, nw)
-    return float(np.sqrt(lam)) * inflation
+    return float(np.sqrt(lam)) * 1.05
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +208,11 @@ def spectral_upper_bound(A: LinearMap, iters: int = 100, seed: int = 0,
 
 
 class Metric:
-    """Self-adjoint positive definite operator with apply/solve access.
+    """Self-adjoint positive definite operator with apply access.
 
+    Only :class:`BlockDiagonalMetric` overrides ``solve``: the splitters
+    hand the kernel their own c M^-1 v, and only the multi-block solver's BB
+    metric is ever inverted.
     Subclasses must set ``omega_lower``/``omega_upper`` such that
     omega_lower * I <= M <= omega_upper * I, and ``dim``, the dimension of
     the space M acts on.  ``dim`` is None only for scalar multiples of the
@@ -282,9 +238,6 @@ class IdentityMetric(Metric):
     def apply(self, v):
         return np.asarray(v, dtype=float)
 
-    def solve(self, v):
-        return np.asarray(v, dtype=float)
-
 
 class ScaledIdentityMetric(Metric):
     def __init__(self, scale: float):
@@ -296,9 +249,6 @@ class ScaledIdentityMetric(Metric):
 
     def apply(self, v):
         return self.scale * np.asarray(v, dtype=float)
-
-    def solve(self, v):
-        return np.asarray(v, dtype=float) / self.scale
 
 
 class BlockDiagonalMetric(Metric):
@@ -369,36 +319,28 @@ class DenseMetric(Metric):
             raise ValueError("matrix is not positive definite")
         self.omega_lower = float(eigs[0])
         self.omega_upper = float(eigs[-1])
-        self._chol = Cholesky(self.matrix)
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
 
-    def solve(self, v):
-        return self._chol.solve(v)
-
 
 class CallableMetric(Metric):
-    """Metric given by apply/solve callables plus spectral bounds.
+    """Metric given by an apply callable plus spectral bounds.
 
-    Used for structured saddle-point metrics whose apply and solve are cheap
-    but whose dense form is never assembled.  ``dim`` is the dimension of the
-    space the callables act on.
+    Used for structured saddle-point metrics whose apply is cheap but whose
+    dense form is never assembled.  ``dim`` is the dimension of the space the
+    callable acts on.
     """
 
-    def __init__(self, apply_fn, solve_fn, omega_lower: float,
-                 omega_upper: float, dim: int):
+    def __init__(self, apply_fn, omega_lower: float, omega_upper: float,
+                 dim: int):
         self._apply = apply_fn
-        self._solve = solve_fn
         self.dim = int(dim)
         self.omega_lower = float(omega_lower)
         self.omega_upper = float(omega_upper)
 
     def apply(self, v):
         return self._apply(np.asarray(v, dtype=float))
-
-    def solve(self, v):
-        return self._solve(np.asarray(v, dtype=float))
 
 
 def weighted_norm_sq(M: Metric, v) -> float:

@@ -83,8 +83,7 @@ class MultiBlockProblem:
                 raise ValueError("constraint map %d has wrong dimensions" % i)
         if any(l < 0 for l in self.L):
             raise ValueError("Lipschitz constants must be nonnegative")
-        self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,),
-                                       self.primal_layout.shapes + (None,))
+        self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,))
         self.d_weights = np.repeat(np.asarray(list(self.L) + [0.0], dtype=float),
                                    self.full_layout.sizes)
 
@@ -122,8 +121,8 @@ class MultiBlockProblem:
             val += g.value(x)
         return float(val)
 
-    def constraint_norms(self, iters: int = 100, seed: int = 0) -> List[float]:
-        return [spectral_upper_bound(a, iters=iters, seed=seed) for a in self.A]
+    def constraint_norms(self) -> List[float]:
+        return [spectral_upper_bound(a) for a in self.A]
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +237,6 @@ class UOperator:
             out.set_block(i, self.etas[i] * dxi + self.beta * pr.A[i].apply(acc))
             acc = acc + pr.A[i].adjoint_apply(dxi)
         out.set_block(pr.p, acc + d.block(pr.p) / self.beta)
-        return out
-
-    def adjoint_apply(self, d: BlockPoint) -> BlockPoint:
-        pr = self.problem
-        out = BlockPoint.zeros(self.layout)
-        dx0 = d.block(0)
-        a0 = pr.A[0]
-        out.set_block(0, self.etas[0] * dx0
-                      - self.beta * a0.apply(a0.adjoint_apply(dx0)))
-        dy = d.block(pr.p)
-        acc = np.zeros(pr.m)  # sum over higher-indexed primal blocks
-        for i in range(pr.p - 1, 0, -1):
-            dxi = d.block(i)
-            out.set_block(i, self.etas[i] * dxi
-                          + self.beta * pr.A[i].apply(acc) + pr.A[i].apply(dy))
-            acc = acc + pr.A[i].adjoint_apply(dxi)
-        out.set_block(pr.p, dy / self.beta)
         return out
 
 

@@ -230,8 +230,7 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
     if L_Z.shape != (n, n) or L_G.shape != (d, d):
         raise ValueError("Laplacian shapes must match X")
 
-    layout = BlockLayout((n * n, d * d, d * n, n * n, d * d),
-                         shapes=((n, n), (d, d), (d, n), (n, n), (d, d)))
+    layout = BlockLayout((n * n, d * d, d * n, n * n, d * d))
     m1, m2, m3 = d * n, n * n, d * d
     mdim = m1 + m2 + m3
     s1, s2, s3 = slice(0, m1), slice(m1, m1 + m2), slice(m1 + m2, mdim)

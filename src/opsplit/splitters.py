@@ -192,15 +192,15 @@ class CondatVuProblem:
     _bnorm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
-        if self.r <= 0 or self.s <= 0 or self.L < 0:
-            raise ValueError("need r, s > 0 and L >= 0")
+        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf
+                and self.L >= 0):
+            raise ValueError("need finite r, s > 0 and L >= 0, got r=%r, s=%r"
+                             % (self.r, self.s))
         if (self.B.domain_dim, self.B.codomain_dim) != (self.dim_x, self.dim_y):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
-        Bd = self.B.to_dense()
-        self._bnorm = _spectral_norm(Bd)
+        self._bnorm = _spectral_norm(self.B.to_dense())
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
-        chol = Cholesky(self.s * np.eye(self.dim_y) - Bd @ Bd.T / self.r)
         r_, s_ = self.r, self.s
         B = self.B
 
@@ -209,14 +209,8 @@ class CondatVuProblem:
             return np.concatenate([r_ * a - B.adjoint_apply(b),
                                    -B.apply(a) + s_ * b])
 
-        def solve(u):
-            f, g = u[:self.dim_x], u[self.dim_x:]
-            b = chol.solve(g + B.apply(f) / r_)
-            a = (f + B.adjoint_apply(b)) / r_
-            return np.concatenate([a, b])
-
         half_gap = math.sqrt(((r_ - s_) / 2.0) ** 2 + self._bnorm ** 2)
-        self._metric = CallableMetric(apply, solve,
+        self._metric = CallableMetric(apply,
                                       omega_lower=(r_ + s_) / 2.0 - half_gap,
                                       omega_upper=(r_ + s_) / 2.0 + half_gap,
                                       dim=self.dim_x + self.dim_y)
@@ -304,7 +298,6 @@ class AfbasPdProblem:
     L: float = 0.0
     _metric: Metric = field(init=False, repr=False, default=None)
     _s_chol: Cholesky = field(init=False, repr=False, default=None)
-    _r_chol: Cholesky = field(init=False, repr=False, default=None)
     _c1: float = field(init=False, repr=False, default=0.0)
     _c2: float = field(init=False, repr=False, default=0.0)
     _bnorm: float = field(init=False, repr=False, default=0.0)
@@ -330,8 +323,7 @@ class AfbasPdProblem:
             raise ValueError("R block inversion breaks down: "
                              "1/(gamma1 gamma2) + (1-theta) B*B not SPD")
         self._s_chol = Cholesky(s_mat)
-        self._r_chol = Cholesky(xi_mat)
-        # dense M = R S^-1 for spectral bounds only; apply/solve stay composed
+        # dense M = R S^-1 for spectral bounds only; apply stays composed
         nx, ny = self.dim_x, self.dim_y
         eye = np.eye(nx + ny)
         R_dense = np.column_stack([self.apply_R(e) for e in eye])
@@ -344,7 +336,6 @@ class AfbasPdProblem:
             raise ValueError("metric R S^-1 is not positive definite")
         self._metric = CallableMetric(
             lambda u: self.apply_R(self.solve_S(u)),
-            lambda u: self.apply_S(self.solve_R(u)),
             omega_lower=float(eigs[0]), omega_upper=float(eigs[-1]),
             dim=nx + ny)
 
@@ -369,14 +360,6 @@ class AfbasPdProblem:
         f, g = self._split(u)
         a = self._s_chol.solve(f + self._c1 * self.B.adjoint_apply(g))
         b = g - self._c2 * self.B.apply(a)
-        return np.concatenate([a, b])
-
-    def solve_R(self, u: np.ndarray) -> np.ndarray:
-        """R^-1 u: one potrs solve on the primal block, NaN passed through."""
-        f, g = self._split(u)
-        rhs = (f + self.gamma2 * self.B.adjoint_apply(g)) / self.gamma2
-        a = self._r_chol.solve(rhs)
-        b = self.gamma2 * (g - (1.0 - self.theta) * self.B.apply(a))
         return np.concatenate([a, b])
 
     # -- derived constants ----------------------------------------------------

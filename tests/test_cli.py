@@ -121,6 +121,39 @@ def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option,value", [("--cv-r", "nan"), ("--cv-s", "inf"),
+                                          ("--cv-r", "inf")])
+def test_non_finite_condat_vu_scale_is_a_config_error(option, value, capsys):
+    code = main(["solve", "--algorithm", "condat-vu", "--problem",
+                 "qp:seed=0", "--max-iters", "5", option, value])
+    assert code == 2
+    assert "need finite r, s > 0" in capsys.readouterr().err
+
+
+# each malformed descriptor and the message that names what is wrong
+MALFORMED = {
+    "qp:seed=inf": "non-finite value 'inf' for 'seed'",
+    "lrr:d=0": "cannot build the lrr problem: IndexError",
+    "lrr:manifest=/nonexistent": "cannot build the lrr problem: "
+                                 "FileNotFoundError",
+    "qp:p=2.5": "'p' must be an integer, got 2.5",
+    "lrr:lam=nan": "non-finite value 'nan' for 'lam'",
+}
+
+
+@pytest.mark.parametrize("descriptor", MALFORMED)
+@pytest.mark.parametrize("command", ["solve", "bench", "oracle"])
+def test_malformed_descriptor_is_a_config_error(command, descriptor, capsys):
+    argv = [command, "--problem", descriptor]
+    if command == "solve":
+        argv += ["--algorithm", "padmm-ebb"]
+    if command != "oracle":
+        argv += ["--max-iters", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and MALFORMED[descriptor] in err
+
+
 def test_scheme_table_covers_every_splitter():
     assert set(SCHEMES) | {"padmm-ebb"} == set(ALGORITHMS)
 
@@ -246,8 +279,8 @@ def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
 
     real = hpe_core.check_criterion
 
-    def failing_at_3(x, cert, M, sigma, tol=1e-10):
-        rep = real(x, cert, M, sigma, tol)
+    def failing_at_3(x, cert, M, sigma):
+        rep = real(x, cert, M, sigma)
         if failing_at_3.calls == 2:
             rep.ok, rep.lhs = False, rep.rhs + 1.0
             rep.slack = rep.rhs - rep.lhs

@@ -1,6 +1,6 @@
 """Checks on the source tree and its documentation: no unused imports, one
-solver loop, and a README whose library examples run and whose command
-lines parse."""
+solver loop, one metric that solves, and a README whose library examples run
+and whose command lines parse."""
 
 import ast
 import re
@@ -58,6 +58,18 @@ def test_multi_block_solver_runs_in_the_kernel_loop():
     for name in ("certify", "extragradient_step", "validate_metric_update",
                  "attach_partial_run", "IterRecord"):
         assert not re.search(r"\b%s\b" % name, text), name
+
+
+def test_only_the_block_diagonal_metric_solves():
+    # step oracles hand the kernel c M^-1 v, so metrics only apply; the
+    # multi-block solver inverts its BB metric, and Cholesky is a prefactored
+    # linear solve, not a metric
+    solving = {node.name for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)
+               and any(isinstance(f, ast.FunctionDef) and f.name == "solve"
+                       for f in node.body)}
+    assert solving == {"Metric", "BlockDiagonalMetric", "Cholesky"}
 
 
 def test_readme_library_examples_run(capsys):
