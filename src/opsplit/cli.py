@@ -71,9 +71,18 @@ def parse_descriptor(text: str) -> dict:
     return params
 
 
+DESCRIPTOR_KEYS = {"qp": ("seed", "p", "n", "m"),
+                   "lrr": ("seed", "d", "n", "lam", "mu", "gamma", "manifest")}
+
+
 def build_problem(params: dict):
-    """Return ('qp', QpInstance) or ('lrr', LrrInstance).  Whatever building
-    raises is a configuration error."""
+    """Return ('qp', QpInstance) or ('lrr', LrrInstance).  An unknown key,
+    and whatever building raises, is a configuration error."""
+    kind = params["kind"]
+    for key in params:
+        if key != "kind" and key not in DESCRIPTOR_KEYS[kind]:
+            raise ConfigError("unknown %s descriptor key %r (expected %s)"
+                              % (kind, key, ", ".join(DESCRIPTOR_KEYS[kind])))
 
     def integer(key, default):
         val = params.get(key, default)

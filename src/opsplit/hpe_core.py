@@ -416,8 +416,9 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
                 xi=xi_k, step_M_sq=rep.diff_M_sq,
                 extras=extras(k, x, cert) if extras is not None else {})
             if ref_solution is not None:
-                rec.dist_to_ref = (x - ref_solution).norm()
-                rec.dist_M_sq = weighted_norm_sq(M, x - ref_solution)
+                err = x - ref_solution
+                rec.dist_to_ref = err.norm()
+                rec.dist_M_sq = weighted_norm_sq(M, err)
             trace.append(rec)
             for acc in accumulators:
                 acc.add(cert)

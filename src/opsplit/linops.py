@@ -12,6 +12,7 @@ scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -104,7 +105,8 @@ class BlockPoint:
         return float(np.dot(self.data, other.data))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        d = self.data
+        return math.sqrt(float(np.dot(d, d)))
 
     def copy(self) -> "BlockPoint":
         return BlockPoint(self.data.copy(), self.layout)
@@ -322,25 +324,6 @@ class DenseMetric(Metric):
 
     def apply(self, v):
         return self.matrix @ np.asarray(v, dtype=float)
-
-
-class CallableMetric(Metric):
-    """Metric given by an apply callable plus spectral bounds.
-
-    Used for structured saddle-point metrics whose apply is cheap but whose
-    dense form is never assembled.  ``dim`` is the dimension of the space the
-    callable acts on.
-    """
-
-    def __init__(self, apply_fn, omega_lower: float, omega_upper: float,
-                 dim: int):
-        self._apply = apply_fn
-        self.dim = int(dim)
-        self.omega_lower = float(omega_lower)
-        self.omega_upper = float(omega_upper)
-
-    def apply(self, v):
-        return self._apply(np.asarray(v, dtype=float))
 
 
 def weighted_norm_sq(M: Metric, v) -> float:

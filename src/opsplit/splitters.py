@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .hpe_core import HpeCertificate
-from .linops import (BlockLayout, BlockPoint, CallableMetric, Cholesky,
+from .linops import (BlockLayout, BlockPoint, Cholesky, DenseMetric,
                      IdentityMetric, LinearMap, Metric)
 from .prox_problems import ProxFn
 
@@ -175,8 +175,9 @@ class CondatVuProblem:
     """min_x f(x) + g(x) + h(Bx) with smooth f (Lipschitz-L gradient).
 
     ``B.apply`` maps primal to dual; ``prox_h`` is the prox of h itself (the
-    conjugate prox comes from the Moreau identity).  The saddle metric is
-    [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2.
+    conjugate prox comes from the Moreau identity).  The saddle metric
+    [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2, is
+    assembled once from the dense B; each apply is one matrix-vector product.
     """
 
     dim_x: int
@@ -198,22 +199,13 @@ class CondatVuProblem:
                              % (self.r, self.s))
         if (self.B.domain_dim, self.B.codomain_dim) != (self.dim_x, self.dim_y):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
-        self._bnorm = _spectral_norm(self.B.to_dense())
+        Bd = self.B.to_dense()
+        self._bnorm = _spectral_norm(Bd)
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
-        r_, s_ = self.r, self.s
-        B = self.B
-
-        def apply(u):
-            a, b = u[:self.dim_x], u[self.dim_x:]
-            return np.concatenate([r_ * a - B.adjoint_apply(b),
-                                   -B.apply(a) + s_ * b])
-
-        half_gap = math.sqrt(((r_ - s_) / 2.0) ** 2 + self._bnorm ** 2)
-        self._metric = CallableMetric(apply,
-                                      omega_lower=(r_ + s_) / 2.0 - half_gap,
-                                      omega_upper=(r_ + s_) / 2.0 + half_gap,
-                                      dim=self.dim_x + self.dim_y)
+        self._metric = DenseMetric(np.block(
+            [[self.r * np.eye(self.dim_x), -Bd.T],
+             [-Bd, self.s * np.eye(self.dim_y)]]))
 
     @property
     def strong_gap(self) -> float:
@@ -280,8 +272,10 @@ class AfbasPdProblem:
     Nonsymmetric preconditioner R = [[I/gamma1, -B*], [(1-theta)B, I/gamma2]]
     and step shaper S = [[I, -mu gamma1 (2-theta) B*],
     [gamma2 (1-mu)(2-theta) B, I]]; the certified metric is M = R S^{-1}.
-    theta here is the scheme's structural parameter (not the over-relaxation);
-    the over-relaxation is alpha_k - 1 with alpha_k computed per step.
+    R, S and M are assembled once from the dense B, so each apply of any of
+    them is one matrix-vector product.  theta here is the scheme's structural
+    parameter (not the over-relaxation); the over-relaxation is alpha_k - 1
+    with alpha_k computed per step.
     """
 
     dim_x: int
@@ -297,9 +291,8 @@ class AfbasPdProblem:
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
     _metric: Metric = field(init=False, repr=False, default=None)
-    _s_chol: Cholesky = field(init=False, repr=False, default=None)
-    _c1: float = field(init=False, repr=False, default=0.0)
-    _c2: float = field(init=False, repr=False, default=0.0)
+    _R: np.ndarray = field(init=False, repr=False, default=None)
+    _S: np.ndarray = field(init=False, repr=False, default=None)
     _bnorm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
@@ -313,54 +306,24 @@ class AfbasPdProblem:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
         if not 0.0 < self.lam < self.delta:
             raise ValueError("lam must lie in (0, delta), delta=%.6g" % self.delta)
-        self._c1 = self.mu * self.gamma1 * (2.0 - self.theta)
-        self._c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
-        BtB = Bd.T @ Bd
-        s_mat = np.eye(self.dim_x) + self._c1 * self._c2 * BtB
         xi_mat = np.eye(self.dim_x) / (self.gamma1 * self.gamma2) \
-            + (1.0 - self.theta) * BtB
+            + (1.0 - self.theta) * (Bd.T @ Bd)
         if scipy.linalg.eigvalsh(xi_mat)[0] <= 0:
             raise ValueError("R block inversion breaks down: "
                              "1/(gamma1 gamma2) + (1-theta) B*B not SPD")
-        self._s_chol = Cholesky(s_mat)
-        # dense M = R S^-1 for spectral bounds only; apply stays composed
-        nx, ny = self.dim_x, self.dim_y
-        eye = np.eye(nx + ny)
-        R_dense = np.column_stack([self.apply_R(e) for e in eye])
-        S_dense = np.column_stack([self.apply_S(e) for e in eye])
-        M_dense = R_dense @ np.linalg.inv(S_dense)
-        if np.max(np.abs(M_dense - M_dense.T)) > 1e-8 * (1 + np.max(np.abs(M_dense))):
+        c1 = self.mu * self.gamma1 * (2.0 - self.theta)
+        c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
+        eye_x, eye_y = np.eye(self.dim_x), np.eye(self.dim_y)
+        self._R = np.block([[eye_x / self.gamma1, -Bd.T],
+                            [(1.0 - self.theta) * Bd, eye_y / self.gamma2]])
+        self._S = np.block([[eye_x, -c1 * Bd.T], [c2 * Bd, eye_y]])
+        M = self._R @ np.linalg.inv(self._S)
+        if np.max(np.abs(M - M.T)) > 1e-8 * (1 + np.max(np.abs(M))):
             raise ValueError("R S^-1 is not self-adjoint for these parameters")
-        eigs = scipy.linalg.eigvalsh(0.5 * (M_dense + M_dense.T))
-        if eigs[0] <= 0:
-            raise ValueError("metric R S^-1 is not positive definite")
-        self._metric = CallableMetric(
-            lambda u: self.apply_R(self.solve_S(u)),
-            omega_lower=float(eigs[0]), omega_upper=float(eigs[-1]),
-            dim=nx + ny)
-
-    # -- structural operators ------------------------------------------------
-
-    def _split(self, u):
-        return u[:self.dim_x], u[self.dim_x:]
-
-    def apply_R(self, u: np.ndarray) -> np.ndarray:
-        a, b = self._split(u)
-        return np.concatenate([a / self.gamma1 - self.B.adjoint_apply(b),
-                               (1.0 - self.theta) * self.B.apply(a)
-                               + b / self.gamma2])
-
-    def apply_S(self, u: np.ndarray) -> np.ndarray:
-        a, b = self._split(u)
-        return np.concatenate([a - self._c1 * self.B.adjoint_apply(b),
-                               self._c2 * self.B.apply(a) + b])
-
-    def solve_S(self, u: np.ndarray) -> np.ndarray:
-        """S^-1 u: one potrs solve on the primal block, NaN passed through."""
-        f, g = self._split(u)
-        a = self._s_chol.solve(f + self._c1 * self.B.adjoint_apply(g))
-        b = g - self._c2 * self.B.apply(a)
-        return np.concatenate([a, b])
+        try:
+            self._metric = DenseMetric(0.5 * (M + M.T))
+        except ValueError:
+            raise ValueError("metric R S^-1 is not positive definite") from None
 
     # -- derived constants ----------------------------------------------------
 
@@ -404,8 +367,8 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
         cert = HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
                               step=zero)
         return cert, z.copy()
-    Rd = p.apply_R(d)
-    Sd = p.apply_S(d)
+    Rd = p._R @ d
+    Sd = p._S @ d
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
     denom = float(np.dot(Sd, Rd))                           # ||d||^2_{S*R}
     if denom <= 0:

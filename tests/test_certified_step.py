@@ -12,7 +12,7 @@ from opsplit import cli, hpe_core, splitters
 from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
                               NonFiniteValue, check_criterion)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            CallableMetric, IdentityMetric)
+                            DenseMetric, IdentityMetric)
 from opsplit.padmm_ebb import PadmmConfig, UOperator, run_padmm
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
@@ -65,7 +65,7 @@ def _saddle_scheme(scheme):
 @pytest.mark.parametrize("scheme", ["condat-vu", "afbas-pd"])
 def test_kernel_run_makes_no_metric_solve(monkeypatch, scheme):
     prob, oracle = _saddle_scheme(scheme)
-    counts = _count_calls(monkeypatch, CallableMetric, ("apply", "solve"))
+    counts = _count_calls(monkeypatch, DenseMetric, ("apply", "solve"))
     cfg = HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8)
     res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
                        cfg)
@@ -73,6 +73,76 @@ def test_kernel_run_makes_no_metric_solve(monkeypatch, scheme):
     assert counts["solve"] == 0
     # the oracle's own apply, the step check and M (y - x)
     assert counts["apply"] == 3 * res.iterations
+
+
+@pytest.mark.parametrize("scheme", ["condat-vu", "afbas-pd"])
+def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
+    # the metric is one assembled matrix: B is applied only by the step,
+    # once forward and once adjoint
+    prob, oracle = _saddle_scheme(scheme)
+    counts = {"apply": 0, "adjoint_apply": 0}
+    for name in counts:
+        def counted(u, _name=name, _original=getattr(prob.B, name)):
+            counts[_name] += 1
+            return _original(u)
+
+        monkeypatch.setattr(prob.B, name, counted)
+    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
+                       HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8))
+    assert res.converged
+    assert counts == {"apply": res.iterations,
+                      "adjoint_apply": res.iterations}
+
+
+def _saddle_operator(prob, u):
+    """M u from B's callables: [[r I, -B*], [-B, s I]] u for Condat-Vu,
+    R S^-1 u for afbas-pd, with S^-1 through its primal Schur complement."""
+    B, nx = prob.B, prob.dim_x
+    a, b = u[:nx], u[nx:]
+    if isinstance(prob, splitters.CondatVuProblem):
+        return np.concatenate([prob.r * a - B.adjoint_apply(b),
+                               -B.apply(a) + prob.s * b])
+    c1 = prob.mu * prob.gamma1 * (2.0 - prob.theta)
+    c2 = prob.gamma2 * (1.0 - prob.mu) * (2.0 - prob.theta)
+    schur = np.column_stack([e + c1 * c2 * B.adjoint_apply(B.apply(e))
+                             for e in np.eye(nx)])
+    a = np.linalg.solve(schur, a + c1 * B.adjoint_apply(b))
+    b = b - c2 * B.apply(a)
+    return np.concatenate([a / prob.gamma1 - B.adjoint_apply(b),
+                           (1.0 - prob.theta) * B.apply(a) + b / prob.gamma2])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("scheme,opts", [
+    ("condat-vu", {}), ("afbas-pd", {}),
+    ("afbas-pd", {"theta": 0.5, "mu": 0.0}),
+    ("afbas-pd", {"theta": 2.5, "mu": 0.5})])
+def test_dense_saddle_metric_equals_its_operator(scheme, opts, seed):
+    inst = gen_qp(seed, p=2, n_i=5, m=3)
+    prob = (condat_vu_from_qp(inst)[0] if scheme == "condat-vu"
+            else afbas_pd_from_qp(inst, **opts)[0])
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        u = rng.standard_normal(prob.layout.dim)
+        want = _saddle_operator(prob, u)
+        got = prob.metric().apply(u)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("theta", [0.5, 2.5])
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_afbas_pd_with_step_shaper_passes_every_step_check(theta, mu, seed):
+    # theta != 2 makes S != I, so both R d and S d are full products
+    prob, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3), theta=theta,
+                                 mu=mu)
+    res = hpe_core.run(_afbas_pd_oracle(prob), BlockPoint.zeros(prob.layout),
+                       prob.metric(),
+                       HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8),
+                       ref_solution=ref)
+    assert res.converged and res.reason == "residual"
+    assert min(r.criterion_slack for r in res.trace) >= 0.0
+    assert res.trace[-1].dist_to_ref <= 1e-6
 
 
 def test_run_padmm_one_U_apply_and_one_solve_per_iteration(monkeypatch):
@@ -194,8 +264,9 @@ def _nan_scheme(scheme):
 
 @pytest.mark.parametrize("scheme", ["fbhf", "afbas-pd"])
 def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
-    # the NaN reaches the affine projector (fbhf) or solve_S (afbas-pd) in
-    # iteration 3; the solve passes it on and the kernel names it
+    # the NaN reaches the affine projector's solve (fbhf) or the dense R and
+    # S products (afbas-pd) in iteration 3; they pass it on and the kernel
+    # names it
     prob, oracle, M = _nan_scheme(scheme)
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
         hpe_core.run(oracle, BlockPoint.zeros(prob.layout), M,

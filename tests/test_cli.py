@@ -138,6 +138,10 @@ MALFORMED = {
                                  "FileNotFoundError",
     "qp:p=2.5": "'p' must be an integer, got 2.5",
     "lrr:lam=nan": "non-finite value 'nan' for 'lam'",
+    # a misspelt or foreign key must not silently take its default
+    "qp:sed=3,p=1,n=4,m=2": "unknown qp descriptor key 'sed'",
+    "qp:seed=1,tol=5": "unknown qp descriptor key 'tol'",
+    "lrr:seed=0,d=4,n=4,lamda=5": "unknown lrr descriptor key 'lamda'",
 }
 
 

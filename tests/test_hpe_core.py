@@ -165,18 +165,15 @@ def test_validate_metric_update_dense_path_is_exact(j):
 
 
 def test_validate_metric_update_callable_saddle_metric():
-    # the Condat-Vu metric is a CallableMetric: its dense form must have its
-    # dimension
-    from opsplit.linops import CallableMetric
+    # the Condat-Vu saddle metric is not block diagonal: the check takes the
+    # exact path with its dimension
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import condat_vu_from_qp
     prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3))
     M = prob.metric()
     assert M.dim == prob.layout.dim
     assert validate_metric_update(M, M, 0.0, M.omega_lower)
-    grown = CallableMetric(lambda u: 1.05 * M.apply(u),
-                           1.05 * M.omega_lower, 1.05 * M.omega_upper,
-                           dim=M.dim)
+    grown = DenseMetric(1.05 * M.matrix)
     assert not validate_metric_update(M, grown, 0.01, M.omega_lower)
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from opsplit.linops import (AdjointReport, BlockDiagonalMetric, BlockLayout,
-                            BlockPoint, CallableMetric, Cholesky, DenseMetric,
+                            BlockPoint, Cholesky, DenseMetric,
                             IdentityMetric, LinearMap, ScaledIdentityMetric,
                             adjoint_check, read_matrix, spectral_upper_bound,
                             weighted_norm, weighted_norm_sq, write_matrix)
@@ -104,15 +104,13 @@ def test_dense_metric_solve_and_bounds():
 def test_scaled_and_callable_metrics():
     M = ScaledIdentityMetric(3.0)
     v = np.array([1.0, -2.0])
-    C = CallableMetric(lambda u: 3.0 * u, 3.0, 3.0, dim=2)
-    assert np.allclose(C.apply(v), M.apply(v))
-    assert np.isclose(weighted_norm_sq(C, v), 3.0 * np.dot(v, v))
+    assert np.allclose(M.apply(v), 3.0 * v)
+    assert np.isclose(weighted_norm_sq(M, v), 3.0 * np.dot(v, v))
     assert np.isclose(weighted_norm(IdentityMetric(), v), np.linalg.norm(v))
 
 
 @pytest.mark.parametrize("metric", [
-    IdentityMetric(), ScaledIdentityMetric(2.0), DenseMetric(np.eye(2)),
-    CallableMetric(lambda u: u, 1.0, 1.0, dim=2)],
+    IdentityMetric(), ScaledIdentityMetric(2.0), DenseMetric(np.eye(2))],
     ids=lambda m: type(m).__name__)
 def test_apply_only_metrics_raise_on_solve(metric):
     # the splitters hand the kernel their own c M^-1 v
