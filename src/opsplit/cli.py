@@ -127,13 +127,14 @@ def _theta_or_auto(text: str) -> Optional[float]:
 
 
 def _prepare_solve(args, algorithm: str, kind: str, inst,
-                   theta: Optional[float]):
+                   theta: Optional[float], full_trace: bool = False):
     """Build and validate one solve and return ``start(accumulators)``.
 
     Everything raised here is a configuration error; everything raised by
     ``start`` happens once the solve has begun and is a solver fault.  The
     kernel's sigma, xi schedule and iteration budget are set here once, for
-    both solvers.
+    both solvers.  ``full_trace`` adds the multi-block solver's opt-in trace
+    columns; the splitters have none.
     """
     cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
                     tol_residual=args.tol)
@@ -143,7 +144,8 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
         ref = inst.z_star if kind == "qp" else None
         return lambda accs: run_padmm(inst.problem, pcfg, ref_solution=ref,
                                       accumulators=accs,
-                                      xi_schedule=cfg.xi_schedule)
+                                      xi_schedule=cfg.xi_schedule,
+                                      full_trace=full_trace)
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
     oracle, M0, x0, ref = SCHEMES[algorithm].setup(
@@ -192,7 +194,8 @@ def cmd_solve(args) -> int:
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
     theta = _theta_or_auto(args.theta)
-    start = _prepare_solve(args, args.algorithm, kind, inst, theta)
+    start = _prepare_solve(args, args.algorithm, kind, inst, theta,
+                           args.full_trace)
     config_echo = {"algorithm": args.algorithm, "problem": args.problem,
                    "sigma": args.sigma, "theta": args.theta,
                    "xi0": args.xi0, "tol": args.tol,
@@ -327,6 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--theta", default="auto",
                     help="over-relaxation: a number or 'auto'")
     ps.add_argument("--trace", default=None, help="write per-iteration CSV")
+    ps.add_argument("--full-trace", action="store_true",
+                    help="also write the opt-in trace columns "
+                         "(padmm-ebb: pkkt, objective)")
     ps.add_argument("--summary", default=None, help="write JSON run summary")
     ps.set_defaults(func=cmd_solve)
 

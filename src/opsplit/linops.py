@@ -155,29 +155,6 @@ class LinearMap:
         return np.column_stack(cols)
 
 
-@dataclass
-class AdjointReport:
-    max_residual: float
-    ok: bool
-    probes: int
-
-
-def adjoint_check(A: LinearMap, probes: int = 20, seed: int = 0,
-                  tol: float = 1e-8) -> AdjointReport:
-    """Randomized check of the adjoint identity <Av,u> = <v,A*u>."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(A.domain_dim)
-        u = rng.standard_normal(A.codomain_dim)
-        Av = A.apply(v)
-        Atu = A.adjoint_apply(u)
-        num = abs(float(np.dot(Av, u)) - float(np.dot(v, Atu)))
-        den = 1.0 + float(np.linalg.norm(Av)) * float(np.linalg.norm(u))
-        worst = max(worst, num / den)
-    return AdjointReport(max_residual=worst, ok=worst <= tol, probes=probes)
-
-
 def spectral_upper_bound(A: LinearMap) -> float:
     """Safe upper estimate of the largest singular value of A.
 
@@ -239,18 +216,6 @@ class IdentityMetric(Metric):
 
     def apply(self, v):
         return np.asarray(v, dtype=float)
-
-
-class ScaledIdentityMetric(Metric):
-    def __init__(self, scale: float):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        self.scale = float(scale)
-        self.omega_lower = self.scale
-        self.omega_upper = self.scale
-
-    def apply(self, v):
-        return self.scale * np.asarray(v, dtype=float)
 
 
 class BlockDiagonalMetric(Metric):
@@ -332,12 +297,8 @@ def weighted_norm_sq(M: Metric, v) -> float:
     return float(np.dot(x, M.apply(x)))
 
 
-def weighted_norm(M: Metric, v) -> float:
-    return float(np.sqrt(max(weighted_norm_sq(M, v), 0.0)))
-
-
 # ---------------------------------------------------------------------------
-# MatrixMarket IO
+# MatrixMarket input
 # ---------------------------------------------------------------------------
 
 
@@ -347,8 +308,3 @@ def read_matrix(path) -> np.ndarray:
     if hasattr(m, "toarray"):
         m = m.toarray()
     return np.asarray(m, dtype=float)
-
-
-def write_matrix(path, matrix: np.ndarray) -> None:
-    """Write a dense matrix to a MatrixMarket file."""
-    scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(matrix, dtype=float)))

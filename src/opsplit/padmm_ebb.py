@@ -8,6 +8,8 @@ through their primal-dual KKT operator.  The solver is an instance of the
 kernel loop :func:`opsplit.hpe_core.run`; one iteration performs:
 
 0. the proximal KKT residual R(z) test, which ends the run at tolerance;
+   its rows are evaluated feasibility row first and only until they decide
+   the test, so the nuclear-norm rows of LRR rarely cost an SVD;
 1. a Gauss-Seidel sweep over the blocks of a majorized augmented Lagrangian,
    each subproblem reduced to a single prox of g_i by a scalar-majorant
    proximal term, followed by the half-updated multiplier step;
@@ -33,16 +35,26 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import hpe_core
-from .hpe_core import (ErgodicAccumulator, HpeCertificate, HpeConfig,
-                       IterTrace, NonFiniteValue)
+from .hpe_core import (CriterionViolation, ErgodicAccumulator,
+                       HpeCertificate, HpeConfig, IterTrace, NonFiniteValue)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
-PADMM_TRACE_COLUMNS = ("pkkt", "feas_norm", "objective", "theta_adap",
-                       "beta")
+# The multi-block trace columns, in CSV order: (name, producer, opt-in).  A
+# producer reads the iteration's hooks (:class:`_Iteration`) after its
+# certificate.  The opt-in columns are written only with ``full_trace``: the
+# pkkt norm needs every residual row, which the stop test does not, and the
+# objective every g_i value.
+PADMM_COLUMNS = (
+    ("pkkt", lambda it: it.pnorm, True),
+    ("feas_norm", lambda it: float(np.linalg.norm(it.feas)), False),
+    ("objective", lambda it: it.problem.objective(it.xs), True),
+    ("theta_adap", lambda it: it.theta_adap, False),
+    ("beta", lambda it: it.beta, False),
+)
 
 THETA_CAP = 5.0   # largest over-relaxation taken
-MARGIN = 1.05     # initial safety factor of the proximal curvatures
+MARGIN = 1.05     # safety factor of the proximal curvatures
 M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
 
 
@@ -161,10 +173,9 @@ class PadmmConfig:
 
 
 def scalar_majorant_etas(problem: MultiBlockProblem, beta: float,
-                         anorms: Sequence[float],
-                         margin: float = MARGIN) -> List[float]:
-    """Per-block prox curvatures eta_i = L_i + margin * beta ||A_i||^2 + 1e-8."""
-    return [l + margin * beta * a * a + 1e-8 for l, a in zip(problem.L, anorms)]
+                         anorms: Sequence[float]) -> List[float]:
+    """Per-block prox curvatures eta_i = L_i + MARGIN beta ||A_i||^2 + 1e-8."""
+    return [l + MARGIN * beta * a * a + 1e-8 for l, a in zip(problem.L, anorms)]
 
 
 def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
@@ -273,7 +284,8 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
                   - 0.5 * float(np.dot(d.data * problem.d_weights, d.data)))
     denom_form = float(np.dot(Ud.data, step.data))
     if denom_form <= 0:
-        raise ValueError("degenerate U*M^-1U form")
+        raise ValueError("degenerate U*M^-1U form (gamma_form=%.6e, "
+                         "denom_form=%.6e)" % (gamma_form, denom_form))
     return ThetaRange(theta_adap=-1.0 + gamma_form / denom_form,
                       gamma_form=gamma_form, denom_form=denom_form,
                       Ud=Ud, step=step)
@@ -314,20 +326,38 @@ def bb_metric_update(prev_scalars: Sequence[float],
 
 def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
                   problem: MultiBlockProblem,
-                  grads: Optional[List[np.ndarray]] = None):
+                  grads: Optional[List[np.ndarray]] = None,
+                  tol: Optional[float] = None):
     """Stacked prox fixed-point residual plus the affine feasibility gap.
 
     Primal rows: x_i - prox_{g_i}(x_i - grad_i f(x) - A_i y) (unit prox step);
     dual row: b - sum_i A_i* x_i, the ``feas`` of :func:`block_sweep`.
     Returns (residual BlockPoint, its norm).
+
+    With ``tol``, the rows are evaluated only until they decide the test
+    norm <= tol: the dual row first, then the primal rows in block order,
+    until the partial sum of squares exceeds tol^2 (1 + 1e-10).  The norm
+    returned is then +inf, and the rows not evaluated are zero.  The margin
+    is far above the rounding of both sums (gamma_n ~ 1.4e-12 at n = 12,800),
+    so the decision is always the full norm's; below tol = 1e-150, where
+    tol^2 nears the subnormal range, every row is evaluated.  Once every row
+    is evaluated, the norm is the full one, bit for bit.
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
     res = BlockPoint.zeros(problem.full_layout)
+    row = problem.feasibility(xs)
+    res.set_block(problem.p, row)
+    cutoff = (math.inf if tol is None or 0.0 < abs(tol) < 1e-150
+              else tol * tol * (1.0 + 1e-10))
+    sumsq = 0.0
     for i in range(problem.p):
+        sumsq += float(np.dot(row, row))
+        if sumsq > cutoff:
+            return res, math.inf
         u = xs[i] - grads[i] - problem.A[i].apply(y)
-        res.set_block(i, xs[i] - problem.gs[i].evaluate(1.0, u))
-    res.set_block(problem.p, problem.feasibility(xs))
+        row = xs[i] - problem.gs[i].evaluate(1.0, u)
+        res.set_block(i, row)
     return res, res.norm()
 
 
@@ -355,17 +385,23 @@ class PadmmResult:
 class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
     :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients and
-    dual block for the sweep, which escalates the proximal margins until the
-    directional Gamma form is positive."""
+    dual block for the sweep.  Each iteration sweeps once: a directional
+    Gamma form that is not positive, or a degenerate step range, aborts the
+    run with :class:`CriterionViolation` instead of changing the method.
+    ``columns`` are the :data:`PADMM_COLUMNS` the trace writes; without
+    ``full_trace`` the stop test may cut the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
-                 cfg: HpeConfig):
+                 cfg: HpeConfig, full_trace: bool = False):
         self.problem, self.config, self.cfg = problem, config, cfg
         self.anorms = problem.constraint_norms()
         self.beta = config.beta
-        self.inv_scalars = [1.0 / e for e in scalar_majorant_etas(
-            problem, self.beta, self.anorms)] + [self.beta]
-        self.margin_mult, self.prev, self.pnorm = 1.0, None, float("nan")
+        self.etas = scalar_majorant_etas(problem, self.beta, self.anorms)
+        self.inv_scalars = [1.0 / e for e in self.etas] + [self.beta]
+        self.prev, self.pnorm = None, float("nan")
+        self.columns = [(name, produce) for name, produce, opt_in
+                        in PADMM_COLUMNS if full_trace or not opt_in]
+        self.stop_tol = None if full_trace else config.tol
 
     def metric(self) -> BlockDiagonalMetric:
         return BlockDiagonalMetric.from_inverse_scalars(
@@ -376,38 +412,36 @@ class _Iteration:
         self.k = k
         self.xs, self.y = pr.split(z)
         self.grads = pr.grad_f(list(self.xs))
-        res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads)
+        res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads,
+                                        tol=self.stop_tol)
         self.feas = res.block(pr.p)
         return "pkkt" if self.pnorm <= self.config.tol else None
 
     def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
                cfg: HpeConfig) -> Optional[HpeCertificate]:
         pr, config = self.problem, self.config
-        for _ in range(10):
-            etas = scalar_majorant_etas(pr, self.beta, self.anorms,
-                                        MARGIN * self.margin_mult)
-            x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
-                                           etas, grads=self.grads,
-                                           feas=self.feas)
-            w = pr.join(x_tilde, y_tilde)
-            d = z - w
-            d_norm = d.norm()
-            if d_norm == 0.0:
-                return None  # sweep fixed point: v = 0, a KKT point
-            if not math.isfinite(d_norm):
-                raise NonFiniteValue("iteration %d: non-finite sweep point"
-                                     % self.k)
-            try:
-                tr = theta_range(d, UOperator(pr, self.beta, etas), M,
-                                 cfg.sigma, pr)
-            except ValueError:
-                tr = None
-            if tr is not None and tr.gamma_form > 1e-10 * tr.denom_form:
-                break
-            self.margin_mult *= 2.0
-        else:
-            raise RuntimeError("could not find a positive Gamma form; "
-                               "proximal-term margins exhausted")
+        x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
+                                       self.etas, grads=self.grads,
+                                       feas=self.feas)
+        w = pr.join(x_tilde, y_tilde)
+        d = z - w
+        d_norm = d.norm()
+        if d_norm == 0.0:
+            return None  # sweep fixed point: v = 0, a KKT point
+        if not math.isfinite(d_norm):
+            raise NonFiniteValue("iteration %d: non-finite sweep point"
+                                 % self.k)
+        try:
+            tr = theta_range(d, UOperator(pr, self.beta, self.etas), M,
+                             cfg.sigma, pr)
+        except ValueError as exc:
+            raise CriterionViolation("iteration %d: %s" % (self.k, exc)) \
+                from None
+        if not tr.gamma_form > 1e-10 * tr.denom_form:
+            raise CriterionViolation(
+                "iteration %d: directional Gamma form is not positive "
+                "(gamma_form=%.6e, denom_form=%.6e)"
+                % (self.k, tr.gamma_form, tr.denom_form))
         self.points, self.theta_adap = x_tilde + [y_tilde], tr.theta_adap
         # the adaptive endpoint meets the criterion with equality; back off by
         # a relative hair so roundoff cannot flip the inequality
@@ -422,11 +456,7 @@ class _Iteration:
                               eps_blocks=eps_blocks)
 
     def extras(self, k: int, z: BlockPoint, cert: HpeCertificate) -> dict:
-        return {"pkkt": self.pnorm,
-                "feas_norm": float(np.linalg.norm(self.feas)),
-                "objective": self.problem.objective(self.xs),
-                "theta_adap": self.theta_adap,
-                "beta": self.beta}
+        return {name: produce(self) for name, produce in self.columns}
 
     def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
                       M: BlockDiagonalMetric) -> BlockDiagonalMetric:
@@ -451,8 +481,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
               z0: Optional[BlockPoint] = None,
               ref_solution: Optional[BlockPoint] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
-              xi_schedule: Optional[Callable[[int], float]] = None
-              ) -> PadmmResult:
+              xi_schedule: Optional[Callable[[int], float]] = None,
+              full_trace: bool = False) -> PadmmResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
     The iterations run in :func:`opsplit.hpe_core.run`, with sigma =
@@ -463,22 +493,26 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     prod_{j<=k} (1 + xi_j).  Accumulators receive each step's per-block eps,
     and an exception carries the partial ``trace`` and failing ``iteration``,
     as in the kernel loop.  A run that reaches ``max_iters`` still ends
-    converged if its final iterate meets the tolerance.
+    converged if its final iterate meets the tolerance.  The trace writes
+    the default :data:`PADMM_COLUMNS`, and the opt-in ones too with
+    ``full_trace``; ``final_pkkt`` is the full residual norm of the final
+    iterate either way.
     """
     cfg = HpeConfig(sigma=config.sigma_bar, max_iters=config.max_iters,
                     xi_schedule=xi_schedule, tol_residual=-math.inf)
-    it = _Iteration(problem, config, cfg)
+    it = _Iteration(problem, config, cfg, full_trace)
     res = hpe_core.run(
         it.oracle, z0 if z0 is not None else BlockPoint.zeros(
             problem.full_layout), it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop, extras=it.extras,
-        extra_columns=PADMM_TRACE_COLUMNS)
+        extra_columns=[name for name, _ in it.columns])
     xs, y = problem.split(res.solution)
     converged, reason, pnorm = res.converged, res.reason, it.pnorm
-    if not converged:
+    if reason != "pkkt":
+        # only a met stop test leaves a complete residual of the final iterate
         _, pnorm = pkkt_residual(xs, y, problem)
-        if pnorm <= config.tol:
+        if not converged and pnorm <= config.tol:
             converged, reason = True, "pkkt"
     return PadmmResult(z=res.solution, x_blocks=xs, y=y, trace=res.trace,
                        converged=converged, reason=reason,

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.linalg
 
-from .linops import BlockLayout, BlockPoint, LinearMap, read_matrix, write_matrix
+from .linops import BlockLayout, BlockPoint, LinearMap, read_matrix
 from .padmm_ebb import MultiBlockProblem
 
 
@@ -297,18 +297,6 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
         f_value=f_value, name="lrr(%dx%d)" % (d, n))
     return LrrInstance(X=X, L_Z=L_Z, L_G=L_G, lam=lam, mu=mu, gamma=gamma,
                        orientation=orientation, problem=problem)
-
-
-def save_lrr_instance(inst: LrrInstance, directory: Union[str, pathlib.Path]) -> None:
-    """Serialize an LRR instance to a JSON manifest plus MatrixMarket files."""
-    directory = pathlib.Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, mat in (("X", inst.X), ("L_Z", inst.L_Z), ("L_G", inst.L_G)):
-        write_matrix(directory / (name + ".mtx"), mat)
-    manifest = {"kind": "lrr", "lam": inst.lam, "mu": inst.mu,
-                "gamma": inst.gamma, "orientation": inst.orientation,
-                "matrices": {"X": "X.mtx", "L_Z": "L_Z.mtx", "L_G": "L_G.mtx"}}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
 def load_lrr_instance(directory: Union[str, pathlib.Path]) -> LrrInstance:

@@ -178,6 +178,8 @@ class CondatVuProblem:
     conjugate prox comes from the Moreau identity).  The saddle metric
     [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2, is
     assembled once from the dense B; each apply is one matrix-vector product.
+    ``bnorm`` is ||B||, when the caller already took it from the same matrix;
+    None takes it from the dense B.
     """
 
     dim_x: int
@@ -189,8 +191,8 @@ class CondatVuProblem:
     s: float
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
+    bnorm: Optional[float] = field(default=None, repr=False)
     _metric: Metric = field(init=False, repr=False, default=None)
-    _bnorm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf
@@ -200,7 +202,8 @@ class CondatVuProblem:
         if (self.B.domain_dim, self.B.codomain_dim) != (self.dim_x, self.dim_y):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
         Bd = self.B.to_dense()
-        self._bnorm = _spectral_norm(Bd)
+        if self.bnorm is None:
+            self.bnorm = _spectral_norm(Bd)
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
         self._metric = DenseMetric(np.block(
@@ -210,7 +213,7 @@ class CondatVuProblem:
     @property
     def strong_gap(self) -> float:
         """s - ||B||^2 / r, the positivity margin of the saddle metric."""
-        return self.s - self._bnorm ** 2 / self.r
+        return self.s - self.bnorm ** 2 / self.r
 
     @property
     def primal_gap(self) -> float:
@@ -220,7 +223,7 @@ class CondatVuProblem:
         over-relaxation, because the enlargement error lives on the primal
         block.  Both gaps are positive exactly when r s > ||B||^2.
         """
-        return self.r - self._bnorm ** 2 / self.s
+        return self.r - self.bnorm ** 2 / self.s
 
     @property
     def layout(self) -> BlockLayout:
@@ -275,7 +278,8 @@ class AfbasPdProblem:
     R, S and M are assembled once from the dense B, so each apply of any of
     them is one matrix-vector product.  theta here is the scheme's structural
     parameter (not the over-relaxation); the over-relaxation is alpha_k - 1
-    with alpha_k computed per step.
+    with alpha_k computed per step.  ``bnorm`` is ||B||, as for
+    :class:`CondatVuProblem`.
     """
 
     dim_x: int
@@ -290,10 +294,10 @@ class AfbasPdProblem:
     lam: float = 1.0
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
+    bnorm: Optional[float] = field(default=None, repr=False)
     _metric: Metric = field(init=False, repr=False, default=None)
     _R: np.ndarray = field(init=False, repr=False, default=None)
     _S: np.ndarray = field(init=False, repr=False, default=None)
-    _bnorm: float = field(init=False, repr=False, default=0.0)
 
     def __post_init__(self):
         if self.gamma1 <= 0 or self.gamma2 <= 0:
@@ -301,7 +305,8 @@ class AfbasPdProblem:
         if self.theta < 0 or not 0.0 <= self.mu <= 1.0 or self.L < 0:
             raise ValueError("need theta >= 0, mu in [0,1], L >= 0")
         Bd = self.B.to_dense()
-        self._bnorm = _spectral_norm(Bd)
+        if self.bnorm is None:
+            self.bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
         if not 0.0 < self.lam < self.delta:
@@ -329,7 +334,7 @@ class AfbasPdProblem:
 
     @property
     def curvature_margin(self) -> float:
-        return 1.0 / self.gamma1 - self.gamma2 * self.theta ** 2 * self._bnorm ** 2 / 4.0
+        return 1.0 / self.gamma1 - self.gamma2 * self.theta ** 2 * self.bnorm ** 2 / 4.0
 
     @property
     def delta(self) -> float:
@@ -469,7 +474,7 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
     prob = CondatVuProblem(dim_x=Q.shape[0], dim_y=b.size,
                            prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                            B=LinearMap.from_dense(G), r=r, s=s,
-                           grad_f=lambda u: Q @ u + c, L=Lq)
+                           grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
     theta_max = condat_vu_max_theta(prob, sigma)
     z_ref = BlockPoint(inst.z_star.data, prob.layout)
     return prob, theta_max, z_ref
@@ -490,7 +495,7 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
                           prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                           B=LinearMap.from_dense(G), gamma1=gamma1,
                           gamma2=gamma2, theta=theta, mu=mu, lam=lam,
-                          grad_f=lambda u: Q @ u + c, L=Lq)
+                          grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
     z_ref = BlockPoint(inst.z_star.data, prob.layout)
     return prob, z_ref
 

@@ -294,15 +294,16 @@ def test_nan_through_a_prefactored_solve_is_non_finite_in_the_summary(
 
 
 def test_nan_through_run_padmm_is_a_non_finite_value():
-    # the prox of block 0 returns a NaN from its 7th call on: the pKKT
-    # residual and the sweep of iteration 4 call it for the 7th and 8th time
+    # the prox of block 0 returns a NaN from its 7th call on; the pKKT stop
+    # test decides on the dual row, so only the sweep calls it, and the
+    # sweep of iteration 7 calls it for the 7th time
     inst = gen_qp(0, p=2, n_i=5, m=3)
     zero = ProxFn.zero()
     bad = ProxFn(_nan_from_call(zero.evaluate, 7), zero.value_fn)
     prob = dataclasses.replace(inst.problem, gs=[bad, zero])
-    with pytest.raises(NonFiniteValue, match="iteration 4: non-finite") as exc:
+    with pytest.raises(NonFiniteValue, match="iteration 7: non-finite") as exc:
         run_padmm(prob, PadmmConfig(max_iters=50))
-    assert exc.value.iteration == 4 and len(exc.value.trace) == 3
+    assert exc.value.iteration == 7 and len(exc.value.trace) == 6
 
 
 def test_kept_certificates_drop_their_step():

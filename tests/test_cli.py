@@ -10,7 +10,7 @@ import pytest
 
 from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
 from opsplit.hpe_core import TRACE_COLUMNS
-from opsplit.padmm_ebb import PADMM_TRACE_COLUMNS
+from opsplit.padmm_ebb import PADMM_COLUMNS
 from opsplit.splitters import SCHEMES
 
 
@@ -49,12 +49,58 @@ def test_solve_padmm_writes_trace_and_summary(tmp_path, capsys):
 
     with open(trace) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(TRACE_COLUMNS) + list(PADMM_TRACE_COLUMNS)
+    assert rows[0] == list(TRACE_COLUMNS) + [
+        name for name, _, opt_in in PADMM_COLUMNS if not opt_in]
     data = json.loads(summary.read_text())
     assert data["schema"] == 1
     assert data["converged"] is True
     assert len(rows) - 1 == data["iterations"]  # one CSV row per iteration
     assert data["final"]["pkkt"] <= 1e-8
+
+
+def test_full_trace_adds_the_opt_in_columns(tmp_path):
+    runs = []
+    for flags in ([], ["--full-trace"]):
+        trace = tmp_path / ("t%d.csv" % len(flags))
+        summary = tmp_path / ("s%d.json" % len(flags))
+        assert main(["solve", "--algorithm", "padmm-ebb",
+                     "--problem", "lrr:seed=0,d=10,n=10", "--beta", "300",
+                     "--tol", "1e-3", "--sigma", "0.9",
+                     "--trace", str(trace), "--summary", str(summary)]
+                    + flags) == 0
+        with open(trace) as fh:
+            runs.append((list(csv.DictReader(fh)),
+                         json.loads(summary.read_text())))
+    (default, s_default), (full, s_full) = runs
+    assert list(full[0]) == list(TRACE_COLUMNS) + [
+        name for name, _, _ in PADMM_COLUMNS]
+    assert "pkkt" not in default[0] and "objective" not in default[0]
+    # the early exit changes no iterate: every shared column and the
+    # summary's final pkkt are equal
+    assert len(default) == len(full) == s_default["iterations"]
+    for d, f in zip(default, full):
+        assert all(d[k] == f[k] for k in d if k != "time_s")
+    assert s_default["final"] == s_full["final"]
+    assert float(full[-1]["pkkt"]) > s_full["final"]["pkkt"]
+
+
+def test_non_positive_gamma_form_exits_three_naming_the_iteration(tmp_path,
+                                                                 capsys):
+    # at beta = 100 the first sweep's directional Gamma form is not positive
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
+                 "--beta", "100", "--max-iters", "3",
+                 "--summary", str(summary)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "iteration 1: directional Gamma form is not positive" in err
+    data = json.loads(summary.read_text())
+    assert data["termination"] == "abort" and data["iterations"] == 0
+    abort = data["abort"]
+    assert abort["iteration"] == 1
+    assert abort["exception"] == "CriterionViolation"
+    assert "gamma_form=" in abort["message"]
+    assert "denom_form=" in abort["message"]
 
 
 def test_solve_splitter_exit_zero(tmp_path):
@@ -246,8 +292,8 @@ def test_malformed_descriptor_still_exits_two(capsys):
 
 def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
                                                 capsys):
-    # from its 5th call on, the step-size range rejects every direction, so
-    # the sweep escalates its proximal margins until they run out
+    # from its 5th call on, the step-size range rejects every direction:
+    # iteration 5 aborts, with no retry of the sweep
     from opsplit import padmm_ebb
 
     real, calls = padmm_ebb.theta_range, [0]
@@ -265,14 +311,15 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
                  "--max-iters", "200",
                  "--trace", str(trace), "--summary", str(summary)])
     assert code == 3
-    assert "margins exhausted" in capsys.readouterr().err
+    assert "iteration 5: degenerate U*M^-1U form" in capsys.readouterr().err
+    assert calls[0] == 5
     with open(trace) as fh:
         rows = list(csv.reader(fh))
     data = json.loads(summary.read_text())
     assert data["termination"] == "abort" and data["converged"] is False
     abort = data["abort"]
-    assert abort["exception"] == "RuntimeError"
-    assert "margins exhausted" in abort["message"]
+    assert abort["exception"] == "CriterionViolation"
+    assert "degenerate U*M^-1U form" in abort["message"]
     # the rows before the failing iteration are all kept
     assert len(rows) - 1 == data["iterations"] == abort["iteration"] - 1 > 1
     assert isinstance(data["slopes"]["ergodic"], float)

@@ -15,7 +15,7 @@ from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
                               loglog_slope, make_affine_resolvent_oracle,
                               pointwise_bound, validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            DenseMetric, IdentityMetric, ScaledIdentityMetric)
+                            DenseMetric, IdentityMetric)
 
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
@@ -57,7 +57,7 @@ def test_criterion_exact_resolvent_identity():
 
 
 def test_criterion_respects_metric_weighting():
-    M = ScaledIdentityMetric(4.0)
+    M = DenseMetric(np.array([[4.0]]))
     x = _pt([1.0])
     y = _pt([0.5])
     v = _pt([2.0])  # M^-1 v = 0.5, so c M^-1 v + (y - x) = 0
@@ -84,8 +84,7 @@ def test_extragradient_step_formula():
                           step=_pt(2.0 * v.data))   # c M^-1 v with M = I
     out = extragradient_step(x, cert)
     assert np.allclose(out.data, x.data - 1.5 * 2.0 * cert.v.data)
-    # a weighted metric divides the step by its scalar
-    M = ScaledIdentityMetric(3.0)
+    # a weighted metric 3 I divides the step by its scalar
     cert_m = HpeCertificate(y=x.copy(), v=v, eps=0.0, c=2.0, theta=0.5,
                             step=_pt(2.0 * (v.data / 3.0)))
     out_m = extragradient_step(x, cert_m)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from opsplit.linops import (AdjointReport, BlockDiagonalMetric, BlockLayout,
-                            BlockPoint, Cholesky, DenseMetric,
-                            IdentityMetric, LinearMap, ScaledIdentityMetric,
-                            adjoint_check, read_matrix, spectral_upper_bound,
-                            weighted_norm, weighted_norm_sq, write_matrix)
+from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
+                            Cholesky, DenseMetric, IdentityMetric, LinearMap,
+                            read_matrix, spectral_upper_bound,
+                            weighted_norm_sq)
+
+from support import AdjointReport, adjoint_check, write_matrix
 
 
 def test_layout_offsets_and_slices():
@@ -102,16 +103,16 @@ def test_dense_metric_solve_and_bounds():
 
 
 def test_scaled_and_callable_metrics():
-    M = ScaledIdentityMetric(3.0)
+    M = DenseMetric(3.0 * np.eye(2))
     v = np.array([1.0, -2.0])
     assert np.allclose(M.apply(v), 3.0 * v)
+    assert M.omega_lower == M.omega_upper == 3.0
     assert np.isclose(weighted_norm_sq(M, v), 3.0 * np.dot(v, v))
-    assert np.isclose(weighted_norm(IdentityMetric(), v), np.linalg.norm(v))
+    assert np.isclose(weighted_norm_sq(IdentityMetric(), v), np.dot(v, v))
 
 
-@pytest.mark.parametrize("metric", [
-    IdentityMetric(), ScaledIdentityMetric(2.0), DenseMetric(np.eye(2))],
-    ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("metric", [IdentityMetric(), DenseMetric(np.eye(2))],
+                         ids=lambda m: type(m).__name__)
 def test_apply_only_metrics_raise_on_solve(metric):
     # the splitters hand the kernel their own c M^-1 v
     with pytest.raises(NotImplementedError):

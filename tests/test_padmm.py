@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from opsplit import hpe_core, padmm_ebb
-from opsplit.hpe_core import (check_criterion, ErgodicAccumulator,
-                              HpeCertificate, HpeConfig,
+from opsplit.hpe_core import (check_criterion, CriterionViolation,
+                              ErgodicAccumulator, HpeCertificate, HpeConfig,
                               MetricScheduleViolation,
                               make_affine_resolvent_oracle)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
@@ -25,6 +25,7 @@ from opsplit.prox_problems import ProxFn, gen_qp
 import ergodic_reference
 from dense_diagnostics import u_dense, with_theta_bar
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
+from support import count_svds
 
 
 # ---------------------------------------------------------------------------
@@ -148,22 +149,21 @@ def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
 
 def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
     prob = _lrr().problem
-    original, calls = np.linalg.svd, [0]
-
-    def counted_svd(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    res = run_padmm(prob, PadmmConfig(beta=300.0, sigma_bar=0.9,
-                                      max_iters=10, tol=0.0))
+    calls, _ = count_svds(monkeypatch)
+    cfg = PadmmConfig(beta=300.0, sigma_bar=0.9, max_iters=10, tol=0.0)
+    res = run_padmm(prob, cfg)
     assert res.iterations == 10
+    assert "objective" not in res.trace[0].extras
+    # two nuclear proxes in the sweep; the stop test is decided by the rows
+    # before the nuclear-norm blocks, and the terminal residual adds two
+    assert calls[0] == 2 * res.iterations + 2
+    calls[0] = 0
+    res = run_padmm(prob, cfg, full_trace=True)
     objectives = [rec.extras["objective"] for rec in res.trace]
     # the start, z = 0, is feasible; every later iterate breaks Z >= 0
     assert objectives[0] == 0.0 and all(o == math.inf for o in objectives[1:])
-    # two nuclear proxes in the sweep and two in the pKKT residual; the
-    # objective column's two nuclear norms run on the feasible row only, and
-    # the terminal residual adds two
+    # the pkkt column takes every row: two more nuclear proxes per iteration;
+    # the objective column's two nuclear norms run on the feasible row only
     assert calls[0] == 4 * res.iterations + 2 + 2
 
 
@@ -335,6 +335,82 @@ def test_pkkt_residual_vanishes_at_the_reference(qp3):
     assert norm_off > 1e-2
 
 
+def _prefix_sums_of_squares(res, p):
+    """Partial sums of squares in pkkt_residual's row order: the dual row,
+    then the primal rows in block order."""
+    sums, total = [], 0.0
+    for i in [p] + list(range(p)):
+        row = res.block(i)
+        total += float(np.dot(row, row))
+        sums.append(total)
+    return sums
+
+
+@pytest.mark.parametrize("which", ["qp", "lrr"])
+def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
+    # tolerances within a few ulps of the full norm and of each partial norm
+    # the early exit compares against (so tol^2 sits within a few ulps of a
+    # partial sum of squares), and well below each partial norm
+    prob = gen_qp(3, p=3, n_i=4, m=3).problem if which == "qp" \
+        else _lrr("lrr:seed=1,d=6,n=5").problem
+    rng = np.random.default_rng(7)
+    exits = 0
+    for _ in range(5):
+        xs = [rng.standard_normal(n) for n in prob.primal_layout.sizes]
+        y = rng.standard_normal(prob.m)
+        res, full = pkkt_residual(xs, y, prob)
+        roots = [math.sqrt(s) for s in _prefix_sums_of_squares(res, prob.p)]
+        for root in roots + [full]:
+            for tol in [root * (1.0 + j * 2.0 ** -52) for j in range(-4, 5)] \
+                    + [0.5 * root, 0.0, -1.0]:
+                early_res, early = pkkt_residual(xs, y, prob, tol=tol)
+                assert (early <= tol) == (full <= tol), (root, tol)
+                if early == math.inf:
+                    exits += 1
+                else:
+                    assert early == full
+                    assert np.array_equal(early_res.data, res.data)
+    assert exits > 0
+    # a tolerance below the dual row's norm decides on that row alone: on
+    # LRR no nuclear-norm row, so no SVD
+    calls, _ = count_svds(monkeypatch)
+    early_res, early = pkkt_residual(xs, y, prob, tol=0.5 * roots[0])
+    assert early == math.inf and calls[0] == 0
+    assert not early_res.data[:prob.primal_layout.dim].any()
+
+
+def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    cfg = PadmmConfig(max_iters=40, tol=1e-8)
+    res = run_padmm(inst.problem, cfg)
+    assert res.reason == "max_iters"
+    _, full = pkkt_residual(res.x_blocks, res.y, inst.problem)
+    assert res.final_pkkt == full > cfg.tol
+    # a sweep that returns its start point makes that point a fixed point;
+    # the stop test before it decided on the dual row alone
+    z0 = inst.z_star + BlockPoint(np.ones(inst.z_star.data.size),
+                                  inst.z_star.layout)
+    monkeypatch.setattr(padmm_ebb, "block_sweep",
+                        lambda xs, y, *args, **kwargs: (list(xs), y))
+    res = run_padmm(inst.problem, cfg, z0=z0)
+    assert res.reason == "fixed_point" and res.iterations == 1
+    xs, y = inst.problem.split(z0)
+    assert pkkt_residual(xs, y, inst.problem, tol=cfg.tol)[1] == math.inf
+    assert res.final_pkkt == pkkt_residual(xs, y, inst.problem)[1] > cfg.tol
+
+
+def test_lrr_d40_stop_test_takes_no_nuclear_norm_svd(monkeypatch):
+    # the lrr-d40 benchmark solve: the sweep's two nuclear proxes per
+    # iteration, plus those of the one complete residual, at convergence
+    calls, _ = count_svds(monkeypatch)
+    prob = _lrr("lrr:seed=0,d=40,n=40").problem
+    res = run_padmm(prob, PadmmConfig(beta=300.0, sigma_bar=0.9,
+                                      max_iters=3000, tol=1e-3))
+    assert res.reason == "pkkt" and res.iterations == 437
+    assert calls[0] == 2 * res.iterations + 2
+    assert calls[0] / res.iterations <= 2.1
+
+
 # ---------------------------------------------------------------------------
 # Full solver runs
 # ---------------------------------------------------------------------------
@@ -354,12 +430,19 @@ def test_run_padmm_solves_qps():
 def test_run_padmm_trace_extras_schema():
     inst = gen_qp(2, p=2, n_i=4, m=2)
     res = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0))
-    rec = res.trace[-1]
-    for key in ("pkkt", "feas_norm", "objective", "theta_adap", "beta"):
+    assert list(res.trace.extra_columns) == ["feas_norm", "theta_adap", "beta"]
+    assert set(res.trace[-1].extras) == {"feas_norm", "theta_adap", "beta"}
+    assert res.trace[-1].extras["beta"] == 1.0
+    full = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0),
+                     full_trace=True)
+    assert list(full.trace.extra_columns) == [
+        "pkkt", "feas_norm", "objective", "theta_adap", "beta"]
+    rec = full.trace[-1]
+    for key in full.trace.extra_columns:
         assert key in rec.extras
     assert rec.extras["beta"] == 1.0
     # pkkt decreases overall across the run
-    assert res.trace[-1].extras["pkkt"] < res.trace[0].extras["pkkt"]
+    assert full.trace[-1].extras["pkkt"] < full.trace[0].extras["pkkt"]
 
 
 def test_run_padmm_theta_fixed_zero_disables_over_relaxation():
@@ -369,9 +452,10 @@ def test_run_padmm_theta_fixed_zero_disables_over_relaxation():
     assert max(abs(r.theta) for r in res.trace) <= 1e-9
 
 
-def test_run_padmm_escalates_the_proximal_margin_without_aborting(monkeypatch):
+def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
     # at beta = 100 the first sweep's directional Gamma form is not positive:
-    # the margin doubles and iteration 1 sweeps twice, then the run goes on
+    # iteration 1 sweeps once and aborts, naming both forms, instead of
+    # doubling the proximal margins and so changing the method
     from opsplit import padmm_ebb
 
     sweeps = []
@@ -379,11 +463,14 @@ def test_run_padmm_escalates_the_proximal_margin_without_aborting(monkeypatch):
     monkeypatch.setattr(padmm_ebb, "block_sweep",
                         lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
     inst = gen_qp(1, p=2, n_i=5, m=3)
-    res = run_padmm(inst.problem,
-                    PadmmConfig(beta=100, sigma_bar=0.5, max_iters=3))
-    assert res.iterations == len(res.trace) == 3
-    assert len(sweeps) > res.iterations
-    assert min(r.criterion_slack for r in res.trace) >= -1e-9
+    with pytest.raises(CriterionViolation,
+                       match=r"iteration 1: directional Gamma form is not "
+                             r"positive \(gamma_form=-?\d.*, denom_form=\d"
+                       ) as exc:
+        run_padmm(inst.problem,
+                  PadmmConfig(beta=100, sigma_bar=0.5, max_iters=3))
+    assert exc.value.iteration == 1 and len(exc.value.trace) == 0
+    assert len(sweeps) == 1
 
 
 def test_run_padmm_starts_from_given_point():

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsplit.linops import BlockPoint, adjoint_check
 from opsplit.prox_problems import (LrrInstance, ProxFn, QpInstance,
                                    build_graph_laplacian, build_lrr, gen_qp,
                                    knn_heat_affinity, load_lrr_instance,
-                                   prox_l1, prox_nuclear, proj_nonneg,
-                                   save_lrr_instance)
+                                   prox_l1, prox_nuclear, proj_nonneg)
+
+from support import adjoint_check, save_lrr_instance
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Checks on the source tree and its documentation: no unused imports, one
-solver loop, one metric that solves, and a README whose library examples run
-and whose command lines parse."""
+solver loop, one metric that solves, and a README whose library examples run,
+whose command lines parse and whose trace columns are the solver's."""
 
 import ast
 import re
@@ -99,3 +99,20 @@ def test_readme_command_lines_parse(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(shlex.split(commands[0]) + ["--beta-warmup"])
     capsys.readouterr()
+
+
+def test_readme_lists_the_multi_block_trace_columns():
+    from opsplit.padmm_ebb import PADMM_COLUMNS
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+
+    def listed(lead):
+        found = re.findall(re.escape(lead) + r" `([a-z_,]+)`", text)
+        assert len(found) == 1, lead
+        return found[0].split(",")
+
+    assert listed("appends its default columns") == [
+        name for name, _, opt_in in PADMM_COLUMNS if not opt_in]
+    assert listed("opt-in columns") == [
+        name for name, _, opt_in in PADMM_COLUMNS if opt_in]
+    assert listed("in the order") == [name for name, _, _ in PADMM_COLUMNS]

@@ -19,6 +19,8 @@ from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                condat_vu_step, fbhf_max_theta, fbhf_step,
                                ppg_from_qp, ppg_max_theta, ppg_step)
 
+from support import count_svds
+
 
 def _pt(arr):
     arr = np.asarray(arr, dtype=float)
@@ -371,6 +373,17 @@ def test_afbas_step_criterion_each_iteration():
         kern = extragradient_step(z, cert)
         assert np.allclose(kern.data, z_next.data, atol=1e-10)
         z = z_next
+
+
+@pytest.mark.parametrize("builder", [condat_vu_from_qp, afbas_pd_from_qp],
+                         ids=["condat-vu", "afbas-pd"])
+def test_saddle_build_takes_one_svd_of_G(builder, monkeypatch):
+    # the builder's ||G|| for its default scales is the problem's ||B||
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    calls, original = count_svds(monkeypatch)
+    prob = builder(inst)[0]
+    assert calls[0] == 1
+    assert prob.bnorm == original(inst.G_full, compute_uv=False)[0]
 
 
 def test_afbas_parameter_validation():
