@@ -275,7 +275,7 @@ def check_local_linear_rate() -> CriterionResult:
     dists = np.array([r.dist_M_sq for r in res.trace])
     ratios = np.sqrt(dists[1:] / dists[:-1])
     tail = ratios[-50:]
-    bound = 1.0 - rho / 2.0 + 0.05
+    bound = 1.0 - rho / 2.0
     worst = float(np.max(tail))
     passed = worst <= bound
     return CriterionResult(
@@ -297,7 +297,7 @@ def check_theta_acceleration() -> CriterionResult:
             [iterations if converged else 5000
              for converged, iterations, _, _ in runs])))
     med_a, med_0 = medians
-    passed = med_a <= med_0
+    passed = med_a < med_0
     return CriterionResult(
         "theta-acceleration", passed,
         "median iterations adaptive %.0f vs theta=0 %.0f" % (med_a, med_0))

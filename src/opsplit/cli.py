@@ -95,6 +95,10 @@ def build_problem(params: dict):
             return "qp", gen_qp(integer("seed", 0), p=integer("p", 2),
                                 n_i=integer("n", 5), m=integer("m", 3))
         if "manifest" in params:
+            ignored = [k for k in params if k not in ("kind", "manifest")]
+            if ignored:
+                raise ConfigError("lrr:manifest takes no other key; the "
+                                  "manifest fixes %s" % ", ".join(ignored))
             return "lrr", load_lrr_instance(params["manifest"])
         X = np.random.default_rng(integer("seed", 0)).standard_normal(
             (integer("d", 40), integer("n", 40)))
@@ -187,7 +191,7 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
         }
         hpe_core.write_summary(args.summary, result, config_echo,
                                slopes=slopes, final_extra=final_extra,
-                               abort=abort)
+                               abort=abort, acc=acc)
 
 
 def cmd_solve(args) -> int:

@@ -20,8 +20,8 @@ multi-block solver as an oracle plus ``stop``, ``extras`` and
 ``metric_update`` hooks.
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
-online ergodic accumulator, local linear-rate factor) used by the
-instrumentation and tests.
+online accumulator of the ergodic pair ||v_bar|| and eps_bar, local
+linear-rate factor) used by the instrumentation and tests.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, Metric,
-                     weighted_norm_sq)
+from .linops import BlockDiagonalMetric, BlockPoint, Metric, weighted_norm_sq
 
 
 class CriterionViolation(RuntimeError):
@@ -133,10 +132,9 @@ class HpeCertificate:
     """Inexact proximal triple plus the step parameters that produced it.
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
-    against ``v`` and never solves for it.  ``eps_blocks``, when the scheme
-    splits eps by block, is read by the accumulators.
-    No certificate outlives its iteration: ergodic aggregates are accumulated
-    online (:class:`ErgodicAccumulator`).
+    against ``v`` and never solves for it.
+    No certificate outlives its iteration: the ergodic pair (||v_bar||,
+    eps_bar) is accumulated online (:class:`ErgodicAccumulator`).
     """
 
     y: BlockPoint
@@ -145,7 +143,6 @@ class HpeCertificate:
     c: float = 1.0
     theta: float = 0.0
     step: Optional[BlockPoint] = None
-    eps_blocks: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.eps < 0:
@@ -470,26 +467,22 @@ def pointwise_bound(k: int, cfg: HpeConfig, d0: float) -> PointwiseBound:
 
 
 class ErgodicAccumulator:
-    """Online ergodic aggregates of the certified steps of one run.
+    """Online ergodic residual pair of the certified steps of one run.
 
     The n-th certificate (y, v, eps) added gets the weight
     w = (1 + theta) c alpha(n), with alpha = 1 when omitted.  Running sums of
     w, w y, w v, w eps and w <y, v> give y_bar, v_bar and eps_bar =
     sum w (eps + <y - y_bar, v - v_bar>) / W, by the identity
     sum w <y - y_bar, v - v_bar> = sum w <y, v> - W <y_bar, v_bar>.  Each
-    certificate appends ||v_bar|| and eps_bar to ``v_norms`` and ``eps_bars``;
-    nothing else grows with the iteration count.  When a certificate carries
-    a per-block eps, the accumulator also sums w eps_j and the entrywise
-    products w y * v, from which :meth:`block_eps_bars` forms w <y_j, v_j>
-    over the leading blocks the per-block eps covers.
+    certificate appends ||v_bar|| and eps_bar, the pair the ergodic
+    complexity bound is stated for, to ``v_norms`` and ``eps_bars``; nothing
+    else grows with the iteration count.
     """
 
     def __init__(self, alpha: Optional[Callable[[int], float]] = None):
         self.alpha = alpha
-        self.layout: Optional[BlockLayout] = None
         self.sum_w = self.sum_weps = self.sum_wyv = 0.0
         self.sum_wy = self.sum_wv = 0.0  # vectors from the first add on
-        self.block_weps = self.sum_wyv_entries = 0.0
         self.v_norms: List[float] = []
         self.eps_bars: List[float] = []
 
@@ -503,42 +496,17 @@ class ErgodicAccumulator:
             raise ValueError("ergodic weight (1 + theta) c alpha must be "
                              "positive, got %r" % w)
         y, v = cert.y.data, cert.v.data
-        self.layout = cert.y.layout
         self.sum_w += w
         self.sum_wy += w * y
         self.sum_wv += w * v
         self.sum_weps += w * cert.eps
         self.sum_wyv += w * float(np.dot(y, v))
-        if cert.eps_blocks is not None:
-            self.block_weps += w * np.asarray(cert.eps_blocks, dtype=float)
-            self.sum_wyv_entries += w * (y * v)
         y_bar = self.sum_wy / self.sum_w
         v_bar = self.sum_wv / self.sum_w
         self.v_norms.append(float(np.linalg.norm(v_bar)))
         self.eps_bars.append((self.sum_weps + self.sum_wyv
                               - self.sum_w * float(np.dot(y_bar, v_bar)))
                              / self.sum_w)
-
-    def aggregate(self):
-        """(y_bar, v_bar, eps_bar) over every certificate added so far."""
-        if not self.v_norms:
-            raise ValueError("no certificates accumulated")
-        return (BlockPoint(self.sum_wy / self.sum_w, self.layout),
-                BlockPoint(self.sum_wv / self.sum_w, self.layout),
-                self.eps_bars[-1])
-
-    def block_eps_bars(self) -> np.ndarray:
-        """eps_bar_j of each block j that received a per-block eps; they sum
-        to the ergodic eps of the certificates restricted to those blocks."""
-        y_bar, v_bar, _ = self.aggregate()
-        if np.ndim(self.block_weps) == 0:
-            raise ValueError("no per-block eps accumulated")
-        slices = [self.layout.block_slice(j)
-                  for j in range(self.block_weps.size)]
-        wyv = np.array([self.sum_wyv_entries[sl].sum() for sl in slices])
-        cross = np.array([float(np.dot(y_bar.data[sl], v_bar.data[sl]))
-                          for sl in slices])
-        return (self.block_weps + wyv - self.sum_w * cross) / self.sum_w
 
 
 def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,
@@ -601,10 +569,12 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
 
 def write_summary(path, result: RunResult, config_echo: dict,
                   slopes: Optional[dict] = None, final_extra: Optional[dict] = None,
-                  abort: Optional[dict] = None):
+                  abort: Optional[dict] = None,
+                  acc: Optional[ErgodicAccumulator] = None):
     """JSON run summary: config echo, termination, final residuals, slopes,
-    and for an aborted run the ``abort`` record (failing iteration,
-    exception, criterion terms)."""
+    the ergodic pair ||v_bar|| and eps_bar at ``acc``'s last step (null when
+    it holds none), and for an aborted run the ``abort`` record (failing
+    iteration, exception, criterion terms)."""
     recs = result.trace
     final = recs[-1] if recs else None
     summary = {
@@ -623,6 +593,10 @@ def write_summary(path, result: RunResult, config_echo: dict,
             "eps": min((r.eps for r in recs), default=None),
         },
         "slopes": slopes if slopes else {"pointwise": None, "ergodic": None},
+        "ergodic": {
+            "v_norm": acc.v_norms[-1] if acc else None,
+            "eps": acc.eps_bars[-1] if acc else None,
+        },
     }
     if final_extra:
         summary["final"].update(final_extra)

@@ -84,21 +84,9 @@ class BlockPoint:
         if self.layout.sizes != other.layout.sizes:
             raise ValueError("layout mismatch")
 
-    def __add__(self, other):
-        self._check(other)
-        return BlockPoint(self.data + other.data, self.layout)
-
     def __sub__(self, other):
         self._check(other)
         return BlockPoint(self.data - other.data, self.layout)
-
-    def __mul__(self, a: float):
-        return BlockPoint(self.data * float(a), self.layout)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BlockPoint(-self.data, self.layout)
 
     def inner(self, other: "BlockPoint") -> float:
         self._check(other)
@@ -141,12 +129,6 @@ class LinearMap:
         return cls(apply=lambda v: matrix @ v,
                    adjoint_apply=lambda u: matrix.T @ u,
                    domain_dim=n, codomain_dim=m)
-
-    @classmethod
-    def zero(cls, domain_dim: int, codomain_dim: int) -> "LinearMap":
-        return cls(apply=lambda v: np.zeros(codomain_dim),
-                   adjoint_apply=lambda u: np.zeros(domain_dim),
-                   domain_dim=domain_dim, codomain_dim=codomain_dim)
 
     def to_dense(self) -> np.ndarray:
         cols = [self.apply(e) for e in np.eye(self.domain_dim)]

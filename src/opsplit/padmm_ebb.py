@@ -377,10 +377,6 @@ class PadmmResult:
     iterations: int
     final_pkkt: float = float("nan")
 
-    @property
-    def solution(self) -> BlockPoint:
-        return self.z
-
 
 class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
@@ -449,11 +445,10 @@ class _Iteration:
         theta = min(theta_safe, THETA_CAP)
         if config.theta_fixed is not None:
             theta = min(config.theta_fixed, theta_safe)
-        eps_blocks = np.array([0.25 * l * float(np.dot(db, db))
-                               for l, db in zip(pr.L, d.blocks())])
-        return HpeCertificate(y=w, v=tr.Ud, eps=float(eps_blocks.sum()),
-                              c=1.0, theta=theta, step=tr.step,
-                              eps_blocks=eps_blocks)
+        eps = float(np.array([0.25 * l * float(np.dot(db, db))
+                              for l, db in zip(pr.L, d.blocks())]).sum())
+        return HpeCertificate(y=w, v=tr.Ud, eps=eps, c=1.0, theta=theta,
+                              step=tr.step)
 
     def extras(self, k: int, z: BlockPoint, cert: HpeCertificate) -> dict:
         return {name: produce(self) for name, produce in self.columns}
@@ -490,8 +485,8 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     :class:`~opsplit.hpe_core.HpeConfig` default): every step is certified
     against the relative-error criterion and the metric schedule, whose
     lower bound is the floor the BB clamp keeps, min(M_0 scalars) /
-    prod_{j<=k} (1 + xi_j).  Accumulators receive each step's per-block eps,
-    and an exception carries the partial ``trace`` and failing ``iteration``,
+    prod_{j<=k} (1 + xi_j).  Accumulators receive each certified step, and
+    an exception carries the partial ``trace`` and failing ``iteration``,
     as in the kernel loop.  A run that reaches ``max_iters`` still ends
     converged if its final iterate meets the tolerance.  The trace writes
     the default :data:`PADMM_COLUMNS`, and the opt-in ones too with
@@ -517,26 +512,3 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     return PadmmResult(z=res.solution, x_blocks=xs, y=y, trace=res.trace,
                        converged=converged, reason=reason,
                        iterations=res.iterations, final_pkkt=pnorm)
-
-
-# ---------------------------------------------------------------------------
-# Ergodic KKT certificates
-# ---------------------------------------------------------------------------
-
-
-def ergodic_kkt_certificates(acc: ErgodicAccumulator):
-    """Weighted primal-dual averages with per-block enlargement budgets.
-
-    ``acc`` is an accumulator handed to :func:`run_padmm`, which feeds it
-    each step's per-block eps; its weights are (1 + theta_i) alpha_i (c = 1
-    here).  Returns (x_bar blocks, y_bar, eps_bar array of length p), where
-    eps_bar[j] is block j's enlargement budget eps_j plus its correction
-    <y_j - y_bar_j, v_j - v_bar_j>, both weighted and averaged.  The
-    correction has no fixed sign, because v_j = (U d)_j couples block j to
-    the others, so a single entry can be negative; the entries sum to the
-    ergodic eps of the certificates restricted to the primal blocks.
-    """
-    y_bar, _, _ = acc.aggregate()
-    eps_bar = acc.block_eps_bars()
-    p = eps_bar.size
-    return [y_bar.block(j).copy() for j in range(p)], y_bar.block(p).copy(), eps_bar

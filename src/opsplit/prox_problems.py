@@ -335,10 +335,6 @@ class QpInstance:
     problem: MultiBlockProblem = field(repr=False, default=None)
 
     @property
-    def p(self) -> int:
-        return len(self.Q)
-
-    @property
     def Q_full(self) -> np.ndarray:
         return scipy.linalg.block_diag(*self.Q)
 
@@ -353,20 +349,6 @@ class QpInstance:
     @property
     def z_star(self) -> BlockPoint:
         return self.problem.join(self.x_star, self.y_star)
-
-    def kkt_operator(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense (K, q) with KKT map T(z) = K z - q (rows: stationarity; b - Gx)."""
-        Qf, Gf = self.Q_full, self.G_full
-        m = self.b.size
-        K = np.block([[Qf, Gf.T], [-Gf, np.zeros((m, m))]])
-        q = np.concatenate([-self.c_full, -self.b])
-        return K, q
-
-    @property
-    def kappa(self) -> float:
-        """Inverse of the smallest singular value of the KKT map."""
-        K, _ = self.kkt_operator()
-        return 1.0 / float(np.linalg.svd(K, compute_uv=False)[-1])
 
     def kkt_residual(self, x: np.ndarray, y: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).ravel()

@@ -11,11 +11,9 @@ class CertificateRecorder:
 
     def __init__(self):
         self.certs = []
-        self.eps_blocks = []
 
     def add(self, cert):
         self.certs.append(cert)
-        self.eps_blocks.append(cert.eps_blocks)
 
 
 def ergodic_aggregate(certs, alpha):
@@ -45,32 +43,3 @@ def ergodic_aggregate(certs, alpha):
     eps_bar /= total
     return (BlockPoint(y_bar, layout), BlockPoint(v_bar, layout), eps_bar)
 
-
-def ergodic_kkt_certificates(certs, eps_blocks, alpha):
-    """(x_bar blocks, y_bar, per-block eps_bar) of multi-block certificates,
-    weights (1 + theta_i) alpha_i, in two passes over the stored run."""
-    alpha = [float(a) for a in alpha]
-    weights = [(1.0 + c.theta) * a for c, a in zip(certs, alpha)]
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("total weight must be positive")
-    layout = certs[0].y.layout
-    p = layout.nblocks - 1
-    ybar = np.zeros(layout.dim)
-    vbar = np.zeros(layout.dim)
-    for wgt, c in zip(weights, certs):
-        ybar += wgt * c.y.data
-        vbar += wgt * c.v.data
-    ybar /= total
-    vbar /= total
-    ybar_pt = BlockPoint(ybar, layout)
-    eps_bar = np.zeros(p)
-    for wgt, c, eb in zip(weights, certs, eps_blocks):
-        for j in range(p):
-            sl = layout.block_slice(j)
-            eps_bar[j] += wgt * (eb[j] + float(
-                np.dot(c.y.data[sl] - ybar[sl], c.v.data[sl] - vbar[sl])))
-    eps_bar /= total
-    x_bar = [ybar_pt.block(j).copy() for j in range(p)]
-    y_bar = ybar_pt.block(p).copy()
-    return x_bar, y_bar, eps_bar

@@ -1,7 +1,7 @@
 """Helpers only the tests use: an SVD call counter, a randomized adjoint
-check, and the writers of MatrixMarket matrices and LRR manifests that
-``opsplit.linops.read_matrix`` and ``opsplit.prox_problems.load_lrr_instance``
-read back."""
+check, the dense KKT operator of a QP, and the writers of MatrixMarket
+matrices and LRR manifests that ``opsplit.linops.read_matrix`` and
+``opsplit.prox_problems.load_lrr_instance`` read back."""
 
 import json
 import pathlib
@@ -63,3 +63,13 @@ def save_lrr_instance(inst, directory) -> None:
                 "gamma": inst.gamma, "orientation": inst.orientation,
                 "matrices": {"X": "X.mtx", "L_Z": "L_Z.mtx", "L_G": "L_G.mtx"}}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+
+
+def kkt_operator(inst):
+    """Dense (K, q) of a :class:`~opsplit.prox_problems.QpInstance`, with KKT
+    map T(z) = K z - q (rows: stationarity; b - Gx)."""
+    Qf, Gf = inst.Q_full, inst.G_full
+    m = inst.b.size
+    K = np.block([[Qf, Gf.T], [-Gf, np.zeros((m, m))]])
+    q = np.concatenate([-inst.c_full, -inst.b])
+    return K, q

@@ -2,10 +2,13 @@
 
 Each test runs the corresponding checker from :mod:`opsplit.acceptance`,
 prints its PASS/FAIL line, and asserts the verdict.  Run with ``-s`` to see
-the lines as they complete.
+the lines as they complete.  The mutant tests at the end inject the fault a
+gate exists to catch and assert that the gate rejects it.
 """
 
-from opsplit import acceptance
+import re
+
+from opsplit import acceptance, hpe_core, padmm_ebb
 
 
 def _gate(check):
@@ -53,3 +56,39 @@ def test_lrr_desk_scale():
 
 def test_prox_correctness():
     _gate(acceptance.check_prox_correctness)
+
+
+def _numbers(pattern, detail):
+    return [float(x) for x in re.search(pattern, detail).groups()]
+
+
+def test_local_linear_rate_rejects_a_stalled_run(monkeypatch):
+    # from the 101st step on the iterate stays put: every tail ratio is 1,
+    # which the old bound 1 - rho/2 + 0.05 accepted
+    real, calls = hpe_core.extragradient_step, [0]
+
+    def stalling_step(x, cert):
+        calls[0] += 1
+        return x if calls[0] > 100 else real(x, cert)
+
+    monkeypatch.setattr(hpe_core, "extragradient_step", stalling_step)
+    result = acceptance.check_local_linear_rate()
+    worst, rho = _numbers(r"max tail ratio ([\d.]+) .*\(rho=([\d.]+)",
+                          result.detail)
+    assert worst == 1.0 <= 1.0 - rho / 2.0 + 0.05
+    assert not result.passed
+
+
+def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):
+    # a cap of 0 makes the adaptive run the theta = 0 run, whose equal
+    # median the old test median_adaptive <= median_0 accepted
+    monkeypatch.setattr(padmm_ebb, "THETA_CAP", 0.0)
+    acceptance._padmm_qp_runs.cache_clear()
+    try:
+        result = acceptance.check_theta_acceleration()
+    finally:
+        acceptance._padmm_qp_runs.cache_clear()
+    med_a, med_0 = _numbers(r"adaptive (\d+) vs theta=0 (\d+)",
+                            result.detail)
+    assert med_a == med_0
+    assert not result.passed

@@ -187,7 +187,8 @@ def test_step_off_by_1e6_relative_is_rejected():
 
     def skewed(z, M, cfg):
         cert = oracle(z, M, cfg)
-        cert.step = cert.step * (1.0 + 1e-6)
+        cert.step = BlockPoint(cert.step.data * (1.0 + 1e-6),
+                               cert.step.layout)
         return cert
 
     cfg = HpeConfig(sigma=0.5, max_iters=5)

@@ -8,10 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from opsplit import hpe_core
 from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
-from opsplit.hpe_core import TRACE_COLUMNS
-from opsplit.padmm_ebb import PADMM_COLUMNS
+from opsplit.hpe_core import ErgodicAccumulator, HpeConfig, TRACE_COLUMNS
+from opsplit.padmm_ebb import PADMM_COLUMNS, PadmmConfig, run_padmm
+from opsplit.prox_problems import build_lrr, gen_qp
 from opsplit.splitters import SCHEMES
+
+from support import save_lrr_instance
 
 
 def test_parse_descriptor_qp():
@@ -115,6 +119,40 @@ def test_solve_splitter_exit_zero(tmp_path):
     assert data["converged"] is True
 
 
+def _library_ergodic_pair(algorithm, max_iters):
+    """The ergodic pair of a library run on qp:seed=0 with the CLI's default
+    settings and ``max_iters``."""
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    acc = ErgodicAccumulator()
+    if algorithm == "padmm-ebb":
+        run_padmm(inst.problem, PadmmConfig(sigma_bar=0.5, tol=1e-8,
+                                            max_iters=max_iters),
+                  accumulators=[acc])
+    else:
+        oracle, M0, x0, _ = SCHEMES[algorithm].setup(inst, 0.5)
+        hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.5, tol_residual=1e-8,
+                                               max_iters=max_iters),
+                     accumulators=[acc])
+    return {"v_norm": acc.v_norms[-1], "eps": acc.eps_bars[-1]}
+
+
+@pytest.mark.parametrize("algorithm", ["padmm-ebb", "condat-vu"])
+def test_summary_records_the_ergodic_pair(tmp_path, algorithm):
+    summary = tmp_path / "s.json"
+    assert main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text())
+    assert data["ergodic"] == _library_ergodic_pair(algorithm, 1000)
+
+
+def test_ergodic_pair_is_null_without_an_accumulated_step(tmp_path):
+    summary = tmp_path / "s.json"
+    assert main(["solve", "--algorithm", "fbhf", "--problem", "qp:seed=0",
+                 "--max-iters", "0", "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text())
+    assert data["ergodic"] == {"v_norm": None, "eps": None}
+
+
 def test_summary_deterministic_apart_from_timing(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -189,6 +227,22 @@ MALFORMED = {
     "qp:seed=1,tol=5": "unknown qp descriptor key 'tol'",
     "lrr:seed=0,d=4,n=4,lamda=5": "unknown lrr descriptor key 'lamda'",
 }
+
+
+def test_manifest_rejects_generation_keys(tmp_path, capsys):
+    # the manifest fixes the instance; a generation key beside it used to be
+    # dropped while the summary echoed it
+    X = np.random.default_rng(0).standard_normal((4, 4))
+    save_lrr_instance(build_lrr(X), tmp_path)
+    solve = ["solve", "--algorithm", "padmm-ebb", "--max-iters", "3"]
+    assert main(solve + ["--problem", "lrr:manifest=%s" % tmp_path]) == 0
+    capsys.readouterr()
+    code = main(solve + ["--problem",
+                         "lrr:manifest=%s,lam=5,d=99,seed=7" % tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "manifest takes no other key" in err and "lam, d, seed" in err
 
 
 @pytest.mark.parametrize("descriptor", MALFORMED)
@@ -326,8 +380,6 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
 
 
 def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
-    from opsplit import hpe_core
-
     real = hpe_core.check_criterion
 
     def failing_at_3(x, cert, M, sigma):
@@ -356,9 +408,9 @@ def test_abort_between_trace_and_accumulation_writes_summary(tmp_path,
                                                             monkeypatch,
                                                             capsys):
     # a step can reach the trace and fail to reach the accumulator; the
-    # summary is still written, each slope over its own series
-    from opsplit import hpe_core
-
+    # summary is still written, each slope over its own series, and the
+    # ergodic pair is that of the steps accumulated
+    pair = _library_ergodic_pair("padmm-ebb", 4)
     real = hpe_core.ErgodicAccumulator.add
 
     def failing_add(self, cert):
@@ -378,6 +430,7 @@ def test_abort_between_trace_and_accumulation_writes_summary(tmp_path,
     assert data["abort"]["exception"] == "FloatingPointError"
     assert data["abort"]["iteration"] == data["iterations"] == 5
     assert isinstance(data["slopes"]["ergodic"], float)
+    assert data["ergodic"] == pair
     with open(trace) as fh:
         assert len(list(csv.reader(fh))) - 1 == 5
 

@@ -10,10 +10,10 @@ from opsplit import hpe_core
 from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
                               MetricScheduleViolation, TRACE_COLUMNS,
-                              check_criterion, default_xi_schedule,
-                              extragradient_step, linear_rate_factor,
-                              loglog_slope, make_affine_resolvent_oracle,
-                              pointwise_bound, validate_metric_update)
+                              check_criterion, extragradient_step,
+                              linear_rate_factor, loglog_slope,
+                              make_affine_resolvent_oracle, pointwise_bound,
+                              validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             DenseMetric, IdentityMetric)
 
@@ -318,13 +318,9 @@ def test_ergodic_series_matches_aggregate_at_every_prefix():
         acc.add(cert)
         if k not in (1, 3, 17, 30):
             continue
-        y_ref, v_ref, eps_ref = ergodic_aggregate(certs[:k], alpha[:k])
-        y_bar, v_bar, eps_bar = acc.aggregate()
-        assert np.allclose(y_bar.data, y_ref.data, rtol=1e-12, atol=1e-15)
-        assert np.allclose(v_bar.data, v_ref.data, rtol=1e-12, atol=1e-15)
+        _, v_ref, eps_ref = ergodic_aggregate(certs[:k], alpha[:k])
         assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
-        assert acc.eps_bars[k - 1] == eps_bar
-        assert eps_bar == pytest.approx(eps_ref, rel=1e-12)
+        assert acc.eps_bars[k - 1] == pytest.approx(eps_ref, rel=1e-12)
     assert len(acc.v_norms) == len(acc.eps_bars) == 30
 
 
@@ -346,8 +342,9 @@ def test_ergodic_eps_nonnegative_for_monotone_operator():
 
 
 def test_ergodic_accumulator_rejects_empty_and_zero_weight():
-    with pytest.raises(ValueError, match="no certificates"):
-        ErgodicAccumulator().aggregate()
+    # an empty accumulator holds no pair (the summary writes null for it)
+    empty = ErgodicAccumulator()
+    assert not empty and empty.v_norms == empty.eps_bars == []
     acc = ErgodicAccumulator(alpha=lambda k: 0.0)
     with pytest.raises(ValueError, match="must be positive"):
         acc.add(_random_certs(1, 3, seed=0)[0])

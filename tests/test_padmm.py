@@ -1,5 +1,5 @@
 """Multi-block solver internals: sweep, correction operator, step range,
-metric update, residual, and ergodic certificates."""
+metric update, residual, and the ergodic pair of a run."""
 
 import dataclasses
 import gc
@@ -9,23 +9,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opsplit import hpe_core, padmm_ebb
+from opsplit import padmm_ebb
 from opsplit.hpe_core import (check_criterion, CriterionViolation,
-                              ErgodicAccumulator, HpeCertificate, HpeConfig,
-                              MetricScheduleViolation,
-                              make_affine_resolvent_oracle)
+                              ErgodicAccumulator, HpeCertificate,
+                              MetricScheduleViolation)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            IdentityMetric, LinearMap)
+                            LinearMap)
 from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
-                               bb_metric_update, block_sweep,
-                               ergodic_kkt_certificates, pkkt_residual,
+                               bb_metric_update, block_sweep, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
 from opsplit.prox_problems import ProxFn, gen_qp
 
-import ergodic_reference
 from dense_diagnostics import u_dense, with_theta_bar
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
-from support import count_svds
+from support import count_svds, kkt_operator
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +225,7 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
     prob = inst.problem
     beta = 1.0
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
-    K, q = inst.kkt_operator()
+    K, q = kkt_operator(inst)
     rng = np.random.default_rng(4)
     lay = prob.full_layout
     for trial in range(20):
@@ -388,8 +385,7 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     assert res.final_pkkt == full > cfg.tol
     # a sweep that returns its start point makes that point a fixed point;
     # the stop test before it decided on the dual row alone
-    z0 = inst.z_star + BlockPoint(np.ones(inst.z_star.data.size),
-                                  inst.z_star.layout)
+    z0 = BlockPoint(inst.z_star.data + 1.0, inst.z_star.layout)
     monkeypatch.setattr(padmm_ebb, "block_sweep",
                         lambda xs, y, *args, **kwargs: (list(xs), y))
     res = run_padmm(inst.problem, cfg, z0=z0)
@@ -517,60 +513,22 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# Ergodic KKT certificates
+# Ergodic pair
 # ---------------------------------------------------------------------------
 
 
-def test_ergodic_kkt_certificates_nonnegative_and_consistent():
+def test_multi_block_ergodic_pair_matches_two_pass_reference():
     inst = gen_qp(6, p=2, n_i=4, m=2)
     acc, recorder = ErgodicAccumulator(), CertificateRecorder()
     run_padmm(inst.problem, PadmmConfig(max_iters=300, tol=0.0),
               accumulators=[acc, recorder])
-    n = len(recorder.certs)
-    alpha = np.ones(n)
-    x_bar, y_bar, eps_bar = ergodic_kkt_certificates(acc)
-    assert len(x_bar) == inst.problem.p
-    assert eps_bar.min() >= -1e-12
-    # the online sums agree with the two-pass reference, blockwise
-    x_ref, y_ref, eps_ref = ergodic_reference.ergodic_kkt_certificates(
-        recorder.certs, recorder.eps_blocks, alpha)
-    for xb, xr in zip(x_bar, x_ref):
-        assert np.allclose(xb, xr, rtol=1e-12, atol=1e-15)
-    assert np.allclose(y_bar, y_ref, rtol=1e-12, atol=1e-15)
-    scale = np.abs(eps_ref).max()
-    assert np.abs(eps_bar - eps_ref).max() <= 1e-12 * scale
-    # dual route: the blockwise budgets sum to the ergodic eps of the
-    # primal-restricted certificates (c and theta folded into the weights)
-    lay_primal = inst.problem.primal_layout
-    restricted = []
-    for c, eb in zip(recorder.certs, recorder.eps_blocks):
-        data_y = np.concatenate([c.y.block(i) for i in range(inst.problem.p)])
-        data_v = np.concatenate([c.v.block(i) for i in range(inst.problem.p)])
-        restricted.append(HpeCertificate(
-            y=BlockPoint(data_y, lay_primal), v=BlockPoint(data_v, lay_primal),
-            eps=float(eb.sum()), c=1.0, theta=c.theta))
-    _, _, eps_total = ergodic_aggregate(restricted, alpha)
-    assert eps_bar.sum() == pytest.approx(eps_total, rel=1e-10, abs=1e-12)
-    # averaged primal point inherits near-feasibility late in the run
-    feas = inst.problem.feasibility(x_bar)
-    assert np.linalg.norm(feas) < 1.0
-
-
-def test_ergodic_kkt_certificates_requires_certs():
-    inst = gen_qp(0, p=2, n_i=4, m=2)
-    with pytest.raises(ValueError, match="no certificates"):
-        ergodic_kkt_certificates(ErgodicAccumulator())
-    # hpe_core.run hands over no per-block eps, so its accumulator cannot
-    # split eps by block
-    Q = np.eye(inst.problem.full_layout.dim)
-    acc = ErgodicAccumulator()
-    hpe_core.run(make_affine_resolvent_oracle(Q),
-                 BlockPoint(np.ones(Q.shape[0]), inst.problem.full_layout),
-                 IdentityMetric(), HpeConfig(max_iters=5, tol_residual=0.0),
-                 accumulators=[acc])
-    assert len(acc) == 5
-    with pytest.raises(ValueError, match="per-block"):
-        ergodic_kkt_certificates(acc)
+    assert len(acc) == len(recorder.certs) == 300
+    assert min(acc.eps_bars) >= -1e-12
+    for k in (1, 17, 300):
+        _, v_ref, eps_ref = ergodic_aggregate(recorder.certs[:k], np.ones(k))
+        assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
+        assert acc.eps_bars[k - 1] == pytest.approx(eps_ref, rel=1e-10,
+                                                    abs=1e-12)
 
 
 def _bytes_held_by_run(problem, iters):

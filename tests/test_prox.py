@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opsplit.prox_problems import (LrrInstance, ProxFn, QpInstance,
-                                   build_graph_laplacian, build_lrr, gen_qp,
-                                   knn_heat_affinity, load_lrr_instance,
-                                   prox_l1, prox_nuclear, proj_nonneg)
+from opsplit.prox_problems import (ProxFn, QpInstance, build_graph_laplacian,
+                                   build_lrr, gen_qp, knn_heat_affinity,
+                                   load_lrr_instance, prox_l1, prox_nuclear,
+                                   proj_nonneg)
 
-from support import adjoint_check, save_lrr_instance
+from support import adjoint_check, kkt_operator, save_lrr_instance
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,7 @@ def test_qp_kkt_hand_example():
     inst = QpInstance(seed=0, Q=[np.eye(n)], c=[np.zeros(n)], G=[np.eye(n)],
                       b=e1, x_star=[e1], y_star=-e1)
     assert inst.kkt_residual(e1, -e1) <= 1e-14
-    K, q = inst.kkt_operator()
+    K, q = kkt_operator(inst)
     z = np.concatenate([e1, -e1])
     assert np.allclose(K @ z - q, 0.0, atol=1e-14)
 
@@ -288,13 +288,6 @@ def test_gen_qp_is_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a.c, b.c))
     assert np.array_equal(a.b, b.b)
     assert np.array_equal(np.concatenate(a.x_star), np.concatenate(b.x_star))
-
-
-def test_gen_qp_kappa_matches_dense_svd():
-    inst = gen_qp(2, p=2, n_i=5, m=3)
-    K, _ = inst.kkt_operator()
-    assert inst.kappa == pytest.approx(
-        1.0 / np.linalg.svd(K, compute_uv=False)[-1])
 
 
 def test_gen_qp_input_validation():

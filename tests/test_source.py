@@ -1,6 +1,7 @@
-"""Checks on the source tree and its documentation: no unused imports, one
-solver loop, one metric that solves, and a README whose library examples run,
-whose command lines parse and whose trace columns are the solver's."""
+"""Checks on the source tree and its documentation: no unused imports, no
+unreferenced definitions, one solver loop, one metric that solves, and a
+README whose library examples run, whose command lines parse and whose trace
+columns are the solver's."""
 
 import ast
 import re
@@ -49,6 +50,45 @@ def test_unused_import_check_can_fail(tmp_path):
                    'from typing import List, Optional\n'
                    'x: "Optional[int]" = None\n')
     assert _unused_imports(src) == ["mod.py:2 math", "mod.py:3 List"]
+
+
+def _unreferenced_definitions(paths):
+    """Functions, classes and methods, dunders excepted, whose name no
+    expression in ``paths`` reads (a name or an attribute in load context)."""
+    defined, used = {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name)):
+                defined.setdefault(node.name,
+                                   "%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                used.add(node.attr)
+    return sorted("%s %s" % (where, name) for name, where in defined.items()
+                  if name not in used)
+
+
+def test_every_definition_is_referenced():
+    # code that only the tests reach belongs in tests/
+    assert _unreferenced_definitions(SOURCES) == []
+
+
+def test_unreferenced_definition_check_can_fail(tmp_path):
+    src = tmp_path / "mod.py"
+    # a docstring or an assignment naming a definition does not reference it
+    src.write_text('"""unused"""\n'
+                   'def used():\n    pass\n'
+                   'def unused():\n    pass\n'
+                   'class Box:\n'
+                   '    def __init__(self):\n        self.helper = used()\n'
+                   '    def method(self):\n        pass\n'
+                   '    def helper(self):\n        pass\n'
+                   'Box().method()\n')
+    assert _unreferenced_definitions([src]) == ["mod.py:11 helper",
+                                                "mod.py:4 unused"]
 
 
 def test_multi_block_solver_runs_in_the_kernel_loop():

@@ -196,7 +196,7 @@ def test_condat_vu_null_problem_is_a_fixed_point():
     # every point is its own sweep point and v = 0
     p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.constant(np.zeros(2)),
-                        B=LinearMap.zero(2, 2), r=1.0, s=1.0)
+                        B=LinearMap.from_dense(np.zeros((2, 2))), r=1.0, s=1.0)
     z = BlockPoint(np.array([1.0, -2.0, 0.5, 3.0]), p.layout)
     cert, z_next = condat_vu_step(z, p, theta=0.2)
     assert cert.v.norm() == 0.0
@@ -251,7 +251,7 @@ def test_condat_vu_boundary_tightness():
     L = 3.0
     p = CondatVuProblem(dim_x=3, dim_y=1, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.constant(np.zeros(1)),
-                        B=LinearMap.zero(3, 1), r=4.0, s=1.0,
+                        B=LinearMap.from_dense(np.zeros((1, 3))), r=4.0, s=1.0,
                         grad_f=lambda u: L * u, L=L)
     sigma = 0.6
     tmax = condat_vu_max_theta(p, sigma)
@@ -340,8 +340,8 @@ def test_afbas_reduces_to_proximal_gradient_without_coupling():
     gamma1 = 0.5 / L
     p = AfbasPdProblem(dim_x=n, dim_y=1, prox_g=ProxFn.l1(0.3),
                        prox_h=ProxFn.constant(np.zeros(1)),
-                       B=LinearMap.zero(n, 1), gamma1=gamma1, gamma2=1.0,
-                       theta=0.0, mu=0.5, lam=1.0,
+                       B=LinearMap.from_dense(np.zeros((1, n))),
+                       gamma1=gamma1, gamma2=1.0, theta=0.0, mu=0.5, lam=1.0,
                        grad_f=lambda u: u - a, L=L)
     x = rng.standard_normal(n)
     z = BlockPoint(np.concatenate([x, [0.0]]), p.layout)
