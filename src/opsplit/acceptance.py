@@ -39,6 +39,7 @@ class CriterionResult:
 
 N_SEEDS = 20
 N_ITERS = 100
+GATE_TRACE = ("theta", "criterion_slack") + hpe_core.GATE_COLUMNS
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,10 +54,12 @@ def _invariance_runs():
         cfg = HpeConfig(sigma=sigma, max_iters=N_ITERS, tol_residual=0.0)
         for name, scheme in SCHEMES.items():
             oracle, M0, x0, ref = scheme.setup(inst, sigma)
-            res = hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref)
+            res = hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
+                               columns=hpe_core.select(GATE_TRACE))
             runs.append((name, sigma, res.trace))
         pcfg = PadmmConfig(max_iters=N_ITERS, tol=0.0, sigma_bar=0.9)
-        pres = run_padmm(inst.problem, pcfg, ref_solution=inst.z_star)
+        pres = run_padmm(inst.problem, pcfg, ref_solution=inst.z_star,
+                         columns=GATE_TRACE)
         runs.append(("padmm-ebb", pcfg.sigma_bar, pres.trace))
     return runs, time.perf_counter() - t0
 
@@ -64,12 +67,8 @@ def _invariance_runs():
 def check_criterion_invariance() -> CriterionResult:
     """Every certificate of every scheme satisfies the relative-error criterion."""
     runs, elapsed = _invariance_runs()
-    worst = float("inf")
-    count = 0
-    for _, _, trace in runs:
-        for rec in trace:
-            worst = min(worst, rec.criterion_slack)
-            count += 1
+    slacks = [s for _, _, tr in runs for s in tr.column("criterion_slack")]
+    worst, count = min(slacks, default=float("inf")), len(slacks)
     passed = worst >= -1e-9 and elapsed < 60.0
     return CriterionResult(
         "criterion-invariance", passed,
@@ -80,17 +79,16 @@ def check_criterion_invariance() -> CriterionResult:
 def check_fejer_contraction() -> CriterionResult:
     """Metric-distance contraction to the known solution holds each step."""
     runs, _ = _invariance_runs()
-    worst = -float("inf")
-    checked = 0
+    viols = []
     for _, sigma, trace in runs:
-        for r0, r1 in zip(trace, trace[1:]):
-            if not (math.isfinite(r0.dist_M_sq) and math.isfinite(r1.dist_M_sq)):
-                continue
-            rhs = (1.0 + r0.xi) * (r0.dist_M_sq
-                                   - (1.0 - sigma) * (1.0 + r0.theta) * r0.step_M_sq)
-            viol = (r1.dist_M_sq - rhs) / (1.0 + abs(rhs))
-            worst = max(worst, viol)
-            checked += 1
+        dists = trace.column("dist_M_sq")
+        for xi, dist, theta, step, dist1 in zip(
+                trace.column("xi"), dists, trace.column("theta"),
+                trace.column("step_M_sq"), dists[1:]):
+            if math.isfinite(dist) and math.isfinite(dist1):
+                rhs = (1.0 + xi) * (dist - (1.0 - sigma) * (1.0 + theta) * step)
+                viols.append((dist1 - rhs) / (1.0 + abs(rhs)))
+    worst, checked = max(viols, default=-math.inf), len(viols)
     passed = checked > 0 and worst <= 1e-9
     return CriterionResult(
         "fejer-contraction", passed,
@@ -123,9 +121,10 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
     lay = BlockLayout((K.shape[0],))
     x0 = BlockPoint(np.ones(K.shape[0]), lay)
     d0 = float(np.linalg.norm(x0.data - x_star))
-    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg)
-    v_norms = np.array([r.v_norm for r in res.trace])
-    eps = np.array([r.eps for r in res.trace])
+    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg,
+                       columns=hpe_core.select(("v_norm", "eps")))
+    v_norms = np.array(res.trace.column("v_norm"))
+    eps = np.array(res.trace.column("eps"))
     best_v = np.minimum.accumulate(v_norms)
     best_e = np.minimum.accumulate(eps)
     ks = np.arange(1, len(v_norms) + 1, dtype=float)
@@ -271,8 +270,9 @@ def check_local_linear_rate() -> CriterionResult:
     lay = BlockLayout((K.shape[0],))
     x0 = BlockPoint(np.ones(K.shape[0]), lay)
     ref = BlockPoint(x_star, lay)
-    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg, ref_solution=ref)
-    dists = np.array([r.dist_M_sq for r in res.trace])
+    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg, ref_solution=ref,
+                       columns=hpe_core.select(("dist_M_sq",)))
+    dists = np.array(res.trace.column("dist_M_sq"))
     ratios = np.sqrt(dists[1:] / dists[:-1])
     tail = ratios[-50:]
     bound = 1.0 - rho / 2.0

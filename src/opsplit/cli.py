@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import acceptance, hpe_core
+from . import acceptance, hpe_core, padmm_ebb
 from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
 from .padmm_ebb import PadmmConfig, run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
@@ -131,14 +131,13 @@ def _theta_or_auto(text: str) -> Optional[float]:
 
 
 def _prepare_solve(args, algorithm: str, kind: str, inst,
-                   theta: Optional[float], full_trace: bool = False):
+                   theta: Optional[float], columns: tuple):
     """Build and validate one solve and return ``start(accumulators)``.
 
     Everything raised here is a configuration error; everything raised by
     ``start`` happens once the solve has begun and is a solver fault.  The
     kernel's sigma, xi schedule and iteration budget are set here once, for
-    both solvers.  ``full_trace`` adds the multi-block solver's opt-in trace
-    columns; the splitters have none.
+    both solvers.  The run's trace records the ``columns`` named.
     """
     cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
                     tol_residual=args.tol)
@@ -149,13 +148,14 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
         return lambda accs: run_padmm(inst.problem, pcfg, ref_solution=ref,
                                       accumulators=accs,
                                       xi_schedule=cfg.xi_schedule,
-                                      full_trace=full_trace)
+                                      columns=columns)
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
     oracle, M0, x0, ref = SCHEMES[algorithm].setup(
         inst, cfg.sigma, theta, r=args.cv_r, s=args.cv_s)
     return lambda accs: hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
-                                     accumulators=accs)
+                                     accumulators=accs,
+                                     columns=hpe_core.select(columns))
 
 
 def _abort_record(exc: Exception) -> dict:
@@ -180,26 +180,19 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
     if args.trace:
         result.trace.to_csv(args.trace)
     if args.summary:
-        # an abort can fall between a step's trace record and its
-        # accumulation, so each series gets its own iteration counts
-        ks = np.array([r.k for r in result.trace], dtype=float)
-        slopes = {
-            "pointwise": hpe_core.loglog_slope(
-                ks, np.array([r.v_norm for r in result.trace])),
-            "ergodic": hpe_core.loglog_slope(
-                np.arange(1.0, len(acc) + 1.0), np.array(acc.v_norms)),
-        }
         hpe_core.write_summary(args.summary, result, config_echo,
-                               slopes=slopes, final_extra=final_extra,
-                               abort=abort, acc=acc)
+                               final_extra=final_extra, abort=abort, acc=acc)
 
 
 def cmd_solve(args) -> int:
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
     theta = _theta_or_auto(args.theta)
-    start = _prepare_solve(args, args.algorithm, kind, inst, theta,
-                           args.full_trace)
+    columns = hpe_core.DEFAULT_COLUMNS
+    if args.algorithm == "padmm-ebb":
+        columns = padmm_ebb.DEFAULT_COLUMNS + (
+            padmm_ebb.OPT_IN_COLUMNS if args.full_trace else ())
+    start = _prepare_solve(args, args.algorithm, kind, inst, theta, columns)
     config_echo = {"algorithm": args.algorithm, "problem": args.problem,
                    "sigma": args.sigma, "theta": args.theta,
                    "xi0": args.xi0, "tol": args.tol,
@@ -210,7 +203,7 @@ def cmd_solve(args) -> int:
     try:
         result = start([acc])
     except SOLVER_FAULTS as exc:
-        trace = getattr(exc, "trace", hpe_core.IterTrace())
+        trace = getattr(exc, "trace", hpe_core.IterTrace(columns))
         partial = hpe_core.RunResult(
             solution=None, trace=trace, converged=False, iterations=len(trace),
             reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
@@ -221,12 +214,12 @@ def cmd_solve(args) -> int:
     final_extra = ({"pkkt": result.final_pkkt}
                    if args.algorithm == "padmm-ebb" else None)
     _write_outputs(args, result, acc, config_echo, final_extra)
-    final = result.trace[-1] if result.trace else None
+    v_norms = result.trace.column("v_norm")
     print("%s on %s: %s after %d iterations (final v_norm %s)"
           % (args.algorithm, args.problem,
              "converged" if result.converged else result.reason,
              result.iterations,
-             ("%.3e" % final.v_norm) if final else "n/a"))
+             ("%.3e" % v_norms[-1]) if v_norms else "n/a"))
     return EXIT_OK
 
 
@@ -247,7 +240,8 @@ def cmd_bench(args) -> int:
         algos = [a for a in algos if a == "padmm-ebb"]
         if not algos:
             raise ConfigError("lrr problems are only supported by padmm-ebb")
-    starts = [_prepare_solve(args, a, kind, inst, None) for a in algos]
+    starts = [_prepare_solve(args, a, kind, inst, None, ("v_norm",))
+              for a in algos]
     print("%-12s %9s %10s %12s %9s" % ("algorithm", "iters", "converged",
                                        "residual", "time_s"))
     for a, start in zip(algos, starts):
@@ -256,11 +250,8 @@ def cmd_bench(args) -> int:
             result = start(())
         except SOLVER_FAULTS as exc:
             return _solver_abort(exc)
-        if a == "padmm-ebb":
-            residual = result.final_pkkt
-        else:
-            residual = (result.trace[-1].v_norm if result.trace
-                        else float("nan"))
+        v_norms = result.trace.column("v_norm") or [float("nan")]
+        residual = result.final_pkkt if a == "padmm-ebb" else v_norms[-1]
         print("%-12s %9d %10s %12.3e %9.2f"
               % (a, result.iterations, result.converged, residual,
                  time.perf_counter() - t0))

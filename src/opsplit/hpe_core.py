@@ -16,8 +16,9 @@ The metric M may change between iterations inside the schedule
 floor omega_k = min(M_0) / prod_{j<=k} (1 + xi_j) stays above
 min(M_0) exp(-sum xi) > 0.
 :func:`run` is the one solver loop: the splitters enter it as oracles, the
-multi-block solver as an oracle plus ``stop``, ``extras`` and
-``metric_update`` hooks.
+multi-block solver as an oracle plus ``stop`` and ``metric_update`` hooks.
+Each trace column is one (name, producer) pair of a table
+(:data:`TRACE_COLUMNS` here); a run records the columns its caller selects.
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
 online accumulator of the ergodic pair ||v_bar|| and eps_bar, local
@@ -30,7 +31,8 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -93,12 +95,12 @@ class HpeConfig:
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
-        if self.theta_min <= -1.0:
-            raise ValueError("theta_min must exceed -1")
-        if self.c_min <= 0.0:
-            raise ValueError("c_min must be positive")
-        if not self.omega_upper > 0.0:
-            raise ValueError("omega_upper must be positive")
+        # a NaN or an infinity here turns the pointwise bounds to NaN, 0 or inf
+        for name, low in (("theta_min", -1), ("c_min", 0), ("omega_upper", 0)):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > low):
+                raise ValueError("%s must be finite and exceed %d, got %r"
+                                 % (name, low, val))
         if not self.max_iters >= 0:
             raise ValueError("max_iters must be nonnegative, got %r"
                              % self.max_iters)
@@ -305,49 +307,61 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
 # Iteration trace
 # ---------------------------------------------------------------------------
 
-TRACE_COLUMNS = ("iter", "time_s", "v_norm", "eps", "theta", "criterion_slack",
-                 "step_norm", "metric_min", "metric_max", "dist_to_ref")
+
+# Iteration k as the trace producers see it once its certificate passed: x is
+# the iterate before the correction, M its metric, ref the reference solution.
+_Step = namedtuple("_Step", "k t0 x cert rep M xi v_norm ref")
+
+# The kernel's trace columns, in CSV order: (name, producer of a _Step).  The
+# last three are the Fejer gate's; no CSV carries them, and dist_M_sq costs a
+# metric apply.
+TRACE_COLUMNS = (
+    ("iter", lambda s: s.k),
+    ("time_s", lambda s: time.perf_counter() - s.t0),
+    ("v_norm", lambda s: s.v_norm),
+    ("eps", lambda s: s.cert.eps),
+    ("theta", lambda s: s.cert.theta),
+    ("criterion_slack", lambda s: s.rep.rel_slack),
+    ("step_norm", lambda s: math.sqrt(max(s.rep.diff_M_sq, 0.0))),
+    ("metric_min", lambda s: s.M.omega_lower),
+    ("metric_max", lambda s: s.M.omega_upper),
+    ("dist_to_ref", lambda s: math.nan if s.ref is None
+     else (s.x - s.ref).norm()),
+    ("xi", lambda s: s.xi),
+    ("dist_M_sq", lambda s: math.nan if s.ref is None
+     else weighted_norm_sq(s.M, s.x - s.ref)),
+    ("step_M_sq", lambda s: s.rep.diff_M_sq),
+)
+GATE_COLUMNS = ("xi", "dist_M_sq", "step_M_sq")
+DEFAULT_COLUMNS = tuple(name for name, _ in TRACE_COLUMNS
+                        if name not in GATE_COLUMNS)
 
 
-@dataclass
-class IterRecord:
-    k: int
-    time_s: float
-    v_norm: float
-    eps: float
-    theta: float
-    criterion_slack: float
-    step_norm: float
-    metric_min: float
-    metric_max: float
-    dist_to_ref: float = float("nan")
-    # instrumentation beyond the CSV schema
-    xi: float = 0.0
-    dist_M_sq: float = float("nan")
-    step_M_sq: float = float("nan")
-    extras: dict = field(default_factory=dict)
-
-    def row(self, extra_columns: Sequence[str] = ()) -> list:
-        base = [self.k, self.time_s, self.v_norm, self.eps, self.theta,
-                self.criterion_slack, self.step_norm, self.metric_min,
-                self.metric_max, self.dist_to_ref]
-        return base + [self.extras.get(name, float("nan")) for name in extra_columns]
+def select(names: Sequence[str], table=TRACE_COLUMNS) -> tuple:
+    """The (name, producer) pairs of ``table`` that ``names`` selects, in
+    table order; an unknown name is a ValueError."""
+    unknown = set(names) - {name for name, _ in table}
+    if unknown:
+        raise ValueError("unknown trace columns %s" % sorted(unknown))
+    return tuple((name, produce) for name, produce in table if name in names)
 
 
 class IterTrace(list):
-    """The :class:`IterRecord` of each iteration, in order, with CSV export
-    of the base columns and ``extra_columns``."""
+    """One row tuple per iteration, in order, of the named ``columns``."""
 
-    def __init__(self, extra_columns: Sequence[str] = ()):
+    def __init__(self, columns: Sequence[str]):
         super().__init__()
-        self.extra_columns = tuple(extra_columns)
+        self.columns = tuple(columns)
+
+    def column(self, name: str) -> list:
+        i = self.columns.index(name)
+        return [row[i] for row in self]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(list(TRACE_COLUMNS) + list(self.extra_columns))
-            for rec in self:
-                writer.writerow(rec.row(self.extra_columns))
+            writer.writerow(self.columns)
+            writer.writerows(self)
 
 
 @dataclass
@@ -367,15 +381,16 @@ class RunResult:
 def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
         metric_update=None, ref_solution: Optional[BlockPoint] = None,
         accumulators: Sequence["ErgodicAccumulator"] = (), stop=None,
-        extras=None, extra_columns: Sequence[str] = ()) -> RunResult:
+        columns: Sequence[tuple] = select(DEFAULT_COLUMNS)) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
 
     ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set, or None when
     x is a fixed point of the scheme (the run ends converged, reason
     ``"fixed_point"``); ``metric_update(k, x, cert, M)`` optionally returns
     the next metric (constant metric when omitted).  ``stop(k, x)``, called
-    before the oracle, may end the run converged with the reason it returns;
-    ``extras(k, x, cert)`` fills the trace row's ``extra_columns``.
+    before the oracle, may end the run converged with the reason it returns.
+    Each certified iteration appends one trace row: the value of each
+    ``columns`` producer, a (name, producer) pair as :func:`select` returns.
 
     Every certificate must pass the criterion and every metric change the
     schedule omega_k I <= M_next <= (1 + xi_k) M_k, with the floor omega_k =
@@ -386,10 +401,9 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
     An exception raised in the loop carries the partial ``trace`` and the
     failing ``iteration``.
     """
-    x = x0.copy()
-    M = M0
-    floor = M0.omega_lower
-    trace = IterTrace(extra_columns)
+    x, M, floor = x0.copy(), M0, M0.omega_lower
+    trace = IterTrace(name for name, _ in columns)
+    producers = [produce for _, produce in columns]
     t0 = time.perf_counter()
     k = 0
     try:
@@ -405,18 +419,9 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
             rep = certify(k, x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k)
             v_norm = cert.v.norm()
-            rec = IterRecord(
-                k=k, time_s=time.perf_counter() - t0, v_norm=v_norm,
-                eps=cert.eps, theta=cert.theta, criterion_slack=rep.rel_slack,
-                step_norm=math.sqrt(max(rep.diff_M_sq, 0.0)),
-                metric_min=M.omega_lower, metric_max=M.omega_upper,
-                xi=xi_k, step_M_sq=rep.diff_M_sq,
-                extras=extras(k, x, cert) if extras is not None else {})
-            if ref_solution is not None:
-                err = x - ref_solution
-                rec.dist_to_ref = err.norm()
-                rec.dist_M_sq = weighted_norm_sq(M, err)
-            trace.append(rec)
+            step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)
+            trace.append(tuple([produce(step) for produce in producers]))
+            del step  # else the old x and M stay alive into the next iteration
             for acc in accumulators:
                 acc.add(cert)
             if max(v_norm, cert.eps) <= cfg.tol_residual:
@@ -568,31 +573,38 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
 
 
 def write_summary(path, result: RunResult, config_echo: dict,
-                  slopes: Optional[dict] = None, final_extra: Optional[dict] = None,
+                  final_extra: Optional[dict] = None,
                   abort: Optional[dict] = None,
                   acc: Optional[ErgodicAccumulator] = None):
-    """JSON run summary: config echo, termination, final residuals, slopes,
-    the ergodic pair ||v_bar|| and eps_bar at ``acc``'s last step (null when
-    it holds none), and for an aborted run the ``abort`` record (failing
-    iteration, exception, criterion terms)."""
-    recs = result.trace
-    final = recs[-1] if recs else None
+    """JSON run summary: config echo, termination, final residuals, log-log
+    slopes of ||v|| and ||v_bar|| (each over its own iterations: an abort can
+    fall between a trace row and its accumulation), the ergodic pair
+    ||v_bar||, eps_bar at ``acc``'s last step (null when it holds none), and
+    an aborted run's ``abort`` record (iteration, exception, criterion)."""
+    trace = result.trace
+    v_norms, eps = trace.column("v_norm"), trace.column("eps")
+    slopes = {
+        "pointwise": loglog_slope(np.array(trace.column("iter"), dtype=float),
+                                  np.array(v_norms)),
+        "ergodic": loglog_slope(np.arange(1.0, len(acc) + 1.0),
+                                np.array(acc.v_norms)) if acc else None,
+    }
     summary = {
         "schema": 1,
         "config": config_echo,
         "iterations": result.iterations,
         "converged": result.converged,
         "termination": result.reason,
-        "wall_time_s": final.time_s if final else 0.0,
+        "wall_time_s": trace.column("time_s")[-1] if trace else 0.0,
         "final": {
-            "v_norm": final.v_norm if final else None,
-            "eps": final.eps if final else None,
+            "v_norm": v_norms[-1] if trace else None,
+            "eps": eps[-1] if trace else None,
         },
         "min_over_k": {
-            "v_norm": min((r.v_norm for r in recs), default=None),
-            "eps": min((r.eps for r in recs), default=None),
+            "v_norm": min(v_norms, default=None),
+            "eps": min(eps, default=None),
         },
-        "slopes": slopes if slopes else {"pointwise": None, "ergodic": None},
+        "slopes": slopes,
         "ergodic": {
             "v_norm": acc.v_norms[-1] if acc else None,
             "eps": acc.eps_bars[-1] if acc else None,

@@ -40,18 +40,20 @@ from .hpe_core import (CriterionViolation, ErgodicAccumulator,
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      spectral_upper_bound, weighted_norm_sq)
 
-# The multi-block trace columns, in CSV order: (name, producer, opt-in).  A
-# producer reads the iteration's hooks (:class:`_Iteration`) after its
-# certificate.  The opt-in columns are written only with ``full_trace``: the
-# pkkt norm needs every residual row, which the stop test does not, and the
-# objective every g_i value.
+# The multi-block trace columns, in CSV order after the kernel's: (name,
+# producer of the iteration's hooks, :class:`_Iteration`).  The opt-in ones
+# cost work the solve does not need: pkkt every residual row, which the stop
+# test does not, and objective every g_i value.
 PADMM_COLUMNS = (
-    ("pkkt", lambda it: it.pnorm, True),
-    ("feas_norm", lambda it: float(np.linalg.norm(it.feas)), False),
-    ("objective", lambda it: it.problem.objective(it.xs), True),
-    ("theta_adap", lambda it: it.theta_adap, False),
-    ("beta", lambda it: it.beta, False),
+    ("pkkt", lambda it: it.pnorm),
+    ("feas_norm", lambda it: float(np.linalg.norm(it.feas))),
+    ("objective", lambda it: it.problem.objective(it.xs)),
+    ("theta_adap", lambda it: it.theta_adap),
+    ("beta", lambda it: it.beta),
 )
+OPT_IN_COLUMNS = ("pkkt", "objective")
+DEFAULT_COLUMNS = hpe_core.DEFAULT_COLUMNS + tuple(
+    name for name, _ in PADMM_COLUMNS if name not in OPT_IN_COLUMNS)
 
 THETA_CAP = 5.0   # largest over-relaxation taken
 MARGIN = 1.05     # safety factor of the proximal curvatures
@@ -384,20 +386,17 @@ class _Iteration:
     dual block for the sweep.  Each iteration sweeps once: a directional
     Gamma form that is not positive, or a degenerate step range, aborts the
     run with :class:`CriterionViolation` instead of changing the method.
-    ``columns`` are the :data:`PADMM_COLUMNS` the trace writes; without
-    ``full_trace`` the stop test may cut the residual short."""
+    Unless ``columns`` names ``pkkt``, the stop test cuts the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
-                 cfg: HpeConfig, full_trace: bool = False):
+                 cfg: HpeConfig, columns: Sequence[str]):
         self.problem, self.config, self.cfg = problem, config, cfg
         self.anorms = problem.constraint_norms()
         self.beta = config.beta
         self.etas = scalar_majorant_etas(problem, self.beta, self.anorms)
         self.inv_scalars = [1.0 / e for e in self.etas] + [self.beta]
         self.prev, self.pnorm = None, float("nan")
-        self.columns = [(name, produce) for name, produce, opt_in
-                        in PADMM_COLUMNS if full_trace or not opt_in]
-        self.stop_tol = None if full_trace else config.tol
+        self.stop_tol = None if "pkkt" in columns else config.tol
 
     def metric(self) -> BlockDiagonalMetric:
         return BlockDiagonalMetric.from_inverse_scalars(
@@ -450,9 +449,6 @@ class _Iteration:
         return HpeCertificate(y=w, v=tr.Ud, eps=eps, c=1.0, theta=theta,
                               step=tr.step)
 
-    def extras(self, k: int, z: BlockPoint, cert: HpeCertificate) -> dict:
-        return {name: produce(self) for name, produce in self.columns}
-
     def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
                       M: BlockDiagonalMetric) -> BlockDiagonalMetric:
         # per block, the change of the sweep point against the change of its
@@ -477,31 +473,30 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
               ref_solution: Optional[BlockPoint] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
               xi_schedule: Optional[Callable[[int], float]] = None,
-              full_trace: bool = False) -> PadmmResult:
+              columns: Sequence[str] = DEFAULT_COLUMNS) -> PadmmResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
     The iterations run in :func:`opsplit.hpe_core.run`, with sigma =
     sigma_bar and the kernel's xi schedule (``xi_schedule``, or the
-    :class:`~opsplit.hpe_core.HpeConfig` default): every step is certified
-    against the relative-error criterion and the metric schedule, whose
-    lower bound is the floor the BB clamp keeps, min(M_0 scalars) /
-    prod_{j<=k} (1 + xi_j).  Accumulators receive each certified step, and
-    an exception carries the partial ``trace`` and failing ``iteration``,
-    as in the kernel loop.  A run that reaches ``max_iters`` still ends
-    converged if its final iterate meets the tolerance.  The trace writes
-    the default :data:`PADMM_COLUMNS`, and the opt-in ones too with
-    ``full_trace``; ``final_pkkt`` is the full residual norm of the final
-    iterate either way.
+    :class:`~opsplit.hpe_core.HpeConfig` default), and are certified,
+    accumulated and aborted as there; the metric schedule's floor is the one
+    the BB clamp keeps, min(M_0 scalars) / prod_{j<=k} (1 + xi_j).  A run
+    that reaches ``max_iters`` still ends converged if its final iterate
+    meets the tolerance.  The trace records the ``columns`` named, of
+    :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`;
+    ``final_pkkt`` is the full residual norm of the final iterate.
     """
     cfg = HpeConfig(sigma=config.sigma_bar, max_iters=config.max_iters,
                     xi_schedule=xi_schedule, tol_residual=-math.inf)
-    it = _Iteration(problem, config, cfg, full_trace)
+    it = _Iteration(problem, config, cfg, columns)
+    bound = tuple((name, lambda step, produce=produce: produce(it))
+                  for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(
         it.oracle, z0 if z0 is not None else BlockPoint.zeros(
             problem.full_layout), it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
-        accumulators=accumulators, stop=it.stop, extras=it.extras,
-        extra_columns=[name for name, _ in it.columns])
+        accumulators=accumulators, stop=it.stop,
+        columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
     xs, y = problem.split(res.solution)
     converged, reason, pnorm = res.converged, res.reason, it.pnorm
     if reason != "pkkt":

@@ -9,6 +9,7 @@ gate exists to catch and assert that the gate rejects it.
 import re
 
 from opsplit import acceptance, hpe_core, padmm_ebb
+from opsplit.linops import BlockPoint
 
 
 def _gate(check):
@@ -77,6 +78,27 @@ def test_local_linear_rate_rejects_a_stalled_run(monkeypatch):
                           result.detail)
     assert worst == 1.0 <= 1.0 - rho / 2.0 + 0.05
     assert not result.passed
+
+
+def test_fejer_contraction_rejects_an_overlong_step(monkeypatch):
+    # a correction 1.5 times the certified (1 + theta) c M^-1 v overshoots
+    # the contraction; each certificate still meets the criterion, so only
+    # the Fejer gate, which reads the gate columns, can catch it
+    def overlong_step(x, cert):
+        return BlockPoint(x.data - 1.5 * (1.0 + cert.theta) * cert.step.data,
+                          x.layout)
+
+    monkeypatch.setattr(hpe_core, "extragradient_step", overlong_step)
+    acceptance._invariance_runs.cache_clear()
+    try:
+        result = acceptance.check_fejer_contraction()
+        invariance = acceptance.check_criterion_invariance()
+    finally:
+        acceptance._invariance_runs.cache_clear()
+    (worst,) = _numbers(r"worst relative violation (\S+)", result.detail)
+    assert worst > 1.0
+    assert not result.passed
+    assert invariance.passed
 
 
 def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):

@@ -141,8 +141,32 @@ def test_afbas_pd_with_step_shaper_passes_every_step_check(theta, mu, seed):
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8),
                        ref_solution=ref)
     assert res.converged and res.reason == "residual"
-    assert min(r.criterion_slack for r in res.trace) >= 0.0
-    assert res.trace[-1].dist_to_ref <= 1e-6
+    assert min(res.trace.column("criterion_slack")) >= 0.0
+    assert res.trace.column("dist_to_ref")[-1] <= 1e-6
+
+
+@pytest.mark.parametrize("algorithm, applies", [
+    ("padmm-ebb", 3), ("fbhf", 2), ("ppg", 2), ("condat-vu", 3),
+    ("afbas-pd", 3)])
+def test_cli_qp_solve_makes_no_gate_only_metric_apply(monkeypatch, tmp_path,
+                                                      capsys, algorithm,
+                                                      applies):
+    # the CLI writes no dist_M_sq column, so its QP solves skip the metric
+    # apply behind it: the step check and M (y - x), plus the step's own
+    # apply in padmm-ebb's Gamma form and in the primal-dual steps
+    counts = {}
+    for cls in (IdentityMetric, BlockDiagonalMetric, DenseMetric):
+        counts[cls] = _count_calls(monkeypatch, cls, ("apply",))
+    summary = tmp_path / "summary.json"
+    assert cli.main(["solve", "--algorithm", algorithm,
+                     "--problem", "qp:seed=0,p=2,n=5,m=3", "--tol", "1e-8",
+                     "--max-iters", "5000", "--trace",
+                     str(tmp_path / "trace.csv"),
+                     "--summary", str(summary)]) == 0
+    capsys.readouterr()
+    iterations = json.loads(summary.read_text())["iterations"]
+    total = sum(c["apply"] for c in counts.values())
+    assert iterations > 0 and total == applies * iterations
 
 
 def test_run_padmm_one_U_apply_and_one_solve_per_iteration(monkeypatch):
@@ -309,7 +333,7 @@ def test_nan_through_run_padmm_is_a_non_finite_value():
 
 def test_kept_certificates_drop_their_step():
     # no certificate, step or other vector outlives its iteration: trace
-    # records hold numbers only, and results hold only the final iterate
+    # rows hold numbers only, and results hold only the final iterate
     prob, oracle = _saddle_scheme("condat-vu")
     res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=20, tol_residual=0.0))
@@ -317,9 +341,8 @@ def test_kept_certificates_drop_their_step():
     pres = run_padmm(inst.problem, PadmmConfig(max_iters=20, tol=0.0))
     for result in (res, pres):
         assert len(result.trace) == 20
-        for rec in result.trace:
-            fields = dict(vars(rec), **rec.extras)
-            del fields["extras"]
-            assert all(isinstance(val, (int, float)) for val in fields.values())
+        for row in result.trace:
+            assert type(row) is tuple and len(row) == len(result.trace.columns)
+            assert all(isinstance(val, (int, float)) for val in row)
     assert set(vars(pres)) == {"z", "x_blocks", "y", "trace", "converged",
                                "reason", "iterations", "final_pkkt"}

@@ -9,7 +9,7 @@ import pytest
 from opsplit import hpe_core
 from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
-                              MetricScheduleViolation, TRACE_COLUMNS,
+                              MetricScheduleViolation,
                               check_criterion, extragradient_step,
                               linear_rate_factor, loglog_slope,
                               make_affine_resolvent_oracle, pointwise_bound,
@@ -113,6 +113,15 @@ def test_config_rejects_bad_parameters():
         HpeConfig(c_min=0.0)
 
 
+@pytest.mark.parametrize("field", ["theta_min", "c_min", "omega_upper"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_bound_constants(field, value):
+    # each enters pointwise_bound: a NaN made both bounds NaN, an infinite
+    # theta_min or c_min made them 0, and omega_upper = inf the v bound inf
+    with pytest.raises(ValueError, match="%s must be finite" % field):
+        HpeConfig(**{field: value})
+
+
 def test_config_rejects_non_finite_or_negative_xi():
     # xi = NaN would make every metric-schedule comparison false, so the
     # check could never fail
@@ -198,12 +207,13 @@ def test_run_converges_on_affine_operator():
     oracle = make_affine_resolvent_oracle(K, q)
     res = hpe_core.run(oracle, BlockPoint(np.ones(K.shape[0]), lay),
                        IdentityMetric(), cfg,
-                       ref_solution=BlockPoint(x_star, lay))
+                       ref_solution=BlockPoint(x_star, lay),
+                       columns=hpe_core.select(("dist_M_sq",)))
     assert res.converged and res.reason == "residual"
     assert np.linalg.norm(res.solution.data - x_star) < 1e-8
     assert len(res.trace) == res.iterations
     # metric distances to the reference shrink monotonically
-    dists = [r.dist_M_sq for r in res.trace]
+    dists = res.trace.column("dist_M_sq")
     assert all(d1 <= d0 * (1 + 1e-12) for d0, d1 in zip(dists, dists[1:]))
 
 
@@ -262,7 +272,7 @@ def test_trace_csv_row_count_matches_iterations(tmp_path):
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(TRACE_COLUMNS)
+    assert lines[0] == ",".join(hpe_core.DEFAULT_COLUMNS)
     assert len(lines) - 1 == res.iterations == 17
 
 
@@ -380,11 +390,13 @@ def test_write_summary_schema(tmp_path):
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
                        BlockPoint(np.ones(lay.dim), lay), IdentityMetric(), cfg)
     path = tmp_path / "summary.json"
-    hpe_core.write_summary(path, res, {"algorithm": "test"},
-                           slopes={"pointwise": -1.0, "ergodic": None})
+    hpe_core.write_summary(path, res, {"algorithm": "test"})
     data = json.loads(path.read_text())
     assert data["schema"] == 1
     assert data["iterations"] == 50
     assert set(data) >= {"config", "converged", "termination", "final",
                          "min_over_k", "slopes", "wall_time_s"}
-    assert data["final"]["v_norm"] == res.trace[-1].v_norm
+    assert data["final"]["v_norm"] == res.trace.column("v_norm")[-1]
+    # the slopes come from the trace's v_norm column and the accumulator
+    assert isinstance(data["slopes"]["pointwise"], float)
+    assert data["slopes"]["ergodic"] is None

@@ -150,13 +150,14 @@ def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
     cfg = PadmmConfig(beta=300.0, sigma_bar=0.9, max_iters=10, tol=0.0)
     res = run_padmm(prob, cfg)
     assert res.iterations == 10
-    assert "objective" not in res.trace[0].extras
+    assert "objective" not in res.trace.columns
     # two nuclear proxes in the sweep; the stop test is decided by the rows
     # before the nuclear-norm blocks, and the terminal residual adds two
     assert calls[0] == 2 * res.iterations + 2
     calls[0] = 0
-    res = run_padmm(prob, cfg, full_trace=True)
-    objectives = [rec.extras["objective"] for rec in res.trace]
+    res = run_padmm(prob, cfg, columns=padmm_ebb.DEFAULT_COLUMNS
+                    + padmm_ebb.OPT_IN_COLUMNS)
+    objectives = res.trace.column("objective")
     # the start, z = 0, is feasible; every later iterate breaks Z >= 0
     assert objectives[0] == 0.0 and all(o == math.inf for o in objectives[1:])
     # the pkkt column takes every row: two more nuclear proxes per iteration;
@@ -420,32 +421,34 @@ def test_run_padmm_solves_qps():
         assert (res.z - inst.z_star).norm() < 1e-7
         assert len(res.trace) == res.iterations
         # every recorded certificate passed the criterion
-        assert min(r.criterion_slack for r in res.trace) >= -1e-9
+        assert min(res.trace.column("criterion_slack")) >= -1e-9
 
 
-def test_run_padmm_trace_extras_schema():
+def test_run_padmm_trace_column_schema():
     inst = gen_qp(2, p=2, n_i=4, m=2)
     res = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0))
-    assert list(res.trace.extra_columns) == ["feas_norm", "theta_adap", "beta"]
-    assert set(res.trace[-1].extras) == {"feas_norm", "theta_adap", "beta"}
-    assert res.trace[-1].extras["beta"] == 1.0
+    assert res.trace.columns[10:] == ("feas_norm", "theta_adap", "beta")
+    assert res.trace.column("beta")[-1] == 1.0
+    # a selection comes back in table order, kernel columns first
     full = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0),
-                     full_trace=True)
-    assert list(full.trace.extra_columns) == [
-        "pkkt", "feas_norm", "objective", "theta_adap", "beta"]
-    rec = full.trace[-1]
-    for key in full.trace.extra_columns:
-        assert key in rec.extras
-    assert rec.extras["beta"] == 1.0
+                     columns=("beta", "objective", "theta_adap", "feas_norm",
+                              "pkkt", "v_norm"))
+    assert full.trace.columns == ("v_norm", "pkkt", "feas_norm", "objective",
+                                  "theta_adap", "beta")
+    assert all(len(row) == 6 for row in full.trace)
+    assert full.trace.column("beta")[-1] == 1.0
     # pkkt decreases overall across the run
-    assert full.trace[-1].extras["pkkt"] < full.trace[0].extras["pkkt"]
+    pkkt = full.trace.column("pkkt")
+    assert pkkt[-1] < pkkt[0]
+    with pytest.raises(ValueError, match="unknown trace column.*pkt"):
+        run_padmm(inst.problem, PadmmConfig(max_iters=5), columns=("pkt",))
 
 
 def test_run_padmm_theta_fixed_zero_disables_over_relaxation():
     inst = gen_qp(3, p=2, n_i=4, m=2)
     res = run_padmm(inst.problem,
                     PadmmConfig(max_iters=200, tol=0.0, theta_fixed=0.0))
-    assert max(abs(r.theta) for r in res.trace) <= 1e-9
+    assert max(map(abs, res.trace.column("theta"))) <= 1e-9
 
 
 def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):

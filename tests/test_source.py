@@ -92,12 +92,63 @@ def test_unreferenced_definition_check_can_fail(tmp_path):
 
 
 def test_multi_block_solver_runs_in_the_kernel_loop():
-    # certification, the step, the schedule check and the abort record live
-    # in hpe_core.run only
+    # certification, the step, the schedule check, the abort record and the
+    # trace rows live in hpe_core.run only: padmm_ebb declares its columns
+    # and builds no trace row itself
     text = (ROOT / "src" / "opsplit" / "padmm_ebb.py").read_text()
     for name in ("certify", "extragradient_step", "validate_metric_update",
-                 "attach_partial_run", "IterRecord"):
+                 "attach_partial_run", "_Step"):
         assert not re.search(r"\b%s\b" % name, text), name
+    for pattern in (r"\bIterTrace\(", r"\btrace\.append\b", r"\.to_csv\b"):
+        assert not re.search(pattern, text), pattern
+
+
+def _column_tables(paths):
+    """{"file:NAME": column names} of each (name, producer) table in
+    ``paths``: a tuple or list of pairs of a string and a function."""
+    tables = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Assign)
+                    and isinstance(node.value, (ast.Tuple, ast.List))
+                    and node.value.elts):
+                continue
+            pairs = node.value.elts
+            if all(isinstance(p, ast.Tuple) and len(p.elts) == 2
+                   and isinstance(p.elts[0], ast.Constant)
+                   and isinstance(p.elts[0].value, str)
+                   and isinstance(p.elts[1], (ast.Lambda, ast.Name,
+                                              ast.Attribute))
+                   for p in pairs):
+                where = "%s:%s" % (path.name, ast.unparse(node.targets[0]))
+                tables[where] = [p.elts[0].value for p in pairs]
+    return tables
+
+
+def _declared_more_than_once(tables):
+    names = [name for columns in tables.values() for name in columns]
+    return sorted({name for name in names if names.count(name) > 1})
+
+
+def test_each_trace_column_is_declared_in_one_table():
+    tables = _column_tables(SOURCES)
+    assert set(tables) == {"hpe_core.py:TRACE_COLUMNS",
+                           "padmm_ebb.py:PADMM_COLUMNS"}
+    assert len(tables["hpe_core.py:TRACE_COLUMNS"]) == 13
+    assert len(tables["padmm_ebb.py:PADMM_COLUMNS"]) == 5
+    assert _declared_more_than_once(tables) == []
+
+
+def test_column_declaration_check_can_fail(tmp_path):
+    src = tmp_path / "mod.py"
+    # a second table that declares a column again; a list of names alone
+    # (a selection) declares nothing
+    src.write_text('A = (("iter", lambda s: s.k), ("eps", abs))\n'
+                   'B = [("eps", lambda s: s.eps)]\n'
+                   'C = ("iter", "eps")\n')
+    tables = _column_tables([src])
+    assert tables == {"mod.py:A": ["iter", "eps"], "mod.py:B": ["eps"]}
+    assert _declared_more_than_once(tables) == ["eps"]
 
 
 def test_only_the_block_diagonal_metric_solves():
@@ -142,17 +193,19 @@ def test_readme_command_lines_parse(capsys):
 
 
 def test_readme_lists_the_multi_block_trace_columns():
-    from opsplit.padmm_ebb import PADMM_COLUMNS
+    from opsplit.hpe_core import DEFAULT_COLUMNS, GATE_COLUMNS
+    from opsplit.padmm_ebb import OPT_IN_COLUMNS, PADMM_COLUMNS
 
     text = " ".join((ROOT / "README.md").read_text().split())
 
     def listed(lead):
-        found = re.findall(re.escape(lead) + r" `([a-z_,]+)`", text)
+        found = re.findall(re.escape(lead) + r" `([A-Za-z_,]+)`", text)
         assert len(found) == 1, lead
         return found[0].split(",")
 
+    assert listed("writes the kernel's columns") == list(DEFAULT_COLUMNS)
+    assert listed("gate columns") == list(GATE_COLUMNS)
     assert listed("appends its default columns") == [
-        name for name, _, opt_in in PADMM_COLUMNS if not opt_in]
-    assert listed("opt-in columns") == [
-        name for name, _, opt_in in PADMM_COLUMNS if opt_in]
-    assert listed("in the order") == [name for name, _, _ in PADMM_COLUMNS]
+        name for name, _ in PADMM_COLUMNS if name not in OPT_IN_COLUMNS]
+    assert listed("opt-in columns") == list(OPT_IN_COLUMNS)
+    assert listed("in the order") == [name for name, _ in PADMM_COLUMNS]
