@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from typing import Optional
 
 import numpy as np
 
-from . import acceptance, hpe_core, padmm_ebb
+from . import hpe_core, padmm_ebb
 from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
 from .padmm_ebb import PadmmConfig, run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
@@ -185,6 +186,11 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
 
 
 def cmd_solve(args) -> int:
+    for option, path in (("--trace", args.trace), ("--summary", args.summary)):
+        where = path and (path if os.path.exists(path)
+                          else os.path.dirname(os.path.abspath(path)))
+        if where and (os.path.isdir(path) or not os.access(where, os.W_OK)):
+            raise ConfigError("%s %s cannot be written" % (option, path))
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
     theta = _theta_or_auto(args.theta)
@@ -284,6 +290,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import acceptance
     results = acceptance.run_all(verbose=True)
     failed = [r for r in results if not r.passed]
     print("%d/%d acceptance criteria passed"

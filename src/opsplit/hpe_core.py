@@ -286,8 +286,8 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
     dim = M_k.dim if M_k.dim is not None else M_next.dim
     if dim is None:
         dim = 1  # both are scalar multiples of the identity
-    # imported on use, as in make_affine_resolvent_oracle: at module level
-    # it made ``import opsplit.cli`` ~30 ms slower (2-core Xeon, scipy 1.17)
+    # every module imports scipy in the function that needs it: importing
+    # opsplit loads none of it, and a solve only the parts it calls
     import scipy.linalg
 
     A_next = _dense_form(M_next, dim)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +237,7 @@ class Cholesky:
     bitwise scipy's own solve without its per-call checks: NaN in, NaN out."""
 
     def __init__(self, matrix: np.ndarray, lower: bool = False):
+        import scipy.linalg
         self.factor, self.lower = scipy.linalg.cho_factor(matrix, lower=lower)
         self._potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (self.factor,))
 
@@ -263,7 +262,7 @@ class DenseMetric(Metric):
             raise ValueError("matrix is not symmetric")
         self.matrix = 0.5 * (matrix + matrix.T)
         self.dim = matrix.shape[0]
-        eigs = scipy.linalg.eigvalsh(self.matrix)
+        eigs = np.linalg.eigvalsh(self.matrix)
         if eigs[0] <= 0:
             raise ValueError("matrix is not positive definite")
         self.omega_lower = float(eigs[0])
@@ -286,6 +285,7 @@ def weighted_norm_sq(M: Metric, v) -> float:
 
 def read_matrix(path) -> np.ndarray:
     """Read a MatrixMarket file as a dense ndarray."""
+    import scipy.io
     m = scipy.io.mmread(str(path))
     if hasattr(m, "toarray"):
         m = m.toarray()

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .linops import BlockLayout, BlockPoint, LinearMap, read_matrix
 from .padmm_ebb import MultiBlockProblem
@@ -196,14 +195,16 @@ def _vec(M: np.ndarray) -> np.ndarray:
     return np.asarray(M, dtype=float).ravel(order="F")
 
 
-def _check_laplacian_psd(L: np.ndarray, name: str) -> np.ndarray:
+def _check_laplacian_psd(L: np.ndarray, name: str):
+    """(L as floats, its largest eigenvalue) if L is symmetric PSD."""
     L = np.asarray(L, dtype=float)
     if not np.allclose(L, L.T, atol=1e-9):
         raise ValueError("%s must be symmetric" % name)
+    import scipy.linalg  # numpy's eigvalsh differs in the last bits on LRR
     w = scipy.linalg.eigvalsh(L)
     if w[0] < -1e-8 * max(1.0, abs(w[-1])):
         raise ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, w[0]))
-    return L
+    return L, float(w[-1])
 
 
 def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
@@ -225,8 +226,8 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
         L_Z = build_graph_laplacian(knn_heat_affinity(X.T))
     if L_G is None:
         L_G = build_graph_laplacian(knn_heat_affinity(X))
-    L_Z = _check_laplacian_psd(L_Z, "L_Z")
-    L_G = _check_laplacian_psd(L_G, "L_G")
+    L_Z, lz_norm = _check_laplacian_psd(L_Z, "L_Z")
+    L_G, lg_norm = _check_laplacian_psd(L_G, "L_G")
     if L_Z.shape != (n, n) or L_G.shape != (d, d):
         raise ValueError("Laplacian shapes must match X")
 
@@ -287,8 +288,6 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
         return 0.5 * mu * float(np.trace(Z.T @ L_Z @ Z)) \
             + 0.5 * gamma * float(np.trace(G.T @ L_G @ G))
 
-    lz_norm = float(scipy.linalg.eigvalsh(L_Z)[-1])
-    lg_norm = float(scipy.linalg.eigvalsh(L_G)[-1])
     problem = MultiBlockProblem(
         gs=[ProxFn.nonneg(), ProxFn.nonneg(), ProxFn.l1(lam),
             ProxFn.nuclear((n, n)), ProxFn.nuclear((d, d))],
@@ -316,6 +315,14 @@ def load_lrr_instance(directory: Union[str, pathlib.Path]) -> LrrInstance:
 # ---------------------------------------------------------------------------
 
 
+def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    offs = np.cumsum([0] + [len(B) for B in blocks])
+    out = np.zeros((offs[-1], offs[-1]))
+    for B, lo, hi in zip(blocks, offs, offs[1:]):
+        out[lo:hi, lo:hi] = B
+    return out
+
+
 @dataclass
 class QpInstance:
     """Block-separable strongly convex QP with linear equality coupling.
@@ -336,7 +343,7 @@ class QpInstance:
 
     @property
     def Q_full(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*self.Q)
+        return _block_diag(self.Q)
 
     @property
     def c_full(self) -> np.ndarray:
@@ -377,7 +384,7 @@ def gen_qp(seed: int, p: int = 2, n_i: Union[int, Sequence[int]] = 5,
         Gf = np.hstack(Gs)
         if m and np.linalg.svd(Gf, compute_uv=False)[-1] < 1e-6:
             continue
-        Qf = scipy.linalg.block_diag(*Qs)
+        Qf = _block_diag(Qs)
         kkt = np.block([[Qf, Gf.T], [Gf, np.zeros((m, m))]])
         sol = np.linalg.solve(kkt, np.concatenate([-np.concatenate(cs), b]))
         x_full, y_star = sol[:sum(sizes)], sol[sum(sizes):]
@@ -389,7 +396,7 @@ def gen_qp(seed: int, p: int = 2, n_i: Union[int, Sequence[int]] = 5,
                        adjoint_apply=(lambda Gi: lambda x: Gi @ x)(Gi),
                        domain_dim=m, codomain_dim=n)
              for Gi, n in zip(Gs, sizes)]
-        Ls = [float(scipy.linalg.eigvalsh(Qi)[-1]) for Qi in Qs]
+        Ls = [float(np.linalg.eigvalsh(Qi)[-1]) for Qi in Qs]
 
         def grad_f(xs, Qs=Qs, cs=cs):
             return [Qi @ x + ci for Qi, ci, x in zip(Qs, cs, xs)]

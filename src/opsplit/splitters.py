@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .hpe_core import HpeCertificate
 from .linops import (BlockLayout, BlockPoint, Cholesky, DenseMetric,
@@ -313,7 +312,7 @@ class AfbasPdProblem:
             raise ValueError("lam must lie in (0, delta), delta=%.6g" % self.delta)
         xi_mat = np.eye(self.dim_x) / (self.gamma1 * self.gamma2) \
             + (1.0 - self.theta) * (Bd.T @ Bd)
-        if scipy.linalg.eigvalsh(xi_mat)[0] <= 0:
+        if np.linalg.eigvalsh(xi_mat)[0] <= 0:
             raise ValueError("R block inversion breaks down: "
                              "1/(gamma1 gamma2) + (1-theta) B*B not SPD")
         c1 = self.mu * self.gamma1 * (2.0 - self.theta)
@@ -417,7 +416,7 @@ def _qp_data(inst):
     """(Q, c, G, b, ||Q||) of a QP instance, with dense full blocks."""
     Q = inst.Q_full
     return (Q, inst.c_full, inst.G_full, inst.b,
-            float(scipy.linalg.eigvalsh(Q)[-1]))
+            float(np.linalg.eigvalsh(Q)[-1]))
 
 
 def fbhf_from_qp(inst, sigma: float = 0.5):

@@ -114,3 +114,37 @@ def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):
                             result.detail)
     assert med_a == med_0
     assert not result.passed
+
+
+def test_prox_correctness_rejects_a_scaled_nuclear_prox(monkeypatch):
+    # a nuclear prox 1e-6 too long breaks the Moreau identity
+    real = acceptance.prox_nuclear
+    monkeypatch.setattr(acceptance, "prox_nuclear",
+                        lambda t, V: (1.0 + 1e-6) * real(t, V))
+    result = acceptance.check_prox_correctness()
+    (worst,) = _numbers(r"worst residual (\S+)", result.detail)
+    assert worst > 1e-10
+    assert not result.passed
+
+
+def test_padmm_qp_equivalence_rejects_an_under_reported_residual(monkeypatch):
+    # a stop test that reads the residual 20 times too small ends every run
+    # early, yet max |z - z*| (3.6e-7) stays under its 1e-6 bound: only the
+    # KKT residual recomputed from the final point (2.0e-7) catches it
+    real = padmm_ebb.pkkt_residual
+
+    def under_reported(xs, y, problem, grads=None, tol=None):
+        res, norm = real(xs, y, problem, grads=grads)
+        return res, norm / 20.0
+
+    monkeypatch.setattr(padmm_ebb, "pkkt_residual", under_reported)
+    acceptance._padmm_qp_runs.cache_clear()
+    try:
+        result = acceptance.check_padmm_qp_equivalence()
+    finally:
+        acceptance._padmm_qp_runs.cache_clear()
+    err, kkt = _numbers(r"max \|z - z\*\| (\S+), max KKT residual (\S+),",
+                        result.detail)
+    assert err <= 1e-6
+    assert kkt > 1e-8
+    assert not result.passed

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsplit import hpe_core
+from opsplit import cli, hpe_core
 from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
 from opsplit.hpe_core import ErgodicAccumulator, HpeConfig
 from opsplit.padmm_ebb import PadmmConfig, run_padmm
@@ -480,13 +480,56 @@ def test_problem_without_constraints_solves(tmp_path, capsys, algorithm):
         assert len(list(csv.reader(fh))) > 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    """Run a fresh interpreter that imports opsplit from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-m", "opsplit", "oracle",
-                          "--problem", "qp:seed=0"],
-                         env=env, capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert "kkt_residual" in out.stdout
+    return out.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    assert "kkt_residual" in _python("-m", "opsplit", "oracle",
+                                     "--problem", "qp:seed=0")
+
+
+SCIPY_SUBMODULES = ("scipy.linalg", "scipy.io", "scipy.sparse")
+LOADED = ("import sys\nfrom opsplit.cli import main\n"
+          "assert not sys.argv[1:] or main(sys.argv[1:]) == 0\n"
+          "print(sorted(set(%r) & set(sys.modules)))" % (SCIPY_SUBMODULES,))
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("--algorithm", "padmm-ebb", "--problem", "qp:seed=0"), []),
+    (("--algorithm", "condat-vu", "--problem", "qp:seed=0"), []),
+    (("--algorithm", "afbas-pd", "--problem", "qp:seed=0"), []),
+    # the fbhf projector's Cholesky and the LRR Laplacian spectra need scipy
+    (("--algorithm", "fbhf", "--problem", "qp:seed=0"), ["scipy.linalg"]),
+    (("--algorithm", "padmm-ebb", "--problem", "lrr:seed=0,d=6,n=6",
+      "--max-iters", "5"), ["scipy.linalg"]),
+], ids=["import", "padmm-ebb", "condat-vu", "afbas-pd", "fbhf", "lrr"])
+def test_scipy_is_loaded_only_by_a_solve_that_factors(argv, loaded):
+    argv = ("solve",) + argv if argv else ()
+    out = _python("-c", LOADED, *argv)
+    assert out.splitlines()[-1] == repr(loaded)
+
+
+@pytest.mark.parametrize("option", ["--trace", "--summary"])
+@pytest.mark.parametrize("target", ["missing/dir/out", "."],
+                         ids=["missing-dir", "directory"])
+def test_unwritable_output_path_exits_two_before_the_solve(
+        option, target, tmp_path, monkeypatch, capsys):
+    def build_problem(params):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(cli, "build_problem", build_problem)
+    path = str(tmp_path / target)
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                 "qp:seed=0", option, path]) == 2
+    assert "%s %s cannot be written" % (option, path) \
+        in capsys.readouterr().err

@@ -52,6 +52,53 @@ def test_unused_import_check_can_fail(tmp_path):
     assert _unused_imports(src) == ["mod.py:2 math", "mod.py:3 List"]
 
 
+def _module_level_imports(path, package):
+    """"file:line" of each import of ``package`` that runs when the module is
+    imported: one outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".")
+                   for n in names):
+                found.append("%s:%d" % (path.name, child.lineno))
+            visit(child)
+
+    visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_no_module_imports_scipy_at_module_level():
+    # a function that needs scipy imports it: importing opsplit then loads
+    # none of it, and a solve only the parts it calls
+    assert [where for path in SOURCES
+            for where in _module_level_imports(path, "scipy")] == []
+
+
+def test_module_level_import_check_can_fail(tmp_path):
+    src = tmp_path / "mod.py"
+    # an import under if, try or a class body runs at import; one in a
+    # function does not, and neither does a package that only shares a prefix
+    src.write_text('import scipy.linalg\n'
+                   'if True:\n    from scipy import io\n'
+                   'try:\n    import numpy, scipy\nexcept ImportError:\n'
+                   '    pass\n'
+                   'class Box:\n    import scipy.sparse as sp\n'
+                   'def f():\n    import scipy.linalg\n'
+                   'import scipyx\n')
+    assert _module_level_imports(src, "scipy") == ["mod.py:1", "mod.py:3",
+                                                   "mod.py:5", "mod.py:9"]
+
+
 def _unreferenced_definitions(paths):
     """Functions, classes and methods, dunders excepted, whose name no
     expression in ``paths`` reads (a name or an attribute in load context)."""

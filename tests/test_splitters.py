@@ -414,6 +414,30 @@ def test_qp_codings_reach_reference_through_kernel(scheme):
     assert (res.solution - ref).norm() < 1e-6, scheme
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_numpy_eigvalsh_is_bitwise_scipy_on_the_qp_matrices(seed,
+                                                            monkeypatch):
+    # the QP paths decompose with numpy so that a QP solve loads no scipy;
+    # their traces stay bitwise those of scipy only while the two agree bit
+    # for bit on every matrix the builders and the schemes' set-up decompose
+    import scipy.linalg
+
+    real, seen = np.linalg.eigvalsh, []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    inst = gen_qp(seed, p=2, n_i=5, m=3)
+    for scheme in SCHEMES.values():
+        scheme.setup(inst, 0.5)
+    # Q_i, Q and the afbas-pd R block; the Condat-Vu and afbas-pd metrics
+    assert sorted({a.shape for a in seen}) == [(5, 5), (10, 10), (13, 13)]
+    for a in seen:
+        assert np.array_equal(real(a), scipy.linalg.eigvalsh(a))
+
+
 def test_affine_projector_projects():
     rng = np.random.default_rng(8)
     G = rng.standard_normal((2, 5))
