@@ -178,11 +178,18 @@ def _solver_abort(exc: Exception) -> int:
 def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
                    config_echo: dict, final_extra: Optional[dict] = None,
                    abort: Optional[dict] = None) -> None:
-    if args.trace:
-        result.trace.to_csv(args.trace)
-    if args.summary:
-        hpe_core.write_summary(args.summary, result, config_echo,
-                               final_extra=final_extra, abort=abort, acc=acc)
+    """Write the outputs asked for; one that fails is a ConfigError."""
+    writes = (("--trace", args.trace, result.trace.to_csv),
+              ("--summary", args.summary, lambda path: hpe_core.write_summary(
+                  path, result, config_echo, final_extra=final_extra,
+                  abort=abort, acc=acc)))
+    for option, path, write in writes:
+        if path:
+            try:
+                write(path)
+            except OSError as exc:
+                raise ConfigError("%s %s cannot be written: %s"
+                                  % (option, path, exc)) from None
 
 
 def cmd_solve(args) -> int:
@@ -214,9 +221,10 @@ def cmd_solve(args) -> int:
             solution=None, trace=trace, converged=False, iterations=len(trace),
             reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
                     else "abort"))
+        code = _solver_abort(exc)
         _write_outputs(args, partial, acc, config_echo,
                        abort=_abort_record(exc))
-        return _solver_abort(exc)
+        return code
     final_extra = ({"pkkt": result.final_pkkt}
                    if args.algorithm == "padmm-ebb" else None)
     _write_outputs(args, result, acc, config_echo, final_extra)

@@ -27,7 +27,6 @@ linear-rate factor) used by the instrumentation and tests.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -37,7 +36,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .linops import BlockDiagonalMetric, BlockPoint, Metric, weighted_norm_sq
+from .linops import (BlockDiagonalMetric, BlockPoint, Metric, norm,
+                     weighted_norm_sq)
 
 
 class CriterionViolation(RuntimeError):
@@ -358,10 +358,11 @@ class IterTrace(list):
         return [row[i] for row in self]
 
     def to_csv(self, path) -> None:
+        """``csv.writer``'s bytes for names and numbers, without its per-cell
+        dispatch: ``str`` of each cell (numpy 2's ``repr`` is not), CRLF."""
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(self)
+            fh.writelines(",".join(map(str, row)) + "\r\n"
+                          for row in [self.columns] + self)
 
 
 @dataclass
@@ -508,7 +509,7 @@ class ErgodicAccumulator:
         self.sum_wyv += w * float(np.dot(y, v))
         y_bar = self.sum_wy / self.sum_w
         v_bar = self.sum_wv / self.sum_w
-        self.v_norms.append(float(np.linalg.norm(v_bar)))
+        self.v_norms.append(norm(v_bar))
         self.eps_bars.append((self.sum_weps + self.sum_wyv
                               - self.sum_w * float(np.dot(y_bar, v_bar)))
                              / self.sum_w)

@@ -38,13 +38,12 @@ class BlockLayout:
         offsets = (0,) + tuple(itertools.accumulate(sizes))
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "dim", offsets[-1])
+        object.__setattr__(self, "slices", tuple(
+            slice(a, b) for a, b in zip(offsets, offsets[1:])))
 
     @property
     def nblocks(self) -> int:
         return len(self.sizes)
-
-    def block_slice(self, i: int) -> slice:
-        return slice(self.offsets[i], self.offsets[i + 1])
 
 
 class BlockPoint:
@@ -68,10 +67,10 @@ class BlockPoint:
 
     def block(self, i: int) -> np.ndarray:
         """Flat view of block i (writing into it mutates the point)."""
-        return self.data[self.layout.block_slice(i)]
+        return self.data[self.layout.slices[i]]
 
     def set_block(self, i: int, value: np.ndarray) -> None:
-        self.data[self.layout.block_slice(i)] = value
+        self.data[self.layout.slices[i]] = value
 
     def blocks(self):
         return [self.block(i) for i in range(self.layout.nblocks)]
@@ -91,14 +90,18 @@ class BlockPoint:
         return float(np.dot(self.data, other.data))
 
     def norm(self) -> float:
-        d = self.data
-        return math.sqrt(float(np.dot(d, d)))
+        return norm(self.data)
 
     def copy(self) -> "BlockPoint":
         return BlockPoint(self.data.copy(), self.layout)
 
     def __repr__(self):
         return "BlockPoint(sizes=%r)" % (self.layout.sizes,)
+
+
+def norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a flat float64 array, bit for bit, in one call."""
+    return math.sqrt(float(np.dot(x, x)))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from . import hpe_core
 from .hpe_core import (CriterionViolation, ErgodicAccumulator,
                        HpeCertificate, HpeConfig, IterTrace, NonFiniteValue)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
-                     spectral_upper_bound, weighted_norm_sq)
+                     norm, spectral_upper_bound, weighted_norm_sq)
 
 # The multi-block trace columns, in CSV order after the kernel's: (name,
 # producer of the iteration's hooks, :class:`_Iteration`).  The opt-in ones
@@ -46,7 +46,7 @@ from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
 # test does not, and objective every g_i value.
 PADMM_COLUMNS = (
     ("pkkt", lambda it: it.pnorm),
-    ("feas_norm", lambda it: float(np.linalg.norm(it.feas))),
+    ("feas_norm", lambda it: norm(it.feas)),
     ("objective", lambda it: it.problem.objective(it.xs)),
     ("theta_adap", lambda it: it.theta_adap),
     ("beta", lambda it: it.beta),
@@ -183,30 +183,35 @@ def scalar_majorant_etas(problem: MultiBlockProblem, beta: float,
 def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
                 problem: MultiBlockProblem, beta: float,
                 etas: Sequence[float], grads: Optional[List[np.ndarray]] = None,
-                feas: Optional[np.ndarray] = None):
+                feas: Optional[np.ndarray] = None,
+                Ay: Optional[Sequence[np.ndarray]] = None,
+                images: Optional[list] = None):
     """One Gauss-Seidel pass over the primal blocks plus the multiplier step.
 
     With the scalar-majorant proximal term each block subproblem collapses to
     a single prox of g_i with step 1/eta_i at an explicitly computed point.
     ``feas``, the feasibility residual b - sum_i A_i* x_i at ``xs`` (the dual
-    block of :func:`pkkt_residual`), saves recomputing it; the sweep starts
-    from r = -feas, bit for bit what it would compute itself.
-    Returns (x_tilde list, y_tilde).
+    block of :func:`pkkt_residual`), and ``Ay``, the images A_i y, save
+    recomputing them, bit for bit (same function, same input).  Block i takes
+    r to r - A_i*(x_i - x~_i); a list ``images`` receives these adjoint
+    images, U's A_i* d_i.  Returns (x_tilde list, y_tilde).
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
     if any(e <= 0 for e in etas):
         raise ValueError("nonpositive prox curvature eta")
     r = -(problem.feasibility(xs) if feas is None else feas)
+    images = [] if images is None else images
     x_tilde: List[np.ndarray] = []
     y_tilde = None
     for i in range(problem.p):
         a = problem.A[i]
-        force = grads[i] + a.apply(y) + beta * a.apply(r)
+        force = grads[i] + (Ay[i] if Ay else a.apply(y)) + beta * a.apply(r)
         u = xs[i] - force / etas[i]
         xt = problem.gs[i].evaluate(1.0 / etas[i], u)
         x_tilde.append(xt)
-        r = r + a.adjoint_apply(xt - xs[i])
+        images.append(a.adjoint_apply(xs[i] - xt))
+        r = r - images[-1]
         if i == 0:
             # multiplier step uses only the freshest first block
             y_tilde = y + beta * r
@@ -237,20 +242,20 @@ class UOperator:
         self.etas = [float(e) for e in etas]
         self.layout = problem.full_layout
 
-    def apply(self, d: BlockPoint) -> BlockPoint:
-        pr = self.problem
-        out = BlockPoint.zeros(self.layout)
-        dx0 = d.block(0)
-        a0 = pr.A[0]
-        out.set_block(0, self.etas[0] * dx0
-                      - self.beta * a0.apply(a0.adjoint_apply(dx0)))
+    def apply(self, d: BlockPoint,
+              images: Optional[Sequence[np.ndarray]] = None) -> BlockPoint:
+        """U d, given the images A_j* dx_j or not.  The sweep's A_j*(x_j -
+        x~_j) are these bit for bit at d = z - w: dx_j = x_j - x~_j exactly."""
+        pr, dxs = self.problem, d.blocks()
+        if images is None:
+            images = [a.adjoint_apply(dx) for a, dx in zip(pr.A, dxs)]
+        out = [self.etas[0] * dxs[0] - self.beta * pr.A[0].apply(images[0])]
         acc = np.zeros(pr.m)
         for i in range(1, pr.p):
-            dxi = d.block(i)
-            out.set_block(i, self.etas[i] * dxi + self.beta * pr.A[i].apply(acc))
-            acc = acc + pr.A[i].adjoint_apply(dxi)
-        out.set_block(pr.p, acc + d.block(pr.p) / self.beta)
-        return out
+            out.append(self.etas[i] * dxs[i] + self.beta * pr.A[i].apply(acc))
+            acc = acc + images[i]
+        out.append(acc + dxs[pr.p] / self.beta)
+        return BlockPoint(np.concatenate(out), self.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,8 @@ class ThetaRange:
 
 
 def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
-                sigma_bar: float, problem: MultiBlockProblem) -> ThetaRange:
+                sigma_bar: float, problem: MultiBlockProblem,
+                images: Optional[Sequence[np.ndarray]] = None) -> ThetaRange:
     """Adaptive over-relaxation along the current direction d = z - w.
 
     theta_adap = -1 + Gamma-form / (U* M^-1 U)-form meets the relative-error
@@ -279,7 +285,7 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
     """
     if not d.data.any():
         raise ValueError("zero direction: iterate equals its sweep point")
-    Ud = U.apply(d)
+    Ud = U.apply(d, images)
     step = BlockPoint(M.solve(Ud.data), Ud.layout)
     gamma_form = (2.0 * d.inner(Ud)
                   + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
@@ -329,17 +335,18 @@ def bb_metric_update(prev_scalars: Sequence[float],
 def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
                   problem: MultiBlockProblem,
                   grads: Optional[List[np.ndarray]] = None,
-                  tol: Optional[float] = None):
+                  tol: Optional[float] = None,
+                  Ay: Optional[Sequence[np.ndarray]] = None):
     """Stacked prox fixed-point residual plus the affine feasibility gap.
 
     Primal rows: x_i - prox_{g_i}(x_i - grad_i f(x) - A_i y) (unit prox step);
-    dual row: b - sum_i A_i* x_i, the ``feas`` of :func:`block_sweep`.
-    Returns (residual BlockPoint, its norm).
+    dual row: b - sum_i A_i* x_i, the ``feas`` of :func:`block_sweep`; ``Ay``
+    holds the images A_i y.  Returns (residual BlockPoint, its norm).
 
     With ``tol``, the rows are evaluated only until they decide the test
     norm <= tol: the dual row first, then the primal rows in block order,
-    until the partial sum of squares exceeds tol^2 (1 + 1e-10).  The norm
-    returned is then +inf, and the rows not evaluated are zero.  The margin
+    until the partial sum of squares exceeds tol^2 (1 + 1e-10), and then
+    returns (dual row, +inf) without assembling the residual.  The margin
     is far above the rounding of both sums (gamma_n ~ 1.4e-12 at n = 12,800),
     so the decision is always the full norm's; below tol = 1e-150, where
     tol^2 nears the subnormal range, every row is evaluated.  Once every row
@@ -347,18 +354,19 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
-    res = BlockPoint.zeros(problem.full_layout)
-    row = problem.feasibility(xs)
-    res.set_block(problem.p, row)
+    feas = row = problem.feasibility(xs)
     cutoff = (math.inf if tol is None or 0.0 < abs(tol) < 1e-150
               else tol * tol * (1.0 + 1e-10))
-    sumsq = 0.0
+    rows, sumsq = [], 0.0
     for i in range(problem.p):
         sumsq += float(np.dot(row, row))
         if sumsq > cutoff:
-            return res, math.inf
-        u = xs[i] - grads[i] - problem.A[i].apply(y)
+            return feas, math.inf
+        u = xs[i] - grads[i] - (Ay[i] if Ay else problem.A[i].apply(y))
         row = xs[i] - problem.gs[i].evaluate(1.0, u)
+        rows.append(row)
+    res = BlockPoint.zeros(problem.full_layout)
+    for i, row in enumerate(rows + [feas]):
         res.set_block(i, row)
     return res, res.norm()
 
@@ -382,10 +390,11 @@ class PadmmResult:
 
 class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
-    :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients and
-    dual block for the sweep.  Each iteration sweeps once: a directional
-    Gamma form that is not positive, or a degenerate step range, aborts the
-    run with :class:`CriterionViolation` instead of changing the method.
+    :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients, dual
+    block and images A_i y for the sweep, whose adjoint images U (built once)
+    reuses.  Each iteration sweeps once: a directional Gamma form that is not
+    positive, or a degenerate step range, aborts the run with
+    :class:`CriterionViolation` instead of changing the method.
     Unless ``columns`` names ``pkkt``, the stop test cuts the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
@@ -395,6 +404,7 @@ class _Iteration:
         self.beta = config.beta
         self.etas = scalar_majorant_etas(problem, self.beta, self.anorms)
         self.inv_scalars = [1.0 / e for e in self.etas] + [self.beta]
+        self.U = UOperator(problem, self.beta, self.etas)
         self.prev, self.pnorm = None, float("nan")
         self.stop_tol = None if "pkkt" in columns else config.tol
 
@@ -405,19 +415,23 @@ class _Iteration:
     def stop(self, k: int, z: BlockPoint) -> Optional[str]:
         pr = self.problem
         self.k = k
-        self.xs, self.y = pr.split(z)
-        self.grads = pr.grad_f(list(self.xs))
+        # views: the loop only reads the iterate, and never writes z
+        *self.xs, self.y = z.blocks()
+        self.grads = pr.grad_f(self.xs)
+        self.Ay = [a.apply(self.y) for a in pr.A]
         res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads,
-                                        tol=self.stop_tol)
-        self.feas = res.block(pr.p)
+                                        tol=self.stop_tol, Ay=self.Ay)
+        self.feas = res.block(pr.p) if isinstance(res, BlockPoint) else res
         return "pkkt" if self.pnorm <= self.config.tol else None
 
     def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
                cfg: HpeConfig) -> Optional[HpeCertificate]:
         pr, config = self.problem, self.config
+        images = []
         x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
                                        self.etas, grads=self.grads,
-                                       feas=self.feas)
+                                       feas=self.feas, Ay=self.Ay,
+                                       images=images)
         w = pr.join(x_tilde, y_tilde)
         d = z - w
         d_norm = d.norm()
@@ -427,8 +441,7 @@ class _Iteration:
             raise NonFiniteValue("iteration %d: non-finite sweep point"
                                  % self.k)
         try:
-            tr = theta_range(d, UOperator(pr, self.beta, self.etas), M,
-                             cfg.sigma, pr)
+            tr = theta_range(d, self.U, M, cfg.sigma, pr, images)
         except ValueError as exc:
             raise CriterionViolation("iteration %d: %s" % (self.k, exc)) \
                 from None
@@ -458,10 +471,8 @@ class _Iteration:
         slopes = [v.block(i) + grads_t[i] - self.grads[i]
                   for i in range(pr.p)] + [v.block(pr.p).copy()]
         if self.prev is not None:
-            nums = [float(np.linalg.norm(a - b))
-                    for a, b in zip(self.points, self.prev[0])]
-            dens = [float(np.linalg.norm(a - b))
-                    for a, b in zip(slopes, self.prev[1])]
+            nums = [norm(a - b) for a, b in zip(self.points, self.prev[0])]
+            dens = [norm(a - b) for a, b in zip(slopes, self.prev[1])]
             self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
                                                 self.cfg.xi(k), M_FLOOR)
         self.prev = (self.points, slopes)

@@ -133,8 +133,8 @@ def test_padmm_qp_equivalence_rejects_an_under_reported_residual(monkeypatch):
     # KKT residual recomputed from the final point (2.0e-7) catches it
     real = padmm_ebb.pkkt_residual
 
-    def under_reported(xs, y, problem, grads=None, tol=None):
-        res, norm = real(xs, y, problem, grads=grads)
+    def under_reported(xs, y, problem, grads=None, tol=None, Ay=None):
+        res, norm = real(xs, y, problem, grads=grads, Ay=Ay)
         return res, norm / 20.0
 
     monkeypatch.setattr(padmm_ebb, "pkkt_residual", under_reported)
@@ -147,4 +147,18 @@ def test_padmm_qp_equivalence_rejects_an_under_reported_residual(monkeypatch):
                         result.detail)
     assert err <= 1e-6
     assert kkt > 1e-8
+    assert not result.passed
+
+
+def test_direct_vs_kernel_rejects_a_scaled_step(monkeypatch):
+    # a kernel correction 1e-9 too long drifts from the native Condat-Vu
+    # updates by about 4e-10 relative, far past the 1e-12 bound
+    def scaled_step(x, cert):
+        return BlockPoint(x.data - (1.0 + 1e-9) * (1.0 + cert.theta)
+                          * cert.step.data, x.layout)
+
+    monkeypatch.setattr(hpe_core, "extragradient_step", scaled_step)
+    result = acceptance.check_direct_vs_kernel()
+    (worst,) = _numbers(r"max relative deviation (\S+)", result.detail)
+    assert worst > 1e-12
     assert not result.passed

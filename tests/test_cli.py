@@ -533,3 +533,17 @@ def test_unwritable_output_path_exits_two_before_the_solve(
                  "qp:seed=0", option, path]) == 2
     assert "%s %s cannot be written" % (option, path) \
         in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("option", ["--trace", "--summary"])
+@pytest.mark.parametrize("extra", [(), ("--beta", "100", "--max-iters", "3")],
+                         ids=["converged", "abort"])
+def test_output_write_failing_after_the_solve_exits_two(option, extra, capsys):
+    # /dev/full passes the path check; every write to it fails with ENOSPC
+    # once the solve has run (at beta = 100 qp:seed=1 aborts at iteration 1)
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                 "qp:seed=1", option, "/dev/full", *extra]) == 2
+    err = capsys.readouterr().err
+    assert "%s /dev/full cannot be written" % option in err
+    assert "Traceback" not in err

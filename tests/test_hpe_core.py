@@ -1,5 +1,7 @@
 """Kernel-level checks: criterion algebra, schedules, bounds, aggregates."""
 
+import csv
+import io
 import json
 import math
 
@@ -274,6 +276,25 @@ def test_trace_csv_row_count_matches_iterations(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ",".join(hpe_core.DEFAULT_COLUMNS)
     assert len(lines) - 1 == res.iterations == 17
+
+
+def test_trace_csv_bytes_equal_csv_writer(tmp_path):
+    rows = [(1, 0, -7, 2 ** 70),
+            (1.5, 0.1, 1e22, 1.0 / 3.0),
+            (np.float64(1.5), np.float64(0.1), np.float64(-2e-300),
+             np.float64(1e22)),
+            (math.nan, math.inf, -math.inf, -0.0),
+            (5e-324, np.float64(-0.0), np.float64(math.nan),
+             np.float64(5e-324))]
+    trace = hpe_core.IterTrace(("a", "b", "c", "d"))
+    trace.extend(rows)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(trace.columns)
+    writer.writerows(rows)
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def test_layout_offsets_and_slices():
     lay = BlockLayout((2, 3, 4))
     assert lay.dim == 9
     assert lay.offsets == (0, 2, 5, 9)
-    assert lay.block_slice(1) == slice(2, 5)
+    assert lay.slices == (slice(0, 2), slice(2, 5), slice(5, 9))
 
 
 def test_layout_keeps_equality_hash_and_derived_sizes():

@@ -113,14 +113,16 @@ def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
         assert a.tobytes() == b.tobytes()
 
 
-def _adjoint_applies_of_run(monkeypatch, iters):
+def _map_applies_of_run(monkeypatch, iters):
+    """(A_i* applies, A_i applies, p) of a run of ``iters`` iterations."""
     prob = gen_qp(0, p=3, n_i=4, m=3).problem
-    counts = [0]
+    counts = {"adjoint_apply": 0, "apply": 0}
     for a in prob.A:
-        def counted(x, _original=a.adjoint_apply):
-            counts[0] += 1
-            return _original(x)
-        monkeypatch.setattr(a, "adjoint_apply", counted)
+        for name in counts:
+            def counted(x, _original=getattr(a, name), _name=name):
+                counts[_name] += 1
+                return _original(x)
+            monkeypatch.setattr(a, name, counted)
     sweeps = [0]
     real_sweep = padmm_ebb.block_sweep
 
@@ -131,17 +133,20 @@ def _adjoint_applies_of_run(monkeypatch, iters):
     monkeypatch.setattr(padmm_ebb, "block_sweep", counted_sweep)
     res = run_padmm(prob, PadmmConfig(max_iters=iters, tol=0.0))
     assert res.iterations == sweeps[0] == iters
-    return counts[0], prob.p
+    return counts["adjoint_apply"], counts["apply"], prob.p
 
 
 def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
     # the difference of two runs drops the one-off norm estimates and the
     # terminal residual
-    short, p = _adjoint_applies_of_run(monkeypatch, 30)
-    long, _ = _adjoint_applies_of_run(monkeypatch, 60)
-    # per iteration: one feasibility pass (in the pKKT residual), the
-    # sweep's p block updates and U's p adjoints
-    assert (long - short) / 30 == 3 * p
+    short, short_fwd, p = _map_applies_of_run(monkeypatch, 30)
+    long, long_fwd, _ = _map_applies_of_run(monkeypatch, 60)
+    # per iteration: one feasibility pass (in the pKKT residual) and the
+    # sweep's p block updates, whose images U reuses
+    assert (long - short) / 30 == 2 * p
+    # and the stop test's p images A_i y, which the pKKT rows and the sweep
+    # share, the sweep's p images A_i r and U's p
+    assert (long_fwd - short_fwd) / 30 == 3 * p
 
 
 def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
@@ -364,6 +369,8 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
                 early_res, early = pkkt_residual(xs, y, prob, tol=tol)
                 assert (early <= tol) == (full <= tol), (root, tol)
                 if early == math.inf:
+                    # cut short: the dual row alone, as the full residual's
+                    assert early_res.tobytes() == res.block(prob.p).tobytes()
                     exits += 1
                 else:
                     assert early == full
@@ -374,7 +381,7 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
     calls, _ = count_svds(monkeypatch)
     early_res, early = pkkt_residual(xs, y, prob, tol=0.5 * roots[0])
     assert early == math.inf and calls[0] == 0
-    assert not early_res.data[:prob.primal_layout.dim].any()
+    assert early_res.tobytes() == res.block(prob.p).tobytes()
 
 
 def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
@@ -470,6 +477,16 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
                   PadmmConfig(beta=100, sigma_bar=0.5, max_iters=3))
     assert exc.value.iteration == 1 and len(exc.value.trace) == 0
     assert len(sweeps) == 1
+
+
+def test_result_blocks_do_not_alias_the_iterate():
+    # the loop reads the iterate through views; the result's blocks are copies
+    res = run_padmm(gen_qp(0, p=2, n_i=5, m=3).problem,
+                    PadmmConfig(max_iters=20, tol=0.0))
+    before = res.z.data.copy()
+    for x in res.x_blocks + [res.y]:
+        x += 1.0
+    assert np.array_equal(res.z.data, before)
 
 
 def test_run_padmm_starts_from_given_point():
