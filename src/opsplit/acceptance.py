@@ -114,15 +114,18 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
     """Best-iterate residual bounds hold at every k on an exact-resolvent run."""
     t0 = time.perf_counter()
     K, q, x_star = _strongly_monotone_affine(10, seed=0)
-    theta = 0.25
-    cfg = HpeConfig(sigma=0.5, theta_min=theta, c_min=1.0, xi0=0.0,
+    theta, c = 0.25, 1.0
+    cfg = HpeConfig(sigma=0.5, xi_schedule=hpe_core.default_xi_schedule(0.0),
                     max_iters=kmax, tol_residual=0.0)
-    oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=1.0, theta=theta)
+    oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=c, theta=theta)
     lay = BlockLayout((K.shape[0],))
     x0 = BlockPoint(np.ones(K.shape[0]), lay)
     d0 = float(np.linalg.norm(x0.data - x_star))
-    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg,
-                       columns=hpe_core.select(("v_norm", "eps")))
+    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg, columns=hpe_core.select(
+        ("v_norm", "eps", "theta", "metric_max", "xi")))
+    theta_min = min(res.trace.column("theta"))
+    omega_upper = max(res.trace.column("metric_max"))
+    xis = res.trace.column("xi")
     v_norms = np.array(res.trace.column("v_norm"))
     eps = np.array(res.trace.column("eps"))
     best_v = np.minimum.accumulate(v_norms)
@@ -134,7 +137,8 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
     bound_e = d0 ** 2 / (ks * (1.0 - cfg.sigma) * (1.0 + theta) ** 2)
     # tie the vectorized formulas to the canonical calculator
     for k in (1, 7, 100, len(ks)):
-        pb = hpe_core.pointwise_bound(int(k), cfg, d0)
+        pb = hpe_core.pointwise_bound(int(k), d0, cfg.sigma, theta_min, c,
+                                      omega_upper, xis[:k])
         if abs(pb.bound_v - bound_v[k - 1]) > 1e-12 * (1 + pb.bound_v) or \
            abs(pb.bound_eps - bound_e[k - 1]) > 1e-12 * (1 + pb.bound_eps):
             return CriterionResult("pointwise-bounds", False,
@@ -266,8 +270,7 @@ def check_local_linear_rate() -> CriterionResult:
     c = 0.1
     rho = linear_rate_factor(kappa, sigma, theta, c_min=c, Xi=1.0,
                              omega_upper=1.0, omega_lower=1.0)
-    cfg = HpeConfig(sigma=sigma, theta_min=theta, c_min=c, max_iters=150,
-                    tol_residual=0.0, xi0=0.0)
+    cfg = HpeConfig(sigma=sigma, max_iters=150, tol_residual=0.0)
     oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=c, theta=theta)
     lay = BlockLayout((K.shape[0],))
     x0 = BlockPoint(np.ones(K.shape[0]), lay)

@@ -140,8 +140,9 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     kernel's sigma, xi schedule and iteration budget are set here once, for
     both solvers.  The run's trace records the ``columns`` named.
     """
-    cfg = HpeConfig(sigma=args.sigma, xi0=args.xi0, max_iters=args.max_iters,
-                    tol_residual=args.tol)
+    cfg = HpeConfig(sigma=args.sigma,
+                    xi_schedule=hpe_core.default_xi_schedule(args.xi0),
+                    max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
         pcfg = PadmmConfig(beta=args.beta, sigma_bar=cfg.sigma, tol=args.tol,
                            max_iters=cfg.max_iters, theta_fixed=theta)
@@ -178,18 +179,21 @@ def _solver_abort(exc: Exception) -> int:
 def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
                    config_echo: dict, final_extra: Optional[dict] = None,
                    abort: Optional[dict] = None) -> None:
-    """Write the outputs asked for; one that fails is a ConfigError."""
+    """Try every output asked for; the writes that fail are one ConfigError."""
     writes = (("--trace", args.trace, result.trace.to_csv),
               ("--summary", args.summary, lambda path: hpe_core.write_summary(
                   path, result, config_echo, final_extra=final_extra,
                   abort=abort, acc=acc)))
+    failed = []
     for option, path, write in writes:
         if path:
             try:
                 write(path)
             except OSError as exc:
-                raise ConfigError("%s %s cannot be written: %s"
-                                  % (option, path, exc)) from None
+                failed.append("%s %s cannot be written: %s"
+                              % (option, path, exc))
+    if failed:
+        raise ConfigError("; ".join(failed))
 
 
 def cmd_solve(args) -> int:

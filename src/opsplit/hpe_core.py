@@ -22,7 +22,8 @@ Each trace column is one (name, producer) pair of a table
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
 online accumulator of the ergodic pair ||v_bar|| and eps_bar, local
-linear-rate factor) used by the instrumentation and tests.
+linear-rate factor) used by the instrumentation and tests.  The bound
+calculators take the constants of a run as arguments.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ class MetricScheduleViolation(RuntimeError):
 
 
 def default_xi_schedule(xi0: float) -> Callable[[int], float]:
-    """Summable schedule xi_k = xi0 / (k + 1)^2 for k >= 1."""
+    """Summable schedule xi_k = xi0 / (k + 1)^2 for k >= 1 and xi0 >= 0."""
+    if not (math.isfinite(xi0) and xi0 >= 0.0):
+        raise ValueError("xi0 must be finite and nonnegative, got %r" % xi0)
 
     def xi(k: int) -> float:
         return xi0 / float(k + 1) ** 2
@@ -77,56 +80,33 @@ def default_xi_schedule(xi0: float) -> Callable[[int], float]:
 
 @dataclass
 class HpeConfig:
-    """Parameters of the extra-gradient kernel.
+    """Parameters of the extra-gradient kernel loop.
 
     ``xi_schedule`` maps the iteration index k >= 1 to xi_k >= 0 and must have
-    a finite sum; the default xi0/(k+1)^2 does, for a finite xi0 >= 0.
+    a finite sum; None means ``default_xi_schedule(0.01)``.
     """
 
     sigma: float = 0.5
-    theta_min: float = -0.5
-    c_min: float = 1.0
-    xi0: float = 0.01
     xi_schedule: Optional[Callable[[int], float]] = None
-    omega_upper: float = 1.0
     max_iters: int = 1000
     tol_residual: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
-        # a NaN or an infinity here turns the pointwise bounds to NaN, 0 or inf
-        for name, low in (("theta_min", -1), ("c_min", 0), ("omega_upper", 0)):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > low):
-                raise ValueError("%s must be finite and exceed %d, got %r"
-                                 % (name, low, val))
         if not self.max_iters >= 0:
             raise ValueError("max_iters must be nonnegative, got %r"
                              % self.max_iters)
         if math.isnan(self.tol_residual):
             raise ValueError("tol_residual must not be NaN")
-        if not (math.isfinite(self.xi0) and self.xi0 >= 0.0):
-            raise ValueError("xi0 must be finite and nonnegative, got %r"
-                             % self.xi0)
         if self.xi_schedule is None:
-            self.xi_schedule = default_xi_schedule(self.xi0)
+            self.xi_schedule = default_xi_schedule(0.01)
 
     def xi(self, k: int) -> float:
         val = float(self.xi_schedule(k))
         if not val >= 0:  # a NaN would disable the schedule check
             raise ValueError("xi_%d must be nonnegative, got %r" % (k, val))
         return val
-
-    def xi_partial_sum(self, k: int) -> float:
-        return float(sum(self.xi(i) for i in range(1, k + 1)))
-
-    def xi_capital(self, k: int) -> float:
-        """Xi = prod_{i<=k} (1 + xi_i); always <= exp(sum xi_i)."""
-        out = 1.0
-        for i in range(1, k + 1):
-            out *= 1.0 + self.xi(i)
-        return out
 
 
 @dataclass
@@ -456,18 +436,32 @@ class PointwiseBound:
     bound_eps: float
 
 
-def pointwise_bound(k: int, cfg: HpeConfig, d0: float) -> PointwiseBound:
+def pointwise_bound(k: int, d0: float, sigma: float, theta_min: float,
+                    c_min: float, omega_upper: float,
+                    xis: Sequence[float]) -> PointwiseBound:
     """Best-iterate bounds on ||v|| and eps after k iterations.
 
-    d0 is the M_0-distance from the start point to a solution.
+    The constants are the run's: d0 is the M_0-distance from the start point
+    to a solution, theta_j >= theta_min, c_j >= c_min and M_j <= omega_upper I
+    at every step, and ``xis`` holds its xi_1..xi_k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = cfg.xi_partial_sum(k)
-    cap = cfg.xi_capital(k)
-    denom_v = k * (1.0 - cfg.sigma) * (1.0 + cfg.theta_min) ** 3 * cfg.c_min ** 2
-    bound_v = math.sqrt(4.0 * (1.0 + s) * cap ** 2 * cfg.omega_upper / denom_v) * d0
-    denom_e = k * (1.0 - cfg.sigma) * (1.0 + cfg.theta_min) ** 2 * cfg.c_min
+    if not 0.0 <= sigma < 1.0:
+        raise ValueError("sigma must lie in [0, 1)")
+    # a NaN or an infinity here turns the bounds to NaN, 0 or inf
+    for name, val, low in (("theta_min", theta_min, -1), ("c_min", c_min, 0),
+                           ("omega_upper", omega_upper, 0)):
+        if not (math.isfinite(val) and val > low):
+            raise ValueError("%s must be finite and exceed %d, got %r"
+                             % (name, low, val))
+    if len(xis) != k or not all(xi >= 0 for xi in xis):
+        raise ValueError("xis must hold xi_1..xi_%d, each nonnegative" % k)
+    s = float(sum(xis))
+    cap = math.prod(1.0 + xi for xi in xis)  # <= exp(s)
+    denom_v = k * (1.0 - sigma) * (1.0 + theta_min) ** 3 * c_min ** 2
+    bound_v = math.sqrt(4.0 * (1.0 + s) * cap ** 2 * omega_upper / denom_v) * d0
+    denom_e = k * (1.0 - sigma) * (1.0 + theta_min) ** 2 * c_min
     bound_eps = (1.0 + s) * cap / denom_e * d0 ** 2
     return PointwiseBound(bound_v=bound_v, bound_eps=bound_eps)
 

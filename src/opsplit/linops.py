@@ -69,9 +69,6 @@ class BlockPoint:
         """Flat view of block i (writing into it mutates the point)."""
         return self.data[self.layout.slices[i]]
 
-    def set_block(self, i: int, value: np.ndarray) -> None:
-        self.data[self.layout.slices[i]] = value
-
     def blocks(self):
         return [self.block(i) for i in range(self.layout.nblocks)]
 

@@ -365,9 +365,7 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
         u = xs[i] - grads[i] - (Ay[i] if Ay else problem.A[i].apply(y))
         row = xs[i] - problem.gs[i].evaluate(1.0, u)
         rows.append(row)
-    res = BlockPoint.zeros(problem.full_layout)
-    for i, row in enumerate(rows + [feas]):
-        res.set_block(i, row)
+    res = BlockPoint(np.concatenate(rows + [feas]), problem.full_layout)
     return res, res.norm()
 
 
@@ -391,10 +389,10 @@ class PadmmResult:
 class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
     :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients, dual
-    block and images A_i y for the sweep, whose adjoint images U (built once)
-    reuses.  Each iteration sweeps once: a directional Gamma form that is not
-    positive, or a degenerate step range, aborts the run with
-    :class:`CriterionViolation` instead of changing the method.
+    block and images A_i y for the sweep, which drops the images and whose
+    adjoint images U (built once) reuses.  Each iteration sweeps once: a
+    directional Gamma form that is not positive, or a degenerate step range,
+    aborts the run with :class:`CriterionViolation` instead of changing it.
     Unless ``columns`` names ``pkkt``, the stop test cuts the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
@@ -432,6 +430,7 @@ class _Iteration:
                                        self.etas, grads=self.grads,
                                        feas=self.feas, Ay=self.Ay,
                                        images=images)
+        self.Ay = None
         w = pr.join(x_tilde, y_tilde)
         d = z - w
         d_norm = d.norm()

@@ -347,8 +347,7 @@ class AfbasPdProblem:
         return self._metric
 
 
-def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
-                  lam: Optional[float] = None
+def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5
                   ) -> Tuple[HpeCertificate, BlockPoint]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
@@ -379,13 +378,11 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5,
         raise RuntimeError("degenerate adaptive-step denominator")
     eps = 0.25 * p.L * float(np.dot(dx, dx))
     d_M = float(np.dot(d, p.metric().apply(d)))
-    lam_eff = p.lam if lam is None else lam
     cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)
     if cap <= 0:
         raise RuntimeError("no admissible step along this direction "
                            "(criterion cap %.3e)" % cap)
-    lam_eff = min(lam_eff, cap)
-    alpha = lam_eff * 0.5 * n2_rr / denom
+    alpha = min(p.lam, cap) * 0.5 * n2_rr / denom
     theta_k = alpha - 1.0
     cert = HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps,
                           c=1.0, theta=theta_k, step=BlockPoint(Sd, z.layout))

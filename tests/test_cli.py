@@ -547,3 +547,21 @@ def test_output_write_failing_after_the_solve_exits_two(option, extra, capsys):
     err = capsys.readouterr().err
     assert "%s /dev/full cannot be written" % option in err
     assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_failing_write_loses_no_other_output(tmp_path, capsys):
+    # the aborted run's summary, with its abort record, survives the trace
+    summary = tmp_path / "s.json"
+    abort = ["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
+             "--beta", "100", "--max-iters", "3", "--trace", "/dev/full"]
+    assert main(abort + ["--summary", str(summary)]) == 2
+    assert "--trace /dev/full cannot be written" in capsys.readouterr().err
+    record = json.loads(summary.read_text())["abort"]
+    assert record["iteration"] == 1
+    assert record["exception"] == "CriterionViolation"
+    # and one error names every write that failed
+    assert main(abort + ["--summary", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert "--trace /dev/full cannot be written" in err
+    assert "--summary /dev/full cannot be written" in err

@@ -1,6 +1,7 @@
 """Kernel-level checks: criterion algebra, schedules, bounds, aggregates."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -12,7 +13,8 @@ from opsplit import hpe_core
 from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
                               MetricScheduleViolation,
-                              check_criterion, extragradient_step,
+                              check_criterion, default_xi_schedule,
+                              extragradient_step,
                               linear_rate_factor, loglog_slope,
                               make_affine_resolvent_oracle, pointwise_bound,
                               validate_metric_update)
@@ -99,29 +101,55 @@ def test_extragradient_step_formula():
 
 
 def test_xi_schedule_is_summable():
-    cfg = HpeConfig(xi0=0.1)
+    cfg = HpeConfig(xi_schedule=default_xi_schedule(0.1))
     assert cfg.xi(1) == pytest.approx(0.1 / 4.0)
-    s = cfg.xi_partial_sum(100_000)
+    xis = [cfg.xi(k) for k in range(1, 100_001)]
+    s = float(sum(xis))
     assert s < 0.1 * (math.pi ** 2 / 6.0)
-    assert cfg.xi_capital(100_000) <= math.exp(s) + 1e-12
+    assert math.prod(1.0 + xi for xi in xis) <= math.exp(s) + 1e-12
+
+
+def test_config_holds_only_what_the_loop_reads():
+    assert [f.name for f in dataclasses.fields(HpeConfig)] == [
+        "sigma", "xi_schedule", "max_iters", "tol_residual"]
+    with pytest.raises(TypeError):
+        HpeConfig(xi0=0.5)
+    # None is the default schedule at xi0 = 0.01
+    assert HpeConfig().xi(3) == default_xi_schedule(0.01)(3)
 
 
 def test_config_rejects_bad_parameters():
     with pytest.raises(ValueError):
         HpeConfig(sigma=1.0)
-    with pytest.raises(ValueError):
-        HpeConfig(theta_min=-1.0)
-    with pytest.raises(ValueError):
-        HpeConfig(c_min=0.0)
+
+
+_BOUND_ARGS = dict(k=1, d0=1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
+                   omega_upper=1.0, xis=[0.0])
+
+
+def test_pointwise_bound_rejects_bad_constants():
+    with pytest.raises(ValueError, match="sigma must lie"):
+        pointwise_bound(**dict(_BOUND_ARGS, sigma=1.0))
+    with pytest.raises(ValueError, match="theta_min must be finite"):
+        pointwise_bound(**dict(_BOUND_ARGS, theta_min=-1.0))
+    with pytest.raises(ValueError, match="c_min must be finite"):
+        pointwise_bound(**dict(_BOUND_ARGS, c_min=0.0))
 
 
 @pytest.mark.parametrize("field", ["theta_min", "c_min", "omega_upper"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_bound_constants(field, value):
-    # each enters pointwise_bound: a NaN made both bounds NaN, an infinite
-    # theta_min or c_min made them 0, and omega_upper = inf the v bound inf
+    # the run's constants, as pointwise_bound takes them: a NaN makes both
+    # bounds NaN, an infinite theta_min or c_min makes them 0, and
+    # omega_upper = inf the v bound inf
     with pytest.raises(ValueError, match="%s must be finite" % field):
-        HpeConfig(**{field: value})
+        pointwise_bound(**dict(_BOUND_ARGS, **{field: value}))
+
+
+def test_pointwise_bound_takes_the_run_xis():
+    for xis in ([], [0.0, 0.0], [float("nan")], [-1e-3]):
+        with pytest.raises(ValueError, match="xis must hold xi_1..xi_1"):
+            pointwise_bound(**dict(_BOUND_ARGS, xis=xis))
 
 
 def test_config_rejects_non_finite_or_negative_xi():
@@ -129,7 +157,7 @@ def test_config_rejects_non_finite_or_negative_xi():
     # check could never fail
     for xi0 in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="xi0 must be finite"):
-            HpeConfig(xi0=xi0)
+            default_xi_schedule(xi0)
     for val in (-1e-3, float("nan")):
         cfg = HpeConfig(xi_schedule=lambda k, val=val: val)
         with pytest.raises(ValueError, match="xi_1 must be nonnegative"):
@@ -303,27 +331,31 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path):
 
 
 def test_pointwise_bound_closed_form():
-    cfg = HpeConfig(sigma=0.5, theta_min=0.5, c_min=1.0, xi0=0.0)
-    d0 = 2.0
+    d0, zeros = 2.0, [0.0] * 36
+
+    def bound(k):
+        return pointwise_bound(k, d0, sigma=0.5, theta_min=0.5, c_min=1.0,
+                               omega_upper=1.0, xis=zeros[:k])
+
     for k in (1, 4, 36):
-        pb = pointwise_bound(k, cfg, d0)
+        pb = bound(k)
         # independent route: constant metric, xi = 0
         assert pb.bound_v == pytest.approx(
             math.sqrt(4.0 / (k * 0.5 * 1.5 ** 3)) * d0, rel=1e-14)
         assert pb.bound_eps == pytest.approx(
             d0 ** 2 / (k * 0.5 * 1.5 ** 2), rel=1e-14)
     # O(1/sqrt(k)) and O(1/k) decay
-    assert pointwise_bound(4, cfg, d0).bound_v == pytest.approx(
-        pointwise_bound(1, cfg, d0).bound_v / 2.0)
-    assert pointwise_bound(4, cfg, d0).bound_eps == pytest.approx(
-        pointwise_bound(1, cfg, d0).bound_eps / 4.0)
+    assert bound(4).bound_v == pytest.approx(bound(1).bound_v / 2.0)
+    assert bound(4).bound_eps == pytest.approx(bound(1).bound_eps / 4.0)
 
 
 def test_pointwise_bound_inflates_with_xi():
-    base = HpeConfig(sigma=0.5, theta_min=0.0, xi0=0.0)
-    inflated = HpeConfig(sigma=0.5, theta_min=0.0, xi0=0.5)
-    assert pointwise_bound(10, inflated, 1.0).bound_v \
-        > pointwise_bound(10, base, 1.0).bound_v
+    def bound_v(xi0):
+        xis = [default_xi_schedule(xi0)(k) for k in range(1, 11)]
+        return pointwise_bound(10, 1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
+                               omega_upper=1.0, xis=xis).bound_v
+
+    assert bound_v(0.5) > bound_v(0.0)
 
 
 def _random_certs(n, dim, seed):

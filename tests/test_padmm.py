@@ -136,6 +136,23 @@ def _map_applies_of_run(monkeypatch, iters):
     return counts["adjoint_apply"], counts["apply"], prob.p
 
 
+def test_the_hooks_hold_no_constraint_images_after_the_oracle(monkeypatch):
+    # the sweep reads the stop test's images A_i y; no later hook does
+    real_oracle = padmm_ebb._Iteration.oracle
+    held = []
+
+    def oracle(self, *args):
+        before = len(self.Ay)
+        cert = real_oracle(self, *args)
+        held.append((before, self.Ay))
+        return cert
+
+    monkeypatch.setattr(padmm_ebb._Iteration, "oracle", oracle)
+    prob = gen_qp(0, p=3, n_i=4, m=3).problem
+    run_padmm(prob, PadmmConfig(max_iters=20, tol=0.0))
+    assert held == [(prob.p, None)] * 20
+
+
 def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
     # the difference of two runs drops the one-off norm estimates and the
     # terminal residual
