@@ -17,7 +17,7 @@ import numpy as np
 from . import hpe_core
 from .hpe_core import ErgodicAccumulator, HpeConfig, linear_rate_factor
 from .linops import BlockLayout, BlockPoint, IdentityMetric
-from .padmm_ebb import PadmmConfig, run_padmm
+from .padmm_ebb import run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
 from .splitters import SCHEMES, condat_vu_from_qp, condat_vu_step
 
@@ -57,10 +57,10 @@ def _invariance_runs():
             res = hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
                                columns=hpe_core.select(GATE_TRACE))
             runs.append((name, sigma, res.trace))
-        pcfg = PadmmConfig(max_iters=N_ITERS, tol=0.0, sigma_bar=0.9)
+        pcfg = HpeConfig(sigma=0.9, max_iters=N_ITERS, tol_residual=0.0)
         pres = run_padmm(inst.problem, pcfg, ref_solution=inst.z_star,
                          columns=GATE_TRACE)
-        runs.append(("padmm-ebb", pcfg.sigma_bar, pres.trace))
+        runs.append(("padmm-ebb", pcfg.sigma, pres.trace))
     return runs, time.perf_counter() - t0
 
 
@@ -190,12 +190,11 @@ def check_ergodic_rate() -> CriterionResult:
 def _padmm_qp_runs(theta_fixed):
     """(converged, iterations, final pkkt, |z - z*|, recomputed KKT residual)
     of ``run_padmm`` on the ten QP seeds per ``theta_fixed``, and the seconds."""
-    runs = []
+    runs, cfg = [], HpeConfig(sigma=0.9, max_iters=5000, tol_residual=1e-8)
     t0 = time.perf_counter()
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
-        res = run_padmm(inst.problem, PadmmConfig(max_iters=5000, tol=1e-8,
-                                                  theta_fixed=theta_fixed))
+        res = run_padmm(inst.problem, cfg, theta_fixed=theta_fixed)
         runs.append((res.converged, res.iterations, res.final_pkkt,
                      (res.z - inst.z_star).norm(),
                      inst.kkt_residual(np.concatenate(res.x_blocks), res.y)))
@@ -317,8 +316,8 @@ def check_lrr_desk_scale() -> CriterionResult:
     t0 = time.perf_counter()
     X = np.random.default_rng(0).standard_normal((40, 40))
     inst = build_lrr(X)
-    cfg = PadmmConfig(max_iters=3000, tol=1e-3, beta=300.0)
-    res = run_padmm(inst.problem, cfg)
+    cfg = HpeConfig(sigma=0.9, max_iters=3000, tol_residual=1e-3)
+    res = run_padmm(inst.problem, cfg, beta=300.0)
     feas = inst.problem.feasibility(res.x_blocks)
     feas_primary = float(np.linalg.norm(feas[:X.size]))
     elapsed = time.perf_counter() - t0

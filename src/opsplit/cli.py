@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hpe_core, padmm_ebb
 from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
-from .padmm_ebb import PadmmConfig, run_padmm
+from .padmm_ebb import run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
 from .splitters import SCHEMES
 
@@ -136,21 +136,22 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     """Build and validate one solve and return ``start(accumulators)``.
 
     Everything raised here is a configuration error; everything raised by
-    ``start`` happens once the solve has begun and is a solver fault.  The
-    kernel's sigma, xi schedule and iteration budget are set here once, for
-    both solvers.  The run's trace records the ``columns`` named.
+    ``start`` happens once the solve has begun and is a solver fault.  One
+    kernel config, with sigma, xi schedule, iteration budget and tolerance,
+    serves all five algorithms.  The run's trace records the ``columns``
+    named.
     """
     cfg = HpeConfig(sigma=args.sigma,
                     xi_schedule=hpe_core.default_xi_schedule(args.xi0),
                     max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
-        pcfg = PadmmConfig(beta=args.beta, sigma_bar=cfg.sigma, tol=args.tol,
-                           max_iters=cfg.max_iters, theta_fixed=theta)
+        if not (math.isfinite(args.beta) and args.beta > 0):
+            raise ConfigError("beta must be finite and positive, got %r"
+                              % args.beta)
         ref = inst.z_star if kind == "qp" else None
-        return lambda accs: run_padmm(inst.problem, pcfg, ref_solution=ref,
-                                      accumulators=accs,
-                                      xi_schedule=cfg.xi_schedule,
-                                      columns=columns)
+        return lambda accs: run_padmm(inst.problem, cfg, beta=args.beta,
+                                      theta_fixed=theta, ref_solution=ref,
+                                      accumulators=accs, columns=columns)
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
     oracle, M0, x0, ref = SCHEMES[algorithm].setup(
@@ -171,7 +172,7 @@ def _abort_record(exc: Exception) -> dict:
     return record
 
 
-def _solver_abort(exc: Exception) -> int:
+def _solver_abort(exc) -> int:
     print("solver abort: %s" % exc, file=sys.stderr)
     return EXIT_SOLVER
 
@@ -226,8 +227,11 @@ def cmd_solve(args) -> int:
             reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
                     else "abort"))
         code = _solver_abort(exc)
-        _write_outputs(args, partial, acc, config_echo,
-                       abort=_abort_record(exc))
+        try:
+            _write_outputs(args, partial, acc, config_echo,
+                           abort=_abort_record(exc))
+        except ConfigError as err:  # the abort still decides the exit code
+            print("configuration error: %s" % err, file=sys.stderr)
         return code
     final_extra = ({"pkkt": result.final_pkkt}
                    if args.algorithm == "padmm-ebb" else None)
@@ -267,7 +271,7 @@ def cmd_bench(args) -> int:
         try:
             result = start(())
         except SOLVER_FAULTS as exc:
-            return _solver_abort(exc)
+            return _solver_abort("%s: %s" % (a, exc))
         v_norms = result.trace.column("v_norm") or [float("nan")]
         residual = result.final_pkkt if a == "padmm-ebb" else v_norms[-1]
         print("%-12s %9d %10s %12.3e %9.2f"

@@ -83,7 +83,9 @@ class HpeConfig:
     """Parameters of the extra-gradient kernel loop.
 
     ``xi_schedule`` maps the iteration index k >= 1 to xi_k >= 0 and must have
-    a finite sum; None means ``default_xi_schedule(0.01)``.
+    a finite sum; None means ``default_xi_schedule(0.01)``.  ``tol_residual``
+    is the run's stop tolerance: on max(||v||, eps) in :func:`run`, on the
+    proximal KKT residual in :func:`opsplit.padmm_ebb.run_padmm`.
     """
 
     sigma: float = 0.5
@@ -369,7 +371,9 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
     x is a fixed point of the scheme (the run ends converged, reason
     ``"fixed_point"``); ``metric_update(k, x, cert, M)`` optionally returns
     the next metric (constant metric when omitted).  ``stop(k, x)``, called
-    before the oracle, may end the run converged with the reason it returns.
+    before the oracle, may end the run converged with the reason it returns;
+    it replaces the residual test max(||v||, eps) <= ``cfg.tol_residual``,
+    which a run without ``stop`` ends on (reason ``"residual"``).
     Each certified iteration appends one trace row: the value of each
     ``columns`` producer, a (name, producer) pair as :func:`select` returns.
 
@@ -405,7 +409,7 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
             del step  # else the old x and M stay alive into the next iteration
             for acc in accumulators:
                 acc.add(cert)
-            if max(v_norm, cert.eps) <= cfg.tol_residual:
+            if stop is None and max(v_norm, cert.eps) <= cfg.tol_residual:
                 return RunResult(solution=cert.y.copy(), trace=trace,
                                  converged=True, reason="residual",
                                  iterations=k)

@@ -140,36 +140,6 @@ class MultiBlockProblem:
 
 
 # ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class PadmmConfig:
-    """Solver knobs.  ``sigma_bar`` and ``max_iters`` become the kernel's
-    sigma and max_iters; the xi schedule is the kernel's (see
-    :func:`run_padmm`)."""
-
-    beta: float = 1.0
-    sigma_bar: float = 0.9
-    theta_fixed: Optional[float] = None  # e.g. 0.0 to disable over-relaxation
-    max_iters: int = 1000
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0.0 <= self.sigma_bar < 1.0:
-            raise ValueError("sigma_bar must lie in [0, 1)")
-        if self.theta_fixed is not None and not (
-                math.isfinite(self.theta_fixed) and self.theta_fixed > -1.0):
-            raise ValueError("theta_fixed must be finite and exceed -1")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValueError("beta must be finite and positive, got %r"
-                             % self.beta)
-        if math.isnan(self.tol):
-            raise ValueError("tol must not be NaN")
-
-
-# ---------------------------------------------------------------------------
 # Block sweep
 # ---------------------------------------------------------------------------
 
@@ -395,16 +365,16 @@ class _Iteration:
     aborts the run with :class:`CriterionViolation` instead of changing it.
     Unless ``columns`` names ``pkkt``, the stop test cuts the residual short."""
 
-    def __init__(self, problem: MultiBlockProblem, config: PadmmConfig,
-                 cfg: HpeConfig, columns: Sequence[str]):
-        self.problem, self.config, self.cfg = problem, config, cfg
-        self.anorms = problem.constraint_norms()
-        self.beta = config.beta
-        self.etas = scalar_majorant_etas(problem, self.beta, self.anorms)
-        self.inv_scalars = [1.0 / e for e in self.etas] + [self.beta]
-        self.U = UOperator(problem, self.beta, self.etas)
+    def __init__(self, problem: MultiBlockProblem, cfg: HpeConfig, beta: float,
+                 theta_fixed: Optional[float], columns: Sequence[str]):
+        self.problem, self.cfg = problem, cfg
+        self.beta, self.theta_fixed = beta, theta_fixed
+        self.etas = scalar_majorant_etas(problem, beta,
+                                         problem.constraint_norms())
+        self.inv_scalars = [1.0 / e for e in self.etas] + [beta]
+        self.U = UOperator(problem, beta, self.etas)
         self.prev, self.pnorm = None, float("nan")
-        self.stop_tol = None if "pkkt" in columns else config.tol
+        self.stop_tol = None if "pkkt" in columns else cfg.tol_residual
 
     def metric(self) -> BlockDiagonalMetric:
         return BlockDiagonalMetric.from_inverse_scalars(
@@ -420,11 +390,11 @@ class _Iteration:
         res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads,
                                         tol=self.stop_tol, Ay=self.Ay)
         self.feas = res.block(pr.p) if isinstance(res, BlockPoint) else res
-        return "pkkt" if self.pnorm <= self.config.tol else None
+        return "pkkt" if self.pnorm <= self.cfg.tol_residual else None
 
     def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
                cfg: HpeConfig) -> Optional[HpeCertificate]:
-        pr, config = self.problem, self.config
+        pr = self.problem
         images = []
         x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
                                        self.etas, grads=self.grads,
@@ -454,8 +424,8 @@ class _Iteration:
         # a relative hair so roundoff cannot flip the inequality
         theta_safe = -1.0 + (1.0 + tr.theta_adap) * (1.0 - 1e-9)
         theta = min(theta_safe, THETA_CAP)
-        if config.theta_fixed is not None:
-            theta = min(config.theta_fixed, theta_safe)
+        if self.theta_fixed is not None:
+            theta = min(self.theta_fixed, theta_safe)
         eps = float(np.array([0.25 * l * float(np.dot(db, db))
                               for l, db in zip(pr.L, d.blocks())]).sum())
         return HpeCertificate(y=w, v=tr.Ud, eps=eps, c=1.0, theta=theta,
@@ -478,27 +448,32 @@ class _Iteration:
         return self.metric()
 
 
-def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
+def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
+              theta_fixed: Optional[float] = None,
               z0: Optional[BlockPoint] = None,
               ref_solution: Optional[BlockPoint] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
-              xi_schedule: Optional[Callable[[int], float]] = None,
               columns: Sequence[str] = DEFAULT_COLUMNS) -> PadmmResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
-    The iterations run in :func:`opsplit.hpe_core.run`, with sigma =
-    sigma_bar and the kernel's xi schedule (``xi_schedule``, or the
-    :class:`~opsplit.hpe_core.HpeConfig` default), and are certified,
-    accumulated and aborted as there; the metric schedule's floor is the one
-    the BB clamp keeps, min(M_0 scalars) / prod_{j<=k} (1 + xi_j).  A run
-    that reaches ``max_iters`` still ends converged if its final iterate
-    meets the tolerance.  The trace records the ``columns`` named, of
+    The iterations run in :func:`opsplit.hpe_core.run` under ``cfg``: its
+    sigma, xi schedule and ``max_iters``, with ``cfg.tol_residual`` the pKKT
+    tolerance of the stop hook, which replaces the kernel's residual test.
+    They are certified, accumulated and aborted as there; the metric
+    schedule's floor is the one the BB clamp keeps, min(M_0 scalars) /
+    prod_{j<=k} (1 + xi_j).  ``beta`` is the penalty and ``theta_fixed``,
+    when given, caps the over-relaxation (0.0 disables it).  A run that
+    reaches ``max_iters`` still ends converged if its final iterate meets
+    the tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`;
     ``final_pkkt`` is the full residual norm of the final iterate.
     """
-    cfg = HpeConfig(sigma=config.sigma_bar, max_iters=config.max_iters,
-                    xi_schedule=xi_schedule, tol_residual=-math.inf)
-    it = _Iteration(problem, config, cfg, columns)
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError("beta must be finite and positive, got %r" % beta)
+    if theta_fixed is not None and not (math.isfinite(theta_fixed)
+                                        and theta_fixed > -1.0):
+        raise ValueError("theta_fixed must be finite and exceed -1")
+    it = _Iteration(problem, cfg, beta, theta_fixed, columns)
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(
@@ -512,7 +487,7 @@ def run_padmm(problem: MultiBlockProblem, config: PadmmConfig,
     if reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate
         _, pnorm = pkkt_residual(xs, y, problem)
-        if not converged and pnorm <= config.tol:
+        if not converged and pnorm <= cfg.tol_residual:
             converged, reason = True, "pkkt"
     return PadmmResult(z=res.solution, x_blocks=xs, y=y, trace=res.trace,
                        converged=converged, reason=reason,

@@ -8,7 +8,7 @@ gate exists to catch and assert that the gate rejects it.
 
 import re
 
-from opsplit import acceptance, hpe_core, padmm_ebb
+from opsplit import acceptance, hpe_core, padmm_ebb, splitters
 from opsplit.linops import BlockPoint
 
 
@@ -161,4 +161,25 @@ def test_direct_vs_kernel_rejects_a_scaled_step(monkeypatch):
     result = acceptance.check_direct_vs_kernel()
     (worst,) = _numbers(r"max relative deviation (\S+)", result.detail)
     assert worst > 1e-12
+    assert not result.passed
+
+
+def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
+    # certify reports without raising, and the three bounded splitters take
+    # their default 0.9 theta_max of a bound 3 theta_max + 0.5: their
+    # certificates break the criterion, and only the gate can say so
+    monkeypatch.setattr(hpe_core, "certify",
+                        lambda k, x, cert, M, sigma:
+                        hpe_core.check_criterion(x, cert, M, sigma))
+    for name in ("fbhf_max_theta", "ppg_max_theta", "condat_vu_max_theta"):
+        real = getattr(splitters, name)
+        monkeypatch.setattr(splitters, name, lambda *args, real=real:
+                            3.0 * real(*args) + 0.5)
+    acceptance._invariance_runs.cache_clear()
+    try:
+        result = acceptance.check_criterion_invariance()
+    finally:
+        acceptance._invariance_runs.cache_clear()
+    (worst,) = _numbers(r"min relative slack (\S+),", result.detail)
+    assert worst < -1.0
     assert not result.passed

@@ -13,7 +13,7 @@ from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
                               NonFiniteValue, check_criterion)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             DenseMetric, IdentityMetric)
-from opsplit.padmm_ebb import PadmmConfig, UOperator, run_padmm
+from opsplit.padmm_ebb import UOperator, run_padmm
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
                                condat_vu_from_qp, condat_vu_step,
@@ -173,7 +173,8 @@ def test_run_padmm_one_U_apply_and_one_solve_per_iteration(monkeypatch):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     u_counts = _count_calls(monkeypatch, UOperator, ("apply",))
     m_counts = _count_calls(monkeypatch, BlockDiagonalMetric, ("solve",))
-    res = run_padmm(inst.problem, PadmmConfig(max_iters=5000, tol=1e-8))
+    res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=5000,
+                                            tol_residual=1e-8))
     assert res.converged and res.iterations > 0
     assert u_counts["apply"] == res.iterations
     assert m_counts["solve"] == res.iterations
@@ -327,7 +328,7 @@ def test_nan_through_run_padmm_is_a_non_finite_value():
     bad = ProxFn(_nan_from_call(zero.evaluate, 7), zero.value_fn)
     prob = dataclasses.replace(inst.problem, gs=[bad, zero])
     with pytest.raises(NonFiniteValue, match="iteration 7: non-finite") as exc:
-        run_padmm(prob, PadmmConfig(max_iters=50))
+        run_padmm(prob, HpeConfig(sigma=0.9, max_iters=50))
     assert exc.value.iteration == 7 and len(exc.value.trace) == 6
 
 
@@ -338,7 +339,8 @@ def test_kept_certificates_drop_their_step():
     res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=20, tol_residual=0.0))
     inst = gen_qp(0, p=2, n_i=5, m=3)
-    pres = run_padmm(inst.problem, PadmmConfig(max_iters=20, tol=0.0))
+    pres = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=20,
+                                             tol_residual=0.0))
     for result in (res, pres):
         assert len(result.trace) == 20
         for row in result.trace:

@@ -11,7 +11,7 @@ import pytest
 from opsplit import cli, hpe_core
 from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
 from opsplit.hpe_core import ErgodicAccumulator, HpeConfig
-from opsplit.padmm_ebb import PadmmConfig, run_padmm
+from opsplit.padmm_ebb import run_padmm
 from opsplit.prox_problems import build_lrr, gen_qp
 from opsplit.splitters import SCHEMES
 
@@ -130,8 +130,8 @@ def _library_ergodic_pair(algorithm, max_iters):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     acc = ErgodicAccumulator()
     if algorithm == "padmm-ebb":
-        run_padmm(inst.problem, PadmmConfig(sigma_bar=0.5, tol=1e-8,
-                                            max_iters=max_iters),
+        run_padmm(inst.problem, HpeConfig(sigma=0.5, tol_residual=1e-8,
+                                          max_iters=max_iters),
                   accumulators=[acc])
     else:
         oracle, M0, x0, _ = SCHEMES[algorithm].setup(inst, 0.5)
@@ -322,6 +322,15 @@ def test_bench_runs_subset(capsys):
 def test_bench_rejects_unknown_algorithm():
     assert main(["bench", "--problem", "qp:seed=0",
                  "--algorithms", "nope"]) == 2
+
+
+def test_bench_names_the_algorithm_that_aborted(capsys):
+    # at beta = 100 padmm-ebb aborts on qp:seed=1, the first of the five
+    assert main(["bench", "--problem", "qp:seed=1", "--beta", "100",
+                 "--max-iters", "3"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("solver abort: padmm-ebb: iteration 1: "
+                              "directional Gamma form is not positive")
 
 
 def test_solver_fault_mid_solve_exits_three(monkeypatch, capsys):
@@ -541,9 +550,11 @@ def test_unwritable_output_path_exits_two_before_the_solve(
                          ids=["converged", "abort"])
 def test_output_write_failing_after_the_solve_exits_two(option, extra, capsys):
     # /dev/full passes the path check; every write to it fails with ENOSPC
-    # once the solve has run (at beta = 100 qp:seed=1 aborts at iteration 1)
-    assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
-                 "qp:seed=1", option, "/dev/full", *extra]) == 2
+    # once the solve has run (at beta = 100 qp:seed=1 aborts at iteration 1,
+    # and the abort keeps its exit code 3)
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                 "qp:seed=1", option, "/dev/full", *extra])
+    assert code == (3 if extra else 2)
     err = capsys.readouterr().err
     assert "%s /dev/full cannot be written" % option in err
     assert "Traceback" not in err
@@ -555,13 +566,13 @@ def test_a_failing_write_loses_no_other_output(tmp_path, capsys):
     summary = tmp_path / "s.json"
     abort = ["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
              "--beta", "100", "--max-iters", "3", "--trace", "/dev/full"]
-    assert main(abort + ["--summary", str(summary)]) == 2
+    assert main(abort + ["--summary", str(summary)]) == 3
     assert "--trace /dev/full cannot be written" in capsys.readouterr().err
     record = json.loads(summary.read_text())["abort"]
     assert record["iteration"] == 1
     assert record["exception"] == "CriterionViolation"
     # and one error names every write that failed
-    assert main(abort + ["--summary", "/dev/full"]) == 2
+    assert main(abort + ["--summary", "/dev/full"]) == 3
     err = capsys.readouterr().err
     assert "--trace /dev/full cannot be written" in err
     assert "--summary /dev/full cannot be written" in err

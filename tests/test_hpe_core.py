@@ -247,6 +247,23 @@ def test_run_converges_on_affine_operator():
     assert all(d1 <= d0 * (1 + 1e-12) for d0, d1 in zip(dists, dists[1:]))
 
 
+def test_a_stop_hook_replaces_the_residual_test():
+    # every certificate meets tol_residual = 1e300; with a stop hook that
+    # never fires, only the budget ends the run
+    K, q, _ = _affine_setup()
+    lay = BlockLayout((K.shape[0],))
+    cfg = HpeConfig(sigma=0.5, max_iters=7, tol_residual=1e300)
+    oracle = make_affine_resolvent_oracle(K, q)
+    x0 = BlockPoint(np.ones(K.shape[0]), lay)
+    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg)
+    assert res.reason == "residual" and res.iterations == 1
+    stops = []
+    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg,
+                       stop=lambda k, x: stops.append(k))
+    assert res.reason == "max_iters" and not res.converged
+    assert res.iterations == len(res.trace) == 7 and stops == list(range(1, 8))
+
+
 def test_run_rejects_lying_oracle():
     K, q, _ = _affine_setup()
     lay = BlockLayout((K.shape[0],))

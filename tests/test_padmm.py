@@ -11,11 +11,11 @@ import pytest
 
 from opsplit import padmm_ebb
 from opsplit.hpe_core import (check_criterion, CriterionViolation,
-                              ErgodicAccumulator, HpeCertificate,
+                              ErgodicAccumulator, HpeCertificate, HpeConfig,
                               MetricScheduleViolation)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             LinearMap)
-from opsplit.padmm_ebb import (MultiBlockProblem, PadmmConfig, UOperator,
+from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                bb_metric_update, block_sweep, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
 from opsplit.prox_problems import ProxFn, gen_qp
@@ -131,7 +131,8 @@ def _map_applies_of_run(monkeypatch, iters):
         return real_sweep(*args, **kwargs)
 
     monkeypatch.setattr(padmm_ebb, "block_sweep", counted_sweep)
-    res = run_padmm(prob, PadmmConfig(max_iters=iters, tol=0.0))
+    res = run_padmm(prob, HpeConfig(sigma=0.9, max_iters=iters,
+                                    tol_residual=0.0))
     assert res.iterations == sweeps[0] == iters
     return counts["adjoint_apply"], counts["apply"], prob.p
 
@@ -149,7 +150,7 @@ def test_the_hooks_hold_no_constraint_images_after_the_oracle(monkeypatch):
 
     monkeypatch.setattr(padmm_ebb._Iteration, "oracle", oracle)
     prob = gen_qp(0, p=3, n_i=4, m=3).problem
-    run_padmm(prob, PadmmConfig(max_iters=20, tol=0.0))
+    run_padmm(prob, HpeConfig(sigma=0.9, max_iters=20, tol_residual=0.0))
     assert held == [(prob.p, None)] * 20
 
 
@@ -169,15 +170,15 @@ def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
 def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
     prob = _lrr().problem
     calls, _ = count_svds(monkeypatch)
-    cfg = PadmmConfig(beta=300.0, sigma_bar=0.9, max_iters=10, tol=0.0)
-    res = run_padmm(prob, cfg)
+    cfg = HpeConfig(sigma=0.9, max_iters=10, tol_residual=0.0)
+    res = run_padmm(prob, cfg, beta=300.0)
     assert res.iterations == 10
     assert "objective" not in res.trace.columns
     # two nuclear proxes in the sweep; the stop test is decided by the rows
     # before the nuclear-norm blocks, and the terminal residual adds two
     assert calls[0] == 2 * res.iterations + 2
     calls[0] = 0
-    res = run_padmm(prob, cfg, columns=padmm_ebb.DEFAULT_COLUMNS
+    res = run_padmm(prob, cfg, beta=300.0, columns=padmm_ebb.DEFAULT_COLUMNS
                     + padmm_ebb.OPT_IN_COLUMNS)
     objectives = res.trace.column("objective")
     # the start, z = 0, is feasible; every later iterate breaks Z >= 0
@@ -403,11 +404,11 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
 
 def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     inst = gen_qp(0, p=2, n_i=5, m=3)
-    cfg = PadmmConfig(max_iters=40, tol=1e-8)
+    cfg = HpeConfig(sigma=0.9, max_iters=40, tol_residual=1e-8)
     res = run_padmm(inst.problem, cfg)
     assert res.reason == "max_iters"
     _, full = pkkt_residual(res.x_blocks, res.y, inst.problem)
-    assert res.final_pkkt == full > cfg.tol
+    assert res.final_pkkt == full > cfg.tol_residual
     # a sweep that returns its start point makes that point a fixed point;
     # the stop test before it decided on the dual row alone
     z0 = BlockPoint(inst.z_star.data + 1.0, inst.z_star.layout)
@@ -416,8 +417,10 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     res = run_padmm(inst.problem, cfg, z0=z0)
     assert res.reason == "fixed_point" and res.iterations == 1
     xs, y = inst.problem.split(z0)
-    assert pkkt_residual(xs, y, inst.problem, tol=cfg.tol)[1] == math.inf
-    assert res.final_pkkt == pkkt_residual(xs, y, inst.problem)[1] > cfg.tol
+    assert pkkt_residual(xs, y, inst.problem,
+                         tol=cfg.tol_residual)[1] == math.inf
+    assert (res.final_pkkt == pkkt_residual(xs, y, inst.problem)[1]
+            > cfg.tol_residual)
 
 
 def test_lrr_d40_stop_test_takes_no_nuclear_norm_svd(monkeypatch):
@@ -425,8 +428,8 @@ def test_lrr_d40_stop_test_takes_no_nuclear_norm_svd(monkeypatch):
     # iteration, plus those of the one complete residual, at convergence
     calls, _ = count_svds(monkeypatch)
     prob = _lrr("lrr:seed=0,d=40,n=40").problem
-    res = run_padmm(prob, PadmmConfig(beta=300.0, sigma_bar=0.9,
-                                      max_iters=3000, tol=1e-3))
+    res = run_padmm(prob, HpeConfig(sigma=0.9, max_iters=3000,
+                                    tol_residual=1e-3), beta=300.0)
     assert res.reason == "pkkt" and res.iterations == 437
     assert calls[0] == 2 * res.iterations + 2
     assert calls[0] / res.iterations <= 2.1
@@ -440,7 +443,8 @@ def test_lrr_d40_stop_test_takes_no_nuclear_norm_svd(monkeypatch):
 def test_run_padmm_solves_qps():
     for seed in (0, 1):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
-        res = run_padmm(inst.problem, PadmmConfig(max_iters=3000, tol=1e-9))
+        res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=3000,
+                                                tol_residual=1e-9))
         assert res.converged and res.reason == "pkkt"
         assert (res.z - inst.z_star).norm() < 1e-7
         assert len(res.trace) == res.iterations
@@ -450,11 +454,12 @@ def test_run_padmm_solves_qps():
 
 def test_run_padmm_trace_column_schema():
     inst = gen_qp(2, p=2, n_i=4, m=2)
-    res = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0))
+    cfg = HpeConfig(sigma=0.9, max_iters=50, tol_residual=0.0)
+    res = run_padmm(inst.problem, cfg)
     assert res.trace.columns[10:] == ("feas_norm", "theta_adap", "beta")
     assert res.trace.column("beta")[-1] == 1.0
     # a selection comes back in table order, kernel columns first
-    full = run_padmm(inst.problem, PadmmConfig(max_iters=50, tol=0.0),
+    full = run_padmm(inst.problem, cfg,
                      columns=("beta", "objective", "theta_adap", "feas_norm",
                               "pkkt", "v_norm"))
     assert full.trace.columns == ("v_norm", "pkkt", "feas_norm", "objective",
@@ -465,13 +470,15 @@ def test_run_padmm_trace_column_schema():
     pkkt = full.trace.column("pkkt")
     assert pkkt[-1] < pkkt[0]
     with pytest.raises(ValueError, match="unknown trace column.*pkt"):
-        run_padmm(inst.problem, PadmmConfig(max_iters=5), columns=("pkt",))
+        run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=5),
+                  columns=("pkt",))
 
 
 def test_run_padmm_theta_fixed_zero_disables_over_relaxation():
     inst = gen_qp(3, p=2, n_i=4, m=2)
     res = run_padmm(inst.problem,
-                    PadmmConfig(max_iters=200, tol=0.0, theta_fixed=0.0))
+                    HpeConfig(sigma=0.9, max_iters=200, tol_residual=0.0),
+                    theta_fixed=0.0)
     assert max(map(abs, res.trace.column("theta"))) <= 1e-9
 
 
@@ -490,8 +497,7 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
                        match=r"iteration 1: directional Gamma form is not "
                              r"positive \(gamma_form=-?\d.*, denom_form=\d"
                        ) as exc:
-        run_padmm(inst.problem,
-                  PadmmConfig(beta=100, sigma_bar=0.5, max_iters=3))
+        run_padmm(inst.problem, HpeConfig(sigma=0.5, max_iters=3), beta=100)
     assert exc.value.iteration == 1 and len(exc.value.trace) == 0
     assert len(sweeps) == 1
 
@@ -499,7 +505,7 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
 def test_result_blocks_do_not_alias_the_iterate():
     # the loop reads the iterate through views; the result's blocks are copies
     res = run_padmm(gen_qp(0, p=2, n_i=5, m=3).problem,
-                    PadmmConfig(max_iters=20, tol=0.0))
+                    HpeConfig(sigma=0.9, max_iters=20, tol_residual=0.0))
     before = res.z.data.copy()
     for x in res.x_blocks + [res.y]:
         x += 1.0
@@ -508,7 +514,8 @@ def test_result_blocks_do_not_alias_the_iterate():
 
 def test_run_padmm_starts_from_given_point():
     inst = gen_qp(4, p=2, n_i=4, m=2)
-    res = run_padmm(inst.problem, PadmmConfig(max_iters=1, tol=1e-12),
+    res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=1,
+                                            tol_residual=1e-12),
                     z0=inst.z_star)
     # starting at the KKT point terminates immediately
     assert res.converged and res.iterations == 0
@@ -526,7 +533,8 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     # the first BB update follows the first sweep: iteration 2 in the trace
     with pytest.raises(MetricScheduleViolation, match="iteration 2:") as exc:
-        run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0))
+        run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=5,
+                                          tol_residual=0.0))
     # the metric update follows the step, so iteration 2 has its row
     assert exc.value.iteration == 2 and len(exc.value.trace) == 2
 
@@ -534,19 +542,22 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
 def test_run_padmm_reads_xi_through_the_kernel_config():
     inst = gen_qp(0, p=2, n_i=5, m=3)
     with pytest.raises(ValueError, match="xi_1 must be nonnegative") as exc:
-        run_padmm(inst.problem, PadmmConfig(max_iters=5, tol=0.0),
-                  xi_schedule=lambda k: float("nan"))
+        run_padmm(inst.problem, HpeConfig(
+            sigma=0.9, xi_schedule=lambda k: float("nan"), max_iters=5,
+            tol_residual=0.0))
     assert exc.value.iteration == 1
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PadmmConfig(sigma_bar=1.0)
-    with pytest.raises(ValueError):
-        PadmmConfig(beta=0.0)
+    # run_padmm checks its own arguments before it touches the problem (None
+    # here); sigma is the kernel config's (test_config_rejects_bad_parameters)
+    cfg = HpeConfig(sigma=0.9)
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            run_padmm(None, cfg, beta=beta)
     for theta in (-1.0, -1.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="theta_fixed"):
-            PadmmConfig(theta_fixed=theta)
+            run_padmm(None, cfg, theta_fixed=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +568,8 @@ def test_config_validation():
 def test_multi_block_ergodic_pair_matches_two_pass_reference():
     inst = gen_qp(6, p=2, n_i=4, m=2)
     acc, recorder = ErgodicAccumulator(), CertificateRecorder()
-    run_padmm(inst.problem, PadmmConfig(max_iters=300, tol=0.0),
+    run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=300,
+                                      tol_residual=0.0),
               accumulators=[acc, recorder])
     assert len(acc) == len(recorder.certs) == 300
     assert min(acc.eps_bars) >= -1e-12
@@ -576,7 +588,8 @@ def _bytes_held_by_run(problem, iters):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        res = run_padmm(problem, PadmmConfig(max_iters=iters, tol=0.0),
+        res = run_padmm(problem, HpeConfig(sigma=0.9, max_iters=iters,
+                                           tol_residual=0.0),
                         accumulators=[acc])
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before

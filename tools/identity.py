@@ -1,0 +1,202 @@
+"""Check that a change leaves every solve bitwise unchanged.
+
+Run from a checkout:
+
+    python3 tools/identity.py --against REV
+
+The same battery of CLI solves (argv into ``opsplit.cli.main``) runs on the
+files of ``REV`` (unpacked from ``git archive``) and on this checkout, one
+process per tree.  Each run is compared on its exit code, its last line of
+standard error, its trace CSV bytes without the ``time_s`` column and its
+summary JSON without ``wall_time_s``.  One verdict line per run, then one
+digest over every compared output; any mismatch exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+QP = "qp:seed=%d,p=2,n=5,m=3"
+QP_OPTS = ["--tol", "1e-8", "--max-iters", "5000"]
+LRR = "lrr:seed=%d,d=40,n=40"
+LRR_OPTS = ["--beta", "300", "--tol", "1e-3", "--sigma", "0.9",
+            "--max-iters", "3000"]
+ALGORITHMS = ("padmm-ebb", "condat-vu", "ppg", "fbhf", "afbas-pd")
+
+
+def _solve(algorithm, problem, *options):
+    return ["--algorithm", algorithm, "--problem", problem, *options]
+
+
+# (name, argv after "solve", without --trace and --summary)
+BATTERY = (
+    [("%s.qp%d" % (a, s), _solve(a, QP % s, *QP_OPTS))
+     for a in ALGORITHMS for s in range(10)]
+    + [("padmm-ebb.qp%d.full" % s,
+        _solve("padmm-ebb", QP % s, *QP_OPTS, "--full-trace"))
+       for s in range(10)]
+    + [("padmm-ebb.qp%d.theta0" % s,
+        _solve("padmm-ebb", QP % s, *QP_OPTS, "--theta", "0"))
+       for s in range(10)]
+    + [("padmm-ebb.lrr%d%s" % (s, suffix),
+        _solve("padmm-ebb", LRR % s, *LRR_OPTS, *extra))
+       for s in range(3) for suffix, extra in (("", ()),
+                                               (".full", ("--full-trace",)))]
+    + [("padmm-ebb.qp0.max-iters", _solve("padmm-ebb", QP % 0, "--tol",
+                                          "1e-12", "--max-iters", "50")),
+       ("padmm-ebb.abort", _solve("padmm-ebb", "qp:seed=1", "--beta", "100",
+                                  "--max-iters", "3")),
+       ("padmm-ebb.beta-nan", _solve("padmm-ebb", "qp:seed=1", "--beta",
+                                     "nan"))])
+
+
+def collect(outdir, battery=BATTERY):
+    """Run ``battery`` through the CLI of the importable ``opsplit``; write
+    each run's trace and summary to ``outdir`` and the exit codes and last
+    stderr lines to ``outdir/runs.json``."""
+    from opsplit.cli import main
+
+    outdir = pathlib.Path(outdir)
+    runs = []
+    for name, argv in battery:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["solve", *argv,
+                         "--trace", str(outdir / (name + ".csv")),
+                         "--summary", str(outdir / (name + ".json"))])
+        lines = err.getvalue().strip().splitlines()
+        runs.append({"name": name, "exit": code,
+                     "stderr": lines[-1] if lines else ""})
+    (outdir / "runs.json").write_text(json.dumps(runs, indent=1))
+
+
+def _trace(path):
+    """Header and rows of a trace CSV as lists of cells, time_s dropped."""
+    if not path.exists():
+        return None
+    rows = [line.split(",") for line in
+            path.read_bytes().decode().split("\r\n") if line]
+    keep = [i for i, name in enumerate(rows[0]) if name != "time_s"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def _summary(path):
+    if not path.exists():
+        return None
+    data = json.loads(path.read_text())
+    data.pop("wall_time_s", None)
+    return data
+
+
+def _leaves(data, prefix=""):
+    if isinstance(data, dict):
+        for key, val in data.items():
+            yield from _leaves(val, prefix + key + ".")
+    else:
+        yield prefix[:-1], json.dumps(data)
+
+
+def load(outdir):
+    """Each run of ``collect``'s output as name -> comparable record."""
+    outdir = pathlib.Path(outdir)
+    records = {}
+    for run in json.loads((outdir / "runs.json").read_text()):
+        name = run["name"]
+        records[name] = dict(run, trace=_trace(outdir / (name + ".csv")),
+                             summary=_summary(outdir / (name + ".json")))
+    return records
+
+
+def differences(a, b):
+    """What differs between two records of one run, as short phrases."""
+    out = [key for key in ("exit", "stderr") if a[key] != b[key]]
+    ta, tb = a["trace"], b["trace"]
+    if ta != tb:
+        if ta and tb and len(ta) == len(tb) and ta[0] == tb[0]:
+            cols = sorted({j for row_a, row_b in zip(ta, tb)
+                           for j, (x, y) in enumerate(zip(row_a, row_b))
+                           if x != y})
+            out.append("trace columns " + ", ".join(ta[0][j] for j in cols))
+        else:
+            out.append("trace shape")
+    la = dict(_leaves(a["summary"] or {}))
+    lb = dict(_leaves(b["summary"] or {}))
+    keys = sorted(k for k in la.keys() | lb.keys() if la.get(k) != lb.get(k))
+    if keys:
+        out.append("summary " + ", ".join(keys))
+    return out
+
+
+def digest(records):
+    h = hashlib.sha256()
+    for name in sorted(records):
+        h.update(json.dumps(records[name], sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def compare(dir_a, dir_b, out=sys.stdout):
+    """Print one verdict per run and the digest; True when all identical."""
+    ra, rb = load(dir_a), load(dir_b)
+    names = list(ra) + [name for name in rb if name not in ra]
+    same = 0
+    for name in names:
+        a, b = ra.get(name), rb.get(name)
+        diff = differences(a, b) if a and b else ["missing on one side"]
+        iters = "/".join(str(r["summary"]["iterations"])
+                         if r and r["summary"] else "-" for r in (a, b))
+        detail = ": " + "; ".join(diff) if diff else ""
+        print("%-9s %-24s iters %s%s" % ("DIFFERS" if diff else "identical",
+                                         name, iters, detail), file=out)
+        same += not diff
+    da, db = digest(ra), digest(rb)
+    print("%d runs, %d identical; digest %s"
+          % (len(names), same, da if da == db else da + " vs " + db),
+          file=out)
+    return same == len(names)
+
+
+def _collect_tree(tree, outdir):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tree) / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(pathlib.Path(__file__).resolve()),
+                    "--collect", str(outdir)], env=env, cwd=tree, check=True)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--against", metavar="REV",
+                       help="git revision to compare this checkout with")
+    group.add_argument("--collect", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        collect(args.collect)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        archive = subprocess.run(["git", "archive", args.against], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "base", filter="data")
+        for tree, out in ((tmp / "base", tmp / "out-base"),
+                          (ROOT, tmp / "out-head")):
+            out.mkdir()
+            _collect_tree(tree, out)
+        return 0 if compare(tmp / "out-base", tmp / "out-head") else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
