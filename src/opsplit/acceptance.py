@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import types
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import hpe_core
 from .hpe_core import ErgodicAccumulator, HpeConfig, linear_rate_factor
-from .linops import BlockLayout, BlockPoint, IdentityMetric
+from .linops import BlockLayout, BlockPoint, IdentityMetric, norm
 from .padmm_ebb import run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
 from .splitters import SCHEMES, condat_vu_from_qp, condat_vu_step
@@ -160,24 +161,40 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
 
 
 def check_ergodic_rate() -> CriterionResult:
-    """Log-log slope of the ergodic residual is at most -0.8 for both weightings."""
+    """Log-log slope of the ergodic residual is at most -0.8 for both
+    weightings, and the online pair at the last step matches a two-pass sum
+    over the run's certificates to 1e-9 relative."""
     oracle, M0, x0, _ = SCHEMES["condat-vu"].setup(
         gen_qp(0, p=2, n_i=5, m=3), 0.5)
     cfg = HpeConfig(sigma=0.5, max_iters=1000, tol_residual=0.0)
     accs = {"alpha=1": ErgodicAccumulator(),
             "alpha=k": ErgodicAccumulator(alpha=float)}
-    res = hpe_core.run(oracle, x0, M0, cfg, accumulators=list(accs.values()))
+    certs = []
+    res = hpe_core.run(oracle, x0, M0, cfg, accumulators=list(accs.values())
+                       + [types.SimpleNamespace(add=certs.append)])
     ks = np.arange(1, len(res.trace) + 1, dtype=float)
+    ys, vs = (np.array([getattr(c, f).data for c in certs]) for f in "yv")
+    eps = np.array([c.eps for c in certs])
+    w1 = np.array([(1.0 + c.theta) * c.c for c in certs])
     details = []
     passed = True
     for label, acc in accs.items():
         slope = hpe_core.loglog_slope(ks[99:], np.array(acc.v_norms[99:]))
         eps_min = min(acc.eps_bars)
-        ok = slope is not None and slope <= -0.8 and eps_min >= -1e-12
+        # the pair again, as sum w (eps + <y - y_bar, v - v_bar>) / W
+        w = w1 * ks if acc.alpha else w1
+        y_bar, v_bar = w @ ys / w.sum(), w @ vs / w.sum()
+        eps_bar = float(w @ (eps + np.einsum("ij,ij->i", ys - y_bar,
+                                             vs - v_bar))) / w.sum()
+        dev = max(abs(acc.v_norms[-1] / norm(v_bar) - 1.0),
+                  abs(acc.eps_bars[-1] / eps_bar - 1.0))
+        ok = (slope is not None and slope <= -0.8 and eps_min >= -1e-12
+              and dev <= 1e-9)
         passed = passed and ok
-        details.append("%s: slope %.2f, min eps_bar %.1e"
+        details.append("%s: slope %.2f, min eps_bar %.1e, two-pass "
+                       "deviation %.1e"
                        % (label, slope if slope is not None else float("nan"),
-                          eps_min))
+                          eps_min, dev))
     return CriterionResult("ergodic-rate", passed, "; ".join(details))
 
 
@@ -227,7 +244,8 @@ def check_padmm_qp_equivalence() -> CriterionResult:
 
 
 def check_direct_vs_kernel() -> CriterionResult:
-    """Native Condat-Vu updates match the kernel's verified correction."""
+    """Native Condat-Vu updates z + (1 + theta)(w - z), from the sweep point
+    w alone, match the kernel's verified correction."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
     prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
     theta = 0.5 * tmax
@@ -243,8 +261,11 @@ def check_direct_vs_kernel() -> CriterionResult:
         # the kernel's iterate after k - 1 corrections against as many
         # native updates; the kernel certifies and applies the correction
         deviation(z_kernel)
-        z_direct[0] = condat_vu_step(z_direct[0], prob, theta)[1]
-        return condat_vu_step(z_kernel, prob, theta)[0]
+        z = z_direct[0]
+        w = condat_vu_step(z, prob, theta).y
+        z_direct[0] = BlockPoint(z.data + (1.0 + theta) * (w.data - z.data),
+                                 z.layout)
+        return condat_vu_step(z_kernel, prob, theta)
 
     res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=200, tol_residual=0.0))

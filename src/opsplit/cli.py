@@ -16,12 +16,12 @@ from typing import Optional
 import numpy as np
 
 from . import hpe_core, padmm_ebb
-from .hpe_core import (CriterionViolation, HpeConfig, MetricScheduleViolation)
+from .hpe_core import HpeConfig
 from .padmm_ebb import run_padmm
 from .prox_problems import build_lrr, gen_qp, load_lrr_instance
 from .splitters import SCHEMES
 
-ALGORITHMS = ("padmm-ebb", "condat-vu", "ppg", "fbhf", "afbas-pd")
+ALGORITHMS = ("padmm-ebb",) + tuple(SCHEMES)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -381,7 +381,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except (CriterionViolation, MetricScheduleViolation, RuntimeError) as exc:
+    except RuntimeError as exc:
         print("solver abort: %s" % exc, file=sys.stderr)
         return EXIT_SOLVER
 

@@ -158,7 +158,7 @@ def _step_of(cert: HpeCertificate) -> np.ndarray:
 def _raise_if_non_finite(x: BlockPoint, cert: HpeCertificate) -> None:
     for name, val in (("iterate x", x.data), ("y", cert.y.data),
                       ("v", cert.v.data), ("step", cert.step.data),
-                      ("eps", cert.eps)):
+                      ("eps", cert.eps), ("theta", cert.theta)):
         if not np.all(np.isfinite(val)):
             raise NonFiniteValue("non-finite %s" % name)
 
@@ -169,9 +169,9 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
 
     The certificate's step is verified first, with one metric apply:
     ||M step - c v||_inf <= 1e-12 (1 + ||c v||_inf).  A missing or deviating
-    step raises :class:`CriterionViolation`; a non-finite entry raises its
-    subclass :class:`NonFiniteValue`, naming the entry.  With
-    diff = y - x the inequality then follows by linearity from
+    step, or a theta <= -1, raises :class:`CriterionViolation`; a non-finite
+    entry raises its subclass :class:`NonFiniteValue`, naming the entry.
+    With diff = y - x the inequality then follows by linearity from
     M (step + diff) = c v + M diff, with one more apply:
 
         lhs = theta <step, c v> + <step + diff, c v + M diff> + 2 c eps
@@ -183,6 +183,9 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
     if cert.eps < 0:
         raise ValueError("eps must be nonnegative")
     step = _step_of(cert)
+    if not cert.theta > -1.0:
+        _raise_if_non_finite(x, cert)
+        raise CriterionViolation("theta = %r is not above -1" % cert.theta)
     cv = cert.c * cert.v.data
     dev = float(abs(M.apply(step) - cv).max())
     if not dev <= STEP_TOL * (1.0 + float(abs(cv).max())):

@@ -120,20 +120,6 @@ class LinearMap:
     domain_dim: int
     codomain_dim: int
 
-    @classmethod
-    def from_dense(cls, matrix: np.ndarray) -> "LinearMap":
-        matrix = np.asarray(matrix, dtype=float)
-        m, n = matrix.shape
-        return cls(apply=lambda v: matrix @ v,
-                   adjoint_apply=lambda u: matrix.T @ u,
-                   domain_dim=n, codomain_dim=m)
-
-    def to_dense(self) -> np.ndarray:
-        cols = [self.apply(e) for e in np.eye(self.domain_dim)]
-        if not cols:
-            return np.zeros((self.codomain_dim, 0))
-        return np.column_stack(cols)
-
 
 def spectral_upper_bound(A: LinearMap) -> float:
     """Safe upper estimate of the largest singular value of A.

@@ -1,28 +1,29 @@
 """Step oracles for classical splitting schemes, certified for the kernel.
 
-Each step performs one iteration of a known splitting method (forward-
-backward-half-forward, projective proximal-gradient consensus splitting,
-Condat-Vu primal-dual, and an adaptive-step primal-dual variant) and returns
-an :class:`~opsplit.hpe_core.HpeCertificate` together with the natively
-computed next iterate.  The certificate carries the scheme's own step
-c M^-1 v (no metric solve), always satisfies the relative-error criterion
-under the method's own metric, and the native update coincides with the
-kernel's extra-gradient correction.  The kernel checks the step against v to
-1e-12 on every call, for every scheme.  :data:`SCHEMES` codes a QP onto each
-scheme and turns it into a kernel oracle.
+Each step performs the proximal part of one iteration of a known splitting
+method (forward-backward-half-forward, projective proximal-gradient
+consensus splitting, Condat-Vu primal-dual, and an adaptive-step primal-dual
+variant) and returns only its :class:`~opsplit.hpe_core.HpeCertificate`.
+The certificate carries the scheme's own step c M^-1 v (no metric solve) and
+satisfies the relative-error criterion under the metric ``problem.metric()``;
+the scheme's native update is the kernel's over-relaxed extra-gradient
+correction along that step, so no step builds a next iterate.  The kernel
+checks the step against v to 1e-12 on every call, for every scheme.
+:data:`SCHEMES` codes a QP onto each scheme and turns it into a kernel
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .hpe_core import HpeCertificate
 from .linops import (BlockLayout, BlockPoint, Cholesky, DenseMetric,
-                     IdentityMetric, LinearMap, Metric)
+                     IdentityMetric, Metric)
 from .prox_problems import ProxFn
 
 
@@ -33,7 +34,7 @@ from .prox_problems import ProxFn
 
 @dataclass
 class FbhfProblem:
-    """Monotone inclusion 0 in (A + B1 + B2)(x).
+    """Monotone inclusion 0 in (A + B1 + B2)(x), split at step size gamma.
 
     ``resolvent(gamma, u)`` evaluates J_{gamma A}(u); B1 is beta-cocoercive
     (beta = None means B1 = 0); B2 is monotone and L-Lipschitz.
@@ -41,12 +42,15 @@ class FbhfProblem:
 
     dim: int
     resolvent: Callable[[float, np.ndarray], np.ndarray]
+    gamma: float
     B1: Optional[Callable[[np.ndarray], np.ndarray]] = None
     beta: Optional[float] = None
     B2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
 
     def __post_init__(self):
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         if self.B1 is not None and (self.beta is None or self.beta <= 0):
             raise ValueError("B1 requires a positive cocoercivity constant beta")
         if self.L < 0:
@@ -56,20 +60,20 @@ class FbhfProblem:
     def layout(self) -> BlockLayout:
         return BlockLayout((self.dim,))
 
-
-def fbhf_max_theta(p: FbhfProblem, gamma: float, sigma: float) -> float:
-    """Largest over-relaxation admissible at step size gamma."""
-    coco = gamma / (2.0 * p.beta) if p.B1 is not None else 0.0
-    return (sigma - gamma ** 2 * p.L ** 2 - coco) / (1.0 + gamma ** 2 * p.L ** 2)
+    def metric(self) -> Metric:
+        return IdentityMetric()
 
 
-def fbhf_step(x: BlockPoint, p: FbhfProblem, gamma: float, theta: float,
-              sigma: Optional[float] = None) -> Tuple[HpeCertificate, BlockPoint]:
+def fbhf_max_theta(p: FbhfProblem, sigma: float) -> float:
+    """Largest over-relaxation admissible at the problem's step size."""
+    g2L2 = p.gamma ** 2 * p.L ** 2
+    coco = p.gamma / (2.0 * p.beta) if p.B1 is not None else 0.0
+    return (sigma - g2L2 - coco) / (1.0 + g2L2)
+
+
+def fbhf_step(x: BlockPoint, p: FbhfProblem, theta: float) -> HpeCertificate:
     """One certified forward-backward-half-forward step (metric I, c = gamma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if sigma is not None and theta > fbhf_max_theta(p, gamma, sigma) + 1e-12:
-        raise ValueError("theta exceeds the admissible step bound")
+    gamma = p.gamma
     xf = x.data
     b1 = p.B1(xf) if p.B1 is not None else np.zeros_like(xf)
     b2x = p.B2(xf) if p.B2 is not None else np.zeros_like(xf)
@@ -77,13 +81,9 @@ def fbhf_step(x: BlockPoint, p: FbhfProblem, gamma: float, theta: float,
     b2y = p.B2(y) if p.B2 is not None else np.zeros_like(xf)
     v = (xf - y) / gamma - b2x + b2y
     eps = 0.0 if p.B1 is None else float(np.dot(xf - y, xf - y)) / (4.0 * p.beta)
-    step = gamma * v
-    cert = HpeCertificate(y=BlockPoint(y, x.layout), v=BlockPoint(v, x.layout),
+    return HpeCertificate(y=BlockPoint(y, x.layout), v=BlockPoint(v, x.layout),
                           eps=eps, c=gamma, theta=theta,
-                          step=BlockPoint(step, x.layout))
-    x_next = BlockPoint(xf - (1.0 + theta) * step, x.layout)
-    return cert, x_next
-
+                          step=BlockPoint(gamma * v, x.layout))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +117,21 @@ class PpgProblem:
     def layout(self) -> BlockLayout:
         return BlockLayout((self.dim,) * self.n)
 
+    def metric(self) -> Metric:
+        return IdentityMetric()
+
 
 def ppg_max_theta(p: PpgProblem, sigma: float) -> float:
     return sigma - p.L * p.alpha / 2.0
 
 
-def ppg_step(z: BlockPoint, p: PpgProblem, theta: float,
-             sigma: Optional[float] = None) -> Tuple[HpeCertificate, BlockPoint]:
+def ppg_step(z: BlockPoint, p: PpgProblem, theta: float) -> HpeCertificate:
     """One certified consensus splitting step (metric I, c = 1).
 
     Consensus point x+ = prox_{alpha r}(mean z_i); per-copy proxes at the
-    gradient-corrected reflections; over-relaxed z update.  The certificate's
-    eps carries the factor alpha from the enlargement scaling.
+    gradient-corrected reflections; the step is v.  The certificate's eps
+    carries the factor alpha from the enlargement scaling.
     """
-    if sigma is not None and theta > ppg_max_theta(p, sigma) + 1e-12:
-        raise ValueError("theta exceeds the admissible bound sigma - L*alpha/2")
     zs = z.blocks()
     mean = sum(zs) / p.n
     xc = p.prox_r.evaluate(p.alpha, mean)
@@ -143,11 +143,8 @@ def ppg_step(z: BlockPoint, p: PpgProblem, theta: float,
     v = BlockPoint(np.concatenate([xc - xn for xn in x_next]), z.layout)
     eps_raw = 0.25 * p.L * sum(float(np.dot(x_next[i] - xc, x_next[i] - xc))
                                for i in range(p.n))
-    cert = HpeCertificate(y=BlockPoint(y, z.layout), v=v,
+    return HpeCertificate(y=BlockPoint(y, z.layout), v=v,
                           eps=p.alpha * eps_raw, c=1.0, theta=theta, step=v)
-    z_new = BlockPoint(z.data - (1.0 + theta) * cert.v.data, z.layout)
-    return cert, z_new
-
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +170,19 @@ def _prox_conjugate(prox_h: ProxFn, t: float, u: np.ndarray) -> np.ndarray:
 class CondatVuProblem:
     """min_x f(x) + g(x) + h(Bx) with smooth f (Lipschitz-L gradient).
 
-    ``B.apply`` maps primal to dual; ``prox_h`` is the prox of h itself (the
-    conjugate prox comes from the Moreau identity).  The saddle metric
-    [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2, is
-    assembled once from the dense B; each apply is one matrix-vector product.
+    The dense matrix ``B`` maps primal to dual; ``prox_h`` is the prox of h
+    itself (the conjugate prox comes from the Moreau identity).  The saddle
+    metric [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2, is
+    assembled once from B; each apply is one matrix-vector product.
     ``bnorm`` is ||B||, when the caller already took it from the same matrix;
-    None takes it from the dense B.
+    None takes it from B.
     """
 
     dim_x: int
     dim_y: int
     prox_g: ProxFn
     prox_h: ProxFn
-    B: LinearMap
+    B: np.ndarray
     r: float
     s: float
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -198,16 +195,15 @@ class CondatVuProblem:
                 and self.L >= 0):
             raise ValueError("need finite r, s > 0 and L >= 0, got r=%r, s=%r"
                              % (self.r, self.s))
-        if (self.B.domain_dim, self.B.codomain_dim) != (self.dim_x, self.dim_y):
+        if self.B.shape != (self.dim_y, self.dim_x):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
-        Bd = self.B.to_dense()
         if self.bnorm is None:
-            self.bnorm = _spectral_norm(Bd)
+            self.bnorm = _spectral_norm(self.B)
         if self.strong_gap <= 0:
             raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
         self._metric = DenseMetric(np.block(
-            [[self.r * np.eye(self.dim_x), -Bd.T],
-             [-Bd, self.s * np.eye(self.dim_y)]]))
+            [[self.r * np.eye(self.dim_x), -self.B.T],
+             [-self.B, self.s * np.eye(self.dim_y)]]))
 
     @property
     def strong_gap(self) -> float:
@@ -236,30 +232,23 @@ def condat_vu_max_theta(p: CondatVuProblem, sigma: float) -> float:
     return sigma - p.L / (2.0 * p.primal_gap)
 
 
-def condat_vu_step(z: BlockPoint, p: CondatVuProblem, theta: float,
-                   sigma: Optional[float] = None
-                   ) -> Tuple[HpeCertificate, BlockPoint]:
+def condat_vu_step(z: BlockPoint, p: CondatVuProblem,
+                   theta: float) -> HpeCertificate:
     """One certified primal-dual step under the saddle metric (c = 1).
 
-    The certificate's step is d = z - w, with v = M d.  The native
-    over-relaxed update z + (1 + theta)(w - z) is returned and is the
-    kernel's extra-gradient correction for this certificate; the kernel checks
-    M step = v to 1e-12 on every call.
+    The certificate's step is d = z - w, with v = M d, so the kernel's
+    correction z - (1 + theta) d is the native over-relaxed update
+    z + (1 + theta)(w - z).
     """
-    if sigma is not None and theta > condat_vu_max_theta(p, sigma) + 1e-12:
-        raise ValueError("theta exceeds sigma - L / (2 (r - ||B||^2/s))")
     x, y = z.block(0), z.block(1)
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
-    xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.adjoint_apply(y)) / p.r)
-    yt = _prox_conjugate(p.prox_h, 1.0 / p.s, y + p.B.apply(2.0 * xt - x) / p.s)
+    xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.T @ y) / p.r)
+    yt = _prox_conjugate(p.prox_h, 1.0 / p.s, y + p.B @ (2.0 * xt - x) / p.s)
     w = BlockPoint(np.concatenate([xt, yt]), z.layout)
     d = z - w
     v = BlockPoint(p.metric().apply(d.data), z.layout)
     eps = 0.25 * p.L * float(np.dot(x - xt, x - xt))
-    cert = HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta, step=d)
-    z_new = BlockPoint(z.data + (1.0 + theta) * (w.data - z.data), z.layout)
-    return cert, z_new
-
+    return HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta, step=d)
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +263,10 @@ class AfbasPdProblem:
     Nonsymmetric preconditioner R = [[I/gamma1, -B*], [(1-theta)B, I/gamma2]]
     and step shaper S = [[I, -mu gamma1 (2-theta) B*],
     [gamma2 (1-mu)(2-theta) B, I]]; the certified metric is M = R S^{-1}.
-    R, S and M are assembled once from the dense B, so each apply of any of
-    them is one matrix-vector product.  theta here is the scheme's structural
-    parameter (not the over-relaxation); the over-relaxation is alpha_k - 1
-    with alpha_k computed per step.  ``bnorm`` is ||B||, as for
+    R, S and M are assembled once from the dense matrix B, so each apply of
+    any of them is one matrix-vector product.  theta here is the scheme's
+    structural parameter (not the over-relaxation); the over-relaxation is
+    alpha_k - 1 with alpha_k computed per step.  ``bnorm`` is ||B||, as for
     :class:`CondatVuProblem`.
     """
 
@@ -285,7 +274,7 @@ class AfbasPdProblem:
     dim_y: int
     prox_g: ProxFn
     prox_h: ProxFn
-    B: LinearMap
+    B: np.ndarray
     gamma1: float
     gamma2: float
     theta: float = 2.0
@@ -303,7 +292,7 @@ class AfbasPdProblem:
             raise ValueError("gamma1, gamma2 must be positive")
         if self.theta < 0 or not 0.0 <= self.mu <= 1.0 or self.L < 0:
             raise ValueError("need theta >= 0, mu in [0,1], L >= 0")
-        Bd = self.B.to_dense()
+        Bd = self.B
         if self.bnorm is None:
             self.bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
@@ -347,29 +336,28 @@ class AfbasPdProblem:
         return self._metric
 
 
-def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5
-                  ) -> Tuple[HpeCertificate, BlockPoint]:
+def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
+                  sigma: float = 0.5) -> HpeCertificate:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
     alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
     lam is capped along the direction so the relative-error criterion holds
     with the given sigma; theta_k = alpha_k - 1.  The certificate is v = R d
-    with step M^-1 v = S d.
+    with step M^-1 v = S d, so the kernel's correction is the native update
+    z - alpha_k S d.
     """
     x, y = z.block(0), z.block(1)
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
-    xb = p.prox_g.evaluate(p.gamma1,
-                           x - p.gamma1 * (p.B.adjoint_apply(y) + gf))
-    u = y + p.gamma2 * p.B.apply((1.0 - p.theta) * x + p.theta * xb)
+    xb = p.prox_g.evaluate(p.gamma1, x - p.gamma1 * (p.B.T @ y + gf))
+    u = y + p.gamma2 * (p.B @ ((1.0 - p.theta) * x + p.theta * xb))
     yb = _prox_conjugate(p.prox_h, p.gamma2, u)
     w = BlockPoint(np.concatenate([xb, yb]), z.layout)
     d = (z - w).data
-    dx, dy = d[:p.dim_x], d[p.dim_x:]
+    dx = d[:p.dim_x]
     if np.linalg.norm(d) == 0.0:
         zero = BlockPoint(np.zeros_like(d), z.layout)
-        cert = HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
+        return HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
                               step=zero)
-        return cert, z.copy()
     Rd = p._R @ d
     Sd = p._S @ d
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
@@ -383,12 +371,8 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem, sigma: float = 0.5
         raise RuntimeError("no admissible step along this direction "
                            "(criterion cap %.3e)" % cap)
     alpha = min(p.lam, cap) * 0.5 * n2_rr / denom
-    theta_k = alpha - 1.0
-    cert = HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps,
-                          c=1.0, theta=theta_k, step=BlockPoint(Sd, z.layout))
-    z_new = BlockPoint(z.data - alpha * Sd, z.layout)
-    return cert, z_new
-
+    return HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps, c=1.0,
+                          theta=alpha - 1.0, step=BlockPoint(Sd, z.layout))
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +403,19 @@ def _qp_data(inst):
 def fbhf_from_qp(inst, sigma: float = 0.5):
     """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic.
 
-    Returns (problem, gamma, theta_max, x_ref); pick theta <= theta_max.
+    Returns (problem, theta_max, x_ref); pick theta <= theta_max.
     """
     Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
     beta = 1.0 / Lq
-    prob = FbhfProblem(dim=Q.shape[0],
-                       resolvent=lambda gamma, u: proj(u),
-                       B1=lambda u: Q @ u + c, beta=beta)
-    gamma = beta * sigma  # theta_max = sigma - gamma/(2 beta) = sigma/2
-    theta_max = fbhf_max_theta(prob, gamma, sigma)
+    # gamma = beta sigma: theta_max = sigma - gamma/(2 beta) = sigma/2
+    prob = FbhfProblem(dim=Q.shape[0], resolvent=lambda gamma, u: proj(u),
+                       gamma=beta * sigma, B1=lambda u: Q @ u + c, beta=beta)
     x_ref = BlockPoint(np.concatenate(inst.x_star), prob.layout)
-    return prob, gamma, theta_max, x_ref
+    return prob, fbhf_max_theta(prob, sigma), x_ref
 
 
-def ppg_from_qp(inst, n: int = 3, sigma: float = 0.5):
+def ppg_from_qp(inst, sigma: float = 0.5):
     """Consensus coding: r = affine indicator, f_i = the full quadratic.
 
     Returns (problem, theta_max, z_ref); the reference point is the known
@@ -443,15 +425,15 @@ def ppg_from_qp(inst, n: int = 3, sigma: float = 0.5):
     proj = affine_projector(G, b)
     alpha = sigma / Lq  # leaves theta headroom up to sigma/2
     prox_r = ProxFn(lambda t, u: proj(u), lambda u: 0.0, name="affine")
+    n = 3  # copies of the quadratic
     prob = PpgProblem(n=n, dim=Q.shape[0], prox_r=prox_r,
                       prox_g=[ProxFn.zero() for _ in range(n)],
                       grad_f=[(lambda u, Q=Q, c=c: Q @ u + c)] * n,
                       L=Lq, alpha=alpha)
-    theta_max = ppg_max_theta(prob, sigma)
     x_star = np.concatenate(inst.x_star)
     g_star = Q @ x_star + c
     z_ref = BlockPoint(np.tile(x_star - alpha * g_star, n), prob.layout)
-    return prob, theta_max, z_ref
+    return prob, ppg_max_theta(prob, sigma), z_ref
 
 
 def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
@@ -469,18 +451,18 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
         s = bnorm + Lq / sigma + 1.0
     prob = CondatVuProblem(dim_x=Q.shape[0], dim_y=b.size,
                            prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
-                           B=LinearMap.from_dense(G), r=r, s=s,
-                           grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
-    theta_max = condat_vu_max_theta(prob, sigma)
+                           B=G, r=r, s=s, grad_f=lambda u: Q @ u + c,
+                           L=Lq, bnorm=bnorm)
     z_ref = BlockPoint(inst.z_star.data, prob.layout)
-    return prob, theta_max, z_ref
+    return prob, condat_vu_max_theta(prob, sigma), z_ref
 
 
-def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
-                     lam: float = 1.0):
+def afbas_pd_from_qp(inst, sigma: float = 0.5, theta: float = 2.0,
+                     mu: float = 0.5, lam: float = 1.0):
     """Adaptive primal-dual coding of the same saddle problem.
 
-    Returns (problem, z_ref = (x*, y*)).
+    Returns (problem, None, z_ref = (x*, y*)): the step picks its own
+    over-relaxation, so there is no theta_max and sigma goes unread.
     """
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
@@ -489,11 +471,10 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
     gamma1 = 1.0 / (2.0 * (Lq / 4.0 + gamma2 * theta ** 2 * bnorm ** 2 / 4.0 + 0.5))
     prob = AfbasPdProblem(dim_x=Q.shape[0], dim_y=b.size,
                           prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
-                          B=LinearMap.from_dense(G), gamma1=gamma1,
-                          gamma2=gamma2, theta=theta, mu=mu, lam=lam,
-                          grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
-    z_ref = BlockPoint(inst.z_star.data, prob.layout)
-    return prob, z_ref
+                          B=G, gamma1=gamma1, gamma2=gamma2, theta=theta,
+                          mu=mu, lam=lam, grad_f=lambda u: Q @ u + c, L=Lq,
+                          bnorm=bnorm)
+    return prob, None, BlockPoint(inst.z_star.data, prob.layout)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +486,12 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
 class Scheme:
     """One splitter coded onto a QP: ``build(inst, sigma, **opts)`` returns
     (problem, theta_max, reference), ``step(x, problem, theta, sigma)`` one
-    certified step (certificate, native next iterate) under the metric
-    ``metric(problem)``, and ``bound`` states theta <= theta_max (None: the
-    scheme picks its over-relaxation at every step)."""
+    certificate under the metric ``problem.metric()``, and ``bound`` states
+    theta <= theta_max (None: the scheme picks its over-relaxation at every
+    step)."""
 
     build: Callable[..., tuple]
-    step: Callable[..., Tuple[HpeCertificate, BlockPoint]]
-    metric: Callable[[object], Metric]
+    step: Callable[..., HpeCertificate]
     bound: Optional[str] = None
 
     def setup(self, inst, sigma: float, theta: Optional[float] = None,
@@ -519,7 +499,8 @@ class Scheme:
         """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
 
         ``theta`` None takes 0.9 theta_max; a theta past the bound, or any
-        theta for a scheme without one, raises ValueError.  ``opts`` go to
+        theta for a scheme without one, raises ValueError.  This is the one
+        check of the bound: the steps take theta as given.  ``opts`` go to
         the builder (Condat-Vu's metric scales r and s; others ignore them).
         """
         prob, theta_max, ref = self.build(inst, sigma, **opts)
@@ -532,46 +513,31 @@ class Scheme:
         elif theta > theta_max + 1e-12:
             raise ValueError("theta %.4g violates %s (max %.4g)"
                              % (theta, self.bound, theta_max))
-        step = self.step
-
         def oracle(x: BlockPoint, M, cfg) -> HpeCertificate:
-            return step(x, prob, theta, cfg.sigma)[0]
+            return self.step(x, prob, theta, cfg.sigma)
 
-        return oracle, self.metric(prob), BlockPoint.zeros(ref.layout), ref
-
-
-def _fbhf_build(inst, sigma, **_):
-    prob, gamma, theta_max, ref = fbhf_from_qp(inst, sigma=sigma)
-    return (prob, gamma), theta_max, ref
-
-
-def _afbas_pd_build(inst, sigma, **_):
-    prob, ref = afbas_pd_from_qp(inst)
-    return prob, None, ref
+        return oracle, prob.metric(), BlockPoint.zeros(ref.layout), ref
 
 
 # Steps and builders are looked up by module name when called, so that
-# wrapping or patching a module function reaches every scheme.
+# wrapping or patching a module function reaches every scheme.  The order is
+# the CLI's algorithm order.
 SCHEMES = {
+    "condat-vu": Scheme(
+        build=lambda inst, sigma, r=None, s=None: condat_vu_from_qp(
+            inst, sigma, r, s),
+        step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta),
+        bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
+    "ppg": Scheme(
+        build=lambda inst, sigma, **_: ppg_from_qp(inst, sigma),
+        step=lambda z, p, theta, sigma: ppg_step(z, p, theta),
+        bound="theta + L*alpha/2 <= sigma"),
     "fbhf": Scheme(
-        build=_fbhf_build,
-        step=lambda x, pg, theta, sigma: fbhf_step(x, *pg, theta, sigma),
-        metric=lambda pg: IdentityMetric(),
+        build=lambda inst, sigma, **_: fbhf_from_qp(inst, sigma),
+        step=lambda x, p, theta, sigma: fbhf_step(x, p, theta),
         bound="(1 + gamma^2 L^2) theta + gamma^2 L^2 + gamma/(2 beta) "
               "<= sigma"),
-    "ppg": Scheme(
-        build=lambda inst, sigma, **_: ppg_from_qp(inst, sigma=sigma),
-        step=lambda z, p, theta, sigma: ppg_step(z, p, theta, sigma),
-        metric=lambda p: IdentityMetric(),
-        bound="theta + L*alpha/2 <= sigma"),
-    "condat-vu": Scheme(
-        build=lambda inst, sigma, r=None, s=None, **_: condat_vu_from_qp(
-            inst, sigma=sigma, r=r, s=s),
-        step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta, sigma),
-        metric=lambda p: p.metric(),
-        bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
     "afbas-pd": Scheme(
-        build=_afbas_pd_build,
-        step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma=sigma),
-        metric=lambda p: p.metric()),
+        build=lambda inst, sigma, **_: afbas_pd_from_qp(inst, sigma),
+        step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma)),
 }

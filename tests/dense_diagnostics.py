@@ -7,6 +7,8 @@ import types
 import numpy as np
 import scipy.linalg
 
+from support import to_dense
+
 
 def u_dense(U) -> np.ndarray:
     """The matrix of ``U.apply`` on the full layout, block by block."""
@@ -15,7 +17,7 @@ def u_dense(U) -> np.ndarray:
     off = U.layout.offsets
     n = U.layout.dim
     Ud = np.zeros((n, n))
-    a_dense = [a.to_dense() for a in pr.A]          # n_i x m  (dual -> block)
+    a_dense = [to_dense(a) for a in pr.A]          # n_i x m  (dual -> block)
     astar = [ad.T for ad in a_dense]                # m x n_i
     s0 = slice(off[0], off[1])
     Ud[s0, s0] = U.etas[0] * np.eye(sizes[0]) - U.beta * a_dense[0] @ astar[0]

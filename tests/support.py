@@ -1,6 +1,7 @@
-"""Helpers only the tests use: an SVD call counter, a randomized adjoint
-check, the dense KKT operator of a QP, and the writers of MatrixMarket
-matrices and LRR manifests that ``opsplit.linops.read_matrix`` and
+"""Helpers only the tests use: an SVD call counter, dense matrices to and
+from :class:`~opsplit.linops.LinearMap`, a randomized adjoint check, the
+dense KKT operator of a QP, and the writers of MatrixMarket matrices and LRR
+manifests that ``opsplit.linops.read_matrix`` and
 ``opsplit.prox_problems.load_lrr_instance`` read back."""
 
 import json
@@ -9,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
+
+from opsplit.linops import LinearMap
 
 
 def count_svds(monkeypatch):
@@ -22,6 +25,23 @@ def count_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls, original
+
+
+def from_dense(matrix: np.ndarray) -> LinearMap:
+    """The :class:`~opsplit.linops.LinearMap` of a dense matrix."""
+    matrix = np.asarray(matrix, dtype=float)
+    m, n = matrix.shape
+    return LinearMap(apply=lambda v: matrix @ v,
+                     adjoint_apply=lambda u: matrix.T @ u,
+                     domain_dim=n, codomain_dim=m)
+
+
+def to_dense(A: LinearMap) -> np.ndarray:
+    """The dense matrix of a map, assembled column by column."""
+    cols = [A.apply(e) for e in np.eye(A.domain_dim)]
+    if not cols:
+        return np.zeros((A.codomain_dim, 0))
+    return np.column_stack(cols)
 
 
 @dataclass

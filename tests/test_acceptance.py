@@ -164,6 +164,23 @@ def test_direct_vs_kernel_rejects_a_scaled_step(monkeypatch):
     assert not result.passed
 
 
+def test_ergodic_rate_rejects_an_accumulator_without_the_yv_sum(monkeypatch):
+    # eps_bar without sum w <y, v> stays nonnegative and the slopes hold, so
+    # the old gate passed it; the two-pass sum is off by more than 100%
+    real = hpe_core.ErgodicAccumulator.add
+
+    def dropping_add(self, cert):
+        real(self, cert)
+        self.eps_bars[-1] -= self.sum_wyv / self.sum_w
+
+    monkeypatch.setattr(hpe_core.ErgodicAccumulator, "add", dropping_add)
+    result = acceptance.check_ergodic_rate()
+    devs = _numbers(r"alpha=1: .*deviation (\S+); alpha=k: .*deviation (\S+)",
+                    result.detail)
+    assert min(devs) > 1.0
+    assert not result.passed
+
+
 def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
     # certify reports without raising, and the three bounded splitters take
     # their default 0.9 theta_max of a bound 3 theta_max + 0.5: their

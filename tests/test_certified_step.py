@@ -20,12 +20,12 @@ from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
                                fbhf_from_qp, fbhf_step)
 
 
-def _fbhf_oracle(prob, gamma, theta):
-    return lambda x, M, cfg: fbhf_step(x, prob, gamma, theta, cfg.sigma)[0]
+def _fbhf_oracle(prob, theta):
+    return lambda x, M, cfg: fbhf_step(x, prob, theta)
 
 
 def _afbas_pd_oracle(prob):
-    return lambda z, M, cfg: afbas_pd_step(z, prob, sigma=cfg.sigma)[0]
+    return lambda z, M, cfg: afbas_pd_step(z, prob, sigma=cfg.sigma)
 
 
 def _pt(arr):
@@ -51,9 +51,8 @@ def _saddle_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "condat-vu":
         prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
-        return prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax,
-                                                      cfg.sigma)[0]
-    prob, _ = afbas_pd_from_qp(inst)
+        return prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax)
+    prob, _, _ = afbas_pd_from_qp(inst)
     return prob, _afbas_pd_oracle(prob)
 
 
@@ -81,12 +80,20 @@ def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
     # once forward and once adjoint
     prob, oracle = _saddle_scheme(scheme)
     counts = {"apply": 0, "adjoint_apply": 0}
-    for name in counts:
-        def counted(u, _name=name, _original=getattr(prob.B, name)):
-            counts[_name] += 1
-            return _original(u)
 
-        monkeypatch.setattr(prob.B, name, counted)
+    class Counted:
+        def __init__(self, matrix, name):
+            self.matrix, self.name = matrix, name
+
+        @property
+        def T(self):
+            return Counted(self.matrix.T, "adjoint_apply")
+
+        def __matmul__(self, u):
+            counts[self.name] += 1
+            return self.matrix @ u
+
+    monkeypatch.setattr(prob, "B", Counted(prob.B, "apply"))
     res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8))
     assert res.converged
@@ -95,21 +102,20 @@ def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
 
 
 def _saddle_operator(prob, u):
-    """M u from B's callables: [[r I, -B*], [-B, s I]] u for Condat-Vu,
-    R S^-1 u for afbas-pd, with S^-1 through its primal Schur complement."""
+    """M u from products with B and B*: [[r I, -B*], [-B, s I]] u for
+    Condat-Vu, R S^-1 u for afbas-pd, with S^-1 through its primal Schur
+    complement."""
     B, nx = prob.B, prob.dim_x
     a, b = u[:nx], u[nx:]
     if isinstance(prob, splitters.CondatVuProblem):
-        return np.concatenate([prob.r * a - B.adjoint_apply(b),
-                               -B.apply(a) + prob.s * b])
+        return np.concatenate([prob.r * a - B.T @ b, -(B @ a) + prob.s * b])
     c1 = prob.mu * prob.gamma1 * (2.0 - prob.theta)
     c2 = prob.gamma2 * (1.0 - prob.mu) * (2.0 - prob.theta)
-    schur = np.column_stack([e + c1 * c2 * B.adjoint_apply(B.apply(e))
-                             for e in np.eye(nx)])
-    a = np.linalg.solve(schur, a + c1 * B.adjoint_apply(b))
-    b = b - c2 * B.apply(a)
-    return np.concatenate([a / prob.gamma1 - B.adjoint_apply(b),
-                           (1.0 - prob.theta) * B.apply(a) + b / prob.gamma2])
+    schur = np.eye(nx) + c1 * c2 * (B.T @ B)
+    a = np.linalg.solve(schur, a + c1 * (B.T @ b))
+    b = b - c2 * (B @ a)
+    return np.concatenate([a / prob.gamma1 - B.T @ b,
+                           (1.0 - prob.theta) * (B @ a) + b / prob.gamma2])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -134,8 +140,8 @@ def test_dense_saddle_metric_equals_its_operator(scheme, opts, seed):
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_afbas_pd_with_step_shaper_passes_every_step_check(theta, mu, seed):
     # theta != 2 makes S != I, so both R d and S d are full products
-    prob, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3), theta=theta,
-                                 mu=mu)
+    prob, _, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3),
+                                    theta=theta, mu=mu)
     res = hpe_core.run(_afbas_pd_oracle(prob), BlockPoint.zeros(prob.layout),
                        prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8),
@@ -259,11 +265,11 @@ def _nan_from_call(fn, first_bad):
 
 
 def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
-    prob, gamma, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3))
     prob = dataclasses.replace(prob,
                                resolvent=_nan_from_call(prob.resolvent, 3))
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
-        hpe_core.run(_fbhf_oracle(prob, gamma, 0.0),
+        hpe_core.run(_fbhf_oracle(prob, 0.0),
                      BlockPoint.zeros(prob.layout), IdentityMetric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
@@ -282,9 +288,9 @@ def _with_nan_from_call_3(built, entry):
 def _nan_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "fbhf":
-        prob, gamma, _, _ = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
-        return prob, _fbhf_oracle(prob, gamma, 0.0), IdentityMetric()
-    prob, _ = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
+        prob, _, _ = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
+        return prob, _fbhf_oracle(prob, 0.0), IdentityMetric()
+    prob, _, _ = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
     return prob, _afbas_pd_oracle(prob), prob.metric()
 
 

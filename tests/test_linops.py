@@ -9,7 +9,8 @@ from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             read_matrix, spectral_upper_bound,
                             weighted_norm_sq)
 
-from support import AdjointReport, adjoint_check, write_matrix
+from support import (AdjointReport, adjoint_check, from_dense,
+                     write_matrix)
 
 
 def test_layout_offsets_and_slices():
@@ -51,7 +52,7 @@ def test_blockpoint_arithmetic():
 
 def test_adjoint_check_passes_for_true_adjoint():
     rng = np.random.default_rng(1)
-    A = LinearMap.from_dense(rng.standard_normal((7, 4)))
+    A = from_dense(rng.standard_normal((7, 4)))
     rep = adjoint_check(A)
     assert isinstance(rep, AdjointReport)
     assert rep.ok and rep.max_residual < 1e-12
@@ -70,12 +71,12 @@ def test_spectral_upper_bound_brackets_true_norm():
     for _ in range(5):
         mat = rng.standard_normal((6, 9))
         true = np.linalg.svd(mat, compute_uv=False)[0]
-        est = spectral_upper_bound(LinearMap.from_dense(mat))
+        est = spectral_upper_bound(from_dense(mat))
         assert true <= est <= 1.06 * true
 
 
 def test_spectral_upper_bound_zero_map():
-    assert spectral_upper_bound(LinearMap.from_dense(np.zeros((3, 4)))) == 0.0
+    assert spectral_upper_bound(from_dense(np.zeros((3, 4)))) == 0.0
 
 
 def test_block_diagonal_metric_apply_solve_roundtrip():

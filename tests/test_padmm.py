@@ -22,7 +22,7 @@ from opsplit.prox_problems import ProxFn, gen_qp
 
 from dense_diagnostics import u_dense, with_theta_bar
 from ergodic_reference import CertificateRecorder, ergodic_aggregate
-from support import count_svds, kkt_operator
+from support import count_svds, kkt_operator, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def test_u_operator_matches_dense_assembly(qp3):
         assert np.allclose(U.apply(d).data, Ud @ d.data, atol=1e-10)
     # block structure: first diagonal block eta_1 I - beta A_1 A_1*
     n0 = lay.sizes[0]
-    A1 = prob.A[0].to_dense()
+    A1 = to_dense(prob.A[0])
     assert np.allclose(Ud[:n0, :n0], etas[0] * np.eye(n0) - beta * A1 @ A1.T)
     # strict upper primal triangle vanishes
     assert np.allclose(Ud[:n0, n0:lay.offsets[prob.p]], 0.0)

@@ -8,7 +8,8 @@ from opsplit.prox_problems import (ProxFn, QpInstance, build_graph_laplacian,
                                    load_lrr_instance, prox_l1, prox_nuclear,
                                    proj_nonneg)
 
-from support import adjoint_check, kkt_operator, save_lrr_instance
+from support import (adjoint_check, kkt_operator, save_lrr_instance,
+                     to_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,7 @@ def test_lrr_maps_match_kronecker_assembly():
     ]
     for i, (a, K) in enumerate(zip(prob.A, adjoints)):
         assert adjoint_check(a).ok, "constraint map %d" % i
-        assert np.allclose(a.to_dense(), K.T, atol=1e-12), "A_%d" % i
+        assert np.allclose(to_dense(a), K.T, atol=1e-12), "A_%d" % i
         cols = [a.adjoint_apply(e) for e in np.eye(a.codomain_dim)]
         assert np.allclose(np.column_stack(cols), K, atol=1e-12), "A_%d*" % i
     assert np.array_equal(prob.b, np.concatenate(

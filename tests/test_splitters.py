@@ -10,7 +10,7 @@ import pytest
 
 from opsplit import hpe_core
 from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
-from opsplit.linops import (BlockLayout, BlockPoint, IdentityMetric, LinearMap)
+from opsplit.linops import BlockLayout, BlockPoint, IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                FbhfProblem, PpgProblem, afbas_pd_from_qp,
@@ -34,40 +34,38 @@ def _pt(arr):
 
 def test_fbhf_pure_resolvent_step():
     # A = d(||.||^2/2) has resolvent u/(1+gamma); B1 = B2 = 0
-    p = FbhfProblem(dim=3, resolvent=lambda g, u: u / (1.0 + g))
+    p = FbhfProblem(dim=3, resolvent=lambda g, u: u / (1.0 + g), gamma=1.0)
     x = _pt([2.0, -4.0, 0.0])
-    cert, x_next = fbhf_step(x, p, gamma=1.0, theta=0.0)
+    cert = fbhf_step(x, p, theta=0.0)
     assert np.allclose(cert.y.data, x.data / 2.0)
     assert np.allclose(cert.v.data, x.data / 2.0)
     assert cert.eps == 0.0 and cert.c == 1.0
-    assert np.allclose(x_next.data, x.data / 2.0)
+    assert np.allclose(extragradient_step(x, cert).data, x.data / 2.0)
 
 
 def test_fbhf_fixed_point_is_stationary():
-    p = FbhfProblem(dim=2, resolvent=lambda g, u: u / (1.0 + g))
-    cert, x_next = fbhf_step(_pt([0.0, 0.0]), p, gamma=0.7, theta=0.3)
+    p = FbhfProblem(dim=2, resolvent=lambda g, u: u / (1.0 + g), gamma=0.7)
+    x = _pt([0.0, 0.0])
+    cert = fbhf_step(x, p, theta=0.3)
     assert cert.v.norm() == 0.0
-    assert np.all(x_next.data == 0.0)
+    assert np.all(extragradient_step(x, cert).data == 0.0)
 
 
 def test_fbhf_boundary_tightness():
     # B1 = grad(||x||^2 / (2 beta)) attains the cocoercivity bound, so the
     # criterion holds with equality exactly at theta_max
     beta = 0.8
-    p = FbhfProblem(dim=4, resolvent=lambda g, u: u,
+    p = FbhfProblem(dim=4, resolvent=lambda g, u: u, gamma=0.4,
                     B1=lambda u: u / beta, beta=beta)
     sigma = 0.5
-    gamma = 0.4
-    tmax = fbhf_max_theta(p, gamma, sigma)
+    tmax = fbhf_max_theta(p, sigma)
     x = _pt([1.0, -2.0, 3.0, 0.5])
-    cert, _ = fbhf_step(x, p, gamma, tmax)
+    cert = fbhf_step(x, p, tmax)
     rep = check_criterion(x, cert, IdentityMetric(), sigma)
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-10  # equality endpoint
-    cert_hi, _ = fbhf_step(x, p, gamma, 1.1 * tmax)
+    cert_hi = fbhf_step(x, p, 1.1 * tmax)
     assert not check_criterion(x, cert_hi, IdentityMetric(), sigma).ok
-    with pytest.raises(ValueError):
-        fbhf_step(x, p, gamma, 1.1 * tmax, sigma=sigma)
 
 
 def test_fbhf_certificate_is_an_enlargement_element():
@@ -77,10 +75,10 @@ def test_fbhf_certificate_is_an_enlargement_element():
     B = rng.standard_normal((5, 5))
     Q = B @ B.T / 5 + np.eye(5)
     beta = 1.0 / float(np.linalg.eigvalsh(Q)[-1])
-    p = FbhfProblem(dim=5, resolvent=lambda g, u: u,
+    p = FbhfProblem(dim=5, resolvent=lambda g, u: u, gamma=0.4 * beta,
                     B1=lambda u: Q @ u, beta=beta)
     x = _pt(rng.standard_normal(5))
-    cert, _ = fbhf_step(x, p, gamma=0.4 * beta, theta=0.0)
+    cert = fbhf_step(x, p, theta=0.0)
     for _ in range(50):
         z = rng.standard_normal(5)
         gap = float(np.dot(Q @ z - cert.v.data, z - cert.y.data))
@@ -97,14 +95,14 @@ def test_fbhf_converges_against_projected_reference():
     S = 0.5 * (W - W.T)
     L = float(np.linalg.svd(S, compute_uv=False)[0])
     clip = lambda g, u: np.clip(u, 0.0, 1.0)
-    p = FbhfProblem(dim=n, resolvent=clip, B1=lambda u: u - a, beta=1.0,
-                    B2=lambda u: S @ u, L=L)
     sigma = 0.5
-    gamma = 0.2 * min(1.0, sigma / max(L, 1.0))
-    theta = 0.9 * fbhf_max_theta(p, gamma, sigma)
+    p = FbhfProblem(dim=n, resolvent=clip,
+                    gamma=0.2 * min(1.0, sigma / max(L, 1.0)),
+                    B1=lambda u: u - a, beta=1.0, B2=lambda u: S @ u, L=L)
+    theta = 0.9 * fbhf_max_theta(p, sigma)
     x = BlockPoint.zeros(p.layout)
     for _ in range(3000):
-        _, x = fbhf_step(x, p, gamma, theta)
+        x = extragradient_step(x, fbhf_step(x, p, theta))
     # independent reference: tiny-step projected forward iteration
     ref = np.zeros(n)
     tau = 5e-3
@@ -125,19 +123,19 @@ def test_ppg_single_copy_hand_step():
                    prox_g=[ProxFn.zero()], grad_f=[lambda u: np.zeros(2)],
                    L=0.0, alpha=1.0)
     z = _pt([3.0, -1.0])
-    cert, z_next = ppg_step(z, p, theta=0.25)
+    cert = ppg_step(z, p, theta=0.25)
     assert np.allclose(cert.v.data, z.data)       # v = xc - x+ = 0 - (-z)
     assert np.allclose(cert.y.data, 0.0)
     assert cert.eps == 0.0
-    assert np.allclose(z_next.data, -0.25 * z.data)
+    assert np.allclose(extragradient_step(z, cert).data, -0.25 * z.data)
 
 
 def test_ppg_fixed_point_of_consensus_coding():
     inst = gen_qp(3, p=2, n_i=4, m=2)
-    prob, tmax, z_ref = ppg_from_qp(inst, n=3, sigma=0.5)
-    cert, z_next = ppg_step(z_ref, prob, theta=0.5 * tmax)
+    prob, tmax, z_ref = ppg_from_qp(inst, sigma=0.5)
+    cert = ppg_step(z_ref, prob, theta=0.5 * tmax)
     assert cert.v.norm() < 1e-9
-    assert (z_next - z_ref).norm() < 1e-9
+    assert (extragradient_step(z_ref, cert) - z_ref).norm() < 1e-9
 
 
 def test_ppg_boundary_tightness():
@@ -150,14 +148,12 @@ def test_ppg_boundary_tightness():
     sigma = 0.75
     tmax = ppg_max_theta(p, sigma)
     z = _pt([1.0, -1.0, 2.0])
-    cert, _ = ppg_step(z, p, theta=tmax)
+    cert = ppg_step(z, p, theta=tmax)
     rep = check_criterion(z, cert, IdentityMetric(), sigma)
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-10
-    cert_hi, _ = ppg_step(z, p, theta=1.1 * tmax)
+    cert_hi = ppg_step(z, p, theta=1.1 * tmax)
     assert not check_criterion(z, cert_hi, IdentityMetric(), sigma).ok
-    with pytest.raises(ValueError):
-        ppg_step(z, p, theta=1.1 * tmax, sigma=sigma)
 
 
 def test_ppg_solves_a_consensus_lasso():
@@ -176,7 +172,7 @@ def test_ppg_solves_a_consensus_lasso():
     for _ in range(4000):
         zs = z.blocks()
         xc_last = p.prox_r.evaluate(p.alpha, sum(zs) / n)
-        _, z = ppg_step(z, p, theta)
+        z = extragradient_step(z, ppg_step(z, p, theta))
     from opsplit.prox_problems import prox_l1
     x_star = prox_l1(1.0, lam, sum(a) / n)  # closed form of the aggregate
     assert np.linalg.norm(xc_last - x_star) < 1e-6
@@ -187,30 +183,25 @@ def test_ppg_solves_a_consensus_lasso():
 # ---------------------------------------------------------------------------
 
 
-def _identity_map(n):
-    return LinearMap.from_dense(np.eye(n))
-
-
 def test_condat_vu_null_problem_is_a_fixed_point():
     # g = 0, dual prox fixed by the Moreau route (h = indicator{0}):
     # every point is its own sweep point and v = 0
     p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.constant(np.zeros(2)),
-                        B=LinearMap.from_dense(np.zeros((2, 2))), r=1.0, s=1.0)
+                        B=np.zeros((2, 2)), r=1.0, s=1.0)
     z = BlockPoint(np.array([1.0, -2.0, 0.5, 3.0]), p.layout)
-    cert, z_next = condat_vu_step(z, p, theta=0.2)
+    cert = condat_vu_step(z, p, theta=0.2)
     assert cert.v.norm() == 0.0
-    assert np.allclose(z_next.data, z.data)
+    assert np.allclose(extragradient_step(z, cert).data, z.data)
 
 
 def test_condat_vu_hand_step():
     # f = 0, g = l1(1), h = l1(1) with B = I in R^2, start y = 0
-    B = _identity_map(2)
     p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.l1(1.0),
-                        prox_h=ProxFn.l1(1.0), B=B, r=2.0, s=2.0)
+                        prox_h=ProxFn.l1(1.0), B=np.eye(2), r=2.0, s=2.0)
     x0 = np.array([3.0, -0.5])
     z = BlockPoint(np.concatenate([x0, np.zeros(2)]), p.layout)
-    cert, _ = condat_vu_step(z, p, theta=0.0)
+    cert = condat_vu_step(z, p, theta=0.0)
     # primal prox at step 1/r
     from opsplit.prox_problems import prox_l1
     xt = prox_l1(0.5, 1.0, x0)
@@ -226,20 +217,19 @@ def test_condat_vu_hand_step():
 
 def test_condat_vu_metric_solve_inverts_apply():
     rng = np.random.default_rng(3)
-    B = LinearMap.from_dense(rng.standard_normal((3, 4)))
+    B = rng.standard_normal((3, 4))
     p = CondatVuProblem(dim_x=4, dim_y=3, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.zero(), B=B, r=6.0, s=6.0)
     M = p.metric()
     # spectral bounds bracket the dense eigenvalues
-    dense = np.block([[6.0 * np.eye(4), -B.to_dense().T],
-                      [-B.to_dense(), 6.0 * np.eye(3)]])
+    dense = np.block([[6.0 * np.eye(4), -B.T], [-B, 6.0 * np.eye(3)]])
     eigs = np.linalg.eigvalsh(dense)
     assert M.omega_lower <= eigs[0] + 1e-9
     assert M.omega_upper >= eigs[-1] - 1e-9
 
 
 def test_condat_vu_rejects_indefinite_metric():
-    B = LinearMap.from_dense(2.0 * np.eye(2))
+    B = 2.0 * np.eye(2)
     with pytest.raises(ValueError):
         CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.zero(), B=B, r=1.0, s=1.0)
@@ -251,19 +241,17 @@ def test_condat_vu_boundary_tightness():
     L = 3.0
     p = CondatVuProblem(dim_x=3, dim_y=1, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.constant(np.zeros(1)),
-                        B=LinearMap.from_dense(np.zeros((1, 3))), r=4.0, s=1.0,
+                        B=np.zeros((1, 3)), r=4.0, s=1.0,
                         grad_f=lambda u: L * u, L=L)
     sigma = 0.6
     tmax = condat_vu_max_theta(p, sigma)
     z = BlockPoint(np.array([1.0, -2.0, 0.5, 0.0]), p.layout)
-    cert, _ = condat_vu_step(z, p, theta=tmax)
+    cert = condat_vu_step(z, p, theta=tmax)
     rep = check_criterion(z, cert, p.metric(), sigma)
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-9
-    cert_hi, _ = condat_vu_step(z, p, theta=1.1 * tmax)
+    cert_hi = condat_vu_step(z, p, theta=1.1 * tmax)
     assert not check_criterion(z, cert_hi, p.metric(), sigma).ok
-    with pytest.raises(ValueError):
-        condat_vu_step(z, p, theta=1.1 * tmax, sigma=sigma)
 
 
 def test_condat_vu_solves_total_variation_denoising():
@@ -273,34 +261,18 @@ def test_condat_vu_solves_total_variation_denoising():
     a = np.cumsum(rng.standard_normal(n))
     D = (np.eye(n - 1, n, k=1) - np.eye(n - 1, n))
     p = CondatVuProblem(dim_x=n, dim_y=n - 1, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.l1(lam), B=LinearMap.from_dense(D),
+                        prox_h=ProxFn.l1(lam), B=D,
                         r=6.0, s=6.0, grad_f=lambda u: u - a, L=1.0)
     theta = 0.9 * condat_vu_max_theta(p, 0.5)
     z = BlockPoint.zeros(p.layout)
     for _ in range(4000):
-        _, z = condat_vu_step(z, p, theta)
+        z = extragradient_step(z, condat_vu_step(z, p, theta))
     # dual reference: x = a - D^T u, u* by projected gradient on the box
     u = np.zeros(n - 1)
     for _ in range(20_000):
         u = np.clip(u + 0.2 * D @ (a - D.T @ u), -lam, lam)
     x_ref = a - D.T @ u
     assert np.linalg.norm(z.block(0) - x_ref) < 1e-6
-
-
-def test_condat_vu_direct_equals_kernel_update():
-    inst = gen_qp(1, p=2, n_i=4, m=2)
-    prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
-    theta = 0.5 * tmax
-    M = prob.metric()
-    z_d = BlockPoint.zeros(prob.layout)
-    z_k = BlockPoint.zeros(prob.layout)
-    for _ in range(100):
-        cert, z_d = condat_vu_step(z_d, prob, theta)
-        cert_k, _ = condat_vu_step(z_k, prob, theta)
-        check_criterion(z_k, cert_k, M, 0.5)  # verifies M step = v
-        z_k = extragradient_step(z_k, cert_k)
-        scale = 1.0 + np.max(np.abs(z_d.data))
-        assert np.max(np.abs(z_d.data - z_k.data)) <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +285,18 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
     # coincides with a Condat-Vu sweep at r = 1/gamma1, s = 1/gamma2, so the
     # update directions are collinear
     inst = gen_qp(5, p=2, n_i=4, m=2)
-    prob_a, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
+    prob_a, _, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
     prob_c, _, _ = condat_vu_from_qp(inst, sigma=0.5,
                                      r=1.0 / prob_a.gamma1,
                                      s=1.0 / prob_a.gamma2)
     rng = np.random.default_rng(6)
     for _ in range(5):
         z = BlockPoint(rng.standard_normal(prob_a.layout.dim), prob_a.layout)
-        cert_a, z_next_a = afbas_pd_step(z, prob_a)
-        cert_c, _ = condat_vu_step(BlockPoint(z.data, prob_c.layout), prob_c,
-                                   theta=0.0)
+        cert_a = afbas_pd_step(z, prob_a)
+        cert_c = condat_vu_step(BlockPoint(z.data, prob_c.layout), prob_c,
+                                theta=0.0)
         assert np.allclose(cert_a.y.data, cert_c.y.data, atol=1e-10)
-        da = z_next_a.data - z.data
+        da = extragradient_step(z, cert_a).data - z.data
         dc = cert_c.y.data - z.data
         cross = da - (np.dot(da, dc) / np.dot(dc, dc)) * dc
         assert np.linalg.norm(cross) <= 1e-10 * np.linalg.norm(da)
@@ -340,12 +312,12 @@ def test_afbas_reduces_to_proximal_gradient_without_coupling():
     gamma1 = 0.5 / L
     p = AfbasPdProblem(dim_x=n, dim_y=1, prox_g=ProxFn.l1(0.3),
                        prox_h=ProxFn.constant(np.zeros(1)),
-                       B=LinearMap.from_dense(np.zeros((1, n))),
+                       B=np.zeros((1, n)),
                        gamma1=gamma1, gamma2=1.0, theta=0.0, mu=0.5, lam=1.0,
                        grad_f=lambda u: u - a, L=L)
     x = rng.standard_normal(n)
     z = BlockPoint(np.concatenate([x, [0.0]]), p.layout)
-    cert, z_next = afbas_pd_step(z, p, sigma=0.5)
+    z_next = extragradient_step(z, afbas_pd_step(z, p, sigma=0.5))
     expected = p.prox_g.evaluate(gamma1, x - gamma1 * (x - a))
     assert np.allclose(z_next.block(0), expected, atol=1e-12)
     assert np.allclose(z_next.block(1), 0.0, atol=1e-12)
@@ -353,26 +325,23 @@ def test_afbas_reduces_to_proximal_gradient_without_coupling():
 
 def test_afbas_converges_to_reference():
     inst = gen_qp(4, p=2, n_i=5, m=3)
-    prob, z_ref = afbas_pd_from_qp(inst)
+    prob, _, z_ref = afbas_pd_from_qp(inst)
     z = BlockPoint.zeros(prob.layout)
     for _ in range(800):
-        _, z = afbas_pd_step(z, prob, sigma=0.5)
+        z = extragradient_step(z, afbas_pd_step(z, prob, sigma=0.5))
     assert (z - z_ref).norm() < 1e-6
 
 
 def test_afbas_step_criterion_each_iteration():
     inst = gen_qp(9, p=2, n_i=4, m=2)
-    prob, _ = afbas_pd_from_qp(inst)
+    prob, _, _ = afbas_pd_from_qp(inst)
     M = prob.metric()
     z = BlockPoint.zeros(prob.layout)
     for _ in range(200):
-        cert, z_next = afbas_pd_step(z, prob, sigma=0.5)
+        cert = afbas_pd_step(z, prob, sigma=0.5)
         rep = check_criterion(z, cert, M, 0.5)
         assert rep.rel_slack >= -1e-10
-        # native update equals the kernel correction
-        kern = extragradient_step(z, cert)
-        assert np.allclose(kern.data, z_next.data, atol=1e-10)
-        z = z_next
+        z = extragradient_step(z, cert)
 
 
 @pytest.mark.parametrize("builder", [condat_vu_from_qp, afbas_pd_from_qp],
@@ -387,7 +356,7 @@ def test_saddle_build_takes_one_svd_of_G(builder, monkeypatch):
 
 
 def test_afbas_parameter_validation():
-    B = LinearMap.from_dense(np.eye(2))
+    B = np.eye(2)
     with pytest.raises(ValueError):
         AfbasPdProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                        prox_h=ProxFn.zero(), B=B, gamma1=10.0, gamma2=10.0,
@@ -399,8 +368,34 @@ def test_afbas_parameter_validation():
 
 
 # ---------------------------------------------------------------------------
-# QP codings reach the dense KKT reference through the kernel
+# QP codings through the kernel
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
+def test_kernel_correction_is_the_textbook_update(scheme):
+    # each step hands over a certificate only; the kernel's correction along
+    # its step must be the scheme's own update, written here from the sweep
+    # point y or from S d, never from the step: z + (1 + theta)(y - z) for
+    # FBHF, PPG and Condat-Vu, z - alpha S d with alpha = 1 + theta_k for
+    # afbas-pd
+    inst = gen_qp(1, p=2, n_i=4, m=2)
+    sch = SCHEMES[scheme]
+    prob, tmax, _ = sch.build(inst, 0.5)
+    theta = None if tmax is None else 0.9 * tmax
+    M = prob.metric()
+    z = BlockPoint.zeros(prob.layout)
+    for k in range(1, 201):
+        cert = sch.step(z, prob, theta, 0.5)
+        hpe_core.certify(k, z, cert, M, 0.5)  # verifies M step = c v
+        if scheme == "afbas-pd":
+            textbook = z.data - (1.0 + cert.theta) * (
+                prob._S @ (z.data - cert.y.data))
+        else:
+            textbook = z.data + (1.0 + theta) * (cert.y.data - z.data)
+        z = extragradient_step(z, cert)
+        scale = 1.0 + np.max(np.abs(textbook))
+        assert np.max(np.abs(textbook - z.data)) <= 1e-12 * scale, k
 
 
 @pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
