@@ -9,15 +9,15 @@ from __future__ import annotations
 import functools
 import math
 import time
-import types
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
 from . import hpe_core
-from .hpe_core import ErgodicAccumulator, HpeConfig, linear_rate_factor
-from .linops import BlockLayout, BlockPoint, IdentityMetric, norm
+from .hpe_core import (CertificateRecorder, ErgodicAccumulator, HpeConfig,
+                       ergodic_aggregate, linear_rate_factor)
+from .linops import BlockLayout, BlockPoint, IdentityMetric
 from .padmm_ebb import run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
 from .splitters import SCHEMES, condat_vu_from_qp, condat_vu_step
@@ -169,24 +169,17 @@ def check_ergodic_rate() -> CriterionResult:
     cfg = HpeConfig(sigma=0.5, max_iters=1000, tol_residual=0.0)
     accs = {"alpha=1": ErgodicAccumulator(),
             "alpha=k": ErgodicAccumulator(alpha=float)}
-    certs = []
-    res = hpe_core.run(oracle, x0, M0, cfg, accumulators=list(accs.values())
-                       + [types.SimpleNamespace(add=certs.append)])
-    ks = np.arange(1, len(res.trace) + 1, dtype=float)
-    ys, vs = (np.array([getattr(c, f).data for c in certs]) for f in "yv")
-    eps = np.array([c.eps for c in certs])
-    w1 = np.array([(1.0 + c.theta) * c.c for c in certs])
+    certs = CertificateRecorder()
+    hpe_core.run(oracle, x0, M0, cfg, accumulators=[*accs.values(), certs])
+    ks = np.arange(1, len(certs) + 1, dtype=float)
     details = []
     passed = True
     for label, acc in accs.items():
         slope = hpe_core.loglog_slope(ks[99:], np.array(acc.v_norms[99:]))
         eps_min = min(acc.eps_bars)
-        # the pair again, as sum w (eps + <y - y_bar, v - v_bar>) / W
-        w = w1 * ks if acc.alpha else w1
-        y_bar, v_bar = w @ ys / w.sum(), w @ vs / w.sum()
-        eps_bar = float(w @ (eps + np.einsum("ij,ij->i", ys - y_bar,
-                                             vs - v_bar))) / w.sum()
-        dev = max(abs(acc.v_norms[-1] / norm(v_bar) - 1.0),
+        _, v_bar, eps_bar = ergodic_aggregate(
+            certs, [acc.alpha(k) if acc.alpha else 1.0 for k in ks])
+        dev = max(abs(acc.v_norms[-1] / v_bar.norm() - 1.0),
                   abs(acc.eps_bars[-1] / eps_bar - 1.0))
         ok = (slope is not None and slope <= -0.8 and eps_min >= -1e-12
               and dev <= 1e-9)

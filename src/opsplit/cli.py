@@ -45,10 +45,7 @@ SOLVER_FAULTS = (ArithmeticError, RuntimeError, ValueError)
 def parse_descriptor(text: str) -> dict:
     """Parse 'kind:key=val,key=val' into a dict of finite floats (the
     manifest path stays a string)."""
-    if ":" in text:
-        kind, _, rest = text.partition(":")
-    else:
-        kind, rest = text, ""
+    kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind not in ("qp", "lrr"):
         raise ConfigError("unknown problem kind %r (expected qp or lrr)" % kind)

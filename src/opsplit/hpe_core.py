@@ -21,9 +21,9 @@ Each trace column is one (name, producer) pair of a table
 (:data:`TRACE_COLUMNS` here); a run records the columns its caller selects.
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
-online accumulator of the ergodic pair ||v_bar|| and eps_bar, local
-linear-rate factor) used by the instrumentation and tests.  The bound
-calculators take the constants of a run as arguments.
+online accumulator of the ergodic pair ||v_bar|| and eps_bar and its two-pass
+reference, local linear-rate factor) used by the instrumentation and tests.
+The bound calculators take the constants of a run as arguments.
 """
 
 from __future__ import annotations
@@ -117,8 +117,6 @@ class HpeCertificate:
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
     against ``v`` and never solves for it.
-    No certificate outlives its iteration: the ergodic pair (||v_bar||,
-    eps_bar) is accumulated online (:class:`ErgodicAccumulator`).
     """
 
     y: BlockPoint
@@ -516,6 +514,28 @@ class ErgodicAccumulator:
                              / self.sum_w)
 
 
+class CertificateRecorder(list):
+    """Stands in for an accumulator and keeps every certificate it is handed."""
+
+    add = list.append
+
+
+def ergodic_aggregate(certs: Sequence[HpeCertificate], alpha) -> tuple:
+    """(y_bar, v_bar, eps_bar) of stored certificates in two passes, the
+    reference for :class:`ErgodicAccumulator`: weights w = (1 + theta) c alpha,
+    the weighted means first, then eps_bar = sum w (eps + <y - y_bar,
+    v - v_bar>) / W."""
+    w = np.array([(1.0 + c.theta) * c.c * a for c, a in zip(certs, alpha)])
+    if not w.sum() > 0:
+        raise ValueError("ergodic weights must have a positive sum")
+    ys, vs = (np.array([getattr(c, f).data for c in certs]) for f in "yv")
+    y_bar, v_bar = w @ ys / w.sum(), w @ vs / w.sum()
+    inner = np.einsum("ij,ij->i", ys - y_bar, vs - v_bar)
+    eps_bar = float(w @ (np.array([c.eps for c in certs]) + inner)) / w.sum()
+    layout = certs[0].y.layout
+    return BlockPoint(y_bar, layout), BlockPoint(v_bar, layout), eps_bar
+
+
 def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,
                        Xi: float, omega_upper: float, omega_lower: float) -> float:
     """Per-iteration contraction factor rho under metric subregularity."""
@@ -623,12 +643,8 @@ def write_summary(path, result: RunResult, config_echo: dict,
 
 def loglog_slope(ks: np.ndarray, values: np.ndarray) -> Optional[float]:
     """Least-squares slope of log(values) against log(ks); None if degenerate."""
-    ks = np.asarray(ks, dtype=float)
-    values = np.asarray(values, dtype=float)
+    ks, values = np.asarray(ks, dtype=float), np.asarray(values, dtype=float)
     mask = (ks > 0) & (values > 0) & np.isfinite(values)
     if mask.sum() < 2:
         return None
-    lx = np.log(ks[mask])
-    ly = np.log(values[mask])
-    slope = np.polyfit(lx, ly, 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(ks[mask]), np.log(values[mask]), 1)[0])

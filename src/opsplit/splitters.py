@@ -135,14 +135,11 @@ def ppg_step(z: BlockPoint, p: PpgProblem, theta: float) -> HpeCertificate:
     zs = z.blocks()
     mean = sum(zs) / p.n
     xc = p.prox_r.evaluate(p.alpha, mean)
-    x_next: List[np.ndarray] = []
-    for i in range(p.n):
-        u = 2.0 * xc - zs[i] - p.alpha * p.grad_f[i](xc)
-        x_next.append(p.prox_g[i].evaluate(p.alpha, u))
-    y = np.concatenate([zs[i] + x_next[i] - xc for i in range(p.n)])
+    x_next = [prox.evaluate(p.alpha, 2.0 * xc - zi - p.alpha * grad(xc))
+              for zi, grad, prox in zip(zs, p.grad_f, p.prox_g)]
+    y = np.concatenate([zi + xn - xc for zi, xn in zip(zs, x_next)])
     v = BlockPoint(np.concatenate([xc - xn for xn in x_next]), z.layout)
-    eps_raw = 0.25 * p.L * sum(float(np.dot(x_next[i] - xc, x_next[i] - xc))
-                               for i in range(p.n))
+    eps_raw = 0.25 * p.L * sum(float(np.dot(xn - xc, xn - xc)) for xn in x_next)
     return HpeCertificate(y=BlockPoint(y, z.layout), v=v,
                           eps=p.alpha * eps_raw, c=1.0, theta=theta, step=v)
 
@@ -353,7 +350,6 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     yb = _prox_conjugate(p.prox_h, p.gamma2, u)
     w = BlockPoint(np.concatenate([xb, yb]), z.layout)
     d = (z - w).data
-    dx = d[:p.dim_x]
     if np.linalg.norm(d) == 0.0:
         zero = BlockPoint(np.zeros_like(d), z.layout)
         return HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
@@ -364,7 +360,7 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     denom = float(np.dot(Sd, Rd))                           # ||d||^2_{S*R}
     if denom <= 0:
         raise RuntimeError("degenerate adaptive-step denominator")
-    eps = 0.25 * p.L * float(np.dot(dx, dx))
+    eps = 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
     d_M = float(np.dot(d, p.metric().apply(d)))
     cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)
     if cap <= 0:
@@ -445,10 +441,8 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
     """
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
-    if r is None:
-        r = bnorm + Lq / sigma + 1.0
-    if s is None:
-        s = bnorm + Lq / sigma + 1.0
+    scale = bnorm + Lq / sigma + 1.0
+    r, s = scale if r is None else r, scale if s is None else s
     prob = CondatVuProblem(dim_x=Q.shape[0], dim_y=b.size,
                            prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                            B=G, r=r, s=s, grad_f=lambda u: Q @ u + c,
@@ -457,12 +451,12 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
     return prob, condat_vu_max_theta(prob, sigma), z_ref
 
 
-def afbas_pd_from_qp(inst, sigma: float = 0.5, theta: float = 2.0,
-                     mu: float = 0.5, lam: float = 1.0):
+def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
+                     lam: float = 1.0):
     """Adaptive primal-dual coding of the same saddle problem.
 
     Returns (problem, None, z_ref = (x*, y*)): the step picks its own
-    over-relaxation, so there is no theta_max and sigma goes unread.
+    over-relaxation, so there is no theta_max.
     """
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
@@ -538,6 +532,6 @@ SCHEMES = {
         bound="(1 + gamma^2 L^2) theta + gamma^2 L^2 + gamma/(2 beta) "
               "<= sigma"),
     "afbas-pd": Scheme(
-        build=lambda inst, sigma, **_: afbas_pd_from_qp(inst, sigma),
+        build=lambda inst, sigma, **_: afbas_pd_from_qp(inst),
         step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma)),
 }

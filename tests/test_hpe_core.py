@@ -10,18 +10,16 @@ import numpy as np
 import pytest
 
 from opsplit import hpe_core
-from opsplit.hpe_core import (CriterionViolation, ErgodicAccumulator,
-                              HpeCertificate, HpeConfig,
+from opsplit.hpe_core import (CertificateRecorder, CriterionViolation,
+                              ErgodicAccumulator, HpeCertificate, HpeConfig,
                               MetricScheduleViolation,
                               check_criterion, default_xi_schedule,
-                              extragradient_step,
+                              ergodic_aggregate, extragradient_step,
                               linear_rate_factor, loglog_slope,
                               make_affine_resolvent_oracle, pointwise_bound,
                               validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             DenseMetric, IdentityMetric)
-
-from ergodic_reference import CertificateRecorder, ergodic_aggregate
 
 
 def _pt(arr):
@@ -431,9 +429,9 @@ def test_ergodic_eps_nonnegative_for_monotone_operator():
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
                        BlockPoint(np.ones(5), lay), IdentityMetric(), cfg,
                        accumulators=[acc, recorder])
-    assert len(acc.eps_bars) == len(recorder.certs) == len(res.trace) == 200
+    assert len(acc.eps_bars) == len(recorder) == len(res.trace) == 200
     assert min(acc.eps_bars) >= -1e-12
-    _, v_ref, eps_ref = ergodic_aggregate(recorder.certs, np.ones(200))
+    _, v_ref, eps_ref = ergodic_aggregate(recorder, np.ones(200))
     assert acc.v_norms[-1] == pytest.approx(v_ref.norm(), rel=1e-12)
     assert acc.eps_bars[-1] == pytest.approx(eps_ref, rel=1e-12, abs=1e-15)
 

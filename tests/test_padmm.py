@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from opsplit import padmm_ebb
-from opsplit.hpe_core import (check_criterion, CriterionViolation,
-                              ErgodicAccumulator, HpeCertificate, HpeConfig,
-                              MetricScheduleViolation)
+from opsplit.hpe_core import (CertificateRecorder, check_criterion,
+                              CriterionViolation, ErgodicAccumulator,
+                              HpeCertificate, HpeConfig,
+                              MetricScheduleViolation, ergodic_aggregate)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
                             LinearMap)
 from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
@@ -21,7 +22,6 @@ from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
 from opsplit.prox_problems import ProxFn, gen_qp
 
 from dense_diagnostics import u_dense, with_theta_bar
-from ergodic_reference import CertificateRecorder, ergodic_aggregate
 from support import count_svds, kkt_operator, to_dense
 
 
@@ -571,10 +571,10 @@ def test_multi_block_ergodic_pair_matches_two_pass_reference():
     run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=300,
                                       tol_residual=0.0),
               accumulators=[acc, recorder])
-    assert len(acc) == len(recorder.certs) == 300
+    assert len(acc) == len(recorder) == 300
     assert min(acc.eps_bars) >= -1e-12
     for k in (1, 17, 300):
-        _, v_ref, eps_ref = ergodic_aggregate(recorder.certs[:k], np.ones(k))
+        _, v_ref, eps_ref = ergodic_aggregate(recorder[:k], np.ones(k))
         assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
         assert acc.eps_bars[k - 1] == pytest.approx(eps_ref, rel=1e-10,
                                                     abs=1e-12)
