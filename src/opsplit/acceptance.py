@@ -205,9 +205,10 @@ def _padmm_qp_runs(theta_fixed):
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
         res = run_padmm(inst.problem, cfg, theta_fixed=theta_fixed)
-        runs.append((res.converged, res.iterations, res.final_pkkt,
-                     (res.z - inst.z_star).norm(),
-                     inst.kkt_residual(np.concatenate(res.x_blocks), res.y)))
+        xs, y = inst.problem.split(res.solution)
+        runs.append((res.converged, res.iterations, res.final["pkkt"],
+                     (res.solution - inst.z_star).norm(),
+                     inst.kkt_residual(np.concatenate(xs), y)))
     return runs, time.perf_counter() - t0
 
 
@@ -332,14 +333,14 @@ def check_lrr_desk_scale() -> CriterionResult:
     inst = build_lrr(X)
     cfg = HpeConfig(sigma=0.9, max_iters=3000, tol_residual=1e-3)
     res = run_padmm(inst.problem, cfg, beta=300.0)
-    feas = inst.problem.feasibility(res.x_blocks)
+    feas = inst.problem.feasibility(inst.problem.split(res.solution)[0])
     feas_primary = float(np.linalg.norm(feas[:X.size]))
     elapsed = time.perf_counter() - t0
     passed = res.converged and feas_primary <= 1e-4 and elapsed < 120.0
     return CriterionResult(
         "lrr-desk-scale", passed,
         "residual %.2e after %d iters, |X-XZ-GX-E| %.2e, %.1fs"
-        % (res.final_pkkt, res.iterations, feas_primary, elapsed))
+        % (res.final["pkkt"], res.iterations, feas_primary, elapsed))
 
 
 # ---------------------------------------------------------------------------

@@ -175,13 +175,11 @@ def _solver_abort(exc) -> int:
 
 
 def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
-                   config_echo: dict, final_extra: Optional[dict] = None,
-                   abort: Optional[dict] = None) -> None:
+                   config_echo: dict) -> None:
     """Try every output asked for; the writes that fail are one ConfigError."""
     writes = (("--trace", args.trace, result.trace.to_csv),
               ("--summary", args.summary, lambda path: hpe_core.write_summary(
-                  path, result, config_echo, final_extra=final_extra,
-                  abort=abort, acc=acc)))
+                  path, result, config_echo, acc=acc)))
     failed = []
     for option, path, write in writes:
         if path:
@@ -222,17 +220,14 @@ def cmd_solve(args) -> int:
         partial = hpe_core.RunResult(
             solution=None, trace=trace, converged=False, iterations=len(trace),
             reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
-                    else "abort"))
+                    else "abort"), abort=_abort_record(exc))
         code = _solver_abort(exc)
         try:
-            _write_outputs(args, partial, acc, config_echo,
-                           abort=_abort_record(exc))
+            _write_outputs(args, partial, acc, config_echo)
         except ConfigError as err:  # the abort still decides the exit code
             print("configuration error: %s" % err, file=sys.stderr)
         return code
-    final_extra = ({"pkkt": result.final_pkkt}
-                   if args.algorithm == "padmm-ebb" else None)
-    _write_outputs(args, result, acc, config_echo, final_extra)
+    _write_outputs(args, result, acc, config_echo)
     v_norms = result.trace.column("v_norm")
     print("%s on %s: %s after %d iterations (final v_norm %s)"
           % (args.algorithm, args.problem,
@@ -270,9 +265,9 @@ def cmd_bench(args) -> int:
         except SOLVER_FAULTS as exc:
             return _solver_abort("%s: %s" % (a, exc))
         v_norms = result.trace.column("v_norm") or [float("nan")]
-        residual = result.final_pkkt if a == "padmm-ebb" else v_norms[-1]
         print("%-12s %9d %10s %12.3e %9.2f"
-              % (a, result.iterations, result.converged, residual,
+              % (a, result.iterations, result.converged,
+                 result.final.get("pkkt", v_norms[-1]),
                  time.perf_counter() - t0))
     return EXIT_OK
 

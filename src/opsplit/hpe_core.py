@@ -32,7 +32,7 @@ import json
 import math
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -350,11 +350,17 @@ class IterTrace(list):
 
 @dataclass
 class RunResult:
+    """The outcome of every solve, kernel or multi-block.  ``final`` holds the
+    solver's own values of the final iterate for the summary (empty for
+    kernel runs); ``abort`` an aborted run's iteration, exception, message
+    and, when the criterion failed, its lhs, rhs and slack."""
     solution: BlockPoint
     trace: IterTrace
     converged: bool
     reason: str
     iterations: int
+    final: dict = field(default_factory=dict)
+    abort: Optional[dict] = None
 
 
 # ---------------------------------------------------------------------------
@@ -595,14 +601,12 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
 
 
 def write_summary(path, result: RunResult, config_echo: dict,
-                  final_extra: Optional[dict] = None,
-                  abort: Optional[dict] = None,
                   acc: Optional[ErgodicAccumulator] = None):
-    """JSON run summary: config echo, termination, final residuals, log-log
-    slopes of ||v|| and ||v_bar|| (each over its own iterations: an abort can
-    fall between a trace row and its accumulation), the ergodic pair
-    ||v_bar||, eps_bar at ``acc``'s last step (null when it holds none), and
-    an aborted run's ``abort`` record (iteration, exception, criterion)."""
+    """JSON run summary of ``result`` alone: config echo, termination, final
+    residuals with ``result.final``, log-log slopes of ||v|| and ||v_bar||
+    (each over its own iterations: an abort can fall between a trace row and
+    its accumulation), the ergodic pair ||v_bar||, eps_bar at ``acc``'s last
+    step (null when it holds none), and ``result.abort`` when it is set."""
     trace = result.trace
     v_norms, eps = trace.column("v_norm"), trace.column("eps")
     slopes = {
@@ -632,10 +636,9 @@ def write_summary(path, result: RunResult, config_echo: dict,
             "eps": acc.eps_bars[-1] if acc else None,
         },
     }
-    if final_extra:
-        summary["final"].update(final_extra)
-    if abort is not None:
-        summary["abort"] = abort
+    summary["final"].update(result.final)
+    if result.abort is not None:
+        summary["abort"] = result.abort
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hpe_core
 from .hpe_core import (CriterionViolation, ErgodicAccumulator,
-                       HpeCertificate, HpeConfig, IterTrace, NonFiniteValue)
+                       HpeCertificate, HpeConfig, NonFiniteValue, RunResult)
 from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
                      norm, spectral_upper_bound, weighted_norm_sq)
 
@@ -344,18 +344,6 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PadmmResult:
-    z: BlockPoint
-    x_blocks: List[np.ndarray]
-    y: np.ndarray
-    trace: IterTrace
-    converged: bool
-    reason: str
-    iterations: int
-    final_pkkt: float = float("nan")
-
-
 class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
     :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients, dual
@@ -453,7 +441,7 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
               z0: Optional[BlockPoint] = None,
               ref_solution: Optional[BlockPoint] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
-              columns: Sequence[str] = DEFAULT_COLUMNS) -> PadmmResult:
+              columns: Sequence[str] = DEFAULT_COLUMNS) -> RunResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
 
     The iterations run in :func:`opsplit.hpe_core.run` under ``cfg``: its
@@ -465,8 +453,8 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     when given, caps the over-relaxation (0.0 disables it).  A run that
     reaches ``max_iters`` still ends converged if its final iterate meets
     the tolerance.  The trace records the ``columns`` named, of
-    :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`;
-    ``final_pkkt`` is the full residual norm of the final iterate.
+    :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
+    ``solution`` is z and ``final["pkkt"]`` its full residual norm.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and positive, got %r" % beta)
@@ -482,13 +470,11 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop,
         columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
-    xs, y = problem.split(res.solution)
-    converged, reason, pnorm = res.converged, res.reason, it.pnorm
-    if reason != "pkkt":
+    pnorm = it.pnorm
+    if res.reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate
-        _, pnorm = pkkt_residual(xs, y, problem)
-        if not converged and pnorm <= cfg.tol_residual:
-            converged, reason = True, "pkkt"
-    return PadmmResult(z=res.solution, x_blocks=xs, y=y, trace=res.trace,
-                       converged=converged, reason=reason,
-                       iterations=res.iterations, final_pkkt=pnorm)
+        _, pnorm = pkkt_residual(*problem.split(res.solution), problem)
+        if not res.converged and pnorm <= cfg.tol_residual:
+            res.converged, res.reason = True, "pkkt"
+    res.final["pkkt"] = pnorm
+    return res

@@ -352,5 +352,11 @@ def test_kept_certificates_drop_their_step():
         for row in result.trace:
             assert type(row) is tuple and len(row) == len(result.trace.columns)
             assert all(isinstance(val, (int, float)) for val in row)
-    assert set(vars(pres)) == {"z", "x_blocks", "y", "trace", "converged",
-                               "reason", "iterations", "final_pkkt"}
+    # one result type for every solver; only the multi-block solver fills
+    # in a final value of its own, and neither run aborted
+    for result in (res, pres):
+        assert set(vars(result)) == {"solution", "trace", "converged",
+                                     "reason", "iterations", "final", "abort"}
+        assert result.abort is None
+    assert res.final == {} and list(pres.final) == ["pkkt"]
+    assert isinstance(pres.final["pkkt"], float)

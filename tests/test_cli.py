@@ -319,6 +319,21 @@ def test_bench_runs_subset(capsys):
     assert lines[2].startswith("fbhf")
 
 
+def test_bench_prints_the_final_pkkt_that_solve_writes(tmp_path, capsys):
+    options = ["--problem", "qp:seed=2,p=2,n=5,m=3", "--max-iters", "40",
+               "--beta", "2"]
+    summary = tmp_path / "summary.json"
+    assert main(["solve", "--algorithm", "padmm-ebb", *options,
+                 "--summary", str(summary)]) == 0
+    final = json.loads(summary.read_text())["final"]
+    pkkt = final["pkkt"]
+    assert "%.3e" % pkkt != "%.3e" % final["v_norm"]
+    capsys.readouterr()
+    assert main(["bench", "--algorithms", "padmm-ebb", *options]) == 0
+    row = capsys.readouterr().out.strip().splitlines()[-1].split()
+    assert row[0] == "padmm-ebb" and row[3] == "%.3e" % pkkt
+
+
 def test_bench_rejects_unknown_algorithm():
     assert main(["bench", "--problem", "qp:seed=0",
                  "--algorithms", "nope"]) == 2

@@ -485,3 +485,26 @@ def test_write_summary_schema(tmp_path):
     # the slopes come from the trace's v_norm column and the accumulator
     assert isinstance(data["slopes"]["pointwise"], float)
     assert data["slopes"]["ergodic"] is None
+
+
+def test_write_summary_reads_final_values_and_abort_from_the_result(
+        tmp_path):
+    trace = hpe_core.IterTrace(("iter", "time_s", "v_norm", "eps"))
+    trace.append((1, 0.5, 2.0, 0.125))
+    record = {"iteration": 2, "exception": "CriterionViolation",
+              "message": "iteration 2: criterion failed", "lhs": 3.0,
+              "rhs": 2.0, "slack": -1.0}
+    result = hpe_core.RunResult(solution=None, trace=trace, converged=False,
+                                reason="abort", iterations=1,
+                                final={"pkkt": 0.25}, abort=record)
+    path = tmp_path / "summary.json"
+    hpe_core.write_summary(path, result, {"algorithm": "test"})
+    data = json.loads(path.read_text())
+    assert data["final"] == {"v_norm": 2.0, "eps": 0.125, "pkkt": 0.25}
+    assert data["abort"] == record
+    # an empty final block and no abort add neither key
+    hpe_core.write_summary(path, dataclasses.replace(
+        result, final={}, abort=None), {"algorithm": "test"})
+    data = json.loads(path.read_text())
+    assert data["final"] == {"v_norm": 2.0, "eps": 0.125}
+    assert "abort" not in data

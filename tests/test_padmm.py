@@ -407,8 +407,8 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     cfg = HpeConfig(sigma=0.9, max_iters=40, tol_residual=1e-8)
     res = run_padmm(inst.problem, cfg)
     assert res.reason == "max_iters"
-    _, full = pkkt_residual(res.x_blocks, res.y, inst.problem)
-    assert res.final_pkkt == full > cfg.tol_residual
+    _, full = pkkt_residual(*inst.problem.split(res.solution), inst.problem)
+    assert res.final["pkkt"] == full > cfg.tol_residual
     # a sweep that returns its start point makes that point a fixed point;
     # the stop test before it decided on the dual row alone
     z0 = BlockPoint(inst.z_star.data + 1.0, inst.z_star.layout)
@@ -419,7 +419,7 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     xs, y = inst.problem.split(z0)
     assert pkkt_residual(xs, y, inst.problem,
                          tol=cfg.tol_residual)[1] == math.inf
-    assert (res.final_pkkt == pkkt_residual(xs, y, inst.problem)[1]
+    assert (res.final["pkkt"] == pkkt_residual(xs, y, inst.problem)[1]
             > cfg.tol_residual)
 
 
@@ -446,7 +446,7 @@ def test_run_padmm_solves_qps():
         res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=3000,
                                                 tol_residual=1e-9))
         assert res.converged and res.reason == "pkkt"
-        assert (res.z - inst.z_star).norm() < 1e-7
+        assert (res.solution - inst.z_star).norm() < 1e-7
         assert len(res.trace) == res.iterations
         # every recorded certificate passed the criterion
         assert min(res.trace.column("criterion_slack")) >= -1e-9
@@ -500,16 +500,6 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
         run_padmm(inst.problem, HpeConfig(sigma=0.5, max_iters=3), beta=100)
     assert exc.value.iteration == 1 and len(exc.value.trace) == 0
     assert len(sweeps) == 1
-
-
-def test_result_blocks_do_not_alias_the_iterate():
-    # the loop reads the iterate through views; the result's blocks are copies
-    res = run_padmm(gen_qp(0, p=2, n_i=5, m=3).problem,
-                    HpeConfig(sigma=0.9, max_iters=20, tol_residual=0.0))
-    before = res.z.data.copy()
-    for x in res.x_blocks + [res.y]:
-        x += 1.0
-    assert np.array_equal(res.z.data, before)
 
 
 def test_run_padmm_starts_from_given_point():
