@@ -128,6 +128,10 @@ def _theta_or_auto(text: str) -> Optional[float]:
     return theta
 
 
+def _beta(args) -> float:
+    return 1.0 if args.beta is None else args.beta  # padmm-ebb's default
+
+
 def _prepare_solve(args, algorithm: str, kind: str, inst,
                    theta: Optional[float], columns: tuple):
     """Build and validate one solve and return ``start(accumulators)``.
@@ -142,17 +146,17 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
                     xi_schedule=hpe_core.default_xi_schedule(args.xi0),
                     max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
-        if not (math.isfinite(args.beta) and args.beta > 0):
-            raise ConfigError("beta must be finite and positive, got %r"
-                              % args.beta)
+        beta = _beta(args)
+        if not (math.isfinite(beta) and beta > 0):
+            raise ConfigError("beta must be finite and positive, got %r" % beta)
         ref = inst.z_star if kind == "qp" else None
-        return lambda accs: run_padmm(inst.problem, cfg, beta=args.beta,
+        return lambda accs: run_padmm(inst.problem, cfg, beta=beta,
                                       theta_fixed=theta, ref_solution=ref,
                                       accumulators=accs, columns=columns)
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
-    oracle, M0, x0, ref = SCHEMES[algorithm].setup(
-        inst, cfg.sigma, theta, r=args.cv_r, s=args.cv_s)
+    oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma, theta, **(
+        {"r": args.cv_r, "s": args.cv_s} if algorithm == "condat-vu" else {}))
     return lambda accs: hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
                                      accumulators=accs,
                                      columns=hpe_core.select(columns))
@@ -193,6 +197,12 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
 
 
 def cmd_solve(args) -> int:
+    # an option is read by one algorithm: bench hands it to that one only
+    for dest, owner in (("beta", "padmm-ebb"), ("cv_r", "condat-vu"),
+                        ("cv_s", "condat-vu")):
+        if getattr(args, dest) is not None and args.algorithm != owner:
+            raise ConfigError("--%s applies to %s only"
+                              % (dest.replace("_", "-"), owner))
     for option, path in (("--trace", args.trace), ("--summary", args.summary)):
         where = path and (path if os.path.exists(path)
                           else os.path.dirname(os.path.abspath(path)))
@@ -211,7 +221,7 @@ def cmd_solve(args) -> int:
                    "xi0": args.xi0, "tol": args.tol,
                    "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
-        config_echo["beta"] = args.beta
+        config_echo["beta"] = _beta(args)
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
@@ -327,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="leading coefficient of the summable xi schedule")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iters", type=int, default=1000)
-        p.add_argument("--beta", type=float, default=1.0,
-                       help="penalty parameter (padmm-ebb)")
+        p.add_argument("--beta", type=float, default=None,
+                       help="penalty parameter of padmm-ebb (default 1)")
         p.add_argument("--cv-r", type=float, default=None,
                        help="primal scale r of the condat-vu metric")
         p.add_argument("--cv-s", type=float, default=None,

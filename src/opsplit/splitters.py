@@ -492,10 +492,10 @@ class Scheme:
               **opts):
         """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
 
-        ``theta`` None takes 0.9 theta_max; a theta past the bound, or any
-        theta for a scheme without one, raises ValueError.  This is the one
-        check of the bound: the steps take theta as given.  ``opts`` go to
-        the builder (Condat-Vu's metric scales r and s; others ignore them).
+        ``theta`` None takes 0.9 theta_max; a theta past the bound, at or
+        below -1 or NaN, or any theta for a scheme without one, raises
+        ValueError.  This is the one check of the bound: the steps take theta
+        as given.  ``opts`` go to the builder (Condat-Vu's r and s only).
         """
         prob, theta_max, ref = self.build(inst, sigma, **opts)
         if self.bound is None:
@@ -504,6 +504,8 @@ class Scheme:
                                  "every step; theta must be 'auto'")
         elif theta is None:
             theta = 0.9 * theta_max
+        elif not theta > -1.0:
+            raise ValueError("theta must exceed -1, got %r" % theta)
         elif theta > theta_max + 1e-12:
             raise ValueError("theta %.4g violates %s (max %.4g)"
                              % (theta, self.bound, theta_max))
@@ -523,15 +525,15 @@ SCHEMES = {
         step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta),
         bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
     "ppg": Scheme(
-        build=lambda inst, sigma, **_: ppg_from_qp(inst, sigma),
+        build=lambda inst, sigma: ppg_from_qp(inst, sigma),
         step=lambda z, p, theta, sigma: ppg_step(z, p, theta),
         bound="theta + L*alpha/2 <= sigma"),
     "fbhf": Scheme(
-        build=lambda inst, sigma, **_: fbhf_from_qp(inst, sigma),
+        build=lambda inst, sigma: fbhf_from_qp(inst, sigma),
         step=lambda x, p, theta, sigma: fbhf_step(x, p, theta),
         bound="(1 + gamma^2 L^2) theta + gamma^2 L^2 + gamma/(2 beta) "
               "<= sigma"),
     "afbas-pd": Scheme(
-        build=lambda inst, sigma, **_: afbas_pd_from_qp(inst),
+        build=lambda inst, sigma: afbas_pd_from_qp(inst),
         step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma)),
 }

@@ -65,6 +65,8 @@ def test_solve_padmm_writes_trace_and_summary(tmp_path, capsys):
     assert data["converged"] is True
     assert len(rows) - 1 == data["iterations"]  # one CSV row per iteration
     assert data["final"]["pkkt"] <= 1e-8
+    # an unset --beta runs and echoes padmm-ebb's default penalty
+    assert data["config"]["beta"] == 1.0
 
 
 def test_full_trace_adds_the_opt_in_columns(tmp_path):
@@ -208,6 +210,37 @@ def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
                  "--max-iters", "5", option, value])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,algorithm", [
+    (option, a) for option, owner in (("--beta", "padmm-ebb"),
+                                      ("--cv-r", "condat-vu"),
+                                      ("--cv-s", "condat-vu"))
+    for a in ALGORITHMS if a != owner])
+def test_option_of_another_algorithm_is_a_config_error(option, algorithm,
+                                                       monkeypatch, capsys):
+    # each used to be dropped silently; now solve names the algorithm that
+    # reads it, before the problem is built
+    monkeypatch.setattr(cli, "build_problem", lambda params: pytest.fail(
+        "the problem was built"))
+    code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--max-iters", "5", option, "5"])
+    assert code == 2
+    owner = "padmm-ebb" if option == "--beta" else "condat-vu"
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: %s applies to %s only" % (option, owner))
+
+
+def test_bench_hands_each_option_to_the_algorithm_that_reads_it(capsys):
+    rows = []
+    for options in ((), ("--beta", "2", "--cv-r", "30")):
+        assert main(["bench", "--problem", "qp:seed=0", "--max-iters", "200",
+                     *options]) == 0
+        rows.append({line.split()[0]: line.split()[:4] for line in
+                     capsys.readouterr().out.strip().splitlines()[1:]})
+    default, chosen = rows
+    changed = {a for a in ALGORITHMS if default[a] != chosen[a]}
+    assert changed == {"padmm-ebb", "condat-vu"}
 
 
 @pytest.mark.parametrize("option,value", [("--cv-r", "nan"), ("--cv-s", "inf"),

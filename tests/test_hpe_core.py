@@ -84,15 +84,17 @@ def test_criterion_eps_contributes_2c_eps():
     (-1.0, CriterionViolation, "theta = -1.0 is not above -1"),
     (math.nan, hpe_core.NonFiniteValue, "non-finite theta")])
 def test_theta_at_or_below_minus_one_aborts_the_run(theta, error, message):
-    # a scheme set up with such a theta passes its bound; at theta = -3 every
-    # step used to be certified while the iterate ran off to 1e23, and at
+    # the kernel's own check, behind Scheme.setup's: at theta = -3 every step
+    # used to be certified while the iterate ran off to 1e23, and at
     # theta = -1 the iterate never moved
     from opsplit.prox_problems import gen_qp
-    from opsplit.splitters import SCHEMES
+    from opsplit.splitters import fbhf_from_qp, fbhf_step
 
-    oracle, M0, x0, _ = SCHEMES["fbhf"].setup(gen_qp(0), 0.5, theta)
+    prob, _, ref = fbhf_from_qp(gen_qp(0), 0.5)
     with pytest.raises(error, match="iteration 1: .*" + message) as exc:
-        hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.5, max_iters=50))
+        hpe_core.run(lambda x, M, cfg: fbhf_step(x, prob, theta),
+                     BlockPoint.zeros(ref.layout), prob.metric(),
+                     HpeConfig(sigma=0.5, max_iters=50))
     assert exc.value.iteration == 1 and len(exc.value.trace) == 0
 
 

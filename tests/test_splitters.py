@@ -433,6 +433,16 @@ def test_numpy_eigvalsh_is_bitwise_scipy_on_the_qp_matrices(seed,
         assert np.array_equal(real(a), scipy.linalg.eigvalsh(a))
 
 
+@pytest.mark.parametrize("theta", [-3.0, -1.0, float("nan")])
+@pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu"])
+def test_setup_rejects_theta_at_or_below_minus_one_and_nan(scheme, theta):
+    # each passes the bound theta <= theta_max: a NaN compares false, and
+    # theta <= -1 lies below every theta_max
+    with pytest.raises(ValueError, match="theta must exceed -1, got %r"
+                       % theta):
+        SCHEMES[scheme].setup(gen_qp(0), 0.5, theta)
+
+
 def test_affine_projector_projects():
     rng = np.random.default_rng(8)
     G = rng.standard_normal((2, 5))
