@@ -2,7 +2,7 @@
 
 Run from a checkout:
 
-    python3 tools/identity.py --against REV
+    python3 tools/identity.py --against REV [--rel TOL]
 
 The same battery of CLI solves (argv into ``opsplit.cli.main``) runs on the
 files of ``REV`` (unpacked from ``git archive``) and on this checkout, one
@@ -10,6 +10,13 @@ process per tree.  Each run is compared on its exit code, its last line of
 standard error, its trace CSV bytes without the ``time_s`` column and its
 summary JSON without ``wall_time_s``.  One verdict line per run, then one
 digest over every compared output; any mismatch exits 1.
+
+With ``--rel TOL`` (for changes that must reorder rounding) exit codes,
+stderr lines, trace headers and row counts and the summaries' iteration
+counts must still match exactly; every other numeric trace column and
+summary leaf passes while its largest relative deviation |a - b| /
+max(|a|, |b|) is at most TOL.  A run over TOL is named with each column or
+leaf over it and its deviation, and exits 1.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -33,6 +41,8 @@ LRR = "lrr:seed=%d,d=40,n=40"
 LRR_OPTS = ["--beta", "300", "--tol", "1e-3", "--sigma", "0.9",
             "--max-iters", "3000"]
 ALGORITHMS = ("padmm-ebb", "condat-vu", "ppg", "fbhf", "afbas-pd")
+# summary leaves that only an exact match passes, in every mode
+EXACT_LEAVES = ("iterations", "abort.iteration")
 
 
 def _solve(algorithm, problem, *options):
@@ -119,24 +129,66 @@ def load(outdir):
     return records
 
 
-def differences(a, b):
-    """What differs between two records of one run, as short phrases."""
-    out = [key for key in ("exit", "stderr") if a[key] != b[key]]
+def _number(text):
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def deviation(x, y):
+    """|a - b| / max(|a|, |b|) of two trace cells or summary leaves read as
+    numbers a and b: 0 when they are equal (two NaNs and equal infinities
+    included), inf when they differ and either is no number."""
+    a, b = _number(x), _number(y)
+    if x == y or (a is not None and b is not None
+                  and (a == b or (math.isnan(a) and math.isnan(b)))):
+        return 0.0
+    if a is None or b is None:
+        return math.inf
+    dev = abs(a - b) / max(abs(a), abs(b))
+    return math.inf if math.isnan(dev) else dev
+
+
+def deviations(a, b):
+    """What differs between two records of one run, in order, as (group,
+    name, largest relative deviation) triples; name is None for the groups
+    "exit", "stderr" and "trace shape", and the deviation inf wherever only
+    an exact match counts."""
+    out = [(key, None, math.inf) for key in ("exit", "stderr")
+           if a[key] != b[key]]
     ta, tb = a["trace"], b["trace"]
     if ta != tb:
         if ta and tb and len(ta) == len(tb) and ta[0] == tb[0]:
-            cols = sorted({j for row_a, row_b in zip(ta, tb)
-                           for j, (x, y) in enumerate(zip(row_a, row_b))
-                           if x != y})
-            out.append("trace columns " + ", ".join(ta[0][j] for j in cols))
+            cols = {}
+            for row_a, row_b in zip(ta[1:], tb[1:]):
+                for j, (x, y) in enumerate(zip(row_a, row_b)):
+                    if x != y:
+                        cols[j] = max(cols.get(j, 0.0), deviation(x, y))
+            out += [("trace columns", ta[0][j], cols[j]) for j in sorted(cols)]
         else:
-            out.append("trace shape")
-    la = dict(_leaves(a["summary"] or {}))
-    lb = dict(_leaves(b["summary"] or {}))
-    keys = sorted(k for k in la.keys() | lb.keys() if la.get(k) != lb.get(k))
-    if keys:
-        out.append("summary " + ", ".join(keys))
+            out.append(("trace shape", None, math.inf))
+    la, lb = (dict(_leaves(r["summary"] or {})) for r in (a, b))
+    out += [("summary", key, math.inf if key in EXACT_LEAVES
+             else deviation(la.get(key), lb.get(key)))
+            for key in sorted(la.keys() | lb.keys())
+            if la.get(key) != lb.get(key)]
     return out
+
+
+def differences(a, b, rel=None):
+    """What differs between two records of one run, as short phrases: every
+    difference, or with ``rel`` only what deviates by more than ``rel``, each
+    trace column and summary leaf with its largest relative deviation."""
+    groups = {}
+    for group, name, dev in deviations(a, b):
+        if rel is None or dev > rel:
+            names = groups.setdefault(group, [])
+            if name is not None:
+                names.append(name if rel is None or dev == math.inf
+                             else "%s %.2e" % (name, dev))
+    return [" ".join([group, ", ".join(names)]).strip()
+            for group, names in groups.items()]
 
 
 def digest(records):
@@ -146,25 +198,32 @@ def digest(records):
     return h.hexdigest()
 
 
-def compare(dir_a, dir_b, out=sys.stdout):
-    """Print one verdict per run and the digest; True when all identical."""
+def compare(dir_a, dir_b, out=sys.stdout, rel=None):
+    """Print one verdict per run and the digest; True when every run is
+    identical or, with ``rel``, within ``rel`` of it."""
     ra, rb = load(dir_a), load(dir_b)
     names = list(ra) + [name for name in rb if name not in ra]
-    same = 0
+    verdicts = []
     for name in names:
         a, b = ra.get(name), rb.get(name)
-        diff = differences(a, b) if a and b else ["missing on one side"]
+        diff = differences(a, b, rel) if a and b else ["missing on one side"]
         iters = "/".join(str(r["summary"]["iterations"])
                          if r and r["summary"] else "-" for r in (a, b))
         detail = ": " + "; ".join(diff) if diff else ""
-        print("%-9s %-24s iters %s%s" % ("DIFFERS" if diff else "identical",
-                                         name, iters, detail), file=out)
-        same += not diff
+        verdicts.append("DIFFERS" if diff else
+                        "identical" if a == b else "within")
+        if verdicts[-1] == "within":
+            detail = ": largest deviation %.2e" % max(
+                dev for *_, dev in deviations(a, b))
+        print("%-9s %-24s iters %s%s" % (verdicts[-1], name, iters, detail),
+              file=out)
     da, db = digest(ra), digest(rb)
-    print("%d runs, %d identical; digest %s"
-          % (len(names), same, da if da == db else da + " vs " + db),
-          file=out)
-    return same == len(names)
+    within = ("" if rel is None else ", %d within %g"
+              % (verdicts.count("within"), rel))
+    print("%d runs, %d identical%s; digest %s"
+          % (len(names), verdicts.count("identical"), within,
+             da if da == db else da + " vs " + db), file=out)
+    return "DIFFERS" not in verdicts
 
 
 def _collect_tree(tree, outdir):
@@ -181,7 +240,13 @@ def main(argv=None):
     group.add_argument("--against", metavar="REV",
                        help="git revision to compare this checkout with")
     group.add_argument("--collect", metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--rel", metavar="TOL", type=float, default=None,
+                        help="pass numeric columns and leaves whose largest "
+                             "relative deviation is at most TOL")
     args = parser.parse_args(argv)
+    if args.rel is not None and not (math.isfinite(args.rel)
+                                     and args.rel >= 0):
+        parser.error("--rel must be finite and nonnegative")
     if args.collect:
         collect(args.collect)
         return 0
@@ -195,7 +260,8 @@ def main(argv=None):
                           (ROOT, tmp / "out-head")):
             out.mkdir()
             _collect_tree(tree, out)
-        return 0 if compare(tmp / "out-base", tmp / "out-head") else 1
+        return 0 if compare(tmp / "out-base", tmp / "out-head",
+                            rel=args.rel) else 1
 
 
 if __name__ == "__main__":
