@@ -140,12 +140,13 @@ def deviation(x, y):
     """|a - b| / max(|a|, |b|) of two trace cells or summary leaves read as
     numbers a and b: 0 when they are equal (two NaNs and equal infinities
     included), inf when they differ and either is no number."""
-    a, b = _number(x), _number(y)
-    if x == y or (a is not None and b is not None
-                  and (a == b or (math.isnan(a) and math.isnan(b)))):
+    if x == y:
         return 0.0
+    a, b = _number(x), _number(y)
     if a is None or b is None:
         return math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
     dev = abs(a - b) / max(abs(a), abs(b))
     return math.inf if math.isnan(dev) else dev
 
