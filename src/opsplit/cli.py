@@ -162,17 +162,6 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
                                      columns=hpe_core.select(columns))
 
 
-def _abort_record(exc: Exception) -> dict:
-    """Failing iteration, exception, and the criterion terms if the
-    relative-error inequality itself failed."""
-    record = {"iteration": getattr(exc, "iteration", None),
-              "exception": type(exc).__name__, "message": str(exc)}
-    report = getattr(exc, "report", None)
-    if report is not None:
-        record.update(lhs=report.lhs, rhs=report.rhs, slack=report.slack)
-    return record
-
-
 def _solver_abort(exc) -> int:
     print("solver abort: %s" % exc, file=sys.stderr)
     return EXIT_SOLVER
@@ -198,8 +187,8 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
 
 def cmd_solve(args) -> int:
     # an option is read by one algorithm: bench hands it to that one only
-    for dest, owner in (("beta", "padmm-ebb"), ("cv_r", "condat-vu"),
-                        ("cv_s", "condat-vu")):
+    for dest, owner in (("beta", "padmm-ebb"), ("full_trace", "padmm-ebb"),
+                        ("cv_r", "condat-vu"), ("cv_s", "condat-vu")):
         if getattr(args, dest) is not None and args.algorithm != owner:
             raise ConfigError("--%s applies to %s only"
                               % (dest.replace("_", "-"), owner))
@@ -226,14 +215,11 @@ def cmd_solve(args) -> int:
     try:
         result = start([acc])
     except SOLVER_FAULTS as exc:
-        trace = getattr(exc, "trace", hpe_core.IterTrace(columns))
-        partial = hpe_core.RunResult(
-            solution=None, trace=trace, converged=False, iterations=len(trace),
-            reason=("non_finite" if isinstance(exc, hpe_core.NonFiniteValue)
-                    else "abort"), abort=_abort_record(exc))
         code = _solver_abort(exc)
+        result = getattr(exc, "result", None) or hpe_core.aborted(
+            exc, hpe_core.IterTrace(columns), None)  # raised before the loop
         try:
-            _write_outputs(args, partial, acc, config_echo)
+            _write_outputs(args, result, acc, config_echo)
         except ConfigError as err:  # the abort still decides the exit code
             print("configuration error: %s" % err, file=sys.stderr)
         return code
@@ -350,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--theta", default="auto",
                     help="over-relaxation: a number or 'auto'")
     ps.add_argument("--trace", default=None, help="write per-iteration CSV")
-    ps.add_argument("--full-trace", action="store_true",
+    ps.add_argument("--full-trace", action="store_true", default=None,
                     help="also write the opt-in trace columns "
                          "(padmm-ebb: pkkt, objective)")
     ps.add_argument("--summary", default=None, help="write JSON run summary")

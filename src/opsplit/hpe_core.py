@@ -207,19 +207,15 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
                            diff_M_sq=diff_M_sq)
 
 
-def certify(k: int, x: BlockPoint, cert: HpeCertificate, M: Metric,
+def certify(x: BlockPoint, cert: HpeCertificate, M: Metric,
             sigma: float) -> CriterionReport:
-    """:func:`check_criterion` for iteration k of a solver loop; any failure
-    raises :class:`CriterionViolation` naming the iteration."""
-    try:
-        rep = check_criterion(x, cert, M, sigma)
-    except CriterionViolation as exc:
-        raise type(exc)("iteration %d: %s" % (k, exc)) from None
+    """:func:`check_criterion`, raising :class:`CriterionViolation` with the
+    report when the inequality fails."""
+    rep = check_criterion(x, cert, M, sigma)
     if not rep.ok:
         raise CriterionViolation(
-            "iteration %d: criterion failed (lhs=%.6e > rhs=%.6e, "
-            "rel slack %.3e)" % (k, rep.lhs, rep.rhs, rep.rel_slack),
-            report=rep)
+            "criterion failed (lhs=%.6e > rhs=%.6e, rel slack %.3e)"
+            % (rep.lhs, rep.rhs, rep.rel_slack), report=rep)
     return rep
 
 
@@ -227,15 +223,6 @@ def extragradient_step(x: BlockPoint, cert: HpeCertificate) -> BlockPoint:
     """Over-relaxed correction x - (1 + theta) c M^-1 v, along the
     certificate's step."""
     return BlockPoint(x.data - (1.0 + cert.theta) * _step_of(cert), x.layout)
-
-
-@dataclass
-class MetricUpdateReport:
-    ok: bool
-    message: str = ""
-
-    def __bool__(self):
-        return self.ok
 
 
 SCHEDULE_TOL = 1e-12
@@ -248,8 +235,9 @@ def _dense_form(M: Metric, dim: int) -> np.ndarray:
 
 
 def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
-                           omega_lower: float) -> MetricUpdateReport:
-    """Check omega_lower*I <= M_next <= (1 + xi_k) M_k, exactly.
+                           omega_lower: float) -> None:
+    """Check omega_lower*I <= M_next <= (1 + xi_k) M_k, exactly, raising
+    :class:`MetricScheduleViolation` when it fails.
 
     Blockwise scalar comparison when both metrics are block diagonal;
     otherwise the smallest eigenvalue of M_next and the largest generalized
@@ -258,14 +246,14 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
     if isinstance(M_k, BlockDiagonalMetric) and isinstance(M_next, BlockDiagonalMetric):
         for i, (d_old, d_new) in enumerate(zip(M_k.scalars, M_next.scalars)):
             if d_new < omega_lower * (1.0 - SCHEDULE_TOL):
-                return MetricUpdateReport(
-                    False, "block %d scalar %.3e below omega_lower %.3e"
+                raise MetricScheduleViolation(
+                    "block %d scalar %.3e below omega_lower %.3e"
                     % (i, d_new, omega_lower))
             if d_new > (1.0 + xi_k) * d_old * (1.0 + SCHEDULE_TOL):
-                return MetricUpdateReport(
-                    False, "block %d scalar grew %.3e -> %.3e past factor 1+xi=%.3e"
+                raise MetricScheduleViolation(
+                    "block %d scalar grew %.3e -> %.3e past factor 1+xi=%.3e"
                     % (i, d_old, d_new, 1.0 + xi_k))
-        return MetricUpdateReport(True)
+        return
     dim = M_k.dim if M_k.dim is not None else M_next.dim
     if dim is None:
         dim = 1  # both are scalar multiples of the identity
@@ -276,14 +264,13 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
     A_next = _dense_form(M_next, dim)
     low = float(scipy.linalg.eigvalsh(A_next)[0])
     if low < omega_lower * (1.0 - SCHEDULE_TOL):
-        return MetricUpdateReport(False, "smallest eigenvalue %.3e below "
-                                  "omega_lower %.3e" % (low, omega_lower))
+        raise MetricScheduleViolation("smallest eigenvalue %.3e below "
+                                      "omega_lower %.3e" % (low, omega_lower))
     growth = float(scipy.linalg.eigvalsh(A_next, _dense_form(M_k, dim))[-1])
     if growth > (1.0 + xi_k) * (1.0 + SCHEDULE_TOL):
-        return MetricUpdateReport(False, "largest generalized eigenvalue "
-                                  "%.3e past factor 1+xi=%.3e"
-                                  % (growth, 1.0 + xi_k))
-    return MetricUpdateReport(True)
+        raise MetricScheduleViolation("largest generalized eigenvalue "
+                                      "%.3e past factor 1+xi=%.3e"
+                                      % (growth, 1.0 + xi_k))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +339,8 @@ class IterTrace(list):
 class RunResult:
     """The outcome of every solve, kernel or multi-block.  ``final`` holds the
     solver's own values of the final iterate for the summary (empty for
-    kernel runs); ``abort`` an aborted run's iteration, exception, message
-    and, when the criterion failed, its lhs, rhs and slack."""
+    kernel runs); ``abort`` the record :func:`aborted` builds when an
+    exception ends the run."""
     solution: BlockPoint
     trace: IterTrace
     converged: bool
@@ -361,6 +348,21 @@ class RunResult:
     iterations: int
     final: dict = field(default_factory=dict)
     abort: Optional[dict] = None
+
+
+def aborted(exc: Exception, trace: IterTrace,
+            iteration: Optional[int]) -> RunResult:
+    """The result of a run that ``exc`` aborted at ``iteration`` (None before
+    the loop started): no solution, the partial ``trace``, and the abort
+    record, with the criterion's lhs, rhs and slack when it failed."""
+    abort = {"iteration": iteration, "exception": type(exc).__name__,
+             "message": str(exc)}
+    report = getattr(exc, "report", None)
+    if report is not None:
+        abort.update(lhs=report.lhs, rhs=report.rhs, slack=report.slack)
+    reason = "non_finite" if isinstance(exc, NonFiniteValue) else "abort"
+    return RunResult(solution=None, trace=trace, converged=False,
+                     reason=reason, iterations=len(trace), abort=abort)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +392,9 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
     M_k / (1 + xi_k) keeps; violations abort with a diagnostic exception.
     Each certified step is handed to every :class:`ErgodicAccumulator` in
     ``accumulators``; no certificate is kept.
-    An exception raised in the loop carries the partial ``trace`` and the
-    failing ``iteration``.
+    An exception raised in the loop keeps its class, its message gains the
+    prefix ``"iteration k: "``, and its ``result`` is the :func:`aborted`
+    run, with the partial trace.
     """
     x, M, floor = x0.copy(), M0, M0.omega_lower
     trace = IterTrace(name for name, _ in columns)
@@ -408,7 +411,7 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
             if cert is None:
                 return RunResult(solution=x, trace=trace, converged=True,
                                  reason="fixed_point", iterations=k)
-            rep = certify(k, x, cert, M, cfg.sigma)
+            rep = certify(x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k)
             v_norm = cert.v.norm()
             step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)
@@ -424,13 +427,11 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
             if metric_update is not None:
                 M_next = metric_update(k, x, cert, M)
                 floor /= 1.0 + xi_k
-                upd = validate_metric_update(M, M_next, xi_k, floor)
-                if not upd:
-                    raise MetricScheduleViolation(
-                        "iteration %d: %s" % (k, upd.message))
+                validate_metric_update(M, M_next, xi_k, floor)
                 M = M_next
-    except Exception as exc:
-        exc.trace, exc.iteration = trace, k  # callers still report the run
+    except Exception as exc:  # the class stays: it decides the exit code
+        exc.args = ("iteration %d: %s" % (k, exc),)
+        exc.result = aborted(exc, trace, k)
         raise
     return RunResult(solution=x, trace=trace, converged=False,
                      reason="max_iters", iterations=cfg.max_iters)

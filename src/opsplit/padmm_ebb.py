@@ -370,7 +370,6 @@ class _Iteration:
 
     def stop(self, k: int, z: BlockPoint) -> Optional[str]:
         pr = self.problem
-        self.k = k
         # views: the loop only reads the iterate, and never writes z
         *self.xs, self.y = z.blocks()
         self.grads = pr.grad_f(self.xs)
@@ -395,18 +394,15 @@ class _Iteration:
         if d_norm == 0.0:
             return None  # sweep fixed point: v = 0, a KKT point
         if not math.isfinite(d_norm):
-            raise NonFiniteValue("iteration %d: non-finite sweep point"
-                                 % self.k)
+            raise NonFiniteValue("non-finite sweep point")
         try:
             tr = theta_range(d, self.U, M, cfg.sigma, pr, images)
         except ValueError as exc:
-            raise CriterionViolation("iteration %d: %s" % (self.k, exc)) \
-                from None
+            raise CriterionViolation(str(exc)) from None
         if not tr.gamma_form > 1e-10 * tr.denom_form:
             raise CriterionViolation(
-                "iteration %d: directional Gamma form is not positive "
-                "(gamma_form=%.6e, denom_form=%.6e)"
-                % (self.k, tr.gamma_form, tr.denom_form))
+                "directional Gamma form is not positive (gamma_form=%.6e, "
+                "denom_form=%.6e)" % (tr.gamma_form, tr.denom_form))
         self.points, self.theta_adap = x_tilde + [y_tilde], tr.theta_adap
         # the adaptive endpoint meets the criterion with equality; back off by
         # a relative hair so roundoff cannot flip the inequality

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .hpe_core import HpeCertificate
+from .hpe_core import CriterionViolation, HpeCertificate
 from .linops import (BlockLayout, BlockPoint, Cholesky, DenseMetric,
                      IdentityMetric, Metric)
 from .prox_problems import ProxFn
@@ -341,7 +341,8 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     lam is capped along the direction so the relative-error criterion holds
     with the given sigma; theta_k = alpha_k - 1.  The certificate is v = R d
     with step M^-1 v = S d, so the kernel's correction is the native update
-    z - alpha_k S d.
+    z - alpha_k S d.  A direction with no admissible step raises
+    :class:`CriterionViolation`.
     """
     x, y = z.block(0), z.block(1)
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
@@ -359,13 +360,13 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
     denom = float(np.dot(Sd, Rd))                           # ||d||^2_{S*R}
     if denom <= 0:
-        raise RuntimeError("degenerate adaptive-step denominator")
+        raise CriterionViolation("degenerate adaptive-step denominator")
     eps = 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
     d_M = float(np.dot(d, p.metric().apply(d)))
     cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)
     if cap <= 0:
-        raise RuntimeError("no admissible step along this direction "
-                           "(criterion cap %.3e)" % cap)
+        raise CriterionViolation("no admissible step along this direction "
+                                 "(criterion cap %.3e)" % cap)
     alpha = min(p.lam, cap) * 0.5 * n2_rr / denom
     return HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps, c=1.0,
                           theta=alpha - 1.0, step=BlockPoint(Sd, z.layout))

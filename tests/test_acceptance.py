@@ -186,7 +186,7 @@ def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
     # their default 0.9 theta_max of a bound 3 theta_max + 0.5: their
     # certificates break the criterion, and only the gate can say so
     monkeypatch.setattr(hpe_core, "certify",
-                        lambda k, x, cert, M, sigma:
+                        lambda x, cert, M, sigma:
                         hpe_core.check_criterion(x, cert, M, sigma))
     for name in ("fbhf_max_theta", "ppg_max_theta", "condat_vu_max_theta"):
         real = getattr(splitters, name)

@@ -273,7 +273,8 @@ def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
                      BlockPoint.zeros(prob.layout), IdentityMetric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
-    assert exc.value.iteration == 3 and len(exc.value.trace) == 2
+    res = exc.value.result
+    assert res.abort["iteration"] == 3 and len(res.trace) == 2
 
 
 def _with_nan_from_call_3(built, entry):
@@ -303,7 +304,21 @@ def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
         hpe_core.run(oracle, BlockPoint.zeros(prob.layout), M,
                      HpeConfig(sigma=0.5, max_iters=50))
-    assert exc.value.iteration == 3 and len(exc.value.trace) == 2
+    res = exc.value.result
+    assert res.abort["iteration"] == 3 and len(res.trace) == 2
+
+
+def test_afbas_pd_step_without_an_admissible_step_aborts_the_run():
+    # a metric 100 times too large leaves no step along the first direction
+    # that meets the criterion; the step names it as padmm-ebb's step range
+    # does, and the kernel names the iteration
+    prob, _, _ = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob._metric = DenseMetric(100.0 * prob._metric.matrix)
+    with pytest.raises(CriterionViolation,
+                       match="iteration 1: no admissible step") as exc:
+        hpe_core.run(_afbas_pd_oracle(prob), BlockPoint.zeros(prob.layout),
+                     prob.metric(), HpeConfig(sigma=0.5, max_iters=50))
+    assert exc.value.result.abort["exception"] == "CriterionViolation"
 
 
 @pytest.mark.parametrize("algorithm,builder,entry",
@@ -335,7 +350,8 @@ def test_nan_through_run_padmm_is_a_non_finite_value():
     prob = dataclasses.replace(inst.problem, gs=[bad, zero])
     with pytest.raises(NonFiniteValue, match="iteration 7: non-finite") as exc:
         run_padmm(prob, HpeConfig(sigma=0.9, max_iters=50))
-    assert exc.value.iteration == 7 and len(exc.value.trace) == 6
+    res = exc.value.result
+    assert res.abort["iteration"] == 7 and len(res.trace) == 6
 
 
 def test_kept_certificates_drop_their_step():

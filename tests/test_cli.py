@@ -214,6 +214,7 @@ def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
 
 @pytest.mark.parametrize("option,algorithm", [
     (option, a) for option, owner in (("--beta", "padmm-ebb"),
+                                      ("--full-trace", "padmm-ebb"),
                                       ("--cv-r", "condat-vu"),
                                       ("--cv-s", "condat-vu"))
     for a in ALGORITHMS if a != owner])
@@ -223,10 +224,11 @@ def test_option_of_another_algorithm_is_a_config_error(option, algorithm,
     # reads it, before the problem is built
     monkeypatch.setattr(cli, "build_problem", lambda params: pytest.fail(
         "the problem was built"))
+    value = [] if option == "--full-trace" else ["5"]
     code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
-                 "--max-iters", "5", option, "5"])
+                 "--max-iters", "5", option, *value])
     assert code == 2
-    owner = "padmm-ebb" if option == "--beta" else "condat-vu"
+    owner = "condat-vu" if option.startswith("--cv") else "padmm-ebb"
     assert capsys.readouterr().err.strip() == (
         "configuration error: %s applies to %s only" % (option, owner))
 
@@ -397,7 +399,8 @@ def test_solver_fault_mid_solve_exits_three(monkeypatch, capsys):
                  "--problem", "lrr:seed=0,d=10,n=10"])
     assert calls[0] == 21
     assert code == 3
-    assert "solver abort: SVD did not converge" in capsys.readouterr().err
+    assert ("solver abort: iteration 11: SVD did not converge"
+            in capsys.readouterr().err)
 
 
 def test_malformed_descriptor_still_exits_two(capsys):
@@ -439,6 +442,31 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
     # the rows before the failing iteration are all kept
     assert len(rows) - 1 == data["iterations"] == abort["iteration"] - 1 > 1
     assert isinstance(data["slopes"]["ergodic"], float)
+
+
+def test_abort_before_the_loop_writes_a_header_only_trace(tmp_path,
+                                                          monkeypatch, capsys):
+    # the first metric is built before the kernel loop starts: no iteration
+    # to name, and no row to keep
+    from opsplit import padmm_ebb
+
+    def failing_metric(self):
+        raise ZeroDivisionError("no first metric")
+
+    monkeypatch.setattr(padmm_ebb._Iteration, "metric", failing_metric)
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
+                 "--trace", str(trace), "--summary", str(summary)])
+    assert code == 3
+    assert capsys.readouterr().err == "solver abort: no first metric\n"
+    data = json.loads(summary.read_text())
+    assert data["abort"] == {"iteration": None,
+                             "exception": "ZeroDivisionError",
+                             "message": "no first metric"}
+    assert (data["termination"], data["iterations"]) == ("abort", 0)
+    with open(trace) as fh:
+        assert list(csv.reader(fh)) == [list(padmm_ebb.DEFAULT_COLUMNS)]
 
 
 def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):

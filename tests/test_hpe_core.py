@@ -95,7 +95,8 @@ def test_theta_at_or_below_minus_one_aborts_the_run(theta, error, message):
         hpe_core.run(lambda x, M, cfg: fbhf_step(x, prob, theta),
                      BlockPoint.zeros(ref.layout), prob.metric(),
                      HpeConfig(sigma=0.5, max_iters=50))
-    assert exc.value.iteration == 1 and len(exc.value.trace) == 0
+    res = exc.value.result
+    assert res.abort["iteration"] == 1 and len(res.trace) == 0
 
 
 def test_extragradient_step_formula():
@@ -185,11 +186,15 @@ def test_validate_metric_update_blockwise():
     lay = BlockLayout((2, 3))
     M0 = BlockDiagonalMetric([1.0, 2.0], lay)
     ok = BlockDiagonalMetric([1.009, 2.0], lay)
-    assert validate_metric_update(M0, ok, xi_k=0.01, omega_lower=0.5)
+    validate_metric_update(M0, ok, xi_k=0.01, omega_lower=0.5)
     grew = BlockDiagonalMetric([1.02, 2.0], lay)
-    assert not validate_metric_update(M0, grew, xi_k=0.01, omega_lower=0.5)
+    with pytest.raises(MetricScheduleViolation,
+                       match="block 0 scalar grew 1.000e.00 -> 1.020e.00"):
+        validate_metric_update(M0, grew, xi_k=0.01, omega_lower=0.5)
     sank = BlockDiagonalMetric([0.4, 2.0], lay)
-    assert not validate_metric_update(M0, sank, xi_k=0.01, omega_lower=0.5)
+    with pytest.raises(MetricScheduleViolation,
+                       match="block 0 scalar 4.000e-01 below omega_lower"):
+        validate_metric_update(M0, sank, xi_k=0.01, omega_lower=0.5)
 
 
 def test_validate_metric_update_dense_path():
@@ -197,10 +202,12 @@ def test_validate_metric_update_dense_path():
     B = rng.standard_normal((4, 4))
     base = B @ B.T + np.eye(4)
     M0 = DenseMetric(base)
-    assert validate_metric_update(M0, DenseMetric(1.005 * base),
-                                  xi_k=0.01, omega_lower=1e-6)
-    assert not validate_metric_update(M0, DenseMetric(1.05 * base),
-                                      xi_k=0.01, omega_lower=1e-6)
+    validate_metric_update(M0, DenseMetric(1.005 * base),
+                           xi_k=0.01, omega_lower=1e-6)
+    with pytest.raises(MetricScheduleViolation,
+                       match="largest generalized eigenvalue 1.050e.00"):
+        validate_metric_update(M0, DenseMetric(1.05 * base),
+                               xi_k=0.01, omega_lower=1e-6)
 
 
 @pytest.mark.parametrize("j", range(13))
@@ -209,14 +216,17 @@ def test_validate_metric_update_dense_path_is_exact(j):
     # can miss it: I + 3 xi e_j e_j^T grows past the factor 1 + xi, and
     # I - 0.6 e_j e_j^T sinks below the floor 0.5
     xi, eye = 0.01, np.eye(13)
-    grown = validate_metric_update(
-        DenseMetric(eye), DenseMetric(eye + 3 * xi * np.outer(eye[j], eye[j])),
-        xi_k=xi, omega_lower=0.5)
-    assert not grown and "generalized eigenvalue" in grown.message
-    sunk = validate_metric_update(
-        DenseMetric(eye), DenseMetric(eye - 0.6 * np.outer(eye[j], eye[j])),
-        xi_k=xi, omega_lower=0.5)
-    assert not sunk and "smallest eigenvalue" in sunk.message
+    with pytest.raises(MetricScheduleViolation,
+                       match="largest generalized eigenvalue"):
+        validate_metric_update(
+            DenseMetric(eye),
+            DenseMetric(eye + 3 * xi * np.outer(eye[j], eye[j])),
+            xi_k=xi, omega_lower=0.5)
+    with pytest.raises(MetricScheduleViolation, match="smallest eigenvalue"):
+        validate_metric_update(
+            DenseMetric(eye),
+            DenseMetric(eye - 0.6 * np.outer(eye[j], eye[j])),
+            xi_k=xi, omega_lower=0.5)
 
 
 def test_validate_metric_update_callable_saddle_metric():
@@ -227,9 +237,11 @@ def test_validate_metric_update_callable_saddle_metric():
     prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3))
     M = prob.metric()
     assert M.dim == prob.layout.dim
-    assert validate_metric_update(M, M, 0.0, M.omega_lower)
+    validate_metric_update(M, M, 0.0, M.omega_lower)
     grown = DenseMetric(1.05 * M.matrix)
-    assert not validate_metric_update(M, grown, 0.01, M.omega_lower)
+    with pytest.raises(MetricScheduleViolation,
+                       match="largest generalized eigenvalue"):
+        validate_metric_update(M, grown, 0.01, M.omega_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +336,45 @@ def test_run_aborts_below_the_derived_schedule_floor(metric):
                      BlockPoint(np.ones(lay.dim), lay), M0,
                      HpeConfig(max_iters=5, tol_residual=0.0),
                      metric_update=lambda k, x, cert, M: metric(1.5))
-    assert exc.value.iteration == 1 and len(exc.value.trace) == 1
+    res = exc.value.result
+    assert res.abort["iteration"] == 1 and len(res.trace) == 1
+
+
+@pytest.mark.parametrize("hook,rows", [("oracle", 2), ("stop", 2),
+                                       ("metric_update", 3)])
+def test_any_failure_in_the_loop_names_its_iteration(hook, rows):
+    # whatever raises, the kernel prefixes its iteration once, keeps its
+    # class and attaches the aborted run: the rows certified before it
+    K, q, _ = _affine_setup()
+    lay = BlockLayout((K.shape[0],))
+    exact, oracle_calls = make_affine_resolvent_oracle(K, q), [0]
+
+    def fail_at_3(name, k):
+        if name == hook and k == 3:
+            raise RuntimeError("boom")
+
+    def oracle(x, M, cfg):
+        oracle_calls[0] += 1
+        fail_at_3("oracle", oracle_calls[0])
+        return exact(x, M, cfg)
+
+    def metric_update(k, x, cert, M):
+        fail_at_3("metric_update", k)
+        return M
+
+    with pytest.raises(RuntimeError) as exc:
+        hpe_core.run(oracle, BlockPoint(np.ones(lay.dim), lay),
+                     BlockDiagonalMetric([1.0], lay),
+                     HpeConfig(max_iters=10, tol_residual=0.0),
+                     metric_update=metric_update,
+                     stop=lambda k, x: fail_at_3("stop", k))
+    assert type(exc.value) is RuntimeError
+    assert str(exc.value) == "iteration 3: boom"
+    res = exc.value.result
+    assert res.abort == {"iteration": 3, "exception": "RuntimeError",
+                         "message": "iteration 3: boom"}
+    assert len(res.trace) == res.iterations == rows
+    assert (res.solution, res.converged, res.reason) == (None, False, "abort")
 
 
 def test_trace_csv_row_count_matches_iterations(tmp_path):

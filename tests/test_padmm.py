@@ -498,7 +498,8 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
                              r"positive \(gamma_form=-?\d.*, denom_form=\d"
                        ) as exc:
         run_padmm(inst.problem, HpeConfig(sigma=0.5, max_iters=3), beta=100)
-    assert exc.value.iteration == 1 and len(exc.value.trace) == 0
+    res = exc.value.result
+    assert res.abort["iteration"] == 1 and len(res.trace) == 0
     assert len(sweeps) == 1
 
 
@@ -526,7 +527,8 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
         run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=5,
                                           tol_residual=0.0))
     # the metric update follows the step, so iteration 2 has its row
-    assert exc.value.iteration == 2 and len(exc.value.trace) == 2
+    res = exc.value.result
+    assert res.abort["iteration"] == 2 and len(res.trace) == 2
 
 
 def test_run_padmm_reads_xi_through_the_kernel_config():
@@ -535,7 +537,7 @@ def test_run_padmm_reads_xi_through_the_kernel_config():
         run_padmm(inst.problem, HpeConfig(
             sigma=0.9, xi_schedule=lambda k: float("nan"), max_iters=5,
             tol_residual=0.0))
-    assert exc.value.iteration == 1
+    assert exc.value.result.abort["iteration"] == 1
 
 
 def test_config_validation():

@@ -144,10 +144,19 @@ def test_multi_block_solver_runs_in_the_kernel_loop():
     # and builds no trace row itself
     text = (ROOT / "src" / "opsplit" / "padmm_ebb.py").read_text()
     for name in ("certify", "extragradient_step", "validate_metric_update",
-                 "attach_partial_run", "_Step"):
+                 "_Step"):
         assert not re.search(r"\b%s\b" % name, text), name
     for pattern in (r"\bIterTrace\(", r"\btrace\.append\b", r"\.to_csv\b"):
         assert not re.search(pattern, text), pattern
+
+
+def test_only_the_kernel_loop_names_the_failing_iteration():
+    # a check raises its own message; hpe_core.run's handler prefixes the
+    # iteration of every abort, whichever module raised it
+    counts = {path.name: len(re.findall(r"[\"']iteration %d",
+                                        path.read_text()))
+              for path in SOURCES}
+    assert {name: n for name, n in counts.items() if n} == {"hpe_core.py": 1}
 
 
 def _column_tables(paths):

@@ -387,7 +387,7 @@ def test_kernel_correction_is_the_textbook_update(scheme):
     z = BlockPoint.zeros(prob.layout)
     for k in range(1, 201):
         cert = sch.step(z, prob, theta, 0.5)
-        hpe_core.certify(k, z, cert, M, 0.5)  # verifies M step = c v
+        hpe_core.certify(z, cert, M, 0.5)  # verifies M step = c v
         if scheme == "afbas-pd":
             textbook = z.data - (1.0 + cert.theta) * (
                 prob._S @ (z.data - cert.y.data))
