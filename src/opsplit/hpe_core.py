@@ -96,8 +96,9 @@ class HpeConfig:
     def __post_init__(self):
         if not 0.0 <= self.sigma < 1.0:
             raise ValueError("sigma must lie in [0, 1)")
-        if not self.max_iters >= 0:
-            raise ValueError("max_iters must be nonnegative, got %r"
+        if not (isinstance(self.max_iters, (int, np.integer))
+                and self.max_iters >= 0):
+            raise ValueError("max_iters must be a nonnegative integer, got %r"
                              % self.max_iters)
         if math.isnan(self.tol_residual):
             raise ValueError("tol_residual must not be NaN")

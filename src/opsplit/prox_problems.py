@@ -200,8 +200,7 @@ def _check_laplacian_psd(L: np.ndarray, name: str):
     L = np.asarray(L, dtype=float)
     if not np.allclose(L, L.T, atol=1e-9):
         raise ValueError("%s must be symmetric" % name)
-    import scipy.linalg  # numpy's eigvalsh differs in the last bits on LRR
-    w = scipy.linalg.eigvalsh(L)
+    w = np.linalg.eigvalsh(L)
     if w[0] < -1e-8 * max(1.0, abs(w[-1])):
         raise ValueError("%s must be PSD (min eigenvalue %.3e)" % (name, w[0]))
     return L, float(w[-1])

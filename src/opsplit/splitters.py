@@ -22,8 +22,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .hpe_core import CriterionViolation, HpeCertificate
-from .linops import (BlockLayout, BlockPoint, Cholesky, DenseMetric,
-                     IdentityMetric, Metric)
+from .linops import (BlockLayout, BlockPoint, DenseMetric, IdentityMetric,
+                     Metric)
 from .prox_problems import ProxFn
 
 
@@ -378,16 +378,19 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
 
 
 def affine_projector(G: np.ndarray, b: np.ndarray):
-    """Euclidean projector onto {x : G x = b} (resolvent of its normal cone);
-    G G* is factored once and each call is one potrs solve, NaN passed through."""
+    """Euclidean projector onto {x : G x = b} (resolvent of its normal cone),
+    built once as the affine map u -> P u + t with P = I - G*(G G*)^-1 G and
+    t = G*(G G*)^-1 b; each call is one matvec, NaN passed through.  A
+    non-finite G G* raises ValueError, a singular one LinAlgError."""
     G = np.asarray(G, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gram = Cholesky(G @ G.T)
-
-    def project(u: np.ndarray) -> np.ndarray:
-        return u - G.T @ gram.solve(G @ u - b)
-
-    return project
+    gram = G @ G.T
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("G G* of the affine constraint is not finite")
+    chol = np.linalg.cholesky(gram)
+    W = np.linalg.solve(chol, G)  # W* W = G*(G G*)^-1 G
+    P = np.eye(G.shape[1]) - W.T @ W
+    t = W.T @ np.linalg.solve(chol, np.asarray(b, dtype=float))
+    return lambda u: P @ u + t
 
 
 def _qp_data(inst):

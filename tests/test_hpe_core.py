@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_criterion_respects_metric_weighting():
     rep = check_criterion(x, cert, M, sigma=0.5)
     assert rep.lhs == pytest.approx(0.0, abs=1e-15)
     assert rep.rhs == pytest.approx(0.5 * 4.0 * 0.25, rel=1e-14)
+
+
+def _criterion_at(lhs_over_rhs):
+    # step = -diff, so lhs = 2 c eps and rhs = sigma ||diff||^2 = 1 exactly
+    x = _pt([0.0, 0.0])
+    cert = HpeCertificate(y=_pt([1.0, 1.0]), v=_pt([-1.0, -1.0]),
+                          eps=0.5 * lhs_over_rhs, step=_pt([-1.0, -1.0]))
+    return check_criterion(x, cert, IdentityMetric(), sigma=0.5)
+
+
+def test_criterion_tolerance_is_1e_10_relative_at_rhs_near_one():
+    # at rhs = 1 the tolerance is CRITERION_TOL (1 + rhs) = 2e-10: an excess
+    # of 1e-8 is rejected, one of 1e-11 is rounding and passes
+    over = _criterion_at(1.0 + 1e-8)
+    assert over.rhs == 1.0 and over.lhs == 1.0 + 1e-8 and not over.ok
+    assert _criterion_at(1.0 + 1e-11).ok
 
 
 def test_criterion_eps_contributes_2c_eps():
@@ -141,6 +158,17 @@ def test_config_rejects_bad_parameters():
         HpeConfig(sigma=1.0)
 
 
+@pytest.mark.parametrize("max_iters", [5.0, np.float64(5), "5", -1],
+                         ids=["float", "numpy-float", "str", "negative"])
+def test_config_rejects_a_non_integer_or_negative_max_iters(max_iters):
+    # a float used to pass and abort the run at "iteration 0" with a
+    # TypeError from range()
+    with pytest.raises(ValueError, match=re.escape(
+            "max_iters must be a nonnegative integer, got %r" % (max_iters,))):
+        HpeConfig(max_iters=max_iters)
+    assert HpeConfig(max_iters=np.int64(5)).max_iters == 5
+
+
 _BOUND_ARGS = dict(k=1, d0=1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
                    omega_upper=1.0, xis=[0.0])
 
@@ -195,6 +223,18 @@ def test_validate_metric_update_blockwise():
     with pytest.raises(MetricScheduleViolation,
                        match="block 0 scalar 4.000e-01 below omega_lower"):
         validate_metric_update(M0, sank, xi_k=0.01, omega_lower=0.5)
+
+
+def test_validate_metric_update_blockwise_growth_tolerance_is_1e_12():
+    lay, xi = BlockLayout((2, 3)), 0.01
+    M0 = BlockDiagonalMetric([1.0, 2.0], lay)
+    at_cap = (1.0 + xi) * 2.0
+    validate_metric_update(M0, BlockDiagonalMetric([1.0, at_cap], lay),
+                           xi_k=xi, omega_lower=0.5)
+    with pytest.raises(MetricScheduleViolation, match="block 1 scalar grew"):
+        validate_metric_update(
+            M0, BlockDiagonalMetric([1.0, at_cap * (1.0 + 1e-9)], lay),
+            xi_k=xi, omega_lower=0.5)
 
 
 def test_validate_metric_update_dense_path():
@@ -338,6 +378,28 @@ def test_run_aborts_below_the_derived_schedule_floor(metric):
                      metric_update=lambda k, x, cert, M: metric(1.5))
     res = exc.value.result
     assert res.abort["iteration"] == 1 and len(res.trace) == 1
+
+
+def test_run_floor_divides_by_one_plus_xi_once_per_update():
+    # each update lands on the floor min(M_0) / prod_{j<=k} (1 + xi_j), and
+    # the third 1e-9 below it; a floor shrinking by (1 + xi_k)^2 would pass
+    lay = BlockLayout((3,))
+    zero = BlockPoint.zeros(lay)
+    cfg = HpeConfig(xi_schedule=default_xi_schedule(0.5), max_iters=10)
+    floor = [1.0]
+
+    def on_the_floor(k, x, cert, M):
+        floor[0] /= 1.0 + cfg.xi(k)
+        return BlockDiagonalMetric([floor[0] * (1.0 - 1e-9 * (k == 3))], lay)
+
+    with pytest.raises(MetricScheduleViolation,
+                       match="iteration 3: block 0 scalar .* below "
+                       "omega_lower") as exc:
+        hpe_core.run(lambda x, M, cfg: HpeCertificate(
+                         y=x.copy(), v=zero, eps=0.0, step=zero),
+                     zero, BlockDiagonalMetric([1.0], lay), cfg,
+                     metric_update=on_the_floor, stop=lambda k, x: None)
+    assert len(exc.value.result.trace) == 3
 
 
 @pytest.mark.parametrize("hook,rows", [("oracle", 2), ("stop", 2),

@@ -2,10 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            Cholesky, DenseMetric, IdentityMetric, LinearMap,
+                            DenseMetric, IdentityMetric, LinearMap,
                             read_matrix, spectral_upper_bound,
                             weighted_norm_sq)
 
@@ -125,36 +124,3 @@ def test_matrix_market_roundtrip(tmp_path):
     write_matrix(path, mat)
     back = read_matrix(path)
     assert np.allclose(back, mat)
-
-
-@pytest.mark.parametrize("lower", [False, True])
-@pytest.mark.parametrize("rhs_shape", [(7,), (7, 3)])
-def test_cholesky_solve_is_bitwise_cho_solve(lower, rhs_shape):
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((7, 7))
-    A = A @ A.T + 0.1 * np.eye(7)
-    b = rng.standard_normal(rhs_shape)
-    x = Cholesky(A, lower=lower).solve(b)
-    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(A, lower=lower), b)
-    assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
-    np.testing.assert_allclose(A @ x, b, rtol=1e-10, atol=1e-10)
-    # no per-call finiteness scan: a NaN comes back as a NaN
-    b_nan = b.copy()
-    b_nan.flat[0] = np.nan
-    assert np.isnan(Cholesky(A, lower=lower).solve(b_nan)).any()
-
-
-def test_cholesky_size_zero_system_returns_an_empty_array():
-    chol = Cholesky(np.zeros((0, 0)))
-    x = chol.solve(np.zeros(0))
-    ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(np.zeros((0, 0))),
-                                 np.zeros(0))
-    assert x.shape == ref.shape == (0,) and x.dtype == ref.dtype
-    assert x.tobytes() == ref.tobytes()
-
-
-def test_cholesky_rejects_indefinite_and_non_finite_matrices():
-    with pytest.raises(np.linalg.LinAlgError):
-        Cholesky(np.diag([1.0, -1.0, 2.0]))
-    with pytest.raises(ValueError):
-        Cholesky(np.array([[1.0, 0.0], [0.0, np.nan]]))

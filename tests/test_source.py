@@ -209,14 +209,13 @@ def test_column_declaration_check_can_fail(tmp_path):
 
 def test_only_the_block_diagonal_metric_solves():
     # step oracles hand the kernel c M^-1 v, so metrics only apply; the
-    # multi-block solver inverts its BB metric, and Cholesky is a prefactored
-    # linear solve, not a metric
+    # multi-block solver inverts its BB metric
     solving = {node.name for path in SOURCES
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.ClassDef)
                and any(isinstance(f, ast.FunctionDef) and f.name == "solve"
                        for f in node.body)}
-    assert solving == {"Metric", "BlockDiagonalMetric", "Cholesky"}
+    assert solving == {"Metric", "BlockDiagonalMetric"}
 
 
 def test_readme_library_examples_run(capsys):

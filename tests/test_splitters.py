@@ -455,3 +455,34 @@ def test_affine_projector_projects():
     # pu - u lies in range(G^T)
     resid = (pu - u) - G.T @ np.linalg.lstsq(G.T, pu - u, rcond=None)[0]
     assert np.linalg.norm(resid) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200],
+                         ids=["nan", "inf", "overflow"])
+def test_affine_projector_rejects_a_non_finite_gram_matrix(bad):
+    # numpy's Cholesky factor of a NaN matrix is NaN, not an error
+    G = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, bad]])
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="not finite"):
+        affine_projector(G, np.zeros(2))
+
+
+def test_affine_projector_rejects_a_rank_deficient_constraint():
+    G = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        affine_projector(G, np.zeros(2))
+
+
+def test_affine_projector_without_constraints_is_the_identity():
+    u = np.random.default_rng(8).standard_normal(5)
+    assert np.array_equal(affine_projector(np.zeros((0, 5)), np.zeros(0))(u),
+                          u)
+
+
+def test_affine_projector_passes_nan_through():
+    rng = np.random.default_rng(8)
+    proj = affine_projector(rng.standard_normal((2, 5)),
+                            rng.standard_normal(2))
+    u = rng.standard_normal(5)
+    u[0] = np.nan
+    assert np.isnan(proj(u)).all()
