@@ -88,6 +88,8 @@ class ProxFn:
 
     @staticmethod
     def l1(lam: float) -> "ProxFn":
+        if not lam >= 0:
+            raise ValueError("l1 weight must be >= 0, got %r" % (lam,))
         return ProxFn(lambda t, v: prox_l1(t, lam, v),
                       lambda v: lam * float(np.abs(v).sum()),
                       name="l1(%g)" % lam)
@@ -133,23 +135,28 @@ def knn_heat_affinity(samples: np.ndarray, k: int = 5) -> np.ndarray:
     """Symmetric k-nearest-neighbor heat-kernel affinity of the sample rows.
 
     Bandwidth is the median pairwise distance; the affinity is symmetrized by
-    the elementwise maximum and has zero diagonal.
+    the elementwise maximum and has zero diagonal.  One argsort of the
+    distance matrix orders every row's neighbours.
     """
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 2:
+        raise ValueError("samples must be a 2-D array, got %d-D" % samples.ndim)
+    if k < 1:
+        raise ValueError("need k >= 1 neighbours, got %r" % (k,))
     n = samples.shape[0]
+    W = np.zeros((n, n))
+    if n <= 1:
+        return W
     sq = np.sum(samples * samples, axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * samples @ samples.T, 0.0)
     dists = np.sqrt(d2)
-    off = dists[~np.eye(n, dtype=bool)]
-    h = float(np.median(off)) if off.size else 1.0
+    h = float(np.median(dists[~np.eye(n, dtype=bool)]))
     if h <= 0:
         h = 1.0
-    W = np.zeros((n, n))
-    kk = min(k, n - 1)
-    for i in range(n):
-        order = np.argsort(dists[i])
-        neigh = [j for j in order if j != i][:kk]
-        W[i, neigh] = np.exp(-d2[i, neigh] / (2.0 * h * h))
+    rows = np.arange(n)[:, None]
+    order = np.argsort(dists, axis=1)
+    neigh = order[order != rows].reshape(n, n - 1)[:, :min(k, n - 1)]
+    W[rows, neigh] = np.exp(-d2[rows, neigh] / (2.0 * h * h))
     W = np.maximum(W, W.T)
     np.fill_diagonal(W, 0.0)
     return W

@@ -8,7 +8,7 @@ gate exists to catch and assert that the gate rejects it.
 
 import re
 
-from opsplit import acceptance, hpe_core, padmm_ebb, splitters
+from opsplit import acceptance, hpe_core, padmm_ebb, prox_problems, splitters
 from opsplit.linops import BlockPoint
 
 
@@ -199,4 +199,19 @@ def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
         acceptance._invariance_runs.cache_clear()
     (worst,) = _numbers(r"min relative slack (\S+),", result.detail)
     assert worst < -1.0
+    assert not result.passed
+
+
+def test_lrr_desk_scale_rejects_a_long_nuclear_threshold(monkeypatch):
+    # a nuclear prox thresholding at 1.001 t converges to its own fixed
+    # point: the solve's residual still reads 9.77e-4 after 437 iterations,
+    # and only the one recomputed with the spectral-ball projection (9.0e-3)
+    # sees it
+    real = prox_problems.prox_nuclear
+    monkeypatch.setattr(prox_problems, "prox_nuclear",
+                        lambda t, V: real(1.001 * t, V))
+    result = acceptance.check_lrr_desk_scale()
+    own, recomputed = _numbers(r"residual (\S+) \(recomputed (\S+)\)",
+                               result.detail)
+    assert own <= 1e-3 < recomputed
     assert not result.passed

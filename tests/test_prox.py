@@ -104,6 +104,17 @@ def test_proxfn_values():
     assert nuc.value(np.eye(2).ravel(order="F")) == pytest.approx(2.0)
 
 
+def test_l1_weight_is_checked_when_built():
+    # a negative weight used to pass here and abort the solve at its first
+    # prox call; lam = 0 is the zero function's prox
+    with pytest.raises(ValueError, match=">= 0"):
+        ProxFn.l1(-1.0)
+    with pytest.raises(ValueError):
+        ProxFn.l1(float("nan"))
+    v = np.array([2.0, -0.5])
+    assert np.array_equal(ProxFn.l1(0.0).evaluate(1.0, v), v)
+
+
 # ---------------------------------------------------------------------------
 # Graph Laplacians
 # ---------------------------------------------------------------------------
@@ -141,6 +152,70 @@ def test_knn_affinity_shape_and_symmetry():
     assert np.all(np.diag(W) == 0.0)
     assert W.min() >= 0.0
     assert np.all((W > 0).sum(axis=1) >= 4)  # each row keeps its k neighbors
+
+
+def _knn_heat_affinity_per_row(samples, k):
+    """The per-row construction that knn_heat_affinity's single sort
+    replaced: one argsort, list comprehension and row write per sample."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[0]
+    sq = np.sum(samples * samples, axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * samples @ samples.T, 0.0)
+    dists = np.sqrt(d2)
+    off = dists[~np.eye(n, dtype=bool)]
+    h = float(np.median(off)) if off.size else 1.0
+    if h <= 0:
+        h = 1.0
+    W = np.zeros((n, n))
+    kk = min(k, n - 1)
+    for i in range(n):
+        order = np.argsort(dists[i])
+        neigh = [j for j in order if j != i][:kk]
+        W[i, neigh] = np.exp(-d2[i, neigh] / (2.0 * h * h))
+    W = np.maximum(W, W.T)
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+@pytest.mark.parametrize("n,k", sorted({(n, k) for n in (1, 2, 3, 40)
+                                         for k in (1, 5, n - 1, n + 3)
+                                         if k >= 1}))
+@pytest.mark.parametrize("rounded", [False, True], ids=["random", "ties"])
+def test_knn_affinity_is_bitwise_the_per_row_construction(n, k, rounded):
+    # rounding to a coarse grid puts many equal distances in every row, so
+    # the order among ties must come out of the sort as it did per row
+    samples = np.random.default_rng(n).standard_normal((n, 3))
+    if rounded:
+        samples = np.round(samples)
+    W = knn_heat_affinity(samples, k=k)
+    assert W.tobytes() == _knn_heat_affinity_per_row(samples, k).tobytes()
+
+
+def test_knn_affinity_rejects_k_below_one_and_non_matrix_samples():
+    samples = np.random.default_rng(6).standard_normal((6, 2))
+    for k in (0, -1):
+        # k = -1 used to drop each row's farthest point: a near-complete graph
+        with pytest.raises(ValueError, match="k >= 1"):
+            knn_heat_affinity(samples, k=k)
+    for bad in (samples.ravel(), samples[None]):
+        with pytest.raises(ValueError, match="2-D"):
+            knn_heat_affinity(bad)
+    assert np.array_equal(knn_heat_affinity(samples[:1]), np.zeros((1, 1)))
+    assert knn_heat_affinity(samples[:0]).shape == (0, 0)
+
+
+def test_lrr_build_sorts_once_per_graph(monkeypatch):
+    # the per-row construction called np.argsort once per sample: 80 times
+    # for the two graphs of a 40 x 40 instance
+    real, calls = np.argsort, [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    build_lrr(np.random.default_rng(0).standard_normal((40, 40)))
+    assert calls[0] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,9 @@ BATTERY = (
         _solve("padmm-ebb", LRR % s, *LRR_OPTS, *extra))
        for s in range(3) for suffix, extra in (("", ()),
                                                (".full", ("--full-trace",)))]
+    # d != n: the graphs over the columns and over the rows differ in size
+    + [("padmm-ebb.lrr-rect", _solve("padmm-ebb", "lrr:seed=1,d=16,n=10",
+                                     *LRR_OPTS))]
     + [("padmm-ebb.qp0.max-iters", _solve("padmm-ebb", QP % 0, "--tol",
                                           "1e-12", "--max-iters", "50")),
        ("padmm-ebb.abort", _solve("padmm-ebb", "qp:seed=1", "--beta", "100",
