@@ -132,6 +132,10 @@ def _beta(args) -> float:
     return 1.0 if args.beta is None else args.beta  # padmm-ebb's default
 
 
+def _xi0(args) -> float:
+    return 0.01 if args.xi0 is None else args.xi0  # padmm-ebb's default
+
+
 def _prepare_solve(args, algorithm: str, kind: str, inst,
                    theta: Optional[float], columns: tuple):
     """Build and validate one solve and return ``start(accumulators)``.
@@ -143,7 +147,7 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     named.
     """
     cfg = HpeConfig(sigma=args.sigma,
-                    xi_schedule=hpe_core.default_xi_schedule(args.xi0),
+                    xi_schedule=hpe_core.default_xi_schedule(_xi0(args)),
                     max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
         beta = _beta(args)
@@ -187,7 +191,8 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
 
 def cmd_solve(args) -> int:
     # an option is read by one algorithm: bench hands it to that one only
-    for dest, owner in (("beta", "padmm-ebb"), ("full_trace", "padmm-ebb"),
+    for dest, owner in (("beta", "padmm-ebb"), ("xi0", "padmm-ebb"),
+                        ("full_trace", "padmm-ebb"),
                         ("cv_r", "condat-vu"), ("cv_s", "condat-vu")):
         if getattr(args, dest) is not None and args.algorithm != owner:
             raise ConfigError("--%s applies to %s only"
@@ -207,7 +212,7 @@ def cmd_solve(args) -> int:
     start = _prepare_solve(args, args.algorithm, kind, inst, theta, columns)
     config_echo = {"algorithm": args.algorithm, "problem": args.problem,
                    "sigma": args.sigma, "theta": args.theta,
-                   "xi0": args.xi0, "tol": args.tol,
+                   "xi0": _xi0(args), "tol": args.tol,
                    "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
         config_echo["beta"] = _beta(args)
@@ -319,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "lrr:seed=0,d=40,n=40 or lrr:manifest=DIR")
         p.add_argument("--sigma", type=float, default=0.5,
                        help="relative-error parameter in [0, 1)")
-        p.add_argument("--xi0", type=float, default=0.01,
-                       help="leading coefficient of the summable xi schedule")
+        p.add_argument("--xi0", type=float, default=None,
+                       help="leading coefficient of padmm-ebb's summable xi "
+                            "schedule (default 0.01)")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--beta", type=float, default=None,

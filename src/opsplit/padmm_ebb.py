@@ -154,8 +154,7 @@ def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
                 problem: MultiBlockProblem, beta: float,
                 etas: Sequence[float], grads: Optional[List[np.ndarray]] = None,
                 feas: Optional[np.ndarray] = None,
-                Ay: Optional[Sequence[np.ndarray]] = None,
-                images: Optional[list] = None):
+                Ay: Optional[Sequence[np.ndarray]] = None):
     """One Gauss-Seidel pass over the primal blocks plus the multiplier step.
 
     With the scalar-majorant proximal term each block subproblem collapses to
@@ -163,16 +162,16 @@ def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
     ``feas``, the feasibility residual b - sum_i A_i* x_i at ``xs`` (the dual
     block of :func:`pkkt_residual`), and ``Ay``, the images A_i y, save
     recomputing them, bit for bit (same function, same input).  Block i takes
-    r to r - A_i*(x_i - x~_i); a list ``images`` receives these adjoint
-    images, U's A_i* d_i.  Returns (x_tilde list, y_tilde).
+    r to r - A_i*(x_i - x~_i).  Returns (x_tilde list, y_tilde, images), the
+    images being these adjoint images A_i*(x_i - x~_i), U's A_i* d_i.
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
     if any(e <= 0 for e in etas):
         raise ValueError("nonpositive prox curvature eta")
     r = -(problem.feasibility(xs) if feas is None else feas)
-    images = [] if images is None else images
     x_tilde: List[np.ndarray] = []
+    images: List[np.ndarray] = []
     y_tilde = None
     for i in range(problem.p):
         a = problem.A[i]
@@ -185,7 +184,7 @@ def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
         if i == 0:
             # multiplier step uses only the freshest first block
             y_tilde = y + beta * r
-    return x_tilde, y_tilde
+    return x_tilde, y_tilde, images
 
 
 # ---------------------------------------------------------------------------
@@ -233,28 +232,22 @@ class UOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ThetaRange:
-    theta_adap: float
-    gamma_form: float
-    denom_form: float
-    Ud: BlockPoint    # U d, the certificate's v
-    step: BlockPoint  # M^-1 U d, the certificate's step
-
-
 def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
                 sigma_bar: float, problem: MultiBlockProblem,
-                images: Optional[Sequence[np.ndarray]] = None) -> ThetaRange:
+                images: Optional[Sequence[np.ndarray]] = None):
     """Adaptive over-relaxation along the current direction d = z - w.
 
     theta_adap = -1 + Gamma-form / (U* M^-1 U)-form meets the relative-error
-    criterion with equality for the certificate v = U d with step M^-1 U d,
-    both of which are returned.  The direction-independent bound (a top
+    criterion with equality for the certificate v = U d with step M^-1 U d.
+    Returns (theta_adap, U d, M^-1 U d).  A zero direction, a degenerate
+    U* M^-1 U form, or a Gamma form not above 1e-10 times it raises
+    :class:`CriterionViolation`.  The direction-independent bound (a top
     generalized eigenvalue of the two forms) is never computed on the solve
     path; the tests assemble it densely as an offline diagnostic.
     """
     if not d.data.any():
-        raise ValueError("zero direction: iterate equals its sweep point")
+        raise CriterionViolation(
+            "zero direction: iterate equals its sweep point")
     Ud = U.apply(d, images)
     step = BlockPoint(M.solve(Ud.data), Ud.layout)
     gamma_form = (2.0 * d.inner(Ud)
@@ -262,11 +255,13 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
                   - 0.5 * float(np.dot(d.data * problem.d_weights, d.data)))
     denom_form = float(np.dot(Ud.data, step.data))
     if denom_form <= 0:
-        raise ValueError("degenerate U*M^-1U form (gamma_form=%.6e, "
-                         "denom_form=%.6e)" % (gamma_form, denom_form))
-    return ThetaRange(theta_adap=-1.0 + gamma_form / denom_form,
-                      gamma_form=gamma_form, denom_form=denom_form,
-                      Ud=Ud, step=step)
+        raise CriterionViolation("degenerate U*M^-1U form (gamma_form=%.6e, "
+                                 "denom_form=%.6e)" % (gamma_form, denom_form))
+    if not gamma_form > 1e-10 * denom_form:
+        raise CriterionViolation(
+            "directional Gamma form is not positive (gamma_form=%.6e, "
+            "denom_form=%.6e)" % (gamma_form, denom_form))
+    return -1.0 + gamma_form / denom_form, Ud, step
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +306,7 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
 
     Primal rows: x_i - prox_{g_i}(x_i - grad_i f(x) - A_i y) (unit prox step);
     dual row: b - sum_i A_i* x_i, the ``feas`` of :func:`block_sweep`; ``Ay``
-    holds the images A_i y.  Returns (residual BlockPoint, its norm).
+    holds the images A_i y.  Returns (dual row, residual norm).
 
     With ``tol``, the rows are evaluated only until they decide the test
     norm <= tol: the dual row first, then the primal rows in block order,
@@ -335,8 +330,7 @@ def pkkt_residual(xs: Sequence[np.ndarray], y: np.ndarray,
         u = xs[i] - grads[i] - (Ay[i] if Ay else problem.A[i].apply(y))
         row = xs[i] - problem.gs[i].evaluate(1.0, u)
         rows.append(row)
-    res = BlockPoint(np.concatenate(rows + [feas]), problem.full_layout)
-    return res, res.norm()
+    return feas, norm(np.concatenate(rows + [feas]))
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +368,17 @@ class _Iteration:
         *self.xs, self.y = z.blocks()
         self.grads = pr.grad_f(self.xs)
         self.Ay = [a.apply(self.y) for a in pr.A]
-        res, self.pnorm = pkkt_residual(self.xs, self.y, pr, grads=self.grads,
-                                        tol=self.stop_tol, Ay=self.Ay)
-        self.feas = res.block(pr.p) if isinstance(res, BlockPoint) else res
+        self.feas, self.pnorm = pkkt_residual(self.xs, self.y, pr,
+                                              grads=self.grads,
+                                              tol=self.stop_tol, Ay=self.Ay)
         return "pkkt" if self.pnorm <= self.cfg.tol_residual else None
 
     def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
                cfg: HpeConfig) -> Optional[HpeCertificate]:
         pr = self.problem
-        images = []
-        x_tilde, y_tilde = block_sweep(self.xs, self.y, pr, self.beta,
-                                       self.etas, grads=self.grads,
-                                       feas=self.feas, Ay=self.Ay,
-                                       images=images)
+        x_tilde, y_tilde, images = block_sweep(self.xs, self.y, pr, self.beta,
+                                               self.etas, grads=self.grads,
+                                               feas=self.feas, Ay=self.Ay)
         self.Ay = None
         w = pr.join(x_tilde, y_tilde)
         d = z - w
@@ -395,25 +387,18 @@ class _Iteration:
             return None  # sweep fixed point: v = 0, a KKT point
         if not math.isfinite(d_norm):
             raise NonFiniteValue("non-finite sweep point")
-        try:
-            tr = theta_range(d, self.U, M, cfg.sigma, pr, images)
-        except ValueError as exc:
-            raise CriterionViolation(str(exc)) from None
-        if not tr.gamma_form > 1e-10 * tr.denom_form:
-            raise CriterionViolation(
-                "directional Gamma form is not positive (gamma_form=%.6e, "
-                "denom_form=%.6e)" % (tr.gamma_form, tr.denom_form))
-        self.points, self.theta_adap = x_tilde + [y_tilde], tr.theta_adap
+        theta_adap, Ud, step = theta_range(d, self.U, M, cfg.sigma, pr, images)
+        self.points, self.theta_adap = x_tilde + [y_tilde], theta_adap
         # the adaptive endpoint meets the criterion with equality; back off by
         # a relative hair so roundoff cannot flip the inequality
-        theta_safe = -1.0 + (1.0 + tr.theta_adap) * (1.0 - 1e-9)
+        theta_safe = -1.0 + (1.0 + theta_adap) * (1.0 - 1e-9)
         theta = min(theta_safe, THETA_CAP)
         if self.theta_fixed is not None:
             theta = min(self.theta_fixed, theta_safe)
         eps = float(np.array([0.25 * l * float(np.dot(db, db))
                               for l, db in zip(pr.L, d.blocks())]).sum())
-        return HpeCertificate(y=w, v=tr.Ud, eps=eps, c=1.0, theta=theta,
-                              step=tr.step)
+        return HpeCertificate(y=w, v=Ud, eps=eps, c=1.0, theta=theta,
+                              step=step)
 
     def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
                       M: BlockDiagonalMetric) -> BlockDiagonalMetric:

@@ -226,6 +226,9 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
     """
     X = np.asarray(X, dtype=float)
     d, n = X.shape
+    if d == 0 or n == 0:
+        raise ValueError("X must have d >= 1 rows and n >= 1 columns, got "
+                         "d=%d, n=%d" % (d, n))
     if orientation not in ("rows", "cols"):
         raise ValueError("orientation must be 'rows' or 'cols'")
     if L_Z is None:

@@ -334,15 +334,16 @@ class AfbasPdProblem:
 
 
 def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
-                  sigma: float = 0.5) -> HpeCertificate:
+                  sigma: float = 0.5) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
     alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
     lam is capped along the direction so the relative-error criterion holds
     with the given sigma; theta_k = alpha_k - 1.  The certificate is v = R d
     with step M^-1 v = S d, so the kernel's correction is the native update
-    z - alpha_k S d.  A direction with no admissible step raises
-    :class:`CriterionViolation`.
+    z - alpha_k S d.  At d = 0, z is a fixed point of the scheme and the
+    step returns None, as the kernel's oracle protocol asks.  A direction
+    with no admissible step raises :class:`CriterionViolation`.
     """
     x, y = z.block(0), z.block(1)
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
@@ -352,9 +353,7 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     w = BlockPoint(np.concatenate([xb, yb]), z.layout)
     d = (z - w).data
     if np.linalg.norm(d) == 0.0:
-        zero = BlockPoint(np.zeros_like(d), z.layout)
-        return HpeCertificate(y=w, v=zero, eps=0.0, c=1.0, theta=0.0,
-                              step=zero)
+        return None
     Rd = p._R @ d
     Sd = p._S @ d
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
@@ -513,7 +512,7 @@ class Scheme:
         elif theta > theta_max + 1e-12:
             raise ValueError("theta %.4g violates %s (max %.4g)"
                              % (theta, self.bound, theta_max))
-        def oracle(x: BlockPoint, M, cfg) -> HpeCertificate:
+        def oracle(x: BlockPoint, M, cfg) -> Optional[HpeCertificate]:
             return self.step(x, prob, theta, cfg.sigma)
 
         return oracle, prob.metric(), BlockPoint.zeros(ref.layout), ref

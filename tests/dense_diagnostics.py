@@ -2,8 +2,6 @@
 direction-independent over-relaxation bound theta_bar: an offline diagnostic
 that the solver never runs, kept to test U and the step-size range against."""
 
-import types
-
 import numpy as np
 import scipy.linalg
 
@@ -35,11 +33,11 @@ def u_dense(U) -> np.ndarray:
     return Ud
 
 
-def with_theta_bar(tr, U, M, sigma_bar, problem, power_iters=100, seed=0):
-    """``tr`` (a ThetaRange) with ``theta_bar``: -1 + 1/lambda for the top
-    generalized eigenvalue lambda of (U* M^-1 U, Gamma), estimated by power
-    iteration and never below the directional ratio, so theta_bar <=
-    theta_adap."""
+def dense_theta_bar(theta_adap, U, M, sigma_bar, problem, power_iters=100,
+                    seed=0):
+    """theta_bar = -1 + 1/lambda for the top generalized eigenvalue lambda of
+    (U* M^-1 U, Gamma), estimated by power iteration and never below the
+    directional ratio 1/(1 + theta_adap), so theta_bar <= theta_adap."""
     Ud_dense = u_dense(U)
     Mdiag = np.repeat(np.asarray(M.scalars), M.layout.sizes)
     Gamma = Ud_dense + Ud_dense.T + (sigma_bar - 1.0) * np.diag(Mdiag) \
@@ -60,5 +58,5 @@ def with_theta_bar(tr, U, M, sigma_bar, problem, power_iters=100, seed=0):
         wvec /= nrm
         lam = float(wvec @ Amat @ wvec) / float(wvec @ Gamma @ wvec)
     # direction-independent bound must not exceed the directional ratio
-    lam_hat = max(lam, tr.denom_form / tr.gamma_form) * 1.01
-    return types.SimpleNamespace(**vars(tr), theta_bar=-1.0 + 1.0 / lam_hat)
+    lam_hat = max(lam, 1.0 / (1.0 + theta_adap)) * 1.01
+    return -1.0 + 1.0 / lam_hat

@@ -10,7 +10,7 @@ import pytest
 
 from opsplit import cli, hpe_core
 from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
-from opsplit.hpe_core import ErgodicAccumulator, HpeConfig
+from opsplit.hpe_core import CriterionViolation, ErgodicAccumulator, HpeConfig
 from opsplit.padmm_ebb import run_padmm
 from opsplit.prox_problems import build_lrr, gen_qp
 from opsplit.splitters import SCHEMES
@@ -190,11 +190,14 @@ def test_bad_theta_is_a_config_error(capsys, algorithm):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("xi0", ["-0.5", "nan", "inf"])
 def test_bad_xi0_is_a_config_error(algorithm, xi0, capsys):
-    # a NaN xi would make the metric-schedule check always pass
+    # a NaN xi would make the metric-schedule check always pass; only
+    # padmm-ebb updates its metric, so only padmm-ebb reads xi0 at all
     code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
                  "--max-iters", "5", "--xi0", xi0])
     assert code == 2
-    assert "xi0 must be finite and nonnegative" in capsys.readouterr().err
+    assert (("xi0 must be finite and nonnegative" if algorithm == "padmm-ebb"
+             else "--xi0 applies to padmm-ebb only")
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +217,7 @@ def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
 
 @pytest.mark.parametrize("option,algorithm", [
     (option, a) for option, owner in (("--beta", "padmm-ebb"),
+                                      ("--xi0", "padmm-ebb"),
                                       ("--full-trace", "padmm-ebb"),
                                       ("--cv-r", "condat-vu"),
                                       ("--cv-s", "condat-vu"))
@@ -257,7 +261,11 @@ def test_non_finite_condat_vu_scale_is_a_config_error(option, value, capsys):
 # each malformed descriptor and the message that names what is wrong
 MALFORMED = {
     "qp:seed=inf": "non-finite value 'inf' for 'seed'",
-    "lrr:d=0": "cannot build the lrr problem: IndexError",
+    # an empty X used to surface as an IndexError of the Laplacian check
+    "lrr:d=0": "cannot build the lrr problem: ValueError: X must have d >= 1 "
+               "rows and n >= 1 columns, got d=0, n=40",
+    "lrr:n=0": "cannot build the lrr problem: ValueError: X must have d >= 1 "
+               "rows and n >= 1 columns, got d=40, n=0",
     "lrr:manifest=/nonexistent": "cannot build the lrr problem: "
                                  "FileNotFoundError",
     "qp:p=2.5": "'p' must be an integer, got 2.5",
@@ -372,6 +380,23 @@ def test_bench_prints_the_final_pkkt_that_solve_writes(tmp_path, capsys):
     assert row[0] == "padmm-ebb" and row[3] == "%.3e" % pkkt
 
 
+def test_bench_runs_only_padmm_ebb_on_lrr(capsys):
+    lrr = ["bench", "--problem", "lrr:seed=0,d=3,n=3", "--max-iters", "3"]
+    assert main(lrr) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["padmm-ebb"]
+    assert main(lrr + ["--algorithms", "fbhf"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: lrr problems are only supported by padmm-ebb")
+
+
+def test_theta_that_is_no_number_is_a_config_error(capsys):
+    assert main(["solve", "--algorithm", "fbhf", "--problem", "qp:seed=0",
+                 "--theta", "abc"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "configuration error: theta must be a number or 'auto'")
+
+
 def test_bench_rejects_unknown_algorithm():
     assert main(["bench", "--problem", "qp:seed=0",
                  "--algorithms", "nope"]) == 2
@@ -423,7 +448,7 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
     def failing_theta_range(*args, **kwargs):
         calls[0] += 1
         if calls[0] >= 5:
-            raise ValueError("degenerate U*M^-1U form")
+            raise CriterionViolation("degenerate U*M^-1U form")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(padmm_ebb, "theta_range", failing_theta_range)

@@ -21,7 +21,7 @@ from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                run_padmm, scalar_majorant_etas, theta_range)
 from opsplit.prox_problems import ProxFn, gen_qp
 
-from dense_diagnostics import u_dense, with_theta_bar
+from dense_diagnostics import dense_theta_bar, u_dense
 from support import count_svds, kkt_operator, to_dense
 
 
@@ -54,7 +54,7 @@ def test_block_sweep_single_block_matches_dense_solve():
     y = rng.standard_normal(3)
     beta = 2.0
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
-    x_tilde, y_tilde = block_sweep([x], y, prob, beta, etas)
+    x_tilde, y_tilde, _ = block_sweep([x], y, prob, beta, etas)
     # independent route: the majorized subproblem is the linear system
     # eta (x~ - x) + grad f(x) + G^T y + beta G^T (G x - b) = 0
     rhs = etas[0] * x - (Q @ x + c + G.T @ y + beta * G.T @ (G @ x - b))
@@ -73,7 +73,7 @@ def test_block_sweep_gauss_seidel_ordering():
     beta = 1.5
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
     grads = prob.grad_f(xs)
-    xt, _ = block_sweep(xs, y, prob, beta, etas, grads=grads)
+    xt, _, _ = block_sweep(xs, y, prob, beta, etas, grads=grads)
     G1, G2 = inst.G
     r_after_1 = G1 @ xt[0] + G2 @ xs[1] - inst.b
     force2 = grads[1] + G2.T @ y + beta * G2.T @ r_after_1
@@ -95,7 +95,8 @@ def _lrr(descriptor="lrr:seed=0,d=20,n=20"):
 @pytest.mark.parametrize("which", ["qp", "lrr-origin", "lrr"])
 def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
     # the dual block of the pKKT residual is the feasibility residual; the
-    # sweep started from it matches the sweep that computes it, bit for bit
+    # sweep started from it matches the sweep that computes it, bit for bit,
+    # adjoint images included
     prob = gen_qp(3, p=3, n_i=4, m=3).problem if which == "qp" \
         else _lrr("lrr:seed=1,d=6,n=5").problem
     rng = np.random.default_rng(4)
@@ -104,12 +105,13 @@ def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
                    prob.full_layout)
     xs, y = prob.split(z)
     grads = prob.grad_f(xs)
-    res, _ = pkkt_residual(xs, y, prob, grads=grads)
+    feas, _ = pkkt_residual(xs, y, prob, grads=grads)
     etas = scalar_majorant_etas(prob, 2.0, prob.constraint_norms())
     plain = block_sweep(xs, y, prob, 2.0, etas, grads=grads)
-    shared = block_sweep(xs, y, prob, 2.0, etas, grads=grads,
-                         feas=res.block(prob.p))
-    for a, b in zip(plain[0] + [plain[1]], shared[0] + [shared[1]]):
+    shared = block_sweep(xs, y, prob, 2.0, etas, grads=grads, feas=feas)
+    assert len(plain[2]) == len(shared[2]) == prob.p
+    for a, b in zip(plain[0] + [plain[1]] + plain[2],
+                    shared[0] + [shared[1]] + shared[2]):
         assert a.tobytes() == b.tobytes()
 
 
@@ -255,7 +257,7 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
     for trial in range(20):
         z = BlockPoint(rng.standard_normal(lay.dim), lay)
         xs, y = prob.split(z)
-        x_tilde, y_tilde = block_sweep(xs, y, prob, beta, etas)
+        x_tilde, y_tilde, _ = block_sweep(xs, y, prob, beta, etas)
         w = prob.join(x_tilde, y_tilde)
         d = z - w
         U = UOperator(prob, beta, etas)
@@ -283,29 +285,33 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     rng = np.random.default_rng(5)
     z = BlockPoint(rng.standard_normal(lay.dim), lay)
     xs, y = prob.split(z)
-    xt, yt = block_sweep(xs, y, prob, beta, etas)
+    xt, yt, images = block_sweep(xs, y, prob, beta, etas)
     w = prob.join(xt, yt)
     d = z - w
     U = UOperator(prob, beta, etas)
     sigma_bar = 0.9
-    tr = with_theta_bar(theta_range(d, U, M, sigma_bar, prob), U, M,
-                        sigma_bar, prob)
+    theta_adap, Ud, step_range = theta_range(d, U, M, sigma_bar, prob, images)
+    theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
     eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
               for i, l in enumerate(prob.L))
     step = BlockPoint(M.solve(U.apply(d).data), lay)
+    # the returned certificate pair is U d and M^-1 U d, the sweep's images
+    # standing in for U's own adjoint applies bit for bit
+    assert Ud.data.tobytes() == U.apply(d).data.tobytes()
+    assert step_range.data.tobytes() == step.data.tobytes()
     cert = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                          theta=tr.theta_adap, step=step)
+                          theta=theta_adap, step=step)
     rep = check_criterion(z, cert, M, sigma_bar)
     assert abs(rep.rel_slack) <= 1e-9        # equality endpoint
     # the direction-independent bound never exceeds the directional one
-    assert tr.theta_bar <= tr.theta_adap + 1e-12
+    assert theta_bar <= theta_adap + 1e-12
     # and itself satisfies the criterion
     cert_bar = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                              theta=tr.theta_bar, step=step)
+                              theta=theta_bar, step=step)
     assert check_criterion(z, cert_bar, M, sigma_bar).ok
     # anything clearly past the adaptive endpoint fails
     cert_hi = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                             theta=tr.theta_adap + 0.1 * (1 + abs(tr.theta_adap)),
+                             theta=theta_adap + 0.1 * (1 + abs(theta_adap)),
                              step=step)
     assert not check_criterion(z, cert_hi, M, sigma_bar).ok
 
@@ -316,7 +322,7 @@ def test_theta_range_rejects_zero_direction(qp3):
     etas = scalar_majorant_etas(prob, 1.0, prob.constraint_norms())
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
-    with pytest.raises(ValueError):
+    with pytest.raises(CriterionViolation, match="zero direction"):
         theta_range(BlockPoint.zeros(lay), UOperator(prob, 1.0, etas), M,
                     0.9, prob)
 
@@ -356,6 +362,16 @@ def test_pkkt_residual_vanishes_at_the_reference(qp3):
     assert norm_off > 1e-2
 
 
+def _pkkt_rows(xs, y, prob):
+    """The pKKT residual assembled row by row: x_i - prox_{g_i}(x_i -
+    grad_i f(x) - A_i y) at unit step, then b - sum_i A_i* x_i."""
+    grads = prob.grad_f(xs)
+    rows = [x - g.evaluate(1.0, x - grad - a.apply(y))
+            for g, x, grad, a in zip(prob.gs, xs, grads, prob.A)]
+    return BlockPoint(np.concatenate(rows + [prob.feasibility(xs)]),
+                      prob.full_layout)
+
+
 def _prefix_sums_of_squares(res, p):
     """Partial sums of squares in pkkt_residual's row order: the dual row,
     then the primal rows in block order."""
@@ -379,27 +395,29 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
     for _ in range(5):
         xs = [rng.standard_normal(n) for n in prob.primal_layout.sizes]
         y = rng.standard_normal(prob.m)
-        res, full = pkkt_residual(xs, y, prob)
+        res = _pkkt_rows(xs, y, prob)
+        feas, full = pkkt_residual(xs, y, prob)
+        assert full == res.norm()
+        assert feas.tobytes() == res.block(prob.p).tobytes()
         roots = [math.sqrt(s) for s in _prefix_sums_of_squares(res, prob.p)]
         for root in roots + [full]:
             for tol in [root * (1.0 + j * 2.0 ** -52) for j in range(-4, 5)] \
                     + [0.5 * root, 0.0, -1.0]:
-                early_res, early = pkkt_residual(xs, y, prob, tol=tol)
+                early_feas, early = pkkt_residual(xs, y, prob, tol=tol)
                 assert (early <= tol) == (full <= tol), (root, tol)
+                # cut short or not, the dual row is the full residual's
+                assert early_feas.tobytes() == feas.tobytes()
                 if early == math.inf:
-                    # cut short: the dual row alone, as the full residual's
-                    assert early_res.tobytes() == res.block(prob.p).tobytes()
                     exits += 1
                 else:
                     assert early == full
-                    assert np.array_equal(early_res.data, res.data)
     assert exits > 0
     # a tolerance below the dual row's norm decides on that row alone: on
     # LRR no nuclear-norm row, so no SVD
     calls, _ = count_svds(monkeypatch)
-    early_res, early = pkkt_residual(xs, y, prob, tol=0.5 * roots[0])
+    early_feas, early = pkkt_residual(xs, y, prob, tol=0.5 * roots[0])
     assert early == math.inf and calls[0] == 0
-    assert early_res.tobytes() == res.block(prob.p).tobytes()
+    assert early_feas.tobytes() == feas.tobytes()
 
 
 def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
@@ -413,7 +431,7 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     # the stop test before it decided on the dual row alone
     z0 = BlockPoint(inst.z_star.data + 1.0, inst.z_star.layout)
     monkeypatch.setattr(padmm_ebb, "block_sweep",
-                        lambda xs, y, *args, **kwargs: (list(xs), y))
+                        lambda xs, y, *args, **kwargs: (list(xs), y, []))
     res = run_padmm(inst.problem, cfg, z0=z0)
     assert res.reason == "fixed_point" and res.iterations == 1
     xs, y = inst.problem.split(z0)
@@ -421,6 +439,22 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
                          tol=cfg.tol_residual)[1] == math.inf
     assert (res.final["pkkt"] == pkkt_residual(xs, y, inst.problem)[1]
             > cfg.tol_residual)
+
+
+def test_a_run_whose_last_iterate_meets_the_tolerance_ends_converged():
+    # qp:seed=0 at sigma = 0.9 meets the tolerance after 189 iterations; a
+    # budget of exactly 189 stops before the stop test sees that iterate,
+    # and the final complete residual turns max_iters into the same result
+    inst = gen_qp(0)
+    runs = [run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=budget,
+                                              tol_residual=1e-8))
+            for budget in (1000, 189)]
+    for res in runs:
+        assert (res.converged, res.reason, res.iterations) == (True, "pkkt",
+                                                               189)
+    free, capped = runs
+    assert capped.solution.data.tobytes() == free.solution.data.tobytes()
+    assert capped.final["pkkt"] == free.final["pkkt"] <= 1e-8
 
 
 def test_lrr_d40_stop_test_takes_no_nuclear_norm_svd(monkeypatch):

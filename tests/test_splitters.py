@@ -323,6 +323,24 @@ def test_afbas_reduces_to_proximal_gradient_without_coupling():
     assert np.allclose(z_next.block(1), 0.0, atol=1e-12)
 
 
+def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
+    # B = 0, g = 0 and h the indicator of {0}: the proxes of g and of h's
+    # conjugate return their argument, so every point is a fixed point; the
+    # step returns None, as the kernel protocol asks, and the run ends with
+    # reason fixed_point
+    p = AfbasPdProblem(dim_x=2, dim_y=1, prox_g=ProxFn.zero(),
+                       prox_h=ProxFn.constant(np.zeros(1)), B=np.zeros((1, 2)),
+                       gamma1=1.0, gamma2=1.0)
+    z = BlockPoint(np.array([0.3, -1.2, 0.7]), p.layout)
+    assert afbas_pd_step(z, p) is None
+    res = hpe_core.run(lambda x, M, cfg: afbas_pd_step(x, p, cfg.sigma), z,
+                       p.metric(), HpeConfig(max_iters=5))
+    assert (res.converged, res.reason, res.iterations) == (True, "fixed_point",
+                                                           1)
+    assert res.solution.data.tobytes() == z.data.tobytes()
+    assert len(res.trace) == 0
+
+
 def test_afbas_converges_to_reference():
     inst = gen_qp(4, p=2, n_i=5, m=3)
     prob, _, z_ref = afbas_pd_from_qp(inst)
