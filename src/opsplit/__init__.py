@@ -2,7 +2,7 @@
 
 Modules:
 
-* :mod:`opsplit.linops` — block vectors, linear maps, SPD metrics.
+* :mod:`opsplit.linops` — block layouts, linear maps, SPD metrics.
 * :mod:`opsplit.hpe_core` — the relative-error extra-gradient kernel and its
   complexity instrumentation.
 * :mod:`opsplit.splitters` — certified step oracles for classical splitting

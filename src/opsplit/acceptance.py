@@ -17,7 +17,7 @@ import numpy as np
 from . import hpe_core
 from .hpe_core import (CertificateRecorder, ErgodicAccumulator, HpeConfig,
                        ergodic_aggregate, linear_rate_factor)
-from .linops import BlockLayout, BlockPoint, IdentityMetric
+from .linops import IdentityMetric, norm
 from .padmm_ebb import run_padmm
 from .prox_problems import gen_qp, build_lrr, prox_l1, prox_nuclear, proj_nonneg
 from .splitters import SCHEMES, condat_vu_from_qp, condat_vu_step
@@ -119,9 +119,8 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
     cfg = HpeConfig(sigma=0.5, xi_schedule=hpe_core.default_xi_schedule(0.0),
                     max_iters=kmax, tol_residual=0.0)
     oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=c, theta=theta)
-    lay = BlockLayout((K.shape[0],))
-    x0 = BlockPoint(np.ones(K.shape[0]), lay)
-    d0 = float(np.linalg.norm(x0.data - x_star))
+    x0 = np.ones(K.shape[0])
+    d0 = float(np.linalg.norm(x0 - x_star))
     res = hpe_core.run(oracle, x0, IdentityMetric(), cfg, columns=hpe_core.select(
         ("v_norm", "eps", "theta", "metric_max", "xi")))
     theta_min = min(res.trace.column("theta"))
@@ -179,7 +178,7 @@ def check_ergodic_rate() -> CriterionResult:
         eps_min = min(acc.eps_bars)
         _, v_bar, eps_bar = ergodic_aggregate(
             certs, [acc.alpha(k) if acc.alpha else 1.0 for k in ks])
-        dev = max(abs(acc.v_norms[-1] / v_bar.norm() - 1.0),
+        dev = max(abs(acc.v_norms[-1] / norm(v_bar) - 1.0),
                   abs(acc.eps_bars[-1] / eps_bar - 1.0))
         ok = (slope is not None and slope <= -0.8 and eps_min >= -1e-12
               and dev <= 1e-9)
@@ -207,7 +206,7 @@ def _padmm_qp_runs(theta_fixed):
         res = run_padmm(inst.problem, cfg, theta_fixed=theta_fixed)
         xs, y = inst.problem.split(res.solution)
         runs.append((res.converged, res.iterations, res.final["pkkt"],
-                     (res.solution - inst.z_star).norm(),
+                     norm(res.solution - inst.z_star),
                      inst.kkt_residual(np.concatenate(xs), y)))
     return runs, time.perf_counter() - t0
 
@@ -243,13 +242,13 @@ def check_direct_vs_kernel() -> CriterionResult:
     inst = gen_qp(0, p=2, n_i=5, m=3)
     prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
     theta = 0.5 * tmax
-    z_direct = [BlockPoint.zeros(prob.layout)]
+    z_direct = [np.zeros(prob.dim_x + prob.dim_y)]
     deviations = []
 
     def deviation(z_kernel):
-        scale = 1.0 + float(np.max(np.abs(z_direct[0].data)))
-        deviations.append(float(np.max(np.abs(z_direct[0].data
-                                              - z_kernel.data))) / scale)
+        scale = 1.0 + float(np.max(np.abs(z_direct[0])))
+        deviations.append(float(np.max(np.abs(z_direct[0] - z_kernel)))
+                          / scale)
 
     def oracle(z_kernel, M, cfg):
         # the kernel's iterate after k - 1 corrections against as many
@@ -257,11 +256,10 @@ def check_direct_vs_kernel() -> CriterionResult:
         deviation(z_kernel)
         z = z_direct[0]
         w = condat_vu_step(z, prob, theta).y
-        z_direct[0] = BlockPoint(z.data + (1.0 + theta) * (w.data - z.data),
-                                 z.layout)
+        z_direct[0] = z + (1.0 + theta) * (w - z)
         return condat_vu_step(z_kernel, prob, theta)
 
-    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
+    res = hpe_core.run(oracle, np.zeros_like(z_direct[0]), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=200, tol_residual=0.0))
     deviation(res.solution)
     worst = max(deviations)
@@ -286,10 +284,8 @@ def check_local_linear_rate() -> CriterionResult:
                              omega_upper=1.0, omega_lower=1.0)
     cfg = HpeConfig(sigma=sigma, max_iters=150, tol_residual=0.0)
     oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=c, theta=theta)
-    lay = BlockLayout((K.shape[0],))
-    x0 = BlockPoint(np.ones(K.shape[0]), lay)
-    ref = BlockPoint(x_star, lay)
-    res = hpe_core.run(oracle, x0, IdentityMetric(), cfg, ref_solution=ref,
+    res = hpe_core.run(oracle, np.ones(K.shape[0]), IdentityMetric(), cfg,
+                       ref_solution=x_star,
                        columns=hpe_core.select(("dist_M_sq",)))
     dists = np.array(res.trace.column("dist_M_sq"))
     ratios = np.sqrt(dists[1:] / dists[:-1])
@@ -327,7 +323,7 @@ def check_theta_acceleration() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _independent_pkkt(problem, z: BlockPoint) -> float:
+def _independent_pkkt(problem, z: np.ndarray) -> float:
     """The pKKT residual norm of ``z`` (``padmm_ebb.pkkt_residual``'s rows),
     with each nuclear row's prox taken from the spectral-ball projection
     through the Moreau identity, prox(U) = U - P(U) at unit step, not from

@@ -56,6 +56,8 @@ def parse_descriptor(text: str) -> dict:
         key, _, val = item.partition("=")
         key = key.strip()
         val = val.strip()
+        if key in params:
+            raise ConfigError("repeated %s descriptor key %r" % (kind, key))
         if key == "manifest":
             params[key] = val
             continue

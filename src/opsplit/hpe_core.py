@@ -37,8 +37,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .linops import (BlockDiagonalMetric, BlockPoint, Metric, norm,
-                     weighted_norm_sq)
+from .linops import BlockDiagonalMetric, Metric, norm, weighted_norm_sq
 
 
 class CriterionViolation(RuntimeError):
@@ -120,12 +119,12 @@ class HpeCertificate:
     against ``v`` and never solves for it.
     """
 
-    y: BlockPoint
-    v: BlockPoint
+    y: np.ndarray
+    v: np.ndarray
     eps: float
     c: float = 1.0
     theta: float = 0.0
-    step: Optional[BlockPoint] = None
+    step: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.eps < 0:
@@ -151,25 +150,26 @@ CRITERION_TOL = 1e-10  # relative tolerance of the criterion inequality
 def _step_of(cert: HpeCertificate) -> np.ndarray:
     if cert.step is None:
         raise CriterionViolation("certificate carries no step c M^-1 v")
-    return cert.step.data
+    return cert.step
 
 
-def _raise_if_non_finite(x: BlockPoint, cert: HpeCertificate) -> None:
-    for name, val in (("iterate x", x.data), ("y", cert.y.data),
-                      ("v", cert.v.data), ("step", cert.step.data),
-                      ("eps", cert.eps), ("theta", cert.theta)):
+def _raise_if_non_finite(x: np.ndarray, cert: HpeCertificate) -> None:
+    for name, val in (("iterate x", x), ("y", cert.y), ("v", cert.v),
+                      ("step", cert.step), ("eps", cert.eps),
+                      ("theta", cert.theta)):
         if not np.all(np.isfinite(val)):
             raise NonFiniteValue("non-finite %s" % name)
 
 
-def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
+def check_criterion(x: np.ndarray, cert: HpeCertificate, M: Metric,
                     sigma: float) -> CriterionReport:
     """Evaluate the relative-error inequality for one certificate.
 
     The certificate's step is verified first, with one metric apply:
     ||M step - c v||_inf <= 1e-12 (1 + ||c v||_inf).  A missing or deviating
-    step, or a theta <= -1, raises :class:`CriterionViolation`; a non-finite
-    entry raises its subclass :class:`NonFiniteValue`, naming the entry.
+    step, a y, v or step whose shape is not the iterate's, or a theta <= -1
+    raises :class:`CriterionViolation`; a non-finite entry raises its
+    subclass :class:`NonFiniteValue`, naming the entry.
     With diff = y - x the inequality then follows by linearity from
     M (step + diff) = c v + M diff, with one more apply:
 
@@ -182,16 +182,20 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
     if cert.eps < 0:
         raise ValueError("eps must be nonnegative")
     step = _step_of(cert)
+    if not x.shape == cert.y.shape == cert.v.shape == step.shape:
+        raise CriterionViolation(
+            "certificate shapes y %s, v %s, step %s do not match the iterate's "
+            "%s" % (cert.y.shape, cert.v.shape, step.shape, x.shape))
     if not cert.theta > -1.0:
         _raise_if_non_finite(x, cert)
         raise CriterionViolation("theta = %r is not above -1" % cert.theta)
-    cv = cert.c * cert.v.data
+    cv = cert.c * cert.v
     dev = float(abs(M.apply(step) - cv).max())
     if not dev <= STEP_TOL * (1.0 + float(abs(cv).max())):
         _raise_if_non_finite(x, cert)
         raise CriterionViolation("certificate step deviates from c M^-1 v "
                                  "(||M step - c v||_inf = %.3e)" % dev)
-    diff = cert.y.data - x.data
+    diff = cert.y - x
     Mdiff = M.apply(diff)
     diff_M_sq = float(np.dot(diff, Mdiff))
     lhs = (cert.theta * float(np.dot(step, cv))
@@ -208,7 +212,7 @@ def check_criterion(x: BlockPoint, cert: HpeCertificate, M: Metric,
                            diff_M_sq=diff_M_sq)
 
 
-def certify(x: BlockPoint, cert: HpeCertificate, M: Metric,
+def certify(x: np.ndarray, cert: HpeCertificate, M: Metric,
             sigma: float) -> CriterionReport:
     """:func:`check_criterion`, raising :class:`CriterionViolation` with the
     report when the inequality fails."""
@@ -220,10 +224,10 @@ def certify(x: BlockPoint, cert: HpeCertificate, M: Metric,
     return rep
 
 
-def extragradient_step(x: BlockPoint, cert: HpeCertificate) -> BlockPoint:
+def extragradient_step(x: np.ndarray, cert: HpeCertificate) -> np.ndarray:
     """Over-relaxed correction x - (1 + theta) c M^-1 v, along the
     certificate's step."""
-    return BlockPoint(x.data - (1.0 + cert.theta) * _step_of(cert), x.layout)
+    return x - (1.0 + cert.theta) * _step_of(cert)
 
 
 SCHEDULE_TOL = 1e-12
@@ -297,7 +301,7 @@ TRACE_COLUMNS = (
     ("metric_min", lambda s: s.M.omega_lower),
     ("metric_max", lambda s: s.M.omega_upper),
     ("dist_to_ref", lambda s: math.nan if s.ref is None
-     else (s.x - s.ref).norm()),
+     else norm(s.x - s.ref)),
     ("xi", lambda s: s.xi),
     ("dist_M_sq", lambda s: math.nan if s.ref is None
      else weighted_norm_sq(s.M, s.x - s.ref)),
@@ -342,7 +346,7 @@ class RunResult:
     solver's own values of the final iterate for the summary (empty for
     kernel runs); ``abort`` the record :func:`aborted` builds when an
     exception ends the run."""
-    solution: BlockPoint
+    solution: np.ndarray
     trace: IterTrace
     converged: bool
     reason: str
@@ -371,8 +375,8 @@ def aborted(exc: Exception, trace: IterTrace,
 # ---------------------------------------------------------------------------
 
 
-def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
-        metric_update=None, ref_solution: Optional[BlockPoint] = None,
+def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
+        metric_update=None, ref_solution: Optional[np.ndarray] = None,
         accumulators: Sequence["ErgodicAccumulator"] = (), stop=None,
         columns: Sequence[tuple] = select(DEFAULT_COLUMNS)) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
@@ -397,7 +401,7 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
     prefix ``"iteration k: "``, and its ``result`` is the :func:`aborted`
     run, with the partial trace.
     """
-    x, M, floor = x0.copy(), M0, M0.omega_lower
+    x, M, floor = np.array(x0, dtype=float), M0, M0.omega_lower
     trace = IterTrace(name for name, _ in columns)
     producers = [produce for _, produce in columns]
     t0 = time.perf_counter()
@@ -414,7 +418,7 @@ def run(oracle, x0: BlockPoint, M0: Metric, cfg: HpeConfig,
                                  reason="fixed_point", iterations=k)
             rep = certify(x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k)
-            v_norm = cert.v.norm()
+            v_norm = norm(cert.v)
             step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)
             trace.append(tuple([produce(step) for produce in producers]))
             del step  # else the old x and M stay alive into the next iteration
@@ -508,7 +512,7 @@ class ErgodicAccumulator:
         if not w > 0:
             raise ValueError("ergodic weight (1 + theta) c alpha must be "
                              "positive, got %r" % w)
-        y, v = cert.y.data, cert.v.data
+        y, v = cert.y, cert.v
         self.sum_w += w
         self.sum_wy += w * y
         self.sum_wv += w * v
@@ -536,12 +540,11 @@ def ergodic_aggregate(certs: Sequence[HpeCertificate], alpha) -> tuple:
     w = np.array([(1.0 + c.theta) * c.c * a for c, a in zip(certs, alpha)])
     if not w.sum() > 0:
         raise ValueError("ergodic weights must have a positive sum")
-    ys, vs = (np.array([getattr(c, f).data for c in certs]) for f in "yv")
+    ys, vs = (np.array([getattr(c, f) for c in certs]) for f in "yv")
     y_bar, v_bar = w @ ys / w.sum(), w @ vs / w.sum()
     inner = np.einsum("ij,ij->i", ys - y_bar, vs - v_bar)
     eps_bar = float(w @ (np.array([c.eps for c in certs]) + inner)) / w.sum()
-    layout = certs[0].y.layout
-    return BlockPoint(y_bar, layout), BlockPoint(v_bar, layout), eps_bar
+    return y_bar, v_bar, eps_bar
 
 
 def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,
@@ -591,13 +594,10 @@ def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
         M_apply = M.apply
     lu = scipy.linalg.lu_factor(c * Q + M_dense)
 
-    def oracle(x: BlockPoint, metric, cfg) -> HpeCertificate:
-        y = scipy.linalg.lu_solve(lu, M_apply(x.data) - c * q)
-        v = Q @ y + q
-        return HpeCertificate(y=BlockPoint(y, x.layout),
-                              v=BlockPoint(v, x.layout),
-                              eps=0.0, c=c, theta=theta,
-                              step=BlockPoint(x.data - y, x.layout))
+    def oracle(x: np.ndarray, metric, cfg) -> HpeCertificate:
+        y = scipy.linalg.lu_solve(lu, M_apply(x) - c * q)
+        return HpeCertificate(y=y, v=Q @ y + q, eps=0.0, c=c, theta=theta,
+                              step=x - y)
 
     return oracle
 

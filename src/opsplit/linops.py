@@ -1,8 +1,9 @@
-"""Block vectors, linear maps, SPD metrics, and spectral estimation.
+"""Block layouts, linear maps, SPD metrics, and spectral estimation.
 
 Everything downstream (solver kernels, step oracles, problem builders) is written
-against the small vocabulary defined here: a :class:`BlockPoint` living in a
-product space, a :class:`LinearMap` with an explicit adjoint, and a
+against the small vocabulary defined here: a point of a product space is one
+flat float64 array, which a :class:`BlockLayout` slices into its blocks where
+blocks are addressed; a :class:`LinearMap` has an explicit adjoint, and a
 :class:`Metric` (self-adjoint positive definite operator) with ``apply`` access
 and spectral bounds; only the block-diagonal metric, which the multi-block
 solver inverts, also solves.  All storage is dense; problem sizes are desk
@@ -20,7 +21,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# Block layout and block points
+# Block layout
 # ---------------------------------------------------------------------------
 
 
@@ -45,55 +46,10 @@ class BlockLayout:
     def nblocks(self) -> int:
         return len(self.sizes)
 
-
-class BlockPoint:
-    """An element of a product space, stored as one flat float64 array."""
-
-    __slots__ = ("data", "layout")
-
-    def __init__(self, data: np.ndarray, layout: BlockLayout):
-        data = np.asarray(data, dtype=float)
-        if data.shape != (layout.dim,):
-            raise ValueError("data length %d does not match layout dim %d"
-                             % (data.size, layout.dim))
-        self.data = data
-        self.layout = layout
-
-    @classmethod
-    def zeros(cls, layout: BlockLayout) -> "BlockPoint":
-        return cls(np.zeros(layout.dim), layout)
-
-    # -- block access -------------------------------------------------------
-
-    def block(self, i: int) -> np.ndarray:
-        """Flat view of block i (writing into it mutates the point)."""
-        return self.data[self.layout.slices[i]]
-
-    def blocks(self):
-        return [self.block(i) for i in range(self.layout.nblocks)]
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: "BlockPoint") -> None:
-        if self.layout.sizes != other.layout.sizes:
-            raise ValueError("layout mismatch")
-
-    def __sub__(self, other):
-        self._check(other)
-        return BlockPoint(self.data - other.data, self.layout)
-
-    def inner(self, other: "BlockPoint") -> float:
-        self._check(other)
-        return float(np.dot(self.data, other.data))
-
-    def norm(self) -> float:
-        return norm(self.data)
-
-    def copy(self) -> "BlockPoint":
-        return BlockPoint(self.data.copy(), self.layout)
-
-    def __repr__(self):
-        return "BlockPoint(sizes=%r)" % (self.layout.sizes,)
+    def split(self, x: np.ndarray) -> list:
+        """The blocks of the flat point ``x``, as views (writing into one
+        mutates ``x``)."""
+        return [x[s] for s in self.slices]
 
 
 def norm(x: np.ndarray) -> float:
@@ -196,8 +152,10 @@ class BlockDiagonalMetric(Metric):
         scalars = [float(s) for s in scalars]
         if len(scalars) != layout.nblocks:
             raise ValueError("one scalar per block required")
-        if min(scalars) <= 0:
-            raise ValueError("metric scalars must be positive")
+        for i, s in enumerate(scalars):
+            if not 0.0 < s < math.inf:  # a NaN fails here, not in min()
+                raise ValueError("metric scalar %d is %r, not finite and "
+                                 "positive" % (i, s))
         self.scalars = tuple(scalars)
         self.layout = layout
         self.dim = layout.dim
@@ -239,8 +197,8 @@ class DenseMetric(Metric):
 
 
 def weighted_norm_sq(M: Metric, v) -> float:
-    """<v, M v> for a BlockPoint or flat array."""
-    x = v.data if isinstance(v, BlockPoint) else np.asarray(v, dtype=float)
+    """<v, M v> for a flat array."""
+    x = np.asarray(v, dtype=float)
     return float(np.dot(x, M.apply(x)))
 
 

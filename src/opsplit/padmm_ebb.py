@@ -37,8 +37,8 @@ import numpy as np
 from . import hpe_core
 from .hpe_core import (CriterionViolation, ErgodicAccumulator,
                        HpeCertificate, HpeConfig, NonFiniteValue, RunResult)
-from .linops import (BlockDiagonalMetric, BlockLayout, BlockPoint, LinearMap,
-                     norm, spectral_upper_bound, weighted_norm_sq)
+from .linops import (BlockDiagonalMetric, BlockLayout, LinearMap, norm,
+                     spectral_upper_bound, weighted_norm_sq)
 
 # The multi-block trace columns, in CSV order after the kernel's: (name,
 # producer of the iteration's hooks, :class:`_Iteration`).  The opt-in ones
@@ -109,14 +109,13 @@ class MultiBlockProblem:
     def m(self) -> int:
         return self.b.size
 
-    def split(self, z: BlockPoint):
-        xs = [z.block(i).copy() for i in range(self.p)]
-        return xs, z.block(self.p).copy()
+    def split(self, z: np.ndarray):
+        *xs, y = (block.copy() for block in self.full_layout.split(z))
+        return xs, y
 
-    def join(self, xs: Sequence[np.ndarray], y: np.ndarray) -> BlockPoint:
-        return BlockPoint(np.concatenate([np.asarray(x, dtype=float).ravel()
-                                          for x in xs] + [np.asarray(y, dtype=float)]),
-                          self.full_layout)
+    def join(self, xs: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
+        return np.concatenate([np.asarray(x, dtype=float).ravel()
+                               for x in xs] + [np.asarray(y, dtype=float)])
 
     def feasibility(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         r = self.b.copy()
@@ -209,13 +208,13 @@ class UOperator:
         self.problem = problem
         self.beta = float(beta)
         self.etas = [float(e) for e in etas]
-        self.layout = problem.full_layout
 
-    def apply(self, d: BlockPoint,
-              images: Optional[Sequence[np.ndarray]] = None) -> BlockPoint:
+    def apply(self, d: np.ndarray,
+              images: Optional[Sequence[np.ndarray]] = None) -> np.ndarray:
         """U d, given the images A_j* dx_j or not.  The sweep's A_j*(x_j -
         x~_j) are these bit for bit at d = z - w: dx_j = x_j - x~_j exactly."""
-        pr, dxs = self.problem, d.blocks()
+        pr = self.problem
+        dxs = pr.full_layout.split(d)
         if images is None:
             images = [a.adjoint_apply(dx) for a, dx in zip(pr.A, dxs)]
         out = [self.etas[0] * dxs[0] - self.beta * pr.A[0].apply(images[0])]
@@ -224,7 +223,7 @@ class UOperator:
             out.append(self.etas[i] * dxs[i] + self.beta * pr.A[i].apply(acc))
             acc = acc + images[i]
         out.append(acc + dxs[pr.p] / self.beta)
-        return BlockPoint(np.concatenate(out), self.layout)
+        return np.concatenate(out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +231,7 @@ class UOperator:
 # ---------------------------------------------------------------------------
 
 
-def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
+def theta_range(d: np.ndarray, U: UOperator, M: BlockDiagonalMetric,
                 sigma_bar: float, problem: MultiBlockProblem,
                 images: Optional[Sequence[np.ndarray]] = None):
     """Adaptive over-relaxation along the current direction d = z - w.
@@ -245,15 +244,15 @@ def theta_range(d: BlockPoint, U: UOperator, M: BlockDiagonalMetric,
     generalized eigenvalue of the two forms) is never computed on the solve
     path; the tests assemble it densely as an offline diagnostic.
     """
-    if not d.data.any():
+    if not d.any():
         raise CriterionViolation(
             "zero direction: iterate equals its sweep point")
     Ud = U.apply(d, images)
-    step = BlockPoint(M.solve(Ud.data), Ud.layout)
-    gamma_form = (2.0 * d.inner(Ud)
+    step = M.solve(Ud)
+    gamma_form = (2.0 * float(np.dot(d, Ud))
                   + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
-                  - 0.5 * float(np.dot(d.data * problem.d_weights, d.data)))
-    denom_form = float(np.dot(Ud.data, step.data))
+                  - 0.5 * float(np.dot(d * problem.d_weights, d)))
+    denom_form = float(np.dot(Ud, step))
     if denom_form <= 0:
         raise CriterionViolation("degenerate U*M^-1U form (gamma_form=%.6e, "
                                  "denom_form=%.6e)" % (gamma_form, denom_form))
@@ -362,10 +361,10 @@ class _Iteration:
         return BlockDiagonalMetric.from_inverse_scalars(
             self.inv_scalars, self.problem.full_layout)
 
-    def stop(self, k: int, z: BlockPoint) -> Optional[str]:
+    def stop(self, k: int, z: np.ndarray) -> Optional[str]:
         pr = self.problem
         # views: the loop only reads the iterate, and never writes z
-        *self.xs, self.y = z.blocks()
+        *self.xs, self.y = pr.full_layout.split(z)
         self.grads = pr.grad_f(self.xs)
         self.Ay = [a.apply(self.y) for a in pr.A]
         self.feas, self.pnorm = pkkt_residual(self.xs, self.y, pr,
@@ -373,7 +372,7 @@ class _Iteration:
                                               tol=self.stop_tol, Ay=self.Ay)
         return "pkkt" if self.pnorm <= self.cfg.tol_residual else None
 
-    def oracle(self, z: BlockPoint, M: BlockDiagonalMetric,
+    def oracle(self, z: np.ndarray, M: BlockDiagonalMetric,
                cfg: HpeConfig) -> Optional[HpeCertificate]:
         pr = self.problem
         x_tilde, y_tilde, images = block_sweep(self.xs, self.y, pr, self.beta,
@@ -382,7 +381,7 @@ class _Iteration:
         self.Ay = None
         w = pr.join(x_tilde, y_tilde)
         d = z - w
-        d_norm = d.norm()
+        d_norm = norm(d)
         if d_norm == 0.0:
             return None  # sweep fixed point: v = 0, a KKT point
         if not math.isfinite(d_norm):
@@ -395,19 +394,21 @@ class _Iteration:
         theta = min(theta_safe, THETA_CAP)
         if self.theta_fixed is not None:
             theta = min(self.theta_fixed, theta_safe)
+        dbs = pr.full_layout.split(d)
         eps = float(np.array([0.25 * l * float(np.dot(db, db))
-                              for l, db in zip(pr.L, d.blocks())]).sum())
+                              for l, db in zip(pr.L, dbs)]).sum())
         return HpeCertificate(y=w, v=Ud, eps=eps, c=1.0, theta=theta,
                               step=step)
 
-    def metric_update(self, k: int, z: BlockPoint, cert: HpeCertificate,
+    def metric_update(self, k: int, z: np.ndarray, cert: HpeCertificate,
                       M: BlockDiagonalMetric) -> BlockDiagonalMetric:
         # per block, the change of the sweep point against the change of its
         # gradient-corrected certificate block; the multiplier is block p
-        pr, v = self.problem, cert.v
+        pr = self.problem
+        *vxs, vy = pr.full_layout.split(cert.v)
         grads_t = pr.grad_f(self.points[:pr.p])
-        slopes = [v.block(i) + grads_t[i] - self.grads[i]
-                  for i in range(pr.p)] + [v.block(pr.p).copy()]
+        slopes = [vx + gt - g for vx, gt, g in zip(vxs, grads_t, self.grads)]
+        slopes.append(vy.copy())
         if self.prev is not None:
             nums = [norm(a - b) for a, b in zip(self.points, self.prev[0])]
             dens = [norm(a - b) for a, b in zip(slopes, self.prev[1])]
@@ -419,8 +420,8 @@ class _Iteration:
 
 def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
               theta_fixed: Optional[float] = None,
-              z0: Optional[BlockPoint] = None,
-              ref_solution: Optional[BlockPoint] = None,
+              z0: Optional[np.ndarray] = None,
+              ref_solution: Optional[np.ndarray] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
               columns: Sequence[str] = DEFAULT_COLUMNS) -> RunResult:
     """Run the solver until the proximal KKT residual meets the tolerance.
@@ -446,8 +447,8 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(
-        it.oracle, z0 if z0 is not None else BlockPoint.zeros(
-            problem.full_layout), it.metric(), cfg,
+        it.oracle, z0 if z0 is not None else np.zeros(problem.full_layout.dim),
+        it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop,
         columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))

@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .linops import BlockLayout, BlockPoint, LinearMap, read_matrix
+from .linops import BlockLayout, LinearMap, read_matrix
 from .padmm_ebb import MultiBlockProblem
 
 
@@ -363,7 +363,7 @@ class QpInstance:
         return np.hstack(self.G)
 
     @property
-    def z_star(self) -> BlockPoint:
+    def z_star(self) -> np.ndarray:
         return self.problem.join(self.x_star, self.y_star)
 
     def kkt_residual(self, x: np.ndarray, y: np.ndarray) -> float:

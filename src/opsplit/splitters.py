@@ -22,8 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .hpe_core import CriterionViolation, HpeCertificate
-from .linops import (BlockLayout, BlockPoint, DenseMetric, IdentityMetric,
-                     Metric)
+from .linops import DenseMetric, IdentityMetric, Metric
 from .prox_problems import ProxFn
 
 
@@ -56,10 +55,6 @@ class FbhfProblem:
         if self.L < 0:
             raise ValueError("L must be nonnegative")
 
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout((self.dim,))
-
     def metric(self) -> Metric:
         return IdentityMetric()
 
@@ -71,19 +66,17 @@ def fbhf_max_theta(p: FbhfProblem, sigma: float) -> float:
     return (sigma - g2L2 - coco) / (1.0 + g2L2)
 
 
-def fbhf_step(x: BlockPoint, p: FbhfProblem, theta: float) -> HpeCertificate:
+def fbhf_step(x: np.ndarray, p: FbhfProblem, theta: float) -> HpeCertificate:
     """One certified forward-backward-half-forward step (metric I, c = gamma)."""
     gamma = p.gamma
-    xf = x.data
-    b1 = p.B1(xf) if p.B1 is not None else np.zeros_like(xf)
-    b2x = p.B2(xf) if p.B2 is not None else np.zeros_like(xf)
-    y = np.asarray(p.resolvent(gamma, xf - gamma * (b1 + b2x)), dtype=float)
-    b2y = p.B2(y) if p.B2 is not None else np.zeros_like(xf)
-    v = (xf - y) / gamma - b2x + b2y
-    eps = 0.0 if p.B1 is None else float(np.dot(xf - y, xf - y)) / (4.0 * p.beta)
-    return HpeCertificate(y=BlockPoint(y, x.layout), v=BlockPoint(v, x.layout),
-                          eps=eps, c=gamma, theta=theta,
-                          step=BlockPoint(gamma * v, x.layout))
+    b1 = p.B1(x) if p.B1 is not None else np.zeros_like(x)
+    b2x = p.B2(x) if p.B2 is not None else np.zeros_like(x)
+    y = np.asarray(p.resolvent(gamma, x - gamma * (b1 + b2x)), dtype=float)
+    b2y = p.B2(y) if p.B2 is not None else np.zeros_like(x)
+    v = (x - y) / gamma - b2x + b2y
+    eps = 0.0 if p.B1 is None else float(np.dot(x - y, x - y)) / (4.0 * p.beta)
+    return HpeCertificate(y=y, v=v, eps=eps, c=gamma, theta=theta,
+                          step=gamma * v)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +106,6 @@ class PpgProblem:
         if len(self.prox_g) != self.n or len(self.grad_f) != self.n:
             raise ValueError("one prox_g and grad_f per summand required")
 
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout((self.dim,) * self.n)
-
     def metric(self) -> Metric:
         return IdentityMetric()
 
@@ -125,23 +114,23 @@ def ppg_max_theta(p: PpgProblem, sigma: float) -> float:
     return sigma - p.L * p.alpha / 2.0
 
 
-def ppg_step(z: BlockPoint, p: PpgProblem, theta: float) -> HpeCertificate:
+def ppg_step(z: np.ndarray, p: PpgProblem, theta: float) -> HpeCertificate:
     """One certified consensus splitting step (metric I, c = 1).
 
     Consensus point x+ = prox_{alpha r}(mean z_i); per-copy proxes at the
     gradient-corrected reflections; the step is v.  The certificate's eps
     carries the factor alpha from the enlargement scaling.
     """
-    zs = z.blocks()
+    zs = z.reshape(p.n, p.dim)
     mean = sum(zs) / p.n
     xc = p.prox_r.evaluate(p.alpha, mean)
     x_next = [prox.evaluate(p.alpha, 2.0 * xc - zi - p.alpha * grad(xc))
               for zi, grad, prox in zip(zs, p.grad_f, p.prox_g)]
     y = np.concatenate([zi + xn - xc for zi, xn in zip(zs, x_next)])
-    v = BlockPoint(np.concatenate([xc - xn for xn in x_next]), z.layout)
+    v = np.concatenate([xc - xn for xn in x_next])
     eps_raw = 0.25 * p.L * sum(float(np.dot(xn - xc, xn - xc)) for xn in x_next)
-    return HpeCertificate(y=BlockPoint(y, z.layout), v=v,
-                          eps=p.alpha * eps_raw, c=1.0, theta=theta, step=v)
+    return HpeCertificate(y=y, v=v, eps=p.alpha * eps_raw, c=1.0,
+                          theta=theta, step=v)
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +206,6 @@ class CondatVuProblem:
         """
         return self.r - self.bnorm ** 2 / self.s
 
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout((self.dim_x, self.dim_y))
-
     def metric(self) -> Metric:
         return self._metric
 
@@ -229,7 +214,7 @@ def condat_vu_max_theta(p: CondatVuProblem, sigma: float) -> float:
     return sigma - p.L / (2.0 * p.primal_gap)
 
 
-def condat_vu_step(z: BlockPoint, p: CondatVuProblem,
+def condat_vu_step(z: np.ndarray, p: CondatVuProblem,
                    theta: float) -> HpeCertificate:
     """One certified primal-dual step under the saddle metric (c = 1).
 
@@ -237,13 +222,13 @@ def condat_vu_step(z: BlockPoint, p: CondatVuProblem,
     correction z - (1 + theta) d is the native over-relaxed update
     z + (1 + theta)(w - z).
     """
-    x, y = z.block(0), z.block(1)
+    x, y = z[:p.dim_x], z[p.dim_x:]
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
     xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.T @ y) / p.r)
     yt = _prox_conjugate(p.prox_h, 1.0 / p.s, y + p.B @ (2.0 * xt - x) / p.s)
-    w = BlockPoint(np.concatenate([xt, yt]), z.layout)
+    w = np.concatenate([xt, yt])
     d = z - w
-    v = BlockPoint(p.metric().apply(d.data), z.layout)
+    v = p.metric().apply(d)
     eps = 0.25 * p.L * float(np.dot(x - xt, x - xt))
     return HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta, step=d)
 
@@ -325,15 +310,11 @@ class AfbasPdProblem:
     def delta(self) -> float:
         return 2.0 - self.L / (2.0 * self.curvature_margin)
 
-    @property
-    def layout(self) -> BlockLayout:
-        return BlockLayout((self.dim_x, self.dim_y))
-
     def metric(self) -> Metric:
         return self._metric
 
 
-def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
+def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
                   sigma: float = 0.5) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
@@ -345,13 +326,13 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
     step returns None, as the kernel's oracle protocol asks.  A direction
     with no admissible step raises :class:`CriterionViolation`.
     """
-    x, y = z.block(0), z.block(1)
+    x, y = z[:p.dim_x], z[p.dim_x:]
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
     xb = p.prox_g.evaluate(p.gamma1, x - p.gamma1 * (p.B.T @ y + gf))
     u = y + p.gamma2 * (p.B @ ((1.0 - p.theta) * x + p.theta * xb))
     yb = _prox_conjugate(p.prox_h, p.gamma2, u)
-    w = BlockPoint(np.concatenate([xb, yb]), z.layout)
-    d = (z - w).data
+    w = np.concatenate([xb, yb])
+    d = z - w
     if np.linalg.norm(d) == 0.0:
         return None
     Rd = p._R @ d
@@ -367,8 +348,8 @@ def afbas_pd_step(z: BlockPoint, p: AfbasPdProblem,
         raise CriterionViolation("no admissible step along this direction "
                                  "(criterion cap %.3e)" % cap)
     alpha = min(p.lam, cap) * 0.5 * n2_rr / denom
-    return HpeCertificate(y=w, v=BlockPoint(Rd, z.layout), eps=eps, c=1.0,
-                          theta=alpha - 1.0, step=BlockPoint(Sd, z.layout))
+    return HpeCertificate(y=w, v=Rd, eps=eps, c=1.0, theta=alpha - 1.0,
+                          step=Sd)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +391,7 @@ def fbhf_from_qp(inst, sigma: float = 0.5):
     # gamma = beta sigma: theta_max = sigma - gamma/(2 beta) = sigma/2
     prob = FbhfProblem(dim=Q.shape[0], resolvent=lambda gamma, u: proj(u),
                        gamma=beta * sigma, B1=lambda u: Q @ u + c, beta=beta)
-    x_ref = BlockPoint(np.concatenate(inst.x_star), prob.layout)
-    return prob, fbhf_max_theta(prob, sigma), x_ref
+    return prob, fbhf_max_theta(prob, sigma), np.concatenate(inst.x_star)
 
 
 def ppg_from_qp(inst, sigma: float = 0.5):
@@ -431,7 +411,7 @@ def ppg_from_qp(inst, sigma: float = 0.5):
                       L=Lq, alpha=alpha)
     x_star = np.concatenate(inst.x_star)
     g_star = Q @ x_star + c
-    z_ref = BlockPoint(np.tile(x_star - alpha * g_star, n), prob.layout)
+    z_ref = np.tile(x_star - alpha * g_star, n)
     return prob, ppg_max_theta(prob, sigma), z_ref
 
 
@@ -450,8 +430,7 @@ def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
                            prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                            B=G, r=r, s=s, grad_f=lambda u: Q @ u + c,
                            L=Lq, bnorm=bnorm)
-    z_ref = BlockPoint(inst.z_star.data, prob.layout)
-    return prob, condat_vu_max_theta(prob, sigma), z_ref
+    return prob, condat_vu_max_theta(prob, sigma), inst.z_star
 
 
 def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
@@ -471,7 +450,7 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
                           B=G, gamma1=gamma1, gamma2=gamma2, theta=theta,
                           mu=mu, lam=lam, grad_f=lambda u: Q @ u + c, L=Lq,
                           bnorm=bnorm)
-    return prob, None, BlockPoint(inst.z_star.data, prob.layout)
+    return prob, None, inst.z_star
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +491,10 @@ class Scheme:
         elif theta > theta_max + 1e-12:
             raise ValueError("theta %.4g violates %s (max %.4g)"
                              % (theta, self.bound, theta_max))
-        def oracle(x: BlockPoint, M, cfg) -> Optional[HpeCertificate]:
+        def oracle(x: np.ndarray, M, cfg) -> Optional[HpeCertificate]:
             return self.step(x, prob, theta, cfg.sigma)
 
-        return oracle, prob.metric(), BlockPoint.zeros(ref.layout), ref
+        return oracle, prob.metric(), np.zeros(ref.size), ref
 
 
 # Steps and builders are looked up by module name when called, so that

@@ -11,9 +11,9 @@ from support import to_dense
 def u_dense(U) -> np.ndarray:
     """The matrix of ``U.apply`` on the full layout, block by block."""
     pr = U.problem
-    sizes = U.layout.sizes
-    off = U.layout.offsets
-    n = U.layout.dim
+    sizes = pr.full_layout.sizes
+    off = pr.full_layout.offsets
+    n = pr.full_layout.dim
     Ud = np.zeros((n, n))
     a_dense = [to_dense(a) for a in pr.A]          # n_i x m  (dual -> block)
     astar = [ad.T for ad in a_dense]                # m x n_i

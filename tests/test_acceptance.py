@@ -9,7 +9,6 @@ gate exists to catch and assert that the gate rejects it.
 import re
 
 from opsplit import acceptance, hpe_core, padmm_ebb, prox_problems, splitters
-from opsplit.linops import BlockPoint
 
 
 def _gate(check):
@@ -85,8 +84,7 @@ def test_fejer_contraction_rejects_an_overlong_step(monkeypatch):
     # the contraction; each certificate still meets the criterion, so only
     # the Fejer gate, which reads the gate columns, can catch it
     def overlong_step(x, cert):
-        return BlockPoint(x.data - 1.5 * (1.0 + cert.theta) * cert.step.data,
-                          x.layout)
+        return x - 1.5 * (1.0 + cert.theta) * cert.step
 
     monkeypatch.setattr(hpe_core, "extragradient_step", overlong_step)
     acceptance._invariance_runs.cache_clear()
@@ -154,8 +152,7 @@ def test_direct_vs_kernel_rejects_a_scaled_step(monkeypatch):
     # a kernel correction 1e-9 too long drifts from the native Condat-Vu
     # updates by about 4e-10 relative, far past the 1e-12 bound
     def scaled_step(x, cert):
-        return BlockPoint(x.data - (1.0 + 1e-9) * (1.0 + cert.theta)
-                          * cert.step.data, x.layout)
+        return x - (1.0 + 1e-9) * (1.0 + cert.theta) * cert.step
 
     monkeypatch.setattr(hpe_core, "extragradient_step", scaled_step)
     result = acceptance.check_direct_vs_kernel()

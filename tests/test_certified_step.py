@@ -10,8 +10,7 @@ import pytest
 from opsplit import cli, hpe_core, splitters
 from opsplit.hpe_core import (CriterionViolation, HpeCertificate, HpeConfig,
                               NonFiniteValue, check_criterion)
-from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            DenseMetric, IdentityMetric)
+from opsplit.linops import BlockDiagonalMetric, DenseMetric, IdentityMetric
 from opsplit.padmm_ebb import UOperator, run_padmm
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
@@ -28,8 +27,7 @@ def _afbas_pd_oracle(prob):
 
 
 def _pt(arr):
-    arr = np.asarray(arr, dtype=float)
-    return BlockPoint(arr, BlockLayout((arr.size,)))
+    return np.asarray(arr, dtype=float)
 
 
 def _count_calls(monkeypatch, cls, names):
@@ -47,12 +45,14 @@ def _count_calls(monkeypatch, cls, names):
 
 
 def _saddle_scheme(scheme):
+    """(problem, oracle, z_0) of a saddle scheme on qp:seed=0."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "condat-vu":
-        prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
-        return prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax)
-    prob, _, _ = afbas_pd_from_qp(inst)
-    return prob, _afbas_pd_oracle(prob)
+        prob, tmax, ref = condat_vu_from_qp(inst, sigma=0.5)
+        return (prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax),
+                np.zeros(ref.size))
+    prob, _, ref = afbas_pd_from_qp(inst)
+    return prob, _afbas_pd_oracle(prob), np.zeros(ref.size)
 
 
 # ---------------------------------------------------------------------------
@@ -62,11 +62,10 @@ def _saddle_scheme(scheme):
 
 @pytest.mark.parametrize("scheme", ["condat-vu", "afbas-pd"])
 def test_kernel_run_makes_no_metric_solve(monkeypatch, scheme):
-    prob, oracle = _saddle_scheme(scheme)
+    prob, oracle, z0 = _saddle_scheme(scheme)
     counts = _count_calls(monkeypatch, DenseMetric, ("apply", "solve"))
     cfg = HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8)
-    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
-                       cfg)
+    res = hpe_core.run(oracle, z0, prob.metric(), cfg)
     assert res.converged
     assert counts["solve"] == 0
     # the oracle's own apply, the step check and M (y - x)
@@ -77,7 +76,7 @@ def test_kernel_run_makes_no_metric_solve(monkeypatch, scheme):
 def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
     # the metric is one assembled matrix: B is applied only by the step,
     # once forward and once adjoint
-    prob, oracle = _saddle_scheme(scheme)
+    prob, oracle, z0 = _saddle_scheme(scheme)
     counts = {"apply": 0, "adjoint_apply": 0}
 
     class Counted:
@@ -93,7 +92,7 @@ def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
             return self.matrix @ u
 
     monkeypatch.setattr(prob, "B", Counted(prob.B, "apply"))
-    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
+    res = hpe_core.run(oracle, z0, prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8))
     assert res.converged
     assert counts == {"apply": res.iterations,
@@ -128,7 +127,7 @@ def test_dense_saddle_metric_equals_its_operator(scheme, opts, seed):
             else afbas_pd_from_qp(inst, **opts)[0])
     rng = np.random.default_rng(seed)
     for _ in range(5):
-        u = rng.standard_normal(prob.layout.dim)
+        u = rng.standard_normal(prob.dim_x + prob.dim_y)
         want = _saddle_operator(prob, u)
         got = prob.metric().apply(u)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -141,7 +140,7 @@ def test_afbas_pd_with_step_shaper_passes_every_step_check(theta, mu, seed):
     # theta != 2 makes S != I, so both R d and S d are full products
     prob, _, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3),
                                     theta=theta, mu=mu)
-    res = hpe_core.run(_afbas_pd_oracle(prob), BlockPoint.zeros(prob.layout),
+    res = hpe_core.run(_afbas_pd_oracle(prob), np.zeros(ref.size),
                        prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8),
                        ref_solution=ref)
@@ -191,29 +190,27 @@ def test_run_padmm_one_U_apply_and_one_solve_per_iteration(monkeypatch):
 
 
 def test_step_off_by_1e6_relative_is_rejected():
-    prob, oracle = _saddle_scheme("condat-vu")
+    prob, oracle, z0 = _saddle_scheme("condat-vu")
 
     def skewed(z, M, cfg):
         cert = oracle(z, M, cfg)
-        cert.step = BlockPoint(cert.step.data * (1.0 + 1e-6),
-                               cert.step.layout)
+        cert.step = cert.step * (1.0 + 1e-6)
         return cert
 
     cfg = HpeConfig(sigma=0.5, max_iters=5)
     with pytest.raises(CriterionViolation, match="iteration 1: .*deviates"):
-        hpe_core.run(skewed, BlockPoint.zeros(prob.layout), prob.metric(), cfg)
+        hpe_core.run(skewed, z0, prob.metric(), cfg)
 
 
 def test_certificate_without_step_is_rejected():
-    prob, oracle = _saddle_scheme("afbas-pd")
+    prob, oracle, z0 = _saddle_scheme("afbas-pd")
 
     def stepless(z, M, cfg):
         return dataclasses.replace(oracle(z, M, cfg), step=None)
 
     cfg = HpeConfig(sigma=0.5, max_iters=5)
     with pytest.raises(CriterionViolation, match="no step"):
-        hpe_core.run(stepless, BlockPoint.zeros(prob.layout), prob.metric(),
-                     cfg)
+        hpe_core.run(stepless, z0, prob.metric(), cfg)
 
 
 @pytest.mark.parametrize("entry", ["y", "v", "step", "eps"])
@@ -247,7 +244,7 @@ def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
                                resolvent=_nan_from_call(prob.resolvent, 3))
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
         hpe_core.run(_fbhf_oracle(prob, 0.0),
-                     BlockPoint.zeros(prob.layout), IdentityMetric(),
+                     np.zeros(prob.dim), IdentityMetric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
     res = exc.value.result
@@ -266,10 +263,10 @@ def _with_nan_from_call_3(built, entry):
 def _nan_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "fbhf":
-        prob, _, _ = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
-        return prob, _fbhf_oracle(prob, 0.0), IdentityMetric()
-    prob, _, _ = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
-    return prob, _afbas_pd_oracle(prob), prob.metric()
+        prob, _, ref = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
+        return _fbhf_oracle(prob, 0.0), IdentityMetric(), np.zeros(ref.size)
+    prob, _, ref = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
+    return _afbas_pd_oracle(prob), prob.metric(), np.zeros(ref.size)
 
 
 @pytest.mark.parametrize("scheme", ["fbhf", "afbas-pd"])
@@ -277,9 +274,9 @@ def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
     # the NaN reaches the affine projector's matvec (fbhf) or the dense R and
     # S products (afbas-pd) in iteration 3; they pass it on and the kernel
     # names it
-    prob, oracle, M = _nan_scheme(scheme)
+    oracle, M, x0 = _nan_scheme(scheme)
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
-        hpe_core.run(oracle, BlockPoint.zeros(prob.layout), M,
+        hpe_core.run(oracle, x0, M,
                      HpeConfig(sigma=0.5, max_iters=50))
     res = exc.value.result
     assert res.abort["iteration"] == 3 and len(res.trace) == 2
@@ -289,11 +286,11 @@ def test_afbas_pd_step_without_an_admissible_step_aborts_the_run():
     # a metric 100 times too large leaves no step along the first direction
     # that meets the criterion; the step names it as padmm-ebb's step range
     # does, and the kernel names the iteration
-    prob, _, _ = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob, _, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3))
     prob._metric = DenseMetric(100.0 * prob._metric.matrix)
     with pytest.raises(CriterionViolation,
                        match="iteration 1: no admissible step") as exc:
-        hpe_core.run(_afbas_pd_oracle(prob), BlockPoint.zeros(prob.layout),
+        hpe_core.run(_afbas_pd_oracle(prob), np.zeros(ref.size),
                      prob.metric(), HpeConfig(sigma=0.5, max_iters=50))
     assert exc.value.result.abort["exception"] == "CriterionViolation"
 
@@ -331,11 +328,37 @@ def test_nan_through_run_padmm_is_a_non_finite_value():
     assert res.abort["iteration"] == 7 and len(res.trace) == 6
 
 
+def test_every_algorithm_hands_the_kernel_and_the_caller_plain_arrays():
+    # a point of a product space is one flat float64 array, from each step
+    # and the multi-block oracle through the kernel to the result
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    runs = []
+    for scheme in splitters.SCHEMES.values():
+        oracle, M0, x0, _ = scheme.setup(inst, 0.5)
+        certs = hpe_core.CertificateRecorder()
+        res = hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.5, max_iters=20,
+                                                     tol_residual=0.0),
+                           accumulators=[certs])
+        runs.append((res, certs))
+    certs = hpe_core.CertificateRecorder()
+    res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=20,
+                                            tol_residual=0.0),
+                    accumulators=[certs])
+    runs.append((res, certs))
+    for res, certs in runs:
+        assert len(certs) == 20
+        points = [res.solution] + [getattr(cert, name) for cert in certs
+                                   for name in ("y", "v", "step")]
+        for point in points:
+            assert type(point) is np.ndarray and point.dtype == np.float64
+            assert point.shape == res.solution.shape == (point.size,)
+
+
 def test_kept_certificates_drop_their_step():
     # no certificate, step or other vector outlives its iteration: trace
     # rows hold numbers only, and results hold only the final iterate
-    prob, oracle = _saddle_scheme("condat-vu")
-    res = hpe_core.run(oracle, BlockPoint.zeros(prob.layout), prob.metric(),
+    prob, oracle, z0 = _saddle_scheme("condat-vu")
+    res = hpe_core.run(oracle, z0, prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=20, tol_residual=0.0))
     inst = gen_qp(0, p=2, n_i=5, m=3)
     pres = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=20,

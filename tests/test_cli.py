@@ -274,6 +274,9 @@ MALFORMED = {
     "qp:sed=3,p=1,n=4,m=2": "unknown qp descriptor key 'sed'",
     "qp:seed=1,tol=5": "unknown qp descriptor key 'tol'",
     "lrr:seed=0,d=4,n=4,lamda=5": "unknown lrr descriptor key 'lamda'",
+    # a repeated key used to solve with its last value while the summary
+    # echoed both
+    "qp:seed=1,seed=2": "repeated qp descriptor key 'seed'",
     # a negative l1 weight used to abort the solve at iteration 1 (exit 3)
     "lrr:seed=0,d=6,n=6,lam=-1": "cannot build the lrr problem: ValueError: "
                                  "l1 weight must be >= 0",

@@ -19,13 +19,12 @@ from opsplit.hpe_core import (CertificateRecorder, CriterionViolation,
                               linear_rate_factor, loglog_slope,
                               make_affine_resolvent_oracle, pointwise_bound,
                               validate_metric_update)
-from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            DenseMetric, IdentityMetric)
+from opsplit.linops import (BlockDiagonalMetric, BlockLayout, DenseMetric,
+                            IdentityMetric)
 
 
 def _pt(arr):
-    arr = np.asarray(arr, dtype=float)
-    return BlockPoint(arr, BlockLayout((arr.size,)))
+    return np.asarray(arr, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +45,11 @@ def test_criterion_exact_resolvent_identity():
     # for an exact resolvent step c*v + (y - x) = 0, so with M = I
     # lhs = theta ||c v||^2 + 2 c eps and rhs = sigma ||y - x||^2
     x = _pt([2.0, 0.0, -4.0])
-    y = _pt(x.data / 2.0)   # resolvent of T = I at c = 1
-    v = _pt(y.data)
+    y = _pt(x / 2.0)   # resolvent of T = I at c = 1
+    v = _pt(y)
     cert = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.25, step=v)
     rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
-    half = float(np.dot(y.data, y.data))
+    half = float(np.dot(y, y))
     assert rep.lhs == pytest.approx(0.25 * half, rel=1e-14)
     assert rep.rhs == pytest.approx(0.5 * half, rel=1e-14)
     assert rep.ok
@@ -110,7 +109,7 @@ def test_theta_at_or_below_minus_one_aborts_the_run(theta, error, message):
     prob, _, ref = fbhf_from_qp(gen_qp(0), 0.5)
     with pytest.raises(error, match="iteration 1: .*" + message) as exc:
         hpe_core.run(lambda x, M, cfg: fbhf_step(x, prob, theta),
-                     BlockPoint.zeros(ref.layout), prob.metric(),
+                     np.zeros(ref.size), prob.metric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     res = exc.value.result
     assert res.abort["iteration"] == 1 and len(res.trace) == 0
@@ -120,14 +119,14 @@ def test_extragradient_step_formula():
     x = _pt([1.0, 2.0])
     v = _pt([0.5, -1.0])
     cert = HpeCertificate(y=x.copy(), v=v, eps=0.0, c=2.0, theta=0.5,
-                          step=_pt(2.0 * v.data))   # c M^-1 v with M = I
+                          step=_pt(2.0 * v))   # c M^-1 v with M = I
     out = extragradient_step(x, cert)
-    assert np.allclose(out.data, x.data - 1.5 * 2.0 * cert.v.data)
+    assert np.allclose(out, x - 1.5 * 2.0 * cert.v)
     # a weighted metric 3 I divides the step by its scalar
     cert_m = HpeCertificate(y=x.copy(), v=v, eps=0.0, c=2.0, theta=0.5,
-                            step=_pt(2.0 * (v.data / 3.0)))
+                            step=_pt(2.0 * (v / 3.0)))
     out_m = extragradient_step(x, cert_m)
-    assert np.allclose(out_m.data, x.data - 1.5 * 2.0 * cert.v.data / 3.0)
+    assert np.allclose(out_m, x - 1.5 * 2.0 * cert.v / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def test_validate_metric_update_callable_saddle_metric():
     from opsplit.splitters import condat_vu_from_qp
     prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3))
     M = prob.metric()
-    assert M.dim == prob.layout.dim
+    assert M.dim == prob.dim_x + prob.dim_y
     validate_metric_update(M, M, 0.0, M.omega_lower)
     grown = DenseMetric(1.05 * M.matrix)
     with pytest.raises(MetricScheduleViolation,
@@ -301,15 +300,13 @@ def _affine_setup(n=6, seed=0):
 
 def test_run_converges_on_affine_operator():
     K, q, x_star = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
     cfg = HpeConfig(sigma=0.5, max_iters=2000, tol_residual=1e-10)
     oracle = make_affine_resolvent_oracle(K, q)
-    res = hpe_core.run(oracle, BlockPoint(np.ones(K.shape[0]), lay),
-                       IdentityMetric(), cfg,
-                       ref_solution=BlockPoint(x_star, lay),
+    res = hpe_core.run(oracle, np.ones(K.shape[0]), IdentityMetric(), cfg,
+                       ref_solution=x_star,
                        columns=hpe_core.select(("dist_M_sq",)))
     assert res.converged and res.reason == "residual"
-    assert np.linalg.norm(res.solution.data - x_star) < 1e-8
+    assert np.linalg.norm(res.solution - x_star) < 1e-8
     assert len(res.trace) == res.iterations
     # metric distances to the reference shrink monotonically
     dists = res.trace.column("dist_M_sq")
@@ -320,10 +317,9 @@ def test_a_stop_hook_replaces_the_residual_test():
     # every certificate meets tol_residual = 1e300; with a stop hook that
     # never fires, only the budget ends the run
     K, q, _ = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
     cfg = HpeConfig(sigma=0.5, max_iters=7, tol_residual=1e300)
     oracle = make_affine_resolvent_oracle(K, q)
-    x0 = BlockPoint(np.ones(K.shape[0]), lay)
+    x0 = np.ones(K.shape[0])
     res = hpe_core.run(oracle, x0, IdentityMetric(), cfg)
     assert res.reason == "residual" and res.iterations == 1
     stops = []
@@ -335,16 +331,52 @@ def test_a_stop_hook_replaces_the_residual_test():
 
 def test_run_rejects_lying_oracle():
     K, q, _ = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
 
     def liar(x, M, cfg):
-        return HpeCertificate(y=BlockPoint(x.data + 1.0, lay),
-                              v=BlockPoint(np.zeros(lay.dim), lay),
-                              eps=10.0, step=BlockPoint(np.zeros(lay.dim), lay))
+        return HpeCertificate(y=x + 1.0, v=np.zeros_like(x), eps=10.0,
+                              step=np.zeros_like(x))
 
     with pytest.raises(CriterionViolation):
-        hpe_core.run(liar, BlockPoint(np.ones(lay.dim), lay),
-                     IdentityMetric(), HpeConfig(max_iters=5))
+        hpe_core.run(liar, np.ones(K.shape[0]), IdentityMetric(),
+                     HpeConfig(max_iters=5))
+
+
+@pytest.mark.parametrize("entry", ["y", "v", "step"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_a_certificate_off_the_iterate_shape_aborts_the_run(entry, size):
+    # y = v = step = x / 2 is the exact resolvent of T = I at c = 1; a y of
+    # 1 entry against the 3-entry iterate used to broadcast and be certified
+    def oracle(x, M, cfg):
+        parts = {"y": 0.5 * x, "v": 0.5 * x, "step": 0.5 * x}
+        parts[entry] = parts[entry][:size]
+        return HpeCertificate(eps=0.0, **parts)
+
+    shapes = {"y": (3,), "v": (3,), "step": (3,)}
+    shapes[entry] = (size,)
+    message = ("iteration 1: certificate shapes y %s, v %s, step %s do not "
+               "match the iterate's (3,)" % tuple(shapes.values()))
+    with pytest.raises(CriterionViolation, match=re.escape(message)) as exc:
+        hpe_core.run(oracle, np.ones(3), IdentityMetric(),
+                     HpeConfig(max_iters=5, tol_residual=0.0))
+    assert exc.value.result.abort["iteration"] == 1
+
+
+def test_a_nan_metric_scalar_aborts_the_update_that_returns_it():
+    # BlockDiagonalMetric([nan]) used to construct and pass the schedule
+    # check; the run then aborted one iteration late, on the step check
+    K, q, _ = _affine_setup()
+    lay = BlockLayout((K.shape[0],))
+
+    def update(k, x, cert, M):
+        return BlockDiagonalMetric([math.nan if k == 2 else 1.0], lay)
+
+    message = "iteration 2: metric scalar 0 is nan, not finite and positive"
+    with pytest.raises(ValueError, match=message) as exc:
+        hpe_core.run(make_affine_resolvent_oracle(K, q), np.ones(K.shape[0]),
+                     BlockDiagonalMetric([1.0], lay),
+                     HpeConfig(max_iters=10, tol_residual=0.0),
+                     metric_update=update)
+    assert exc.value.result.abort["iteration"] == 2
 
 
 def test_run_rejects_schedule_breaking_metric():
@@ -357,7 +389,7 @@ def test_run_rejects_schedule_breaking_metric():
 
     cfg = HpeConfig(max_iters=5, tol_residual=0.0)
     with pytest.raises(MetricScheduleViolation):
-        hpe_core.run(oracle, BlockPoint(np.ones(lay.dim), lay),
+        hpe_core.run(oracle, np.ones(lay.dim),
                      BlockDiagonalMetric([1.0], lay), cfg,
                      metric_update=runaway)
 
@@ -369,11 +401,10 @@ def test_run_aborts_below_the_derived_schedule_floor(metric):
     # the floor is min(M_0) / (1 + xi_1) after one update: 2I -> 1.5I
     # leaves it, although 1.5I is well conditioned
     K, q, _ = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
     M0 = metric(2.0)
     with pytest.raises(MetricScheduleViolation, match="iteration 1:") as exc:
         hpe_core.run(make_affine_resolvent_oracle(K, q, M=M0),
-                     BlockPoint(np.ones(lay.dim), lay), M0,
+                     np.ones(K.shape[0]), M0,
                      HpeConfig(max_iters=5, tol_residual=0.0),
                      metric_update=lambda k, x, cert, M: metric(1.5))
     res = exc.value.result
@@ -384,7 +415,7 @@ def test_run_floor_divides_by_one_plus_xi_once_per_update():
     # each update lands on the floor min(M_0) / prod_{j<=k} (1 + xi_j), and
     # the third 1e-9 below it; a floor shrinking by (1 + xi_k)^2 would pass
     lay = BlockLayout((3,))
-    zero = BlockPoint.zeros(lay)
+    zero = np.zeros(lay.dim)
     cfg = HpeConfig(xi_schedule=default_xi_schedule(0.5), max_iters=10)
     floor = [1.0]
 
@@ -425,7 +456,7 @@ def test_any_failure_in_the_loop_names_its_iteration(hook, rows):
         return M
 
     with pytest.raises(RuntimeError) as exc:
-        hpe_core.run(oracle, BlockPoint(np.ones(lay.dim), lay),
+        hpe_core.run(oracle, np.ones(lay.dim),
                      BlockDiagonalMetric([1.0], lay),
                      HpeConfig(max_iters=10, tol_residual=0.0),
                      metric_update=metric_update,
@@ -441,10 +472,9 @@ def test_any_failure_in_the_loop_names_its_iteration(hook, rows):
 
 def test_trace_csv_row_count_matches_iterations(tmp_path):
     K, q, _ = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
     cfg = HpeConfig(max_iters=17, tol_residual=0.0)
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
-                       BlockPoint(np.ones(lay.dim), lay), IdentityMetric(), cfg)
+                       np.ones(K.shape[0]), IdentityMetric(), cfg)
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
     lines = path.read_text().strip().splitlines()
@@ -506,12 +536,11 @@ def test_pointwise_bound_inflates_with_xi():
 
 def _random_certs(n, dim, seed):
     rng = np.random.default_rng(seed)
-    lay = BlockLayout((dim,))
     certs = []
     for _ in range(n):
         certs.append(HpeCertificate(
-            y=BlockPoint(rng.standard_normal(dim), lay),
-            v=BlockPoint(rng.standard_normal(dim), lay),
+            y=rng.standard_normal(dim),
+            v=rng.standard_normal(dim),
             eps=float(rng.uniform(0, 0.5)),
             c=float(rng.uniform(0.5, 2.0)),
             theta=float(rng.uniform(-0.5, 1.0))))
@@ -528,7 +557,8 @@ def test_ergodic_series_matches_aggregate_at_every_prefix():
         if k not in (1, 3, 17, 30):
             continue
         _, v_ref, eps_ref = ergodic_aggregate(certs[:k], alpha[:k])
-        assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
+        assert acc.v_norms[k - 1] == pytest.approx(np.linalg.norm(v_ref),
+                                                   rel=1e-12)
         assert acc.eps_bars[k - 1] == pytest.approx(eps_ref, rel=1e-12)
     assert len(acc.v_norms) == len(acc.eps_bars) == 30
 
@@ -537,16 +567,15 @@ def test_ergodic_eps_nonnegative_for_monotone_operator():
     # certificates from an exact resolvent of a monotone affine operator:
     # the correction term keeps eps_bar >= 0
     K, q, _ = _affine_setup(n=5, seed=3)
-    lay = BlockLayout((5,))
     cfg = HpeConfig(max_iters=200, tol_residual=0.0)
     acc, recorder = ErgodicAccumulator(), CertificateRecorder()
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
-                       BlockPoint(np.ones(5), lay), IdentityMetric(), cfg,
+                       np.ones(5), IdentityMetric(), cfg,
                        accumulators=[acc, recorder])
     assert len(acc.eps_bars) == len(recorder) == len(res.trace) == 200
     assert min(acc.eps_bars) >= -1e-12
     _, v_ref, eps_ref = ergodic_aggregate(recorder, np.ones(200))
-    assert acc.v_norms[-1] == pytest.approx(v_ref.norm(), rel=1e-12)
+    assert acc.v_norms[-1] == pytest.approx(np.linalg.norm(v_ref), rel=1e-12)
     assert acc.eps_bars[-1] == pytest.approx(eps_ref, rel=1e-12, abs=1e-15)
 
 
@@ -584,10 +613,9 @@ def test_loglog_slope_recovers_power_law():
 
 def test_write_summary_schema(tmp_path):
     K, q, _ = _affine_setup()
-    lay = BlockLayout((K.shape[0],))
     cfg = HpeConfig(max_iters=50, tol_residual=0.0)
     res = hpe_core.run(make_affine_resolvent_oracle(K, q),
-                       BlockPoint(np.ones(lay.dim), lay), IdentityMetric(), cfg)
+                       np.ones(K.shape[0]), IdentityMetric(), cfg)
     path = tmp_path / "summary.json"
     hpe_core.write_summary(path, res, {"algorithm": "test"})
     data = json.loads(path.read_text())

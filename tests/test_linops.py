@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            DenseMetric, IdentityMetric, LinearMap,
+from opsplit.linops import (BlockDiagonalMetric, BlockLayout, DenseMetric,
+                            IdentityMetric, LinearMap,
                             read_matrix, spectral_upper_bound,
                             weighted_norm_sq)
 
@@ -36,17 +36,14 @@ def test_layout_keeps_equality_hash_and_derived_sizes():
         a.dim = 3
 
 
-def test_blockpoint_arithmetic():
-    lay = BlockLayout((3, 2))
-    rng = np.random.default_rng(0)
-    a = BlockPoint(rng.standard_normal(5), lay)
-    b = BlockPoint(rng.standard_normal(5), lay)
-    assert np.allclose((a - b).data, a.data - b.data)
-    assert np.isclose(a.inner(b), np.dot(a.data, b.data))
-    assert np.isclose(a.norm(), np.linalg.norm(a.data))
-    c = a.copy()
-    c.data[0] += 1
-    assert a.data[0] != c.data[0]
+def test_layout_split_returns_views_of_the_blocks():
+    lay = BlockLayout((3, 0, 2))
+    x = np.arange(5, dtype=float)
+    blocks = lay.split(x)
+    assert [b.tolist() for b in blocks] == [[0.0, 1.0, 2.0], [], [3.0, 4.0]]
+    assert all(np.shares_memory(b, x) for b in blocks if b.size)
+    blocks[2][0] = 7.0  # a view: writing into a block writes into x
+    assert x[3] == 7.0
 
 
 def test_adjoint_check_passes_for_true_adjoint():
@@ -87,6 +84,14 @@ def test_block_diagonal_metric_apply_solve_roundtrip():
     assert M.omega_lower == 0.5 and M.omega_upper == 2.0
     Minv = BlockDiagonalMetric.from_inverse_scalars([0.5, 2.0], lay)
     assert Minv.scalars == M.scalars
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_block_diagonal_metric_rejects_a_scalar_not_finite_and_positive(bad):
+    # a NaN used to construct, with omega_lower NaN: min(...) <= 0 is false
+    with pytest.raises(ValueError, match="metric scalar 1 is %r, not finite "
+                                         "and positive" % bad):
+        BlockDiagonalMetric([2.0, bad], BlockLayout((2, 3)))
 
 
 def test_dense_metric_solve_and_bounds():

@@ -14,8 +14,7 @@ from opsplit.hpe_core import (CertificateRecorder, check_criterion,
                               CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
                               MetricScheduleViolation, ergodic_aggregate)
-from opsplit.linops import (BlockDiagonalMetric, BlockLayout, BlockPoint,
-                            LinearMap)
+from opsplit.linops import BlockDiagonalMetric, BlockLayout, LinearMap, norm
 from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                bb_metric_update, block_sweep, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
@@ -100,9 +99,8 @@ def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
     prob = gen_qp(3, p=3, n_i=4, m=3).problem if which == "qp" \
         else _lrr("lrr:seed=1,d=6,n=5").problem
     rng = np.random.default_rng(4)
-    z = BlockPoint(np.zeros(prob.full_layout.dim) if which == "lrr-origin"
-                   else rng.standard_normal(prob.full_layout.dim),
-                   prob.full_layout)
+    z = (np.zeros(prob.full_layout.dim) if which == "lrr-origin"
+         else rng.standard_normal(prob.full_layout.dim))
     xs, y = prob.split(z)
     grads = prob.grad_f(xs)
     feas, _ = pkkt_residual(xs, y, prob, grads=grads)
@@ -233,8 +231,8 @@ def test_u_operator_matches_dense_assembly(qp3):
     lay = prob.full_layout
     rng = np.random.default_rng(3)
     for _ in range(10):
-        d = BlockPoint(rng.standard_normal(lay.dim), lay)
-        assert np.allclose(U.apply(d).data, Ud @ d.data, atol=1e-10)
+        d = rng.standard_normal(lay.dim)
+        assert np.allclose(U.apply(d), Ud @ d, atol=1e-10)
     # block structure: first diagonal block eta_1 I - beta A_1 A_1*
     n0 = lay.sizes[0]
     A1 = to_dense(prob.A[0])
@@ -255,18 +253,18 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
     rng = np.random.default_rng(4)
     lay = prob.full_layout
     for trial in range(20):
-        z = BlockPoint(rng.standard_normal(lay.dim), lay)
+        z = rng.standard_normal(lay.dim)
         xs, y = prob.split(z)
         x_tilde, y_tilde, _ = block_sweep(xs, y, prob, beta, etas)
         w = prob.join(x_tilde, y_tilde)
         d = z - w
         U = UOperator(prob, beta, etas)
         v = U.apply(d)
-        eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
-                  for i, l in enumerate(prob.L))
+        eps = sum(0.25 * l * float(np.dot(db, db))
+                  for l, db in zip(prob.L, lay.split(d)))
         for _ in range(25):
             zeta = rng.standard_normal(lay.dim) * 3.0
-            gap = float(np.dot(K @ zeta - q - v.data, zeta - w.data))
+            gap = float(np.dot(K @ zeta - q - v, zeta - w))
             assert gap >= -eps - 1e-8 * (1.0 + abs(gap))
 
 
@@ -283,7 +281,7 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     inv = [1.0 / e for e in etas] + [beta]
     M = BlockDiagonalMetric.from_inverse_scalars(inv, lay)
     rng = np.random.default_rng(5)
-    z = BlockPoint(rng.standard_normal(lay.dim), lay)
+    z = rng.standard_normal(lay.dim)
     xs, y = prob.split(z)
     xt, yt, images = block_sweep(xs, y, prob, beta, etas)
     w = prob.join(xt, yt)
@@ -292,13 +290,13 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     sigma_bar = 0.9
     theta_adap, Ud, step_range = theta_range(d, U, M, sigma_bar, prob, images)
     theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
-    eps = sum(0.25 * l * float(np.dot(d.block(i), d.block(i)))
-              for i, l in enumerate(prob.L))
-    step = BlockPoint(M.solve(U.apply(d).data), lay)
+    eps = sum(0.25 * l * float(np.dot(db, db))
+              for l, db in zip(prob.L, lay.split(d)))
+    step = M.solve(U.apply(d))
     # the returned certificate pair is U d and M^-1 U d, the sweep's images
     # standing in for U's own adjoint applies bit for bit
-    assert Ud.data.tobytes() == U.apply(d).data.tobytes()
-    assert step_range.data.tobytes() == step.data.tobytes()
+    assert Ud.tobytes() == U.apply(d).tobytes()
+    assert step_range.tobytes() == step.tobytes()
     cert = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
                           theta=theta_adap, step=step)
     rep = check_criterion(z, cert, M, sigma_bar)
@@ -323,7 +321,7 @@ def test_theta_range_rejects_zero_direction(qp3):
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
     with pytest.raises(CriterionViolation, match="zero direction"):
-        theta_range(BlockPoint.zeros(lay), UOperator(prob, 1.0, etas), M,
+        theta_range(np.zeros(lay.dim), UOperator(prob, 1.0, etas), M,
                     0.9, prob)
 
 
@@ -368,16 +366,15 @@ def _pkkt_rows(xs, y, prob):
     grads = prob.grad_f(xs)
     rows = [x - g.evaluate(1.0, x - grad - a.apply(y))
             for g, x, grad, a in zip(prob.gs, xs, grads, prob.A)]
-    return BlockPoint(np.concatenate(rows + [prob.feasibility(xs)]),
-                      prob.full_layout)
+    return np.concatenate(rows + [prob.feasibility(xs)])
 
 
-def _prefix_sums_of_squares(res, p):
+def _prefix_sums_of_squares(res, prob):
     """Partial sums of squares in pkkt_residual's row order: the dual row,
     then the primal rows in block order."""
+    *primal, dual = prob.full_layout.split(res)
     sums, total = [], 0.0
-    for i in [p] + list(range(p)):
-        row = res.block(i)
+    for row in [dual] + primal:
         total += float(np.dot(row, row))
         sums.append(total)
     return sums
@@ -397,9 +394,9 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
         y = rng.standard_normal(prob.m)
         res = _pkkt_rows(xs, y, prob)
         feas, full = pkkt_residual(xs, y, prob)
-        assert full == res.norm()
-        assert feas.tobytes() == res.block(prob.p).tobytes()
-        roots = [math.sqrt(s) for s in _prefix_sums_of_squares(res, prob.p)]
+        assert full == norm(res)
+        assert feas.tobytes() == prob.full_layout.split(res)[-1].tobytes()
+        roots = [math.sqrt(s) for s in _prefix_sums_of_squares(res, prob)]
         for root in roots + [full]:
             for tol in [root * (1.0 + j * 2.0 ** -52) for j in range(-4, 5)] \
                     + [0.5 * root, 0.0, -1.0]:
@@ -429,7 +426,7 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     assert res.final["pkkt"] == full > cfg.tol_residual
     # a sweep that returns its start point makes that point a fixed point;
     # the stop test before it decided on the dual row alone
-    z0 = BlockPoint(inst.z_star.data + 1.0, inst.z_star.layout)
+    z0 = inst.z_star + 1.0
     monkeypatch.setattr(padmm_ebb, "block_sweep",
                         lambda xs, y, *args, **kwargs: (list(xs), y, []))
     res = run_padmm(inst.problem, cfg, z0=z0)
@@ -453,7 +450,7 @@ def test_a_run_whose_last_iterate_meets_the_tolerance_ends_converged():
         assert (res.converged, res.reason, res.iterations) == (True, "pkkt",
                                                                189)
     free, capped = runs
-    assert capped.solution.data.tobytes() == free.solution.data.tobytes()
+    assert capped.solution.tobytes() == free.solution.tobytes()
     assert capped.final["pkkt"] == free.final["pkkt"] <= 1e-8
 
 
@@ -480,7 +477,7 @@ def test_run_padmm_solves_qps():
         res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=3000,
                                                 tol_residual=1e-9))
         assert res.converged and res.reason == "pkkt"
-        assert (res.solution - inst.z_star).norm() < 1e-7
+        assert np.linalg.norm(res.solution - inst.z_star) < 1e-7
         assert len(res.trace) == res.iterations
         # every recorded certificate passed the criterion
         assert min(res.trace.column("criterion_slack")) >= -1e-9
@@ -601,7 +598,8 @@ def test_multi_block_ergodic_pair_matches_two_pass_reference():
     assert min(acc.eps_bars) >= -1e-12
     for k in (1, 17, 300):
         _, v_ref, eps_ref = ergodic_aggregate(recorder[:k], np.ones(k))
-        assert acc.v_norms[k - 1] == pytest.approx(v_ref.norm(), rel=1e-12)
+        assert acc.v_norms[k - 1] == pytest.approx(np.linalg.norm(v_ref),
+                                                   rel=1e-12)
         assert acc.eps_bars[k - 1] == pytest.approx(eps_ref, rel=1e-10,
                                                     abs=1e-12)
 

@@ -10,7 +10,7 @@ import pytest
 
 from opsplit import hpe_core
 from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
-from opsplit.linops import BlockLayout, BlockPoint, IdentityMetric
+from opsplit.linops import IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                FbhfProblem, PpgProblem, afbas_pd_from_qp,
@@ -23,8 +23,7 @@ from support import count_svds
 
 
 def _pt(arr):
-    arr = np.asarray(arr, dtype=float)
-    return BlockPoint(arr, BlockLayout((arr.size,)))
+    return np.asarray(arr, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -37,18 +36,18 @@ def test_fbhf_pure_resolvent_step():
     p = FbhfProblem(dim=3, resolvent=lambda g, u: u / (1.0 + g), gamma=1.0)
     x = _pt([2.0, -4.0, 0.0])
     cert = fbhf_step(x, p, theta=0.0)
-    assert np.allclose(cert.y.data, x.data / 2.0)
-    assert np.allclose(cert.v.data, x.data / 2.0)
+    assert np.allclose(cert.y, x / 2.0)
+    assert np.allclose(cert.v, x / 2.0)
     assert cert.eps == 0.0 and cert.c == 1.0
-    assert np.allclose(extragradient_step(x, cert).data, x.data / 2.0)
+    assert np.allclose(extragradient_step(x, cert), x / 2.0)
 
 
 def test_fbhf_fixed_point_is_stationary():
     p = FbhfProblem(dim=2, resolvent=lambda g, u: u / (1.0 + g), gamma=0.7)
     x = _pt([0.0, 0.0])
     cert = fbhf_step(x, p, theta=0.3)
-    assert cert.v.norm() == 0.0
-    assert np.all(extragradient_step(x, cert).data == 0.0)
+    assert np.linalg.norm(cert.v) == 0.0
+    assert np.all(extragradient_step(x, cert) == 0.0)
 
 
 def test_fbhf_boundary_tightness():
@@ -81,7 +80,7 @@ def test_fbhf_certificate_is_an_enlargement_element():
     cert = fbhf_step(x, p, theta=0.0)
     for _ in range(50):
         z = rng.standard_normal(5)
-        gap = float(np.dot(Q @ z - cert.v.data, z - cert.y.data))
+        gap = float(np.dot(Q @ z - cert.v, z - cert.y))
         assert gap >= -cert.eps - 1e-12
 
 
@@ -100,7 +99,7 @@ def test_fbhf_converges_against_projected_reference():
                     gamma=0.2 * min(1.0, sigma / max(L, 1.0)),
                     B1=lambda u: u - a, beta=1.0, B2=lambda u: S @ u, L=L)
     theta = 0.9 * fbhf_max_theta(p, sigma)
-    x = BlockPoint.zeros(p.layout)
+    x = np.zeros(n)
     for _ in range(3000):
         x = extragradient_step(x, fbhf_step(x, p, theta))
     # independent reference: tiny-step projected forward iteration
@@ -108,7 +107,7 @@ def test_fbhf_converges_against_projected_reference():
     tau = 5e-3
     for _ in range(40_000):
         ref = np.clip(ref - tau * ((ref - a) + S @ ref), 0.0, 1.0)
-    assert np.linalg.norm(x.data - ref) < 1e-5
+    assert np.linalg.norm(x - ref) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +123,18 @@ def test_ppg_single_copy_hand_step():
                    L=0.0, alpha=1.0)
     z = _pt([3.0, -1.0])
     cert = ppg_step(z, p, theta=0.25)
-    assert np.allclose(cert.v.data, z.data)       # v = xc - x+ = 0 - (-z)
-    assert np.allclose(cert.y.data, 0.0)
+    assert np.allclose(cert.v, z)       # v = xc - x+ = 0 - (-z)
+    assert np.allclose(cert.y, 0.0)
     assert cert.eps == 0.0
-    assert np.allclose(extragradient_step(z, cert).data, -0.25 * z.data)
+    assert np.allclose(extragradient_step(z, cert), -0.25 * z)
 
 
 def test_ppg_fixed_point_of_consensus_coding():
     inst = gen_qp(3, p=2, n_i=4, m=2)
     prob, tmax, z_ref = ppg_from_qp(inst, sigma=0.5)
     cert = ppg_step(z_ref, prob, theta=0.5 * tmax)
-    assert cert.v.norm() < 1e-9
-    assert (extragradient_step(z_ref, cert) - z_ref).norm() < 1e-9
+    assert np.linalg.norm(cert.v) < 1e-9
+    assert np.linalg.norm(extragradient_step(z_ref, cert) - z_ref) < 1e-9
 
 
 def test_ppg_boundary_tightness():
@@ -166,11 +165,11 @@ def test_ppg_solves_a_consensus_lasso():
                    prox_g=[ProxFn.l1(lam)] * n,
                    grad_f=[(lambda u, ai=ai: u - ai) for ai in a],
                    L=1.0, alpha=0.5)
-    z = BlockPoint.zeros(p.layout)
+    z = np.zeros(n * dim)
     theta = 0.9 * ppg_max_theta(p, 0.5)
     xc_last = None
     for _ in range(4000):
-        zs = z.blocks()
+        zs = z.reshape(n, dim)
         xc_last = p.prox_r.evaluate(p.alpha, sum(zs) / n)
         z = extragradient_step(z, ppg_step(z, p, theta))
     from opsplit.prox_problems import prox_l1
@@ -189,10 +188,10 @@ def test_condat_vu_null_problem_is_a_fixed_point():
     p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.constant(np.zeros(2)),
                         B=np.zeros((2, 2)), r=1.0, s=1.0)
-    z = BlockPoint(np.array([1.0, -2.0, 0.5, 3.0]), p.layout)
+    z = np.array([1.0, -2.0, 0.5, 3.0])
     cert = condat_vu_step(z, p, theta=0.2)
-    assert cert.v.norm() == 0.0
-    assert np.allclose(extragradient_step(z, cert).data, z.data)
+    assert np.linalg.norm(cert.v) == 0.0
+    assert np.allclose(extragradient_step(z, cert), z)
 
 
 def test_condat_vu_hand_step():
@@ -200,19 +199,19 @@ def test_condat_vu_hand_step():
     p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.l1(1.0),
                         prox_h=ProxFn.l1(1.0), B=np.eye(2), r=2.0, s=2.0)
     x0 = np.array([3.0, -0.5])
-    z = BlockPoint(np.concatenate([x0, np.zeros(2)]), p.layout)
+    z = np.concatenate([x0, np.zeros(2)])
     cert = condat_vu_step(z, p, theta=0.0)
     # primal prox at step 1/r
     from opsplit.prox_problems import prox_l1
     xt = prox_l1(0.5, 1.0, x0)
-    assert np.allclose(cert.y.block(0), xt)
+    assert np.allclose(cert.y[:2], xt)
     # dual prox of h* via Moreau: with t = 1/s the inner prox runs at step s
     u = (2.0 * xt - x0) / 2.0
     yt = u - 0.5 * prox_l1(2.0, 1.0, u / 0.5)
-    assert np.allclose(cert.y.block(1), yt)
+    assert np.allclose(cert.y[2:], yt)
     # v is the metric image of the displacement
-    d = z.data - cert.y.data
-    assert np.allclose(cert.v.data, p.metric().apply(d))
+    d = z - cert.y
+    assert np.allclose(cert.v, p.metric().apply(d))
 
 
 def test_condat_vu_metric_solve_inverts_apply():
@@ -245,7 +244,7 @@ def test_condat_vu_boundary_tightness():
                         grad_f=lambda u: L * u, L=L)
     sigma = 0.6
     tmax = condat_vu_max_theta(p, sigma)
-    z = BlockPoint(np.array([1.0, -2.0, 0.5, 0.0]), p.layout)
+    z = np.array([1.0, -2.0, 0.5, 0.0])
     cert = condat_vu_step(z, p, theta=tmax)
     rep = check_criterion(z, cert, p.metric(), sigma)
     assert rep.rel_slack >= -1e-10
@@ -264,7 +263,7 @@ def test_condat_vu_solves_total_variation_denoising():
                         prox_h=ProxFn.l1(lam), B=D,
                         r=6.0, s=6.0, grad_f=lambda u: u - a, L=1.0)
     theta = 0.9 * condat_vu_max_theta(p, 0.5)
-    z = BlockPoint.zeros(p.layout)
+    z = np.zeros(2 * n - 1)
     for _ in range(4000):
         z = extragradient_step(z, condat_vu_step(z, p, theta))
     # dual reference: x = a - D^T u, u* by projected gradient on the box
@@ -272,7 +271,7 @@ def test_condat_vu_solves_total_variation_denoising():
     for _ in range(20_000):
         u = np.clip(u + 0.2 * D @ (a - D.T @ u), -lam, lam)
     x_ref = a - D.T @ u
-    assert np.linalg.norm(z.block(0) - x_ref) < 1e-6
+    assert np.linalg.norm(z[:n] - x_ref) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +290,12 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
                                      s=1.0 / prob_a.gamma2)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        z = BlockPoint(rng.standard_normal(prob_a.layout.dim), prob_a.layout)
+        z = rng.standard_normal(prob_a.dim_x + prob_a.dim_y)
         cert_a = afbas_pd_step(z, prob_a)
-        cert_c = condat_vu_step(BlockPoint(z.data, prob_c.layout), prob_c,
-                                theta=0.0)
-        assert np.allclose(cert_a.y.data, cert_c.y.data, atol=1e-10)
-        da = extragradient_step(z, cert_a).data - z.data
-        dc = cert_c.y.data - z.data
+        cert_c = condat_vu_step(z, prob_c, theta=0.0)
+        assert np.allclose(cert_a.y, cert_c.y, atol=1e-10)
+        da = extragradient_step(z, cert_a) - z
+        dc = cert_c.y - z
         cross = da - (np.dot(da, dc) / np.dot(dc, dc)) * dc
         assert np.linalg.norm(cross) <= 1e-10 * np.linalg.norm(da)
 
@@ -316,11 +314,11 @@ def test_afbas_reduces_to_proximal_gradient_without_coupling():
                        gamma1=gamma1, gamma2=1.0, theta=0.0, mu=0.5, lam=1.0,
                        grad_f=lambda u: u - a, L=L)
     x = rng.standard_normal(n)
-    z = BlockPoint(np.concatenate([x, [0.0]]), p.layout)
+    z = np.concatenate([x, [0.0]])
     z_next = extragradient_step(z, afbas_pd_step(z, p, sigma=0.5))
     expected = p.prox_g.evaluate(gamma1, x - gamma1 * (x - a))
-    assert np.allclose(z_next.block(0), expected, atol=1e-12)
-    assert np.allclose(z_next.block(1), 0.0, atol=1e-12)
+    assert np.allclose(z_next[:n], expected, atol=1e-12)
+    assert np.allclose(z_next[n:], 0.0, atol=1e-12)
 
 
 def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
@@ -331,30 +329,30 @@ def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
     p = AfbasPdProblem(dim_x=2, dim_y=1, prox_g=ProxFn.zero(),
                        prox_h=ProxFn.constant(np.zeros(1)), B=np.zeros((1, 2)),
                        gamma1=1.0, gamma2=1.0)
-    z = BlockPoint(np.array([0.3, -1.2, 0.7]), p.layout)
+    z = np.array([0.3, -1.2, 0.7])
     assert afbas_pd_step(z, p) is None
     res = hpe_core.run(lambda x, M, cfg: afbas_pd_step(x, p, cfg.sigma), z,
                        p.metric(), HpeConfig(max_iters=5))
     assert (res.converged, res.reason, res.iterations) == (True, "fixed_point",
                                                            1)
-    assert res.solution.data.tobytes() == z.data.tobytes()
+    assert res.solution.tobytes() == z.tobytes()
     assert len(res.trace) == 0
 
 
 def test_afbas_converges_to_reference():
     inst = gen_qp(4, p=2, n_i=5, m=3)
     prob, _, z_ref = afbas_pd_from_qp(inst)
-    z = BlockPoint.zeros(prob.layout)
+    z = np.zeros(z_ref.size)
     for _ in range(800):
         z = extragradient_step(z, afbas_pd_step(z, prob, sigma=0.5))
-    assert (z - z_ref).norm() < 1e-6
+    assert np.linalg.norm(z - z_ref) < 1e-6
 
 
 def test_afbas_step_criterion_each_iteration():
     inst = gen_qp(9, p=2, n_i=4, m=2)
     prob, _, _ = afbas_pd_from_qp(inst)
     M = prob.metric()
-    z = BlockPoint.zeros(prob.layout)
+    z = np.zeros(prob.dim_x + prob.dim_y)
     for _ in range(200):
         cert = afbas_pd_step(z, prob, sigma=0.5)
         rep = check_criterion(z, cert, M, 0.5)
@@ -399,21 +397,20 @@ def test_kernel_correction_is_the_textbook_update(scheme):
     # afbas-pd
     inst = gen_qp(1, p=2, n_i=4, m=2)
     sch = SCHEMES[scheme]
-    prob, tmax, _ = sch.build(inst, 0.5)
+    prob, tmax, ref = sch.build(inst, 0.5)
     theta = None if tmax is None else 0.9 * tmax
     M = prob.metric()
-    z = BlockPoint.zeros(prob.layout)
+    z = np.zeros(ref.size)
     for k in range(1, 201):
         cert = sch.step(z, prob, theta, 0.5)
         hpe_core.certify(z, cert, M, 0.5)  # verifies M step = c v
         if scheme == "afbas-pd":
-            textbook = z.data - (1.0 + cert.theta) * (
-                prob._S @ (z.data - cert.y.data))
+            textbook = z - (1.0 + cert.theta) * (prob._S @ (z - cert.y))
         else:
-            textbook = z.data + (1.0 + theta) * (cert.y.data - z.data)
+            textbook = z + (1.0 + theta) * (cert.y - z)
         z = extragradient_step(z, cert)
         scale = 1.0 + np.max(np.abs(textbook))
-        assert np.max(np.abs(textbook - z.data)) <= 1e-12 * scale, k
+        assert np.max(np.abs(textbook - z)) <= 1e-12 * scale, k
 
 
 @pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
@@ -424,7 +421,7 @@ def test_qp_codings_reach_reference_through_kernel(scheme):
     oracle, M, x0, ref = SCHEMES[scheme].setup(inst, sigma)
     res = hpe_core.run(oracle, x0, M, cfg, ref_solution=ref)
     assert res.converged, scheme
-    assert (res.solution - ref).norm() < 1e-6, scheme
+    assert np.linalg.norm(res.solution - ref) < 1e-6, scheme
 
 
 @pytest.mark.parametrize("seed", range(10))
