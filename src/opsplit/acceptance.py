@@ -116,8 +116,7 @@ def check_pointwise_bounds(kmax: int = 10_000) -> CriterionResult:
     t0 = time.perf_counter()
     K, q, x_star = _strongly_monotone_affine(10, seed=0)
     theta, c = 0.25, 1.0
-    cfg = HpeConfig(sigma=0.5, xi_schedule=hpe_core.default_xi_schedule(0.0),
-                    max_iters=kmax, tol_residual=0.0)
+    cfg = HpeConfig(sigma=0.5, xi0=0.0, max_iters=kmax, tol_residual=0.0)
     oracle = hpe_core.make_affine_resolvent_oracle(K, q, c=c, theta=theta)
     x0 = np.ones(K.shape[0])
     d0 = float(np.linalg.norm(x0 - x_star))

@@ -144,12 +144,11 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
 
     Everything raised here is a configuration error; everything raised by
     ``start`` happens once the solve has begun and is a solver fault.  One
-    kernel config, with sigma, xi schedule, iteration budget and tolerance,
+    kernel config, with sigma, xi0, iteration budget and tolerance,
     serves all five algorithms.  The run's trace records the ``columns``
     named.
     """
-    cfg = HpeConfig(sigma=args.sigma,
-                    xi_schedule=hpe_core.default_xi_schedule(_xi0(args)),
+    cfg = HpeConfig(sigma=args.sigma, xi0=_xi0(args),
                     max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
         beta = _beta(args)
@@ -286,10 +285,9 @@ def cmd_oracle(args) -> int:
     if kind != "qp":
         raise ConfigError("no closed-form reference oracle for %s problems"
                           % kind)
-    x = np.concatenate(inst.x_star)
-    res = inst.kkt_residual(x, inst.y_star)
+    res = inst.kkt_residual(inst.x_star, inst.y_star)
     np.set_printoptions(precision=10, suppress=False)
-    print("x* =", x)
+    print("x* =", inst.x_star)
     print("y* =", inst.y_star)
     print("kkt_residual = %.3e" % res)
     return EXIT_OK if res <= 1e-10 else EXIT_SOLVER

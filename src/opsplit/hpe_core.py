@@ -66,29 +66,18 @@ class MetricScheduleViolation(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-def default_xi_schedule(xi0: float) -> Callable[[int], float]:
-    """Summable schedule xi_k = xi0 / (k + 1)^2 for k >= 1 and xi0 >= 0."""
-    if not (math.isfinite(xi0) and xi0 >= 0.0):
-        raise ValueError("xi0 must be finite and nonnegative, got %r" % xi0)
-
-    def xi(k: int) -> float:
-        return xi0 / float(k + 1) ** 2
-
-    return xi
-
-
 @dataclass
 class HpeConfig:
     """Parameters of the extra-gradient kernel loop.
 
-    ``xi_schedule`` maps the iteration index k >= 1 to xi_k >= 0 and must have
-    a finite sum; None means ``default_xi_schedule(0.01)``.  ``tol_residual``
-    is the run's stop tolerance: on max(||v||, eps) in :func:`run`, on the
-    proximal KKT residual in :func:`opsplit.padmm_ebb.run_padmm`.
+    The metric schedule is the summable xi_k = xi0 / (k + 1)^2 for k >= 1,
+    with ``xi0`` finite and nonnegative.  ``tol_residual`` is the run's stop
+    tolerance: on max(||v||, eps) in :func:`run`, on the proximal KKT
+    residual in :func:`opsplit.padmm_ebb.run_padmm`.
     """
 
     sigma: float = 0.5
-    xi_schedule: Optional[Callable[[int], float]] = None
+    xi0: float = 0.01
     max_iters: int = 1000
     tol_residual: float = 1e-8
 
@@ -101,14 +90,12 @@ class HpeConfig:
                              % self.max_iters)
         if math.isnan(self.tol_residual):
             raise ValueError("tol_residual must not be NaN")
-        if self.xi_schedule is None:
-            self.xi_schedule = default_xi_schedule(0.01)
+        if not (math.isfinite(self.xi0) and self.xi0 >= 0.0):
+            raise ValueError("xi0 must be finite and nonnegative, got %r"
+                             % self.xi0)
 
     def xi(self, k: int) -> float:
-        val = float(self.xi_schedule(k))
-        if not val >= 0:  # a NaN would disable the schedule check
-            raise ValueError("xi_%d must be nonnegative, got %r" % (k, val))
-        return val
+        return self.xi0 / float(k + 1) ** 2
 
 
 @dataclass
@@ -156,7 +143,7 @@ def _step_of(cert: HpeCertificate) -> np.ndarray:
 def _raise_if_non_finite(x: np.ndarray, cert: HpeCertificate) -> None:
     for name, val in (("iterate x", x), ("y", cert.y), ("v", cert.v),
                       ("step", cert.step), ("eps", cert.eps),
-                      ("theta", cert.theta)):
+                      ("c", cert.c), ("theta", cert.theta)):
         if not np.all(np.isfinite(val)):
             raise NonFiniteValue("non-finite %s" % name)
 

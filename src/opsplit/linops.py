@@ -166,7 +166,12 @@ class BlockDiagonalMetric(Metric):
     @classmethod
     def from_inverse_scalars(cls, inv_scalars: Sequence[float],
                              layout: BlockLayout) -> "BlockDiagonalMetric":
-        return cls([1.0 / float(s) for s in inv_scalars], layout)
+        inv = [float(s) for s in inv_scalars]
+        if 0.0 in inv:  # -0.0 too; 1 / 0 would raise ZeroDivisionError
+            i = inv.index(0.0)
+            raise ValueError("inverse metric scalar %d is %r, not positive"
+                             % (i, inv[i]))
+        return cls([1.0 / s for s in inv], layout)
 
     def apply(self, v):
         return np.asarray(v, dtype=float) * self._weights

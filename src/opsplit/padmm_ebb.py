@@ -73,9 +73,10 @@ class MultiBlockProblem:
     multiplier in the KKT primal rows); ``A[i].adjoint_apply`` maps block i to
     the dual space, so feasibility reads b - sum_i A[i].adjoint_apply(x_i).
     ``grad_f`` takes and returns a list of flat block arrays; ``L[i]`` are the
-    blockwise Lipschitz constants of grad_f.  ``full_layout`` (primal blocks
-    plus the multiplier) and ``d_weights`` (L_i on block i's entries, 0 on
-    the multiplier) are built once, at construction.
+    blockwise Lipschitz constants of grad_f.  ``primal_layout`` (block i
+    has ``A[i].codomain_dim`` entries), ``full_layout`` (primal blocks plus
+    the multiplier) and ``d_weights`` (L_i on block i's entries, 0 on the
+    multiplier) are built once, at construction.
     """
 
     gs: list
@@ -83,18 +84,16 @@ class MultiBlockProblem:
     L: List[float]
     A: List[LinearMap]
     b: np.ndarray
-    primal_layout: BlockLayout
     f_value: Optional[Callable[[List[np.ndarray]], float]] = None
-    name: str = ""
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        if not (len(self.gs) == len(self.L) == len(self.A)
-                == self.primal_layout.nblocks):
+        if not len(self.gs) == len(self.L) == len(self.A):
             raise ValueError("inconsistent block counts")
         for i, a in enumerate(self.A):
-            if a.domain_dim != self.b.size or a.codomain_dim != self.primal_layout.sizes[i]:
+            if a.domain_dim != self.b.size:
                 raise ValueError("constraint map %d has wrong dimensions" % i)
+        self.primal_layout = BlockLayout(tuple(a.codomain_dim for a in self.A))
         if any(l < 0 for l in self.L):
             raise ValueError("Lipschitz constants must be nonnegative")
         self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,))
@@ -271,18 +270,18 @@ def theta_range(d: np.ndarray, U: UOperator, M: BlockDiagonalMetric,
 def bb_metric_update(prev_scalars: Sequence[float],
                      numerators: Sequence[float],
                      denominators: Sequence[float],
-                     xi_k: float, m_floor: float) -> List[float]:
+                     xi_k: float) -> List[float]:
     """Curvature-matching update of the inverse-metric scalars.
 
     Candidate = ||delta point|| / ||delta gradient-like quantity|| per block;
     degenerate denominators fall back to the relaxed previous scalar.  The
-    result is clamped into [max(m_floor, prev/(1+xi)), (1+xi)*prev] so the
+    result is clamped into [max(M_FLOOR, prev/(1+xi)), (1+xi)*prev] so the
     induced metric obeys both sides of the admissible schedule.
     """
     out = []
     for prev, num, den in zip(prev_scalars, numerators, denominators):
         hi = (1.0 + xi_k) * prev
-        lo = max(m_floor, prev / (1.0 + xi_k))
+        lo = max(M_FLOOR, prev / (1.0 + xi_k))
         if den <= 1e-14 * max(num, 1.0):
             cand = hi
         else:
@@ -413,7 +412,7 @@ class _Iteration:
             nums = [norm(a - b) for a, b in zip(self.points, self.prev[0])]
             dens = [norm(a - b) for a, b in zip(slopes, self.prev[1])]
             self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
-                                                self.cfg.xi(k), M_FLOOR)
+                                                self.cfg.xi(k))
         self.prev = (self.points, slopes)
         return self.metric()
 
@@ -427,7 +426,7 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     """Run the solver until the proximal KKT residual meets the tolerance.
 
     The iterations run in :func:`opsplit.hpe_core.run` under ``cfg``: its
-    sigma, xi schedule and ``max_iters``, with ``cfg.tol_residual`` the pKKT
+    sigma, xi0 and ``max_iters``, with ``cfg.tol_residual`` the pKKT
     tolerance of the stop hook, which replaces the kernel's residual test.
     They are certified, accumulated and aborted as there; the metric
     schedule's floor is the one the BB clamp keeps, min(M_0 scalars) /

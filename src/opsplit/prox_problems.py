@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .linops import BlockLayout, LinearMap, read_matrix
+from .linops import LinearMap, read_matrix
 from .padmm_ebb import MultiBlockProblem
 
 
@@ -240,7 +240,6 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
     if L_Z.shape != (n, n) or L_G.shape != (d, d):
         raise ValueError("Laplacian shapes must match X")
 
-    layout = BlockLayout((n * n, d * d, d * n, n * n, d * d))
     m1, m2, m3 = d * n, n * n, d * d
     mdim = m1 + m2 + m3
     s1, s2, s3 = slice(0, m1), slice(m1, m1 + m2), slice(m1 + m2, mdim)
@@ -301,8 +300,7 @@ def build_lrr(X: np.ndarray, L_Z: Optional[np.ndarray] = None,
         gs=[ProxFn.nonneg(), ProxFn.nonneg(), ProxFn.l1(lam),
             ProxFn.nuclear((n, n)), ProxFn.nuclear((d, d))],
         grad_f=grad_f, L=[mu * lz_norm, gamma * lg_norm, 0.0, 0.0, 0.0],
-        A=[A_Z, A_G, A_E, A_H, A_F], b=b, primal_layout=layout,
-        f_value=f_value, name="lrr(%dx%d)" % (d, n))
+        A=[A_Z, A_G, A_E, A_H, A_F], b=b, f_value=f_value)
     return LrrInstance(X=X, L_Z=L_Z, L_G=L_G, lam=lam, mu=mu, gamma=gamma,
                        orientation=orientation, problem=problem)
 
@@ -338,73 +336,57 @@ class QpInstance:
 
         min sum_i (1/2) x_i^T Q_i x_i + c_i^T x_i   s.t.  sum_i G_i x_i = b
 
-    with the reference (x*, y*) from a dense KKT solve stored at build time.
+    stored dense: ``Q`` is the block-diagonal matrix of the Q_i, ``c`` the
+    stacked c_i and ``G = [G_1 ... G_p]``, with the reference (x*, y*) of a
+    dense KKT solve, ``x_star`` one flat array over every block.
     """
 
-    seed: int
-    Q: List[np.ndarray]
-    c: List[np.ndarray]
-    G: List[np.ndarray]
+    Q: np.ndarray
+    c: np.ndarray
+    G: np.ndarray
     b: np.ndarray
-    x_star: List[np.ndarray]
+    x_star: np.ndarray
     y_star: np.ndarray
     problem: MultiBlockProblem = field(repr=False, default=None)
 
     @property
-    def Q_full(self) -> np.ndarray:
-        return _block_diag(self.Q)
-
-    @property
-    def c_full(self) -> np.ndarray:
-        return np.concatenate(self.c)
-
-    @property
-    def G_full(self) -> np.ndarray:
-        return np.hstack(self.G)
-
-    @property
     def z_star(self) -> np.ndarray:
-        return self.problem.join(self.x_star, self.y_star)
+        return np.concatenate([self.x_star, self.y_star])
 
     def kkt_residual(self, x: np.ndarray, y: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).ravel()
-        stat = self.Q_full @ x + self.c_full + self.G_full.T @ y
-        feas = self.G_full @ x - self.b
+        stat = self.Q @ x + self.c + self.G.T @ y
+        feas = self.G @ x - self.b
         return float(np.linalg.norm(np.concatenate([stat, feas])))
 
 
-def gen_qp(seed: int, p: int = 2, n_i: Union[int, Sequence[int]] = 5,
-           m: int = 3) -> QpInstance:
-    """Seeded random QP; regenerates until the constraints are full row rank."""
-    sizes = [n_i] * p if isinstance(n_i, int) else [int(s) for s in n_i]
-    if len(sizes) != p:
-        raise ValueError("n_i must be an int or a length-p sequence")
-    if m > sum(sizes):
-        raise ValueError("need m <= total primal dimension")
+def gen_qp(seed: int, p: int = 2, n_i: int = 5, m: int = 3) -> QpInstance:
+    """Seeded random QP with p blocks of n_i entries and m constraints;
+    regenerates until the constraints are full row rank."""
+    if not (p >= 1 and n_i >= 1 and 0 <= m <= p * n_i):
+        raise ValueError("need p >= 1, n_i >= 1 and 0 <= m <= p*n_i, got "
+                         "p=%d, n_i=%d, m=%d" % (p, n_i, m))
     for attempt in range(50):
         rng = np.random.default_rng(seed + 1_000_003 * attempt)
         Qs, cs, Gs = [], [], []
-        for n in sizes:
-            B = rng.standard_normal((n, n))
-            Qs.append(B @ B.T / n + 0.5 * np.eye(n))
-            cs.append(rng.standard_normal(n))
-            Gs.append(rng.standard_normal((m, n)))
+        for _ in range(p):
+            B = rng.standard_normal((n_i, n_i))
+            Qs.append(B @ B.T / n_i + 0.5 * np.eye(n_i))
+            cs.append(rng.standard_normal(n_i))
+            Gs.append(rng.standard_normal((m, n_i)))
         b = rng.standard_normal(m)
         Gf = np.hstack(Gs)
         if m and np.linalg.svd(Gf, compute_uv=False)[-1] < 1e-6:
             continue
-        Qf = _block_diag(Qs)
+        Qf, cf = _block_diag(Qs), np.concatenate(cs)
         kkt = np.block([[Qf, Gf.T], [Gf, np.zeros((m, m))]])
-        sol = np.linalg.solve(kkt, np.concatenate([-np.concatenate(cs), b]))
-        x_full, y_star = sol[:sum(sizes)], sol[sum(sizes):]
-        offs = np.cumsum([0] + sizes)
-        x_star = [x_full[offs[i]:offs[i + 1]].copy() for i in range(p)]
+        sol = np.linalg.solve(kkt, np.concatenate([-cf, b]))
+        x_star, y_star = sol[:p * n_i], sol[p * n_i:]
 
-        layout = BlockLayout(tuple(sizes))
         A = [LinearMap(apply=(lambda Gi: lambda y: Gi.T @ y)(Gi),
                        adjoint_apply=(lambda Gi: lambda x: Gi @ x)(Gi),
-                       domain_dim=m, codomain_dim=n)
-             for Gi, n in zip(Gs, sizes)]
+                       domain_dim=m, codomain_dim=n_i)
+             for Gi in Gs]
         Ls = [float(np.linalg.eigvalsh(Qi)[-1]) for Qi in Qs]
 
         def grad_f(xs, Qs=Qs, cs=cs):
@@ -415,11 +397,10 @@ def gen_qp(seed: int, p: int = 2, n_i: Union[int, Sequence[int]] = 5,
                        for Qi, ci, x in zip(Qs, cs, xs))
 
         problem = MultiBlockProblem(
-            gs=[ProxFn.zero() for _ in sizes], grad_f=grad_f, L=Ls,
-            A=A, b=b, primal_layout=layout, f_value=f_value,
-            name="qp(seed=%d,p=%d,m=%d)" % (seed, p, m))
-        inst = QpInstance(seed=seed, Q=Qs, c=cs, G=Gs, b=b,
-                          x_star=x_star, y_star=y_star, problem=problem)
-        if inst.kkt_residual(np.concatenate(x_star), y_star) <= 1e-10:
+            gs=[ProxFn.zero() for _ in range(p)], grad_f=grad_f, L=Ls,
+            A=A, b=b, f_value=f_value)
+        inst = QpInstance(Q=Qf, c=cf, G=Gf, b=b, x_star=x_star,
+                          y_star=y_star, problem=problem)
+        if inst.kkt_residual(x_star, y_star) <= 1e-10:
             return inst
     raise RuntimeError("could not generate a well-posed QP instance")

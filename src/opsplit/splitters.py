@@ -374,10 +374,9 @@ def affine_projector(G: np.ndarray, b: np.ndarray):
 
 
 def _qp_data(inst):
-    """(Q, c, G, b, ||Q||) of a QP instance, with dense full blocks."""
-    Q = inst.Q_full
-    return (Q, inst.c_full, inst.G_full, inst.b,
-            float(np.linalg.eigvalsh(Q)[-1]))
+    """(Q, c, G, b, ||Q||) of a QP instance."""
+    return (inst.Q, inst.c, inst.G, inst.b,
+            float(np.linalg.eigvalsh(inst.Q)[-1]))
 
 
 def fbhf_from_qp(inst, sigma: float = 0.5):
@@ -391,7 +390,7 @@ def fbhf_from_qp(inst, sigma: float = 0.5):
     # gamma = beta sigma: theta_max = sigma - gamma/(2 beta) = sigma/2
     prob = FbhfProblem(dim=Q.shape[0], resolvent=lambda gamma, u: proj(u),
                        gamma=beta * sigma, B1=lambda u: Q @ u + c, beta=beta)
-    return prob, fbhf_max_theta(prob, sigma), np.concatenate(inst.x_star)
+    return prob, fbhf_max_theta(prob, sigma), inst.x_star
 
 
 def ppg_from_qp(inst, sigma: float = 0.5):
@@ -409,9 +408,8 @@ def ppg_from_qp(inst, sigma: float = 0.5):
                       prox_g=[ProxFn.zero() for _ in range(n)],
                       grad_f=[(lambda u, Q=Q, c=c: Q @ u + c)] * n,
                       L=Lq, alpha=alpha)
-    x_star = np.concatenate(inst.x_star)
-    g_star = Q @ x_star + c
-    z_ref = np.tile(x_star - alpha * g_star, n)
+    g_star = Q @ inst.x_star + c
+    z_ref = np.tile(inst.x_star - alpha * g_star, n)
     return prob, ppg_max_theta(prob, sigma), z_ref
 
 

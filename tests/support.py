@@ -88,8 +88,7 @@ def save_lrr_instance(inst, directory) -> None:
 def kkt_operator(inst):
     """Dense (K, q) of a :class:`~opsplit.prox_problems.QpInstance`, with KKT
     map T(z) = K z - q (rows: stationarity; b - Gx)."""
-    Qf, Gf = inst.Q_full, inst.G_full
     m = inst.b.size
-    K = np.block([[Qf, Gf.T], [-Gf, np.zeros((m, m))]])
-    q = np.concatenate([-inst.c_full, -inst.b])
+    K = np.block([[inst.Q, inst.G.T], [-inst.G, np.zeros((m, m))]])
+    q = np.concatenate([-inst.c, -inst.b])
     return K, q

@@ -224,6 +224,19 @@ def test_non_finite_entry_is_named(entry):
         check_criterion(x, cert, IdentityMetric(), sigma=0.5)
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf")])
+def test_a_non_finite_c_is_named(c):
+    # y, v, step and eps are finite: a NaN c used to abort on the step check
+    # and an infinite one on a NaN criterion lhs, neither naming c
+    cert = HpeCertificate(y=_pt([1.0, 1.0]), v=_pt([1.0, 1.0]), eps=0.0,
+                          c=c, step=_pt([1.0, 1.0]))
+    with pytest.raises(NonFiniteValue,
+                       match="iteration 1: non-finite c$") as exc:
+        hpe_core.run(lambda x, M, cfg: cert, _pt([2.0, 0.0]),
+                     IdentityMetric(), HpeConfig(sigma=0.5, max_iters=5))
+    assert exc.value.result.reason == "non_finite"
+
+
 def _nan_from_call(fn, first_bad):
     """Wrap ``fn`` so that its result holds a NaN from call ``first_bad`` on."""
     calls = [0]

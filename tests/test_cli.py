@@ -277,6 +277,13 @@ MALFORMED = {
     # a repeated key used to solve with its last value while the summary
     # echoed both
     "qp:seed=1,seed=2": "repeated qp descriptor key 'seed'",
+    # sizes out of range used to read as unrelated numpy failures
+    "qp:p=0,m=0": "ValueError: need p >= 1, n_i >= 1 and 0 <= m <= p*n_i, "
+                  "got p=0, n_i=5, m=0",
+    "qp:n=0,m=0": "got p=2, n_i=0, m=0",
+    "qp:p=-1": "got p=-1, n_i=5, m=3",
+    "qp:n=-2,m=0": "got p=2, n_i=-2, m=0",
+    "qp:p=1,n=2,m=3": "got p=1, n_i=2, m=3",
     # a negative l1 weight used to abort the solve at iteration 1 (exit 3)
     "lrr:seed=0,d=6,n=6,lam=-1": "cannot build the lrr problem: ValueError: "
                                  "l1 weight must be >= 0",

@@ -14,7 +14,7 @@ from opsplit import hpe_core
 from opsplit.hpe_core import (CertificateRecorder, CriterionViolation,
                               ErgodicAccumulator, HpeCertificate, HpeConfig,
                               MetricScheduleViolation,
-                              check_criterion, default_xi_schedule,
+                              check_criterion,
                               ergodic_aggregate, extragradient_step,
                               linear_rate_factor, loglog_slope,
                               make_affine_resolvent_oracle, pointwise_bound,
@@ -134,8 +134,8 @@ def test_extragradient_step_formula():
 # ---------------------------------------------------------------------------
 
 
-def test_xi_schedule_is_summable():
-    cfg = HpeConfig(xi_schedule=default_xi_schedule(0.1))
+def test_xi_is_summable():
+    cfg = HpeConfig(xi0=0.1)
     assert cfg.xi(1) == pytest.approx(0.1 / 4.0)
     xis = [cfg.xi(k) for k in range(1, 100_001)]
     s = float(sum(xis))
@@ -145,11 +145,9 @@ def test_xi_schedule_is_summable():
 
 def test_config_holds_only_what_the_loop_reads():
     assert [f.name for f in dataclasses.fields(HpeConfig)] == [
-        "sigma", "xi_schedule", "max_iters", "tol_residual"]
-    with pytest.raises(TypeError):
-        HpeConfig(xi0=0.5)
-    # None is the default schedule at xi0 = 0.01
-    assert HpeConfig().xi(3) == default_xi_schedule(0.01)(3)
+        "sigma", "xi0", "max_iters", "tol_residual"]
+    # the default schedule is xi0 = 0.01 over (k + 1)^2
+    assert HpeConfig().xi(3) == 0.01 / 16.0
 
 
 def test_config_rejects_bad_parameters():
@@ -201,12 +199,9 @@ def test_config_rejects_non_finite_or_negative_xi():
     # xi = NaN would make every metric-schedule comparison false, so the
     # check could never fail
     for xi0 in (-0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="xi0 must be finite"):
-            default_xi_schedule(xi0)
-    for val in (-1e-3, float("nan")):
-        cfg = HpeConfig(xi_schedule=lambda k, val=val: val)
-        with pytest.raises(ValueError, match="xi_1 must be nonnegative"):
-            cfg.xi(1)
+        with pytest.raises(ValueError, match=re.escape(
+                "xi0 must be finite and nonnegative, got %r" % xi0)):
+            HpeConfig(xi0=xi0)
 
 
 def test_validate_metric_update_blockwise():
@@ -416,7 +411,7 @@ def test_run_floor_divides_by_one_plus_xi_once_per_update():
     # the third 1e-9 below it; a floor shrinking by (1 + xi_k)^2 would pass
     lay = BlockLayout((3,))
     zero = np.zeros(lay.dim)
-    cfg = HpeConfig(xi_schedule=default_xi_schedule(0.5), max_iters=10)
+    cfg = HpeConfig(xi0=0.5, max_iters=10)
     floor = [1.0]
 
     def on_the_floor(k, x, cert, M):
@@ -527,7 +522,7 @@ def test_pointwise_bound_closed_form():
 
 def test_pointwise_bound_inflates_with_xi():
     def bound_v(xi0):
-        xis = [default_xi_schedule(xi0)(k) for k in range(1, 11)]
+        xis = [HpeConfig(xi0=xi0).xi(k) for k in range(1, 11)]
         return pointwise_bound(10, 1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
                                omega_upper=1.0, xis=xis).bound_v
 

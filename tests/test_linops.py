@@ -94,6 +94,15 @@ def test_block_diagonal_metric_rejects_a_scalar_not_finite_and_positive(bad):
         BlockDiagonalMetric([2.0, bad], BlockLayout((2, 3)))
 
 
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_inverse_scalar_is_named(zero):
+    # both zeros used to raise ZeroDivisionError, naming neither
+    with pytest.raises(ValueError, match="inverse metric scalar 1 is %r, not "
+                                         "positive" % zero):
+        BlockDiagonalMetric.from_inverse_scalars([2.0, zero],
+                                                 BlockLayout((2, 3)))
+
+
 def test_dense_metric_solve_and_bounds():
     rng = np.random.default_rng(4)
     B = rng.standard_normal((5, 5))

@@ -14,7 +14,7 @@ from opsplit.hpe_core import (CertificateRecorder, check_criterion,
                               CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
                               MetricScheduleViolation, ergodic_aggregate)
-from opsplit.linops import BlockDiagonalMetric, BlockLayout, LinearMap, norm
+from opsplit.linops import BlockDiagonalMetric, LinearMap, norm
 from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                bb_metric_update, block_sweep, pkkt_residual,
                                run_padmm, scalar_majorant_etas, theta_range)
@@ -41,9 +41,25 @@ def _single_block_quadratic(n=5, m=3, seed=0):
                    domain_dim=m, codomain_dim=n)]
     prob = MultiBlockProblem(
         gs=[ProxFn.zero()], grad_f=lambda xs: [Q @ xs[0] + c],
-        L=[float(np.linalg.eigvalsh(Q)[-1])], A=A, b=b,
-        primal_layout=BlockLayout((n,)))
+        L=[float(np.linalg.eigvalsh(Q)[-1])], A=A, b=b)
     return prob, Q, c, G, b
+
+
+def test_the_primal_layout_comes_from_the_maps():
+    m = 2
+    A = [LinearMap(apply=lambda y, n=n: np.zeros(n),
+                   adjoint_apply=lambda x: np.zeros(m),
+                   domain_dim=m, codomain_dim=n) for n in (3, 1)]
+
+    def problem(b):
+        return MultiBlockProblem(gs=[ProxFn.zero()] * 2, grad_f=list,
+                                 L=[0.0, 0.0], A=A, b=b)
+
+    prob = problem(np.zeros(m))
+    assert prob.p == 2 and prob.primal_layout.sizes == (3, 1)
+    assert prob.full_layout.sizes == (3, 1, m)
+    with pytest.raises(ValueError, match="constraint map 0 has wrong dim"):
+        problem(np.zeros(m + 1))
 
 
 def test_block_sweep_single_block_matches_dense_solve():
@@ -73,7 +89,7 @@ def test_block_sweep_gauss_seidel_ordering():
     etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
     grads = prob.grad_f(xs)
     xt, _, _ = block_sweep(xs, y, prob, beta, etas, grads=grads)
-    G1, G2 = inst.G
+    G1, G2 = inst.G[:, :4], inst.G[:, 4:]
     r_after_1 = G1 @ xt[0] + G2 @ xs[1] - inst.b
     force2 = grads[1] + G2.T @ y + beta * G2.T @ r_after_1
     assert np.allclose(etas[1] * xt[1], etas[1] * xs[1] - force2, atol=1e-10)
@@ -335,13 +351,13 @@ def test_bb_metric_update_clamps_both_sides():
     prev = [0.9, 0.9, 0.9, 0.9]
     nums = [0.9, 10.0, 1e-4, 1.0]
     dens = [1.0, 1.0, 1.0, 0.0]
-    out = bb_metric_update(prev, nums, dens, xi_k=xi, m_floor=1e-8)
+    out = bb_metric_update(prev, nums, dens, xi_k=xi)
     assert out[0] == pytest.approx(0.9)                 # inside the band
     assert out[1] == pytest.approx(0.9 * 1.01)          # clipped above
     assert out[2] == pytest.approx(0.9 / 1.01)          # clipped below
     assert out[3] == pytest.approx(0.9 * 1.01)          # degenerate denominator
     # the floor wins over the relaxed lower clamp
-    out2 = bb_metric_update([1e-8], [1e-20], [1.0], xi_k=0.5, m_floor=1e-8)
+    out2 = bb_metric_update([1e-8], [1e-20], [1.0], xi_k=0.5)
     assert out2[0] == 1e-8
 
 
@@ -352,10 +368,11 @@ def test_bb_metric_update_clamps_both_sides():
 
 def test_pkkt_residual_vanishes_at_the_reference(qp3):
     inst = qp3
-    _, norm = pkkt_residual(inst.x_star, inst.y_star, inst.problem)
+    xs, y = inst.problem.split(inst.z_star)
+    _, norm = pkkt_residual(xs, y, inst.problem)
     assert norm <= 1e-9
     # and is visibly nonzero elsewhere
-    xs = [x + 1.0 for x in inst.x_star]
+    xs = [x + 1.0 for x in xs]
     _, norm_off = pkkt_residual(xs, inst.y_star, inst.problem)
     assert norm_off > 1e-2
 
@@ -548,7 +565,7 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
     # min(M_0 scalars) / prod (1 + xi_j) that the clamp guarantees
     from opsplit import padmm_ebb
 
-    def shrink(prev, nums, dens, xi_k, m_floor):
+    def shrink(prev, nums, dens, xi_k):
         return [10.0 * s for s in prev]   # inverse scalars, so M / 10
 
     monkeypatch.setattr(padmm_ebb, "bb_metric_update", shrink)
@@ -563,12 +580,18 @@ def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):
 
 
 def test_run_padmm_reads_xi_through_the_kernel_config():
+    # the BB clamp [prev / (1 + xi), (1 + xi) prev] pins the start metric at
+    # xi0 = 0 and lets it move at xi0 = 0.5
     inst = gen_qp(0, p=2, n_i=5, m=3)
-    with pytest.raises(ValueError, match="xi_1 must be nonnegative") as exc:
-        run_padmm(inst.problem, HpeConfig(
-            sigma=0.9, xi_schedule=lambda k: float("nan"), max_iters=5,
-            tol_residual=0.0))
-    assert exc.value.result.abort["iteration"] == 1
+
+    def metric_max(xi0):
+        res = run_padmm(inst.problem, HpeConfig(
+            sigma=0.9, xi0=xi0, max_iters=5, tol_residual=0.0))
+        assert res.iterations == 5
+        return res.trace.column("metric_max")
+
+    assert len(set(metric_max(0.0))) == 1
+    assert len(set(metric_max(0.5))) > 1
 
 
 def test_config_validation():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opsplit import prox_problems
 from opsplit.prox_problems import (ProxFn, QpInstance, build_graph_laplacian,
                                    build_lrr, gen_qp, knn_heat_affinity,
                                    load_lrr_instance, prox_l1, prox_nuclear,
                                    proj_nonneg)
+from opsplit.splitters import SCHEMES
 
 from support import (adjoint_check, kkt_operator, save_lrr_instance,
                      to_dense)
@@ -339,8 +341,8 @@ def test_qp_kkt_hand_example():
     # min (1/2)||x||^2  s.t.  x = e1  has x* = e1 and multiplier y* = -e1
     n = 3
     e1 = np.eye(n)[0]
-    inst = QpInstance(seed=0, Q=[np.eye(n)], c=[np.zeros(n)], G=[np.eye(n)],
-                      b=e1, x_star=[e1], y_star=-e1)
+    inst = QpInstance(Q=np.eye(n), c=np.zeros(n), G=np.eye(n), b=e1,
+                      x_star=e1, y_star=-e1)
     assert inst.kkt_residual(e1, -e1) <= 1e-14
     K, q = kkt_operator(inst)
     z = np.concatenate([e1, -e1])
@@ -350,24 +352,35 @@ def test_qp_kkt_hand_example():
 def test_gen_qp_reference_solves_the_kkt_system():
     for seed in range(6):
         inst = gen_qp(seed, p=2, n_i=4, m=3)
-        assert inst.kkt_residual(np.concatenate(inst.x_star),
-                                 inst.y_star) <= 1e-10
-        # strong convexity of each block
-        for Qi in inst.Q:
-            assert np.linalg.eigvalsh(Qi)[0] >= 0.5 - 1e-12
+        assert inst.kkt_residual(inst.x_star, inst.y_star) <= 1e-10
+        # strong convexity of each block: Q is block diagonal
+        assert np.linalg.eigvalsh(inst.Q)[0] >= 0.5 - 1e-12
+
+
+def test_a_qp_builds_its_dense_blocks_once(monkeypatch):
+    # gen_qp keeps the Q, c and G of its KKT solve; the four splitter setups
+    # and kkt_residual read them instead of rebuilding Q (7 builds in all)
+    original, calls = prox_problems._block_diag, []
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return original(blocks)
+
+    monkeypatch.setattr(prox_problems, "_block_diag", counted)
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    for scheme in SCHEMES.values():
+        scheme.setup(inst, 0.5)
+    inst.kkt_residual(inst.x_star, inst.y_star)
+    assert len(SCHEMES) == 4 and calls == [2]
 
 
 def test_gen_qp_is_deterministic():
     a = gen_qp(11, p=3, n_i=4, m=2)
     b = gen_qp(11, p=3, n_i=4, m=2)
-    assert all(np.array_equal(x, y) for x, y in zip(a.Q, b.Q))
-    assert all(np.array_equal(x, y) for x, y in zip(a.c, b.c))
-    assert np.array_equal(a.b, b.b)
-    assert np.array_equal(np.concatenate(a.x_star), np.concatenate(b.x_star))
+    for field in ("Q", "c", "G", "b", "x_star", "y_star"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_gen_qp_input_validation():
-    with pytest.raises(ValueError):
-        gen_qp(0, p=2, n_i=[3], m=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got p=1, n_i=2, m=5"):
         gen_qp(0, p=1, n_i=2, m=5)

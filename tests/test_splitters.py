@@ -368,7 +368,7 @@ def test_saddle_build_takes_one_svd_of_G(builder, monkeypatch):
     calls, original = count_svds(monkeypatch)
     prob = builder(inst)[0]
     assert calls[0] == 1
-    assert prob.bnorm == original(inst.G_full, compute_uv=False)[0]
+    assert prob.bnorm == original(inst.G, compute_uv=False)[0]
 
 
 def test_afbas_parameter_validation():
