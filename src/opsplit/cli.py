@@ -135,7 +135,7 @@ def _beta(args) -> float:
 
 
 def _xi0(args) -> float:
-    return 0.01 if args.xi0 is None else args.xi0  # padmm-ebb's default
+    return HpeConfig.xi0 if args.xi0 is None else args.xi0
 
 
 def _prepare_solve(args, algorithm: str, kind: str, inst,
@@ -213,10 +213,9 @@ def cmd_solve(args) -> int:
     start = _prepare_solve(args, args.algorithm, kind, inst, theta, columns)
     config_echo = {"algorithm": args.algorithm, "problem": args.problem,
                    "sigma": args.sigma, "theta": args.theta,
-                   "xi0": _xi0(args), "tol": args.tol,
-                   "max_iters": args.max_iters}
+                   "tol": args.tol, "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
-        config_echo["beta"] = _beta(args)
+        config_echo.update(beta=_beta(args), xi0=_xi0(args))
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
@@ -326,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative-error parameter in [0, 1)")
         p.add_argument("--xi0", type=float, default=None,
                        help="leading coefficient of padmm-ebb's summable xi "
-                            "schedule (default 0.01)")
+                            "schedule (default %g)" % HpeConfig.xi0)
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--max-iters", type=int, default=1000)
         p.add_argument("--beta", type=float, default=None,

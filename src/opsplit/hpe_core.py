@@ -71,13 +71,16 @@ class HpeConfig:
     """Parameters of the extra-gradient kernel loop.
 
     The metric schedule is the summable xi_k = xi0 / (k + 1)^2 for k >= 1,
-    with ``xi0`` finite and nonnegative.  ``tol_residual`` is the run's stop
-    tolerance: on max(||v||, eps) in :func:`run`, on the proximal KKT
+    with ``xi0`` finite and nonnegative.  The default 1 lets padmm-ebb's
+    Barzilai-Borwein metric drift by a factor of up to prod_k (1 + xi_k) ~
+    1.84 over a run; ``tools/xi_sweep.py`` shows how other values fare on
+    iterations and on the acceptance gates.  ``tol_residual`` is the run's
+    stop tolerance: on max(||v||, eps) in :func:`run`, on the proximal KKT
     residual in :func:`opsplit.padmm_ebb.run_padmm`.
     """
 
     sigma: float = 0.5
-    xi0: float = 0.01
+    xi0: float = 1.0
     max_iters: int = 1000
     tol_residual: float = 1e-8
 
@@ -371,7 +374,8 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
     ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set, or None when
     x is a fixed point of the scheme (the run ends converged, reason
     ``"fixed_point"``); ``metric_update(k, x, cert, M)`` optionally returns
-    the next metric (constant metric when omitted).  ``stop(k, x)``, called
+    the next metric (constant metric when omitted, and then xi_k = 0: no
+    update can use the schedule's slack).  ``stop(k, x)``, called
     before the oracle, may end the run converged with the reason it returns;
     it replaces the residual test max(||v||, eps) <= ``cfg.tol_residual``,
     which a run without ``stop`` ends on (reason ``"residual"``).
@@ -404,7 +408,7 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
                 return RunResult(solution=x, trace=trace, converged=True,
                                  reason="fixed_point", iterations=k)
             rep = certify(x, cert, M, cfg.sigma)
-            xi_k = cfg.xi(k)
+            xi_k = cfg.xi(k) if metric_update is not None else 0.0
             v_norm = norm(cert.v)
             step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)
             trace.append(tuple([produce(step) for produce in producers]))

@@ -353,7 +353,7 @@ class _Iteration:
                                          problem.constraint_norms())
         self.inv_scalars = [1.0 / e for e in self.etas] + [beta]
         self.U = UOperator(problem, beta, self.etas)
-        self.prev, self.pnorm = None, float("nan")
+        self.prev, self.pnorm, self.Xi = None, float("nan"), 1.0
         self.stop_tol = None if "pkkt" in columns else cfg.tol_residual
 
     def metric(self) -> BlockDiagonalMetric:
@@ -408,11 +408,13 @@ class _Iteration:
         grads_t = pr.grad_f(self.points[:pr.p])
         slopes = [vx + gt - g for vx, gt, g in zip(vxs, grads_t, self.grads)]
         slopes.append(vy.copy())
+        xi_k = self.cfg.xi(k)
+        self.Xi *= 1.0 + xi_k
         if self.prev is not None:
             nums = [norm(a - b) for a, b in zip(self.points, self.prev[0])]
             dens = [norm(a - b) for a, b in zip(slopes, self.prev[1])]
             self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
-                                                self.cfg.xi(k))
+                                                xi_k)
         self.prev = (self.points, slopes)
         return self.metric()
 
@@ -435,7 +437,10 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     reaches ``max_iters`` still ends converged if its final iterate meets
     the tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
-    ``solution`` is z and ``final["pkkt"]`` its full residual norm.
+    ``solution`` is z and ``final["pkkt"]`` its full residual norm;
+    ``final["Xi"]``, also on an aborted run's result, is prod (1 + xi_k)
+    over the metric updates the run made, the factor by which the metric
+    may have drifted.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and positive, got %r" % beta)
@@ -445,12 +450,19 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     it = _Iteration(problem, cfg, beta, theta_fixed, columns)
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
-    res = hpe_core.run(
-        it.oracle, z0 if z0 is not None else np.zeros(problem.full_layout.dim),
-        it.metric(), cfg,
-        metric_update=it.metric_update, ref_solution=ref_solution,
-        accumulators=accumulators, stop=it.stop,
-        columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
+    try:
+        res = hpe_core.run(
+            it.oracle,
+            z0 if z0 is not None else np.zeros(problem.full_layout.dim),
+            it.metric(), cfg,
+            metric_update=it.metric_update, ref_solution=ref_solution,
+            accumulators=accumulators, stop=it.stop,
+            columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
+    except Exception as exc:  # an aborted run's summary records Xi as well
+        if hasattr(exc, "result"):
+            exc.result.final["Xi"] = it.Xi
+        raise
+    res.final["Xi"] = it.Xi
     pnorm = it.pnorm
     if res.reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate

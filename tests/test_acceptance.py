@@ -50,6 +50,10 @@ def test_theta_acceleration():
     _gate(acceptance.check_theta_acceleration)
 
 
+def test_bb_acceleration():
+    _gate(acceptance.check_bb_acceleration)
+
+
 def test_lrr_desk_scale():
     _gate(acceptance.check_lrr_desk_scale)
 
@@ -111,6 +115,23 @@ def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):
     med_a, med_0 = _numbers(r"adaptive (\d+) vs theta=0 (\d+)",
                             result.detail)
     assert med_a == med_0
+    assert not result.passed
+
+
+def test_bb_acceleration_rejects_a_frozen_metric(monkeypatch):
+    # a BB update that keeps the previous scalars leaves the start metric in
+    # place whatever xi0 is: the run at the default xi0 is the xi0 = 0 run,
+    # whose equal median the gate must reject
+    monkeypatch.setattr(padmm_ebb, "bb_metric_update",
+                        lambda prev, nums, dens, xi_k: list(prev))
+    acceptance._padmm_qp_runs.cache_clear()
+    try:
+        result = acceptance.check_bb_acceleration()
+    finally:
+        acceptance._padmm_qp_runs.cache_clear()
+    med_bb, med_0 = _numbers(r"xi0=1 ([\d.]+) vs xi0=0 ([\d.]+)",
+                             result.detail)
+    assert med_bb == med_0
     assert not result.passed
 
 
@@ -201,7 +222,7 @@ def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
 
 def test_lrr_desk_scale_rejects_a_long_nuclear_threshold(monkeypatch):
     # a nuclear prox thresholding at 1.001 t converges to its own fixed
-    # point: the solve's residual still reads 9.77e-4 after 437 iterations,
+    # point: the solve's residual still reads 9.85e-4 after 388 iterations,
     # and only the one recomputed with the spectral-ball projection (9.0e-3)
     # sees it
     real = prox_problems.prox_nuclear

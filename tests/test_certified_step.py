@@ -382,10 +382,10 @@ def test_kept_certificates_drop_their_step():
             assert type(row) is tuple and len(row) == len(result.trace.columns)
             assert all(isinstance(val, (int, float)) for val in row)
     # one result type for every solver; only the multi-block solver fills
-    # in a final value of its own, and neither run aborted
+    # in final values of its own, and neither run aborted
     for result in (res, pres):
         assert set(vars(result)) == {"solution", "trace", "converged",
                                      "reason", "iterations", "final", "abort"}
         assert result.abort is None
-    assert res.final == {} and list(pres.final) == ["pkkt"]
-    assert isinstance(pres.final["pkkt"], float)
+    assert res.final == {} and sorted(pres.final) == ["Xi", "pkkt"]
+    assert all(isinstance(val, float) for val in pres.final.values())

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,28 @@ def test_solve_padmm_writes_trace_and_summary(tmp_path, capsys):
     assert data["final"]["pkkt"] <= 1e-8
     # an unset --beta runs and echoes padmm-ebb's default penalty
     assert data["config"]["beta"] == 1.0
+
+
+def _xi_product(updates):
+    """prod (1 + xi_k) over metric updates 1..updates at the default xi0, in
+    the order padmm-ebb multiplies it."""
+    return math.prod(1.0 + HpeConfig().xi(k) for k in range(1, updates + 1))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_only_padmm_ebb_echoes_xi0_and_records_xi(tmp_path, algorithm):
+    # the splitters never update their metric and read no xi0; padmm-ebb
+    # echoes the xi0 it read, HpeConfig's when --xi0 is unset, and Xi, the
+    # product of (1 + xi_k) over its 5 metric updates
+    summary = tmp_path / "s.json"
+    assert main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--max-iters", "5", "--summary", str(summary)]) == 0
+    data = json.loads(summary.read_text())
+    padmm = algorithm == "padmm-ebb"
+    assert ("xi0" in data["config"], "Xi" in data["final"]) == (padmm, padmm)
+    if padmm:
+        assert data["config"]["xi0"] == HpeConfig.xi0 == 1.0
+        assert data["final"]["Xi"] == _xi_product(5)
 
 
 def test_full_trace_adds_the_opt_in_columns(tmp_path):
@@ -480,6 +503,8 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
     # the rows before the failing iteration are all kept
     assert len(rows) - 1 == data["iterations"] == abort["iteration"] - 1 > 1
     assert isinstance(data["slopes"]["ergodic"], float)
+    # and Xi covers the 4 metric updates made before the abort
+    assert data["final"]["Xi"] == _xi_product(4)
 
 
 def test_abort_before_the_loop_writes_a_header_only_trace(tmp_path,

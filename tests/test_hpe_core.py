@@ -146,8 +146,8 @@ def test_xi_is_summable():
 def test_config_holds_only_what_the_loop_reads():
     assert [f.name for f in dataclasses.fields(HpeConfig)] == [
         "sigma", "xi0", "max_iters", "tol_residual"]
-    # the default schedule is xi0 = 0.01 over (k + 1)^2
-    assert HpeConfig().xi(3) == 0.01 / 16.0
+    # the default schedule is xi0 = 1 over (k + 1)^2
+    assert HpeConfig().xi(3) == 1.0 / 16.0
 
 
 def test_config_rejects_bad_parameters():
@@ -426,6 +426,22 @@ def test_run_floor_divides_by_one_plus_xi_once_per_update():
                      zero, BlockDiagonalMetric([1.0], lay), cfg,
                      metric_update=on_the_floor, stop=lambda k, x: None)
     assert len(exc.value.result.trace) == 3
+
+
+def test_only_a_run_that_updates_its_metric_records_xi():
+    # a constant-metric run uses none of the schedule's slack, so the Fejer
+    # gate's factor (1 + xi_k) must read 1 for it, whatever xi0 is
+    K, q, _ = _affine_setup()
+    cfg = HpeConfig(xi0=1.0, max_iters=5, tol_residual=0.0)
+
+    def xis(metric_update):
+        return hpe_core.run(make_affine_resolvent_oracle(K, q),
+                            np.ones(K.shape[0]), IdentityMetric(), cfg,
+                            metric_update=metric_update,
+                            columns=hpe_core.select(("xi",))).trace.column("xi")
+
+    assert xis(None) == [0.0] * 5
+    assert xis(lambda k, x, cert, M: M) == [cfg.xi(k) for k in range(1, 6)]
 
 
 @pytest.mark.parametrize("hook,rows", [("oracle", 2), ("stop", 2),
