@@ -321,13 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--problem", required=True,
                        help="descriptor, e.g. qp:seed=1,p=2,n=5,m=3 or "
                             "lrr:seed=0,d=40,n=40 or lrr:manifest=DIR")
-        p.add_argument("--sigma", type=float, default=0.5,
-                       help="relative-error parameter in [0, 1)")
+        p.add_argument("--sigma", type=float, default=HpeConfig.sigma,
+                       help="relative-error parameter in [0, 1) (default %g)"
+                            % HpeConfig.sigma)
         p.add_argument("--xi0", type=float, default=None,
                        help="leading coefficient of padmm-ebb's summable xi "
                             "schedule (default %g)" % HpeConfig.xi0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=1000)
+        p.add_argument("--tol", type=float, default=HpeConfig.tol_residual,
+                       help="stop tolerance (default %g)"
+                            % HpeConfig.tol_residual)
+        p.add_argument("--max-iters", type=int, default=HpeConfig.max_iters,
+                       help="iteration budget (default %d)"
+                            % HpeConfig.max_iters)
         p.add_argument("--beta", type=float, default=None,
                        help="penalty parameter of padmm-ebb (default 1)")
         p.add_argument("--cv-r", type=float, default=None,

@@ -21,7 +21,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .hpe_core import CriterionViolation, HpeCertificate
+from .hpe_core import CriterionViolation, HpeCertificate, HpeConfig
 from .linops import DenseMetric, IdentityMetric, Metric
 from .prox_problems import ProxFn
 
@@ -315,7 +315,7 @@ class AfbasPdProblem:
 
 
 def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
-                  sigma: float = 0.5) -> Optional[HpeCertificate]:
+                  sigma: float = HpeConfig.sigma) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
     alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
@@ -379,7 +379,7 @@ def _qp_data(inst):
             float(np.linalg.eigvalsh(inst.Q)[-1]))
 
 
-def fbhf_from_qp(inst, sigma: float = 0.5):
+def fbhf_from_qp(inst, sigma: float = HpeConfig.sigma):
     """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic.
 
     Returns (problem, theta_max, x_ref); pick theta <= theta_max.
@@ -393,7 +393,7 @@ def fbhf_from_qp(inst, sigma: float = 0.5):
     return prob, fbhf_max_theta(prob, sigma), inst.x_star
 
 
-def ppg_from_qp(inst, sigma: float = 0.5):
+def ppg_from_qp(inst, sigma: float = HpeConfig.sigma):
     """Consensus coding: r = affine indicator, f_i = the full quadratic.
 
     Returns (problem, theta_max, z_ref); the reference point is the known
@@ -413,8 +413,8 @@ def ppg_from_qp(inst, sigma: float = 0.5):
     return prob, ppg_max_theta(prob, sigma), z_ref
 
 
-def condat_vu_from_qp(inst, sigma: float = 0.5, r: Optional[float] = None,
-                      s: Optional[float] = None):
+def condat_vu_from_qp(inst, sigma: float = HpeConfig.sigma,
+                      r: Optional[float] = None, s: Optional[float] = None):
     """Primal-dual coding: f = quadratic, g = 0, h = indicator of {b}, B = G.
 
     Returns (problem, theta_max, z_ref = (x*, y*)).  Omitted scale parameters

@@ -123,7 +123,7 @@ def _saddle_operator(prob, u):
     ("afbas-pd", {"theta": 2.5, "mu": 0.5})])
 def test_dense_saddle_metric_equals_its_operator(scheme, opts, seed):
     inst = gen_qp(seed, p=2, n_i=5, m=3)
-    prob = (condat_vu_from_qp(inst)[0] if scheme == "condat-vu"
+    prob = (condat_vu_from_qp(inst, 0.5)[0] if scheme == "condat-vu"
             else afbas_pd_from_qp(inst, **opts)[0])
     rng = np.random.default_rng(seed)
     for _ in range(5):
@@ -252,7 +252,7 @@ def _nan_from_call(fn, first_bad):
 
 
 def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
-    prob, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
     prob = dataclasses.replace(prob,
                                resolvent=_nan_from_call(prob.resolvent, 3))
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
@@ -276,7 +276,7 @@ def _with_nan_from_call_3(built, entry):
 def _nan_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "fbhf":
-        prob, _, ref = _with_nan_from_call_3(fbhf_from_qp(inst), "B1")
+        prob, _, ref = _with_nan_from_call_3(fbhf_from_qp(inst, 0.5), "B1")
         return _fbhf_oracle(prob, 0.0), IdentityMetric(), np.zeros(ref.size)
     prob, _, ref = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
     return _afbas_pd_oracle(prob), prob.metric(), np.zeros(ref.size)

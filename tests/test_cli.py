@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from opsplit import cli, hpe_core
-from opsplit.cli import ALGORITHMS, ConfigError, main, parse_descriptor
+from opsplit.cli import (ALGORITHMS, ConfigError, build_parser, main,
+                         parse_descriptor)
 from opsplit.hpe_core import CriterionViolation, ErgodicAccumulator, HpeConfig
 from opsplit.padmm_ebb import run_padmm
 from opsplit.prox_problems import build_lrr, gen_qp
@@ -92,6 +93,23 @@ def test_only_padmm_ebb_echoes_xi0_and_records_xi(tmp_path, algorithm):
         assert data["final"]["Xi"] == _xi_product(5)
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
+    # HpeConfig owns sigma, tol_residual and max_iters; the CLI repeats none
+    args = build_parser().parse_args([command, "--problem", "qp:seed=0"] + (
+        ["--algorithm", "fbhf"] if command == "solve" else []))
+    default = HpeConfig()
+    assert (args.sigma, args.tol, args.max_iters) == (
+        default.sigma, default.tol_residual, default.max_iters) == (
+        0.9, 1e-8, 1000)
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for option, value in (("--sigma SIGMA", "0.9"), ("--tol TOL", "1e-08"),
+                          ("--max-iters MAX_ITERS", "1000")):
+        entry = text.split(" %s " % option)[1].split(" --")[0]
+        assert entry.endswith("(default %s)" % value), entry
+
+
 def test_full_trace_adds_the_opt_in_columns(tmp_path):
     runs = []
     for flags in ([], ["--full-trace"]):
@@ -120,10 +138,11 @@ def test_full_trace_adds_the_opt_in_columns(tmp_path):
 
 def test_non_positive_gamma_form_exits_three_naming_the_iteration(tmp_path,
                                                                  capsys):
-    # at beta = 100 the first sweep's directional Gamma form is not positive
+    # at beta = 100 and sigma = 0.5 the first sweep's directional Gamma form
+    # is not positive
     summary = tmp_path / "s.json"
     code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
-                 "--beta", "100", "--max-iters", "3",
+                 "--beta", "100", "--sigma", "0.5", "--max-iters", "3",
                  "--summary", str(summary)])
     assert code == 3
     err = capsys.readouterr().err
@@ -135,6 +154,16 @@ def test_non_positive_gamma_form_exits_three_naming_the_iteration(tmp_path,
     assert abort["exception"] == "CriterionViolation"
     assert "gamma_form=" in abort["message"]
     assert "denom_form=" in abort["message"]
+
+
+@pytest.mark.parametrize("problem", ["lrr:seed=0,d=3,n=1",
+                                     "lrr:seed=1,d=3,n=1",
+                                     "lrr:seed=2,d=8,n=1"])
+def test_single_column_lrr_runs_with_the_default_options(problem):
+    # at sigma = 0.5 each aborted (exit 3) on a non-positive directional
+    # Gamma form
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                 problem]) == 0
 
 
 def test_solve_splitter_exit_zero(tmp_path):
@@ -154,15 +183,12 @@ def _library_ergodic_pair(algorithm, max_iters):
     settings and ``max_iters``."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
     acc = ErgodicAccumulator()
+    cfg = HpeConfig(max_iters=max_iters)
     if algorithm == "padmm-ebb":
-        run_padmm(inst.problem, HpeConfig(sigma=0.5, tol_residual=1e-8,
-                                          max_iters=max_iters),
-                  accumulators=[acc])
+        run_padmm(inst.problem, cfg, accumulators=[acc])
     else:
-        oracle, M0, x0, _ = SCHEMES[algorithm].setup(inst, 0.5)
-        hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.5, tol_residual=1e-8,
-                                               max_iters=max_iters),
-                     accumulators=[acc])
+        oracle, M0, x0, _ = SCHEMES[algorithm].setup(inst, cfg.sigma)
+        hpe_core.run(oracle, x0, M0, cfg, accumulators=[acc])
     return {"v_norm": acc.v_norms[-1], "eps": acc.eps_bars[-1]}
 
 
@@ -225,13 +251,13 @@ def test_bad_xi0_is_a_config_error(algorithm, xi0, capsys):
 
 @pytest.mark.parametrize(
     "algorithm,option,value",
-    [(a, "--tol", "nan") for a in ALGORITHMS]
+    [(a, "--tol", t) for a in ALGORITHMS for t in ("nan", "-1")]
     + [(a, "--max-iters", "-3") for a in ALGORITHMS]
     + [("padmm-ebb", "--beta", b) for b in ("nan", "inf", "0", "-1")])
 def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
                                               capsys):
-    # a NaN tolerance is never met and a negative budget runs nothing, so
-    # both went unnoticed; a non-finite beta aborted mid-solve
+    # a NaN or negative tolerance is never met and a negative budget runs
+    # nothing, so each went unnoticed; a non-finite beta aborted mid-solve
     code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
                  "--max-iters", "5", option, value])
     assert code == 2
@@ -436,9 +462,10 @@ def test_bench_rejects_unknown_algorithm():
 
 
 def test_bench_names_the_algorithm_that_aborted(capsys):
-    # at beta = 100 padmm-ebb aborts on qp:seed=1, the first of the five
+    # at beta = 100 and sigma = 0.5 padmm-ebb aborts on qp:seed=1, the first
+    # of the five
     assert main(["bench", "--problem", "qp:seed=1", "--beta", "100",
-                 "--max-iters", "3"]) == 3
+                 "--sigma", "0.5", "--max-iters", "3"]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith("solver abort: padmm-ebb: iteration 1: "
                               "directional Gamma form is not positive")
@@ -687,12 +714,13 @@ def test_unwritable_output_path_exits_two_before_the_solve(
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("option", ["--trace", "--summary"])
-@pytest.mark.parametrize("extra", [(), ("--beta", "100", "--max-iters", "3")],
+@pytest.mark.parametrize("extra", [(), ("--beta", "100", "--sigma", "0.5",
+                                         "--max-iters", "3")],
                          ids=["converged", "abort"])
 def test_output_write_failing_after_the_solve_exits_two(option, extra, capsys):
     # /dev/full passes the path check; every write to it fails with ENOSPC
-    # once the solve has run (at beta = 100 qp:seed=1 aborts at iteration 1,
-    # and the abort keeps its exit code 3)
+    # once the solve has run (at beta = 100 and sigma = 0.5 qp:seed=1 aborts
+    # at iteration 1, and the abort keeps its exit code 3)
     code = main(["solve", "--algorithm", "padmm-ebb", "--problem",
                  "qp:seed=1", option, "/dev/full", *extra])
     assert code == (3 if extra else 2)
@@ -706,7 +734,8 @@ def test_a_failing_write_loses_no_other_output(tmp_path, capsys):
     # the aborted run's summary, with its abort record, survives the trace
     summary = tmp_path / "s.json"
     abort = ["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=1",
-             "--beta", "100", "--max-iters", "3", "--trace", "/dev/full"]
+             "--beta", "100", "--sigma", "0.5", "--max-iters", "3",
+             "--trace", "/dev/full"]
     assert main(abort + ["--summary", str(summary)]) == 3
     assert "--trace /dev/full cannot be written" in capsys.readouterr().err
     record = json.loads(summary.read_text())["abort"]

@@ -166,6 +166,16 @@ def test_config_rejects_a_non_integer_or_negative_max_iters(max_iters):
     assert HpeConfig(max_iters=np.int64(5)).max_iters == 5
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan])
+def test_config_rejects_a_negative_or_nan_tolerance(tol):
+    # a negative tolerance used to run: no residual meets it, so a run either
+    # spent its whole budget or stopped only at an exact fixed point
+    with pytest.raises(ValueError, match=re.escape(
+            "tol_residual must be nonnegative, got %r" % tol)):
+        HpeConfig(tol_residual=tol)
+    assert HpeConfig(tol_residual=0.0).tol_residual == 0.0
+
+
 _BOUND_ARGS = dict(k=1, d0=1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
                    omega_upper=1.0, xis=[0.0])
 
@@ -268,7 +278,7 @@ def test_validate_metric_update_callable_saddle_metric():
     # exact path with its dimension
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import condat_vu_from_qp
-    prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
     M = prob.metric()
     assert M.dim == prob.dim_x + prob.dim_y
     validate_metric_update(M, M, 0.0, M.omega_lower)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from opsplit import padmm_ebb
+from opsplit.cli import build_problem, parse_descriptor
 from opsplit.hpe_core import (CertificateRecorder, check_criterion,
                               CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
@@ -255,6 +256,26 @@ def test_u_operator_matches_dense_assembly(qp3):
     assert np.allclose(Ud[:n0, :n0], etas[0] * np.eye(n0) - beta * A1 @ A1.T)
     # strict upper primal triangle vanishes
     assert np.allclose(Ud[:n0, n0:lay.offsets[prob.p]], 0.0)
+
+
+@pytest.mark.parametrize("descriptor", [
+    *("qp:seed=%d,p=2,n=5,m=3" % seed for seed in range(10)),
+    "lrr:seed=0,d=3,n=1", "lrr:seed=1,d=3,n=1", "lrr:seed=2,d=8,n=1"])
+def test_gamma_is_positive_definite_at_the_default_sigma(descriptor):
+    # Gamma = U + U* - (1 - sigma) M - D/2 at padmm-ebb's start metric and the
+    # CLI's beta = 1.  At sigma = 0.5 its normalized least eigenvalue is
+    # -0.032 on qp seed 1, -0.074 on seed 8 and -0.228 on the single-column
+    # LRR instances, which then abort on a non-positive directional form
+    cfg = HpeConfig()
+    _, inst = build_problem(parse_descriptor(descriptor))
+    it = padmm_ebb._Iteration(inst.problem, cfg, 1.0, None, ())
+    M = it.metric()
+    m = np.repeat(np.asarray(M.scalars), M.layout.sizes)
+    Ud = u_dense(it.U)
+    gamma = Ud + Ud.T - np.diag((1.0 - cfg.sigma) * m
+                                + 0.5 * inst.problem.d_weights)
+    scale = 1.0 / np.sqrt(m)
+    assert np.linalg.eigvalsh(scale[:, None] * gamma * scale)[0] > 0.0
 
 
 def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):

@@ -291,7 +291,7 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
     rng = np.random.default_rng(6)
     for _ in range(5):
         z = rng.standard_normal(prob_a.dim_x + prob_a.dim_y)
-        cert_a = afbas_pd_step(z, prob_a)
+        cert_a = afbas_pd_step(z, prob_a, sigma=0.5)
         cert_c = condat_vu_step(z, prob_c, theta=0.0)
         assert np.allclose(cert_a.y, cert_c.y, atol=1e-10)
         da = extragradient_step(z, cert_a) - z
@@ -330,7 +330,7 @@ def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
                        prox_h=ProxFn.constant(np.zeros(1)), B=np.zeros((1, 2)),
                        gamma1=1.0, gamma2=1.0)
     z = np.array([0.3, -1.2, 0.7])
-    assert afbas_pd_step(z, p) is None
+    assert afbas_pd_step(z, p, sigma=0.5) is None
     res = hpe_core.run(lambda x, M, cfg: afbas_pd_step(x, p, cfg.sigma), z,
                        p.metric(), HpeConfig(max_iters=5))
     assert (res.converged, res.reason, res.iterations) == (True, "fixed_point",

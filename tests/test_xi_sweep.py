@@ -1,5 +1,5 @@
-"""tools/xi_sweep.py: the drift bound it prints, and the default xi0 it sets
-for the gates and then restores."""
+"""tools/xi_sweep.py: the drift bound it prints, and the defaults sigma and
+xi0 it sets for the CLI and the gates and then restores."""
 
 import importlib.util
 import math
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from opsplit import acceptance
+from opsplit.cli import build_parser
 from opsplit.hpe_core import HpeConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,11 +30,29 @@ def test_xi_bound_is_the_infinite_product(xi0, printed):
 
 
 def test_default_xi0_holds_inside_the_block_only():
+    default = HpeConfig()
     with pytest.raises(ZeroDivisionError):
-        with xi_sweep.default_xi0(0.25):
+        with xi_sweep.kernel_defaults(xi0=0.25):
             assert HpeConfig().xi0 == HpeConfig.xi0 == 0.25
-            assert HpeConfig().max_iters == 1000 and HpeConfig().sigma == 0.5
+            assert HpeConfig(xi0=default.xi0) == default
             acceptance._padmm_qp_runs(None, 0.5)
             1 / 0
     assert acceptance._padmm_qp_runs.cache_info().currsize == 0
-    assert HpeConfig().xi0 == HpeConfig.xi0 == 1.0
+    assert HpeConfig() == default and HpeConfig.xi0 == default.xi0
+
+
+def test_default_sigma_holds_inside_the_block_only():
+    default = HpeConfig()
+    with pytest.raises(ZeroDivisionError):
+        with xi_sweep.kernel_defaults(sigma=0.25):
+            assert HpeConfig().sigma == HpeConfig.sigma == 0.25
+            assert HpeConfig(sigma=default.sigma) == default
+            # the CLI reads its default when it parses
+            args = build_parser().parse_args(["solve", "--algorithm", "ppg",
+                                              "--problem", "qp:seed=0"])
+            assert args.sigma == 0.25
+            1 / 0
+    assert HpeConfig() == default and HpeConfig.sigma == default.sigma
+    with pytest.raises(TypeError, match="HpeConfig has no field beta"):
+        with xi_sweep.kernel_defaults(beta=2.0):
+            pass

@@ -69,7 +69,7 @@ BATTERY = (
     + [("padmm-ebb.qp0.max-iters", _solve("padmm-ebb", QP % 0, "--tol",
                                           "1e-12", "--max-iters", "50")),
        ("padmm-ebb.abort", _solve("padmm-ebb", "qp:seed=1", "--beta", "100",
-                                  "--max-iters", "3")),
+                                  "--sigma", "0.5", "--max-iters", "3")),
        ("padmm-ebb.beta-nan", _solve("padmm-ebb", "qp:seed=1", "--beta",
                                      "nan"))])
 
