@@ -131,7 +131,7 @@ def _theta_or_auto(text: str) -> Optional[float]:
 
 
 def _beta(args) -> float:
-    return 1.0 if args.beta is None else args.beta  # padmm-ebb's default
+    return padmm_ebb.DEFAULT_BETA if args.beta is None else args.beta
 
 
 def _xi0(args) -> float:
@@ -334,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration budget (default %d)"
                             % HpeConfig.max_iters)
         p.add_argument("--beta", type=float, default=None,
-                       help="penalty parameter of padmm-ebb (default 1)")
+                       help="penalty parameter of padmm-ebb (default %g)"
+                            % padmm_ebb.DEFAULT_BETA)
         p.add_argument("--cv-r", type=float, default=None,
                        help="primal scale r of the condat-vu metric")
         p.add_argument("--cv-s", type=float, default=None,

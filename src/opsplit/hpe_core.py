@@ -341,9 +341,9 @@ class IterTrace(list):
 @dataclass
 class RunResult:
     """The outcome of every solve, kernel or multi-block.  ``final`` holds the
-    solver's own values of the final iterate for the summary (empty for
-    kernel runs); ``abort`` the record :func:`aborted` builds when an
-    exception ends the run."""
+    solver's own values of the final iterate for the summary (for a kernel
+    run only its ``Xi``, and only when it updates its metric); ``abort`` the
+    record :func:`aborted` builds when an exception ends the run."""
     solution: np.ndarray
     trace: IterTrace
     converged: bool
@@ -392,15 +392,19 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
 
     Every certificate must pass the criterion and every metric change the
     schedule omega_k I <= M_next <= (1 + xi_k) M_k, with the floor omega_k =
-    min(M_0) / prod_{j<=k} (1 + xi_j) that an update clamped below by
-    M_k / (1 + xi_k) keeps; violations abort with a diagnostic exception.
+    min(M_0) / Xi_k that an update clamped below by M_k / (1 + xi_k) keeps;
+    violations abort with a diagnostic exception.  Xi_k = prod_{j<=k}
+    (1 + xi_j), the factor the metric may have drifted by, taken before
+    each update, is the result's ``final["Xi"]`` when ``metric_update`` is
+    given, aborts included.
     Each certified step is handed to every :class:`ErgodicAccumulator` in
     ``accumulators``; no certificate is kept.
     An exception raised in the loop keeps its class, its message gains the
     prefix ``"iteration k: "``, and its ``result`` is the :func:`aborted`
     run, with the partial trace.
     """
-    x, M, floor = np.array(x0, dtype=float), M0, M0.omega_lower
+    x, M = np.array(x0, dtype=float), M0
+    final = {"Xi": 1.0} if metric_update is not None else {}
     trace = IterTrace(name for name, _ in columns)
     producers = [produce for _, produce in columns]
     t0 = time.perf_counter()
@@ -409,12 +413,12 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
         for k in range(1, cfg.max_iters + 1):
             reason = stop(k, x) if stop is not None else None
             if reason:
-                return RunResult(solution=x, trace=trace, converged=True,
-                                 reason=reason, iterations=k - 1)
+                k -= 1  # iteration k never started
+                break
             cert = oracle(x, M, cfg)
             if cert is None:
-                return RunResult(solution=x, trace=trace, converged=True,
-                                 reason="fixed_point", iterations=k)
+                reason = "fixed_point"
+                break
             rep = certify(x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k) if metric_update is not None else 0.0
             v_norm = norm(cert.v)
@@ -424,21 +428,24 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
             for acc in accumulators:
                 acc.add(cert)
             if stop is None and max(v_norm, cert.eps) <= cfg.tol_residual:
-                return RunResult(solution=cert.y.copy(), trace=trace,
-                                 converged=True, reason="residual",
-                                 iterations=k)
+                x, reason = cert.y.copy(), "residual"
+                break
             x = extragradient_step(x, cert)
             if metric_update is not None:
+                final["Xi"] *= 1.0 + xi_k
                 M_next = metric_update(k, x, cert, M)
-                floor /= 1.0 + xi_k
-                validate_metric_update(M, M_next, xi_k, floor)
+                validate_metric_update(M, M_next, xi_k,
+                                       M0.omega_lower / final["Xi"])
                 M = M_next
+        else:
+            reason = "max_iters"
     except Exception as exc:  # the class stays: it decides the exit code
         exc.args = ("iteration %d: %s" % (k, exc),)
         exc.result = aborted(exc, trace, k)
+        exc.result.final = final
         raise
-    return RunResult(solution=x, trace=trace, converged=False,
-                     reason="max_iters", iterations=cfg.max_iters)
+    return RunResult(solution=x, trace=trace, converged=reason != "max_iters",
+                     reason=reason, iterations=k, final=final)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ OPT_IN_COLUMNS = ("pkkt", "objective")
 DEFAULT_COLUMNS = hpe_core.DEFAULT_COLUMNS + tuple(
     name for name, _ in PADMM_COLUMNS if name not in OPT_IN_COLUMNS)
 
+DEFAULT_BETA = 1.0  # penalty parameter when none is given
 THETA_CAP = 5.0   # largest over-relaxation taken
 MARGIN = 1.05     # safety factor of the proximal curvatures
 M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
@@ -231,26 +232,23 @@ class UOperator:
 
 
 def theta_range(d: np.ndarray, U: UOperator, M: BlockDiagonalMetric,
-                sigma_bar: float, problem: MultiBlockProblem,
+                sigma_bar: float, eps: float,
                 images: Optional[Sequence[np.ndarray]] = None):
     """Adaptive over-relaxation along the current direction d = z - w.
 
     theta_adap = -1 + Gamma-form / (U* M^-1 U)-form meets the relative-error
-    criterion with equality for the certificate v = U d with step M^-1 U d.
-    Returns (theta_adap, U d, M^-1 U d).  A zero direction, a degenerate
-    U* M^-1 U form, or a Gamma form not above 1e-10 times it raises
-    :class:`CriterionViolation`.  The direction-independent bound (a top
-    generalized eigenvalue of the two forms) is never computed on the solve
-    path; the tests assemble it densely as an offline diagnostic.
+    criterion with equality for the certificate v = U d with step M^-1 U d
+    and the oracle's eps = (1/4) d^T D d, so the Gamma form's -(1/2) d^T D d
+    is -2 eps.  Returns (theta_adap, U d, M^-1 U d).  A degenerate
+    U* M^-1 U form (zero at d = 0), or a Gamma form not above 1e-10 times
+    it, raises :class:`CriterionViolation`.  The direction-independent bound
+    (a top generalized eigenvalue of the two forms) is never computed on the
+    solve path; the tests assemble it densely as an offline diagnostic.
     """
-    if not d.any():
-        raise CriterionViolation(
-            "zero direction: iterate equals its sweep point")
     Ud = U.apply(d, images)
     step = M.solve(Ud)
     gamma_form = (2.0 * float(np.dot(d, Ud))
-                  + (sigma_bar - 1.0) * weighted_norm_sq(M, d)
-                  - 0.5 * float(np.dot(d * problem.d_weights, d)))
+                  + (sigma_bar - 1.0) * weighted_norm_sq(M, d) - 2.0 * eps)
     denom_form = float(np.dot(Ud, step))
     if denom_form <= 0:
         raise CriterionViolation("degenerate U*M^-1U form (gamma_form=%.6e, "
@@ -340,10 +338,12 @@ class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
     :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients, dual
     block and images A_i y for the sweep, which drops the images and whose
-    adjoint images U (built once) reuses.  Each iteration sweeps once: a
-    directional Gamma form that is not positive, or a degenerate step range,
-    aborts the run with :class:`CriterionViolation` instead of changing it.
-    Unless ``columns`` names ``pkkt``, the stop test cuts the residual short."""
+    adjoint images U (built once) reuses; the kernel keeps Xi.  The oracle's
+    eps = (1/4) d^T D d is one dot, which :func:`theta_range` reuses.  Each
+    iteration sweeps once: a directional Gamma form that is not positive,
+    or a degenerate step range, aborts the run with
+    :class:`CriterionViolation` instead of changing it.  Unless ``columns``
+    names ``pkkt``, the stop test cuts the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, cfg: HpeConfig, beta: float,
                  theta_fixed: Optional[float], columns: Sequence[str]):
@@ -353,7 +353,7 @@ class _Iteration:
                                          problem.constraint_norms())
         self.inv_scalars = [1.0 / e for e in self.etas] + [beta]
         self.U = UOperator(problem, beta, self.etas)
-        self.prev, self.pnorm, self.Xi = None, float("nan"), 1.0
+        self.prev, self.pnorm = None, float("nan")
         self.stop_tol = None if "pkkt" in columns else cfg.tol_residual
 
     def metric(self) -> BlockDiagonalMetric:
@@ -385,7 +385,9 @@ class _Iteration:
             return None  # sweep fixed point: v = 0, a KKT point
         if not math.isfinite(d_norm):
             raise NonFiniteValue("non-finite sweep point")
-        theta_adap, Ud, step = theta_range(d, self.U, M, cfg.sigma, pr, images)
+        eps = 0.25 * float(np.dot(d * pr.d_weights, d))
+        theta_adap, Ud, step = theta_range(d, self.U, M, cfg.sigma, eps,
+                                           images)
         self.points, self.theta_adap = x_tilde + [y_tilde], theta_adap
         # the adaptive endpoint meets the criterion with equality; back off by
         # a relative hair so roundoff cannot flip the inequality
@@ -393,9 +395,6 @@ class _Iteration:
         theta = min(theta_safe, THETA_CAP)
         if self.theta_fixed is not None:
             theta = min(self.theta_fixed, theta_safe)
-        dbs = pr.full_layout.split(d)
-        eps = float(np.array([0.25 * l * float(np.dot(db, db))
-                              for l, db in zip(pr.L, dbs)]).sum())
         return HpeCertificate(y=w, v=Ud, eps=eps, c=1.0, theta=theta,
                               step=step)
 
@@ -408,19 +407,17 @@ class _Iteration:
         grads_t = pr.grad_f(self.points[:pr.p])
         slopes = [vx + gt - g for vx, gt, g in zip(vxs, grads_t, self.grads)]
         slopes.append(vy.copy())
-        xi_k = self.cfg.xi(k)
-        self.Xi *= 1.0 + xi_k
         if self.prev is not None:
             nums = [norm(a - b) for a, b in zip(self.points, self.prev[0])]
             dens = [norm(a - b) for a, b in zip(slopes, self.prev[1])]
             self.inv_scalars = bb_metric_update(self.inv_scalars, nums, dens,
-                                                xi_k)
+                                                self.cfg.xi(k))
         self.prev = (self.points, slopes)
         return self.metric()
 
 
-def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
-              theta_fixed: Optional[float] = None,
+def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
+              beta: float = DEFAULT_BETA, theta_fixed: Optional[float] = None,
               z0: Optional[np.ndarray] = None,
               ref_solution: Optional[np.ndarray] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
@@ -432,15 +429,14 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     tolerance of the stop hook, which replaces the kernel's residual test.
     They are certified, accumulated and aborted as there; the metric
     schedule's floor is the one the BB clamp keeps, min(M_0 scalars) /
-    prod_{j<=k} (1 + xi_j).  ``beta`` is the penalty and ``theta_fixed``,
-    when given, caps the over-relaxation (0.0 disables it).  A run that
-    reaches ``max_iters`` still ends converged if its final iterate meets
-    the tolerance.  The trace records the ``columns`` named, of
+    prod_{j<=k} (1 + xi_j), and the kernel records that product as
+    ``final["Xi"]``, also on an aborted run's result.  ``beta`` is the
+    penalty (:data:`DEFAULT_BETA` when omitted) and ``theta_fixed``, when
+    given, caps the over-relaxation (0.0 disables it).  A run that reaches
+    ``max_iters`` still ends converged if its final iterate meets the
+    tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
-    ``solution`` is z and ``final["pkkt"]`` its full residual norm;
-    ``final["Xi"]``, also on an aborted run's result, is prod (1 + xi_k)
-    over the metric updates the run made, the factor by which the metric
-    may have drifted.
+    ``solution`` is z and ``final["pkkt"]`` its full residual norm.
     """
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and positive, got %r" % beta)
@@ -450,19 +446,12 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig, beta: float = 1.0,
     it = _Iteration(problem, cfg, beta, theta_fixed, columns)
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
-    try:
-        res = hpe_core.run(
-            it.oracle,
-            z0 if z0 is not None else np.zeros(problem.full_layout.dim),
-            it.metric(), cfg,
-            metric_update=it.metric_update, ref_solution=ref_solution,
-            accumulators=accumulators, stop=it.stop,
-            columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
-    except Exception as exc:  # an aborted run's summary records Xi as well
-        if hasattr(exc, "result"):
-            exc.result.final["Xi"] = it.Xi
-        raise
-    res.final["Xi"] = it.Xi
+    res = hpe_core.run(
+        it.oracle, z0 if z0 is not None else np.zeros(problem.full_layout.dim),
+        it.metric(), cfg,
+        metric_update=it.metric_update, ref_solution=ref_solution,
+        accumulators=accumulators, stop=it.stop,
+        columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
     pnorm = it.pnorm
     if res.reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate

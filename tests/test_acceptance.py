@@ -118,6 +118,20 @@ def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):
     assert not result.passed
 
 
+def test_pointwise_bounds_rejects_a_short_correction(monkeypatch):
+    # a correction of 1% of the certified (1 + theta) c M^-1 v still meets
+    # the criterion at every step, but the iterate creeps towards the
+    # solution, and its best ||v|| soon exceeds the pointwise bound
+    def short_step(x, cert):
+        return x - 0.01 * (1.0 + cert.theta) * cert.step
+
+    monkeypatch.setattr(hpe_core, "extragradient_step", short_step)
+    result = acceptance.check_pointwise_bounds()
+    (worst,) = _numbers(r"max best_v/bound_v (\S+),", result.detail)
+    assert worst > 1.0
+    assert not result.passed
+
+
 def test_bb_acceleration_rejects_a_frozen_metric(monkeypatch):
     # a BB update that keeps the previous scalars leaves the start metric in
     # place whatever xi0 is: the run at the default xi0 is the xi0 = 0 run,

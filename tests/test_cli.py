@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsplit import cli, hpe_core
+from opsplit import cli, hpe_core, padmm_ebb
 from opsplit.cli import (ALGORITHMS, ConfigError, build_parser, main,
                          parse_descriptor)
 from opsplit.hpe_core import CriterionViolation, ErgodicAccumulator, HpeConfig
@@ -95,17 +95,21 @@ def test_only_padmm_ebb_echoes_xi0_and_records_xi(tmp_path, algorithm):
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
-    # HpeConfig owns sigma, tol_residual and max_iters; the CLI repeats none
+    # HpeConfig owns sigma, tol_residual and max_iters, and padmm_ebb owns
+    # beta; the CLI repeats none
     args = build_parser().parse_args([command, "--problem", "qp:seed=0"] + (
         ["--algorithm", "fbhf"] if command == "solve" else []))
     default = HpeConfig()
     assert (args.sigma, args.tol, args.max_iters) == (
         default.sigma, default.tol_residual, default.max_iters) == (
         0.9, 1e-8, 1000)
+    assert args.beta is None
+    assert cli._beta(args) == padmm_ebb.DEFAULT_BETA == 1.0
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     for option, value in (("--sigma SIGMA", "0.9"), ("--tol TOL", "1e-08"),
-                          ("--max-iters MAX_ITERS", "1000")):
+                          ("--max-iters MAX_ITERS", "1000"),
+                          ("--beta BETA", "%g" % padmm_ebb.DEFAULT_BETA)):
         entry = text.split(" %s " % option)[1].split(" --")[0]
         assert entry.endswith("(default %s)" % value), entry
 

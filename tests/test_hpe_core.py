@@ -440,18 +440,37 @@ def test_run_floor_divides_by_one_plus_xi_once_per_update():
 
 def test_only_a_run_that_updates_its_metric_records_xi():
     # a constant-metric run uses none of the schedule's slack, so the Fejer
-    # gate's factor (1 + xi_k) must read 1 for it, whatever xi0 is
+    # gate's factor (1 + xi_k) must read 1 for it, whatever xi0 is, and its
+    # result records no Xi; a run that updates its metric records the
+    # running product Xi = prod (1 + xi_k), also when the update raises
     K, q, _ = _affine_setup()
     cfg = HpeConfig(xi0=1.0, max_iters=5, tol_residual=0.0)
 
-    def xis(metric_update):
+    def run(metric_update):
         return hpe_core.run(make_affine_resolvent_oracle(K, q),
                             np.ones(K.shape[0]), IdentityMetric(), cfg,
                             metric_update=metric_update,
-                            columns=hpe_core.select(("xi",))).trace.column("xi")
+                            columns=hpe_core.select(("xi",)))
 
-    assert xis(None) == [0.0] * 5
-    assert xis(lambda k, x, cert, M: M) == [cfg.xi(k) for k in range(1, 6)]
+    def product(updates):  # in loop order, as the kernel multiplies
+        return math.prod(1.0 + cfg.xi(k) for k in range(1, updates + 1))
+
+    constant, updating = run(None), run(lambda k, x, cert, M: M)
+    assert constant.trace.column("xi") == [0.0] * 5
+    assert constant.final == {}
+    assert updating.trace.column("xi") == [cfg.xi(k) for k in range(1, 6)]
+    assert updating.final == {"Xi": product(5)} and product(5) > 1.0
+
+    def fail_at_3(k, x, cert, M):
+        if k == 3:
+            raise RuntimeError("boom")
+        return M
+
+    with pytest.raises(RuntimeError) as exc:
+        run(fail_at_3)
+    # the factor of update 3 is taken before its hook runs
+    assert exc.value.result.final == {"Xi": product(3)}
+    assert product(3) != product(2)
 
 
 @pytest.mark.parametrize("hook,rows", [("oracle", 2), ("stop", 2),

@@ -325,10 +325,10 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     d = z - w
     U = UOperator(prob, beta, etas)
     sigma_bar = 0.9
-    theta_adap, Ud, step_range = theta_range(d, U, M, sigma_bar, prob, images)
-    theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
     eps = sum(0.25 * l * float(np.dot(db, db))
               for l, db in zip(prob.L, lay.split(d)))
+    theta_adap, Ud, step_range = theta_range(d, U, M, sigma_bar, eps, images)
+    theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
     step = M.solve(U.apply(d))
     # the returned certificate pair is U d and M^-1 U d, the sweep's images
     # standing in for U's own adjoint applies bit for bit
@@ -352,14 +352,18 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
 
 
 def test_theta_range_rejects_zero_direction(qp3):
+    # the oracle ends the run at a fixed point before d = 0 reaches the step
+    # range; should one reach it, the U* M^-1 U form is 0 and degenerate
     prob = qp3.problem
     lay = prob.full_layout
     etas = scalar_majorant_etas(prob, 1.0, prob.constraint_norms())
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
-    with pytest.raises(CriterionViolation, match="zero direction"):
+    with pytest.raises(CriterionViolation,
+                       match=r"degenerate U\*M\^-1U form .*denom_form="
+                             r"0\.000000e\+00"):
         theta_range(np.zeros(lay.dim), UOperator(prob, 1.0, etas), M,
-                    0.9, prob)
+                    0.9, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,11 @@ BATTERY = (
                                      *LRR_OPTS))]
     + [("padmm-ebb.qp0.max-iters", _solve("padmm-ebb", QP % 0, "--tol",
                                           "1e-12", "--max-iters", "50")),
+       # xi0 = 0: a constant schedule, whose Xi must stay exactly 1
+       ("padmm-ebb.qp0.xi0", _solve("padmm-ebb", QP % 0, *QP_OPTS, "--xi0",
+                                    "0")),
+       # one column: L_Z = 0, so the Z block adds nothing to eps
+       ("padmm-ebb.lrr-col", _solve("padmm-ebb", "lrr:seed=0,d=3,n=1")),
        ("padmm-ebb.abort", _solve("padmm-ebb", "qp:seed=1", "--beta", "100",
                                   "--sigma", "0.5", "--max-iters", "3")),
        ("padmm-ebb.beta-nan", _solve("padmm-ebb", "qp:seed=1", "--beta",
