@@ -22,8 +22,10 @@ Each trace column is one (name, producer) pair of a table
 
 Also in this module: the complexity-bound calculators (pointwise bounds, the
 online accumulator of the ergodic pair ||v_bar|| and eps_bar and its two-pass
-reference, local linear-rate factor) used by the instrumentation and tests.
-The bound calculators take the constants of a run as arguments.
+reference, local linear-rate factor) used by the instrumentation and tests,
+and the exact affine resolvent oracle of the theorem gates.  The bound
+calculators take the constants of a run as arguments; the pointwise one takes
+its whole xi series and returns the bounds at every k.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .linops import BlockDiagonalMetric, Metric, norm, weighted_norm_sq
+from .linops import (BlockDiagonalMetric, IdentityMetric, Metric, norm,
+                     weighted_norm_sq)
 
 
 class CriterionViolation(RuntimeError):
@@ -455,21 +458,21 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
 
 @dataclass
 class PointwiseBound:
-    bound_v: float
-    bound_eps: float
+    """Best-iterate bounds of one run, entry k - 1 for k = 1..len(xis)."""
+    bound_v: np.ndarray
+    bound_eps: np.ndarray
 
 
-def pointwise_bound(k: int, d0: float, sigma: float, theta_min: float,
-                    c_min: float, omega_upper: float,
-                    xis: Sequence[float]) -> PointwiseBound:
-    """Best-iterate bounds on ||v|| and eps after k iterations.
+def pointwise_bound(d0: float, sigma: float, theta_min: float, c_min: float,
+                    omega_upper: float, xis: Sequence[float]) -> PointwiseBound:
+    """Best-iterate bounds on ||v|| and eps after every k = 1..len(xis).
 
     The constants are the run's: d0 is the M_0-distance from the start point
     to a solution, theta_j >= theta_min, c_j >= c_min and M_j <= omega_upper I
-    at every step, and ``xis`` holds its xi_1..xi_k.
+    at every step, and ``xis`` holds its xi_1, xi_2, ... (a run's ``xi``
+    trace column).  Bound k takes sum_{j<=k} xi_j and Xi_k = prod_{j<=k}
+    (1 + xi_j), both accumulated left to right.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
     # a NaN or an infinity here turns the bounds to NaN, 0 or inf
@@ -478,12 +481,14 @@ def pointwise_bound(k: int, d0: float, sigma: float, theta_min: float,
         if not (math.isfinite(val) and val > low):
             raise ValueError("%s must be finite and exceed %d, got %r"
                              % (name, low, val))
-    if len(xis) != k or not all(xi >= 0 for xi in xis):
-        raise ValueError("xis must hold xi_1..xi_%d, each nonnegative" % k)
-    s = float(sum(xis))
-    cap = math.prod(1.0 + xi for xi in xis)  # <= exp(s)
+    xis = np.asarray(xis, dtype=float)
+    if xis.ndim != 1 or not xis.size or not np.all(xis >= 0):
+        raise ValueError("xis must hold xi_1..xi_k, k >= 1, each nonnegative")
+    k = np.arange(1, xis.size + 1, dtype=float)
+    s = np.cumsum(xis)
+    cap = np.cumprod(1.0 + xis)  # <= exp(s)
     denom_v = k * (1.0 - sigma) * (1.0 + theta_min) ** 3 * c_min ** 2
-    bound_v = math.sqrt(4.0 * (1.0 + s) * cap ** 2 * omega_upper / denom_v) * d0
+    bound_v = np.sqrt(4.0 * (1.0 + s) * cap ** 2 * omega_upper / denom_v) * d0
     denom_e = k * (1.0 - sigma) * (1.0 + theta_min) ** 2 * c_min
     bound_eps = (1.0 + s) * cap / denom_e * d0 ** 2
     return PointwiseBound(bound_v=bound_v, bound_eps=bound_eps)
@@ -577,31 +582,23 @@ def linear_rate_factor(kappa: float, sigma: float, theta_k: float, c_min: float,
 # ---------------------------------------------------------------------------
 
 
-def make_affine_resolvent_oracle(Q: np.ndarray, q: Optional[np.ndarray] = None,
-                                 M: Optional[Metric] = None, c: float = 1.0,
+def make_affine_resolvent_oracle(Q: np.ndarray, q: np.ndarray,
+                                 M: Metric = IdentityMetric(), c: float = 1.0,
                                  theta: float = 0.0):
     """Exact proximal-point oracle for the affine operator T(x) = Qx + q.
 
-    Solves (c Q + M) y = M x - c q each step, so eps = 0, the step
-    c M^-1 v is exactly x - y, and the criterion holds with
-    lhs = theta ||c M^-1 v||_M^2 (zero when theta = 0).  The metric is treated
-    as fixed; pass the same M to the kernel.
+    Solves (c Q + M) y = M x - c q each step, with M assembled once from its
+    applies, so eps = 0, the step c M^-1 v is exactly x - y, and the
+    criterion holds with lhs = theta ||c M^-1 v||_M^2 (zero when theta = 0).
+    The metric is treated as fixed; pass the same M to the kernel.
     """
     import scipy.linalg
 
-    Q = np.asarray(Q, dtype=float)
-    n = Q.shape[0]
-    q = np.zeros(n) if q is None else np.asarray(q, dtype=float)
-    if M is None:
-        M_dense = np.eye(n)
-        M_apply = lambda u: u
-    else:
-        M_dense = _dense_form(M, n)
-        M_apply = M.apply
-    lu = scipy.linalg.lu_factor(c * Q + M_dense)
+    Q, q = np.asarray(Q, dtype=float), np.asarray(q, dtype=float)
+    lu = scipy.linalg.lu_factor(c * Q + _dense_form(M, Q.shape[0]))
 
     def oracle(x: np.ndarray, metric, cfg) -> HpeCertificate:
-        y = scipy.linalg.lu_solve(lu, M_apply(x) - c * q)
+        y = scipy.linalg.lu_solve(lu, M.apply(x) - c * q)
         return HpeCertificate(y=y, v=Q @ y + q, eps=0.0, c=c, theta=theta,
                               step=x - y)
 

@@ -129,6 +129,26 @@ def test_extragradient_step_formula():
     assert np.allclose(out_m, x - 1.5 * 2.0 * cert.v / 3.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("c", 0.0, "c must be positive"), ("c", -1.0, "c must be positive"),
+    ("eps", -1e-300, "eps must be nonnegative")])
+def test_certificate_rejects_a_nonpositive_c_or_negative_eps(field, value,
+                                                             message):
+    parts = dict(y=_pt([0.0]), v=_pt([0.0]), eps=0.0, c=1.0)
+    with pytest.raises(ValueError, match=message):
+        HpeCertificate(**dict(parts, **{field: value}))
+
+
+def test_criterion_rejects_an_eps_set_negative_after_construction():
+    # with y = x and v = 0, eps = -1 gives lhs = -2 <= rhs = 0: the
+    # certificate would pass if only its constructor checked eps
+    cert = HpeCertificate(y=_pt([0.0]), v=_pt([0.0]), eps=0.0,
+                          step=_pt([0.0]))
+    cert.eps = -1.0
+    with pytest.raises(ValueError, match="eps must be nonnegative"):
+        check_criterion(_pt([0.0]), cert, IdentityMetric(), sigma=0.5)
+
+
 # ---------------------------------------------------------------------------
 # Schedules and metric validation
 # ---------------------------------------------------------------------------
@@ -176,7 +196,7 @@ def test_config_rejects_a_negative_or_nan_tolerance(tol):
     assert HpeConfig(tol_residual=0.0).tol_residual == 0.0
 
 
-_BOUND_ARGS = dict(k=1, d0=1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
+_BOUND_ARGS = dict(d0=1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
                    omega_upper=1.0, xis=[0.0])
 
 
@@ -200,8 +220,8 @@ def test_config_rejects_non_finite_bound_constants(field, value):
 
 
 def test_pointwise_bound_takes_the_run_xis():
-    for xis in ([], [0.0, 0.0], [float("nan")], [-1e-3]):
-        with pytest.raises(ValueError, match="xis must hold xi_1..xi_1"):
+    for xis in ([], [float("nan")], [-1e-3]):
+        with pytest.raises(ValueError, match="xis must hold xi_1..xi_k"):
             pointwise_bound(**dict(_BOUND_ARGS, xis=xis))
 
 
@@ -547,29 +567,26 @@ def test_trace_csv_bytes_equal_csv_writer(tmp_path):
 
 
 def test_pointwise_bound_closed_form():
-    d0, zeros = 2.0, [0.0] * 36
-
-    def bound(k):
-        return pointwise_bound(k, d0, sigma=0.5, theta_min=0.5, c_min=1.0,
-                               omega_upper=1.0, xis=zeros[:k])
-
-    for k in (1, 4, 36):
-        pb = bound(k)
+    d0 = 2.0
+    pb = pointwise_bound(d0, sigma=0.5, theta_min=0.5, c_min=1.0,
+                         omega_upper=1.0, xis=[0.0] * 36)
+    assert pb.bound_v.shape == pb.bound_eps.shape == (36,)
+    for k in range(1, 37):
         # independent route: constant metric, xi = 0
-        assert pb.bound_v == pytest.approx(
+        assert pb.bound_v[k - 1] == pytest.approx(
             math.sqrt(4.0 / (k * 0.5 * 1.5 ** 3)) * d0, rel=1e-14)
-        assert pb.bound_eps == pytest.approx(
+        assert pb.bound_eps[k - 1] == pytest.approx(
             d0 ** 2 / (k * 0.5 * 1.5 ** 2), rel=1e-14)
     # O(1/sqrt(k)) and O(1/k) decay
-    assert bound(4).bound_v == pytest.approx(bound(1).bound_v / 2.0)
-    assert bound(4).bound_eps == pytest.approx(bound(1).bound_eps / 4.0)
+    assert pb.bound_v[3] == pytest.approx(pb.bound_v[0] / 2.0)
+    assert pb.bound_eps[3] == pytest.approx(pb.bound_eps[0] / 4.0)
 
 
 def test_pointwise_bound_inflates_with_xi():
     def bound_v(xi0):
         xis = [HpeConfig(xi0=xi0).xi(k) for k in range(1, 11)]
-        return pointwise_bound(10, 1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
-                               omega_upper=1.0, xis=xis).bound_v
+        return pointwise_bound(1.0, sigma=0.5, theta_min=0.0, c_min=1.0,
+                               omega_upper=1.0, xis=xis).bound_v[-1]
 
     assert bound_v(0.5) > bound_v(0.0)
 
@@ -626,6 +643,9 @@ def test_ergodic_accumulator_rejects_empty_and_zero_weight():
     acc = ErgodicAccumulator(alpha=lambda k: 0.0)
     with pytest.raises(ValueError, match="must be positive"):
         acc.add(_random_certs(1, 3, seed=0)[0])
+    # so does the two-pass reference, whose means would read NaN otherwise
+    with pytest.raises(ValueError, match="positive sum"):
+        ergodic_aggregate(_random_certs(3, 2, seed=0), [0.0, 0.0, 0.0])
 
 
 def test_linear_rate_factor_value_and_validation():
@@ -641,6 +661,13 @@ def test_linear_rate_factor_value_and_validation():
         linear_rate_factor(0.0, 0.5, 0.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         linear_rate_factor(2.0, 0.5, 0.0, 1.0, 0.5, 1.0, 1.0)
+    # the b term divides by (1 + theta_k)^2
+    with pytest.raises(ValueError, match="theta_k must exceed -1"):
+        linear_rate_factor(2.0, 0.5, -1.0, 1.0, 1.0, 1.0, 1.0)
+    # kappa ~ 0 and sigma = 0 leave rho ~ 1 + theta_k = 6
+    with pytest.raises(ValueError, match=re.escape("rho outside (0, 1)")):
+        linear_rate_factor(kappa=1e-9, sigma=0.0, theta_k=5.0, c_min=1, Xi=1,
+                           omega_upper=1, omega_lower=1)
 
 
 def test_loglog_slope_recovers_power_law():
