@@ -84,9 +84,9 @@ class HpeConfig:
     and nonnegative.  The default 1 lets padmm-ebb's Barzilai-Borwein
     metric drift by a factor of up to prod_k (1 + xi_k) ~ 1.84 over a run.
     ``tools/xi_sweep.py`` shows how other values of either fare on
-    iterations and on the acceptance gates.  ``tol_residual`` is the run's
-    nonnegative stop tolerance: on max(||v||, eps) in :func:`run`, on the
-    proximal KKT residual in :func:`opsplit.padmm_ebb.run_padmm`.
+    iterations, and of xi0 on the acceptance gates.  ``tol_residual`` is the
+    run's nonnegative stop tolerance: on max(||v||, eps) in :func:`run`, on
+    the proximal KKT residual in :func:`opsplit.padmm_ebb.run_padmm`.
     """
 
     sigma: float = 0.9
@@ -117,7 +117,8 @@ class HpeCertificate:
     """Inexact proximal triple plus the step parameters that produced it.
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
-    against ``v`` and never solves for it.
+    against ``v`` and never solves for it.  Nothing is checked here:
+    :func:`check_criterion` is the one check of every field.
     """
 
     y: np.ndarray
@@ -127,20 +128,15 @@ class HpeCertificate:
     theta: float = 0.0
     step: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
 
 @dataclass
 class CriterionReport:
+    """The criterion's terms for one certificate: slack = rhs - lhs and
+    rel_slack = slack / (1 + rhs)."""
     lhs: float
     rhs: float
     slack: float
     rel_slack: float
-    ok: bool
     diff_M_sq: float  # ||y - x||_M^2
 
 
@@ -164,9 +160,11 @@ def _raise_if_non_finite(x: np.ndarray, cert: HpeCertificate) -> None:
 
 def check_criterion(x: np.ndarray, cert: HpeCertificate, M: Metric,
                     sigma: float) -> CriterionReport:
-    """Evaluate the relative-error inequality for one certificate.
+    """Check one certificate against the relative-error inequality, raising
+    on every failure: this is the one check of a certificate.
 
-    The certificate's step is verified first, with one metric apply:
+    An eps < 0 or a c <= 0 raises ValueError.  The certificate's step is
+    verified next, with one metric apply:
     ||M step - c v||_inf <= 1e-12 (1 + ||c v||_inf).  A missing or deviating
     step, a y, v or step whose shape is not the iterate's, or a theta <= -1
     raises :class:`CriterionViolation`; a non-finite entry raises its
@@ -177,11 +175,14 @@ def check_criterion(x: np.ndarray, cert: HpeCertificate, M: Metric,
         lhs = theta <step, c v> + <step + diff, c v + M diff> + 2 c eps
         rhs = sigma <diff, M diff>
 
-    Returns lhs, rhs, slack = rhs - lhs, ok iff lhs <= rhs + CRITERION_TOL
-    (1 + rhs), and ||diff||_M^2.
+    It holds iff lhs <= rhs + CRITERION_TOL (1 + rhs).  Then the report, with
+    lhs, rhs, slack = rhs - lhs and ||diff||_M^2, is returned; otherwise it
+    is the ``report`` of the :class:`CriterionViolation` raised.
     """
     if cert.eps < 0:
         raise ValueError("eps must be nonnegative")
+    if cert.c <= 0:
+        raise ValueError("c must be positive")
     step = _step_of(cert)
     if not x.shape == cert.y.shape == cert.v.shape == step.shape:
         raise CriterionViolation(
@@ -206,22 +207,12 @@ def check_criterion(x: np.ndarray, cert: HpeCertificate, M: Metric,
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         _raise_if_non_finite(x, cert)
     slack = rhs - lhs
-    rel_slack = slack / (1.0 + rhs)
-    return CriterionReport(lhs=lhs, rhs=rhs, slack=slack,
-                           rel_slack=rel_slack,
-                           ok=lhs <= rhs + CRITERION_TOL * (1.0 + rhs),
-                           diff_M_sq=diff_M_sq)
-
-
-def certify(x: np.ndarray, cert: HpeCertificate, M: Metric,
-            sigma: float) -> CriterionReport:
-    """:func:`check_criterion`, raising :class:`CriterionViolation` with the
-    report when the inequality fails."""
-    rep = check_criterion(x, cert, M, sigma)
-    if not rep.ok:
+    rep = CriterionReport(lhs=lhs, rhs=rhs, slack=slack,
+                          rel_slack=slack / (1.0 + rhs), diff_M_sq=diff_M_sq)
+    if not lhs <= rhs + CRITERION_TOL * (1.0 + rhs):
         raise CriterionViolation(
             "criterion failed (lhs=%.6e > rhs=%.6e, rel slack %.3e)"
-            % (rep.lhs, rep.rhs, rep.rel_slack), report=rep)
+            % (lhs, rhs, rep.rel_slack), report=rep)
     return rep
 
 
@@ -422,7 +413,7 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
             if cert is None:
                 reason = "fixed_point"
                 break
-            rep = certify(x, cert, M, cfg.sigma)
+            rep = check_criterion(x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k) if metric_update is not None else 0.0
             v_norm = norm(cert.v)
             step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)

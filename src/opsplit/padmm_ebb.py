@@ -114,8 +114,7 @@ class MultiBlockProblem:
         return xs, y
 
     def join(self, xs: Sequence[np.ndarray], y: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.asarray(x, dtype=float).ravel()
-                               for x in xs] + [np.asarray(y, dtype=float)])
+        return np.concatenate([*xs, y])
 
     def feasibility(self, xs: Sequence[np.ndarray]) -> np.ndarray:
         r = self.b.copy()

@@ -57,8 +57,8 @@ class ProxFn:
     """A convex function given through its prox map and its value.
 
     ``evaluate(t, v)`` returns argmin_u g(u) + ||u - v||^2 / (2t); ``value``
-    may return ``inf``.  Matrix-valued functions reshape flat inputs
-    column-major using ``shape`` and flatten the result back.
+    may return ``inf``.  Both take and return flat arrays; a matrix-valued
+    function (``shape`` set) reshapes column-major inside its own closures.
     """
 
     evaluate_fn: Callable[[float, np.ndarray], np.ndarray]
@@ -66,23 +66,14 @@ class ProxFn:
     name: str = ""
     shape: Optional[Tuple[int, int]] = None
 
-    def _as_arg(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if self.shape is not None and v.ndim == 1:
-            return v.reshape(self.shape, order="F")
-        return v
-
     def evaluate(self, t: float, v: np.ndarray) -> np.ndarray:
         if t <= 0:
             raise ValueError("prox step must be positive")
-        vin = np.asarray(v, dtype=float)
-        out = np.asarray(self.evaluate_fn(t, self._as_arg(vin)), dtype=float)
-        if vin.ndim == 1 and out.ndim > 1:
-            out = out.ravel(order="F")
-        return out
+        return np.asarray(self.evaluate_fn(t, np.asarray(v, dtype=float)),
+                          dtype=float)
 
     def value(self, v: np.ndarray) -> float:
-        return float(self.value_fn(self._as_arg(np.asarray(v, dtype=float))))
+        return float(self.value_fn(np.asarray(v, dtype=float)))
 
     # -- constructors -------------------------------------------------------
 
@@ -96,9 +87,15 @@ class ProxFn:
 
     @staticmethod
     def nuclear(shape: Tuple[int, int]) -> "ProxFn":
-        return ProxFn(lambda t, V: prox_nuclear(t, V),
-                      lambda V: float(np.linalg.svd(V, compute_uv=False).sum()),
-                      name="nuclear", shape=tuple(shape))
+        shape = tuple(shape)
+
+        def matrix(v):
+            return v.reshape(shape, order="F")
+
+        return ProxFn(lambda t, v: prox_nuclear(t, matrix(v)).ravel(order="F"),
+                      lambda v: float(np.linalg.svd(matrix(v),
+                                                    compute_uv=False).sum()),
+                      name="nuclear", shape=shape)
 
     @staticmethod
     def nonneg() -> "ProxFn":
@@ -114,16 +111,11 @@ class ProxFn:
     @staticmethod
     def constant(target: np.ndarray) -> "ProxFn":
         """Indicator of the single point ``target``."""
-        tgt = np.asarray(target, dtype=float).ravel(order="F")
-
-        def value(v):
-            dv = np.asarray(v, dtype=float).ravel(order="F") - tgt
-            return 0.0 if np.linalg.norm(dv) <= 1e-9 * (1.0 + np.linalg.norm(tgt)) \
-                else float("inf")
-
-        return ProxFn(lambda t, v: tgt.copy() if np.asarray(v).ndim == 1
-                      else tgt.reshape(np.asarray(v).shape, order="F"),
-                      value, name="constant")
+        tgt = np.asarray(target, dtype=float)
+        tol = 1e-9 * (1.0 + np.linalg.norm(tgt))
+        return ProxFn(lambda t, v: tgt.copy(),
+                      lambda v: 0.0 if np.linalg.norm(v - tgt) <= tol
+                      else float("inf"), name="constant")
 
 
 # ---------------------------------------------------------------------------

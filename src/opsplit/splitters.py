@@ -243,8 +243,13 @@ class AfbasPdProblem:
     """min_x f(x) + g(x) + h(Bx) with an adaptive over-relaxation.
 
     Nonsymmetric preconditioner R = [[I/gamma1, -B*], [(1-theta)B, I/gamma2]]
-    and step shaper S = [[I, -mu gamma1 (2-theta) B*],
-    [gamma2 (1-mu)(2-theta) B, I]]; the certified metric is M = R S^{-1}.
+    and step shaper S = [[I, -c1 B*], [c2 B, I]] with c1 = mu gamma1 (2-theta)
+    and c2 = gamma2 (1-mu)(2-theta); the certified metric is M = R S^{-1}.
+    M is symmetric by construction: c1/gamma1 + c2/gamma2 = 2 - theta makes
+    S* R = R* S for every parameter set, so :class:`DenseMetric` symmetrizes
+    only rounding.  The curvature margin 1/gamma1 > gamma2 theta^2 ||B||^2/4
+    also gives 1/(gamma1 gamma2) + (1-theta) B*B > 0, as
+    theta^2/4 >= theta - 1.
     R, S and M are assembled once from the dense matrix B, so each apply of
     any of them is one matrix-vector product.  theta here is the scheme's
     structural parameter (not the over-relaxation); the over-relaxation is
@@ -281,24 +286,16 @@ class AfbasPdProblem:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
         if not 0.0 < self.lam < self.delta:
             raise ValueError("lam must lie in (0, delta), delta=%.6g" % self.delta)
-        xi_mat = np.eye(self.dim_x) / (self.gamma1 * self.gamma2) \
-            + (1.0 - self.theta) * (Bd.T @ Bd)
-        if np.linalg.eigvalsh(xi_mat)[0] <= 0:
-            raise ValueError("R block inversion breaks down: "
-                             "1/(gamma1 gamma2) + (1-theta) B*B not SPD")
         c1 = self.mu * self.gamma1 * (2.0 - self.theta)
         c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
         eye_x, eye_y = np.eye(self.dim_x), np.eye(self.dim_y)
         self._R = np.block([[eye_x / self.gamma1, -Bd.T],
                             [(1.0 - self.theta) * Bd, eye_y / self.gamma2]])
         self._S = np.block([[eye_x, -c1 * Bd.T], [c2 * Bd, eye_y]])
-        M = self._R @ np.linalg.inv(self._S)
-        if np.max(np.abs(M - M.T)) > 1e-8 * (1 + np.max(np.abs(M))):
-            raise ValueError("R S^-1 is not self-adjoint for these parameters")
         try:
-            self._metric = DenseMetric(0.5 * (M + M.T))
-        except ValueError:
-            raise ValueError("metric R S^-1 is not positive definite") from None
+            self._metric = DenseMetric(self._R @ np.linalg.inv(self._S))
+        except ValueError as exc:
+            raise ValueError("metric R S^-1: %s" % exc) from None
 
     # -- derived constants ----------------------------------------------------
 
@@ -338,9 +335,7 @@ def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
     Rd = p._R @ d
     Sd = p._S @ d
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
-    denom = float(np.dot(Sd, Rd))                           # ||d||^2_{S*R}
-    if denom <= 0:
-        raise CriterionViolation("degenerate adaptive-step denominator")
+    denom = float(np.dot(Sd, Rd))                           # ||S d||^2_M > 0
     eps = 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
     d_M = float(np.dot(d, p.metric().apply(d)))
     cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)

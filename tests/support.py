@@ -1,7 +1,8 @@
-"""Helpers only the tests use: an SVD call counter, dense matrices to and
-from :class:`~opsplit.linops.LinearMap`, a randomized adjoint check, the
-dense KKT operator of a QP, and the writers of MatrixMarket matrices and LRR
-manifests that ``opsplit.linops.read_matrix`` and
+"""Helpers only the tests use: an SVD call counter, the report of a failing
+criterion check, dense matrices to and from
+:class:`~opsplit.linops.LinearMap`, a randomized adjoint check, the dense KKT
+operator of a QP, and the writers of MatrixMarket matrices and LRR manifests
+that ``opsplit.linops.read_matrix`` and
 ``opsplit.prox_problems.load_lrr_instance`` read back."""
 
 import json
@@ -9,8 +10,10 @@ import pathlib
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 import scipy.io
 
+from opsplit.hpe_core import CriterionViolation, check_criterion
 from opsplit.linops import LinearMap
 
 
@@ -25,6 +28,15 @@ def count_svds(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls, original
+
+
+def failed_criterion(x, cert, M, sigma):
+    """The report that ``check_criterion``'s "criterion failed" carries: the
+    test fails unless the inequality itself rejects ``cert``."""
+    with pytest.raises(CriterionViolation, match="criterion failed") as exc:
+        check_criterion(x, cert, M, sigma)
+    assert exc.value.report.lhs > exc.value.report.rhs
+    return exc.value.report
 
 
 def from_dense(matrix: np.ndarray) -> LinearMap:

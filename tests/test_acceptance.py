@@ -214,12 +214,20 @@ def test_ergodic_rate_rejects_an_accumulator_without_the_yv_sum(monkeypatch):
 
 
 def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
-    # certify reports without raising, and the three bounded splitters take
-    # their default 0.9 theta_max of a bound 3 theta_max + 0.5: their
-    # certificates break the criterion, and only the gate can say so
-    monkeypatch.setattr(hpe_core, "certify",
-                        lambda x, cert, M, sigma:
-                        hpe_core.check_criterion(x, cert, M, sigma))
+    # the criterion check reports its failures without raising, and the
+    # three bounded splitters take their default 0.9 theta_max of a bound
+    # 3 theta_max + 0.5: their certificates break the criterion, and only
+    # the gate can say so
+    check = hpe_core.check_criterion
+
+    def reporting(x, cert, M, sigma):
+        try:
+            return check(x, cert, M, sigma)
+        except hpe_core.CriterionViolation as exc:
+            assert str(exc).startswith("criterion failed")
+            return exc.report
+
+    monkeypatch.setattr(hpe_core, "check_criterion", reporting)
     for name in ("fbhf_max_theta", "ppg_max_theta", "condat_vu_max_theta"):
         real = getattr(splitters, name)
         monkeypatch.setattr(splitters, name, lambda *args, real=real:

@@ -564,15 +564,16 @@ def test_abort_before_the_loop_writes_a_header_only_trace(tmp_path,
 
 
 def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
+    # the third certificate gains the eps that puts its lhs at rhs + 1, and
+    # the real check rejects it
     real = hpe_core.check_criterion
 
     def failing_at_3(x, cert, M, sigma):
-        rep = real(x, cert, M, sigma)
-        if failing_at_3.calls == 2:
-            rep.ok, rep.lhs = False, rep.rhs + 1.0
-            rep.slack = rep.rhs - rep.lhs
         failing_at_3.calls += 1
-        return rep
+        if failing_at_3.calls == 3:
+            rep = real(x, cert, M, sigma)
+            cert.eps += (rep.slack + 1.0) / (2.0 * cert.c)
+        return real(x, cert, M, sigma)
 
     failing_at_3.calls = 0
     monkeypatch.setattr(hpe_core, "check_criterion", failing_at_3)
@@ -583,6 +584,7 @@ def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):
     data = json.loads(summary.read_text())
     abort = data["abort"]
     assert abort["exception"] == "CriterionViolation"
+    assert abort["message"].startswith("iteration 3: criterion failed")
     assert abort["iteration"] == 3 and data["iterations"] == 2
     assert abort["slack"] == pytest.approx(-1.0)
     assert abort["lhs"] == pytest.approx(abort["rhs"] + 1.0)

@@ -21,6 +21,7 @@ from opsplit.hpe_core import (CertificateRecorder, CriterionViolation,
                               validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, DenseMetric,
                             IdentityMetric)
+from support import failed_criterion
 
 
 def _pt(arr):
@@ -38,7 +39,7 @@ def test_criterion_zero_residual_certificate():
     cert = HpeCertificate(y=x.copy(), v=_pt([0.0, 0.0]), eps=0.0,
                           step=_pt([0.0, 0.0]))
     rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
-    assert rep.ok and rep.lhs == 0.0 and rep.rhs == 0.0
+    assert rep.lhs == 0.0 and rep.rhs == 0.0
 
 
 def test_criterion_exact_resolvent_identity():
@@ -52,10 +53,11 @@ def test_criterion_exact_resolvent_identity():
     half = float(np.dot(y, y))
     assert rep.lhs == pytest.approx(0.25 * half, rel=1e-14)
     assert rep.rhs == pytest.approx(0.5 * half, rel=1e-14)
-    assert rep.ok
     # theta = sigma is the equality endpoint; beyond it the check fails
     cert_hi = HpeCertificate(y=y, v=v, eps=0.0, c=1.0, theta=0.6, step=v)
-    assert not check_criterion(x, cert_hi, IdentityMetric(), sigma=0.5).ok
+    over = failed_criterion(x, cert_hi, IdentityMetric(), sigma=0.5)
+    assert over.lhs == pytest.approx(0.6 * half, rel=1e-14)
+    assert over.rhs == pytest.approx(0.5 * half, rel=1e-14)
 
 
 def test_criterion_respects_metric_weighting():
@@ -70,29 +72,28 @@ def test_criterion_respects_metric_weighting():
     assert rep.rhs == pytest.approx(0.5 * 4.0 * 0.25, rel=1e-14)
 
 
-def _criterion_at(lhs_over_rhs):
+def _criterion_at(lhs_over_rhs, check=check_criterion):
     # step = -diff, so lhs = 2 c eps and rhs = sigma ||diff||^2 = 1 exactly
     x = _pt([0.0, 0.0])
     cert = HpeCertificate(y=_pt([1.0, 1.0]), v=_pt([-1.0, -1.0]),
                           eps=0.5 * lhs_over_rhs, step=_pt([-1.0, -1.0]))
-    return check_criterion(x, cert, IdentityMetric(), sigma=0.5)
+    return check(x, cert, IdentityMetric(), sigma=0.5)
 
 
 def test_criterion_tolerance_is_1e_10_relative_at_rhs_near_one():
     # at rhs = 1 the tolerance is CRITERION_TOL (1 + rhs) = 2e-10: an excess
     # of 1e-8 is rejected, one of 1e-11 is rounding and passes
-    over = _criterion_at(1.0 + 1e-8)
-    assert over.rhs == 1.0 and over.lhs == 1.0 + 1e-8 and not over.ok
-    assert _criterion_at(1.0 + 1e-11).ok
+    over = _criterion_at(1.0 + 1e-8, check=failed_criterion)
+    assert over.rhs == 1.0 and over.lhs == 1.0 + 1e-8
+    assert _criterion_at(1.0 + 1e-11).lhs == 1.0 + 1e-11
 
 
 def test_criterion_eps_contributes_2c_eps():
     x = _pt([1.0])
     cert = HpeCertificate(y=_pt([1.0]), v=_pt([0.0]), eps=0.3, c=2.0,
                           step=_pt([0.0]))
-    rep = check_criterion(x, cert, IdentityMetric(), sigma=0.5)
-    assert rep.lhs == pytest.approx(2.0 * 2.0 * 0.3)
-    assert not rep.ok
+    rep = failed_criterion(x, cert, IdentityMetric(), sigma=0.5)
+    assert rep.lhs == pytest.approx(2.0 * 2.0 * 0.3) and rep.rhs == 0.0
 
 
 @pytest.mark.parametrize("theta,error,message", [
@@ -134,14 +135,41 @@ def test_extragradient_step_formula():
     ("eps", -1e-300, "eps must be nonnegative")])
 def test_certificate_rejects_a_nonpositive_c_or_negative_eps(field, value,
                                                              message):
-    parts = dict(y=_pt([0.0]), v=_pt([0.0]), eps=0.0, c=1.0)
+    # check_criterion is the one check of a certificate; with y = x and
+    # v = 0 nothing else in it rejects this one
+    parts = dict(y=_pt([0.0]), v=_pt([0.0]), eps=0.0, c=1.0, step=_pt([0.0]))
+    cert = HpeCertificate(**dict(parts, **{field: value}))
     with pytest.raises(ValueError, match=message):
-        HpeCertificate(**dict(parts, **{field: value}))
+        check_criterion(_pt([0.0]), cert, IdentityMetric(), sigma=0.5)
+
+
+def test_a_certificate_with_c_zero_aborts_the_run_at_its_iteration():
+    # the check runs on every certificate the kernel is handed, so an
+    # oracle's bad c aborts the run where it appears, with the abort record
+    from opsplit.prox_problems import gen_qp
+    from opsplit.splitters import fbhf_from_qp, fbhf_step
+
+    prob, tmax, ref = fbhf_from_qp(gen_qp(0), 0.5)
+    calls = []
+
+    def oracle(x, M, cfg):
+        calls.append(x)
+        cert = fbhf_step(x, prob, 0.9 * tmax)
+        return dataclasses.replace(cert, c=0.0) if len(calls) == 3 else cert
+
+    with pytest.raises(ValueError,
+                       match="^iteration 3: c must be positive$") as exc:
+        hpe_core.run(oracle, np.zeros(ref.size), prob.metric(),
+                     HpeConfig(sigma=0.5, max_iters=50))
+    res = exc.value.result
+    assert res.abort == {"iteration": 3, "exception": "ValueError",
+                         "message": "iteration 3: c must be positive"}
+    assert len(res.trace) == 2 and res.reason == "abort"
 
 
 def test_criterion_rejects_an_eps_set_negative_after_construction():
     # with y = x and v = 0, eps = -1 gives lhs = -2 <= rhs = 0: the
-    # certificate would pass if only its constructor checked eps
+    # certificate passes unless eps is checked where it is used
     cert = HpeCertificate(y=_pt([0.0]), v=_pt([0.0]), eps=0.0,
                           step=_pt([0.0]))
     cert.eps = -1.0

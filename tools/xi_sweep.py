@@ -17,7 +17,9 @@ table:
 * the iterations on the LRR 40x40 seeds 0-2 (``lrr:seed=S,d=40,n=40``, beta
   300, sigma 0.9, tol 1e-3, at most 3000 iterations), which read only xi0;
 * the verdict of every acceptance gate, and the detail line of each gate
-  that fails.
+  that fails.  Only xi0 reaches the gates: each gate passes its own sigma
+  (0.5, 0.9 or ``acceptance.EXACT_SIGMA``), so this column is the same for
+  every sigma at a given xi0.
 
 An LRR run that does not converge shows its iteration count with its
 reason; a QP battery counts the runs that did not converge.
