@@ -7,6 +7,7 @@ or validating), 3 solver abort (raised once a solve has started).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -130,8 +131,9 @@ def _theta_or_auto(text: str) -> Optional[float]:
     return theta
 
 
-def _beta(args) -> float:
-    return padmm_ebb.DEFAULT_BETA if args.beta is None else args.beta
+def _beta(args, inst) -> float:
+    return padmm_ebb.rule_beta(inst.problem) if args.beta is None \
+        else args.beta
 
 
 def _xi0(args) -> float:
@@ -151,7 +153,7 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     cfg = HpeConfig(sigma=args.sigma, xi0=_xi0(args),
                     max_iters=args.max_iters, tol_residual=args.tol)
     if algorithm == "padmm-ebb":
-        beta = _beta(args)
+        beta = _beta(args, inst)
         if not (math.isfinite(beta) and beta > 0):
             raise ConfigError("beta must be finite and positive, got %r" % beta)
         ref = inst.z_star if kind == "qp" else None
@@ -215,7 +217,7 @@ def cmd_solve(args) -> int:
                    "sigma": args.sigma, "theta": args.theta,
                    "tol": args.tol, "max_iters": args.max_iters}
     if args.algorithm == "padmm-ebb":
-        config_echo.update(beta=_beta(args), xi0=_xi0(args))
+        config_echo.update(beta=_beta(args, inst), xi0=_xi0(args))
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
@@ -334,8 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="iteration budget (default %d)"
                             % HpeConfig.max_iters)
         p.add_argument("--beta", type=float, default=None,
-                       help="penalty parameter of padmm-ebb (default %g)"
-                            % padmm_ebb.DEFAULT_BETA)
+                       help="penalty parameter of padmm-ebb (default "
+                            "%g sum_i L_i / sum_i ||A_i||^2, or %g when L_1 "
+                            "or the second sum is 0)" % padmm_ebb.PENALTY_RULE)
         p.add_argument("--cv-r", type=float, default=None,
                        help="primal scale r of the condat-vu metric")
         p.add_argument("--cv-s", type=float, default=None,
@@ -368,8 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(defaults: tuple) -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser` for ``defaults``, the values it
+    reads, built again only when one of them changes."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser((HpeConfig.sigma, HpeConfig.xi0, HpeConfig.tol_residual,
+                      HpeConfig.max_iters, padmm_ebb.PENALTY_RULE))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

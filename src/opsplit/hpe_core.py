@@ -78,8 +78,8 @@ class HpeConfig:
     its step or over-relaxation from it.  The default 0.9 keeps about nine
     tenths of the iterations that 0.99 saves against 0.5 on the QP
     batteries, while the bounds' factor 1/(1 - sigma) stays 10, and at the
-    start metric padmm-ebb's Gamma form is positive definite on the QP and
-    single-column LRR instances where it is not at 0.5.  The metric schedule
+    start metric and beta = 1 padmm-ebb's Gamma form is positive definite
+    on the QP and single-column LRR instances where it is not at 0.5.  The metric schedule
     is the summable xi_k = xi0 / (k + 1)^2 for k >= 1, with ``xi0`` finite
     and nonnegative.  The default 1 lets padmm-ebb's Barzilai-Borwein
     metric drift by a factor of up to prod_k (1 + xi_k) ~ 1.84 over a run.

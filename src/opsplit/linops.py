@@ -85,14 +85,14 @@ def spectral_upper_bound(A: LinearMap) -> float:
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(A.domain_dim)
-    nv = np.linalg.norm(v)
+    nv = norm(v)
     if nv == 0.0 or A.domain_dim == 0:
         return 0.0
     v /= nv
     lam = 0.0
     for _ in range(100):
         w = A.adjoint_apply(A.apply(v))
-        nw = float(np.linalg.norm(w))
+        nw = norm(w)
         if nw == 0.0:
             return 0.0
         lam = float(np.dot(v, w))

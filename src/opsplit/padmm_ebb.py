@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,10 +55,35 @@ OPT_IN_COLUMNS = ("pkkt", "objective")
 DEFAULT_COLUMNS = hpe_core.DEFAULT_COLUMNS + tuple(
     name for name, _ in PADMM_COLUMNS if name not in OPT_IN_COLUMNS)
 
-DEFAULT_BETA = 1.0  # penalty parameter when none is given
 THETA_CAP = 5.0   # largest over-relaxation taken
 MARGIN = 1.05     # safety factor of the proximal curvatures
 M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
+
+
+class PenaltyRule(NamedTuple):
+    """The penalty beta taken when none is given, set once at setup.
+
+    beta = kappa sum_i L_i / sum_i ||A_i||^2 balances the two terms of the
+    prox curvatures eta_i = L_i + MARGIN beta ||A_i||^2.  It is ``fallback``
+    when sum_i ||A_i||^2 = 0 or L_1 = 0 (so also when sum_i L_i = 0): block
+    1, whose row of U holds eta_1 I - beta A_1 A_1*, then has no curvature
+    of its own to balance, and the rule's beta, set by the other blocks,
+    slowed or stalled every such LRR instance tried.  kappa = 0.5 took the fewest
+    iterations on the QP seeds 0-9 of the kappas swept with
+    ``tools/xi_sweep.py --beta-kappa`` (README).  beta cannot change during
+    the run: the BB metric could not follow it.
+    """
+    kappa: float
+    fallback: float
+
+    def beta(self, L: Sequence[float], anorms: Sequence[float]) -> float:
+        coupling = sum(a * a for a in anorms)
+        if coupling == 0.0 or L[0] == 0.0:
+            return self.fallback
+        return self.kappa * sum(L) / coupling
+
+
+PENALTY_RULE = PenaltyRule(kappa=0.5, fallback=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +125,7 @@ class MultiBlockProblem:
         self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,))
         self.d_weights = np.repeat(np.asarray(list(self.L) + [0.0], dtype=float),
                                    self.full_layout.sizes)
+        self._anorms = None
 
     @property
     def p(self) -> int:
@@ -133,8 +159,18 @@ class MultiBlockProblem:
             val += g.value(x)
         return float(val)
 
-    def constraint_norms(self) -> List[float]:
-        return [spectral_upper_bound(a) for a in self.A]
+    def constraint_norms(self) -> Sequence[float]:
+        """Upper estimates of the ||A_i||, computed on the first call only:
+        the penalty rule and the prox curvatures share them."""
+        if self._anorms is None:
+            self._anorms = tuple(spectral_upper_bound(a) for a in self.A)
+        return self._anorms
+
+
+def rule_beta(problem: MultiBlockProblem) -> float:
+    """The beta :data:`PENALTY_RULE` gives ``problem``: the penalty of a run
+    that is given none."""
+    return PENALTY_RULE.beta(problem.L, problem.constraint_norms())
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +452,8 @@ class _Iteration:
 
 
 def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
-              beta: float = DEFAULT_BETA, theta_fixed: Optional[float] = None,
+              beta: Optional[float] = None,
+              theta_fixed: Optional[float] = None,
               z0: Optional[np.ndarray] = None,
               ref_solution: Optional[np.ndarray] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
@@ -430,19 +467,20 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
     schedule's floor is the one the BB clamp keeps, min(M_0 scalars) /
     prod_{j<=k} (1 + xi_j), and the kernel records that product as
     ``final["Xi"]``, also on an aborted run's result.  ``beta`` is the
-    penalty (:data:`DEFAULT_BETA` when omitted) and ``theta_fixed``, when
+    penalty (:func:`rule_beta` when omitted) and ``theta_fixed``, when
     given, caps the over-relaxation (0.0 disables it).  A run that reaches
     ``max_iters`` still ends converged if its final iterate meets the
     tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
     ``solution`` is z and ``final["pkkt"]`` its full residual norm.
     """
-    if not (math.isfinite(beta) and beta > 0):
+    if beta is not None and not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and positive, got %r" % beta)
     if theta_fixed is not None and not (math.isfinite(theta_fixed)
                                         and theta_fixed > -1.0):
         raise ValueError("theta_fixed must be finite and exceed -1")
-    it = _Iteration(problem, cfg, beta, theta_fixed, columns)
+    it = _Iteration(problem, cfg, rule_beta(problem) if beta is None else beta,
+                    theta_fixed, columns)
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(

@@ -292,10 +292,7 @@ class AfbasPdProblem:
         self._R = np.block([[eye_x / self.gamma1, -Bd.T],
                             [(1.0 - self.theta) * Bd, eye_y / self.gamma2]])
         self._S = np.block([[eye_x, -c1 * Bd.T], [c2 * Bd, eye_y]])
-        try:
-            self._metric = DenseMetric(self._R @ np.linalg.inv(self._S))
-        except ValueError as exc:
-            raise ValueError("metric R S^-1: %s" % exc) from None
+        self._metric = DenseMetric(self._R @ np.linalg.inv(self._S))
 
     # -- derived constants ----------------------------------------------------
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from opsplit import cli, hpe_core, padmm_ebb
-from opsplit.cli import (ALGORITHMS, ConfigError, build_parser, main,
-                         parse_descriptor)
+from opsplit.cli import (ALGORITHMS, ConfigError, build_parser,
+                         build_problem, main, parse_descriptor)
 from opsplit.hpe_core import CriterionViolation, ErgodicAccumulator, HpeConfig
 from opsplit.padmm_ebb import run_padmm
 from opsplit.prox_problems import build_lrr, gen_qp
@@ -67,8 +67,10 @@ def test_solve_padmm_writes_trace_and_summary(tmp_path, capsys):
     assert data["converged"] is True
     assert len(rows) - 1 == data["iterations"]  # one CSV row per iteration
     assert data["final"]["pkkt"] <= 1e-8
-    # an unset --beta runs and echoes padmm-ebb's default penalty
-    assert data["config"]["beta"] == 1.0
+    # an unset --beta runs at, and echoes, the penalty rule's beta
+    _, inst = build_problem(parse_descriptor("qp:seed=1,p=2,n=4,m=2"))
+    assert data["config"]["beta"] == padmm_ebb.rule_beta(inst.problem)
+    assert 0.0 < data["config"]["beta"] != 1.0
 
 
 def _xi_product(updates):
@@ -95,8 +97,8 @@ def test_only_padmm_ebb_echoes_xi0_and_records_xi(tmp_path, algorithm):
 
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
-    # HpeConfig owns sigma, tol_residual and max_iters, and padmm_ebb owns
-    # beta; the CLI repeats none
+    # HpeConfig owns sigma, tol_residual and max_iters, and padmm_ebb's
+    # PENALTY_RULE owns beta; the CLI repeats none
     args = build_parser().parse_args([command, "--problem", "qp:seed=0"] + (
         ["--algorithm", "fbhf"] if command == "solve" else []))
     default = HpeConfig()
@@ -104,12 +106,16 @@ def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
         default.sigma, default.tol_residual, default.max_iters) == (
         0.9, 1e-8, 1000)
     assert args.beta is None
-    assert cli._beta(args) == padmm_ebb.DEFAULT_BETA == 1.0
+    _, inst = build_problem(parse_descriptor("qp:seed=0"))
+    assert cli._beta(args, inst) == padmm_ebb.rule_beta(inst.problem)
+    assert padmm_ebb.PENALTY_RULE == (0.5, 1.0)
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     for option, value in (("--sigma SIGMA", "0.9"), ("--tol TOL", "1e-08"),
                           ("--max-iters MAX_ITERS", "1000"),
-                          ("--beta BETA", "%g" % padmm_ebb.DEFAULT_BETA)):
+                          ("--beta BETA", "0.5 sum_i L_i / sum_i ||A_i||^2, "
+                                          "or 1 when L_1 or the second sum "
+                                          "is 0")):
         entry = text.split(" %s " % option)[1].split(" --")[0]
         assert entry.endswith("(default %s)" % value), entry
 

@@ -132,11 +132,13 @@ def test_extragradient_step_formula():
 
 @pytest.mark.parametrize("field, value, message", [
     ("c", 0.0, "c must be positive"), ("c", -1.0, "c must be positive"),
-    ("eps", -1e-300, "eps must be nonnegative")])
+    ("eps", -1e-300, "eps must be nonnegative"),
+    ("eps", -1.0, "eps must be nonnegative")])
 def test_certificate_rejects_a_nonpositive_c_or_negative_eps(field, value,
                                                              message):
     # check_criterion is the one check of a certificate; with y = x and
-    # v = 0 nothing else in it rejects this one
+    # v = 0 nothing else in it rejects this one (eps = -1 gives lhs = -2 <=
+    # rhs = 0, so the certificate passes unless eps is checked)
     parts = dict(y=_pt([0.0]), v=_pt([0.0]), eps=0.0, c=1.0, step=_pt([0.0]))
     cert = HpeCertificate(**dict(parts, **{field: value}))
     with pytest.raises(ValueError, match=message):
@@ -165,16 +167,6 @@ def test_a_certificate_with_c_zero_aborts_the_run_at_its_iteration():
     assert res.abort == {"iteration": 3, "exception": "ValueError",
                          "message": "iteration 3: c must be positive"}
     assert len(res.trace) == 2 and res.reason == "abort"
-
-
-def test_criterion_rejects_an_eps_set_negative_after_construction():
-    # with y = x and v = 0, eps = -1 gives lhs = -2 <= rhs = 0: the
-    # certificate passes unless eps is checked where it is used
-    cert = HpeCertificate(y=_pt([0.0]), v=_pt([0.0]), eps=0.0,
-                          step=_pt([0.0]))
-    cert.eps = -1.0
-    with pytest.raises(ValueError, match="eps must be nonnegative"):
-        check_criterion(_pt([0.0]), cert, IdentityMetric(), sigma=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from opsplit import padmm_ebb
-from opsplit.cli import build_problem, parse_descriptor
+from opsplit.cli import build_problem, main, parse_descriptor
 from opsplit.hpe_core import (CertificateRecorder, check_criterion,
                               CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
@@ -18,7 +18,8 @@ from opsplit.hpe_core import (CertificateRecorder, check_criterion,
 from opsplit.linops import BlockDiagonalMetric, LinearMap, norm
 from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                bb_metric_update, block_sweep, pkkt_residual,
-                               run_padmm, scalar_majorant_etas, theta_range)
+                               rule_beta, run_padmm, scalar_majorant_etas,
+                               theta_range)
 from opsplit.prox_problems import ProxFn, gen_qp
 
 from dense_diagnostics import dense_theta_bar, u_dense
@@ -258,24 +259,42 @@ def test_u_operator_matches_dense_assembly(qp3):
     assert np.allclose(Ud[:n0, n0:lay.offsets[prob.p]], 0.0)
 
 
-@pytest.mark.parametrize("descriptor", [
-    *("qp:seed=%d,p=2,n=5,m=3" % seed for seed in range(10)),
-    "lrr:seed=0,d=3,n=1", "lrr:seed=1,d=3,n=1", "lrr:seed=2,d=8,n=1"])
-def test_gamma_is_positive_definite_at_the_default_sigma(descriptor):
-    # Gamma = U + U* - (1 - sigma) M - D/2 at padmm-ebb's start metric and the
-    # CLI's beta = 1.  At sigma = 0.5 its normalized least eigenvalue is
-    # -0.032 on qp seed 1, -0.074 on seed 8 and -0.228 on the single-column
-    # LRR instances, which then abort on a non-positive directional form
-    cfg = HpeConfig()
+def _gamma_least_eigenvalue(descriptor, sigma, beta=None):
+    """lambda_min(M^-1/2 Gamma M^-1/2), Gamma = U + U* - (1 - sigma) M - D/2,
+    at padmm-ebb's start metric and ``beta`` (the rule's when None)."""
     _, inst = build_problem(parse_descriptor(descriptor))
-    it = padmm_ebb._Iteration(inst.problem, cfg, 1.0, None, ())
+    prob = inst.problem
+    it = padmm_ebb._Iteration(prob, HpeConfig(sigma=sigma),
+                              rule_beta(prob) if beta is None else beta,
+                              None, ())
     M = it.metric()
     m = np.repeat(np.asarray(M.scalars), M.layout.sizes)
     Ud = u_dense(it.U)
-    gamma = Ud + Ud.T - np.diag((1.0 - cfg.sigma) * m
-                                + 0.5 * inst.problem.d_weights)
+    gamma = Ud + Ud.T - np.diag((1.0 - sigma) * m + 0.5 * prob.d_weights)
     scale = 1.0 / np.sqrt(m)
-    assert np.linalg.eigvalsh(scale[:, None] * gamma * scale)[0] > 0.0
+    return np.linalg.eigvalsh(scale[:, None] * gamma * scale)[0]
+
+
+QP_SEEDS = tuple("qp:seed=%d,p=2,n=5,m=3" % seed for seed in range(10))
+SINGLE_COLUMN = ("lrr:seed=0,d=3,n=1", "lrr:seed=1,d=3,n=1",
+                 "lrr:seed=2,d=8,n=1")
+
+
+@pytest.mark.parametrize("descriptor", QP_SEEDS + SINGLE_COLUMN)
+def test_gamma_is_positive_definite_at_the_default_sigma(descriptor):
+    # at beta = 1.  At sigma = 0.5 the least eigenvalue is -0.032 on qp
+    # seed 1, -0.074 on seed 8 and -0.228 on the single-column LRR
+    # instances, which then abort on a non-positive directional form
+    assert _gamma_least_eigenvalue(descriptor, HpeConfig().sigma, 1.0) > 0.0
+
+
+@pytest.mark.parametrize("descriptor, sigma", [
+    *((d, s) for d in QP_SEEDS for s in (0.5, 0.9)),
+    *((d, 0.9) for d in SINGLE_COLUMN + ("lrr:seed=0,d=6,n=6",))])
+def test_gamma_is_positive_definite_at_the_rule_beta(descriptor, sigma):
+    # the rule's beta (0.11-0.24 on the qp seeds, 1 where L_Z = 0 on one
+    # column) also makes the qp seeds 1 and 8 positive at sigma = 0.5
+    assert _gamma_least_eigenvalue(descriptor, sigma) > 0.0
 
 
 def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
@@ -481,12 +500,13 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
 
 
 def test_a_run_whose_last_iterate_meets_the_tolerance_ends_converged():
-    # qp:seed=0 at sigma = 0.9 meets the tolerance after 188 iterations; a
-    # budget of exactly 188 stops before the stop test sees that iterate,
-    # and the final complete residual turns max_iters into the same result
+    # qp:seed=0 at sigma = 0.9 and beta = 1 meets the tolerance after 188
+    # iterations; a budget of exactly 188 stops before the stop test sees
+    # that iterate, and the final complete residual turns max_iters into the
+    # same result
     inst = gen_qp(0)
     runs = [run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=budget,
-                                              tol_residual=1e-8))
+                                              tol_residual=1e-8), beta=1.0)
             for budget in (1000, 188)]
     for res in runs:
         assert (res.converged, res.reason, res.iterations) == (True, "pkkt",
@@ -530,9 +550,10 @@ def test_run_padmm_trace_column_schema():
     cfg = HpeConfig(sigma=0.9, max_iters=50, tol_residual=0.0)
     res = run_padmm(inst.problem, cfg)
     assert res.trace.columns[10:] == ("feas_norm", "theta_adap", "beta")
-    assert res.trace.column("beta")[-1] == 1.0
+    # the column records the beta used: the rule's, or the one given
+    assert res.trace.column("beta")[-1] == rule_beta(inst.problem) != 1.0
     # a selection comes back in table order, kernel columns first
-    full = run_padmm(inst.problem, cfg,
+    full = run_padmm(inst.problem, cfg, beta=1.0,
                      columns=("beta", "objective", "theta_adap", "feas_norm",
                               "pkkt", "v_norm"))
     assert full.trace.columns == ("v_norm", "pkkt", "feas_norm", "objective",
@@ -631,6 +652,51 @@ def test_config_validation():
             run_padmm(None, cfg, theta_fixed=theta)
 
 
+def test_penalty_rule_balances_curvature_against_coupling():
+    # beta = 0.5 sum_i L_i / sum_i ||A_i||^2, from the norms eta_i also uses
+    prob = gen_qp(0).problem
+    norms = prob.constraint_norms()
+    beta = rule_beta(prob)
+    assert beta == 0.5 * sum(prob.L) / sum(a * a for a in norms)
+    assert beta == pytest.approx(0.13498, rel=1e-4)
+    assert run_padmm(prob, HpeConfig(max_iters=3)).trace.column("beta") == [
+        beta] * 3
+
+
+def test_penalty_rule_falls_back_to_one_without_a_scale():
+    # sum_i L_i = 0: the rule has no scale; L_1 = 0 (one LRR column, so
+    # L_Z = 0): block 1 has no curvature to balance; a zero coupling
+    rule = padmm_ebb.PENALTY_RULE
+    assert rule.fallback == 1.0
+    assert rule.beta([0.0, 0.0], [2.0, 3.0]) == 1.0
+    assert rule.beta([0.0, 5.0], [2.0, 3.0]) == 1.0
+    assert rule.beta([4.0, 5.0], [0.0, 0.0]) == 1.0
+    assert rule.beta([4.0, 0.0], [1.0, 2.0]) == 0.5 * 4.0 / 5.0
+    _, inst = build_problem(parse_descriptor("lrr:seed=0,d=3,n=1"))
+    assert inst.problem.L[0] == 0.0 < inst.problem.L[1]
+    assert rule_beta(inst.problem) == 1.0
+    qp = gen_qp(0).problem
+    zero_f = dataclasses.replace(qp, L=[0.0, 0.0])
+    assert rule_beta(zero_f) == 1.0
+
+
+def test_a_solve_estimates_each_constraint_norm_once(monkeypatch, tmp_path):
+    # the penalty rule and the prox curvatures share one estimate per block,
+    # in run_padmm and through the CLI, which echoes the rule's beta
+    calls = []
+    real = padmm_ebb.spectral_upper_bound
+    monkeypatch.setattr(padmm_ebb, "spectral_upper_bound",
+                        lambda a: calls.append(a) or real(a))
+    inst = gen_qp(3, p=3, n_i=4, m=3)
+    run_padmm(inst.problem, HpeConfig(max_iters=5))
+    assert calls == list(inst.problem.A)
+    calls.clear()
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                 "qp:seed=3,p=3,n=4,m=3", "--max-iters", "5",
+                 "--summary", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # Ergodic pair
 # ---------------------------------------------------------------------------
@@ -639,8 +705,9 @@ def test_config_validation():
 def test_multi_block_ergodic_pair_matches_two_pass_reference():
     inst = gen_qp(6, p=2, n_i=4, m=2)
     acc, recorder = ErgodicAccumulator(), CertificateRecorder()
+    # beta = 1: the rule's beta reaches a sweep fixed point before step 300
     run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=300,
-                                      tol_residual=0.0),
+                                      tol_residual=0.0), beta=1.0,
               accumulators=[acc, recorder])
     assert len(acc) == len(recorder) == 300
     assert min(acc.eps_bars) >= -1e-12

@@ -1,5 +1,6 @@
 """tools/xi_sweep.py: the drift bound it prints, and the defaults sigma and
-xi0 it sets for the CLI and the gates and then restores."""
+xi0 and the penalty rule's kappa it sets for the CLI and the gates and then
+restores."""
 
 import importlib.util
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from opsplit import acceptance
+from opsplit import acceptance, cli, padmm_ebb
 from opsplit.cli import build_parser
 from opsplit.hpe_core import HpeConfig
 
@@ -56,3 +57,44 @@ def test_default_sigma_holds_inside_the_block_only():
     with pytest.raises(TypeError, match="HpeConfig has no field beta"):
         with xi_sweep.kernel_defaults(beta=2.0):
             pass
+
+
+def test_main_reuses_its_parser_until_a_default_changes(monkeypatch, capsys):
+    # a parser costs about as much as the rest of a small solve's set-up;
+    # main builds one again only for defaults it has not been built with
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    argv = ["solve", "--algorithm", "ppg", "--problem", "qp:seed=0",
+            "--max-iters", "2"]
+    assert cli.main(argv) == cli.main(argv) == 0
+    assert len(built) == 1
+    with xi_sweep.kernel_defaults(sigma=0.25):
+        assert cli.main(["solve", "--help"]) == 0
+        assert "(default 0.25)" in capsys.readouterr().out
+        assert len(built) == 2
+    assert cli.main(argv) == 0
+    assert len(built) == 3
+
+
+def test_penalty_kappa_holds_inside_the_block_only(capsys):
+    from opsplit.prox_problems import gen_qp
+
+    rule = padmm_ebb.PENALTY_RULE
+    prob = gen_qp(0).problem
+    beta = padmm_ebb.rule_beta(prob)
+    with pytest.raises(ZeroDivisionError):
+        with xi_sweep.penalty_kappa(0.25):
+            assert padmm_ebb.PENALTY_RULE == (0.25, rule.fallback)
+            assert padmm_ebb.rule_beta(prob) == pytest.approx(beta / 2)
+            acceptance._padmm_qp_runs(None, 0.5)
+            assert cli.main(["solve", "--help"]) == 0
+            assert "(default 0.25 sum_i L_i" in capsys.readouterr().out
+            1 / 0
+    assert acceptance._padmm_qp_runs.cache_info().currsize == 0
+    assert padmm_ebb.PENALTY_RULE is rule
+    # a bad kappa fails before any run
+    with pytest.raises(SystemExit, match="2"):
+        xi_sweep.main(["--beta-kappa", "0.5", "0"])
+    assert "each kappa must be finite and positive" in capsys.readouterr().err
