@@ -338,7 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=None,
                        help="penalty parameter of padmm-ebb (default "
                             "%g sum_i L_i / sum_i ||A_i||^2, or %g when L_1 "
-                            "or the second sum is 0)" % padmm_ebb.PENALTY_RULE)
+                            "or the second sum is 0)"
+                            % (padmm_ebb.PENALTY_KAPPA,
+                               padmm_ebb.FALLBACK_BETA))
         p.add_argument("--cv-r", type=float, default=None,
                        help="primal scale r of the condat-vu metric")
         p.add_argument("--cv-s", type=float, default=None,
@@ -371,18 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser(defaults: tuple) -> argparse.ArgumentParser:
-    """The parser of :func:`build_parser` for ``defaults``, the values it
-    reads, built again only when one of them changes."""
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`build_parser`, built once per process: the
+    defaults it prints hold for the life of the process."""
     return build_parser()
 
 
 def main(argv=None) -> int:
-    parser = _parser((HpeConfig.sigma, HpeConfig.xi0, HpeConfig.tol_residual,
-                      HpeConfig.max_iters, padmm_ebb.PENALTY_RULE))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code else EXIT_OK

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,32 +58,8 @@ DEFAULT_COLUMNS = hpe_core.DEFAULT_COLUMNS + tuple(
 THETA_CAP = 5.0   # largest over-relaxation taken
 MARGIN = 1.05     # safety factor of the proximal curvatures
 M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
-
-
-class PenaltyRule(NamedTuple):
-    """The penalty beta taken when none is given, set once at setup.
-
-    beta = kappa sum_i L_i / sum_i ||A_i||^2 balances the two terms of the
-    prox curvatures eta_i = L_i + MARGIN beta ||A_i||^2.  It is ``fallback``
-    when sum_i ||A_i||^2 = 0 or L_1 = 0 (so also when sum_i L_i = 0): block
-    1, whose row of U holds eta_1 I - beta A_1 A_1*, then has no curvature
-    of its own to balance, and the rule's beta, set by the other blocks,
-    slowed or stalled every such LRR instance tried.  kappa = 0.5 took the fewest
-    iterations on the QP seeds 0-9 of the kappas swept with
-    ``tools/xi_sweep.py --beta-kappa`` (README).  beta cannot change during
-    the run: the BB metric could not follow it.
-    """
-    kappa: float
-    fallback: float
-
-    def beta(self, L: Sequence[float], anorms: Sequence[float]) -> float:
-        coupling = sum(a * a for a in anorms)
-        if coupling == 0.0 or L[0] == 0.0:
-            return self.fallback
-        return self.kappa * sum(L) / coupling
-
-
-PENALTY_RULE = PenaltyRule(kappa=0.5, fallback=1.0)
+PENALTY_KAPPA = 0.5  # kappa of the penalty rule, :func:`rule_beta`
+FALLBACK_BETA = 1.0  # the rule's beta where it has no scale
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +96,10 @@ class MultiBlockProblem:
             if a.domain_dim != self.b.size:
                 raise ValueError("constraint map %d has wrong dimensions" % i)
         self.primal_layout = BlockLayout(tuple(a.codomain_dim for a in self.A))
-        if any(l < 0 for l in self.L):
-            raise ValueError("Lipschitz constants must be nonnegative")
+        for i, l in enumerate(self.L):
+            if not (math.isfinite(l) and l >= 0):
+                raise ValueError("Lipschitz constant %d must be finite and "
+                                 "nonnegative, got %r" % (i, l))
         self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,))
         self.d_weights = np.repeat(np.asarray(list(self.L) + [0.0], dtype=float),
                                    self.full_layout.sizes)
@@ -168,9 +146,22 @@ class MultiBlockProblem:
 
 
 def rule_beta(problem: MultiBlockProblem) -> float:
-    """The beta :data:`PENALTY_RULE` gives ``problem``: the penalty of a run
-    that is given none."""
-    return PENALTY_RULE.beta(problem.L, problem.constraint_norms())
+    """The penalty beta of a run that is given none, set once at setup.
+
+    beta = PENALTY_KAPPA sum_i L_i / sum_i ||A_i||^2 balances the two terms
+    of the prox curvatures eta_i = L_i + MARGIN beta ||A_i||^2.  It is
+    FALLBACK_BETA when sum_i ||A_i||^2 = 0 or L_1 = 0 (so also when
+    sum_i L_i = 0): block 1, whose row of U holds eta_1 I - beta A_1 A_1*,
+    then has no curvature of its own to balance, and the rule's beta, set
+    by the other blocks, slowed or stalled every such LRR instance tried.
+    kappa = 0.5 took the fewest iterations on the QP seeds 0-9 of the
+    kappas swept with ``tools/xi_sweep.py --beta-kappa`` (README).  beta
+    cannot change during the run: the BB metric could not follow it.
+    """
+    coupling = sum(a * a for a in problem.constraint_norms())
+    if coupling == 0.0 or problem.L[0] == 0.0:
+        return FALLBACK_BETA
+    return PENALTY_KAPPA * sum(problem.L) / coupling
 
 
 # ---------------------------------------------------------------------------

@@ -309,7 +309,7 @@ class AfbasPdProblem:
 
 
 def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
-                  sigma: float = HpeConfig.sigma) -> Optional[HpeCertificate]:
+                  sigma: float) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
     alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
@@ -371,11 +371,12 @@ def _qp_data(inst):
             float(np.linalg.eigvalsh(inst.Q)[-1]))
 
 
-def fbhf_from_qp(inst, sigma: float = HpeConfig.sigma):
+def fbhf_from_qp(inst, sigma: Optional[float] = None):
     """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic.
 
     Returns (problem, theta_max, x_ref); pick theta <= theta_max.
     """
+    sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
     beta = 1.0 / Lq
@@ -385,12 +386,13 @@ def fbhf_from_qp(inst, sigma: float = HpeConfig.sigma):
     return prob, fbhf_max_theta(prob, sigma), inst.x_star
 
 
-def ppg_from_qp(inst, sigma: float = HpeConfig.sigma):
+def ppg_from_qp(inst, sigma: Optional[float] = None):
     """Consensus coding: r = affine indicator, f_i = the full quadratic.
 
     Returns (problem, theta_max, z_ref); the reference point is the known
     fixed point z_i* = x* - alpha grad f_i(x*).
     """
+    sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
     alpha = sigma / Lq  # leaves theta headroom up to sigma/2
@@ -405,13 +407,14 @@ def ppg_from_qp(inst, sigma: float = HpeConfig.sigma):
     return prob, ppg_max_theta(prob, sigma), z_ref
 
 
-def condat_vu_from_qp(inst, sigma: float = HpeConfig.sigma,
+def condat_vu_from_qp(inst, sigma: Optional[float] = None,
                       r: Optional[float] = None, s: Optional[float] = None):
     """Primal-dual coding: f = quadratic, g = 0, h = indicator of {b}, B = G.
 
     Returns (problem, theta_max, z_ref = (x*, y*)).  Omitted scale parameters
     r, s default to values with comfortable margin in the metric condition.
     """
+    sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
     scale = bnorm + Lq / sigma + 1.0

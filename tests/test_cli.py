@@ -98,7 +98,7 @@ def test_only_padmm_ebb_echoes_xi0_and_records_xi(tmp_path, algorithm):
 @pytest.mark.parametrize("command", ["solve", "bench"])
 def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
     # HpeConfig owns sigma, tol_residual and max_iters, and padmm_ebb's
-    # PENALTY_RULE owns beta; the CLI repeats none
+    # rule_beta owns beta; the CLI repeats none
     args = build_parser().parse_args([command, "--problem", "qp:seed=0"] + (
         ["--algorithm", "fbhf"] if command == "solve" else []))
     default = HpeConfig()
@@ -108,7 +108,7 @@ def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
     assert args.beta is None
     _, inst = build_problem(parse_descriptor("qp:seed=0"))
     assert cli._beta(args, inst) == padmm_ebb.rule_beta(inst.problem)
-    assert padmm_ebb.PENALTY_RULE == (0.5, 1.0)
+    assert (padmm_ebb.PENALTY_KAPPA, padmm_ebb.FALLBACK_BETA) == (0.5, 1.0)
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     for option, value in (("--sigma SIGMA", "0.9"), ("--tol TOL", "1e-08"),
@@ -347,6 +347,19 @@ MALFORMED = {
     "lrr:seed=0,d=6,n=6,lam=-1": "cannot build the lrr problem: ValueError: "
                                  "l1 weight must be >= 0",
 }
+
+
+@pytest.mark.parametrize("options", [
+    ["--problem", "lrr:seed=0,d=4,n=4,mu=1e308", "--beta", "1"],
+    ["--problem", "lrr:seed=0,d=3,n=3,mu=1e308,gamma=1e308"]])
+def test_an_infinite_lipschitz_constant_is_a_config_error(options, capsys):
+    # mu ||L_Z|| overflows to inf; it used to abort the solve on a zero
+    # inverse metric scalar (exit 3), or read as an infinite beta that no
+    # option had given
+    assert main(["solve", "--algorithm", "padmm-ebb"] + options) == 2
+    assert ("configuration error: cannot build the lrr problem: ValueError: "
+            "Lipschitz constant 0 must be finite and nonnegative, got inf"
+            in capsys.readouterr().err)
 
 
 def test_manifest_rejects_generation_keys(tmp_path, capsys):

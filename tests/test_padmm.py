@@ -4,6 +4,7 @@ metric update, residual, and the ergodic pair of a run."""
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,25 @@ def test_the_primal_layout_comes_from_the_maps():
     assert prob.full_layout.sizes == (3, 1, m)
     with pytest.raises(ValueError, match="constraint map 0 has wrong dim"):
         problem(np.zeros(m + 1))
+
+
+@pytest.mark.parametrize("L,message", [
+    ([0.0, math.nan], "Lipschitz constant 1 must be finite and nonnegative, "
+                      "got nan"),
+    ([math.inf, 0.0], "Lipschitz constant 0 must be finite and nonnegative, "
+                      "got inf"),
+    ([-1.0, 0.0], "Lipschitz constant 0 must be finite and nonnegative, "
+                  "got -1.0"),
+    ([0.0], "inconsistent block counts")])
+def test_a_problem_rejects_bad_block_data(L, message):
+    # a NaN or infinite L_i used to pass the check, which read only l < 0
+    m = 2
+    A = [LinearMap(apply=lambda y: np.zeros(1),
+                   adjoint_apply=lambda x: np.zeros(m),
+                   domain_dim=m, codomain_dim=1)] * 2
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        MultiBlockProblem(gs=[ProxFn.zero()] * 2, grad_f=list, L=L, A=A,
+                          b=np.zeros(m))
 
 
 def test_block_sweep_single_block_matches_dense_solve():
@@ -663,15 +683,21 @@ def test_penalty_rule_balances_curvature_against_coupling():
         beta] * 3
 
 
-def test_penalty_rule_falls_back_to_one_without_a_scale():
+def test_penalty_rule_falls_back_to_one_without_a_scale(monkeypatch):
     # sum_i L_i = 0: the rule has no scale; L_1 = 0 (one LRR column, so
     # L_Z = 0): block 1 has no curvature to balance; a zero coupling
-    rule = padmm_ebb.PENALTY_RULE
-    assert rule.fallback == 1.0
-    assert rule.beta([0.0, 0.0], [2.0, 3.0]) == 1.0
-    assert rule.beta([0.0, 5.0], [2.0, 3.0]) == 1.0
-    assert rule.beta([4.0, 5.0], [0.0, 0.0]) == 1.0
-    assert rule.beta([4.0, 0.0], [1.0, 2.0]) == 0.5 * 4.0 / 5.0
+    assert padmm_ebb.FALLBACK_BETA == 1.0
+    qp = gen_qp(0).problem
+
+    def beta(L, anorms):
+        prob = dataclasses.replace(qp, L=L)
+        monkeypatch.setattr(prob, "constraint_norms", lambda: anorms)
+        return rule_beta(prob)
+
+    assert beta([0.0, 0.0], [2.0, 3.0]) == 1.0
+    assert beta([0.0, 5.0], [2.0, 3.0]) == 1.0
+    assert beta([4.0, 5.0], [0.0, 0.0]) == 1.0
+    assert beta([4.0, 0.0], [1.0, 2.0]) == 0.5 * 4.0 / 5.0
     _, inst = build_problem(parse_descriptor("lrr:seed=0,d=3,n=1"))
     assert inst.problem.L[0] == 0.0 < inst.problem.L[1]
     assert rule_beta(inst.problem) == 1.0

@@ -1,7 +1,7 @@
 """Checks on the source tree and its documentation: no unused imports, no
-unreferenced definitions, one solver loop, one metric that solves, and a
-README whose library examples run, whose command lines parse and whose trace
-columns are the solver's."""
+unreferenced definitions, no import-time copy of a config default, one
+solver loop, one metric that solves, and a README whose library examples
+run, whose command lines parse and whose trace columns are the solver's."""
 
 import ast
 import re
@@ -97,6 +97,43 @@ def test_module_level_import_check_can_fail(tmp_path):
                    'import scipyx\n')
     assert _module_level_imports(src, "scipy") == ["mod.py:1", "mod.py:3",
                                                    "mod.py:5", "mod.py:9"]
+
+
+def _defaults_reading(path, owner):
+    """"file:line" of each function default that reads an attribute of
+    ``owner``: a copy of it made when the module is imported."""
+    def reads(node):
+        return isinstance(node, ast.Attribute) and owner in (
+            getattr(node.value, "id", None), getattr(node.value, "attr", None))
+
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            for default in node.args.defaults + node.args.kw_defaults:
+                if default is not None and any(map(reads, ast.walk(default))):
+                    found.append("%s:%d" % (path.name, default.lineno))
+    return found
+
+
+def test_no_function_default_copies_a_config_default():
+    # a default read at import keeps the value it had then; a function
+    # reads HpeConfig's defaults when it is called
+    assert [where for path in SOURCES
+            for where in _defaults_reading(path, "HpeConfig")] == []
+
+
+def test_config_default_check_can_fail(tmp_path):
+    src = tmp_path / "mod.py"
+    # a read through a module, a keyword-only default and a lambda's count;
+    # a read in the body and another class's attribute do not
+    src.write_text('def f(s=HpeConfig.sigma):\n    pass\n'
+                   'def g(*, x=hpe_core.HpeConfig.xi0):\n    pass\n'
+                   'h = lambda t=min(HpeConfig.tol_residual, 1): t\n'
+                   'def k(s=None):\n    return HpeConfig.sigma\n'
+                   'def m(s=Other.sigma):\n    pass\n')
+    assert _defaults_reading(src, "HpeConfig") == ["mod.py:1", "mod.py:3",
+                                                   "mod.py:5"]
 
 
 def _unreferenced_definitions(paths):

@@ -1,4 +1,4 @@
-"""Sweep the kernel defaults sigma and xi0, and padmm-ebb's penalty rule:
+"""Sweep the kernel defaults sigma and xi0 and padmm-ebb's penalty kappa:
 iterations and the gates.
 
 Run from a checkout:
@@ -6,9 +6,10 @@ Run from a checkout:
     python3 tools/xi_sweep.py [--sigma S [S ...]] [--xi0 X [X ...]]
                               [--beta-kappa K [K ...]]
 
-``--sigma`` and ``--xi0`` default to ``HpeConfig``'s values.  For every pair
-(sigma, xi0) it sets both as ``HpeConfig``'s defaults and prints one row of
-a markdown table:
+Each axis defaults to the library's value: ``HpeConfig``'s sigma and xi0,
+``padmm_ebb.PENALTY_KAPPA``.  Every value is checked before the first row.
+For every combination (sigma, xi0, kappa) it prints one row of a markdown
+table:
 
 * Xi = prod_{k>=1} (1 + xi0 / (k + 1)^2), the largest factor by which
   padmm-ebb's Barzilai-Borwein metric can drift over a run of any length;
@@ -16,17 +17,18 @@ a markdown table:
   (``qp:seed=S,p=2,n=5,m=3``, tol 1e-8, at most 5000 iterations, every other
   setting at its default), as their sum and median: the ``qp-padmm`` and
   ``qp-splitters`` benchmark batteries;
-* the iterations on the LRR 40x40 seeds 0-2 (``lrr:seed=S,d=40,n=40``, beta
-  300, sigma 0.9, tol 1e-3, at most 3000 iterations), which read only xi0;
+* the iterations on the LRR 40x40 seeds 0-2 (``lrr:seed=S,d=40,n=40``, sigma
+  0.9, tol 1e-3, at most 3000 iterations), at beta 300 and at the penalty
+  rule's beta; they read xi0, and the second also kappa;
 * the verdict of every acceptance gate, and the detail line of each gate
-  that fails.  Only xi0 reaches the gates: each gate passes its own sigma
-  (0.5, 0.9 or ``acceptance.EXACT_SIGMA``), so this column is the same for
-  every sigma at a given xi0.
+  that fails.  sigma reaches no gate: each gate passes its own (0.5, 0.9 or
+  ``acceptance.EXACT_SIGMA``), so this column is the same for every sigma
+  at a given xi0 and kappa.
 
-With ``--beta-kappa`` it prints instead one row per (sigma, xi0, kappa),
-with kappa set as the ``kappa`` of ``padmm_ebb.PENALTY_RULE``: padmm-ebb's
-QP battery, the LRR 40x40 seeds 0-2 without a beta (the rule's), and every
-gate's verdict; the gates that run padmm-ebb without a beta read kappa.
+A row's xi0 and kappa are the library's defaults for every run in the row,
+the gates' included.  So each row runs in a fresh interpreter, which sets
+them once, before its first solve: with more than one combination the
+sweep runs itself once per combination, with one value on each axis.
 
 An LRR run that does not converge shows its iteration count with its
 reason; a QP battery counts the runs that did not converge.
@@ -35,11 +37,12 @@ reason; a QP battery counts the runs that did not converge.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
+import math
 import pathlib
 import statistics
+import subprocess
 import sys
 
 import numpy as np
@@ -49,14 +52,17 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
 from opsplit import acceptance, hpe_core, padmm_ebb
-from opsplit.cli import ALGORITHMS, SOLVER_FAULTS, build_problem, \
-    parse_descriptor
+from opsplit.cli import SOLVER_FAULTS, build_problem, parse_descriptor
 from opsplit.hpe_core import HpeConfig
 from opsplit.padmm_ebb import run_padmm
 from opsplit.prox_problems import gen_qp
 from opsplit.splitters import SCHEMES
 
 LRR = "lrr:seed=%d,d=40,n=40"
+HEADER = ("| sigma | xi0 | kappa | Xi | padmm-ebb"
+          + "".join(" | " + name for name in SCHEMES)
+          + " | LRR, beta 300 | LRR, rule's beta | gates |\n"
+          + "|---" * (8 + len(SCHEMES)) + "|")
 
 
 def xi_bound(xi0: float) -> float:
@@ -68,77 +74,41 @@ def xi_bound(xi0: float) -> float:
     return float(np.sinh(r) / (r * (1.0 + xi0)))
 
 
-def _clear_batteries():
-    for cache in (acceptance._invariance_runs, acceptance._padmm_qp_runs):
-        cache.cache_clear()
-
-
-@contextlib.contextmanager
-def kernel_defaults(**values):
-    """Each ``HpeConfig`` field named in ``values`` has that default inside
-    the block, both for ``HpeConfig()`` and for the class attribute that the
-    CLI and the gates read.  The gates' cached batteries are emptied on entry
-    and on exit, so no run made under other defaults is reused."""
+def set_defaults(xi0: float, kappa: float) -> None:
+    """Make ``xi0`` ``HpeConfig``'s default, for ``HpeConfig()`` and for the
+    class attribute that the CLI and the gates read, and ``kappa`` the
+    penalty rule's, for the rest of the process."""
     names = [f.name for f in dataclasses.fields(HpeConfig)]
-    saved = HpeConfig.__init__.__defaults__
-    if len(saved) != len(names):
-        raise RuntimeError("every HpeConfig field must have a default")
-    unknown = sorted(set(values) - set(names))
-    if unknown:
-        raise TypeError("HpeConfig has no field %s" % ", ".join(unknown))
-    _clear_batteries()
-    HpeConfig.__init__.__defaults__ = tuple(
-        values.get(name, old) for name, old in zip(names, saved))
-    for name, value in values.items():
-        setattr(HpeConfig, name, value)
-    try:
-        yield
-    finally:
-        HpeConfig.__init__.__defaults__ = saved
-        for name, old in zip(names, saved):
-            setattr(HpeConfig, name, old)
-        _clear_batteries()
+    defaults = list(HpeConfig.__init__.__defaults__)
+    defaults[names.index("xi0") - len(names)] = xi0
+    HpeConfig.__init__.__defaults__ = tuple(defaults)
+    HpeConfig.xi0 = xi0
+    padmm_ebb.PENALTY_KAPPA = kappa
 
 
-@contextlib.contextmanager
-def penalty_kappa(kappa: float):
-    """padmm-ebb's penalty rule takes ``kappa`` inside the block, for every
-    run given no beta; the gates' cached batteries are emptied on entry and
-    on exit."""
-    saved = padmm_ebb.PENALTY_RULE
-    _clear_batteries()
-    padmm_ebb.PENALTY_RULE = saved._replace(kappa=kappa)
-    try:
-        yield
-    finally:
-        padmm_ebb.PENALTY_RULE = saved
-        _clear_batteries()
-
-
-def _qp_runs(algorithm: str):
-    """(converged, iterations) of ``algorithm`` on the ten QP seeds at the
-    current defaults."""
-    cfg = HpeConfig(max_iters=5000, tol_residual=1e-8)
+def _splitter_runs(algorithm: str, sigma: float):
+    """(converged, iterations) of the splitter ``algorithm`` on the ten QP
+    seeds."""
+    cfg = HpeConfig(sigma=sigma, max_iters=5000, tol_residual=1e-8)
+    runs = []
     for seed in range(10):
-        inst = gen_qp(seed, p=2, n_i=5, m=3)
-        if algorithm == "padmm-ebb":
-            res = run_padmm(inst.problem, cfg)
-        else:
-            oracle, M0, x0, _ = SCHEMES[algorithm].setup(inst, cfg.sigma)
-            res = hpe_core.run(oracle, x0, M0, cfg)
-        yield res.converged, res.iterations
+        oracle, M0, x0, _ = SCHEMES[algorithm].setup(
+            gen_qp(seed, p=2, n_i=5, m=3), sigma)
+        res = hpe_core.run(oracle, x0, M0, cfg)
+        runs.append((res.converged, res.iterations))
+    return runs
 
 
 def _battery(runs) -> str:
     """Sum and median of a QP battery's iterations, and how many of its
     runs did not converge."""
-    converged, counts = zip(*runs)
-    missed = converged.count(False)
+    counts = [iterations for _, iterations, *_ in runs]
+    missed = sum(not converged for converged, *_ in runs)
     return "{:,} ({:g})".format(sum(counts), statistics.median(counts)) + (
         ", %d not converged" % missed if missed else "")
 
 
-def _lrr_iterations(seed: int, beta=300.0):
+def _lrr_iterations(seed: int, beta):
     """The run's iteration count, or a label when it did not converge."""
     _, inst = build_problem(parse_descriptor(LRR % seed))
     cfg = HpeConfig(sigma=0.9, max_iters=3000, tol_residual=1e-3)
@@ -158,61 +128,53 @@ def _gates() -> str:
         "; FAIL %s: %s" % (r.name, r.detail) for r in failed)
 
 
-def sweep_row(sigma: float, xi0: float) -> str:
-    """One markdown table row for the defaults ``sigma`` and ``xi0``."""
-    with kernel_defaults(sigma=sigma, xi0=xi0):
-        qp = [_battery(_qp_runs(algorithm)) for algorithm in ALGORITHMS]
-        lrr = ", ".join(str(_lrr_iterations(seed)) for seed in range(3))
-        gates = _gates()
-    cells = ["%g" % sigma, "%g" % xi0, "%.4g" % xi_bound(xi0), *qp, lrr, gates]
+def row(sigma: float, xi0: float, kappa: float) -> str:
+    """One markdown table row.  ``xi0`` and ``kappa`` must be the process's
+    defaults (:func:`set_defaults`)."""
+    qp = [_battery(acceptance._padmm_qp_runs(None, sigma)[0])] + [
+        _battery(_splitter_runs(algorithm, sigma)) for algorithm in SCHEMES]
+    lrr = [", ".join(str(_lrr_iterations(seed, beta)) for seed in range(3))
+           for beta in (300.0, None)]
+    cells = ["%g" % sigma, "%g" % xi0, "%g" % kappa, "%.4g" % xi_bound(xi0),
+             *qp, *lrr, _gates()]
     return "| " + " | ".join(cells) + " |"
 
 
-def kappa_row(sigma: float, xi0: float, kappa: float) -> str:
-    """One markdown table row for the defaults ``sigma`` and ``xi0`` and the
-    penalty rule's ``kappa``."""
-    with kernel_defaults(sigma=sigma, xi0=xi0), penalty_kappa(kappa):
-        qp = _battery(_qp_runs("padmm-ebb"))
-        lrr = ", ".join(str(_lrr_iterations(seed, beta=None))
-                        for seed in range(3))
-        gates = _gates()
-    return "| " + " | ".join(["%g" % sigma, "%g" % xi0, "%g" % kappa, qp, lrr,
-                              gates]) + " |"
+def _child_row(argv) -> str:
+    """The row that the sweep prints for ``argv`` in a fresh interpreter."""
+    script = str(pathlib.Path(__file__).resolve())
+    out = subprocess.run([sys.executable, script, *argv], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return out.splitlines()[-1]
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sigma", type=float, nargs="+",
-                        default=[HpeConfig.sigma],
-                        help="the values to sweep (default %g)"
-                             % HpeConfig.sigma)
-    parser.add_argument("--xi0", type=float, nargs="+",
-                        default=[HpeConfig.xi0],
-                        help="the values to sweep (default %g)"
-                             % HpeConfig.xi0)
-    parser.add_argument("--beta-kappa", type=float, nargs="+", default=None,
-                        help="sweep these kappas of padmm-ebb's penalty "
-                             "rule instead (its own is %g)"
-                             % padmm_ebb.PENALTY_RULE.kappa)
+    for option, default in (("--sigma", HpeConfig.sigma),
+                            ("--xi0", HpeConfig.xi0),
+                            ("--beta-kappa", padmm_ebb.PENALTY_KAPPA)):
+        parser.add_argument(option, type=float, nargs="+", default=[default],
+                            help="the values to sweep (default %g)" % default)
     args = parser.parse_args(argv)
-    pairs = list(itertools.product(args.sigma, args.xi0))
-    for sigma, xi0 in pairs:
-        HpeConfig(sigma=sigma, xi0=xi0)  # a bad value fails before any run
-    if args.beta_kappa is not None:
-        if not all(np.isfinite(k) and k > 0 for k in args.beta_kappa):
-            parser.error("each kappa must be finite and positive")
-        print("| sigma | xi0 | kappa | padmm-ebb, QP seeds 0-9: sum (median) "
-              "| LRR 40x40 seeds 0-2, no beta | gates |")
-        print("|---" * 6 + "|")
-        for (sigma, xi0), kappa in itertools.product(pairs, args.beta_kappa):
-            print(kappa_row(sigma, xi0, kappa), flush=True)
+    for sigma, xi0 in itertools.product(args.sigma, args.xi0):
+        try:
+            HpeConfig(sigma=sigma, xi0=xi0)
+        except ValueError as exc:
+            parser.error(str(exc))
+    for kappa in args.beta_kappa:
+        if not (math.isfinite(kappa) and kappa > 0):
+            parser.error("kappa must be finite and positive, got %r" % kappa)
+    combinations = list(itertools.product(args.sigma, args.xi0,
+                                          args.beta_kappa))
+    print(HEADER, flush=True)
+    if len(combinations) == 1:
+        sigma, xi0, kappa = combinations[0]
+        set_defaults(xi0, kappa)
+        print(row(sigma, xi0, kappa))
         return 0
-    print("| sigma | xi0 | Xi | " + " | ".join(
-        "%s, QP seeds 0-9: sum (median)" % a for a in ALGORITHMS)
-          + " | LRR 40x40 seeds 0-2 | gates |")
-    print("|---" * (5 + len(ALGORITHMS)) + "|")
-    for sigma, xi0 in pairs:
-        print(sweep_row(sigma, xi0), flush=True)
+    for sigma, xi0, kappa in combinations:
+        print(_child_row(["--sigma", repr(sigma), "--xi0", repr(xi0),
+                          "--beta-kappa", repr(kappa)]), flush=True)
     return 0
 
 
