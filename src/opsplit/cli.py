@@ -131,42 +131,46 @@ def _theta_or_auto(text: str) -> Optional[float]:
     return theta
 
 
-def _beta(args, inst) -> float:
-    return padmm_ebb.rule_beta(inst.problem) if args.beta is None \
-        else args.beta
-
-
-def _xi0(args) -> float:
-    return HpeConfig.xi0 if args.xi0 is None else args.xi0
-
-
 def _prepare_solve(args, algorithm: str, kind: str, inst,
-                   theta: Optional[float], columns: tuple):
-    """Build and validate one solve and return ``start(accumulators)``.
+                   theta_text: str = "auto", columns: Optional[tuple] = None):
+    """Turn the options into one solve: return ``(start, columns, echo)``.
 
     Everything raised here is a configuration error; everything raised by
-    ``start`` happens once the solve has begun and is a solver fault.  One
-    kernel config, with sigma, xi0, iteration budget and tolerance,
-    serves all five algorithms.  The run's trace records the ``columns``
-    named.
+    ``start(accumulators)`` happens once the solve has begun and is a solver
+    fault.  One kernel config, with sigma, xi0, iteration budget and
+    tolerance, serves all five algorithms; padmm-ebb's beta (``--beta``, or
+    :func:`padmm_ebb.rule_beta`) and xi0 are resolved here, once, and
+    ``echo`` records them with the run's other settings.  ``columns`` None
+    takes the algorithm's default trace columns, with padmm-ebb's opt-in ones
+    under ``--full-trace``.
     """
-    cfg = HpeConfig(sigma=args.sigma, xi0=_xi0(args),
+    theta = _theta_or_auto(theta_text)
+    xi0 = HpeConfig.xi0 if args.xi0 is None else args.xi0
+    cfg = HpeConfig(sigma=args.sigma, xi0=xi0,
                     max_iters=args.max_iters, tol_residual=args.tol)
+    echo = {"algorithm": algorithm, "problem": args.problem,
+            "sigma": args.sigma, "theta": theta_text,
+            "tol": args.tol, "max_iters": args.max_iters}
     if algorithm == "padmm-ebb":
-        beta = _beta(args, inst)
+        beta = padmm_ebb.rule_beta(inst.problem) if args.beta is None \
+            else args.beta
         if not (math.isfinite(beta) and beta > 0):
             raise ConfigError("beta must be finite and positive, got %r" % beta)
+        echo.update(beta=beta, xi0=xi0)
+        if columns is None:
+            columns = padmm_ebb.DEFAULT_COLUMNS + (
+                padmm_ebb.OPT_IN_COLUMNS if args.full_trace else ())
         ref = inst.z_star if kind == "qp" else None
-        return lambda accs: run_padmm(inst.problem, cfg, beta=beta,
-                                      theta_fixed=theta, ref_solution=ref,
-                                      accumulators=accs, columns=columns)
+        return (lambda accs: run_padmm(
+            inst.problem, cfg, beta=beta, theta_fixed=theta, ref_solution=ref,
+            accumulators=accs, columns=columns)), columns, echo
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
-    oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma, theta, **(
-        {"r": args.cv_r, "s": args.cv_s} if algorithm == "condat-vu" else {}))
-    return lambda accs: hpe_core.run(oracle, x0, M0, cfg, ref_solution=ref,
-                                     accumulators=accs,
-                                     columns=hpe_core.select(columns))
+    oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma, theta)
+    columns = hpe_core.DEFAULT_COLUMNS if columns is None else columns
+    return (lambda accs: hpe_core.run(
+        oracle, x0, M0, cfg, ref_solution=ref, accumulators=accs,
+        columns=hpe_core.select(columns))), columns, echo
 
 
 def _solver_abort(exc) -> int:
@@ -193,13 +197,11 @@ def _write_outputs(args, result, acc: hpe_core.ErgodicAccumulator,
 
 
 def cmd_solve(args) -> int:
-    # an option is read by one algorithm: bench hands it to that one only
-    for dest, owner in (("beta", "padmm-ebb"), ("xi0", "padmm-ebb"),
-                        ("full_trace", "padmm-ebb"),
-                        ("cv_r", "condat-vu"), ("cv_s", "condat-vu")):
-        if getattr(args, dest) is not None and args.algorithm != owner:
-            raise ConfigError("--%s applies to %s only"
-                              % (dest.replace("_", "-"), owner))
+    # padmm-ebb alone reads these options; bench hands them to it only
+    for dest in ("beta", "xi0", "full_trace"):
+        if getattr(args, dest) is not None and args.algorithm != "padmm-ebb":
+            raise ConfigError("--%s applies to padmm-ebb only"
+                              % dest.replace("_", "-"))
     for option, path in (("--trace", args.trace), ("--summary", args.summary)):
         where = path and (path if os.path.exists(path)
                           else os.path.dirname(os.path.abspath(path)))
@@ -207,17 +209,8 @@ def cmd_solve(args) -> int:
             raise ConfigError("%s %s cannot be written" % (option, path))
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
-    theta = _theta_or_auto(args.theta)
-    columns = hpe_core.DEFAULT_COLUMNS
-    if args.algorithm == "padmm-ebb":
-        columns = padmm_ebb.DEFAULT_COLUMNS + (
-            padmm_ebb.OPT_IN_COLUMNS if args.full_trace else ())
-    start = _prepare_solve(args, args.algorithm, kind, inst, theta, columns)
-    config_echo = {"algorithm": args.algorithm, "problem": args.problem,
-                   "sigma": args.sigma, "theta": args.theta,
-                   "tol": args.tol, "max_iters": args.max_iters}
-    if args.algorithm == "padmm-ebb":
-        config_echo.update(beta=_beta(args, inst), xi0=_xi0(args))
+    start, columns, config_echo = _prepare_solve(
+        args, args.algorithm, kind, inst, args.theta)
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
@@ -257,7 +250,7 @@ def cmd_bench(args) -> int:
         algos = [a for a in algos if a == "padmm-ebb"]
         if not algos:
             raise ConfigError("lrr problems are only supported by padmm-ebb")
-    starts = [_prepare_solve(args, a, kind, inst, None, ("v_norm",))
+    starts = [_prepare_solve(args, a, kind, inst, columns=("v_norm",))[0]
               for a in algos]
     print("%-12s %9s %10s %12s %9s" % ("algorithm", "iters", "converged",
                                        "residual", "time_s"))
@@ -341,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "or the second sum is 0)"
                             % (padmm_ebb.PENALTY_KAPPA,
                                padmm_ebb.FALLBACK_BETA))
-        p.add_argument("--cv-r", type=float, default=None,
-                       help="primal scale r of the condat-vu metric")
-        p.add_argument("--cv-s", type=float, default=None,
-                       help="dual scale s of the condat-vu metric")
 
     ps = sub.add_parser("solve", help="run one algorithm on one problem")
     ps.add_argument("--algorithm", required=True, choices=ALGORITHMS)
@@ -388,12 +377,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError is one
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:
-        print("solver abort: %s" % exc, file=sys.stderr)
-        return EXIT_SOLVER
+        return _solver_abort(exc)
 
 
 if __name__ == "__main__":

@@ -75,10 +75,10 @@ class MultiBlockProblem:
     multiplier in the KKT primal rows); ``A[i].adjoint_apply`` maps block i to
     the dual space, so feasibility reads b - sum_i A[i].adjoint_apply(x_i).
     ``grad_f`` takes and returns a list of flat block arrays; ``L[i]`` are the
-    blockwise Lipschitz constants of grad_f.  ``primal_layout`` (block i
-    has ``A[i].codomain_dim`` entries), ``full_layout`` (primal blocks plus
-    the multiplier) and ``d_weights`` (L_i on block i's entries, 0 on the
-    multiplier) are built once, at construction.
+    blockwise Lipschitz constants of grad_f.  ``full_layout`` (block i has
+    ``A[i].codomain_dim`` entries, then the multiplier's m) and ``d_weights``
+    (L_i on block i's entries, 0 on the multiplier) are built once, at
+    construction.
     """
 
     gs: list
@@ -95,19 +95,19 @@ class MultiBlockProblem:
         for i, a in enumerate(self.A):
             if a.domain_dim != self.b.size:
                 raise ValueError("constraint map %d has wrong dimensions" % i)
-        self.primal_layout = BlockLayout(tuple(a.codomain_dim for a in self.A))
         for i, l in enumerate(self.L):
             if not (math.isfinite(l) and l >= 0):
                 raise ValueError("Lipschitz constant %d must be finite and "
                                  "nonnegative, got %r" % (i, l))
-        self.full_layout = BlockLayout(self.primal_layout.sizes + (self.m,))
+        self.full_layout = BlockLayout(
+            tuple(a.codomain_dim for a in self.A) + (self.m,))
         self.d_weights = np.repeat(np.asarray(list(self.L) + [0.0], dtype=float),
                                    self.full_layout.sizes)
         self._anorms = None
 
     @property
     def p(self) -> int:
-        return self.primal_layout.nblocks
+        return len(self.A)
 
     @property
     def m(self) -> int:
@@ -169,10 +169,11 @@ def rule_beta(problem: MultiBlockProblem) -> float:
 # ---------------------------------------------------------------------------
 
 
-def scalar_majorant_etas(problem: MultiBlockProblem, beta: float,
-                         anorms: Sequence[float]) -> List[float]:
+def scalar_majorant_etas(problem: MultiBlockProblem,
+                         beta: float) -> List[float]:
     """Per-block prox curvatures eta_i = L_i + MARGIN beta ||A_i||^2 + 1e-8."""
-    return [l + MARGIN * beta * a * a + 1e-8 for l, a in zip(problem.L, anorms)]
+    return [l + MARGIN * beta * a * a + 1e-8
+            for l, a in zip(problem.L, problem.constraint_norms())]
 
 
 def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
@@ -375,8 +376,7 @@ class _Iteration:
                  theta_fixed: Optional[float], columns: Sequence[str]):
         self.problem, self.cfg = problem, cfg
         self.beta, self.theta_fixed = beta, theta_fixed
-        self.etas = scalar_majorant_etas(problem, beta,
-                                         problem.constraint_norms())
+        self.etas = scalar_majorant_etas(problem, beta)
         self.inv_scalars = [1.0 / e for e in self.etas] + [beta]
         self.U = UOperator(problem, beta, self.etas)
         self.prev, self.pnorm = None, float("nan")

@@ -453,26 +453,25 @@ def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
 
 @dataclass(frozen=True)
 class Scheme:
-    """One splitter coded onto a QP: ``build(inst, sigma, **opts)`` returns
-    (problem, theta_max, reference), ``step(x, problem, theta, sigma)`` one
-    certificate under the metric ``problem.metric()``, and ``bound`` states
-    theta <= theta_max (None: the scheme picks its over-relaxation at every
-    step)."""
+    """One splitter coded onto a QP: ``build(inst, sigma)`` returns
+    (problem, theta_max, reference), every step scale derived from the QP,
+    ``step(x, problem, theta, sigma)`` one certificate under the metric
+    ``problem.metric()``, and ``bound`` states theta <= theta_max (None: the
+    scheme picks its over-relaxation at every step)."""
 
     build: Callable[..., tuple]
     step: Callable[..., HpeCertificate]
     bound: Optional[str] = None
 
-    def setup(self, inst, sigma: float, theta: Optional[float] = None,
-              **opts):
+    def setup(self, inst, sigma: float, theta: Optional[float] = None):
         """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
 
         ``theta`` None takes 0.9 theta_max; a theta past the bound, at or
         below -1 or NaN, or any theta for a scheme without one, raises
         ValueError.  This is the one check of the bound: the steps take theta
-        as given.  ``opts`` go to the builder (Condat-Vu's r and s only).
+        as given.
         """
-        prob, theta_max, ref = self.build(inst, sigma, **opts)
+        prob, theta_max, ref = self.build(inst, sigma)
         if self.bound is None:
             if theta is not None:
                 raise ValueError("this scheme picks its over-relaxation at "
@@ -495,8 +494,7 @@ class Scheme:
 # the CLI's algorithm order.
 SCHEMES = {
     "condat-vu": Scheme(
-        build=lambda inst, sigma, r=None, s=None: condat_vu_from_qp(
-            inst, sigma, r, s),
+        build=lambda inst, sigma: condat_vu_from_qp(inst, sigma),
         step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta),
         bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
     "ppg": Scheme(

@@ -73,6 +73,18 @@ def test_solve_padmm_writes_trace_and_summary(tmp_path, capsys):
     assert 0.0 < data["config"]["beta"] != 1.0
 
 
+def test_a_solve_resolves_the_penalty_rule_once(monkeypatch, tmp_path):
+    # the beta a solve runs at and the beta its summary echoes are one value
+    calls = []
+    real = padmm_ebb.rule_beta
+    monkeypatch.setattr(padmm_ebb, "rule_beta",
+                        lambda problem: calls.append(problem) or real(problem))
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
+                 "--max-iters", "5",
+                 "--summary", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 1
+
+
 def _xi_product(updates):
     """prod (1 + xi_k) over metric updates 1..updates at the default xi0, in
     the order padmm-ebb multiplies it."""
@@ -107,7 +119,9 @@ def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
         0.9, 1e-8, 1000)
     assert args.beta is None
     _, inst = build_problem(parse_descriptor("qp:seed=0"))
-    assert cli._beta(args, inst) == padmm_ebb.rule_beta(inst.problem)
+    _, _, echo = cli._prepare_solve(args, "padmm-ebb", "qp", inst,
+                                    columns=("v_norm",))
+    assert echo["beta"] == padmm_ebb.rule_beta(inst.problem)
     assert (padmm_ebb.PENALTY_KAPPA, padmm_ebb.FALLBACK_BETA) == (0.5, 1.0)
     assert main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -275,12 +289,8 @@ def test_bad_numeric_option_is_a_config_error(algorithm, option, value,
 
 
 @pytest.mark.parametrize("option,algorithm", [
-    (option, a) for option, owner in (("--beta", "padmm-ebb"),
-                                      ("--xi0", "padmm-ebb"),
-                                      ("--full-trace", "padmm-ebb"),
-                                      ("--cv-r", "condat-vu"),
-                                      ("--cv-s", "condat-vu"))
-    for a in ALGORITHMS if a != owner])
+    (option, a) for option in ("--beta", "--xi0", "--full-trace")
+    for a in ALGORITHMS if a != "padmm-ebb"])
 def test_option_of_another_algorithm_is_a_config_error(option, algorithm,
                                                        monkeypatch, capsys):
     # each used to be dropped silently; now solve names the algorithm that
@@ -291,30 +301,20 @@ def test_option_of_another_algorithm_is_a_config_error(option, algorithm,
     code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
                  "--max-iters", "5", option, *value])
     assert code == 2
-    owner = "condat-vu" if option.startswith("--cv") else "padmm-ebb"
     assert capsys.readouterr().err.strip() == (
-        "configuration error: %s applies to %s only" % (option, owner))
+        "configuration error: %s applies to padmm-ebb only" % option)
 
 
 def test_bench_hands_each_option_to_the_algorithm_that_reads_it(capsys):
     rows = []
-    for options in ((), ("--beta", "2", "--cv-r", "30")):
+    for options in ((), ("--beta", "2")):
         assert main(["bench", "--problem", "qp:seed=0", "--max-iters", "200",
                      *options]) == 0
         rows.append({line.split()[0]: line.split()[:4] for line in
                      capsys.readouterr().out.strip().splitlines()[1:]})
     default, chosen = rows
     changed = {a for a in ALGORITHMS if default[a] != chosen[a]}
-    assert changed == {"padmm-ebb", "condat-vu"}
-
-
-@pytest.mark.parametrize("option,value", [("--cv-r", "nan"), ("--cv-s", "inf"),
-                                          ("--cv-r", "inf")])
-def test_non_finite_condat_vu_scale_is_a_config_error(option, value, capsys):
-    code = main(["solve", "--algorithm", "condat-vu", "--problem",
-                 "qp:seed=0", "--max-iters", "5", option, value])
-    assert code == 2
-    assert "need finite r, s > 0" in capsys.readouterr().err
+    assert changed == {"padmm-ebb"}
 
 
 # each malformed descriptor and the message that names what is wrong
@@ -405,12 +405,6 @@ def test_theta_at_or_below_minus_one_is_a_config_error(algorithm, theta,
                  "--max-iters", "5", "--theta", theta])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
-
-
-def test_indefinite_condat_vu_metric_is_a_config_error(capsys):
-    code = main(["solve", "--algorithm", "condat-vu", "--problem", "qp:seed=0",
-                 "--cv-r", "0.1", "--cv-s", "0.1"])
-    assert code == 2
 
 
 def test_unknown_problem_kind_is_a_config_error():

@@ -59,7 +59,7 @@ def test_the_primal_layout_comes_from_the_maps():
                                  L=[0.0, 0.0], A=A, b=b)
 
     prob = problem(np.zeros(m))
-    assert prob.p == 2 and prob.primal_layout.sizes == (3, 1)
+    assert prob.p == 2 and prob.full_layout.sizes[:prob.p] == (3, 1)
     assert prob.full_layout.sizes == (3, 1, m)
     with pytest.raises(ValueError, match="constraint map 0 has wrong dim"):
         problem(np.zeros(m + 1))
@@ -90,7 +90,7 @@ def test_block_sweep_single_block_matches_dense_solve():
     x = rng.standard_normal(5)
     y = rng.standard_normal(3)
     beta = 2.0
-    etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, beta)
     x_tilde, y_tilde, _ = block_sweep([x], y, prob, beta, etas)
     # independent route: the majorized subproblem is the linear system
     # eta (x~ - x) + grad f(x) + G^T y + beta G^T (G x - b) = 0
@@ -108,7 +108,7 @@ def test_block_sweep_gauss_seidel_ordering():
     xs = [rng.standard_normal(4), rng.standard_normal(4)]
     y = rng.standard_normal(2)
     beta = 1.5
-    etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, beta)
     grads = prob.grad_f(xs)
     xt, _, _ = block_sweep(xs, y, prob, beta, etas, grads=grads)
     G1, G2 = inst.G[:, :4], inst.G[:, 4:]
@@ -142,7 +142,7 @@ def test_block_sweep_with_pkkt_feas_is_bitwise_equal(which):
     xs, y = prob.split(z)
     grads = prob.grad_f(xs)
     feas, _ = pkkt_residual(xs, y, prob, grads=grads)
-    etas = scalar_majorant_etas(prob, 2.0, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, 2.0)
     plain = block_sweep(xs, y, prob, 2.0, etas, grads=grads)
     shared = block_sweep(xs, y, prob, 2.0, etas, grads=grads, feas=feas)
     assert len(plain[2]) == len(shared[2]) == prob.p
@@ -263,7 +263,7 @@ def qp3():
 def test_u_operator_matches_dense_assembly(qp3):
     prob = qp3.problem
     beta = 1.7
-    etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, beta)
     U = UOperator(prob, beta, etas)
     Ud = u_dense(U)
     lay = prob.full_layout
@@ -324,7 +324,7 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
     inst = qp3
     prob = inst.problem
     beta = 1.0
-    etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, beta)
     K, q = kkt_operator(inst)
     rng = np.random.default_rng(4)
     lay = prob.full_layout
@@ -352,7 +352,7 @@ def test_u_certificate_is_an_enlargement_of_the_kkt_operator(qp3):
 def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     prob = qp3.problem
     beta = 1.0
-    etas = scalar_majorant_etas(prob, beta, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, beta)
     lay = prob.full_layout
     inv = [1.0 / e for e in etas] + [beta]
     M = BlockDiagonalMetric.from_inverse_scalars(inv, lay)
@@ -395,7 +395,7 @@ def test_theta_range_rejects_zero_direction(qp3):
     # range; should one reach it, the U* M^-1 U form is 0 and degenerate
     prob = qp3.problem
     lay = prob.full_layout
-    etas = scalar_majorant_etas(prob, 1.0, prob.constraint_norms())
+    etas = scalar_majorant_etas(prob, 1.0)
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
     with pytest.raises(CriterionViolation,
@@ -471,7 +471,7 @@ def test_pkkt_early_decision_equals_the_full_norm_decision(which, monkeypatch):
     rng = np.random.default_rng(7)
     exits = 0
     for _ in range(5):
-        xs = [rng.standard_normal(n) for n in prob.primal_layout.sizes]
+        xs = [rng.standard_normal(n) for n in prob.full_layout.sizes[:prob.p]]
         y = rng.standard_normal(prob.m)
         res = _pkkt_rows(xs, y, prob)
         feas, full = pkkt_residual(xs, y, prob)

@@ -279,7 +279,7 @@ def test_lrr_feasibility_encodes_the_constraints(lrr_small):
 def test_lrr_gradient_matches_finite_differences(lrr_small):
     prob = lrr_small.problem
     rng = np.random.default_rng(7)
-    xs = [rng.standard_normal(s) for s in prob.primal_layout.sizes]
+    xs = [rng.standard_normal(s) for s in prob.full_layout.sizes[:prob.p]]
     grads = prob.grad_f(xs)
     f0 = prob.f_value(xs)
     h = 1e-6
@@ -312,7 +312,7 @@ def test_lrr_orientation_flag():
     rows = build_lrr(X, mu=2.0, gamma=2.0, orientation="rows")
     cols = build_lrr(X, mu=2.0, gamma=2.0, orientation="cols")
     xs = [np.random.default_rng(9).standard_normal(s)
-          for s in rows.problem.primal_layout.sizes]
+          for s in rows.problem.full_layout.sizes[:rows.problem.p]]
     gz_rows = rows.problem.grad_f(xs)[0].reshape(7, 7, order="F")
     gz_cols = cols.problem.grad_f(xs)[0].reshape(7, 7, order="F")
     Z = xs[0].reshape(7, 7, order="F")

@@ -232,9 +232,14 @@ def test_condat_vu_metric_solve_inverts_apply():
 
 def test_condat_vu_rejects_indefinite_metric():
     B = 2.0 * np.eye(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive metric"):
         CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
                         prox_h=ProxFn.zero(), B=B, r=1.0, s=1.0)
+    # a NaN or infinite scale is no metric at all
+    for r, s in ((np.nan, 30.0), (30.0, np.inf), (np.inf, 30.0)):
+        with pytest.raises(ValueError, match="need finite r, s > 0"):
+            CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                            prox_h=ProxFn.zero(), B=B, r=r, s=s)
 
 
 def test_condat_vu_boundary_tightness():
