@@ -140,7 +140,9 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     fault.  One kernel config, with sigma, xi0, iteration budget and
     tolerance, serves all five algorithms; padmm-ebb's beta (``--beta``, or
     :func:`padmm_ebb.rule_beta`) and xi0 are resolved here, once, and
-    ``echo`` records them with the run's other settings.  ``columns`` None
+    ``echo`` records them with the run's other settings.  A ``--beta`` that is
+    not finite and positive is rejected whatever the algorithm, so ``bench``
+    checks it even without padmm-ebb among its algorithms.  ``columns`` None
     takes the algorithm's default trace columns, with padmm-ebb's opt-in ones
     under ``--full-trace``.
     """
@@ -151,11 +153,12 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     echo = {"algorithm": algorithm, "problem": args.problem,
             "sigma": args.sigma, "theta": theta_text,
             "tol": args.tol, "max_iters": args.max_iters}
+    beta = args.beta
+    if beta is None and algorithm == "padmm-ebb":
+        beta = padmm_ebb.rule_beta(inst.problem)
+    if beta is not None and not (math.isfinite(beta) and beta > 0):
+        raise ConfigError("beta must be finite and positive, got %r" % beta)
     if algorithm == "padmm-ebb":
-        beta = padmm_ebb.rule_beta(inst.problem) if args.beta is None \
-            else args.beta
-        if not (math.isfinite(beta) and beta > 0):
-            raise ConfigError("beta must be finite and positive, got %r" % beta)
         echo.update(beta=beta, xi0=xi0)
         if columns is None:
             columns = padmm_ebb.DEFAULT_COLUMNS + (

@@ -426,18 +426,33 @@ def condat_vu_from_qp(inst, sigma: Optional[float] = None,
     return prob, condat_vu_max_theta(prob, sigma), inst.z_star
 
 
-def afbas_pd_from_qp(inst, theta: float = 2.0, mu: float = 0.5,
-                     lam: float = 1.0):
+AFBAS_THETA = 0.5
+AFBAS_LAM_FRACTION = 0.99
+
+
+def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
+                     lam: Optional[float] = None):
     """Adaptive primal-dual coding of the same saddle problem.
 
     Returns (problem, None, z_ref = (x*, y*)): the step picks its own
-    over-relaxation, so there is no theta_max.
+    over-relaxation, so there is no theta_max.  The structural ``theta``
+    defaults to AFBAS_THETA = 0.5 and the step cap ``lam`` to
+    AFBAS_LAM_FRACTION delta = 0.99 delta, where for the gamma1 rule below
+    delta = 2 - L/(2 margin) with margin = 1/gamma1 - gamma2 theta^2 ||B||^2/4
+    = L/2 + gamma2 theta^2 ||B||^2/4 + 1.  That pair took the fewest
+    iterations on the QP seeds 0-9 of those swept over theta, lam / delta,
+    mu and a gamma2 scale (README); an explicit ``lam`` is an absolute cap.
     """
+    theta = AFBAS_THETA if theta is None else theta
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
     gamma2 = 1.0 / (bnorm + 1.0)
+    coupling = gamma2 * theta ** 2 * bnorm ** 2 / 4.0
     # 1/gamma1 > L/4 + gamma2 theta^2 ||B||^2 / 4 with a factor-2 margin
-    gamma1 = 1.0 / (2.0 * (Lq / 4.0 + gamma2 * theta ** 2 * bnorm ** 2 / 4.0 + 0.5))
+    gamma1 = 1.0 / (2.0 * (Lq / 4.0 + coupling + 0.5))
+    if lam is None:
+        margin = Lq / 2.0 + coupling + 1.0  # 1/gamma1 - coupling
+        lam = AFBAS_LAM_FRACTION * (2.0 - Lq / (2.0 * margin))
     prob = AfbasPdProblem(dim_x=Q.shape[0], dim_y=b.size,
                           prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                           B=G, gamma1=gamma1, gamma2=gamma2, theta=theta,

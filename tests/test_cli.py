@@ -317,6 +317,20 @@ def test_bench_hands_each_option_to_the_algorithm_that_reads_it(capsys):
     assert changed == {"padmm-ebb"}
 
 
+@pytest.mark.parametrize("beta", ["nan", "-3"])
+def test_bench_checks_beta_without_padmm_ebb(beta, capsys):
+    # bench hands --beta to padmm-ebb only, but a bad one is an error
+    # whatever the algorithms, with solve's message; it used to exit 0
+    code = main(["bench", "--problem", "qp:seed=0", "--algorithms", "fbhf",
+                 "--beta", beta, "--max-iters", "5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        "configuration error: beta must be finite and positive, got %r"
+        % float(beta))
+    assert captured.out == ""
+
+
 # each malformed descriptor and the message that names what is wrong
 MALFORMED = {
     "qp:seed=inf": "non-finite value 'inf' for 'seed'",

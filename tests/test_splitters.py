@@ -5,13 +5,15 @@ tightness of the admissible over-relaxation, and convergence to an
 independently computed reference solution.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from opsplit import hpe_core
+from opsplit import hpe_core, splitters
 from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
 from opsplit.linops import DenseMetric, IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
@@ -357,15 +359,63 @@ def test_afbas_converges_to_reference():
 
 
 def test_afbas_step_criterion_each_iteration():
+    # the run reaches an exact fixed point after 192 steps, where the step
+    # returns None and the kernel stops, so the loop stops there too
     inst = gen_qp(9, p=2, n_i=4, m=2)
     prob, _, _ = afbas_pd_from_qp(inst)
     M = prob.metric()
     z = np.zeros(prob.dim_x + prob.dim_y)
+    checked = 0
     for _ in range(200):
         cert = afbas_pd_step(z, prob, sigma=0.5)
+        if cert is None:
+            break
         rep = check_criterion(z, cert, M, 0.5)
         assert rep.rel_slack >= -1e-10
         z = extragradient_step(z, cert)
+        checked += 1
+    assert checked >= 150
+
+
+def _afbas_iterations(build):
+    """(converged, iterations) of afbas-pd built by ``build(inst)`` on the QP
+    seeds 0-9 at sigma 0.9."""
+    cfg = HpeConfig(sigma=0.9, max_iters=5000, tol_residual=1e-8)
+    runs = []
+    for seed in range(10):
+        prob, _, ref = build(gen_qp(seed, p=2, n_i=5, m=3))
+        res = hpe_core.run(lambda z, M, c: afbas_pd_step(z, prob, c.sigma),
+                           np.zeros(ref.size), prob.metric(), cfg)
+        runs.append((res.converged, res.iterations))
+    return runs
+
+
+def test_afbas_default_theta_and_lam_take_fewer_iterations():
+    # theta = 0.5 and lam = 0.99 delta against theta = 2 and lam = 1 on the
+    # sigma = 0.9 QP battery: median iterations 70 against 271
+    default = _afbas_iterations(afbas_pd_from_qp)
+    fixed = _afbas_iterations(
+        lambda inst: afbas_pd_from_qp(inst, theta=2.0, lam=1.0))
+    assert all(converged for converged, _ in default + fixed)
+    med_default, med_fixed = (np.median([i for _, i in runs])
+                              for runs in (default, fixed))
+    assert med_default < med_fixed
+
+
+@pytest.mark.parametrize("L", [0.0, 1e6])
+def test_afbas_default_lam_lies_inside_its_bound(L):
+    # delta = 2 - L/(2 margin) is 2 at L = 0 and tends to 1 as L grows; the
+    # default lam is AFBAS_LAM_FRACTION of it, strictly inside (0, delta)
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    inst = dataclasses.replace(
+        inst, Q=inst.Q * (L / np.linalg.eigvalsh(inst.Q)[-1]))
+    prob, _, _ = afbas_pd_from_qp(inst)
+    assert prob.L == pytest.approx(L)
+    assert 0.0 < prob.lam < prob.delta
+    assert prob.lam == pytest.approx(
+        splitters.AFBAS_LAM_FRACTION * prob.delta, rel=1e-12)
+    if L == 0.0:
+        assert prob.delta == 2.0
 
 
 @pytest.mark.parametrize("builder", [condat_vu_from_qp, afbas_pd_from_qp],
