@@ -264,9 +264,9 @@ class AfbasPdProblem:
     B: np.ndarray
     gamma1: float
     gamma2: float
-    theta: float = 2.0
-    mu: float = 0.5
-    lam: float = 1.0
+    theta: float
+    mu: float
+    lam: float = math.inf
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
     bnorm: Optional[float] = field(default=None, repr=False)
@@ -284,8 +284,6 @@ class AfbasPdProblem:
             self.bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
             raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
-        if not 0.0 < self.lam < self.delta:
-            raise ValueError("lam must lie in (0, delta), delta=%.6g" % self.delta)
         c1 = self.mu * self.gamma1 * (2.0 - self.theta)
         c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
         eye_x, eye_y = np.eye(self.dim_x), np.eye(self.dim_y)
@@ -300,10 +298,6 @@ class AfbasPdProblem:
     def curvature_margin(self) -> float:
         return 1.0 / self.gamma1 - self.gamma2 * self.theta ** 2 * self.bnorm ** 2 / 4.0
 
-    @property
-    def delta(self) -> float:
-        return 2.0 - self.L / (2.0 * self.curvature_margin)
-
     def metric(self) -> Metric:
         return self._metric
 
@@ -312,12 +306,13 @@ def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
                   sigma: float) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
-    alpha_k = lam * (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z, then
-    lam is capped along the direction so the relative-error criterion holds
-    with the given sigma; theta_k = alpha_k - 1.  The certificate is v = R d
-    with step M^-1 v = S d, so the kernel's correction is the native update
-    z - alpha_k S d.  At d = 0, z is a fixed point of the scheme and the
-    step returns None, as the kernel's oracle protocol asks.  A direction
+    alpha_k = min(lam, cap) (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z,
+    where cap keeps the relative-error criterion with the given sigma along
+    the direction (VMOR-HPE certifies any such step) and lam, inf by default,
+    is an optional absolute cap; theta_k = alpha_k - 1.  The certificate is
+    v = R d with step M^-1 v = S d, so the kernel's correction is the native
+    update z - alpha_k S d.  At d = 0, z is a fixed point of the scheme and
+    the step returns None, as the kernel's oracle protocol asks.  A direction
     with no admissible step raises :class:`CriterionViolation`.
     """
     x, y = z[:p.dim_x], z[p.dim_x:]
@@ -407,41 +402,35 @@ def ppg_from_qp(inst, sigma: Optional[float] = None):
     return prob, ppg_max_theta(prob, sigma), z_ref
 
 
-def condat_vu_from_qp(inst, sigma: Optional[float] = None,
-                      r: Optional[float] = None, s: Optional[float] = None):
+def condat_vu_from_qp(inst, sigma: Optional[float] = None):
     """Primal-dual coding: f = quadratic, g = 0, h = indicator of {b}, B = G.
 
-    Returns (problem, theta_max, z_ref = (x*, y*)).  Omitted scale parameters
-    r, s default to values with comfortable margin in the metric condition.
+    Returns (problem, theta_max, z_ref = (x*, y*)); the scales r = s =
+    ||B|| + L/sigma + 1 leave comfortable margin in the metric condition.
     """
     sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
     scale = bnorm + Lq / sigma + 1.0
-    r, s = scale if r is None else r, scale if s is None else s
     prob = CondatVuProblem(dim_x=Q.shape[0], dim_y=b.size,
                            prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
-                           B=G, r=r, s=s, grad_f=lambda u: Q @ u + c,
+                           B=G, r=scale, s=scale, grad_f=lambda u: Q @ u + c,
                            L=Lq, bnorm=bnorm)
     return prob, condat_vu_max_theta(prob, sigma), inst.z_star
 
 
 AFBAS_THETA = 0.5
-AFBAS_LAM_FRACTION = 0.99
 
 
 def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
-                     lam: Optional[float] = None):
+                     lam: float = math.inf):
     """Adaptive primal-dual coding of the same saddle problem.
 
     Returns (problem, None, z_ref = (x*, y*)): the step picks its own
     over-relaxation, so there is no theta_max.  The structural ``theta``
-    defaults to AFBAS_THETA = 0.5 and the step cap ``lam`` to
-    AFBAS_LAM_FRACTION delta = 0.99 delta, where for the gamma1 rule below
-    delta = 2 - L/(2 margin) with margin = 1/gamma1 - gamma2 theta^2 ||B||^2/4
-    = L/2 + gamma2 theta^2 ||B||^2/4 + 1.  That pair took the fewest
-    iterations on the QP seeds 0-9 of those swept over theta, lam / delta,
-    mu and a gamma2 scale (README); an explicit ``lam`` is an absolute cap.
+    defaults to AFBAS_THETA = 0.5, which took the fewest iterations on the
+    QP seeds 0-9 of those swept (README).  The step takes the criterion's
+    cap unless an explicit ``lam`` caps it lower.
     """
     theta = AFBAS_THETA if theta is None else theta
     Q, c, G, b, Lq = _qp_data(inst)
@@ -450,9 +439,6 @@ def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
     coupling = gamma2 * theta ** 2 * bnorm ** 2 / 4.0
     # 1/gamma1 > L/4 + gamma2 theta^2 ||B||^2 / 4 with a factor-2 margin
     gamma1 = 1.0 / (2.0 * (Lq / 4.0 + coupling + 0.5))
-    if lam is None:
-        margin = Lq / 2.0 + coupling + 1.0  # 1/gamma1 - coupling
-        lam = AFBAS_LAM_FRACTION * (2.0 - Lq / (2.0 * margin))
     prob = AfbasPdProblem(dim_x=Q.shape[0], dim_y=b.size,
                           prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                           B=G, gamma1=gamma1, gamma2=gamma2, theta=theta,
@@ -481,23 +467,27 @@ class Scheme:
     def setup(self, inst, sigma: float, theta: Optional[float] = None):
         """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
 
-        ``theta`` None takes 0.9 theta_max; a theta past the bound, at or
-        below -1 or NaN, or any theta for a scheme without one, raises
-        ValueError.  This is the one check of the bound: the steps take theta
-        as given.
+        A scheme with a bound scales its step with sigma, so it needs
+        sigma > 0.  ``theta`` None takes 0.9 theta_max.  That theta or an
+        explicit one past the bound, at or below -1 or NaN, or any theta for
+        a scheme without a bound, raises ValueError.  This is the one check
+        of the bound: the steps take theta as given.
         """
+        if self.bound is not None and not sigma > 0:
+            raise ValueError("sigma must be positive for a scheme whose step "
+                             "scales with it, got %r" % sigma)
         prob, theta_max, ref = self.build(inst, sigma)
         if self.bound is None:
             if theta is not None:
                 raise ValueError("this scheme picks its over-relaxation at "
                                  "every step; theta must be 'auto'")
-        elif theta is None:
-            theta = 0.9 * theta_max
-        elif not theta > -1.0:
-            raise ValueError("theta must exceed -1, got %r" % theta)
-        elif theta > theta_max + 1e-12:
-            raise ValueError("theta %.4g violates %s (max %.4g)"
-                             % (theta, self.bound, theta_max))
+        else:
+            theta = 0.9 * theta_max if theta is None else theta
+            if not theta > -1.0:
+                raise ValueError("theta must exceed -1, got %r" % theta)
+            if theta > theta_max + 1e-12:
+                raise ValueError("theta %.4g violates %s (max %.4g)"
+                                 % (theta, self.bound, theta_max))
         def oracle(x: np.ndarray, M, cfg) -> Optional[HpeCertificate]:
             return self.step(x, prob, theta, cfg.sigma)
 

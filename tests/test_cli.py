@@ -421,6 +421,32 @@ def test_theta_at_or_below_minus_one_is_a_config_error(algorithm, theta,
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solve_at_sigma_zero_runs_or_names_sigma(algorithm, capsys):
+    # --sigma allows [0, 1); the three schemes whose step scales with sigma
+    # reject 0 with a message that names it (Condat-Vu's build divided by it),
+    # while afbas-pd and padmm-ebb converge
+    code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--sigma", "0"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if algorithm in ("afbas-pd", "padmm-ebb"):
+        assert code == 0
+    else:
+        assert code == 2
+        assert err.strip() == ("configuration error: sigma must be positive "
+                               "for a scheme whose step scales with it, "
+                               "got 0.0")
+
+
+def test_bench_at_sigma_zero_is_a_config_error_before_any_row(capsys):
+    code = main(["bench", "--problem", "qp:seed=0", "--sigma", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "sigma must be positive" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_unknown_problem_kind_is_a_config_error():
     assert main(["solve", "--algorithm", "fbhf", "--problem", "socp:seed=0"]) == 2
 

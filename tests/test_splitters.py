@@ -6,6 +6,7 @@ independently computed reference solution.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,16 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from opsplit import hpe_core, splitters
-from opsplit.hpe_core import HpeConfig, check_criterion, extragradient_step
+from opsplit import hpe_core
+from opsplit.hpe_core import (CriterionViolation, HpeConfig, check_criterion,
+                              extragradient_step)
 from opsplit.linops import DenseMetric, IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
                                FbhfProblem, PpgProblem, afbas_pd_from_qp,
                                afbas_pd_step, affine_projector,
                                condat_vu_from_qp, condat_vu_max_theta,
-                               condat_vu_step, fbhf_max_theta, fbhf_step,
-                               ppg_from_qp, ppg_max_theta, ppg_step)
+                               condat_vu_step, fbhf_from_qp, fbhf_max_theta,
+                               fbhf_step, ppg_from_qp, ppg_max_theta,
+                               ppg_step)
 
 from support import count_svds, failed_criterion
 
@@ -295,9 +298,11 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
     # update directions are collinear
     inst = gen_qp(5, p=2, n_i=4, m=2)
     prob_a, _, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
-    prob_c, _, _ = condat_vu_from_qp(inst, sigma=0.5,
-                                     r=1.0 / prob_a.gamma1,
-                                     s=1.0 / prob_a.gamma2)
+    prob_c = CondatVuProblem(dim_x=prob_a.dim_x, dim_y=prob_a.dim_y,
+                             prox_g=prob_a.prox_g, prox_h=prob_a.prox_h,
+                             B=prob_a.B, r=1.0 / prob_a.gamma1,
+                             s=1.0 / prob_a.gamma2, grad_f=prob_a.grad_f,
+                             L=prob_a.L)
     rng = np.random.default_rng(6)
     for _ in range(5):
         z = rng.standard_normal(prob_a.dim_x + prob_a.dim_y)
@@ -338,7 +343,7 @@ def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
     # reason fixed_point
     p = AfbasPdProblem(dim_x=2, dim_y=1, prox_g=ProxFn.zero(),
                        prox_h=ProxFn.constant(np.zeros(1)), B=np.zeros((1, 2)),
-                       gamma1=1.0, gamma2=1.0)
+                       gamma1=1.0, gamma2=1.0, theta=2.0, mu=0.5)
     z = np.array([0.3, -1.2, 0.7])
     assert afbas_pd_step(z, p, sigma=0.5) is None
     res = hpe_core.run(lambda x, M, cfg: afbas_pd_step(x, p, cfg.sigma), z,
@@ -391,8 +396,8 @@ def _afbas_iterations(build):
 
 
 def test_afbas_default_theta_and_lam_take_fewer_iterations():
-    # theta = 0.5 and lam = 0.99 delta against theta = 2 and lam = 1 on the
-    # sigma = 0.9 QP battery: median iterations 70 against 271
+    # theta = 0.5 at the criterion's cap against theta = 2 and lam = 1 on
+    # the sigma = 0.9 QP battery: median iterations 70 against 271
     default = _afbas_iterations(afbas_pd_from_qp)
     fixed = _afbas_iterations(
         lambda inst: afbas_pd_from_qp(inst, theta=2.0, lam=1.0))
@@ -400,22 +405,6 @@ def test_afbas_default_theta_and_lam_take_fewer_iterations():
     med_default, med_fixed = (np.median([i for _, i in runs])
                               for runs in (default, fixed))
     assert med_default < med_fixed
-
-
-@pytest.mark.parametrize("L", [0.0, 1e6])
-def test_afbas_default_lam_lies_inside_its_bound(L):
-    # delta = 2 - L/(2 margin) is 2 at L = 0 and tends to 1 as L grows; the
-    # default lam is AFBAS_LAM_FRACTION of it, strictly inside (0, delta)
-    inst = gen_qp(0, p=2, n_i=5, m=3)
-    inst = dataclasses.replace(
-        inst, Q=inst.Q * (L / np.linalg.eigvalsh(inst.Q)[-1]))
-    prob, _, _ = afbas_pd_from_qp(inst)
-    assert prob.L == pytest.approx(L)
-    assert 0.0 < prob.lam < prob.delta
-    assert prob.lam == pytest.approx(
-        splitters.AFBAS_LAM_FRACTION * prob.delta, rel=1e-12)
-    if L == 0.0:
-        assert prob.delta == 2.0
 
 
 @pytest.mark.parametrize("builder", [condat_vu_from_qp, afbas_pd_from_qp],
@@ -430,15 +419,28 @@ def test_saddle_build_takes_one_svd_of_G(builder, monkeypatch):
 
 
 def test_afbas_parameter_validation():
-    B = np.eye(2)
     with pytest.raises(ValueError):
         AfbasPdProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                       prox_h=ProxFn.zero(), B=B, gamma1=10.0, gamma2=10.0,
-                       theta=2.0, L=100.0)  # curvature margin too small
-    with pytest.raises(ValueError):
-        AfbasPdProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                       prox_h=ProxFn.zero(), B=B, gamma1=0.1, gamma2=0.1,
-                       theta=2.0, lam=5.0)  # lam outside (0, delta)
+                       prox_h=ProxFn.zero(), B=np.eye(2), gamma1=10.0,
+                       gamma2=10.0, theta=2.0, mu=0.5,
+                       L=100.0)  # curvature margin too small
+
+
+@pytest.mark.parametrize("lam,message", [
+    (0.0, "theta = -1.0 is not above -1"),
+    (-1.0, "theta = -.* is not above -1"),
+    (math.nan, "non-finite theta")], ids=["zero", "negative", "nan"])
+def test_afbas_bad_explicit_lam_aborts_at_the_first_step(lam, message):
+    # nothing checks lam when the problem is built: an explicit cap at or
+    # below 0, or NaN, gives alpha_1 <= 0 or NaN, and the kernel's theta
+    # check names it in iteration 1
+    prob, _, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3), lam=lam)
+    with pytest.raises(CriterionViolation,
+                       match="iteration 1: " + message) as exc:
+        hpe_core.run(lambda z, M, c: afbas_pd_step(z, prob, c.sigma),
+                     np.zeros(ref.size), prob.metric(),
+                     HpeConfig(sigma=0.9, max_iters=5))
+    assert exc.value.result.abort["iteration"] == 1
 
 
 def _afbas_R_S(B, gamma1, gamma2, theta, c1, c2):
@@ -454,11 +456,10 @@ def _afbas_R_S(B, gamma1, gamma2, theta, c1, c2):
 @given(gamma1=st.floats(1e-3, 10, exclude_min=True, exclude_max=True),
        gamma2=st.floats(1e-3, 10, exclude_min=True, exclude_max=True),
        theta=st.floats(0, 4), mu=st.floats(0, 1), L=st.floats(0, 5),
-       lam=st.floats(0, 2, exclude_min=True, exclude_max=True),
        B=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=5),
                 elements=st.floats(-3, 3)))
 def test_afbas_metric_is_symmetric_and_positive_by_construction(
-        gamma1, gamma2, theta, mu, L, lam, B):
+        gamma1, gamma2, theta, mu, L, B):
     # S* R = R* S for every parameter set, since c1/gamma1 + c2/gamma2 =
     # 2 - theta: R S^-1 is symmetric with no check of its own.  Past the
     # constructor's two checks, 1/(gamma1 gamma2) + (1 - theta) B*B > 0
@@ -472,9 +473,9 @@ def test_afbas_metric_is_symmetric_and_positive_by_construction(
     try:
         p = AfbasPdProblem(dim_x=nx, dim_y=ny, prox_g=ProxFn.zero(),
                            prox_h=ProxFn.zero(), B=B, gamma1=gamma1,
-                           gamma2=gamma2, theta=theta, mu=mu, lam=lam, L=L)
+                           gamma2=gamma2, theta=theta, mu=mu, L=L)
     except ValueError as exc:
-        assert str(exc).startswith(("need 1/gamma1", "lam must lie")), exc
+        assert str(exc).startswith("need 1/gamma1"), exc
         return
     assert np.array_equal(p._R, R) and np.array_equal(p._S, S)
     assert p.metric().omega_lower > 0
@@ -566,6 +567,25 @@ def test_setup_rejects_theta_at_or_below_minus_one_and_nan(scheme, theta):
     with pytest.raises(ValueError, match="theta must exceed -1, got %r"
                        % theta):
         SCHEMES[scheme].setup(gen_qp(0), 0.5, theta)
+
+
+def test_setup_checks_the_default_theta_against_the_bound():
+    # fbhf's gamma scaled by 2.2 gives theta_max = -0.1 sigma < 0, where
+    # 0.9 theta_max lies past the bound; an explicit theta below it runs
+    def build(inst, sigma):
+        prob, _, ref = fbhf_from_qp(inst, sigma)
+        prob = dataclasses.replace(prob, gamma=2.2 * prob.gamma)
+        return prob, fbhf_max_theta(prob, sigma), ref
+
+    scheme = dataclasses.replace(SCHEMES["fbhf"], build=build)
+    inst = gen_qp(0, p=2, n_i=5, m=3)
+    with pytest.raises(ValueError, match=r"theta -0\.081 violates \(1 \+ "
+                       r"gamma\^2 L\^2\) theta .* \(max -0\.09\)"):
+        scheme.setup(inst, 0.9)
+    oracle, M, x0, _ = scheme.setup(inst, 0.9, -0.2)
+    res = hpe_core.run(oracle, x0, M, HpeConfig(sigma=0.9, max_iters=5000,
+                                                tol_residual=1e-8))
+    assert res.converged and res.iterations == 58
 
 
 def test_affine_projector_projects():

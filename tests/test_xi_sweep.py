@@ -1,6 +1,6 @@
 """tools/xi_sweep.py: the drift bound it prints, its input checks, one
-interpreter per row, and the defaults xi0, kappa and afbas-pd's theta and
-lam / delta that a row sets for the rest of its process."""
+interpreter per row, and the defaults xi0, kappa and afbas-pd's theta that
+a row sets for the rest of its process."""
 
 import importlib.util
 import math
@@ -39,9 +39,6 @@ def test_xi_bound_is_the_infinite_product(xi0, printed):
      "afbas theta must be finite and nonnegative, got -1.0"),
     (["--afbas-theta", "inf"],
      "afbas theta must be finite and nonnegative, got inf"),
-    (["--afbas-lam", "0.9", "1"],
-     "afbas lam/delta must lie in (0, 1), got 1.0"),
-    (["--afbas-lam", "nan"], "afbas lam/delta must lie in (0, 1), got nan"),
 ])
 def test_every_axis_value_is_checked_before_any_row(argv, message, capsys,
                                                     monkeypatch):
@@ -57,7 +54,7 @@ def test_every_axis_value_is_checked_before_any_row(argv, message, capsys,
 
 
 def test_each_row_runs_in_its_own_interpreter(monkeypatch, capsys):
-    # 2 x 2 x 1 x 1 x 1 combinations: four children, one value on each axis,
+    # 2 x 2 x 1 x 1 combinations: four children, one value on each axis,
     # under one header; the parent sets no default
     children = []
     monkeypatch.setattr(xi_sweep, "_child_row",
@@ -66,7 +63,7 @@ def test_each_row_runs_in_its_own_interpreter(monkeypatch, capsys):
                         lambda *a: pytest.fail("set a default"))
     assert xi_sweep.main(["--sigma", "0.5", "0.9", "--xi0", "0", "0.1"]) == 0
     assert children == [["--sigma", s, "--xi0", x, "--beta-kappa", "0.5",
-                         "--afbas-theta", "0.5", "--afbas-lam", "0.99"]
+                         "--afbas-theta", "0.5"]
                         for s in ("0.5", "0.9") for x in ("0.0", "0.1")]
     assert capsys.readouterr().out == xi_sweep.HEADER + "\n" + (
         "| row |\n" * 4)
@@ -74,24 +71,21 @@ def test_each_row_runs_in_its_own_interpreter(monkeypatch, capsys):
 
 def test_one_row_sets_the_defaults_its_runs_read(monkeypatch):
     # the row's xi0 and kappa hold for HpeConfig(), the class attribute and
-    # the penalty rule, its afbas-pd values for the scheme table's afbas-pd
+    # the penalty rule, its afbas-pd theta for the scheme table's afbas-pd
     # build; monkeypatch puts the library's back
     monkeypatch.setattr(HpeConfig.__init__, "__defaults__",
                         HpeConfig.__init__.__defaults__)
     monkeypatch.setattr(HpeConfig, "xi0", HpeConfig.xi0)
     monkeypatch.setattr(padmm_ebb, "PENALTY_KAPPA", padmm_ebb.PENALTY_KAPPA)
-    for name in ("AFBAS_THETA", "AFBAS_LAM_FRACTION"):
-        monkeypatch.setattr(splitters, name, getattr(splitters, name))
+    monkeypatch.setattr(splitters, "AFBAS_THETA", splitters.AFBAS_THETA)
     default = HpeConfig()
     inst = gen_qp(0)
     beta = padmm_ebb.rule_beta(inst.problem)
-    xi_sweep.set_defaults(0.25, 0.25, 2.0, 0.5)
+    xi_sweep.set_defaults(0.25, 0.25, 2.0)
     assert HpeConfig().xi0 == HpeConfig.xi0 == 0.25
     assert HpeConfig(xi0=default.xi0) == default
     assert padmm_ebb.rule_beta(inst.problem) == pytest.approx(beta / 2)
-    prob = splitters.SCHEMES["afbas-pd"].build(inst, 0.9)[0]
-    assert prob.theta == 2.0
-    assert prob.lam == pytest.approx(0.5 * prob.delta, rel=1e-12)
+    assert splitters.SCHEMES["afbas-pd"].build(inst, 0.9)[0].theta == 2.0
 
 
 def test_main_builds_one_parser_per_process(monkeypatch):

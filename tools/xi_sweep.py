@@ -1,19 +1,16 @@
 """Sweep the kernel defaults sigma and xi0, padmm-ebb's penalty kappa and
-afbas-pd's structural theta and step cap: iterations and the gates.
+afbas-pd's structural theta: iterations and the gates.
 
 Run from a checkout:
 
     python3 tools/xi_sweep.py [--sigma S [S ...]] [--xi0 X [X ...]]
                               [--beta-kappa K [K ...]]
                               [--afbas-theta T [T ...]]
-                              [--afbas-lam L [L ...]]
 
 Each axis defaults to the library's value: ``HpeConfig``'s sigma and xi0,
-``padmm_ebb.PENALTY_KAPPA``, ``splitters.AFBAS_THETA`` and
-``splitters.AFBAS_LAM_FRACTION`` (afbas-pd's lam as a fraction of its bound
-delta).  Every value is checked before the first row.  For every
-combination (sigma, xi0, kappa, afbas theta, afbas lam/delta) it prints one
-row of a markdown table:
+``padmm_ebb.PENALTY_KAPPA`` and ``splitters.AFBAS_THETA``.  Every value is
+checked before the first row.  For every combination (sigma, xi0, kappa,
+afbas theta) it prints one row of a markdown table:
 
 * Xi = prod_{k>=1} (1 + xi0 / (k + 1)^2), the largest factor by which
   padmm-ebb's Barzilai-Borwein metric can drift over a run of any length;
@@ -27,10 +24,10 @@ row of a markdown table:
 * the verdict of every acceptance gate, and the detail line of each gate
   that fails.  sigma reaches no gate: each gate passes its own (0.5, 0.9 or
   ``acceptance.EXACT_SIGMA``), so this column is the same for every sigma
-  at a given xi0 and kappa.  Of the gates, the afbas-pd values reach only
+  at a given xi0 and kappa.  Of the gates, the afbas-pd theta reaches only
   criterion-invariance, which runs every scheme.
 
-A row's xi0, kappa and afbas-pd values are the library's defaults for every
+A row's xi0, kappa and afbas-pd theta are the library's defaults for every
 run in the row, the gates' included.  So each row runs in a fresh
 interpreter, which sets them once, before its first solve: with more than
 one combination the sweep runs itself once per combination, with one value
@@ -65,11 +62,11 @@ from opsplit.prox_problems import gen_qp
 from opsplit.splitters import SCHEMES
 
 LRR = "lrr:seed=%d,d=40,n=40"
-HEADER = ("| sigma | xi0 | kappa | afbas theta | afbas lam/delta | Xi"
+HEADER = ("| sigma | xi0 | kappa | afbas theta | Xi"
           + " | padmm-ebb" + "".join(" | " + name for name in SCHEMES)
           + " | LRR, beta 300 | LRR, rule's beta | gates |\n"
-          + "|---" * (10 + len(SCHEMES)) + "|")
-AXES = ("--sigma", "--xi0", "--beta-kappa", "--afbas-theta", "--afbas-lam")
+          + "|---" * (9 + len(SCHEMES)) + "|")
+AXES = ("--sigma", "--xi0", "--beta-kappa", "--afbas-theta")
 
 
 def xi_bound(xi0: float) -> float:
@@ -81,12 +78,11 @@ def xi_bound(xi0: float) -> float:
     return float(np.sinh(r) / (r * (1.0 + xi0)))
 
 
-def set_defaults(xi0: float, kappa: float, afbas_theta: float,
-                 afbas_lam: float) -> None:
+def set_defaults(xi0: float, kappa: float, afbas_theta: float) -> None:
     """Make ``xi0`` ``HpeConfig``'s default, for ``HpeConfig()`` and for the
     class attribute that the CLI and the gates read, ``kappa`` the penalty
-    rule's, and ``afbas_theta`` and ``afbas_lam`` (lam / delta) afbas-pd's
-    QP coding's, for the rest of the process."""
+    rule's, and ``afbas_theta`` afbas-pd's QP coding's, for the rest of the
+    process."""
     names = [f.name for f in dataclasses.fields(HpeConfig)]
     defaults = list(HpeConfig.__init__.__defaults__)
     defaults[names.index("xi0") - len(names)] = xi0
@@ -94,7 +90,6 @@ def set_defaults(xi0: float, kappa: float, afbas_theta: float,
     HpeConfig.xi0 = xi0
     padmm_ebb.PENALTY_KAPPA = kappa
     splitters.AFBAS_THETA = afbas_theta
-    splitters.AFBAS_LAM_FRACTION = afbas_lam
 
 
 def _splitter_runs(algorithm: str, sigma: float):
@@ -139,8 +134,7 @@ def _gates() -> str:
         "; FAIL %s: %s" % (r.name, r.detail) for r in failed)
 
 
-def row(sigma: float, xi0: float, kappa: float, afbas_theta: float,
-        afbas_lam: float) -> str:
+def row(sigma: float, xi0: float, kappa: float, afbas_theta: float) -> str:
     """One markdown table row.  Every value but ``sigma`` must be the
     process's default (:func:`set_defaults`)."""
     qp = [_battery(acceptance._padmm_qp_runs(None, sigma)[0])] + [
@@ -148,8 +142,7 @@ def row(sigma: float, xi0: float, kappa: float, afbas_theta: float,
     lrr = [", ".join(str(_lrr_iterations(seed, beta)) for seed in range(3))
            for beta in (300.0, None)]
     cells = ["%g" % sigma, "%g" % xi0, "%g" % kappa, "%g" % afbas_theta,
-             "%g" % afbas_lam, "%.4g" % xi_bound(xi0),
-             *qp, *lrr, _gates()]
+             "%.4g" % xi_bound(xi0), *qp, *lrr, _gates()]
     return "| " + " | ".join(cells) + " |"
 
 
@@ -164,7 +157,7 @@ def _child_row(argv) -> str:
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     defaults = (HpeConfig.sigma, HpeConfig.xi0, padmm_ebb.PENALTY_KAPPA,
-                splitters.AFBAS_THETA, splitters.AFBAS_LAM_FRACTION)
+                splitters.AFBAS_THETA)
     for option, default in zip(AXES, defaults):
         parser.add_argument(option, type=float, nargs="+", default=[default],
                             help="the values to sweep (default %g)" % default)
@@ -181,12 +174,8 @@ def main(argv=None):
         if not (math.isfinite(theta) and theta >= 0):
             parser.error("afbas theta must be finite and nonnegative, got %r"
                          % theta)
-    for lam in args.afbas_lam:
-        if not 0 < lam < 1:
-            parser.error("afbas lam/delta must lie in (0, 1), got %r" % lam)
     combinations = list(itertools.product(
-        args.sigma, args.xi0, args.beta_kappa, args.afbas_theta,
-        args.afbas_lam))
+        args.sigma, args.xi0, args.beta_kappa, args.afbas_theta))
     print(HEADER, flush=True)
     if len(combinations) == 1:
         set_defaults(*combinations[0][1:])
