@@ -10,6 +10,7 @@ Modules:
 * :mod:`opsplit.padmm_ebb` — multi-block proximal ADMM with extra-gradient
   correction and Barzilai-Borwein metrics.
 * :mod:`opsplit.prox_problems` — proximal operators and problem builders.
+* :mod:`opsplit.acceptance` — the acceptance gates of ``opsplit check``.
 * :mod:`opsplit.cli` — the ``opsplit`` command-line driver.
 """
 

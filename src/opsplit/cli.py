@@ -1,7 +1,7 @@
 """Command-line driver: solve problems, benchmark, query oracles, self-check.
 
-Exit codes: 0 success, 2 configuration error (raised while parsing, building
-or validating), 3 solver abort (raised once a solve has started).
+Exit codes: 0 success, 2 configuration error (raised before a solve's first
+iteration), 3 solver abort (raised with the kernel loop's record of the run).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class ConfigError(ValueError):
     pass
 
 
-# raised once a solve has started: solver aborts, whatever their class (a
-# numpy LinAlgError is a ValueError, but mid-solve it is no configuration error)
+# the library's failures: a solver abort when the kernel loop's run is attached
+# as ``result`` (a LinAlgError mid-solve too), else a configuration error
 SOLVER_FAULTS = (ArithmeticError, RuntimeError, ValueError)
 
 
@@ -122,29 +122,25 @@ def _theta_or_auto(text: str) -> Optional[float]:
     if text == "auto":
         return None
     try:
-        theta = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError("theta must be a number or 'auto'")
-    if not (math.isfinite(theta) and theta > -1.0):
-        raise ConfigError("theta must be a finite number above -1, got %s"
-                          % text)
-    return theta
 
 
 def _prepare_solve(args, algorithm: str, kind: str, inst,
                    theta_text: str = "auto", columns: Optional[tuple] = None):
-    """Turn the options into one solve: return ``(start, columns, echo)``.
+    """Turn the options into one solve: return ``(start, echo)``.
 
-    Everything raised here is a configuration error; everything raised by
-    ``start(accumulators)`` happens once the solve has begun and is a solver
-    fault.  One kernel config, with sigma, xi0, iteration budget and
-    tolerance, serves all five algorithms; padmm-ebb's beta (``--beta``, or
-    :func:`padmm_ebb.rule_beta`) and xi0 are resolved here, once, and
-    ``echo`` records them with the run's other settings.  A ``--beta`` that is
-    not finite and positive is rejected whatever the algorithm, so ``bench``
-    checks it even without padmm-ebb among its algorithms.  ``columns`` None
-    takes the algorithm's default trace columns, with padmm-ebb's opt-in ones
-    under ``--full-trace``.
+    Everything raised here is a configuration error, and so is what
+    ``start(accumulators)`` raises without a ``result``: padmm-ebb's first
+    metric, say.  What it raises with one is a solver abort.  One kernel
+    config, with sigma, xi0, iteration budget and tolerance, serves all five
+    algorithms; padmm-ebb's beta (``--beta``, or :func:`padmm_ebb.rule_beta`)
+    and xi0 are resolved here, once, and ``echo`` records them with the run's
+    other settings.  A ``--beta`` that is not finite and positive is rejected
+    whatever the algorithm, so ``bench`` checks it even without padmm-ebb
+    among its algorithms.  ``columns`` None takes the algorithm's default
+    trace columns, with padmm-ebb's opt-in ones under ``--full-trace``.
     """
     theta = _theta_or_auto(theta_text)
     xi0 = HpeConfig.xi0 if args.xi0 is None else args.xi0
@@ -166,14 +162,14 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
         ref = inst.z_star if kind == "qp" else None
         return (lambda accs: run_padmm(
             inst.problem, cfg, beta=beta, theta_fixed=theta, ref_solution=ref,
-            accumulators=accs, columns=columns)), columns, echo
+            accumulators=accs, columns=columns)), echo
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
     oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma, theta)
     columns = hpe_core.DEFAULT_COLUMNS if columns is None else columns
     return (lambda accs: hpe_core.run(
         oracle, x0, M0, cfg, ref_solution=ref, accumulators=accs,
-        columns=hpe_core.select(columns))), columns, echo
+        columns=hpe_core.select(columns))), echo
 
 
 def _solver_abort(exc) -> int:
@@ -212,17 +208,17 @@ def cmd_solve(args) -> int:
             raise ConfigError("%s %s cannot be written" % (option, path))
     params = parse_descriptor(args.problem)
     kind, inst = build_problem(params)
-    start, columns, config_echo = _prepare_solve(
-        args, args.algorithm, kind, inst, args.theta)
+    start, config_echo = _prepare_solve(args, args.algorithm, kind, inst,
+                                        args.theta)
     acc = hpe_core.ErgodicAccumulator()
     try:
         result = start([acc])
     except SOLVER_FAULTS as exc:
+        if not hasattr(exc, "result"):
+            raise  # no iteration ran: a configuration error
         code = _solver_abort(exc)
-        result = getattr(exc, "result", None) or hpe_core.aborted(
-            exc, hpe_core.IterTrace(columns), None)  # raised before the loop
         try:
-            _write_outputs(args, result, acc, config_echo)
+            _write_outputs(args, exc.result, acc, config_echo)
         except ConfigError as err:  # the abort still decides the exit code
             print("configuration error: %s" % err, file=sys.stderr)
         return code
@@ -262,7 +258,10 @@ def cmd_bench(args) -> int:
         try:
             result = start(())
         except SOLVER_FAULTS as exc:
-            return _solver_abort("%s: %s" % (a, exc))
+            exc.args = ("%s: %s" % (a, exc),)
+            if not hasattr(exc, "result"):
+                raise  # no iteration ran: a configuration error
+            return _solver_abort(exc)
         v_norms = result.trace.column("v_norm") or [float("nan")]
         print("%-12s %9d %10s %12.3e %9.2f"
               % (a, result.iterations, result.converged,
@@ -380,11 +379,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:  # a ConfigError is one
+    except SOLVER_FAULTS as exc:  # a ConfigError is one
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except RuntimeError as exc:
-        return _solver_abort(exc)
 
 
 if __name__ == "__main__":

@@ -337,7 +337,7 @@ class RunResult:
     """The outcome of every solve, kernel or multi-block.  ``final`` holds the
     solver's own values of the final iterate for the summary (for a kernel
     run only its ``Xi``, and only when it updates its metric); ``abort`` the
-    record :func:`aborted` builds when an exception ends the run."""
+    record :func:`run` builds when an exception ends its loop."""
     solution: np.ndarray
     trace: IterTrace
     converged: bool
@@ -345,21 +345,6 @@ class RunResult:
     iterations: int
     final: dict = field(default_factory=dict)
     abort: Optional[dict] = None
-
-
-def aborted(exc: Exception, trace: IterTrace,
-            iteration: Optional[int]) -> RunResult:
-    """The result of a run that ``exc`` aborted at ``iteration`` (None before
-    the loop started): no solution, the partial ``trace``, and the abort
-    record, with the criterion's lhs, rhs and slack when it failed."""
-    abort = {"iteration": iteration, "exception": type(exc).__name__,
-             "message": str(exc)}
-    report = getattr(exc, "report", None)
-    if report is not None:
-        abort.update(lhs=report.lhs, rhs=report.rhs, slack=report.slack)
-    reason = "non_finite" if isinstance(exc, NonFiniteValue) else "abort"
-    return RunResult(solution=None, trace=trace, converged=False,
-                     reason=reason, iterations=len(trace), abort=abort)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +379,9 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
     Each certified step is handed to every :class:`ErgodicAccumulator` in
     ``accumulators``; no certificate is kept.
     An exception raised in the loop keeps its class, its message gains the
-    prefix ``"iteration k: "``, and its ``result`` is the :func:`aborted`
-    run, with the partial trace.
+    prefix ``"iteration k: "``, and its ``result`` is the aborted run, with
+    the partial trace and the ``abort`` record of k, class and message (and
+    the criterion's lhs, rhs and slack when it failed).
     """
     x, M = np.array(x0, dtype=float), M0
     final = {"Xi": 1.0} if metric_update is not None else {}
@@ -435,8 +421,15 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
             reason = "max_iters"
     except Exception as exc:  # the class stays: it decides the exit code
         exc.args = ("iteration %d: %s" % (k, exc),)
-        exc.result = aborted(exc, trace, k)
-        exc.result.final = final
+        abort = {"iteration": k, "exception": type(exc).__name__,
+                 "message": str(exc)}
+        report = getattr(exc, "report", None)
+        if report is not None:
+            abort.update(lhs=report.lhs, rhs=report.rhs, slack=report.slack)
+        reason = "non_finite" if isinstance(exc, NonFiniteValue) else "abort"
+        exc.result = RunResult(solution=None, trace=trace, converged=False,
+                               reason=reason, iterations=len(trace),
+                               final=final, abort=abort)
         raise
     return RunResult(solution=x, trace=trace, converged=reason != "max_iters",
                      reason=reason, iterations=k, final=final)

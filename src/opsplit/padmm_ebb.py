@@ -43,11 +43,13 @@ from .linops import (BlockDiagonalMetric, BlockLayout, LinearMap, norm,
 # The multi-block trace columns, in CSV order after the kernel's: (name,
 # producer of the iteration's hooks, :class:`_Iteration`).  The opt-in ones
 # cost work the solve does not need: pkkt every residual row, which the stop
-# test does not, and objective every g_i value.
+# test does not, and objective every g_i value.  The objective is taken at the
+# sweep point x~ (the certificate's y), which each prox keeps in the domain of
+# its g_i; over-relaxation can push the iterate z out of it.
 PADMM_COLUMNS = (
     ("pkkt", lambda it: it.pnorm),
     ("feas_norm", lambda it: norm(it.feas)),
-    ("objective", lambda it: it.problem.objective(it.xs)),
+    ("objective", lambda it: it.problem.objective(it.points[:it.problem.p])),
     ("theta_adap", lambda it: it.theta_adap),
     ("beta", lambda it: it.beta),
 )
@@ -193,8 +195,6 @@ def block_sweep(xs: Sequence[np.ndarray], y: np.ndarray,
     """
     if grads is None:
         grads = problem.grad_f(list(xs))
-    if any(e <= 0 for e in etas):
-        raise ValueError("nonpositive prox curvature eta")
     r = -(problem.feasibility(xs) if feas is None else feas)
     x_tilde: List[np.ndarray] = []
     images: List[np.ndarray] = []
@@ -445,11 +445,11 @@ class _Iteration:
 def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
               beta: Optional[float] = None,
               theta_fixed: Optional[float] = None,
-              z0: Optional[np.ndarray] = None,
               ref_solution: Optional[np.ndarray] = None,
               accumulators: Sequence[ErgodicAccumulator] = (),
               columns: Sequence[str] = DEFAULT_COLUMNS) -> RunResult:
-    """Run the solver until the proximal KKT residual meets the tolerance.
+    """Run the solver from z = 0 until the proximal KKT residual meets the
+    tolerance.
 
     The iterations run in :func:`opsplit.hpe_core.run` under ``cfg``: its
     sigma, xi0 and ``max_iters``, with ``cfg.tol_residual`` the pKKT
@@ -463,27 +463,34 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
     ``max_iters`` still ends converged if its final iterate meets the
     tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
-    ``solution`` is z and ``final["pkkt"]`` its full residual norm.
+    ``solution`` is z and ``final["pkkt"]`` its full residual norm.  What
+    the set-up raises, the first metric included, carries no ``result``;
+    what that final residual raises carries the finished run as its
+    ``result``, without an abort record.
     """
     if beta is not None and not (math.isfinite(beta) and beta > 0):
         raise ValueError("beta must be finite and positive, got %r" % beta)
     if theta_fixed is not None and not (math.isfinite(theta_fixed)
                                         and theta_fixed > -1.0):
-        raise ValueError("theta_fixed must be finite and exceed -1")
+        raise ValueError("theta_fixed must be finite and exceed -1, got %r"
+                         % theta_fixed)
     it = _Iteration(problem, cfg, rule_beta(problem) if beta is None else beta,
                     theta_fixed, columns)
     bound = tuple((name, lambda step, produce=produce: produce(it))
                   for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(
-        it.oracle, z0 if z0 is not None else np.zeros(problem.full_layout.dim),
-        it.metric(), cfg,
+        it.oracle, np.zeros(problem.full_layout.dim), it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop,
         columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
     pnorm = it.pnorm
     if res.reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate
-        _, pnorm = pkkt_residual(*problem.split(res.solution), problem)
+        try:
+            _, pnorm = pkkt_residual(*problem.split(res.solution), problem)
+        except Exception as exc:  # the solve has run: a solver abort
+            exc.result = res
+            raise
         if not res.converged and pnorm <= cfg.tol_residual:
             res.converged, res.reason = True, "pkkt"
     res.final["pkkt"] = pnorm

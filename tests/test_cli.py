@@ -119,8 +119,8 @@ def test_kernel_options_take_their_defaults_from_the_config(command, capsys):
         0.9, 1e-8, 1000)
     assert args.beta is None
     _, inst = build_problem(parse_descriptor("qp:seed=0"))
-    _, _, echo = cli._prepare_solve(args, "padmm-ebb", "qp", inst,
-                                    columns=("v_norm",))
+    _, echo = cli._prepare_solve(args, "padmm-ebb", "qp", inst,
+                                 columns=("v_norm",))
     assert echo["beta"] == padmm_ebb.rule_beta(inst.problem)
     assert (padmm_ebb.PENALTY_KAPPA, padmm_ebb.FALLBACK_BETA) == (0.5, 1.0)
     assert main([command, "--help"]) == 0
@@ -158,6 +158,18 @@ def test_full_trace_adds_the_opt_in_columns(tmp_path):
         assert all(d[k] == f[k] for k in d if k != "time_s")
     assert s_default["final"] == s_full["final"]
     assert float(full[-1]["pkkt"]) > s_full["final"]["pkkt"]
+
+
+def test_full_trace_objective_is_finite_on_every_row(tmp_path):
+    # the objective is taken at the sweep point, inside the domain of every
+    # g_i; over-relaxation pushes the iterate out of the nonnegative orthants
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "--algorithm", "padmm-ebb",
+                 "--problem", "lrr:seed=0,d=10,n=10", "--beta", "300",
+                 "--tol", "1e-3", "--full-trace", "--trace", str(trace)]) == 0
+    with open(trace) as fh:
+        objectives = [float(row["objective"]) for row in csv.DictReader(fh)]
+    assert len(objectives) > 1 and all(map(math.isfinite, objectives))
 
 
 def test_non_positive_gamma_form_exits_three_naming_the_iteration(tmp_path,
@@ -591,10 +603,10 @@ def test_aborted_solve_writes_trace_and_summary(tmp_path, monkeypatch,
     assert data["final"]["Xi"] == _xi_product(4)
 
 
-def test_abort_before_the_loop_writes_a_header_only_trace(tmp_path,
-                                                          monkeypatch, capsys):
-    # the first metric is built before the kernel loop starts: no iteration
-    # to name, and no row to keep
+def test_fault_before_the_loop_is_a_config_error_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    # the first metric is built before the kernel loop starts: what it raises
+    # carries no aborted run, so no trace or summary is written
     from opsplit import padmm_ebb
 
     def failing_metric(self):
@@ -605,15 +617,52 @@ def test_abort_before_the_loop_writes_a_header_only_trace(tmp_path,
     summary = tmp_path / "s.json"
     code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
                  "--trace", str(trace), "--summary", str(summary)])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: no first metric\n"
+    assert not trace.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("beta, message", [
+    # an inverse scalar 1 / eta_i underflows to 0; the multiplier's scalar
+    # 1 / beta overflows to inf
+    ("1e308", "inverse metric scalar 0 is 0.0, not positive"),
+    ("1e-320", "metric scalar 2 is inf, not finite and positive")])
+def test_first_metric_out_of_range_is_a_config_error(beta, message, tmp_path,
+                                                     capsys):
+    trace = tmp_path / "t.csv"
+    summary = tmp_path / "s.json"
+    assert main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
+                 "--beta", beta, "--trace", str(trace),
+                 "--summary", str(summary)]) == 2
+    assert capsys.readouterr().err == "configuration error: %s\n" % message
+    assert not trace.exists() and not summary.exists()
+    assert main(["bench", "--problem", "qp:seed=0", "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: padmm-ebb: %s\n" % message
+
+
+def test_fault_of_the_final_residual_is_a_solver_abort(tmp_path, monkeypatch,
+                                                       capsys):
+    # after max_iters padmm-ebb computes the final iterate's complete
+    # residual outside the kernel loop; what that raises carries the run
+    from opsplit import padmm_ebb
+
+    real = padmm_ebb.pkkt_residual
+
+    def failing_final(xs, y, problem, grads=None, **kwargs):
+        if grads is None:  # the stop hook passes its gradients
+            raise FloatingPointError("no final residual")
+        return real(xs, y, problem, grads=grads, **kwargs)
+
+    monkeypatch.setattr(padmm_ebb, "pkkt_residual", failing_final)
+    summary = tmp_path / "s.json"
+    code = main(["solve", "--algorithm", "padmm-ebb", "--problem", "qp:seed=0",
+                 "--max-iters", "3", "--summary", str(summary)])
     assert code == 3
-    assert capsys.readouterr().err == "solver abort: no first metric\n"
+    assert capsys.readouterr().err == "solver abort: no final residual\n"
     data = json.loads(summary.read_text())
-    assert data["abort"] == {"iteration": None,
-                             "exception": "ZeroDivisionError",
-                             "message": "no first metric"}
-    assert (data["termination"], data["iterations"]) == ("abort", 0)
-    with open(trace) as fh:
-        assert list(csv.reader(fh)) == [list(padmm_ebb.DEFAULT_COLUMNS)]
+    assert (data["termination"], data["iterations"]) == ("max_iters", 3)
+    assert "abort" not in data and data["final"]["Xi"] == _xi_product(3)
 
 
 def test_criterion_abort_summary_records_lhs_rhs_slack(tmp_path, monkeypatch):

@@ -117,12 +117,6 @@ def test_block_sweep_gauss_seidel_ordering():
     assert np.allclose(etas[1] * xt[1], etas[1] * xs[1] - force2, atol=1e-10)
 
 
-def test_block_sweep_rejects_bad_etas():
-    prob, *_ = _single_block_quadratic()
-    with pytest.raises(ValueError):
-        block_sweep([np.zeros(5)], np.zeros(3), prob, 1.0, [0.0])
-
-
 def _lrr(descriptor="lrr:seed=0,d=20,n=20"):
     from opsplit.cli import build_problem, parse_descriptor
 
@@ -205,7 +199,7 @@ def test_each_iteration_makes_one_feasibility_pass(monkeypatch):
     assert (long_fwd - short_fwd) / 30 == 3 * p
 
 
-def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
+def test_lrr_iteration_counts_its_svds(monkeypatch):
     prob = _lrr().problem
     calls, _ = count_svds(monkeypatch)
     cfg = HpeConfig(sigma=0.9, max_iters=10, tol_residual=0.0)
@@ -218,12 +212,12 @@ def test_lrr_iteration_skips_objective_svds_while_infeasible(monkeypatch):
     calls[0] = 0
     res = run_padmm(prob, cfg, beta=300.0, columns=padmm_ebb.DEFAULT_COLUMNS
                     + padmm_ebb.OPT_IN_COLUMNS)
-    objectives = res.trace.column("objective")
-    # the start, z = 0, is feasible; every later iterate breaks Z >= 0
-    assert objectives[0] == 0.0 and all(o == math.inf for o in objectives[1:])
-    # the pkkt column takes every row: two more nuclear proxes per iteration;
-    # the objective column's two nuclear norms run on the feasible row only
-    assert calls[0] == 4 * res.iterations + 2 + 2
+    # the objective is taken at the sweep point, which every prox keeps
+    # feasible, although every iterate after z = 0 breaks Z >= 0
+    assert all(math.isfinite(o) for o in res.trace.column("objective"))
+    # the pkkt column takes every row: two more nuclear proxes per iteration,
+    # and the objective column's two nuclear norms run on every row too
+    assert calls[0] == 6 * res.iterations + 2
 
 
 def test_objective_stops_at_the_first_infinite_term():
@@ -505,14 +499,13 @@ def test_final_pkkt_is_exact_after_max_iters_and_fixed_point(monkeypatch):
     assert res.reason == "max_iters"
     _, full = pkkt_residual(*inst.problem.split(res.solution), inst.problem)
     assert res.final["pkkt"] == full > cfg.tol_residual
-    # a sweep that returns its start point makes that point a fixed point;
-    # the stop test before it decided on the dual row alone
-    z0 = inst.z_star + 1.0
+    # a sweep that returns its start point makes that point, z = 0, a fixed
+    # point; the stop test before it decided on the dual row alone
     monkeypatch.setattr(padmm_ebb, "block_sweep",
                         lambda xs, y, *args, **kwargs: (list(xs), y, []))
-    res = run_padmm(inst.problem, cfg, z0=z0)
+    res = run_padmm(inst.problem, cfg)
     assert res.reason == "fixed_point" and res.iterations == 1
-    xs, y = inst.problem.split(z0)
+    xs, y = inst.problem.split(np.zeros(inst.problem.full_layout.dim))
     assert pkkt_residual(xs, y, inst.problem,
                          tol=cfg.tol_residual)[1] == math.inf
     assert (res.final["pkkt"] == pkkt_residual(xs, y, inst.problem)[1]
@@ -615,15 +608,6 @@ def test_run_padmm_aborts_on_a_non_positive_gamma_form(monkeypatch):
     res = exc.value.result
     assert res.abort["iteration"] == 1 and len(res.trace) == 0
     assert len(sweeps) == 1
-
-
-def test_run_padmm_starts_from_given_point():
-    inst = gen_qp(4, p=2, n_i=4, m=2)
-    res = run_padmm(inst.problem, HpeConfig(sigma=0.9, max_iters=1,
-                                            tol_residual=1e-12),
-                    z0=inst.z_star)
-    # starting at the KKT point terminates immediately
-    assert res.converged and res.iterations == 0
 
 
 def test_run_padmm_schedule_floor_catches_shrinking_metric(monkeypatch):

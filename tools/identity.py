@@ -76,7 +76,12 @@ BATTERY = (
        ("padmm-ebb.abort", _solve("padmm-ebb", "qp:seed=1", "--beta", "100",
                                   "--sigma", "0.5", "--max-iters", "3")),
        ("padmm-ebb.beta-nan", _solve("padmm-ebb", "qp:seed=1", "--beta",
-                                     "nan"))])
+                                     "nan")),
+       # the first metric fails: 1 / eta_0 underflows, 1 / beta overflows
+       ("padmm-ebb.beta-huge", _solve("padmm-ebb", "qp:seed=1", "--beta",
+                                      "1e308")),
+       ("padmm-ebb.beta-tiny", _solve("padmm-ebb", "qp:seed=1", "--beta",
+                                      "1e-320"))])
 
 
 def collect(outdir, battery=BATTERY):
