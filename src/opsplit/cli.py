@@ -251,9 +251,7 @@ def cmd_bench(args) -> int:
             raise ConfigError("lrr problems are only supported by padmm-ebb")
     starts = [_prepare_solve(args, a, kind, inst, columns=("v_norm",))[0]
               for a in algos]
-    print("%-12s %9s %10s %12s %9s" % ("algorithm", "iters", "converged",
-                                       "residual", "time_s"))
-    for a, start in zip(algos, starts):
+    for i, (a, start) in enumerate(zip(algos, starts)):
         t0 = time.perf_counter()
         try:
             result = start(())
@@ -263,6 +261,10 @@ def cmd_bench(args) -> int:
                 raise  # no iteration ran: a configuration error
             return _solver_abort(exc)
         v_norms = result.trace.column("v_norm") or [float("nan")]
+        if i == 0:  # with the first row: a failure before it writes nothing
+            print("%-12s %9s %10s %12s %9s" % ("algorithm", "iters",
+                                               "converged", "residual",
+                                               "time_s"))
         print("%-12s %9d %10s %12.3e %9.2f"
               % (a, result.iterations, result.converged,
                  result.final.get("pkkt", v_norms[-1]),

@@ -216,8 +216,8 @@ def test_ergodic_rate_rejects_an_accumulator_without_the_yv_sum(monkeypatch):
 def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
     # the criterion check reports its failures without raising, and the
     # three bounded splitters take their default 0.9 theta_max of a bound
-    # 3 theta_max + 0.5: their certificates break the criterion, and only
-    # the gate can say so
+    # theta_max + 1: their certificates break the criterion, and only the
+    # gate can say so
     check = hpe_core.check_criterion
 
     def reporting(x, cert, M, sigma):
@@ -231,7 +231,7 @@ def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
     for name in ("fbhf_max_theta", "ppg_max_theta", "condat_vu_max_theta"):
         real = getattr(splitters, name)
         monkeypatch.setattr(splitters, name, lambda *args, real=real:
-                            3.0 * real(*args) + 0.5)
+                            real(*args) + 1.0)
     acceptance._invariance_runs.cache_clear()
     try:
         result = acceptance.check_criterion_invariance()

@@ -641,6 +641,17 @@ def test_first_metric_out_of_range_is_a_config_error(beta, message, tmp_path,
     assert err == "configuration error: padmm-ebb: %s\n" % message
 
 
+def test_bench_fault_before_the_first_row_prints_no_table(capsys):
+    # the header comes with the first row: padmm-ebb, the first algorithm,
+    # fails to build its first metric, and stdout stays empty where it used
+    # to hold the header alone
+    assert main(["bench", "--problem", "qp:seed=0", "--beta", "1e308"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: padmm-ebb: inverse metric "
+                            "scalar 0 is 0.0, not positive\n")
+
+
 def test_fault_of_the_final_residual_is_a_solver_abort(tmp_path, monkeypatch,
                                                        capsys):
     # after max_iters padmm-ebb computes the final iterate's complete

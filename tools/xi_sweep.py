@@ -1,40 +1,18 @@
-"""Sweep the kernel defaults sigma and xi0, padmm-ebb's penalty kappa and
-afbas-pd's structural theta: iterations and the gates.
-
-Run from a checkout:
+"""Sweep the kernel defaults sigma and xi0 and any float constant of
+``opsplit``: iterations and the gates.  From a checkout:
 
     python3 tools/xi_sweep.py [--sigma S [S ...]] [--xi0 X [X ...]]
-                              [--beta-kappa K [K ...]]
-                              [--afbas-theta T [T ...]]
+                              [--set MODULE.NAME=V1,V2,... ...]
 
-Each axis defaults to the library's value: ``HpeConfig``'s sigma and xi0,
-``padmm_ebb.PENALTY_KAPPA`` and ``splitters.AFBAS_THETA``.  Every value is
-checked before the first row.  For every combination (sigma, xi0, kappa,
-afbas theta) it prints one row of a markdown table:
-
-* Xi = prod_{k>=1} (1 + xi0 / (k + 1)^2), the largest factor by which
-  padmm-ebb's Barzilai-Borwein metric can drift over a run of any length;
-* for each of the five algorithms, the iterations on the QP seeds 0-9
-  (``qp:seed=S,p=2,n=5,m=3``, tol 1e-8, at most 5000 iterations, every other
-  setting at its default), as their sum and median: the ``qp-padmm`` and
-  ``qp-splitters`` benchmark batteries;
-* the iterations on the LRR 40x40 seeds 0-2 (``lrr:seed=S,d=40,n=40``, sigma
-  0.9, tol 1e-3, at most 3000 iterations), at beta 300 and at the penalty
-  rule's beta; they read xi0, and the second also kappa;
-* the verdict of every acceptance gate, and the detail line of each gate
-  that fails.  sigma reaches no gate: each gate passes its own (0.5, 0.9 or
-  ``acceptance.EXACT_SIGMA``), so this column is the same for every sigma
-  at a given xi0 and kappa.  Of the gates, the afbas-pd theta reaches only
-  criterion-invariance, which runs every scheme.
-
-A row's xi0, kappa and afbas-pd theta are the library's defaults for every
-run in the row, the gates' included.  So each row runs in a fresh
-interpreter, which sets them once, before its first solve: with more than
-one combination the sweep runs itself once per combination, with one value
-on each axis.
-
-An LRR run that does not converge shows its iteration count with its
-reason; a QP battery counts the runs that did not converge.
+sigma and xi0 default to ``HpeConfig``'s; each ``--set`` (one per name)
+sweeps a module-level float constant such as ``splitters.THETA_SHARE``.
+Every name and value is checked before the first row.  Each combination
+prints one markdown row: the drift bound Xi; each algorithm's iterations on
+the benchmark's QP batteries (seeds 0-9) as sum (median); padmm-ebb's on
+the LRR 40x40 seeds 0-2 at beta 300 and at the rule's beta; every gate's
+verdict.  A row's xi0 and constants are the defaults of all its runs, the
+gates' included, so each row runs in its own interpreter, which sets them
+once before its first solve.
 """
 
 from __future__ import annotations
@@ -54,7 +32,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
-from opsplit import acceptance, hpe_core, padmm_ebb, splitters
+from opsplit import acceptance, hpe_core
 from opsplit.cli import SOLVER_FAULTS, build_problem, parse_descriptor
 from opsplit.hpe_core import HpeConfig
 from opsplit.padmm_ebb import run_padmm
@@ -62,11 +40,13 @@ from opsplit.prox_problems import gen_qp
 from opsplit.splitters import SCHEMES
 
 LRR = "lrr:seed=%d,d=40,n=40"
-HEADER = ("| sigma | xi0 | kappa | afbas theta | Xi"
-          + " | padmm-ebb" + "".join(" | " + name for name in SCHEMES)
-          + " | LRR, beta 300 | LRR, rule's beta | gates |\n"
-          + "|---" * (9 + len(SCHEMES)) + "|")
-AXES = ("--sigma", "--xi0", "--beta-kappa", "--afbas-theta")
+
+
+def header(names) -> str:
+    """The table's two header lines, one column per ``--set`` name."""
+    cells = ["sigma", "xi0", *names, "Xi", "padmm-ebb", *SCHEMES,
+             "LRR, beta 300", "LRR, rule's beta", "gates"]
+    return "| " + " | ".join(cells) + " |\n" + "|---" * len(cells) + "|"
 
 
 def xi_bound(xi0: float) -> float:
@@ -78,18 +58,36 @@ def xi_bound(xi0: float) -> float:
     return float(np.sinh(r) / (r * (1.0 + xi0)))
 
 
-def set_defaults(xi0: float, kappa: float, afbas_theta: float) -> None:
+def axis(spec: str):
+    """(MODULE.NAME, [V1, V2, ...]) of ``spec`` = MODULE.NAME=V1,V2,...;
+    ValueError unless MODULE.NAME is a module-level float constant of
+    ``opsplit`` and every value is finite."""
+    name, _, text = spec.partition("=")
+    module, _, attr = name.partition(".")
+    mod = sys.modules.get("opsplit." + module)  # the tool imports them all
+    if not (attr.isupper() and type(getattr(mod, attr, None)) is float):
+        raise ValueError("--set %s: not a float constant of opsplit" % name)
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = [math.nan]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("--set %s takes finite numbers, got %r" % (name, text))
+    return name, values
+
+
+def set_defaults(xi0: float, constants: dict) -> None:
     """Make ``xi0`` ``HpeConfig``'s default, for ``HpeConfig()`` and for the
-    class attribute that the CLI and the gates read, ``kappa`` the penalty
-    rule's, and ``afbas_theta`` afbas-pd's QP coding's, for the rest of the
-    process."""
+    class attribute that the CLI and the gates read, and each MODULE.NAME of
+    ``constants`` its value, for the rest of the process."""
     names = [f.name for f in dataclasses.fields(HpeConfig)]
     defaults = list(HpeConfig.__init__.__defaults__)
     defaults[names.index("xi0") - len(names)] = xi0
     HpeConfig.__init__.__defaults__ = tuple(defaults)
     HpeConfig.xi0 = xi0
-    padmm_ebb.PENALTY_KAPPA = kappa
-    splitters.AFBAS_THETA = afbas_theta
+    for name, value in constants.items():
+        module, _, attr = name.partition(".")
+        setattr(sys.modules["opsplit." + module], attr, value)
 
 
 def _splitter_runs(algorithm: str, sigma: float):
@@ -134,14 +132,14 @@ def _gates() -> str:
         "; FAIL %s: %s" % (r.name, r.detail) for r in failed)
 
 
-def row(sigma: float, xi0: float, kappa: float, afbas_theta: float) -> str:
-    """One markdown table row.  Every value but ``sigma`` must be the
-    process's default (:func:`set_defaults`)."""
+def row(sigma: float, xi0: float, values) -> str:
+    """One markdown table row.  ``xi0`` and ``values``, one per ``--set``
+    name, must be the process's defaults (:func:`set_defaults`)."""
     qp = [_battery(acceptance._padmm_qp_runs(None, sigma)[0])] + [
         _battery(_splitter_runs(algorithm, sigma)) for algorithm in SCHEMES]
     lrr = [", ".join(str(_lrr_iterations(seed, beta)) for seed in range(3))
            for beta in (300.0, None)]
-    cells = ["%g" % sigma, "%g" % xi0, "%g" % kappa, "%g" % afbas_theta,
+    cells = ["%g" % sigma, "%g" % xi0, *("%g" % v for v in values),
              "%.4g" % xi_bound(xi0), *qp, *lrr, _gates()]
     return "| " + " | ".join(cells) + " |"
 
@@ -156,34 +154,33 @@ def _child_row(argv) -> str:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    defaults = (HpeConfig.sigma, HpeConfig.xi0, padmm_ebb.PENALTY_KAPPA,
-                splitters.AFBAS_THETA)
-    for option, default in zip(AXES, defaults):
+    for option, default in (("--sigma", HpeConfig.sigma),
+                            ("--xi0", HpeConfig.xi0)):
         parser.add_argument(option, type=float, nargs="+", default=[default],
                             help="the values to sweep (default %g)" % default)
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="MODULE.NAME=V1,V2,...",
+                        help="a float constant of opsplit and its values")
     args = parser.parse_args(argv)
-    for sigma, xi0 in itertools.product(args.sigma, args.xi0):
-        try:
+    try:
+        for sigma, xi0 in itertools.product(args.sigma, args.xi0):
             HpeConfig(sigma=sigma, xi0=xi0)
-        except ValueError as exc:
-            parser.error(str(exc))
-    for kappa in args.beta_kappa:
-        if not (math.isfinite(kappa) and kappa > 0):
-            parser.error("kappa must be finite and positive, got %r" % kappa)
-    for theta in args.afbas_theta:
-        if not (math.isfinite(theta) and theta >= 0):
-            parser.error("afbas theta must be finite and nonnegative, got %r"
-                         % theta)
-    combinations = list(itertools.product(
-        args.sigma, args.xi0, args.beta_kappa, args.afbas_theta))
-    print(HEADER, flush=True)
-    if len(combinations) == 1:
-        set_defaults(*combinations[0][1:])
-        print(row(*combinations[0]))
-        return 0
-    for values in combinations:
-        print(_child_row([item for option, value in zip(AXES, values)
-                          for item in (option, repr(value))]), flush=True)
+        axes = dict(map(axis, args.set))
+    except ValueError as exc:
+        parser.error(str(exc))
+    if len(axes) < len(args.set):
+        parser.error("--set names a constant twice")
+    combinations = list(itertools.product(args.sigma, args.xi0,
+                                          *axes.values()))
+    print(header(axes), flush=True)
+    for sigma, xi0, *values in combinations:
+        if len(combinations) == 1:
+            set_defaults(xi0, dict(zip(axes, values)))
+            print(row(sigma, xi0, values))
+        else:
+            print(_child_row(["--sigma", repr(sigma), "--xi0", repr(xi0)] + [
+                item for name, value in zip(axes, values)
+                for item in ("--set", "%s=%r" % (name, value))]), flush=True)
     return 0
 
 
