@@ -85,16 +85,19 @@ def build_problem(params: dict):
             raise ConfigError("unknown %s descriptor key %r (expected %s)"
                               % (kind, key, ", ".join(DESCRIPTOR_KEYS[kind])))
 
-    def integer(key, default):
+    def integer(key, default=None):
         val = params.get(key, default)
         if val != int(val):
             raise ConfigError("%r must be an integer, got %r" % (key, val))
         return int(val)
 
+    # only the keys the descriptor names reach the library, whose defaults
+    # fill in the rest
     try:
         if params["kind"] == "qp":
-            return "qp", gen_qp(integer("seed", 0), p=integer("p", 2),
-                                n_i=integer("n", 5), m=integer("m", 3))
+            return "qp", gen_qp(integer("seed", 0), **{
+                lib: integer(key) for key, lib in
+                (("p", "p"), ("n", "n_i"), ("m", "m")) if key in params})
         if "manifest" in params:
             ignored = [k for k in params if k not in ("kind", "manifest")]
             if ignored:
@@ -103,9 +106,8 @@ def build_problem(params: dict):
             return "lrr", load_lrr_instance(params["manifest"])
         X = np.random.default_rng(integer("seed", 0)).standard_normal(
             (integer("d", 40), integer("n", 40)))
-        return "lrr", build_lrr(X, lam=params.get("lam", 1e3),
-                                mu=params.get("mu", 1e4),
-                                gamma=params.get("gamma", 1e4))
+        return "lrr", build_lrr(X, **{key: params[key] for key in
+                                      ("lam", "mu", "gamma") if key in params})
     except ConfigError:
         raise
     except Exception as exc:

@@ -2,8 +2,9 @@
 
 Each step performs the proximal part of one iteration of a known splitting
 method (forward-backward-half-forward, projective proximal-gradient
-consensus splitting, Condat-Vu primal-dual, and an adaptive-step primal-dual
-variant) and returns only its :class:`~opsplit.hpe_core.HpeCertificate`.
+consensus splitting, and Condat-Vu and an adaptive-step variant, two
+members of one primal-dual problem) and returns only its
+:class:`~opsplit.hpe_core.HpeCertificate`.
 The certificate carries the scheme's own step c M^-1 v (no metric solve) and
 satisfies the relative-error criterion under the metric ``problem.metric()``;
 the scheme's native update is the kernel's over-relaxed extra-gradient
@@ -134,7 +135,7 @@ def ppg_step(z: np.ndarray, p: PpgProblem, theta: float) -> HpeCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Condat-Vu primal-dual splitting
+# Primal-dual splitting: Condat-Vu and the adaptive-step variant
 # ---------------------------------------------------------------------------
 
 
@@ -153,15 +154,25 @@ def _prox_conjugate(prox_h: ProxFn, t: float, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class CondatVuProblem:
+class PrimalDualProblem:
     """min_x f(x) + g(x) + h(Bx) with smooth f (Lipschitz-L gradient).
 
     The dense matrix ``B`` maps primal to dual; ``prox_h`` is the prox of h
-    itself (the conjugate prox comes from the Moreau identity).  The saddle
-    metric [[r I, -B*], [-B, s I]], positive definite iff r s > ||B||^2, is
-    assembled once from B; each apply is one matrix-vector product.
-    ``bnorm`` is ||B||, when the caller already took it from the same matrix;
-    None takes it from B.
+    itself (the conjugate prox comes from the Moreau identity).  The metric
+    scales r and s are the inverse primal and dual step sizes.  The
+    preconditioner R = [[r I, -B*], [(1-theta)B, s I]] and the step shaper
+    S = [[I, -c1 B*], [c2 B, I]] with c1 = mu (2-theta)/r and
+    c2 = (1-mu)(2-theta)/s give the certified metric M = R S^{-1}.  M is
+    symmetric by construction: c1 r + c2 s = 2 - theta makes S* R = R* S for
+    every parameter set, so :class:`DenseMetric` symmetrizes only rounding.
+    The curvature margin r - theta^2 ||B||^2/(4 s) > L/4 also gives
+    r s + (1-theta) B*B > 0, as theta^2/4 >= theta - 1.  theta here is the
+    scheme's structural parameter, not the over-relaxation.  At theta = 2,
+    S = I and M = R = [[r I, -B*], [-B, s I]] is Condat-Vu's saddle metric,
+    and the margin is its r - ||B||^2/s.  R, S and M are assembled once, so
+    each apply of any of them is one matrix-vector product.  ``bnorm`` is
+    ||B||, when the caller already took it from the same matrix; None takes
+    it from B.
     """
 
     dim_x: int
@@ -171,99 +182,6 @@ class CondatVuProblem:
     B: np.ndarray
     r: float
     s: float
-    grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    L: float = 0.0
-    bnorm: Optional[float] = field(default=None, repr=False)
-    _metric: Metric = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf
-                and self.L >= 0):
-            raise ValueError("need finite r, s > 0 and L >= 0, got r=%r, s=%r"
-                             % (self.r, self.s))
-        if self.B.shape != (self.dim_y, self.dim_x):
-            raise ValueError("B dimensions inconsistent with dim_x/dim_y")
-        if self.bnorm is None:
-            self.bnorm = _spectral_norm(self.B)
-        if self.strong_gap <= 0:
-            raise ValueError("need s - ||B||^2 / r > 0 for a positive metric")
-        self._metric = DenseMetric(np.block(
-            [[self.r * np.eye(self.dim_x), -self.B.T],
-             [-self.B, self.s * np.eye(self.dim_y)]]))
-
-    @property
-    def strong_gap(self) -> float:
-        """s - ||B||^2 / r, the positivity margin of the saddle metric."""
-        return self.s - self.bnorm ** 2 / self.r
-
-    @property
-    def primal_gap(self) -> float:
-        """r - ||B||^2 / s: coefficient bounding ||d||_M^2 below by ||dx||^2.
-
-        This (not strong_gap) is the constant that enters the admissible
-        over-relaxation, because the enlargement error lives on the primal
-        block.  Both gaps are positive exactly when r s > ||B||^2.
-        """
-        return self.r - self.bnorm ** 2 / self.s
-
-    def metric(self) -> Metric:
-        return self._metric
-
-
-def condat_vu_max_theta(p: CondatVuProblem, sigma: float) -> float:
-    return sigma - p.L / (2.0 * p.primal_gap)
-
-
-def condat_vu_step(z: np.ndarray, p: CondatVuProblem,
-                   theta: float) -> HpeCertificate:
-    """One certified primal-dual step under the saddle metric (c = 1).
-
-    The certificate's step is d = z - w, with v = M d, so the kernel's
-    correction z - (1 + theta) d is the native over-relaxed update
-    z + (1 + theta)(w - z).
-    """
-    x, y = z[:p.dim_x], z[p.dim_x:]
-    gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
-    xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.T @ y) / p.r)
-    yt = _prox_conjugate(p.prox_h, 1.0 / p.s, y + p.B @ (2.0 * xt - x) / p.s)
-    w = np.concatenate([xt, yt])
-    d = z - w
-    v = p.metric().apply(d)
-    eps = 0.25 * p.L * float(np.dot(x - xt, x - xt))
-    return HpeCertificate(y=w, v=v, eps=eps, c=1.0, theta=theta, step=d)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive-step primal-dual splitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class AfbasPdProblem:
-    """min_x f(x) + g(x) + h(Bx) with an adaptive over-relaxation.
-
-    Nonsymmetric preconditioner R = [[I/gamma1, -B*], [(1-theta)B, I/gamma2]]
-    and step shaper S = [[I, -c1 B*], [c2 B, I]] with c1 = mu gamma1 (2-theta)
-    and c2 = gamma2 (1-mu)(2-theta); the certified metric is M = R S^{-1}.
-    M is symmetric by construction: c1/gamma1 + c2/gamma2 = 2 - theta makes
-    S* R = R* S for every parameter set, so :class:`DenseMetric` symmetrizes
-    only rounding.  The curvature margin 1/gamma1 > gamma2 theta^2 ||B||^2/4
-    also gives 1/(gamma1 gamma2) + (1-theta) B*B > 0, as
-    theta^2/4 >= theta - 1.
-    R, S and M are assembled once from the dense matrix B, so each apply of
-    any of them is one matrix-vector product.  theta here is the scheme's
-    structural parameter (not the over-relaxation); the over-relaxation is
-    alpha_k - 1 with alpha_k computed per step.  ``bnorm`` is ||B||, as for
-    :class:`CondatVuProblem`.
-    """
-
-    dim_x: int
-    dim_y: int
-    prox_g: ProxFn
-    prox_h: ProxFn
-    B: np.ndarray
-    gamma1: float
-    gamma2: float
     theta: float
     mu: float
     lam: float = math.inf
@@ -275,60 +193,91 @@ class AfbasPdProblem:
     _S: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.gamma1 <= 0 or self.gamma2 <= 0:
-            raise ValueError("gamma1, gamma2 must be positive")
-        if self.theta < 0 or not 0.0 <= self.mu <= 1.0 or self.L < 0:
+        if not (0.0 < self.r < math.inf and 0.0 < self.s < math.inf):
+            raise ValueError("need finite r, s > 0, got r=%r, s=%r"
+                             % (self.r, self.s))
+        if not (self.theta >= 0 and 0.0 <= self.mu <= 1.0 and self.L >= 0):
             raise ValueError("need theta >= 0, mu in [0,1], L >= 0")
         Bd = self.B
+        if Bd.shape != (self.dim_y, self.dim_x):
+            raise ValueError("B dimensions inconsistent with dim_x/dim_y")
         if self.bnorm is None:
             self.bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
-            raise ValueError("need 1/gamma1 - gamma2 theta^2 ||B||^2 / 4 > L/4")
-        c1 = self.mu * self.gamma1 * (2.0 - self.theta)
-        c2 = self.gamma2 * (1.0 - self.mu) * (2.0 - self.theta)
+            raise ValueError("need r - theta^2 ||B||^2 / (4 s) > L/4 for a "
+                             "positive metric")
+        c1 = self.mu * (2.0 - self.theta) / self.r
+        c2 = (1.0 - self.mu) * (2.0 - self.theta) / self.s
         eye_x, eye_y = np.eye(self.dim_x), np.eye(self.dim_y)
-        self._R = np.block([[eye_x / self.gamma1, -Bd.T],
-                            [(1.0 - self.theta) * Bd, eye_y / self.gamma2]])
+        self._R = np.block([[self.r * eye_x, -Bd.T],
+                            [(1.0 - self.theta) * Bd, self.s * eye_y]])
         self._S = np.block([[eye_x, -c1 * Bd.T], [c2 * Bd, eye_y]])
         self._metric = DenseMetric(self._R @ np.linalg.inv(self._S))
 
-    # -- derived constants ----------------------------------------------------
-
     @property
     def curvature_margin(self) -> float:
-        return 1.0 / self.gamma1 - self.gamma2 * self.theta ** 2 * self.bnorm ** 2 / 4.0
+        """r - theta^2 ||B||^2 / (4 s): the coefficient bounding ||d||_M^2
+        below by ||dx||^2, which enters the admissible over-relaxation
+        because the enlargement error lives on the primal block."""
+        return self.r - self.theta ** 2 * self.bnorm ** 2 / (4.0 * self.s)
 
     def metric(self) -> Metric:
         return self._metric
 
 
-def afbas_pd_step(z: np.ndarray, p: AfbasPdProblem,
+def condat_vu_max_theta(p: PrimalDualProblem, sigma: float) -> float:
+    return sigma - p.L / (2.0 * p.curvature_margin)
+
+
+def _primal_dual_sweep(z: np.ndarray, p: PrimalDualProblem):
+    """(w, d, eps) of the primal-dual sweep from z = (x, y): the sweep point
+    w = (x~, y~) with x~ = prox_{g/r}(x - (grad f(x) + B* y)/r) and
+    y~ = prox_{h*/s}(y + B((1-theta) x + theta x~)/s), the displacement
+    d = z - w and the enlargement error eps = (L/4)||x - x~||^2."""
+    x, y = z[:p.dim_x], z[p.dim_x:]
+    gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
+    xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.T @ y) / p.r)
+    u = y + p.B @ ((1.0 - p.theta) * x + p.theta * xt) / p.s
+    w = np.concatenate([xt, _prox_conjugate(p.prox_h, 1.0 / p.s, u)])
+    d = z - w
+    return w, d, 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
+
+
+def condat_vu_step(z: np.ndarray, p: PrimalDualProblem,
+                   theta: float) -> HpeCertificate:
+    """One certified primal-dual step under the metric M (c = 1).
+
+    The certificate's step is the sweep's d = z - w, with v = M d, so the
+    kernel's correction z - (1 + theta) d is the native over-relaxed update
+    z + (1 + theta)(w - z).  Condat-Vu is the problem's theta = 2 member,
+    where M = R.
+    """
+    w, d, eps = _primal_dual_sweep(z, p)
+    return HpeCertificate(y=w, v=p.metric().apply(d), eps=eps, c=1.0,
+                          theta=theta, step=d)
+
+
+def afbas_pd_step(z: np.ndarray, p: PrimalDualProblem,
                   sigma: float) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
-    alpha_k = min(lam, cap) (1/2)||d||^2_{R+R*} / <S d, R d> with d = w - z,
-    where cap keeps the relative-error criterion with the given sigma along
-    the direction (VMOR-HPE certifies any such step) and lam, inf by default,
-    is an optional absolute cap; theta_k = alpha_k - 1.  The certificate is
-    v = R d with step M^-1 v = S d, so the kernel's correction is the native
-    update z - alpha_k S d.  At d = 0, z is a fixed point of the scheme and
-    the step returns None, as the kernel's oracle protocol asks.  A direction
-    with no admissible step raises :class:`CriterionViolation`.
+    alpha_k = min(lam, cap) (1/2)||d||^2_{R+R*} / <S d, R d> with d the
+    sweep's z - w, where cap keeps the relative-error criterion with the
+    given sigma along the direction (VMOR-HPE certifies any such step) and
+    lam, inf by default, is an optional absolute cap; theta_k = alpha_k - 1.
+    The certificate is v = R d with step M^-1 v = S d, so the kernel's
+    correction is the native update z - alpha_k S d.  At d = 0, z is a fixed
+    point of the scheme and the step returns None, as the kernel's oracle
+    protocol asks.  A direction with no admissible step raises
+    :class:`CriterionViolation`.
     """
-    x, y = z[:p.dim_x], z[p.dim_x:]
-    gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
-    xb = p.prox_g.evaluate(p.gamma1, x - p.gamma1 * (p.B.T @ y + gf))
-    u = y + p.gamma2 * (p.B @ ((1.0 - p.theta) * x + p.theta * xb))
-    yb = _prox_conjugate(p.prox_h, p.gamma2, u)
-    w = np.concatenate([xb, yb])
-    d = z - w
+    w, d, eps = _primal_dual_sweep(z, p)
     if np.linalg.norm(d) == 0.0:
         return None
     Rd = p._R @ d
     Sd = p._S @ d
     n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
     denom = float(np.dot(Sd, Rd))                           # ||S d||^2_M > 0
-    eps = 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
     d_M = float(np.dot(d, p.metric().apply(d)))
     cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)
     if cap <= 0:
@@ -417,7 +366,8 @@ def ppg_from_qp(inst, sigma: Optional[float] = None):
 def condat_vu_from_qp(inst, sigma: Optional[float] = None):
     """Primal-dual coding: f = quadratic, g = 0, h = indicator of {b}, B = G.
 
-    Returns (problem, theta_max, z_ref = (x*, y*)).  The dual scale is
+    Returns (problem, theta_max, z_ref = (x*, y*)).  Condat-Vu is the
+    problem's theta = 2 member, where mu has no effect.  The dual scale is
     s = CV_DUAL_SCALE (||B|| + L/sigma + 1); the primal scale r =
     ||B||^2/s + L/(2 sigma (1 - THETA_SHARE)) gives r - ||B||^2/s the value
     that leaves theta_max = THETA_SHARE sigma, and r s > ||B||^2.
@@ -427,10 +377,10 @@ def condat_vu_from_qp(inst, sigma: Optional[float] = None):
     bnorm = _spectral_norm(G)
     s = CV_DUAL_SCALE * (bnorm + Lq / sigma + 1.0)
     r = bnorm ** 2 / s + Lq / (2.0 * sigma * (1.0 - THETA_SHARE))
-    prob = CondatVuProblem(dim_x=Q.shape[0], dim_y=b.size,
-                           prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
-                           B=G, r=r, s=s, grad_f=lambda u: Q @ u + c,
-                           L=Lq, bnorm=bnorm)
+    prob = PrimalDualProblem(dim_x=Q.shape[0], dim_y=b.size,
+                             prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
+                             B=G, r=r, s=s, theta=2.0, mu=0.5,
+                             grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
     return prob, condat_vu_max_theta(prob, sigma), inst.z_star
 
 
@@ -450,15 +400,13 @@ def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
     theta = AFBAS_THETA if theta is None else theta
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
-    gamma2 = 1.0 / (bnorm + 1.0)
-    coupling = gamma2 * theta ** 2 * bnorm ** 2 / 4.0
-    # 1/gamma1 > L/4 + gamma2 theta^2 ||B||^2 / 4 with a factor-2 margin
-    gamma1 = 1.0 / (2.0 * (Lq / 4.0 + coupling + 0.5))
-    prob = AfbasPdProblem(dim_x=Q.shape[0], dim_y=b.size,
-                          prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
-                          B=G, gamma1=gamma1, gamma2=gamma2, theta=theta,
-                          mu=mu, lam=lam, grad_f=lambda u: Q @ u + c, L=Lq,
-                          bnorm=bnorm)
+    s = bnorm + 1.0
+    # r > L/4 + theta^2 ||B||^2 / (4 s) with a factor-2 margin
+    r = 2.0 * (Lq / 4.0 + theta ** 2 * bnorm ** 2 / (4.0 * s) + 0.5)
+    prob = PrimalDualProblem(dim_x=Q.shape[0], dim_y=b.size,
+                             prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
+                             B=G, r=r, s=s, theta=theta, mu=mu, lam=lam,
+                             grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
     return prob, None, inst.z_star
 
 

@@ -100,20 +100,17 @@ def test_saddle_metric_applies_never_reach_B(monkeypatch, scheme):
 
 
 def _saddle_operator(prob, u):
-    """M u from products with B and B*: [[r I, -B*], [-B, s I]] u for
-    Condat-Vu, R S^-1 u for afbas-pd, with S^-1 through its primal Schur
-    complement."""
+    """M u = R S^-1 u from products with B and B*, with S^-1 through its
+    primal Schur complement."""
     B, nx = prob.B, prob.dim_x
     a, b = u[:nx], u[nx:]
-    if isinstance(prob, splitters.CondatVuProblem):
-        return np.concatenate([prob.r * a - B.T @ b, -(B @ a) + prob.s * b])
-    c1 = prob.mu * prob.gamma1 * (2.0 - prob.theta)
-    c2 = prob.gamma2 * (1.0 - prob.mu) * (2.0 - prob.theta)
+    c1 = prob.mu * (2.0 - prob.theta) / prob.r
+    c2 = (1.0 - prob.mu) * (2.0 - prob.theta) / prob.s
     schur = np.eye(nx) + c1 * c2 * (B.T @ B)
     a = np.linalg.solve(schur, a + c1 * (B.T @ b))
     b = b - c2 * (B @ a)
-    return np.concatenate([a / prob.gamma1 - B.T @ b,
-                           (1.0 - prob.theta) * (B @ a) + b / prob.gamma2])
+    return np.concatenate([prob.r * a - B.T @ b,
+                           (1.0 - prob.theta) * (B @ a) + prob.s * b])
 
 
 @pytest.mark.parametrize("seed", range(3))

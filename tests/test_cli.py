@@ -42,6 +42,31 @@ def test_parse_descriptor_errors():
         parse_descriptor("qp:seed=abc")
 
 
+@pytest.mark.parametrize("function,changed,problem,explicit", [
+    (gen_qp, {0: 1, 1: 4, 2: 2}, "qp:seed=0", "qp:seed=0,p=1,n=4,m=2"),
+    (build_lrr, {2: 10.0, 3: 100.0, 4: 100.0}, "lrr:seed=0,d=6,n=6",
+     "lrr:seed=0,d=6,n=6,lam=10,mu=100,gamma=100")], ids=["qp", "lrr"])
+def test_a_solve_takes_the_library_defaults_of_its_problem(
+        monkeypatch, tmp_path, function, changed, problem, explicit):
+    # the CLI passes only the keys a descriptor names, so a solve of a
+    # descriptor that leaves them out runs at the library's defaults,
+    # whatever they are
+    defaults = list(function.__defaults__)
+    for index, value in changed.items():
+        defaults[index] = value
+    monkeypatch.setattr(function, "__defaults__", tuple(defaults))
+    summaries = []
+    for descriptor in (problem, explicit):
+        path = tmp_path / "s.json"
+        assert main(["solve", "--algorithm", "padmm-ebb", "--problem",
+                     descriptor, "--max-iters", "20", "--summary",
+                     str(path)]) == 0
+        summary = json.loads(path.read_text())
+        del summary["wall_time_s"], summary["config"]["problem"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+
+
 # the CSV columns every solve writes, and those the multi-block solver adds
 KERNEL_CSV = ["iter", "time_s", "v_norm", "eps", "theta", "criterion_slack",
               "step_norm", "metric_min", "metric_max", "dist_to_ref"]

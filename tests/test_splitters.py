@@ -6,6 +6,7 @@ independently computed reference solution.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from opsplit.hpe_core import (CriterionViolation, HpeConfig, check_criterion,
                               extragradient_step)
 from opsplit.linops import DenseMetric, IdentityMetric
 from opsplit.prox_problems import ProxFn, gen_qp
-from opsplit.splitters import (SCHEMES, AfbasPdProblem, CondatVuProblem,
-                               FbhfProblem, PpgProblem, afbas_pd_from_qp,
+from opsplit.splitters import (SCHEMES, FbhfProblem, PpgProblem,
+                               PrimalDualProblem, afbas_pd_from_qp,
                                afbas_pd_step, affine_projector,
                                condat_vu_from_qp, condat_vu_max_theta,
                                condat_vu_step, fbhf_from_qp, fbhf_max_theta,
@@ -190,12 +191,17 @@ def test_ppg_solves_a_consensus_lasso():
 # ---------------------------------------------------------------------------
 
 
+# Condat-Vu is the primal-dual problem's theta = 2 member, where mu has no
+# effect
+_condat_vu = functools.partial(PrimalDualProblem, theta=2.0, mu=0.5)
+
+
 def test_condat_vu_null_problem_is_a_fixed_point():
     # g = 0, dual prox fixed by the Moreau route (h = indicator{0}):
     # every point is its own sweep point and v = 0
-    p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.constant(np.zeros(2)),
-                        B=np.zeros((2, 2)), r=1.0, s=1.0)
+    p = _condat_vu(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                   prox_h=ProxFn.constant(np.zeros(2)),
+                   B=np.zeros((2, 2)), r=1.0, s=1.0)
     z = np.array([1.0, -2.0, 0.5, 3.0])
     cert = condat_vu_step(z, p, theta=0.2)
     assert np.linalg.norm(cert.v) == 0.0
@@ -204,8 +210,8 @@ def test_condat_vu_null_problem_is_a_fixed_point():
 
 def test_condat_vu_hand_step():
     # f = 0, g = l1(1), h = l1(1) with B = I in R^2, start y = 0
-    p = CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.l1(1.0),
-                        prox_h=ProxFn.l1(1.0), B=np.eye(2), r=2.0, s=2.0)
+    p = _condat_vu(dim_x=2, dim_y=2, prox_g=ProxFn.l1(1.0),
+                   prox_h=ProxFn.l1(1.0), B=np.eye(2), r=2.0, s=2.0)
     x0 = np.array([3.0, -0.5])
     z = np.concatenate([x0, np.zeros(2)])
     cert = condat_vu_step(z, p, theta=0.0)
@@ -225,8 +231,8 @@ def test_condat_vu_hand_step():
 def test_condat_vu_metric_solve_inverts_apply():
     rng = np.random.default_rng(3)
     B = rng.standard_normal((3, 4))
-    p = CondatVuProblem(dim_x=4, dim_y=3, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.zero(), B=B, r=6.0, s=6.0)
+    p = _condat_vu(dim_x=4, dim_y=3, prox_g=ProxFn.zero(),
+                   prox_h=ProxFn.zero(), B=B, r=6.0, s=6.0)
     M = p.metric()
     # spectral bounds bracket the dense eigenvalues
     dense = np.block([[6.0 * np.eye(4), -B.T], [-B, 6.0 * np.eye(3)]])
@@ -238,23 +244,50 @@ def test_condat_vu_metric_solve_inverts_apply():
 def test_condat_vu_rejects_indefinite_metric():
     B = 2.0 * np.eye(2)
     with pytest.raises(ValueError, match="positive metric"):
-        CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.zero(), B=B, r=1.0, s=1.0)
+        _condat_vu(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                   prox_h=ProxFn.zero(), B=B, r=1.0, s=1.0)
     # a NaN or infinite scale is no metric at all
     for r, s in ((np.nan, 30.0), (30.0, np.inf), (np.inf, 30.0)):
         with pytest.raises(ValueError, match="need finite r, s > 0"):
-            CondatVuProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                            prox_h=ProxFn.zero(), B=B, r=r, s=s)
+            _condat_vu(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                       prox_h=ProxFn.zero(), B=B, r=r, s=s)
+
+
+def test_condat_vu_takes_a_curvature_margin_just_above_a_quarter_of_L():
+    # B = I, s = 1 and L = 4: the margin r - ||B||^2/s is L/4 at r = 2
+    def build(r):
+        return _condat_vu(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                          prox_h=ProxFn.zero(), B=np.eye(2), r=r, s=1.0,
+                          L=4.0)
+
+    assert build(np.nextafter(2.0, 3.0)).curvature_margin > 1.0
+    with pytest.raises(ValueError, match="positive metric"):
+        build(2.0)
+
+
+@pytest.mark.parametrize("sigma", [0.9, 0.5])
+def test_condat_vu_builder_metric_is_the_saddle_matrix(sigma):
+    # theta = 2 makes the step shaper S the identity, so M = R S^-1 is R
+    # to the last bit
+    for seed in range(10):
+        inst = gen_qp(seed, p=2, n_i=5, m=3)
+        prob = condat_vu_from_qp(inst, sigma)[0]
+        nx, ny = prob.dim_x, prob.dim_y
+        saddle = np.block([[prob.r * np.eye(nx), -inst.G.T],
+                           [-inst.G, prob.s * np.eye(ny)]])
+        assert np.array_equal(prob._S, np.eye(nx + ny))
+        assert prob.metric().matrix.tobytes() == saddle.tobytes()
 
 
 def test_condat_vu_boundary_tightness():
     # curvature-attaining smooth part: grad f = L x with B = 0 makes the
-    # primal-gap bound tight up to the dual displacement, which vanishes here
+    # curvature-margin bound tight up to the dual displacement, which
+    # vanishes here
     L = 3.0
-    p = CondatVuProblem(dim_x=3, dim_y=1, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.constant(np.zeros(1)),
-                        B=np.zeros((1, 3)), r=4.0, s=1.0,
-                        grad_f=lambda u: L * u, L=L)
+    p = _condat_vu(dim_x=3, dim_y=1, prox_g=ProxFn.zero(),
+                   prox_h=ProxFn.constant(np.zeros(1)),
+                   B=np.zeros((1, 3)), r=4.0, s=1.0,
+                   grad_f=lambda u: L * u, L=L)
     sigma = 0.6
     tmax = condat_vu_max_theta(p, sigma)
     z = np.array([1.0, -2.0, 0.5, 0.0])
@@ -272,9 +305,9 @@ def test_condat_vu_solves_total_variation_denoising():
     n, lam = 10, 0.7
     a = np.cumsum(rng.standard_normal(n))
     D = (np.eye(n - 1, n, k=1) - np.eye(n - 1, n))
-    p = CondatVuProblem(dim_x=n, dim_y=n - 1, prox_g=ProxFn.zero(),
-                        prox_h=ProxFn.l1(lam), B=D,
-                        r=6.0, s=6.0, grad_f=lambda u: u - a, L=1.0)
+    p = _condat_vu(dim_x=n, dim_y=n - 1, prox_g=ProxFn.zero(),
+                   prox_h=ProxFn.l1(lam), B=D,
+                   r=6.0, s=6.0, grad_f=lambda u: u - a, L=1.0)
     theta = 0.9 * condat_vu_max_theta(p, 0.5)
     z = np.zeros(2 * n - 1)
     for _ in range(4000):
@@ -293,21 +326,15 @@ def test_condat_vu_solves_total_variation_denoising():
 
 
 def test_afbas_theta2_directions_collinear_with_condat_vu():
-    # at theta = 2 the step shaper S is the identity and the sweep point
-    # coincides with a Condat-Vu sweep at r = 1/gamma1, s = 1/gamma2, so the
-    # update directions are collinear
+    # at theta = 2 the step shaper S is the identity, so afbas-pd's update
+    # is collinear with the Condat-Vu step on the same problem
     inst = gen_qp(5, p=2, n_i=4, m=2)
-    prob_a, _, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
-    prob_c = CondatVuProblem(dim_x=prob_a.dim_x, dim_y=prob_a.dim_y,
-                             prox_g=prob_a.prox_g, prox_h=prob_a.prox_h,
-                             B=prob_a.B, r=1.0 / prob_a.gamma1,
-                             s=1.0 / prob_a.gamma2, grad_f=prob_a.grad_f,
-                             L=prob_a.L)
+    prob, _, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
     rng = np.random.default_rng(6)
     for _ in range(5):
-        z = rng.standard_normal(prob_a.dim_x + prob_a.dim_y)
-        cert_a = afbas_pd_step(z, prob_a, sigma=0.5)
-        cert_c = condat_vu_step(z, prob_c, theta=0.0)
+        z = rng.standard_normal(prob.dim_x + prob.dim_y)
+        cert_a = afbas_pd_step(z, prob, sigma=0.5)
+        cert_c = condat_vu_step(z, prob, theta=0.0)
         assert np.allclose(cert_a.y, cert_c.y, atol=1e-10)
         da = extragradient_step(z, cert_a) - z
         dc = cert_c.y - z
@@ -317,17 +344,18 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
 
 def test_afbas_reduces_to_proximal_gradient_without_coupling():
     # B = 0, h pinned at 0, theta = 0, lam = 1: the primal update is exactly
-    # one proximal-gradient step prox_{gamma1 g}(x - gamma1 grad f(x))
+    # one proximal-gradient step prox_{gamma1 g}(x - gamma1 grad f(x)) with
+    # gamma1 = 1/r
     rng = np.random.default_rng(7)
     n = 4
     a = rng.standard_normal(n)
     L = 1.0
     gamma1 = 0.5 / L
-    p = AfbasPdProblem(dim_x=n, dim_y=1, prox_g=ProxFn.l1(0.3),
-                       prox_h=ProxFn.constant(np.zeros(1)),
-                       B=np.zeros((1, n)),
-                       gamma1=gamma1, gamma2=1.0, theta=0.0, mu=0.5, lam=1.0,
-                       grad_f=lambda u: u - a, L=L)
+    p = PrimalDualProblem(dim_x=n, dim_y=1, prox_g=ProxFn.l1(0.3),
+                          prox_h=ProxFn.constant(np.zeros(1)),
+                          B=np.zeros((1, n)), r=1.0 / gamma1, s=1.0,
+                          theta=0.0, mu=0.5, lam=1.0,
+                          grad_f=lambda u: u - a, L=L)
     x = rng.standard_normal(n)
     z = np.concatenate([x, [0.0]])
     z_next = extragradient_step(z, afbas_pd_step(z, p, sigma=0.5))
@@ -341,9 +369,9 @@ def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
     # conjugate return their argument, so every point is a fixed point; the
     # step returns None, as the kernel protocol asks, and the run ends with
     # reason fixed_point
-    p = AfbasPdProblem(dim_x=2, dim_y=1, prox_g=ProxFn.zero(),
-                       prox_h=ProxFn.constant(np.zeros(1)), B=np.zeros((1, 2)),
-                       gamma1=1.0, gamma2=1.0, theta=2.0, mu=0.5)
+    p = PrimalDualProblem(dim_x=2, dim_y=1, prox_g=ProxFn.zero(),
+                          prox_h=ProxFn.constant(np.zeros(1)),
+                          B=np.zeros((1, 2)), r=1.0, s=1.0, theta=2.0, mu=0.5)
     z = np.array([0.3, -1.2, 0.7])
     assert afbas_pd_step(z, p, sigma=0.5) is None
     res = hpe_core.run(lambda x, M, cfg: afbas_pd_step(x, p, cfg.sigma), z,
@@ -471,10 +499,10 @@ def test_saddle_build_takes_one_svd_of_G(builder, monkeypatch):
 
 def test_afbas_parameter_validation():
     with pytest.raises(ValueError):
-        AfbasPdProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
-                       prox_h=ProxFn.zero(), B=np.eye(2), gamma1=10.0,
-                       gamma2=10.0, theta=2.0, mu=0.5,
-                       L=100.0)  # curvature margin too small
+        PrimalDualProblem(dim_x=2, dim_y=2, prox_g=ProxFn.zero(),
+                          prox_h=ProxFn.zero(), B=np.eye(2), r=0.1, s=0.1,
+                          theta=2.0, mu=0.5,
+                          L=100.0)  # curvature margin too small
 
 
 @pytest.mark.parametrize("lam,message", [
@@ -494,11 +522,11 @@ def test_afbas_bad_explicit_lam_aborts_at_the_first_step(lam, message):
     assert exc.value.result.abort["iteration"] == 1
 
 
-def _afbas_R_S(B, gamma1, gamma2, theta, c1, c2):
+def _afbas_R_S(B, r, s, theta, c1, c2):
     """afbas-pd's R and its step shaper S with coupling weights c1, c2."""
     ny, nx = B.shape
-    R = np.block([[np.eye(nx) / gamma1, -B.T],
-                  [(1.0 - theta) * B, np.eye(ny) / gamma2]])
+    R = np.block([[r * np.eye(nx), -B.T],
+                  [(1.0 - theta) * B, s * np.eye(ny)]])
     S = np.block([[np.eye(nx), -c1 * B.T], [c2 * B, np.eye(ny)]])
     return R, S
 
@@ -511,26 +539,27 @@ def _afbas_R_S(B, gamma1, gamma2, theta, c1, c2):
                 elements=st.floats(-3, 3)))
 def test_afbas_metric_is_symmetric_and_positive_by_construction(
         gamma1, gamma2, theta, mu, L, B):
-    # S* R = R* S for every parameter set, since c1/gamma1 + c2/gamma2 =
-    # 2 - theta: R S^-1 is symmetric with no check of its own.  Past the
-    # constructor's two checks, 1/(gamma1 gamma2) + (1 - theta) B*B > 0
-    # follows from the curvature margin, so no R block check is needed
-    c1 = mu * gamma1 * (2.0 - theta)
-    c2 = gamma2 * (1.0 - mu) * (2.0 - theta)
-    R, S = _afbas_R_S(B, gamma1, gamma2, theta, c1, c2)
+    # S* R = R* S for every parameter set, since c1 r + c2 s = 2 - theta:
+    # R S^-1 is symmetric with no check of its own.  Past the constructor's
+    # checks, r s + (1 - theta) B*B > 0 follows from the curvature margin,
+    # so no R block check is needed.  r = 1/gamma1 and s = 1/gamma2
+    r, s = 1.0 / gamma1, 1.0 / gamma2
+    c1 = mu * (2.0 - theta) / r
+    c2 = (1.0 - mu) * (2.0 - theta) / s
+    R, S = _afbas_R_S(B, r, s, theta, c1, c2)
     SR = S.T @ R
     assert np.max(np.abs(SR - R.T @ S)) <= 1e-12 * np.max(np.abs(SR))
     ny, nx = B.shape
     try:
-        p = AfbasPdProblem(dim_x=nx, dim_y=ny, prox_g=ProxFn.zero(),
-                           prox_h=ProxFn.zero(), B=B, gamma1=gamma1,
-                           gamma2=gamma2, theta=theta, mu=mu, L=L)
+        p = PrimalDualProblem(dim_x=nx, dim_y=ny, prox_g=ProxFn.zero(),
+                              prox_h=ProxFn.zero(), B=B, r=r, s=s,
+                              theta=theta, mu=mu, L=L)
     except ValueError as exc:
-        assert str(exc).startswith("need 1/gamma1"), exc
+        assert str(exc).startswith("need r - theta^2"), exc
         return
     assert np.array_equal(p._R, R) and np.array_equal(p._S, S)
     assert p.metric().omega_lower > 0
-    block = np.eye(nx) / (gamma1 * gamma2) + (1.0 - theta) * (B.T @ B)
+    block = r * s * np.eye(nx) + (1.0 - theta) * (B.T @ B)
     assert np.linalg.eigvalsh(block)[0] > 0
 
 
@@ -538,9 +567,9 @@ def test_afbas_metric_check_rejects_a_shaper_off_the_identity():
     # S built with mu where 1 - mu belongs breaks S* R = R* S, and the
     # metric's own symmetry check rejects R S^-1
     B = np.array([[1.0, 2.0], [0.5, -1.0]])
-    gamma1, gamma2, theta, mu = 0.5, 0.5, 1.0, 0.25
-    R, S = _afbas_R_S(B, gamma1, gamma2, theta, mu * gamma1 * (2.0 - theta),
-                      gamma2 * mu * (2.0 - theta))
+    r, s, theta, mu = 2.0, 2.0, 1.0, 0.25
+    R, S = _afbas_R_S(B, r, s, theta, mu * (2.0 - theta) / r,
+                      mu * (2.0 - theta) / s)
     with pytest.raises(ValueError, match="not symmetric"):
         DenseMetric(R @ np.linalg.inv(S))
 

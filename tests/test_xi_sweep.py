@@ -145,3 +145,28 @@ def test_main_builds_one_parser_per_process(monkeypatch):
             "--max-iters", "2"]
     assert cli.main(argv) == cli.main(argv) == 0
     assert len(built) == 1
+
+
+
+
+@pytest.mark.parametrize("constant,runs,label", [
+    ((splitters, "THETA_SHARE", 1.0),
+     lambda: xi_sweep._splitter_runs("condat-vu", 0.9),
+     "ZeroDivisionError: float division by zero"),
+    ((splitters, "THETA_SHARE", 1.0),
+     lambda: xi_sweep._splitter_runs("fbhf", 0.9),
+     "ValueError: gamma must be positive"),
+    ((splitters, "THETA_SHARE", 1.0),
+     lambda: xi_sweep._splitter_runs("ppg", 0.9),
+     "ValueError: need n >= 1, alpha > 0, L >= 0"),
+    ((padmm_ebb, "PENALTY_KAPPA", 0.0),
+     lambda: xi_sweep.acceptance._padmm_qp_runs(None, 0.9)[0],
+     "ValueError: inverse metric scalar 2 is 0.0, not positive")],
+    ids=["condat-vu", "fbhf", "ppg", "padmm-ebb"])
+def test_a_battery_that_cannot_run_is_a_labelled_cell(monkeypatch, constant,
+                                                      runs, label):
+    # THETA_SHARE = 1 leaves the bounded splitters no step, and
+    # PENALTY_KAPPA = 0 gives padmm-ebb a zero penalty: the cell names the
+    # failure instead of ending the row, and with it the sweep
+    monkeypatch.setattr(*constant)
+    assert xi_sweep._battery(runs) == "abort (%s)" % label

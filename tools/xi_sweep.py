@@ -104,8 +104,13 @@ def _splitter_runs(algorithm: str, sigma: float):
 
 
 def _battery(runs) -> str:
-    """Sum and median of a QP battery's iterations, and how many of its
-    runs did not converge."""
+    """Sum and median of the iterations of the QP battery that ``runs()``
+    returns, and how many of its runs did not converge, or a label when a
+    build or a run fails."""
+    try:
+        runs = runs()
+    except SOLVER_FAULTS as exc:
+        return "abort (%s: %s)" % (type(exc).__name__, exc)
     counts = [iterations for _, iterations, *_ in runs]
     missed = sum(not converged for converged, *_ in runs)
     return "{:,} ({:g})".format(sum(counts), statistics.median(counts)) + (
@@ -135,8 +140,9 @@ def _gates() -> str:
 def row(sigma: float, xi0: float, values) -> str:
     """One markdown table row.  ``xi0`` and ``values``, one per ``--set``
     name, must be the process's defaults (:func:`set_defaults`)."""
-    qp = [_battery(acceptance._padmm_qp_runs(None, sigma)[0])] + [
-        _battery(_splitter_runs(algorithm, sigma)) for algorithm in SCHEMES]
+    qp = [_battery(lambda: acceptance._padmm_qp_runs(None, sigma)[0])] + [
+        _battery(lambda a=algorithm: _splitter_runs(a, sigma))
+        for algorithm in SCHEMES]
     lrr = [", ".join(str(_lrr_iterations(seed, beta)) for seed in range(3))
            for beta in (300.0, None)]
     cells = ["%g" % sigma, "%g" % xi0, *("%g" % v for v in values),
