@@ -238,29 +238,30 @@ def check_padmm_qp_equivalence() -> CriterionResult:
 
 
 def check_direct_vs_kernel() -> CriterionResult:
-    """Native Condat-Vu updates z + (1 + theta)(w - z), from the sweep point
-    w alone, match the kernel's verified correction."""
+    """Native Condat-Vu updates z + (1 + theta_k)(w - z), from the sweep
+    point w alone, at the theta_k the kernel took from the criterion's root,
+    match the kernel's verified correction."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
-    prob, tmax, _ = condat_vu_from_qp(inst, sigma=0.5)
-    theta = 0.5 * tmax
-    z_direct = [np.zeros(prob.dim_x + prob.dim_y)]
+    prob, _ = condat_vu_from_qp(inst, sigma=0.5)
+    direct = {"z": np.zeros(prob.dim_x + prob.dim_y), "cert": None}
     deviations = []
 
     def deviation(z_kernel):
-        scale = 1.0 + float(np.max(np.abs(z_direct[0])))
-        deviations.append(float(np.max(np.abs(z_direct[0] - z_kernel)))
-                          / scale)
+        # the kernel's iterate after k corrections against as many native
+        # updates, the last at the theta the kernel wrote into it
+        z, cert = direct["z"], direct["cert"]
+        if cert is not None:
+            w = condat_vu_step(z, prob).y
+            direct["z"] = z = z + (1.0 + cert.theta) * (w - z)
+        scale = 1.0 + float(np.max(np.abs(z)))
+        deviations.append(float(np.max(np.abs(z - z_kernel))) / scale)
 
     def oracle(z_kernel, M, cfg):
-        # the kernel's iterate after k - 1 corrections against as many
-        # native updates; the kernel certifies and applies the correction
         deviation(z_kernel)
-        z = z_direct[0]
-        w = condat_vu_step(z, prob, theta).y
-        z_direct[0] = z + (1.0 + theta) * (w - z)
-        return condat_vu_step(z_kernel, prob, theta)
+        direct["cert"] = condat_vu_step(z_kernel, prob)
+        return direct["cert"]
 
-    res = hpe_core.run(oracle, np.zeros_like(z_direct[0]), prob.metric(),
+    res = hpe_core.run(oracle, np.zeros_like(direct["z"]), prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=200, tol_residual=0.0))
     deviation(res.solution)
     worst = max(deviations)

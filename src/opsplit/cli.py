@@ -141,8 +141,9 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
     and xi0 are resolved here, once, and ``echo`` records them with the run's
     other settings.  A ``--beta`` that is not finite and positive is rejected
     whatever the algorithm, so ``bench`` checks it even without padmm-ebb
-    among its algorithms.  ``columns`` None takes the algorithm's default
-    trace columns, with padmm-ebb's opt-in ones under ``--full-trace``.
+    among its algorithms, and ``--theta`` caps every algorithm's theta_k.
+    ``columns`` None takes the algorithm's default trace columns, with
+    padmm-ebb's opt-in ones under ``--full-trace``.
     """
     theta = _theta_or_auto(theta_text)
     xi0 = HpeConfig.xi0 if args.xi0 is None else args.xi0
@@ -167,11 +168,11 @@ def _prepare_solve(args, algorithm: str, kind: str, inst,
             accumulators=accs, columns=columns)), echo
     if kind != "qp":
         raise ConfigError("algorithm %s only supports qp problems" % algorithm)
-    oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma, theta)
+    oracle, M0, x0, ref = SCHEMES[algorithm].setup(inst, cfg.sigma)
     columns = hpe_core.DEFAULT_COLUMNS if columns is None else columns
     return (lambda accs: hpe_core.run(
         oracle, x0, M0, cfg, ref_solution=ref, accumulators=accs,
-        columns=hpe_core.select(columns))), echo
+        columns=hpe_core.select(columns), theta_cap=theta)), echo
 
 
 def _solver_abort(exc) -> int:
@@ -345,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     add_common(ps)
     ps.add_argument("--theta", default="auto",
-                    help="over-relaxation: a number or 'auto'")
+                    help="cap on the over-relaxation theta_k that each step "
+                         "takes from the criterion's root: a finite number "
+                         "above -1, or 'auto' for %g" % hpe_core.THETA_CAP)
     ps.add_argument("--trace", default=None, help="write per-iteration CSV")
     ps.add_argument("--full-trace", action="store_true", default=None,
                     help="also write the opt-in trace columns "

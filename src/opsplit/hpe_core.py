@@ -10,7 +10,8 @@ call and for every scheme, then checks the relative-error inequality
         <= sigma * ||y - x||_M^2
 
 and takes the over-relaxed correction ``x+ = x - (1 + theta) c M^-1 v``.  No
-metric solve happens in the kernel.
+metric solve happens in the kernel, which takes theta from the certificate
+or, left unset, from the inequality's root (:func:`criterion_root`).
 The metric M may change between iterations inside the schedule
 ``omega_k * I <= M_next <= (1 + xi_k) M_k`` with summable xi, where the
 floor omega_k = min(M_0) / prod_{j<=k} (1 + xi_j) stays above
@@ -117,15 +118,15 @@ class HpeCertificate:
     """Inexact proximal triple plus the step parameters that produced it.
 
     ``step`` is c M^-1 v as the scheme computed it.  The kernel verifies it
-    against ``v`` and never solves for it.  Nothing is checked here:
-    :func:`check_criterion` is the one check of every field.
+    against ``v``, never solves for it, and writes theta_k over a None
+    ``theta``.  :func:`check_criterion` is the one check of every field.
     """
 
     y: np.ndarray
     v: np.ndarray
     eps: float
     c: float = 1.0
-    theta: float = 0.0
+    theta: Optional[float] = 0.0
     step: Optional[np.ndarray] = None
 
 
@@ -142,6 +143,8 @@ class CriterionReport:
 
 STEP_TOL = 1e-12       # relative deviation allowed in M step = c v
 CRITERION_TOL = 1e-10  # relative tolerance of the criterion inequality
+THETA_CAP = 5.0        # largest over-relaxation the kernel takes from a root
+ROOT_BACKOFF = 1e-9    # relative back-off of 1 + theta from the root
 
 
 def _step_of(cert: HpeCertificate) -> np.ndarray:
@@ -216,6 +219,37 @@ def check_criterion(x: np.ndarray, cert: HpeCertificate, M: Metric,
     return rep
 
 
+def criterion_root(x: np.ndarray, cert: HpeCertificate, M: Metric,
+                   sigma: float) -> float:
+    """The largest theta at which ``cert`` meets the criterion at x, which
+    is affine in theta: with diff = y - x, cv = c v and M step = c v, one
+    apply and three dots give -1 + Gamma / <step, cv>, Gamma = (sigma - 1)
+    ||diff||_M^2 - 2 <diff, cv> - 2 c eps.  A zero step meets a criterion
+    free of theta at every theta (+inf) or at none.  A <step, cv> <= 0 (a
+    "degenerate U*M^-1U form") or a Gamma not above 1e-10 <step, cv> raises
+    :class:`CriterionViolation`; a NaN root is returned, for
+    :func:`check_criterion` to name the non-finite entry behind it."""
+    cv = cert.c * cert.v
+    diff = cert.y - x
+    gamma = ((sigma - 1.0) * float(np.dot(diff, M.apply(diff)))
+             - 2.0 * float(np.dot(diff, cv)) - 2.0 * cert.c * cert.eps)
+    den = float(np.dot(_step_of(cert), cv))
+    if den == 0.0 and gamma >= 0.0:
+        return math.inf
+    if den <= 0 or gamma <= 1e-10 * den:
+        raise CriterionViolation("%s (gamma_form=%.6e, denom_form=%.6e)" % (
+            "degenerate U*M^-1U form" if den <= 0 else
+            "directional Gamma form is not positive", gamma, den))
+    return -1.0 + gamma / den
+
+
+def admissible_theta(root: float, cap: float) -> float:
+    """min(cap, -1 + (1 + root)(1 - ROOT_BACKOFF)), NaN if either is: the
+    hair keeps rounding from flipping the root's equality."""
+    theta = -1.0 + (1.0 + root) * (1.0 - ROOT_BACKOFF)
+    return cap if theta > cap or math.isnan(cap) else theta
+
+
 def extragradient_step(x: np.ndarray, cert: HpeCertificate) -> np.ndarray:
     """Over-relaxed correction x - (1 + theta) c M^-1 v, along the
     certificate's step."""
@@ -276,8 +310,9 @@ def validate_metric_update(M_k: Metric, M_next: Metric, xi_k: float,
 
 
 # Iteration k as the trace producers see it once its certificate passed: x is
-# the iterate before the correction, M its metric, ref the reference solution.
-_Step = namedtuple("_Step", "k t0 x cert rep M xi v_norm ref")
+# the iterate before the correction, M its metric, ref the reference solution,
+# root the criterion root the kernel took theta from (NaN if it took none).
+_Step = namedtuple("_Step", "k t0 x cert rep M xi v_norm ref root")
 
 # The kernel's trace columns, in CSV order: (name, producer of a _Step).  The
 # last three are the Fejer gate's; no CSV carries them, and dist_M_sq costs a
@@ -355,7 +390,8 @@ class RunResult:
 def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
         metric_update=None, ref_solution: Optional[np.ndarray] = None,
         accumulators: Sequence["ErgodicAccumulator"] = (), stop=None,
-        columns: Sequence[tuple] = select(DEFAULT_COLUMNS)) -> RunResult:
+        columns: Sequence[tuple] = select(DEFAULT_COLUMNS),
+        theta_cap: Optional[float] = None) -> RunResult:
     """Drive the extra-gradient loop with a step oracle.
 
     ``oracle(x, M, cfg) -> HpeCertificate``, with ``step`` set, or None when
@@ -368,6 +404,8 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
     which a run without ``stop`` ends on (reason ``"residual"``).
     Each certified iteration appends one trace row: the value of each
     ``columns`` producer, a (name, producer) pair as :func:`select` returns.
+    A None theta becomes :func:`admissible_theta` of the certificate's root
+    under ``theta_cap``, finite and above -1 (None reads THETA_CAP).
 
     Every certificate must pass the criterion and every metric change the
     schedule omega_k I <= M_next <= (1 + xi_k) M_k, with the floor omega_k =
@@ -383,6 +421,10 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
     the partial trace and the ``abort`` record of k, class and message (and
     the criterion's lhs, rhs and slack when it failed).
     """
+    cap = THETA_CAP if theta_cap is None else theta_cap
+    if not (math.isfinite(cap) and cap > -1.0):
+        raise ValueError("theta cap must be finite and exceed -1, got %r"
+                         % cap)
     x, M = np.array(x0, dtype=float), M0
     final = {"Xi": 1.0} if metric_update is not None else {}
     trace = IterTrace(name for name, _ in columns)
@@ -399,10 +441,15 @@ def run(oracle, x0: np.ndarray, M0: Metric, cfg: HpeConfig,
             if cert is None:
                 reason = "fixed_point"
                 break
+            root = math.nan
+            if cert.theta is None:
+                root = criterion_root(x, cert, M, cfg.sigma)
+                cert.theta = admissible_theta(root, cap)
             rep = check_criterion(x, cert, M, cfg.sigma)
             xi_k = cfg.xi(k) if metric_update is not None else 0.0
             v_norm = norm(cert.v)
-            step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution)
+            step = _Step(k, t0, x, cert, rep, M, xi_k, v_norm, ref_solution,
+                         root)
             trace.append(tuple([produce(step) for produce in producers]))
             del step  # else the old x and M stay alive into the next iteration
             for acc in accumulators:

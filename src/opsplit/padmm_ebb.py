@@ -13,12 +13,10 @@ kernel loop :func:`opsplit.hpe_core.run`; one iteration performs:
 1. a Gauss-Seidel sweep over the blocks of a majorized augmented Lagrangian,
    each subproblem reduced to a single prox of g_i by a scalar-majorant
    proximal term, followed by the half-updated multiplier step;
-2. a step-size range computation: the largest over-relaxation that meets the
-   relative-error criterion along the current direction (ratio of two
-   quadratic forms);
-3. the kernel's extra-gradient correction z+ = z + (1 + theta) M^-1 U (w - z)
-   for the certificate v = U(z - w), eps = (1/4)||x - x~||_D^2, whose step
-   M^-1 U(z - w) the step-size range has already computed;
+2. the step-size range: the certificate v = U(z - w), eps = (1/4)||x -
+   x~||_D^2 and its step M^-1 U(z - w), along which the kernel takes the
+   largest over-relaxation the criterion admits (its root);
+3. the kernel's extra-gradient correction z+ = z + (1 + theta) M^-1 U (w - z);
 4. a blockwise Barzilai-Borwein update of the inverse-metric scalars, clamped
    to the admissible metric schedule.
 
@@ -35,29 +33,30 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import hpe_core
-from .hpe_core import (CriterionViolation, ErgodicAccumulator,
-                       HpeCertificate, HpeConfig, NonFiniteValue, RunResult)
+from .hpe_core import (ErgodicAccumulator, HpeCertificate, HpeConfig,
+                       NonFiniteValue, RunResult)
 from .linops import (BlockDiagonalMetric, BlockLayout, LinearMap, norm,
-                     spectral_upper_bound, weighted_norm_sq)
+                     spectral_upper_bound)
 
 # The multi-block trace columns, in CSV order after the kernel's: (name,
-# producer of the iteration's hooks, :class:`_Iteration`).  The opt-in ones
+# producer of the iteration's hooks, :class:`_Iteration`, and the kernel's
+# step, whose root is theta_adap).  The opt-in ones
 # cost work the solve does not need: pkkt every residual row, which the stop
 # test does not, and objective every g_i value.  The objective is taken at the
 # sweep point x~ (the certificate's y), which each prox keeps in the domain of
 # its g_i; over-relaxation can push the iterate z out of it.
 PADMM_COLUMNS = (
-    ("pkkt", lambda it: it.pnorm),
-    ("feas_norm", lambda it: norm(it.feas)),
-    ("objective", lambda it: it.problem.objective(it.points[:it.problem.p])),
-    ("theta_adap", lambda it: it.theta_adap),
-    ("beta", lambda it: it.beta),
+    ("pkkt", lambda it, s: it.pnorm),
+    ("feas_norm", lambda it, s: norm(it.feas)),
+    ("objective",
+     lambda it, s: it.problem.objective(it.points[:it.problem.p])),
+    ("theta_adap", lambda it, s: s.root),
+    ("beta", lambda it, s: it.beta),
 )
 OPT_IN_COLUMNS = ("pkkt", "objective")
 DEFAULT_COLUMNS = hpe_core.DEFAULT_COLUMNS + tuple(
     name for name, _ in PADMM_COLUMNS if name not in OPT_IN_COLUMNS)
 
-THETA_CAP = 5.0   # largest over-relaxation taken
 MARGIN = 1.05     # safety factor of the proximal curvatures
 M_FLOOR = 1e-8    # smallest inverse-metric scalar the BB update keeps
 PENALTY_KAPPA = 0.5  # kappa of the penalty rule, :func:`rule_beta`
@@ -259,32 +258,13 @@ class UOperator:
 
 
 def theta_range(d: np.ndarray, U: UOperator, M: BlockDiagonalMetric,
-                sigma_bar: float, eps: float,
                 images: Optional[Sequence[np.ndarray]] = None):
-    """Adaptive over-relaxation along the current direction d = z - w.
-
-    theta_adap = -1 + Gamma-form / (U* M^-1 U)-form meets the relative-error
-    criterion with equality for the certificate v = U d with step M^-1 U d
-    and the oracle's eps = (1/4) d^T D d, so the Gamma form's -(1/2) d^T D d
-    is -2 eps.  Returns (theta_adap, U d, M^-1 U d).  A degenerate
-    U* M^-1 U form (zero at d = 0), or a Gamma form not above 1e-10 times
-    it, raises :class:`CriterionViolation`.  The direction-independent bound
-    (a top generalized eigenvalue of the two forms) is never computed on the
-    solve path; the tests assemble it densely as an offline diagnostic.
-    """
+    """The certificate pair (U d, M^-1 U d) along d = z - w.  The kernel's
+    root of v = U d with eps = (1/4) d^T D d is theta_adap = -1 + Gamma-form
+    / (U* M^-1 U)-form, Gamma = U + U* - (1 - sigma) M - D/2; the tests
+    assemble the direction-independent bound densely, offline."""
     Ud = U.apply(d, images)
-    step = M.solve(Ud)
-    gamma_form = (2.0 * float(np.dot(d, Ud))
-                  + (sigma_bar - 1.0) * weighted_norm_sq(M, d) - 2.0 * eps)
-    denom_form = float(np.dot(Ud, step))
-    if denom_form <= 0:
-        raise CriterionViolation("degenerate U*M^-1U form (gamma_form=%.6e, "
-                                 "denom_form=%.6e)" % (gamma_form, denom_form))
-    if not gamma_form > 1e-10 * denom_form:
-        raise CriterionViolation(
-            "directional Gamma form is not positive (gamma_form=%.6e, "
-            "denom_form=%.6e)" % (gamma_form, denom_form))
-    return -1.0 + gamma_form / denom_form, Ud, step
+    return Ud, M.solve(Ud)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +345,16 @@ class _Iteration:
     """Steps 0-4 of one iteration (module docstring) as the hooks of
     :func:`hpe_core.run`; ``stop`` keeps the pKKT residual's gradients, dual
     block and images A_i y for the sweep, which drops the images and whose
-    adjoint images U (built once) reuses; the kernel keeps Xi.  The oracle's
-    eps = (1/4) d^T D d is one dot, which :func:`theta_range` reuses.  Each
+    adjoint images U (built once) reuses; the kernel keeps Xi and takes the
+    over-relaxation.  The oracle's eps = (1/4) d^T D d is one dot.  Each
     iteration sweeps once: a directional Gamma form that is not positive,
     or a degenerate step range, aborts the run with
     :class:`CriterionViolation` instead of changing it.  Unless ``columns``
     names ``pkkt``, the stop test cuts the residual short."""
 
     def __init__(self, problem: MultiBlockProblem, cfg: HpeConfig, beta: float,
-                 theta_fixed: Optional[float], columns: Sequence[str]):
-        self.problem, self.cfg = problem, cfg
-        self.beta, self.theta_fixed = beta, theta_fixed
+                 columns: Sequence[str]):
+        self.problem, self.cfg, self.beta = problem, cfg, beta
         self.etas = scalar_majorant_etas(problem, beta)
         self.inv_scalars = [1.0 / e for e in self.etas] + [beta]
         self.U = UOperator(problem, beta, self.etas)
@@ -412,16 +391,9 @@ class _Iteration:
         if not math.isfinite(d_norm):
             raise NonFiniteValue("non-finite sweep point")
         eps = 0.25 * float(np.dot(d * pr.d_weights, d))
-        theta_adap, Ud, step = theta_range(d, self.U, M, cfg.sigma, eps,
-                                           images)
-        self.points, self.theta_adap = x_tilde + [y_tilde], theta_adap
-        # the adaptive endpoint meets the criterion with equality; back off by
-        # a relative hair so roundoff cannot flip the inequality
-        theta_safe = -1.0 + (1.0 + theta_adap) * (1.0 - 1e-9)
-        theta = min(theta_safe, THETA_CAP)
-        if self.theta_fixed is not None:
-            theta = min(self.theta_fixed, theta_safe)
-        return HpeCertificate(y=w, v=Ud, eps=eps, c=1.0, theta=theta,
+        Ud, step = theta_range(d, self.U, M, images)
+        self.points = x_tilde + [y_tilde]
+        return HpeCertificate(y=w, v=Ud, eps=eps, c=1.0, theta=None,
                               step=step)
 
     def metric_update(self, k: int, z: np.ndarray, cert: HpeCertificate,
@@ -458,8 +430,9 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
     schedule's floor is the one the BB clamp keeps, min(M_0 scalars) /
     prod_{j<=k} (1 + xi_j), and the kernel records that product as
     ``final["Xi"]``, also on an aborted run's result.  ``beta`` is the
-    penalty (:func:`rule_beta` when omitted) and ``theta_fixed``, when
-    given, caps the over-relaxation (0.0 disables it).  A run that reaches
+    penalty (:func:`rule_beta` when omitted) and ``theta_fixed`` the
+    kernel's cap on the over-relaxation (None: ``hpe_core.THETA_CAP``; 0.0
+    disables it).  A run that reaches
     ``max_iters`` still ends converged if its final iterate meets the
     tolerance.  The trace records the ``columns`` named, of
     :data:`hpe_core.TRACE_COLUMNS` and :data:`PADMM_COLUMNS`.  The result's
@@ -475,14 +448,15 @@ def run_padmm(problem: MultiBlockProblem, cfg: HpeConfig,
         raise ValueError("theta_fixed must be finite and exceed -1, got %r"
                          % theta_fixed)
     it = _Iteration(problem, cfg, rule_beta(problem) if beta is None else beta,
-                    theta_fixed, columns)
-    bound = tuple((name, lambda step, produce=produce: produce(it))
+                    columns)
+    bound = tuple((name, lambda step, produce=produce: produce(it, step))
                   for name, produce in PADMM_COLUMNS)
     res = hpe_core.run(
         it.oracle, np.zeros(problem.full_layout.dim), it.metric(), cfg,
         metric_update=it.metric_update, ref_solution=ref_solution,
         accumulators=accumulators, stop=it.stop,
-        columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound))
+        columns=hpe_core.select(columns, hpe_core.TRACE_COLUMNS + bound),
+        theta_cap=theta_fixed)
     pnorm = it.pnorm
     if res.reason != "pkkt":
         # only a met stop test leaves a complete residual of the final iterate

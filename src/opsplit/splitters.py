@@ -5,11 +5,11 @@ method (forward-backward-half-forward, projective proximal-gradient
 consensus splitting, and Condat-Vu and an adaptive-step variant, two
 members of one primal-dual problem) and returns only its
 :class:`~opsplit.hpe_core.HpeCertificate`.
-The certificate carries the scheme's own step c M^-1 v (no metric solve) and
-satisfies the relative-error criterion under the metric ``problem.metric()``;
-the scheme's native update is the kernel's over-relaxed extra-gradient
-correction along that step, so no step builds a next iterate.  The kernel
-checks the step against v to 1e-12 on every call, for every scheme.
+The certificate carries the scheme's own step c M^-1 v (no metric solve)
+under the metric ``problem.metric()``; the scheme's native update is the
+kernel's over-relaxed extra-gradient correction along that step, at the
+criterion's root unless the step sets theta, so no step builds a next
+iterate.  The kernel checks the step against v to 1e-12 on every call.
 :data:`SCHEMES` codes a QP onto each scheme and turns it into a kernel
 oracle.
 """
@@ -22,9 +22,33 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .hpe_core import CriterionViolation, HpeCertificate, HpeConfig
+from . import hpe_core
+from .hpe_core import HpeCertificate, HpeConfig
 from .linops import DenseMetric, IdentityMetric, Metric
 from .prox_problems import ProxFn
+
+
+def _check_constant(name: str, value, sign: str = "positive") -> None:
+    """ValueError naming a constant that is not finite and ``sign``."""
+    if value is None or not (math.isfinite(value) and value >= 0
+                             and (value > 0 or sign == "nonnegative")):
+        raise ValueError("%s must be finite and %s, got %r"
+                         % (name, sign, value))
+
+
+def _check_hessian(Q: Optional[np.ndarray], dim: int) -> None:
+    if Q is not None and np.shape(Q) != (dim, dim):
+        raise ValueError("Q must be a (%d, %d) Hessian, got shape %s"
+                         % (dim, dim, np.shape(Q)))
+
+
+def _curvature_eps(d: np.ndarray, Q: Optional[np.ndarray], L: float) -> float:
+    """(1/4) d^T Q d, the enlargement error of a quadratic's gradient taken
+    d away (Burachik, Iusem and Svaiter, 1997), or (L/4)||d||^2 for any
+    L-smooth one when Q is None; d is the certificate's own vector."""
+    if Q is None:
+        return 0.25 * L * float(np.dot(d, d))
+    return 0.25 * float(np.dot(d, Q @ d))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +61,8 @@ class FbhfProblem:
     """Monotone inclusion 0 in (A + B1 + B2)(x), split at step size gamma.
 
     ``resolvent(gamma, u)`` evaluates J_{gamma A}(u); B1 is beta-cocoercive
-    (beta = None means B1 = 0); B2 is monotone and L-Lipschitz.
+    (beta = None means B1 = 0); B2 is monotone and L-Lipschitz.  ``Q`` is
+    the Hessian of a quadratic whose gradient B1 is, if given.
     """
 
     dim: int
@@ -47,35 +72,31 @@ class FbhfProblem:
     beta: Optional[float] = None
     B2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
+    Q: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.B1 is not None and (self.beta is None or self.beta <= 0):
-            raise ValueError("B1 requires a positive cocoercivity constant beta")
-        if self.L < 0:
-            raise ValueError("L must be nonnegative")
+        _check_constant("gamma", self.gamma)
+        if self.B1 is not None:
+            _check_constant("beta", self.beta)
+        _check_constant("L", self.L, "nonnegative")
+        _check_hessian(self.Q, self.dim)
 
     def metric(self) -> Metric:
         return IdentityMetric()
 
 
-def fbhf_max_theta(p: FbhfProblem, sigma: float) -> float:
-    """Largest over-relaxation admissible at the problem's step size."""
-    g2L2 = p.gamma ** 2 * p.L ** 2
-    coco = p.gamma / (2.0 * p.beta) if p.B1 is not None else 0.0
-    return (sigma - g2L2 - coco) / (1.0 + g2L2)
-
-
-def fbhf_step(x: np.ndarray, p: FbhfProblem, theta: float) -> HpeCertificate:
-    """One certified forward-backward-half-forward step (metric I, c = gamma)."""
+def fbhf_step(x: np.ndarray, p: FbhfProblem,
+              theta: Optional[float] = None) -> HpeCertificate:
+    """One certified forward-backward-half-forward step (metric I, c = gamma),
+    eps B1's enlargement error along delta = x - y."""
     gamma = p.gamma
     b1 = p.B1(x) if p.B1 is not None else np.zeros_like(x)
     b2x = p.B2(x) if p.B2 is not None else np.zeros_like(x)
     y = np.asarray(p.resolvent(gamma, x - gamma * (b1 + b2x)), dtype=float)
     b2y = p.B2(y) if p.B2 is not None else np.zeros_like(x)
-    v = (x - y) / gamma - b2x + b2y
-    eps = 0.0 if p.B1 is None else float(np.dot(x - y, x - y)) / (4.0 * p.beta)
+    delta = x - y
+    v = delta / gamma - b2x + b2y
+    eps = 0.0 if p.B1 is None else _curvature_eps(delta, p.Q, 1.0 / p.beta)
     return HpeCertificate(y=y, v=v, eps=eps, c=gamma, theta=theta,
                           step=gamma * v)
 
@@ -90,7 +111,8 @@ class PpgProblem:
     """min r(x) + (1/n) sum_i f_i(x) + (1/n) sum_i g_i(x).
 
     Iterates live in the n-fold product space; each copy carries one summand.
-    L is the common Lipschitz constant of the gradients.
+    L is the common Lipschitz constant of the gradients, ``Q`` the common
+    Hessian of quadratic f_i, if given.
     """
 
     n: int
@@ -100,38 +122,38 @@ class PpgProblem:
     grad_f: List[Callable[[np.ndarray], np.ndarray]]
     L: float
     alpha: float
+    Q: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.alpha <= 0 or self.L < 0:
-            raise ValueError("need n >= 1, alpha > 0, L >= 0")
+        _check_constant("n", self.n)
+        _check_constant("alpha", self.alpha)
+        _check_constant("L", self.L, "nonnegative")
         if len(self.prox_g) != self.n or len(self.grad_f) != self.n:
             raise ValueError("one prox_g and grad_f per summand required")
+        _check_hessian(self.Q, self.dim)
 
     def metric(self) -> Metric:
         return IdentityMetric()
 
 
-def ppg_max_theta(p: PpgProblem, sigma: float) -> float:
-    return sigma - p.L * p.alpha / 2.0
-
-
-def ppg_step(z: np.ndarray, p: PpgProblem, theta: float) -> HpeCertificate:
+def ppg_step(z: np.ndarray, p: PpgProblem,
+             theta: Optional[float] = None) -> HpeCertificate:
     """One certified consensus splitting step (metric I, c = 1).
 
-    Consensus point x+ = prox_{alpha r}(mean z_i); per-copy proxes at the
-    gradient-corrected reflections; the step is v.  The certificate's eps
-    carries the factor alpha from the enlargement scaling.
+    Consensus point x_c = prox_{alpha r}(mean z_i); per-copy proxes x_n,i at
+    the gradient-corrected reflections; y_i = z_i + x_n,i - x_c.  The step
+    is v = z - y (x_c - x_n,i in exact arithmetic, and step + (y - z) = 0
+    in floating point); eps is alpha times the f_i's enlargement errors.
     """
     zs = z.reshape(p.n, p.dim)
-    mean = sum(zs) / p.n
-    xc = p.prox_r.evaluate(p.alpha, mean)
+    xc = p.prox_r.evaluate(p.alpha, sum(zs) / p.n)
     x_next = [prox.evaluate(p.alpha, 2.0 * xc - zi - p.alpha * grad(xc))
               for zi, grad, prox in zip(zs, p.grad_f, p.prox_g)]
     y = np.concatenate([zi + xn - xc for zi, xn in zip(zs, x_next)])
-    v = np.concatenate([xc - xn for xn in x_next])
-    eps_raw = 0.25 * p.L * sum(float(np.dot(xn - xc, xn - xc)) for xn in x_next)
-    return HpeCertificate(y=y, v=v, eps=p.alpha * eps_raw, c=1.0,
-                          theta=theta, step=v)
+    v = z - y
+    eps = p.alpha * sum(_curvature_eps(vi, p.Q, p.L)
+                        for vi in v.reshape(p.n, p.dim))
+    return HpeCertificate(y=y, v=v, eps=eps, c=1.0, theta=theta, step=v)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +194,7 @@ class PrimalDualProblem:
     and the margin is its r - ||B||^2/s.  R, S and M are assembled once, so
     each apply of any of them is one matrix-vector product.  ``bnorm`` is
     ||B||, when the caller already took it from the same matrix; None takes
-    it from B.
+    it from B.  ``Q`` is f's Hessian, if given.
     """
 
     dim_x: int
@@ -188,6 +210,7 @@ class PrimalDualProblem:
     grad_f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     L: float = 0.0
     bnorm: Optional[float] = field(default=None, repr=False)
+    Q: Optional[np.ndarray] = field(default=None, repr=False)
     _metric: Metric = field(init=False, repr=False, default=None)
     _R: np.ndarray = field(init=False, repr=False, default=None)
     _S: np.ndarray = field(init=False, repr=False, default=None)
@@ -201,6 +224,7 @@ class PrimalDualProblem:
         Bd = self.B
         if Bd.shape != (self.dim_y, self.dim_x):
             raise ValueError("B dimensions inconsistent with dim_x/dim_y")
+        _check_hessian(self.Q, self.dim_x)
         if self.bnorm is None:
             self.bnorm = _spectral_norm(Bd)
         if self.curvature_margin <= self.L / 4.0:
@@ -217,34 +241,31 @@ class PrimalDualProblem:
     @property
     def curvature_margin(self) -> float:
         """r - theta^2 ||B||^2 / (4 s): the coefficient bounding ||d||_M^2
-        below by ||dx||^2, which enters the admissible over-relaxation
-        because the enlargement error lives on the primal block."""
+        below by ||dx||^2, which bounds the criterion's root below because
+        the enlargement error lives on the primal block."""
         return self.r - self.theta ** 2 * self.bnorm ** 2 / (4.0 * self.s)
 
     def metric(self) -> Metric:
         return self._metric
 
 
-def condat_vu_max_theta(p: PrimalDualProblem, sigma: float) -> float:
-    return sigma - p.L / (2.0 * p.curvature_margin)
-
-
 def _primal_dual_sweep(z: np.ndarray, p: PrimalDualProblem):
     """(w, d, eps) of the primal-dual sweep from z = (x, y): the sweep point
     w = (x~, y~) with x~ = prox_{g/r}(x - (grad f(x) + B* y)/r) and
     y~ = prox_{h*/s}(y + B((1-theta) x + theta x~)/s), the displacement
-    d = z - w and the enlargement error eps = (L/4)||x - x~||^2."""
+    d = z - w and the enlargement error of grad f along its primal block
+    dx = x - x~: (1/4) dx^T Q dx with a Hessian, (L/4)||dx||^2 without."""
     x, y = z[:p.dim_x], z[p.dim_x:]
     gf = p.grad_f(x) if p.grad_f is not None else np.zeros_like(x)
     xt = p.prox_g.evaluate(1.0 / p.r, x - (gf + p.B.T @ y) / p.r)
     u = y + p.B @ ((1.0 - p.theta) * x + p.theta * xt) / p.s
     w = np.concatenate([xt, _prox_conjugate(p.prox_h, 1.0 / p.s, u)])
     d = z - w
-    return w, d, 0.25 * p.L * float(np.dot(d[:p.dim_x], d[:p.dim_x]))
+    return w, d, _curvature_eps(d[:p.dim_x], p.Q, p.L)
 
 
 def condat_vu_step(z: np.ndarray, p: PrimalDualProblem,
-                   theta: float) -> HpeCertificate:
+                   theta: Optional[float] = None) -> HpeCertificate:
     """One certified primal-dual step under the metric M (c = 1).
 
     The certificate's step is the sweep's d = z - w, with v = M d, so the
@@ -261,31 +282,24 @@ def afbas_pd_step(z: np.ndarray, p: PrimalDualProblem,
                   sigma: float) -> Optional[HpeCertificate]:
     """One certified adaptive primal-dual step (c = 1, metric R S^{-1}).
 
-    alpha_k = min(lam, cap) (1/2)||d||^2_{R+R*} / <S d, R d> with d the
-    sweep's z - w, where cap keeps the relative-error criterion with the
-    given sigma along the direction (VMOR-HPE certifies any such step) and
-    lam, inf by default, is an optional absolute cap; theta_k = alpha_k - 1.
-    The certificate is v = R d with step M^-1 v = S d, so the kernel's
-    correction is the native update z - alpha_k S d.  At d = 0, z is a fixed
-    point of the scheme and the step returns None, as the kernel's oracle
-    protocol asks.  A direction with no admissible step raises
-    :class:`CriterionViolation`.
+    With d the sweep's z - w the certificate is v = R d with step
+    M^-1 v = S d, so the kernel's correction is the native update
+    z - alpha_k S d, alpha_k = 1 + theta_k, at the criterion's root.  An
+    explicit ``lam`` also caps alpha_k at lam <d, R d> / <S d, R d>: the
+    step then sets theta_k from the same root, at the given sigma.  At
+    d = 0, z is a fixed point and the step returns None.
     """
     w, d, eps = _primal_dual_sweep(z, p)
     if np.linalg.norm(d) == 0.0:
         return None
     Rd = p._R @ d
     Sd = p._S @ d
-    n2_rr = 2.0 * float(np.dot(d, Rd))                      # ||d||^2_{R+R*}
-    denom = float(np.dot(Sd, Rd))                           # ||S d||^2_M > 0
-    d_M = float(np.dot(d, p.metric().apply(d)))
-    cap = 0.999 * (n2_rr - (1.0 - sigma) * d_M - 2.0 * eps) / (0.5 * n2_rr)
-    if cap <= 0:
-        raise CriterionViolation("no admissible step along this direction "
-                                 "(criterion cap %.3e)" % cap)
-    alpha = min(p.lam, cap) * 0.5 * n2_rr / denom
-    return HpeCertificate(y=w, v=Rd, eps=eps, c=1.0, theta=alpha - 1.0,
-                          step=Sd)
+    cert = HpeCertificate(y=w, v=Rd, eps=eps, c=1.0, theta=None, step=Sd)
+    if p.lam != math.inf:
+        alpha = p.lam * float(np.dot(d, Rd)) / float(np.dot(Sd, Rd))
+        cert.theta = hpe_core.admissible_theta(
+            hpe_core.criterion_root(z, cert, p.metric(), sigma), alpha - 1.0)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -315,64 +329,62 @@ def _qp_data(inst):
             float(np.linalg.eigvalsh(inst.Q)[-1]))
 
 
-# Each bounded QP coding splits the relative-error budget sigma between the
-# over-relaxation and the step: theta_max = THETA_SHARE sigma, and the rest
-# of sigma goes to the step, which buys more than over-relaxation does on
-# these schemes.  CV_DUAL_SCALE sets Condat-Vu's dual scale.  Both took the
-# fewest iterations on the QP seeds 0-9 of those swept (README).
+# fbhf's and ppg's step c is STEP_SHARE of the limit 2 (1 + sigma) / L.  With
+# M = I and step + (y - x) = 0 their root is sigma - (c/2) delta^T Q delta /
+# ||delta||^2 >= sigma - STEP_SHARE (1 + sigma) > -1 along every step delta,
+# at every sigma.  Condat-Vu's root stays above THETA_SHARE sigma, the rest of
+# sigma going to its scales, and CV_DUAL_SCALE sets its dual scale.  Each
+# took the fewest iterations on the QP seeds 0-9 of those swept (README).
+STEP_SHARE = 0.95
 THETA_SHARE = 0.125
 CV_DUAL_SCALE = 1.5
 
 
 def fbhf_from_qp(inst, sigma: Optional[float] = None):
-    """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic.
-
-    Returns (problem, theta_max, x_ref); pick theta <= theta_max.  The step
-    gamma = 2 (1 - THETA_SHARE) beta sigma leaves theta_max = THETA_SHARE
-    sigma, as in every bounded QP coding.
-    """
+    """FBHF coding: A = normal cone of {Gx=b}, B1 = grad of the quadratic,
+    with its Hessian, at gamma = 2 STEP_SHARE (1 + sigma) / ||Q||.  Returns
+    (problem, x_ref)."""
     sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
-    beta = 1.0 / Lq
     prob = FbhfProblem(dim=Q.shape[0], resolvent=lambda gamma, u: proj(u),
-                       gamma=2.0 * (1.0 - THETA_SHARE) * beta * sigma,
-                       B1=lambda u: Q @ u + c, beta=beta)
-    return prob, fbhf_max_theta(prob, sigma), inst.x_star
+                       gamma=2.0 * STEP_SHARE * (1.0 + sigma) / Lq,
+                       B1=lambda u: Q @ u + c, beta=1.0 / Lq, Q=Q)
+    return prob, inst.x_star
 
 
 def ppg_from_qp(inst, sigma: Optional[float] = None):
-    """Consensus coding: r = affine indicator, f_i = the full quadratic.
-
-    Returns (problem, theta_max, z_ref); the reference point is the known
-    fixed point z_i* = x* - alpha grad f_i(x*).  The step alpha =
-    2 (1 - THETA_SHARE) sigma / L leaves theta_max = THETA_SHARE sigma.
+    """Consensus coding: r = affine indicator, f_i = the full quadratic,
+    with its Hessian, at alpha = 2 STEP_SHARE (1 + sigma) / ||Q||.  Returns
+    (problem, z_ref), z_i* = x* - alpha grad f_i(x*) the known fixed point.
     """
     sigma = HpeConfig.sigma if sigma is None else sigma
     Q, c, G, b, Lq = _qp_data(inst)
     proj = affine_projector(G, b)
-    alpha = 2.0 * (1.0 - THETA_SHARE) * sigma / Lq
+    alpha = 2.0 * STEP_SHARE * (1.0 + sigma) / Lq
     prox_r = ProxFn(lambda t, u: proj(u), lambda u: 0.0, name="affine")
     n = 3  # copies of the quadratic
     prob = PpgProblem(n=n, dim=Q.shape[0], prox_r=prox_r,
                       prox_g=[ProxFn.zero() for _ in range(n)],
                       grad_f=[(lambda u, Q=Q, c=c: Q @ u + c)] * n,
-                      L=Lq, alpha=alpha)
-    g_star = Q @ inst.x_star + c
-    z_ref = np.tile(inst.x_star - alpha * g_star, n)
-    return prob, ppg_max_theta(prob, sigma), z_ref
+                      L=Lq, alpha=alpha, Q=Q)
+    return prob, np.tile(inst.x_star - alpha * (Q @ inst.x_star + c), n)
 
 
 def condat_vu_from_qp(inst, sigma: Optional[float] = None):
-    """Primal-dual coding: f = quadratic, g = 0, h = indicator of {b}, B = G.
+    """Primal-dual coding: f = quadratic, with its Hessian, g = 0,
+    h = indicator of {b}, B = G.
 
-    Returns (problem, theta_max, z_ref = (x*, y*)).  Condat-Vu is the
-    problem's theta = 2 member, where mu has no effect.  The dual scale is
-    s = CV_DUAL_SCALE (||B|| + L/sigma + 1); the primal scale r =
-    ||B||^2/s + L/(2 sigma (1 - THETA_SHARE)) gives r - ||B||^2/s the value
-    that leaves theta_max = THETA_SHARE sigma, and r s > ||B||^2.
+    Returns (problem, z_ref = (x*, y*)).  Condat-Vu is the problem's
+    theta = 2 member, where mu has no effect.  For sigma > 0 the scales
+    s = CV_DUAL_SCALE (||B|| + L/sigma + 1) and r = ||B||^2/s +
+    L/(2 sigma (1 - THETA_SHARE)) keep the criterion's root above
+    THETA_SHARE sigma, with r s > ||B||^2.
     """
     sigma = HpeConfig.sigma if sigma is None else sigma
+    if not sigma > 0:
+        raise ValueError("sigma must be positive for a scheme whose step "
+                         "scales with it, got %r" % sigma)
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
     s = CV_DUAL_SCALE * (bnorm + Lq / sigma + 1.0)
@@ -380,8 +392,9 @@ def condat_vu_from_qp(inst, sigma: Optional[float] = None):
     prob = PrimalDualProblem(dim_x=Q.shape[0], dim_y=b.size,
                              prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                              B=G, r=r, s=s, theta=2.0, mu=0.5,
-                             grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
-    return prob, condat_vu_max_theta(prob, sigma), inst.z_star
+                             grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm,
+                             Q=Q)
+    return prob, inst.z_star
 
 
 AFBAS_THETA = 0.5
@@ -389,14 +402,10 @@ AFBAS_THETA = 0.5
 
 def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
                      lam: float = math.inf):
-    """Adaptive primal-dual coding of the same saddle problem.
-
-    Returns (problem, None, z_ref = (x*, y*)): the step picks its own
-    over-relaxation, so there is no theta_max.  The structural ``theta``
-    defaults to AFBAS_THETA = 0.5, which took the fewest iterations on the
-    QP seeds 0-9 of those swept (README).  The step takes the criterion's
-    cap unless an explicit ``lam`` caps it lower.
-    """
+    """Adaptive primal-dual coding of the same saddle problem, with the
+    Lipschitz eps.  Returns (problem, z_ref = (x*, y*)).  The structural
+    ``theta`` defaults to AFBAS_THETA = 0.5, which took the fewest
+    iterations on the QP seeds 0-9 of those swept (README)."""
     theta = AFBAS_THETA if theta is None else theta
     Q, c, G, b, Lq = _qp_data(inst)
     bnorm = _spectral_norm(G)
@@ -407,7 +416,7 @@ def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
                              prox_g=ProxFn.zero(), prox_h=ProxFn.constant(b),
                              B=G, r=r, s=s, theta=theta, mu=mu, lam=lam,
                              grad_f=lambda u: Q @ u + c, L=Lq, bnorm=bnorm)
-    return prob, None, inst.z_star
+    return prob, inst.z_star
 
 
 # ---------------------------------------------------------------------------
@@ -418,63 +427,29 @@ def afbas_pd_from_qp(inst, theta: Optional[float] = None, mu: float = 0.5,
 @dataclass(frozen=True)
 class Scheme:
     """One splitter coded onto a QP: ``build(inst, sigma)`` returns
-    (problem, theta_max, reference), every step scale derived from the QP,
-    ``step(x, problem, theta, sigma)`` one certificate under the metric
-    ``problem.metric()``, and ``bound`` states theta <= theta_max (None: the
-    scheme picks its over-relaxation at every step)."""
+    (problem, reference), every scale derived from the QP, and ``step(x,
+    problem, sigma)`` one certificate under ``problem.metric()``."""
 
     build: Callable[..., tuple]
     step: Callable[..., HpeCertificate]
-    bound: Optional[str] = None
 
-    def setup(self, inst, sigma: float, theta: Optional[float] = None):
-        """(oracle, M_0, x_0, reference) of a kernel run on ``inst``.
-
-        A scheme with a bound scales its step with sigma, so it needs
-        sigma > 0.  ``theta`` None takes 0.9 theta_max.  That theta or an
-        explicit one past the bound, at or below -1 or NaN, or any theta for
-        a scheme without a bound, raises ValueError.  This is the one check
-        of the bound: the steps take theta as given.
-        """
-        if self.bound is not None and not sigma > 0:
-            raise ValueError("sigma must be positive for a scheme whose step "
-                             "scales with it, got %r" % sigma)
-        prob, theta_max, ref = self.build(inst, sigma)
-        if self.bound is None:
-            if theta is not None:
-                raise ValueError("this scheme picks its over-relaxation at "
-                                 "every step; theta must be 'auto'")
-        else:
-            theta = 0.9 * theta_max if theta is None else theta
-            if not theta > -1.0:
-                raise ValueError("theta must exceed -1, got %r" % theta)
-            if theta > theta_max + 1e-12:
-                raise ValueError("theta %.4g violates %s (max %.4g)"
-                                 % (theta, self.bound, theta_max))
-        def oracle(x: np.ndarray, M, cfg) -> Optional[HpeCertificate]:
-            return self.step(x, prob, theta, cfg.sigma)
-
-        return oracle, prob.metric(), np.zeros(ref.size), ref
+    def setup(self, inst, sigma: float):
+        """(oracle, M_0, x_0, reference) of a kernel run on ``inst``."""
+        prob, ref = self.build(inst, sigma)
+        return (lambda x, M, cfg: self.step(x, prob, cfg.sigma),
+                prob.metric(), np.zeros(ref.size), ref)
 
 
 # Steps and builders are looked up by module name when called, so that
 # wrapping or patching a module function reaches every scheme.  The order is
 # the CLI's algorithm order.
 SCHEMES = {
-    "condat-vu": Scheme(
-        build=lambda inst, sigma: condat_vu_from_qp(inst, sigma),
-        step=lambda z, p, theta, sigma: condat_vu_step(z, p, theta),
-        bound="theta + L/(2(r - ||B||^2/s)) <= sigma"),
-    "ppg": Scheme(
-        build=lambda inst, sigma: ppg_from_qp(inst, sigma),
-        step=lambda z, p, theta, sigma: ppg_step(z, p, theta),
-        bound="theta + L*alpha/2 <= sigma"),
-    "fbhf": Scheme(
-        build=lambda inst, sigma: fbhf_from_qp(inst, sigma),
-        step=lambda x, p, theta, sigma: fbhf_step(x, p, theta),
-        bound="(1 + gamma^2 L^2) theta + gamma^2 L^2 + gamma/(2 beta) "
-              "<= sigma"),
-    "afbas-pd": Scheme(
-        build=lambda inst, sigma: afbas_pd_from_qp(inst),
-        step=lambda z, p, theta, sigma: afbas_pd_step(z, p, sigma)),
+    "condat-vu": Scheme(lambda inst, sigma: condat_vu_from_qp(inst, sigma),
+                        lambda z, p, sigma: condat_vu_step(z, p)),
+    "ppg": Scheme(lambda inst, sigma: ppg_from_qp(inst, sigma),
+                  lambda z, p, sigma: ppg_step(z, p)),
+    "fbhf": Scheme(lambda inst, sigma: fbhf_from_qp(inst, sigma),
+                   lambda x, p, sigma: fbhf_step(x, p)),
+    "afbas-pd": Scheme(lambda inst, sigma: afbas_pd_from_qp(inst),
+                       lambda z, p, sigma: afbas_pd_step(z, p, sigma)),
 }

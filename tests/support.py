@@ -104,3 +104,109 @@ def kkt_operator(inst):
     K = np.block([[inst.Q, inst.G.T], [-inst.G, np.zeros((m, m))]])
     q = np.concatenate([-inst.c, -inst.b])
     return K, q
+
+
+def worst_case_theta(problem, sigma: float) -> float:
+    """The direction-independent bound on a splitter's over-relaxation when
+    its eps is the Lipschitz one (no Hessian): FBHF (sigma - gamma^2 L^2 -
+    gamma/(2 beta)) / (1 + gamma^2 L^2), PPG sigma - L alpha/2, primal-dual
+    sigma - L/(2 curvature margin).  Every direction's criterion root lies
+    at or above it."""
+    from opsplit.splitters import FbhfProblem, PpgProblem
+    if isinstance(problem, FbhfProblem):
+        g2L2 = problem.gamma ** 2 * problem.L ** 2
+        coco = (problem.gamma / (2.0 * problem.beta)
+                if problem.B1 is not None else 0.0)
+        return (sigma - g2L2 - coco) / (1.0 + g2L2)
+    if isinstance(problem, PpgProblem):
+        return sigma - problem.L * problem.alpha / 2.0
+    return sigma - problem.L / (2.0 * problem.curvature_margin)
+
+
+def psd_enlargement(S: np.ndarray, r: np.ndarray):
+    """(eps*, off) of a residual r = T(y) - v of an affine monotone T with
+    symmetric part S: eps* = (1/4) r^T S^+ r is the smallest eps with
+    v in T^eps(y), since inf_h <r, h> + h^T S h = -eps*, and off is the
+    norm of r's part outside range(S), where that infimum is -inf."""
+    S_pinv = np.linalg.pinv(S, rcond=1e-12, hermitian=True)
+    return (0.25 * float(r @ S_pinv @ r),
+            float(np.linalg.norm(r - S @ (S_pinv @ r))))
+
+
+def fbhf_enlargement(inst):
+    """eps*(y, v) -> (eps*, ||r||, off) of the FBHF operator
+    T = Q x + c + N_V(x) on V = {G x = b}.  On V the normal cone drops out
+    of <T(z) - v, z - y>, so in an orthonormal basis N of null(G) the
+    residual is r = N^T (Q y + c - v) against N^T Q N.  off is y's
+    distance from V relative to ||G|| ||y|| + ||b||, the size the rounding
+    of G y - b is relative to."""
+    _, svals, vt = np.linalg.svd(inst.G)
+    N = vt[int(np.sum(svals > 1e-12 * svals.max())) if svals.size else 0:].T
+    S = N.T @ inst.Q @ N
+    gnorm = float(svals.max()) if svals.size else 0.0
+
+    def eps_star(y, v):
+        r = N.T @ (inst.Q @ y + inst.c - v)
+        eps, _ = psd_enlargement(S, r)
+        off = float(np.linalg.norm(inst.G @ y - inst.b))
+        return eps, float(np.linalg.norm(r)), off / (
+            1.0 + gnorm * float(np.linalg.norm(y)) + np.linalg.norm(inst.b))
+
+    return eps_star
+
+
+def primal_dual_enlargement(inst):
+    """eps*(w, v) -> (eps*, ||r||, off) of the saddle operator T(x, y) =
+    (Q x + c + G* y, b - G x) of the QP (:func:`kkt_operator`), whose
+    symmetric part is diag(Q, 0): off is the norm of r's dual block,
+    outside that range, relative to ||K|| ||w|| + ||q||, the size the
+    rounding of T(w) is relative to."""
+    K, q = kkt_operator(inst)
+    S = 0.5 * (K + K.T)
+    knorm = float(np.linalg.norm(K, 2))
+
+    def eps_star(w, v):
+        r = K @ w - q - v
+        eps, off = psd_enlargement(S, r)
+        return eps, float(np.linalg.norm(r)), off / (
+            1.0 + knorm * float(np.linalg.norm(w)) + np.linalg.norm(q))
+
+    return eps_star
+
+
+def ppg_enlargement(problem):
+    """eps*(y, v) -> (eps*, ||r||, off) of PPG's operator on a QP coding
+    (g_i = 0, f_i with Hessian Q, affine prox_r).  The step with each
+    grad f_i taken at the copy's own new point x_n,i, (I + alpha Q) x_n,i =
+    2 x_c - z_i - alpha c with c = grad f_i(0), is a Douglas-Rachford map
+    R(z) = z + x_n - x_c, firmly nonexpansive, so the resolvent of
+    S = R^-1 - I, whose graph is {(R u, u - R u)}.  R is affine,
+    R u = P u + t.  With z = y + v, e = y - R z and u = z + h,
+    <v' - v, y - y'> over the graph is ||e||^2 + g^T h - h^T W h,
+    g = (I - 2 P)^T e and W the symmetric part of (I - P)^T P, so
+    eps* = ||e||^2 + (1/4) g^T W^+ g, with r = g; off is g's part outside
+    range(W) relative to 1 + ||z||."""
+    n, dim, alpha, Q = problem.n, problem.dim, problem.alpha, problem.Q
+    c = problem.grad_f[0](np.zeros(dim))
+    inner = np.linalg.inv(np.eye(dim) + alpha * Q)
+
+    def resolvent(z):
+        zs = z.reshape(n, dim)
+        xc = problem.prox_r.evaluate(alpha, sum(zs) / n)
+        return np.concatenate([zi + inner @ (2.0 * xc - zi - alpha * c) - xc
+                               for zi in zs])
+
+    t = resolvent(np.zeros(n * dim))
+    P = np.column_stack([resolvent(e) - t for e in np.eye(n * dim)])
+    W = 0.5 * ((np.eye(n * dim) - P).T @ P + P.T @ (np.eye(n * dim) - P))
+    I_2P = np.eye(n * dim) - 2.0 * P
+
+    def eps_star(y, v):
+        z = y + v
+        e = y - resolvent(z)
+        g = I_2P.T @ e
+        eps, off = psd_enlargement(W, g)
+        return (float(e @ e) + eps, float(np.linalg.norm(g)),
+                off / (1.0 + float(np.linalg.norm(z))))
+
+    return eps_star

@@ -104,9 +104,9 @@ def test_fejer_contraction_rejects_an_overlong_step(monkeypatch):
 
 
 def test_theta_acceleration_rejects_a_zero_over_relaxation(monkeypatch):
-    # a cap of 0 makes the adaptive run the theta = 0 run, whose equal
-    # median the old test median_adaptive <= median_0 accepted
-    monkeypatch.setattr(padmm_ebb, "THETA_CAP", 0.0)
+    # a kernel cap of 0 makes the adaptive run the theta = 0 run, whose
+    # equal median the old test median_adaptive <= median_0 accepted
+    monkeypatch.setattr(hpe_core, "THETA_CAP", 0.0)
     acceptance._padmm_qp_runs.cache_clear()
     try:
         result = acceptance.check_theta_acceleration()
@@ -215,9 +215,10 @@ def test_ergodic_rate_rejects_an_accumulator_without_the_yv_sum(monkeypatch):
 
 def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
     # the criterion check reports its failures without raising, and the
-    # three bounded splitters take their default 0.9 theta_max of a bound
-    # theta_max + 1: their certificates break the criterion, and only the
-    # gate can say so
+    # three bounded splitters' steps set their theta explicitly, 1 above the
+    # criterion's root at the battery's sigma, which the kernel takes as it
+    # is: their certificates break the criterion, and only the gate can say
+    # so
     check = hpe_core.check_criterion
 
     def reporting(x, cert, M, sigma):
@@ -227,11 +228,18 @@ def test_criterion_invariance_rejects_a_theta_past_its_bound(monkeypatch):
             assert str(exc).startswith("criterion failed")
             return exc.report
 
+    def past_the_root(real):
+        def step(x, p, theta=None):
+            cert = real(x, p)
+            cert.theta = hpe_core.criterion_root(x, cert, p.metric(),
+                                                 0.5) + 1.0
+            return cert
+        return step
+
     monkeypatch.setattr(hpe_core, "check_criterion", reporting)
-    for name in ("fbhf_max_theta", "ppg_max_theta", "condat_vu_max_theta"):
-        real = getattr(splitters, name)
-        monkeypatch.setattr(splitters, name, lambda *args, real=real:
-                            real(*args) + 1.0)
+    for name in ("fbhf_step", "ppg_step", "condat_vu_step"):
+        monkeypatch.setattr(splitters, name,
+                            past_the_root(getattr(splitters, name)))
     acceptance._invariance_runs.cache_clear()
     try:
         result = acceptance.check_criterion_invariance()

@@ -17,9 +17,11 @@ from opsplit.splitters import (afbas_pd_from_qp, afbas_pd_step,
                                condat_vu_from_qp, condat_vu_step,
                                fbhf_from_qp, fbhf_step)
 
+from support import worst_case_theta
 
-def _fbhf_oracle(prob, theta):
-    return lambda x, M, cfg: fbhf_step(x, prob, theta)
+
+def _fbhf_oracle(prob):
+    return lambda x, M, cfg: fbhf_step(x, prob)
 
 
 def _afbas_pd_oracle(prob):
@@ -45,13 +47,16 @@ def _count_calls(monkeypatch, cls, names):
 
 
 def _saddle_scheme(scheme):
-    """(problem, oracle, z_0) of a saddle scheme on qp:seed=0."""
+    """(problem, oracle, z_0) of a saddle scheme on qp:seed=0: Condat-Vu at
+    an explicit theta, 0.9 times its worst case, which the kernel takes as
+    it is; afbas-pd at the criterion's root, which the kernel takes."""
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "condat-vu":
-        prob, tmax, ref = condat_vu_from_qp(inst, sigma=0.5)
-        return (prob, lambda z, M, cfg: condat_vu_step(z, prob, 0.9 * tmax),
+        prob, ref = condat_vu_from_qp(inst, sigma=0.5)
+        theta = 0.9 * worst_case_theta(prob, 0.5)
+        return (prob, lambda z, M, cfg: condat_vu_step(z, prob, theta),
                 np.zeros(ref.size))
-    prob, _, ref = afbas_pd_from_qp(inst)
+    prob, ref = afbas_pd_from_qp(inst)
     return prob, _afbas_pd_oracle(prob), np.zeros(ref.size)
 
 
@@ -68,7 +73,8 @@ def test_kernel_run_makes_no_metric_solve(monkeypatch, scheme):
     res = hpe_core.run(oracle, z0, prob.metric(), cfg)
     assert res.converged
     assert counts["solve"] == 0
-    # the oracle's own apply, the step check and M (y - x)
+    # the step check and M (y - x), and Condat-Vu's own v = M d or the
+    # root's M (y - x) of afbas-pd
     assert counts["apply"] == 3 * res.iterations
 
 
@@ -135,8 +141,8 @@ def test_dense_saddle_metric_equals_its_operator(scheme, opts, seed):
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_afbas_pd_with_step_shaper_passes_every_step_check(theta, mu, seed):
     # theta != 2 makes S != I, so both R d and S d are full products
-    prob, _, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3),
-                                    theta=theta, mu=mu)
+    prob, ref = afbas_pd_from_qp(gen_qp(seed, p=2, n_i=5, m=3),
+                                 theta=theta, mu=mu)
     res = hpe_core.run(_afbas_pd_oracle(prob), np.zeros(ref.size),
                        prob.metric(),
                        HpeConfig(sigma=0.5, max_iters=5000, tol_residual=1e-8),
@@ -153,8 +159,12 @@ def test_cli_qp_solve_makes_no_gate_only_metric_apply(monkeypatch, tmp_path,
                                                       capsys, algorithm,
                                                       applies):
     # the CLI writes no dist_M_sq column, so its QP solves skip the metric
-    # apply behind it: the step check and M (y - x), plus the step's own
-    # apply in padmm-ebb's Gamma form and in the primal-dual steps
+    # apply behind it: the step check and M (y - x), plus Condat-Vu's own
+    # v = M d, plus the kernel's root, one more M (y - x), for every
+    # algorithm.  padmm-ebb's Gamma form and afbas-pd's cap each took that
+    # apply before the root replaced them, so only fbhf, ppg and Condat-Vu
+    # take one more than ``applies``
+    applies += algorithm in ("fbhf", "ppg", "condat-vu")
     counts = {}
     for cls in (IdentityMetric, BlockDiagonalMetric, DenseMetric):
         counts[cls] = _count_calls(monkeypatch, cls, ("apply",))
@@ -249,11 +259,11 @@ def _nan_from_call(fn, first_bad):
 
 
 def test_nan_through_a_splitter_oracle_is_a_non_finite_value():
-    prob, _, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
+    prob, _ = fbhf_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
     prob = dataclasses.replace(prob,
                                resolvent=_nan_from_call(prob.resolvent, 3))
     with pytest.raises(NonFiniteValue, match="iteration 3: non-finite y") as exc:
-        hpe_core.run(_fbhf_oracle(prob, 0.0),
+        hpe_core.run(_fbhf_oracle(prob),
                      np.zeros(prob.dim), IdentityMetric(),
                      HpeConfig(sigma=0.5, max_iters=50))
     assert isinstance(exc.value, CriterionViolation)
@@ -273,9 +283,9 @@ def _with_nan_from_call_3(built, entry):
 def _nan_scheme(scheme):
     inst = gen_qp(0, p=2, n_i=5, m=3)
     if scheme == "fbhf":
-        prob, _, ref = _with_nan_from_call_3(fbhf_from_qp(inst, 0.5), "B1")
-        return _fbhf_oracle(prob, 0.0), IdentityMetric(), np.zeros(ref.size)
-    prob, _, ref = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
+        prob, ref = _with_nan_from_call_3(fbhf_from_qp(inst, 0.5), "B1")
+        return _fbhf_oracle(prob), IdentityMetric(), np.zeros(ref.size)
+    prob, ref = _with_nan_from_call_3(afbas_pd_from_qp(inst), "grad_f")
     return _afbas_pd_oracle(prob), prob.metric(), np.zeros(ref.size)
 
 
@@ -293,13 +303,15 @@ def test_nan_through_a_prefactored_solve_is_a_non_finite_value(scheme):
 
 
 def test_afbas_pd_step_without_an_admissible_step_aborts_the_run():
-    # a metric 100 times too large leaves no step along the first direction
-    # that meets the criterion; the step names it as padmm-ebb's step range
-    # does, and the kernel names the iteration
-    prob, _, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3))
-    prob._metric = DenseMetric(100.0 * prob._metric.matrix)
+    # an enlargement error priced at 1e6 times the Lipschitz constant
+    # leaves no step along the first direction that meets the criterion;
+    # the kernel's root names it as padmm-ebb's step range did, and the
+    # iteration
+    prob, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3))
+    prob.L *= 1e6
     with pytest.raises(CriterionViolation,
-                       match="iteration 1: no admissible step") as exc:
+                       match="iteration 1: directional Gamma form is not "
+                             "positive") as exc:
         hpe_core.run(_afbas_pd_oracle(prob), np.zeros(ref.size),
                      prob.metric(), HpeConfig(sigma=0.5, max_iters=50))
     assert exc.value.result.abort["exception"] == "CriterionViolation"

@@ -286,15 +286,26 @@ def test_summary_deterministic_apart_from_timing(tmp_path):
 
 @pytest.mark.parametrize("algorithm", ["ppg", "fbhf", "condat-vu", "afbas-pd"])
 def test_bad_theta_is_a_config_error(capsys, algorithm):
-    # theta = 5 is past each scheme's bound; afbas-pd has none, because it
-    # picks its over-relaxation at every step, so any numeric theta is an error
+    # --theta caps every splitter's theta_k in the kernel, which rejects a
+    # cap that is not above -1 before the first step, naming it
     code = main(["solve", "--algorithm", algorithm,
-                 "--problem", "qp:seed=0", "--theta", "5.0"])
+                 "--problem", "qp:seed=0", "--theta", "-2"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
-    bound = SCHEMES[algorithm].bound
-    assert (bound if bound is not None else "must be 'auto'") in err
+    assert capsys.readouterr().err == ("configuration error: theta cap must "
+                                       "be finite and exceed -1, got -2.0\n")
+
+
+@pytest.mark.parametrize("theta", ["4", "0"])
+@pytest.mark.parametrize("algorithm", ["padmm-ebb", "fbhf", "afbas-pd"])
+def test_theta_caps_every_theta_k(tmp_path, algorithm, theta):
+    # one meaning for every algorithm: a number caps theta_k, which is
+    # otherwise the criterion's root, backed off, up to THETA_CAP = 5
+    trace = tmp_path / "t.csv"
+    assert main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
+                 "--theta", theta, "--trace", str(trace)]) == 0
+    with open(trace) as fh:
+        thetas = [float(row["theta"]) for row in csv.DictReader(fh)]
+    assert len(thetas) > 1 and max(thetas) <= float(theta)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -447,7 +458,7 @@ def test_scheme_table_covers_every_splitter():
 
 
 @pytest.mark.parametrize("algorithm", ["fbhf", "ppg", "condat-vu",
-                                       "padmm-ebb"])
+                                       "padmm-ebb", "afbas-pd"])
 @pytest.mark.parametrize("theta", ["-1", "-1.5", "nan", "inf"])
 def test_theta_at_or_below_minus_one_is_a_config_error(algorithm, theta,
                                                        capsys):
@@ -460,14 +471,14 @@ def test_theta_at_or_below_minus_one_is_a_config_error(algorithm, theta,
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_solve_at_sigma_zero_runs_or_names_sigma(algorithm, capsys):
-    # --sigma allows [0, 1); the three schemes whose step scales with sigma
-    # reject 0 with a message that names it (Condat-Vu's build divided by it),
-    # while afbas-pd and padmm-ebb converge
+    # --sigma allows [0, 1); Condat-Vu, whose scales divide by sigma,
+    # rejects 0 with a message that names it, while the others run: fbhf's
+    # and ppg's steps 2 STEP_SHARE (1 + sigma) / L stay positive
     code = main(["solve", "--algorithm", algorithm, "--problem", "qp:seed=0",
                  "--sigma", "0"])
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if algorithm in ("afbas-pd", "padmm-ebb"):
+    if algorithm != "condat-vu":
         assert code == 0
     else:
         assert code == 2

@@ -21,7 +21,7 @@ from opsplit.hpe_core import (CertificateRecorder, CriterionViolation,
                               validate_metric_update)
 from opsplit.linops import (BlockDiagonalMetric, BlockLayout, DenseMetric,
                             IdentityMetric)
-from support import failed_criterion
+from support import failed_criterion, worst_case_theta
 
 
 def _pt(arr):
@@ -101,13 +101,13 @@ def test_criterion_eps_contributes_2c_eps():
     (-1.0, CriterionViolation, "theta = -1.0 is not above -1"),
     (math.nan, hpe_core.NonFiniteValue, "non-finite theta")])
 def test_theta_at_or_below_minus_one_aborts_the_run(theta, error, message):
-    # the kernel's own check, behind Scheme.setup's: at theta = -3 every step
-    # used to be certified while the iterate ran off to 1e23, and at
+    # the kernel's own check of a theta the oracle sets: at theta = -3 every
+    # step used to be certified while the iterate ran off to 1e23, and at
     # theta = -1 the iterate never moved
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import fbhf_from_qp, fbhf_step
 
-    prob, _, ref = fbhf_from_qp(gen_qp(0), 0.5)
+    prob, ref = fbhf_from_qp(gen_qp(0), 0.5)
     with pytest.raises(error, match="iteration 1: .*" + message) as exc:
         hpe_core.run(lambda x, M, cfg: fbhf_step(x, prob, theta),
                      np.zeros(ref.size), prob.metric(),
@@ -151,12 +151,12 @@ def test_a_certificate_with_c_zero_aborts_the_run_at_its_iteration():
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import fbhf_from_qp, fbhf_step
 
-    prob, tmax, ref = fbhf_from_qp(gen_qp(0), 0.5)
+    prob, ref = fbhf_from_qp(gen_qp(0), 0.5)
     calls = []
 
     def oracle(x, M, cfg):
         calls.append(x)
-        cert = fbhf_step(x, prob, 0.9 * tmax)
+        cert = fbhf_step(x, prob, 0.9 * worst_case_theta(prob, 0.5))
         return dataclasses.replace(cert, c=0.0) if len(calls) == 3 else cert
 
     with pytest.raises(ValueError,
@@ -167,6 +167,72 @@ def test_a_certificate_with_c_zero_aborts_the_run_at_its_iteration():
     assert res.abort == {"iteration": 3, "exception": "ValueError",
                          "message": "iteration 3: c must be positive"}
     assert len(res.trace) == 2 and res.reason == "abort"
+
+
+def _root_taken(monkeypatch, sigma=0.9):
+    """Every step whose theta the kernel took from the criterion's root, in
+    runs of the four splitters on QP seeds 0-2, as (theta_k, root, slack,
+    backoff): the criterion's slack at theta_k, and the slack a back-off of
+    ROOT_BACKOFF = 1e-9 leaves, (root - theta_k) <step, c v> with theta_k =
+    -1 + (1 + root)(1 - 1e-9).  The root is recomputed from the passed
+    certificate, whose theta the kernel wrote."""
+    from opsplit.prox_problems import gen_qp
+    from opsplit.splitters import SCHEMES
+
+    check, taken = hpe_core.check_criterion, []
+
+    def recording(x, cert, M, sig):
+        rep = check(x, cert, M, sig)
+        root = hpe_core.criterion_root(x, cert, M, sig)
+        share = float(np.dot(cert.step, cert.c * cert.v))
+        taken.append((cert.theta, root, rep.slack,
+                      (1.0 + root) * 1e-9 * share))
+        return rep
+
+    monkeypatch.setattr(hpe_core, "check_criterion", recording)
+    cfg = HpeConfig(sigma=sigma, max_iters=5000, tol_residual=1e-8)
+    for scheme in SCHEMES.values():
+        for seed in range(3):
+            oracle, M0, x0, _ = scheme.setup(gen_qp(seed, p=2, n_i=5, m=3),
+                                             sigma)
+            hpe_core.run(oracle, x0, M0, cfg)
+    return [t for t in taken if t[0] < hpe_core.THETA_CAP]
+
+
+def test_the_kernel_takes_the_root_backed_off(monkeypatch):
+    # theta_k sits a relative 1e-9 below the root, so every certificate
+    # meets the criterion with about that much slack, which rounding
+    # cannot flip
+    taken = _root_taken(monkeypatch)
+    assert len(taken) > 500
+    for theta, root, slack, backoff in taken:
+        assert theta < root
+        assert slack >= 0.5 * backoff > 0.0
+
+
+def test_the_back_off_check_rejects_a_root_taken_as_it_is(monkeypatch):
+    # without the back-off theta_k is the root: the slack is rounding, of
+    # either sign, and no longer the back-off's
+    monkeypatch.setattr(hpe_core, "ROOT_BACKOFF", 0.0)
+    taken = _root_taken(monkeypatch)
+    assert min(slack / backoff for _, _, slack, backoff in taken) < 0.5
+
+
+def test_the_criterion_check_rejects_a_root_with_its_sign_flipped(
+        monkeypatch):
+    # fbhf's roots are negative here: the negated root is past the true
+    # one, and the criterion check aborts the run at its first step
+    from opsplit.prox_problems import gen_qp
+    from opsplit.splitters import SCHEMES
+
+    real = hpe_core.criterion_root
+    monkeypatch.setattr(hpe_core, "criterion_root",
+                        lambda *args: -real(*args))
+    oracle, M0, x0, _ = SCHEMES["fbhf"].setup(gen_qp(0, p=2, n_i=5, m=3),
+                                              0.9)
+    with pytest.raises(CriterionViolation,
+                       match="^iteration 1: criterion failed"):
+        hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +384,7 @@ def test_validate_metric_update_callable_saddle_metric():
     # exact path with its dimension
     from opsplit.prox_problems import gen_qp
     from opsplit.splitters import condat_vu_from_qp
-    prob, _, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
+    prob, _ = condat_vu_from_qp(gen_qp(0, p=2, n_i=5, m=3), 0.5)
     M = prob.metric()
     assert M.dim == prob.dim_x + prob.dim_y
     validate_metric_update(M, M, 0.0, M.omega_lower)

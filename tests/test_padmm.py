@@ -15,7 +15,8 @@ from opsplit.cli import build_problem, main, parse_descriptor
 from opsplit.hpe_core import (CertificateRecorder, check_criterion,
                               CriterionViolation, ErgodicAccumulator,
                               HpeCertificate, HpeConfig,
-                              MetricScheduleViolation, ergodic_aggregate)
+                              MetricScheduleViolation, criterion_root,
+                              ergodic_aggregate)
 from opsplit.linops import BlockDiagonalMetric, LinearMap, norm
 from opsplit.padmm_ebb import (MultiBlockProblem, UOperator,
                                bb_metric_update, block_sweep, pkkt_residual,
@@ -279,8 +280,7 @@ def _gamma_least_eigenvalue(descriptor, sigma, beta=None):
     _, inst = build_problem(parse_descriptor(descriptor))
     prob = inst.problem
     it = padmm_ebb._Iteration(prob, HpeConfig(sigma=sigma),
-                              rule_beta(prob) if beta is None else beta,
-                              None, ())
+                              rule_beta(prob) if beta is None else beta, ())
     M = it.metric()
     m = np.repeat(np.asarray(M.scalars), M.layout.sizes)
     Ud = u_dense(it.U)
@@ -360,15 +360,17 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
     sigma_bar = 0.9
     eps = sum(0.25 * l * float(np.dot(db, db))
               for l, db in zip(prob.L, lay.split(d)))
-    theta_adap, Ud, step_range = theta_range(d, U, M, sigma_bar, eps, images)
-    theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
+    Ud, step_range = theta_range(d, U, M, images)
     step = M.solve(U.apply(d))
     # the returned certificate pair is U d and M^-1 U d, the sweep's images
     # standing in for U's own adjoint applies bit for bit
     assert Ud.tobytes() == U.apply(d).tobytes()
     assert step_range.tobytes() == step.tobytes()
-    cert = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0,
-                          theta=theta_adap, step=step)
+    cert = HpeCertificate(y=w, v=U.apply(d), eps=eps, c=1.0, theta=None,
+                          step=step)
+    # the kernel's root of that certificate is the adaptive endpoint
+    theta_adap = cert.theta = criterion_root(z, cert, M, sigma_bar)
+    theta_bar = dense_theta_bar(theta_adap, U, M, sigma_bar, prob)
     rep = check_criterion(z, cert, M, sigma_bar)
     assert abs(rep.rel_slack) <= 1e-9        # equality endpoint
     # the direction-independent bound never exceeds the directional one
@@ -386,17 +388,22 @@ def test_theta_range_adaptive_endpoint_meets_criterion_with_equality(qp3):
 
 def test_theta_range_rejects_zero_direction(qp3):
     # the oracle ends the run at a fixed point before d = 0 reaches the step
-    # range; should one reach it, the U* M^-1 U form is 0 and degenerate
+    # range; should one reach it with a sweep point off the iterate, the
+    # U* M^-1 U form of its certificate is 0 and the kernel's root rejects
+    # it as degenerate
     prob = qp3.problem
     lay = prob.full_layout
     etas = scalar_majorant_etas(prob, 1.0)
     M = BlockDiagonalMetric.from_inverse_scalars(
         [1.0 / e for e in etas] + [1.0], lay)
+    Ud, step = theta_range(np.zeros(lay.dim), UOperator(prob, 1.0, etas), M)
+    assert not Ud.any() and not step.any()
+    cert = HpeCertificate(y=np.ones(lay.dim), v=Ud, eps=0.0, c=1.0,
+                          theta=None, step=step)
     with pytest.raises(CriterionViolation,
                        match=r"degenerate U\*M\^-1U form .*denom_form="
                              r"0\.000000e\+00"):
-        theta_range(np.zeros(lay.dim), UOperator(prob, 1.0, etas), M,
-                    0.9, 0.0)
+        criterion_root(np.zeros(lay.dim), cert, M, 0.9)
 
 
 # ---------------------------------------------------------------------------

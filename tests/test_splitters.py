@@ -2,7 +2,8 @@
 
 Each scheme is exercised three ways: hand-computed single steps, boundary
 tightness of the admissible over-relaxation, and convergence to an
-independently computed reference solution.
+independently computed reference solution.  The worst-case bounds of the
+Lipschitz eps come from ``support.worst_case_theta``.
 """
 
 import dataclasses
@@ -23,12 +24,11 @@ from opsplit.prox_problems import ProxFn, gen_qp
 from opsplit.splitters import (SCHEMES, FbhfProblem, PpgProblem,
                                PrimalDualProblem, afbas_pd_from_qp,
                                afbas_pd_step, affine_projector,
-                               condat_vu_from_qp, condat_vu_max_theta,
-                               condat_vu_step, fbhf_from_qp, fbhf_max_theta,
-                               fbhf_step, ppg_from_qp, ppg_max_theta,
-                               ppg_step, THETA_SHARE)
+                               condat_vu_from_qp, condat_vu_step,
+                               fbhf_step, ppg_from_qp, ppg_step, STEP_SHARE,
+                               THETA_SHARE)
 
-from support import count_svds, failed_criterion
+from support import count_svds, failed_criterion, worst_case_theta
 
 
 def _pt(arr):
@@ -66,7 +66,7 @@ def test_fbhf_boundary_tightness():
     p = FbhfProblem(dim=4, resolvent=lambda g, u: u, gamma=0.4,
                     B1=lambda u: u / beta, beta=beta)
     sigma = 0.5
-    tmax = fbhf_max_theta(p, sigma)
+    tmax = worst_case_theta(p, sigma)
     x = _pt([1.0, -2.0, 3.0, 0.5])
     cert = fbhf_step(x, p, tmax)
     rep = check_criterion(x, cert, IdentityMetric(), sigma)
@@ -107,7 +107,7 @@ def test_fbhf_converges_against_projected_reference():
     p = FbhfProblem(dim=n, resolvent=clip,
                     gamma=0.2 * min(1.0, sigma / max(L, 1.0)),
                     B1=lambda u: u - a, beta=1.0, B2=lambda u: S @ u, L=L)
-    theta = 0.9 * fbhf_max_theta(p, sigma)
+    theta = 0.9 * worst_case_theta(p, sigma)
     x = np.zeros(n)
     for _ in range(3000):
         x = extragradient_step(x, fbhf_step(x, p, theta))
@@ -140,8 +140,8 @@ def test_ppg_single_copy_hand_step():
 
 def test_ppg_fixed_point_of_consensus_coding():
     inst = gen_qp(3, p=2, n_i=4, m=2)
-    prob, tmax, z_ref = ppg_from_qp(inst, sigma=0.5)
-    cert = ppg_step(z_ref, prob, theta=0.5 * tmax)
+    prob, z_ref = ppg_from_qp(inst, sigma=0.5)
+    cert = ppg_step(z_ref, prob, theta=0.0)
     assert np.linalg.norm(cert.v) < 1e-9
     assert np.linalg.norm(extragradient_step(z_ref, cert) - z_ref) < 1e-9
 
@@ -154,7 +154,7 @@ def test_ppg_boundary_tightness():
     p = PpgProblem(n=1, dim=3, prox_r=ProxFn.zero(), prox_g=[ProxFn.zero()],
                    grad_f=[lambda u: L * u], L=L, alpha=alpha)
     sigma = 0.75
-    tmax = ppg_max_theta(p, sigma)
+    tmax = worst_case_theta(p, sigma)
     z = _pt([1.0, -1.0, 2.0])
     cert = ppg_step(z, p, theta=tmax)
     rep = check_criterion(z, cert, IdentityMetric(), sigma)
@@ -175,7 +175,7 @@ def test_ppg_solves_a_consensus_lasso():
                    grad_f=[(lambda u, ai=ai: u - ai) for ai in a],
                    L=1.0, alpha=0.5)
     z = np.zeros(n * dim)
-    theta = 0.9 * ppg_max_theta(p, 0.5)
+    theta = 0.9 * worst_case_theta(p, 0.5)
     xc_last = None
     for _ in range(4000):
         zs = z.reshape(n, dim)
@@ -289,7 +289,7 @@ def test_condat_vu_boundary_tightness():
                    B=np.zeros((1, 3)), r=4.0, s=1.0,
                    grad_f=lambda u: L * u, L=L)
     sigma = 0.6
-    tmax = condat_vu_max_theta(p, sigma)
+    tmax = worst_case_theta(p, sigma)
     z = np.array([1.0, -2.0, 0.5, 0.0])
     cert = condat_vu_step(z, p, theta=tmax)
     rep = check_criterion(z, cert, p.metric(), sigma)
@@ -308,7 +308,7 @@ def test_condat_vu_solves_total_variation_denoising():
     p = _condat_vu(dim_x=n, dim_y=n - 1, prox_g=ProxFn.zero(),
                    prox_h=ProxFn.l1(lam), B=D,
                    r=6.0, s=6.0, grad_f=lambda u: u - a, L=1.0)
-    theta = 0.9 * condat_vu_max_theta(p, 0.5)
+    theta = 0.9 * worst_case_theta(p, 0.5)
     z = np.zeros(2 * n - 1)
     for _ in range(4000):
         z = extragradient_step(z, condat_vu_step(z, p, theta))
@@ -329,7 +329,7 @@ def test_afbas_theta2_directions_collinear_with_condat_vu():
     # at theta = 2 the step shaper S is the identity, so afbas-pd's update
     # is collinear with the Condat-Vu step on the same problem
     inst = gen_qp(5, p=2, n_i=4, m=2)
-    prob, _, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
+    prob, _ = afbas_pd_from_qp(inst, theta=2.0, mu=0.5, lam=1.0)
     rng = np.random.default_rng(6)
     for _ in range(5):
         z = rng.standard_normal(prob.dim_x + prob.dim_y)
@@ -382,32 +382,31 @@ def test_afbas_step_at_a_fixed_point_ends_the_run_as_one():
     assert len(res.trace) == 0
 
 
+def _afbas_run(prob, sigma, max_iters):
+    """The kernel run of afbas-pd's steps on ``prob`` from 0, to machine
+    precision: the steps leave theta to the kernel."""
+    return hpe_core.run(lambda z, M, cfg: afbas_pd_step(z, prob, cfg.sigma),
+                        np.zeros(prob.dim_x + prob.dim_y), prob.metric(),
+                        HpeConfig(sigma=sigma, max_iters=max_iters,
+                                  tol_residual=0.0),
+                        columns=hpe_core.select(("criterion_slack",)))
+
+
 def test_afbas_converges_to_reference():
     inst = gen_qp(4, p=2, n_i=5, m=3)
-    prob, _, z_ref = afbas_pd_from_qp(inst)
-    z = np.zeros(z_ref.size)
-    for _ in range(800):
-        z = extragradient_step(z, afbas_pd_step(z, prob, sigma=0.5))
-    assert np.linalg.norm(z - z_ref) < 1e-6
+    prob, z_ref = afbas_pd_from_qp(inst)
+    res = _afbas_run(prob, 0.5, 800)
+    assert np.linalg.norm(res.solution - z_ref) < 1e-6
 
 
 def test_afbas_step_criterion_each_iteration():
-    # the run reaches an exact fixed point after 192 steps, where the step
-    # returns None and the kernel stops, so the loop stops there too
+    # the run may reach an exact fixed point, where the step returns None
+    # and the kernel stops
     inst = gen_qp(9, p=2, n_i=4, m=2)
-    prob, _, _ = afbas_pd_from_qp(inst)
-    M = prob.metric()
-    z = np.zeros(prob.dim_x + prob.dim_y)
-    checked = 0
-    for _ in range(200):
-        cert = afbas_pd_step(z, prob, sigma=0.5)
-        if cert is None:
-            break
-        rep = check_criterion(z, cert, M, 0.5)
-        assert rep.rel_slack >= -1e-10
-        z = extragradient_step(z, cert)
-        checked += 1
-    assert checked >= 150
+    prob, _ = afbas_pd_from_qp(inst)
+    slacks = _afbas_run(prob, 0.5, 200).trace.column("criterion_slack")
+    assert len(slacks) >= 150
+    assert min(slacks) >= -1e-10
 
 
 def _afbas_iterations(build):
@@ -416,7 +415,7 @@ def _afbas_iterations(build):
     cfg = HpeConfig(sigma=0.9, max_iters=5000, tol_residual=1e-8)
     runs = []
     for seed in range(10):
-        prob, _, ref = build(gen_qp(seed, p=2, n_i=5, m=3))
+        prob, ref = build(gen_qp(seed, p=2, n_i=5, m=3))
         res = hpe_core.run(lambda z, M, c: afbas_pd_step(z, prob, c.sigma),
                            np.zeros(ref.size), prob.metric(), cfg)
         runs.append((res.converged, res.iterations))
@@ -438,51 +437,93 @@ def test_afbas_default_theta_and_lam_take_fewer_iterations():
 BOUNDED = ("fbhf", "ppg", "condat-vu")
 
 
-@pytest.mark.parametrize("scheme", BOUNDED)
+@pytest.mark.parametrize("scheme", ["condat-vu"])
 def test_bounded_builders_leave_theta_share_of_sigma(scheme):
-    # each step takes the rest of sigma's budget: theta_max = THETA_SHARE
-    # sigma on every instance and sigma
+    # Condat-Vu's scales take the rest of sigma's budget: the worst case of
+    # its root is THETA_SHARE sigma on every instance and sigma
     for seed in range(10):
         inst = gen_qp(seed, p=2, n_i=5, m=3)
         for sigma in (0.1, 0.5, 0.9, 0.99):
-            theta_max = SCHEMES[scheme].build(inst, sigma)[1]
+            theta_max = worst_case_theta(SCHEMES[scheme].build(inst, sigma)[0],
+                                         sigma)
             assert theta_max == pytest.approx(THETA_SHARE * sigma, rel=1e-12)
 
 
+def _theta_trace(scheme, seed, sigma, tol, max_iters=5000):
+    """The theta and v_norm columns of a kernel run of ``scheme`` on QP
+    ``seed``, which converges unless tol is 0."""
+    oracle, M0, x0, _ = SCHEMES[scheme].setup(gen_qp(seed, p=2, n_i=5, m=3),
+                                              sigma)
+    res = hpe_core.run(oracle, x0, M0, HpeConfig(sigma=sigma,
+                                                 max_iters=max_iters,
+                                                 tol_residual=tol),
+                       columns=hpe_core.select(("theta", "v_norm")))
+    assert res.converged or tol == 0.0
+    return res.trace.column("theta"), res.trace.column("v_norm")
+
+
+@pytest.mark.parametrize("scheme", ["fbhf", "ppg"])
+def test_step_share_keeps_the_root_above_its_floor(scheme):
+    # at the step 2 STEP_SHARE (1 + sigma) / L, with M = I and
+    # step + (y - x) = 0, the root is at least sigma - STEP_SHARE (1 + sigma)
+    # = (1 - STEP_SHARE)(1 + sigma) - 1 > -1 along every direction: at
+    # every sigma, down to machine precision in the tol-0 runs
+    for sigma in (0.0, 0.5, 0.9, 0.99):
+        floor = (1.0 - STEP_SHARE) * (1.0 + sigma) - 1.0
+        for seed in range(10):
+            thetas, _ = _theta_trace(scheme, seed, sigma, 1e-8)
+            assert min(thetas) >= floor - 1e-12, (sigma, seed)
+        thetas, v_norms = _theta_trace(scheme, 0, sigma, 0.0, 300)
+        assert min(v_norms) <= 1e-14 and min(thetas) >= floor - 1e-12
+
+
+def test_ppg_v_is_z_minus_y_bit_for_bit():
+    # v = z - y keeps step + (y - z) = 0 exactly, so the root reads no
+    # rounding of x_c - x_n against z + x_n - x_c
+    inst = gen_qp(2, p=2, n_i=5, m=3)
+    prob, _ = ppg_from_qp(inst, 0.9)
+    z = np.random.default_rng(3).standard_normal(prob.n * prob.dim)
+    cert = ppg_step(z, prob)
+    assert cert.v.tobytes() == (z - cert.y).tobytes()
+    assert cert.step is cert.v and cert.theta is None
+
+
+_STEPS = {"fbhf": fbhf_step, "ppg": ppg_step, "condat-vu": condat_vu_step}
+
+
 def _old_scale(problem, sigma):
-    """The same problem at the step scale before THETA_SHARE, and its
-    theta_max: fbhf gamma = beta sigma, ppg alpha = sigma/L, Condat-Vu
-    r = s = ||B|| + L/sigma + 1."""
+    """The same problem at the step scale before THETA_SHARE, with the
+    Lipschitz eps, and 0.9 times its worst-case theta: fbhf gamma =
+    beta sigma, ppg alpha = sigma/L, Condat-Vu r = s = ||B|| + L/sigma + 1."""
     if isinstance(problem, FbhfProblem):
-        old = dataclasses.replace(problem, gamma=problem.beta * sigma)
-        return old, fbhf_max_theta(old, sigma)
-    if isinstance(problem, PpgProblem):
-        old = dataclasses.replace(problem, alpha=sigma / problem.L)
-        return old, ppg_max_theta(old, sigma)
-    scale = problem.bnorm + problem.L / sigma + 1.0
-    old = dataclasses.replace(problem, r=scale, s=scale)
-    return old, condat_vu_max_theta(old, sigma)
+        old = dataclasses.replace(problem, gamma=problem.beta * sigma, Q=None)
+    elif isinstance(problem, PpgProblem):
+        old = dataclasses.replace(problem, alpha=sigma / problem.L, Q=None)
+    else:
+        scale = problem.bnorm + problem.L / sigma + 1.0
+        old = dataclasses.replace(problem, r=scale, s=scale, Q=None)
+    return old, 0.9 * worst_case_theta(old, sigma)
 
 
 @pytest.mark.parametrize("scheme", BOUNDED)
 def test_theta_share_takes_fewer_iterations_than_the_old_scale(scheme):
-    # the sigma = 0.9 QP battery: fbhf 556 against 774, ppg 540 against
-    # 737, Condat-Vu 1,055 against 1,696 iterations
-    def old_build(inst, sigma):
-        problem, _, ref = SCHEMES[scheme].build(inst, sigma)
-        return (*_old_scale(problem, sigma), ref)
-
+    # today's steps at the criterion's root (THETA_SHARE's scales for
+    # Condat-Vu, STEP_SHARE's for fbhf and ppg) against the scales before
+    # THETA_SHARE, at 0.9 of their worst-case theta, on the sigma = 0.9 QP
+    # battery: fbhf 410 against 774, ppg 343 against 737, Condat-Vu 787
+    # against 1,696 iterations
     cfg = HpeConfig(sigma=0.9, max_iters=5000, tol_residual=1e-8)
-    totals = []
-    for table in (SCHEMES[scheme],
-                  dataclasses.replace(SCHEMES[scheme], build=old_build)):
-        runs = []
-        for seed in range(10):
-            oracle, M0, x0, _ = table.setup(gen_qp(seed, p=2, n_i=5, m=3),
-                                            0.9)
-            runs.append(hpe_core.run(oracle, x0, M0, cfg))
-        assert all(res.converged for res in runs)
-        totals.append(sum(res.iterations for res in runs))
+    totals = [0, 0]
+    for seed in range(10):
+        inst = gen_qp(seed, p=2, n_i=5, m=3)
+        problem, ref = SCHEMES[scheme].build(inst, 0.9)
+        old, theta = _old_scale(problem, 0.9)
+        runs = (SCHEMES[scheme].setup(inst, 0.9)[:2],
+                (lambda x, M, c: _STEPS[scheme](x, old, theta), old.metric()))
+        for i, (oracle, M0) in enumerate(runs):
+            res = hpe_core.run(oracle, np.zeros(ref.size), M0, cfg)
+            assert res.converged
+            totals[i] += res.iterations
     assert totals[0] < totals[1], totals
 
 
@@ -505,6 +546,57 @@ def test_afbas_parameter_validation():
                           L=100.0)  # curvature margin too small
 
 
+def _fbhf(**fields):
+    return FbhfProblem(**dict(dict(dim=2, resolvent=lambda g, u: u,
+                                   gamma=1.0), **fields))
+
+
+def _ppg(**fields):
+    return PpgProblem(**dict(dict(n=1, dim=2, prox_r=ProxFn.zero(),
+                                  prox_g=[ProxFn.zero()],
+                                  grad_f=[lambda u: u], L=1.0, alpha=1.0),
+                             **fields))
+
+
+def _primal_dual(**fields):
+    return PrimalDualProblem(**dict(dict(
+        dim_x=2, dim_y=1, prox_g=ProxFn.zero(), prox_h=ProxFn.zero(),
+        B=np.ones((1, 2)), r=4.0, s=4.0, theta=2.0, mu=0.5), **fields))
+
+
+@pytest.mark.parametrize("build,fields,message", [
+    (_fbhf, {"gamma": math.inf}, "gamma must be finite and positive, got inf"),
+    (_fbhf, {"gamma": math.nan}, "gamma must be finite and positive, got nan"),
+    (_fbhf, {"gamma": 0.0}, "gamma must be finite and positive, got 0.0"),
+    (_fbhf, {"L": math.nan}, "L must be finite and nonnegative, got nan"),
+    (_fbhf, {"L": math.inf}, "L must be finite and nonnegative, got inf"),
+    (_fbhf, {"B1": lambda u: u, "beta": math.nan},
+     "beta must be finite and positive, got nan"),
+    (_fbhf, {"B1": lambda u: u, "beta": math.inf},
+     "beta must be finite and positive, got inf"),
+    (_fbhf, {"B1": lambda u: u},
+     "beta must be finite and positive, got None"),
+    (_fbhf, {"Q": np.eye(3)}, r"Q must be a \(2, 2\) Hessian, got shape "
+                              r"\(3, 3\)"),
+    (_ppg, {"L": math.nan}, "L must be finite and nonnegative, got nan"),
+    (_ppg, {"alpha": math.inf}, "alpha must be finite and positive, got inf"),
+    (_ppg, {"alpha": math.nan}, "alpha must be finite and positive, got nan"),
+    (_ppg, {"Q": np.ones(2)}, r"Q must be a \(2, 2\) Hessian, got shape "
+                              r"\(2,\)"),
+    (_primal_dual, {"Q": np.eye(3)},
+     r"Q must be a \(2, 2\) Hessian, got shape \(3, 3\)")],
+    ids=["fbhf-gamma-inf", "fbhf-gamma-nan", "fbhf-gamma-zero", "fbhf-L-nan",
+         "fbhf-L-inf", "fbhf-beta-nan", "fbhf-beta-inf", "fbhf-beta-none",
+         "fbhf-Q-shape", "ppg-L-nan", "ppg-alpha-inf", "ppg-alpha-nan",
+         "ppg-Q-shape", "primal-dual-Q-shape"])
+def test_splitter_problem_names_a_bad_field(build, fields, message):
+    # a non-finite step or curvature used to build a problem whose first
+    # step ran on NaN or inf; each field is checked, and named
+    with pytest.raises(ValueError, match=message):
+        build(**fields)
+    build()  # the same problem without the bad field builds
+
+
 @pytest.mark.parametrize("lam,message", [
     (0.0, "theta = -1.0 is not above -1"),
     (-1.0, "theta = -.* is not above -1"),
@@ -513,7 +605,7 @@ def test_afbas_bad_explicit_lam_aborts_at_the_first_step(lam, message):
     # nothing checks lam when the problem is built: an explicit cap at or
     # below 0, or NaN, gives alpha_1 <= 0 or NaN, and the kernel's theta
     # check names it in iteration 1
-    prob, _, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3), lam=lam)
+    prob, ref = afbas_pd_from_qp(gen_qp(0, p=2, n_i=5, m=3), lam=lam)
     with pytest.raises(CriterionViolation,
                        match="iteration 1: " + message) as exc:
         hpe_core.run(lambda z, M, c: afbas_pd_step(z, prob, c.sigma),
@@ -582,26 +674,34 @@ def test_afbas_metric_check_rejects_a_shaper_off_the_identity():
 @pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
 def test_kernel_correction_is_the_textbook_update(scheme):
     # each step hands over a certificate only; the kernel's correction along
-    # its step must be the scheme's own update, written here from the sweep
-    # point y or from S d, never from the step: z + (1 + theta)(y - z) for
-    # FBHF, PPG and Condat-Vu, z - alpha S d with alpha = 1 + theta_k for
-    # afbas-pd
+    # its step, at the theta_k it took, must be the scheme's own update,
+    # written here from the sweep point y or from S d, never from the step:
+    # z + (1 + theta_k)(y - z) for FBHF, PPG and Condat-Vu, z - alpha S d
+    # with alpha = 1 + theta_k for afbas-pd.  Each oracle call checks the
+    # previous iteration's correction
     inst = gen_qp(1, p=2, n_i=4, m=2)
     sch = SCHEMES[scheme]
-    prob, tmax, ref = sch.build(inst, 0.5)
-    theta = None if tmax is None else 0.9 * tmax
-    M = prob.metric()
-    z = np.zeros(ref.size)
-    for k in range(1, 201):
-        cert = sch.step(z, prob, theta, 0.5)
-        hpe_core.check_criterion(z, cert, M, 0.5)  # verifies M step = c v
-        if scheme == "afbas-pd":
-            textbook = z - (1.0 + cert.theta) * (prob._S @ (z - cert.y))
-        else:
-            textbook = z + (1.0 + theta) * (cert.y - z)
-        z = extragradient_step(z, cert)
-        scale = 1.0 + np.max(np.abs(textbook))
-        assert np.max(np.abs(textbook - z)) <= 1e-12 * scale, k
+    prob, ref = sch.build(inst, 0.5)
+    last = []
+
+    def oracle(z, M, cfg):
+        if last:
+            z_prev, cert = last.pop()
+            if scheme == "afbas-pd":
+                textbook = z_prev - (1.0 + cert.theta) * (
+                    prob._S @ (z_prev - cert.y))
+            else:
+                textbook = z_prev + (1.0 + cert.theta) * (cert.y - z_prev)
+            scale = 1.0 + np.max(np.abs(textbook))
+            assert np.max(np.abs(textbook - z)) <= 1e-12 * scale
+        cert = sch.step(z, prob, cfg.sigma)
+        last.append((z, cert))
+        return cert
+
+    res = hpe_core.run(oracle, np.zeros(ref.size), prob.metric(),
+                       HpeConfig(sigma=0.5, max_iters=200, tol_residual=0.0))
+    # or it ended at an exact fixed point, v = 0
+    assert res.iterations == 200 or res.reason in ("fixed_point", "residual")
 
 
 @pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu", "afbas-pd"])
@@ -642,30 +742,14 @@ def test_numpy_eigvalsh_is_bitwise_scipy_on_the_qp_matrices(seed,
 @pytest.mark.parametrize("theta", [-3.0, -1.0, float("nan")])
 @pytest.mark.parametrize("scheme", ["fbhf", "ppg", "condat-vu"])
 def test_setup_rejects_theta_at_or_below_minus_one_and_nan(scheme, theta):
-    # each passes the bound theta <= theta_max: a NaN compares false, and
-    # theta <= -1 lies below every theta_max
-    with pytest.raises(ValueError, match="theta must exceed -1, got %r"
-                       % theta):
-        SCHEMES[scheme].setup(gen_qp(0), 0.5, theta)
-
-
-def test_setup_checks_the_default_theta_against_the_bound():
-    # fbhf at gamma = 2.2 beta sigma has theta_max = -0.1 sigma < 0, where
-    # 0.9 theta_max lies past the bound; an explicit theta below it runs
-    def build(inst, sigma):
-        prob, _, ref = fbhf_from_qp(inst, sigma)
-        prob = dataclasses.replace(prob, gamma=2.2 * prob.beta * sigma)
-        return prob, fbhf_max_theta(prob, sigma), ref
-
-    scheme = dataclasses.replace(SCHEMES["fbhf"], build=build)
-    inst = gen_qp(0, p=2, n_i=5, m=3)
-    with pytest.raises(ValueError, match=r"theta -0\.081 violates \(1 \+ "
-                       r"gamma\^2 L\^2\) theta .* \(max -0\.09\)"):
-        scheme.setup(inst, 0.9)
-    oracle, M, x0, _ = scheme.setup(inst, 0.9, -0.2)
-    res = hpe_core.run(oracle, x0, M, HpeConfig(sigma=0.9, max_iters=5000,
-                                                tol_residual=1e-8))
-    assert res.converged and res.iterations == 58
+    # Scheme.setup takes no theta: a theta is the cap of the run it sets
+    # up, and the kernel rejects one at or below -1, or NaN, before the
+    # first step
+    oracle, M0, x0, _ = SCHEMES[scheme].setup(gen_qp(0), 0.5)
+    with pytest.raises(ValueError, match="theta cap must be finite and "
+                       "exceed -1, got %r" % theta) as exc:
+        hpe_core.run(oracle, x0, M0, HpeConfig(sigma=0.5), theta_cap=theta)
+    assert not hasattr(exc.value, "result")
 
 
 def test_affine_projector_projects():

@@ -96,13 +96,14 @@ def test_each_row_runs_in_its_own_interpreter(monkeypatch, capsys):
 def test_one_row_sets_the_defaults_its_runs_read(monkeypatch):
     # the row's xi0 holds for HpeConfig() and the class attribute, each
     # --set constant for the code that reads it: the penalty rule, afbas-pd's
-    # build and the bounded builders' theta share; monkeypatch puts the
-    # library's back
+    # build, fbhf's and ppg's step share and Condat-Vu's theta share;
+    # monkeypatch puts the library's back
     monkeypatch.setattr(HpeConfig.__init__, "__defaults__",
                         HpeConfig.__init__.__defaults__)
     monkeypatch.setattr(HpeConfig, "xi0", HpeConfig.xi0)
     for module, name in ((padmm_ebb, "PENALTY_KAPPA"),
                          (splitters, "AFBAS_THETA"),
+                         (splitters, "STEP_SHARE"),
                          (splitters, "THETA_SHARE")):
         monkeypatch.setattr(module, name, getattr(module, name))
     default = HpeConfig()
@@ -110,12 +111,16 @@ def test_one_row_sets_the_defaults_its_runs_read(monkeypatch):
     beta = padmm_ebb.rule_beta(inst.problem)
     xi_sweep.set_defaults(0.25, {"padmm_ebb.PENALTY_KAPPA": 0.25,
                                  "splitters.AFBAS_THETA": 2.0,
+                                 "splitters.STEP_SHARE": 0.5,
                                  "splitters.THETA_SHARE": 0.25})
     assert HpeConfig().xi0 == HpeConfig.xi0 == 0.25
     assert HpeConfig(xi0=default.xi0) == default
     assert padmm_ebb.rule_beta(inst.problem) == pytest.approx(beta / 2)
     assert splitters.SCHEMES["afbas-pd"].build(inst, 0.9)[0].theta == 2.0
-    assert splitters.SCHEMES["fbhf"].build(inst, 0.8)[1] == pytest.approx(
+    fbhf = splitters.SCHEMES["fbhf"].build(inst, 0.8)[0]
+    assert fbhf.gamma == pytest.approx(1.8 * fbhf.beta, rel=1e-12)
+    cv = splitters.SCHEMES["condat-vu"].build(inst, 0.8)[0]
+    assert 0.8 - cv.L / (2.0 * cv.curvature_margin) == pytest.approx(
         0.2, rel=1e-12)
 
 
@@ -127,9 +132,10 @@ def test_readme_sweep_lines_pass_the_checks(monkeypatch, capsys):
     monkeypatch.setattr(xi_sweep, "set_defaults", lambda *a: None)
     text = (ROOT / "README.md").read_text()
     lines = re.findall(r"^python3 tools/xi_sweep\.py (.*)$", text, flags=re.M)
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert ("--set splitters.THETA_SHARE=0.05,0.1,0.125,0.15,0.2 "
             "--set splitters.CV_DUAL_SCALE=1,1.5,2") in lines
+    assert "--set splitters.STEP_SHARE=0.8,0.9,0.95" in lines
     for line in lines:
         assert xi_sweep.main(shlex.split(line)) == 0
     capsys.readouterr()
@@ -153,20 +159,21 @@ def test_main_builds_one_parser_per_process(monkeypatch):
     ((splitters, "THETA_SHARE", 1.0),
      lambda: xi_sweep._splitter_runs("condat-vu", 0.9),
      "ZeroDivisionError: float division by zero"),
-    ((splitters, "THETA_SHARE", 1.0),
+    ((splitters, "STEP_SHARE", 0.0),
      lambda: xi_sweep._splitter_runs("fbhf", 0.9),
-     "ValueError: gamma must be positive"),
-    ((splitters, "THETA_SHARE", 1.0),
+     "ValueError: gamma must be finite and positive, got 0.0"),
+    ((splitters, "STEP_SHARE", 0.0),
      lambda: xi_sweep._splitter_runs("ppg", 0.9),
-     "ValueError: need n >= 1, alpha > 0, L >= 0"),
+     "ValueError: alpha must be finite and positive, got 0.0"),
     ((padmm_ebb, "PENALTY_KAPPA", 0.0),
      lambda: xi_sweep.acceptance._padmm_qp_runs(None, 0.9)[0],
      "ValueError: inverse metric scalar 2 is 0.0, not positive")],
     ids=["condat-vu", "fbhf", "ppg", "padmm-ebb"])
 def test_a_battery_that_cannot_run_is_a_labelled_cell(monkeypatch, constant,
                                                       runs, label):
-    # THETA_SHARE = 1 leaves the bounded splitters no step, and
-    # PENALTY_KAPPA = 0 gives padmm-ebb a zero penalty: the cell names the
-    # failure instead of ending the row, and with it the sweep
+    # THETA_SHARE = 1 leaves Condat-Vu no primal scale, STEP_SHARE = 0
+    # leaves fbhf and ppg no step, and PENALTY_KAPPA = 0 gives padmm-ebb a
+    # zero penalty: the cell names the failure instead of ending the row,
+    # and with it the sweep
     monkeypatch.setattr(*constant)
     assert xi_sweep._battery(runs) == "abort (%s)" % label

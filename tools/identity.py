@@ -59,10 +59,13 @@ BATTERY = (
     + [("padmm-ebb.qp%d.theta0" % s,
         _solve("padmm-ebb", QP % s, *QP_OPTS, "--theta", "0"))
        for s in range(10)]
-    # a second sigma: Condat-Vu's scales and afbas-pd's criterion cap move
+    # other sigmas: every splitter's step or scales and its root move
     + [("%s.qp%d.sigma05" % (a, s), _solve(a, QP % s, *QP_OPTS, "--sigma",
                                            "0.5"))
-       for a in ("condat-vu", "afbas-pd") for s in range(3)]
+       for a in ("condat-vu", "afbas-pd", "fbhf", "ppg") for s in range(3)]
+    + [("%s.qp%d.sigma099" % (a, s), _solve(a, QP % s, *QP_OPTS, "--sigma",
+                                            "0.99"))
+       for a in ("fbhf", "ppg") for s in range(3)]
     + [("padmm-ebb.lrr%d%s" % (s, suffix),
         _solve("padmm-ebb", LRR % s, *LRR_OPTS, *extra))
        for s in range(3) for suffix, extra in (("", ()),
